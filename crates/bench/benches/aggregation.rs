@@ -2,7 +2,7 @@
 //! against the baseline rules, over realistic gradient sizes.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use stellaris_core::{AggregationRule, GradientMsg, ParameterServer};
+use stellaris_core::{AggregationRule, GradientMsg, ShardedParameterServer};
 use stellaris_envs::ActionSpace;
 use stellaris_nn::{ParamSet, Sgd, Tensor};
 use stellaris_rl::{PolicyNet, PolicySpec};
@@ -43,9 +43,11 @@ fn bench_rules(c: &mut Criterion) {
         let name = format!("aggregate_{}", rule.name());
         c.bench_function(&name, |bench| {
             let p = policy();
-            let mut ps = ParameterServer::new(p, Box::new(Sgd::new(1e-3, 0.0)), rule.clone());
+            let ps = ShardedParameterServer::new(p.clone(), rule.clone(), 1, || {
+                Box::new(Sgd::new(1e-3, 0.0))
+            });
             bench.iter(|| {
-                let m = msg(&ps.policy, ps.clock());
+                let m = msg(&p, ps.clock());
                 black_box(ps.offer(m))
             })
         });

@@ -20,8 +20,7 @@ use std::time::Instant;
 
 use stellaris_cache::{Cache, GradientQueue, LatencyModel, ShardedGradientQueue};
 use stellaris_core::{
-    AggregationRule, GradientMsg, ParameterServer, Placement, Router, ShardedParameterServer,
-    POLICY_KEY,
+    AggregationRule, GradientMsg, Placement, Router, ShardedParameterServer, POLICY_KEY,
 };
 use stellaris_envs::ActionSpace;
 use stellaris_nn::{OptimizerKind, ParamSet, Tensor};
@@ -82,8 +81,8 @@ fn p99_us(mut samples: Vec<u64>) -> f64 {
 /// The classic plane: every gradient rides the cross-VM router (a real
 /// encode/decode per hop, exactly like `train_async`'s submission path),
 /// lands encoded in the cache, is decoded back out by the aggregator
-/// behind one bounded queue of cache keys, and every commit republishes a
-/// full encoded snapshot.
+/// behind one bounded queue of cache keys into a one-shard server behind
+/// one mutex, and every commit republishes a full encoded snapshot.
 fn run_baseline(learners: usize, rounds: usize) -> PlaneRow {
     let total = learners * rounds;
     let cache = Arc::new(Cache::new(16, LatencyModel::off()));
@@ -92,10 +91,11 @@ fn run_baseline(learners: usize, rounds: usize) -> PlaneRow {
     let queue: Arc<GradientQueue<String>> = Arc::new(GradientQueue::bounded(total));
     let pol = policy(32, 1);
     let template = Arc::new(grad_msg(&pol, 0, 0.01));
-    let server = Arc::new(Mutex::new(ParameterServer::new(
+    let server = Arc::new(Mutex::new(ShardedParameterServer::new(
         pol,
-        OptimizerKind::Adam.build(3e-4),
         AggregationRule::PureAsync,
+        1,
+        || OptimizerKind::Adam.build(3e-4),
     )));
     let snap0 = {
         let srv = server.lock().unwrap();
@@ -153,7 +153,7 @@ fn run_baseline(learners: usize, rounds: usize) -> PlaneRow {
                     let Ok(msg) = cache.take_obj::<GradientMsg>(&key) else {
                         continue;
                     };
-                    let mut srv = server.lock().unwrap();
+                    let srv = server.lock().unwrap();
                     let applied = srv.offer(msg);
                     if applied > 0 {
                         let snap = srv.snapshot();

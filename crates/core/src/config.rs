@@ -48,6 +48,15 @@ impl Algo {
             Algo::Impala(c) => c.gamma,
         }
     }
+
+    /// GAE `λ` the data loader fills advantages with (the V-trace
+    /// algorithms carry no `λ` of their own and use the PPO default).
+    pub fn gae_lambda(&self) -> f32 {
+        match self {
+            Algo::Ppo(c) => c.gae_lambda,
+            Algo::Impact(_) | Algo::Impala(_) => 0.95,
+        }
+    }
 }
 
 /// How learners are hosted and how the job is billed.
@@ -89,6 +98,17 @@ impl LearnerMode {
             LearnerMode::Async { .. } => "async",
             LearnerMode::Sync { .. } => "sync",
             LearnerMode::Single => "single",
+        }
+    }
+
+    /// The aggregation rule the parameter function runs under this
+    /// topology: the configured rule for asynchronous learners, a full
+    /// barrier over the learner group for the lock-step ones.
+    pub fn rule(&self) -> AggregationRule {
+        match self {
+            LearnerMode::Async { rule } => rule.clone(),
+            LearnerMode::Sync { n } => AggregationRule::FullSync { n: (*n).max(1) },
+            LearnerMode::Single => AggregationRule::FullSync { n: 1 },
         }
     }
 }
@@ -138,7 +158,8 @@ pub struct TrainConfig {
     /// orchestration); when false the pool is pinned at `max_learners`.
     pub dynamic_learners: bool,
     /// Resume training from a previous run's final snapshot (architecture
-    /// must match this config's env/hidden geometry).
+    /// must match this config's env/hidden geometry). Honoured by all three
+    /// training loops.
     pub initial_snapshot: Option<PolicySnapshot>,
     /// Fault-injection plan (seeded chaos); `FaultConfig::off()` disables
     /// every fault class.
@@ -150,9 +171,10 @@ pub struct TrainConfig {
     /// (required for bitwise-deterministic runs — deadlines compare
     /// wall-clock time).
     pub invoke_deadline: Option<Duration>,
-    /// Parameter-plane shards (DESIGN.md §16). 1 = the classic single
-    /// server, bit-for-bit identical to pre-sharding runs; N>1 splits
-    /// parameter blocks across N independently-committing shards.
+    /// Parameter-plane shards (DESIGN.md §16), honoured by all three
+    /// training loops (async, sync, remote). 1 = one shard owning every
+    /// block; N>1 splits parameter blocks across N independently-committing
+    /// shards.
     pub param_shards: usize,
     /// Gradient-plane lanes: bounded MPSC lanes learners hash into so
     /// enqueues never contend on one global lock. 1 = the classic single

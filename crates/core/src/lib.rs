@@ -7,7 +7,8 @@
 //! * **importance-sampling truncation with a global view** (§V-A, Eq. 2) —
 //!   [`truncation::RatioBoard`];
 //! * **staleness-aware gradient aggregation** (§V-C, Eq. 3 & 4) —
-//!   [`staleness::StalenessSchedule`], [`parameter::ParameterServer`];
+//!   [`staleness::StalenessSchedule`], [`parameter::ShardedParameterServer`]
+//!   (the one parameter plane all three training loops aggregate through);
 //! * **on-demand serverless learner orchestration** (§V-B) —
 //!   [`orchestrator::train`], with the GPU data loader, hierarchical data
 //!   passing through the distributed cache, and the baseline aggregation
@@ -38,7 +39,7 @@ pub use config::{Algo, Deployment, LearnerMode, TrainConfig};
 pub use messages::GradientMsg;
 pub use metrics::{rows_to_csv, TimerReport, Timers, TrainRow};
 pub use orchestrator::{smooth, train, TrainResult, POLICY_KEY};
-pub use parameter::{ParameterServer, ShardLayout, ShardedParameterServer, StalenessRing};
+pub use parameter::{ShardLayout, ShardedParameterServer, StalenessRing};
 pub use remote::{
     serve_worker, snapshot_checksum, GradientRequest, RemoteError, RemoteFleet, RemoteRunReport,
     RemoteSetup, RemoteWorker, WireEvent, WireEventBatch,

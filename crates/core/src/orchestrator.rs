@@ -12,7 +12,9 @@
 //!
 //! The synchronous path implements the serverful baselines (RLlib-style
 //! multi-learner data parallelism, single-learner MinionsRL) with the same
-//! components in lockstep.
+//! components in lockstep. Both schedules aggregate through the one
+//! parameter plane (`parameter_plane`) and close their rounds through the
+//! one ledger (`Run`).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -21,7 +23,7 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 use stellaris_cache::{BlockingQueue, Cache, LatencyModel, ShardedGradientQueue};
-use stellaris_envs::make_env;
+use stellaris_envs::{make_env, Env};
 use stellaris_nn::Tensor;
 use stellaris_rl::{
     evaluate, fill_gae, impact_gradients, impala_gradients, ppo_gradients, ImpactLearner,
@@ -33,12 +35,12 @@ use stellaris_serverless::{
 };
 use stellaris_telemetry as telemetry;
 
-use crate::aggregation::{AggregationRule, SspThrottle};
+use crate::aggregation::SspThrottle;
 use crate::autoscale::LearnerAutoscaler;
 use crate::config::{Algo, Deployment, LearnerMode, TrainConfig};
 use crate::messages::GradientMsg;
 use crate::metrics::{Component, TimerReport, Timers, TrainRow};
-use crate::parameter::{ParameterServer, ShardedParameterServer};
+use crate::parameter::ShardedParameterServer;
 use crate::transport::{Placement, Router};
 use crate::truncation::RatioBoard;
 
@@ -173,57 +175,254 @@ pub(crate) fn learner_compute(
     }
 }
 
+/// The one constructor of the parameter plane: the configured starting
+/// policy, the topology's aggregation rule, `param_shards` shards and one
+/// optimizer per shard. `train_async`, `train_sync` and
+/// `RemoteFleet::run` all obtain their server here.
+pub(crate) fn parameter_plane(cfg: &TrainConfig) -> ShardedParameterServer {
+    ShardedParameterServer::new(
+        initial_policy(cfg),
+        cfg.learner_mode.rule(),
+        cfg.param_shards,
+        || cfg.optimizer.build(cfg.algo.lr()),
+    )
+}
+
 /// Runs a training job, dispatching on the learner topology.
 pub fn train(cfg: &TrainConfig) -> TrainResult {
-    match &cfg.learner_mode {
-        LearnerMode::Async { rule } => train_async(cfg, rule.clone()),
-        LearnerMode::Sync { n } => train_sync(cfg, *n),
+    match cfg.learner_mode {
+        LearnerMode::Async { .. } => train_async(cfg),
+        LearnerMode::Sync { n } => train_sync(cfg, n.max(1)),
         LearnerMode::Single => train_sync(cfg, 1),
     }
 }
 
+/// What both in-process schedules run on and report through: the shared
+/// substrates (cache, platform, router, timers, the parameter plane) and
+/// the per-round ledger (evaluation, `TrainRow` assembly, degraded-round
+/// accounting). The schedule itself — free-running threads or lock-step
+/// waves — stays with the caller.
+struct Run<'a> {
+    cfg: &'a TrainConfig,
+    start: Instant,
+    cache: Arc<Cache>,
+    platform: Arc<Platform>,
+    router: Arc<Router>,
+    timers: Arc<Timers>,
+    server: Arc<ShardedParameterServer>,
+    eval_env: Box<dyn Env>,
+    eval_policy: PolicyNet,
+    prev_policy: PolicyNet,
+    /// First observation batch any actor produced: the fixed probe the
+    /// per-round policy KL is measured on.
+    probe_obs: Option<Tensor>,
+    rows: Vec<TrainRow>,
+    last_round_end: Instant,
+    prev_updates: u64,
+    prev_invocations: u64,
+    prev_episodes: u64,
+    prev_staleness_len: u64,
+    prev_degraded: u64,
+    degraded_rounds: u64,
+}
+
+impl<'a> Run<'a> {
+    /// Builds the substrates with `learner_slots` prewarmed learner
+    /// functions and publishes the starting policy.
+    fn start(cfg: &'a TrainConfig, learner_slots: usize) -> Self {
+        let start = Instant::now();
+        let cache = Arc::new(Cache::new(16, LatencyModel::lan_recorded()));
+        let faults = Arc::new(FaultPlan::new(cfg.faults.clone()));
+        let platform = Arc::new(
+            Platform::new(
+                learner_slots,
+                cfg.n_actors,
+                StartupProfile::default(),
+                OverheadMode::Record,
+            )
+            .with_faults(faults.clone()),
+        );
+        let router = Arc::new(Router::with_faults(cache.clone(), faults));
+        platform.prewarm(FunctionKind::Learner, learner_slots);
+        platform.prewarm(FunctionKind::Actor, cfg.n_actors);
+        let server = Arc::new(parameter_plane(cfg));
+        // Snapshot first: `put_obj` locks cache shards, which must never
+        // happen while a parameter-shard guard is live.
+        let snapshot0 = server.snapshot();
+        cache.put_obj(POLICY_KEY, &snapshot0);
+        Self {
+            cfg,
+            start,
+            cache,
+            platform,
+            router,
+            timers: Arc::new(Timers::default()),
+            server,
+            eval_env: make_env(cfg.env_id, cfg.env_cfg),
+            eval_policy: build_policy(cfg),
+            prev_policy: build_policy(cfg),
+            probe_obs: None,
+            rows: Vec::with_capacity(cfg.rounds),
+            last_round_end: Instant::now(),
+            prev_updates: 0,
+            prev_invocations: 0,
+            prev_episodes: 0,
+            prev_staleness_len: 0,
+            prev_degraded: 0,
+            degraded_rounds: 0,
+        }
+    }
+
+    /// Closes one round: evaluates `snap` (the previous round's policy when
+    /// the published frame was unreadable), advances the staleness
+    /// schedule, and appends the round's `TrainRow` from the running totals
+    /// `episodes` / `degraded_events`. Returns the evaluation reward.
+    fn close_round(
+        &mut self,
+        round: usize,
+        round_span: &mut telemetry::SpanGuard,
+        snap: Option<PolicySnapshot>,
+        episodes: u64,
+        degraded_events: u64,
+    ) -> f32 {
+        let cfg = self.cfg;
+        if let Some(snap) = snap {
+            self.eval_policy.load_snapshot(&snap);
+        }
+        // The probe KL is two forward passes over a full actor batch — the
+        // other half of judging the round's policy — so it is staged with
+        // the evaluation episodes rather than left unattributed.
+        let (reward, policy_kl) = {
+            let _eval = telemetry::span("core.eval");
+            let reward = evaluate(
+                &self.eval_policy,
+                self.eval_env.as_mut(),
+                cfg.eval_episodes,
+                cfg.seed ^ 0xe7a1,
+            );
+            let policy_kl = self
+                .probe_obs
+                .as_ref()
+                .map(|obs| self.prev_policy.mean_kl_to(&self.eval_policy, obs))
+                .unwrap_or(0.0);
+            (reward, policy_kl)
+        };
+        self.prev_policy.load_snapshot(&self.eval_policy.snapshot());
+
+        self.server.advance_round();
+        let staleness_len = self.server.staleness_log().recorded();
+        let new = (staleness_len - self.prev_staleness_len) as usize;
+        let mean_staleness = self.server.mean_recent_staleness(new.max(1));
+        let updates = self.server.updates();
+        let invocations = learner_invocations(&self.platform);
+        let cost = cost_for(cfg, &self.platform, self.start.elapsed());
+        let now = Instant::now();
+        self.rows.push(TrainRow {
+            round,
+            wall_time_s: self.start.elapsed().as_secs_f64(),
+            round_duration_s: (now - self.last_round_end).as_secs_f64(),
+            learner_invocations: invocations - self.prev_invocations,
+            episodes: episodes - self.prev_episodes,
+            reward,
+            mean_staleness,
+            cost_usd: cost.total(),
+            learner_cost_usd: cost.learner_usd,
+            actor_cost_usd: cost.actor_usd,
+            policy_updates: updates - self.prev_updates,
+            policy_kl,
+        });
+        self.last_round_end = now;
+        self.prev_updates = updates;
+        self.prev_invocations = invocations;
+        self.prev_episodes = episodes;
+        self.prev_staleness_len = staleness_len;
+        if degraded_events > self.prev_degraded {
+            self.degraded_rounds += 1;
+            round_span.field("degraded", true);
+            telemetry::recorder::note_degraded_round();
+        }
+        self.prev_degraded = degraded_events;
+        let metrics = telemetry::global();
+        metrics
+            .gauge("stellaris_core_degraded_rounds")
+            .set(self.degraded_rounds as f64);
+        round_span.field("reward", f64::from(reward));
+        round_span.field("mean_staleness", mean_staleness);
+        metrics.counter("stellaris_core_rounds_total").inc();
+        reward
+    }
+
+    /// Assembles the job's report. Every server accessor takes and releases
+    /// its own shard guard, so none is held across a platform lock.
+    fn finish(mut self, degraded_events: u64) -> TrainResult {
+        // Worker threads outlive the last round's bookkeeping pass; losses
+        // they report between that check and shutdown still degraded the
+        // final round.
+        if degraded_events > self.prev_degraded && self.cfg.rounds > 0 {
+            self.degraded_rounds += 1;
+        }
+        let cfg = self.cfg;
+        let platform = &self.platform;
+        let wall = self.start.elapsed();
+        let mut timers = self.timers.report();
+        // Startup overhead + cache latency from the substrates' own accounting.
+        timers.startup_s = platform
+            .records()
+            .iter()
+            .map(|r| r.startup.as_secs_f64())
+            .sum();
+        let (cold_starts, _) = platform.start_counts();
+        TrainResult {
+            staleness_log: self.server.staleness_log().to_vec(),
+            timers,
+            final_reward: self.rows.last().map(|r| r.reward).unwrap_or(0.0),
+            cost: cost_for(cfg, platform, wall),
+            wall_time_s: wall.as_secs_f64(),
+            learner_invocations: learner_invocations(platform),
+            policy_updates: self.server.updates(),
+            gpu_utilization: platform.gpu_utilization(cfg.max_learners),
+            cold_starts,
+            label: cfg.label(),
+            final_snapshot: self.server.snapshot(),
+            grads_aggregated: self.server.grads_aggregated(),
+            degraded_rounds: self.degraded_rounds,
+            slots_leaked: platform.leaked_slots(),
+            faults: platform.faults().report(),
+            rows: self.rows,
+        }
+    }
+}
+
+/// Learner-function invocations the platform has recorded (failures included).
+pub(crate) fn learner_invocations(platform: &Platform) -> u64 {
+    platform
+        .records()
+        .iter()
+        .filter(|r| r.kind == FunctionKind::Learner)
+        .count() as u64
+}
+
 // ---------------------------------------------------------------------------
-// Asynchronous path (Stellaris and the Fig. 11a ablation baselines)
+// Asynchronous schedule (Stellaris and the Fig. 11a ablation baselines)
 // ---------------------------------------------------------------------------
 
-fn train_async(cfg: &TrainConfig, rule: AggregationRule) -> TrainResult {
-    let start = Instant::now();
-    let cache = Arc::new(Cache::new(16, LatencyModel::lan_recorded()));
-    let faults = Arc::new(FaultPlan::new(cfg.faults.clone()));
-    let platform = Arc::new(
-        Platform::new(
-            cfg.max_learners,
-            cfg.n_actors,
-            StartupProfile::default(),
-            OverheadMode::Record,
-        )
-        .with_faults(faults.clone()),
-    );
-    let router = Arc::new(Router::with_faults(cache.clone(), faults));
-    platform.prewarm(FunctionKind::Learner, cfg.max_learners);
-    platform.prewarm(FunctionKind::Actor, cfg.n_actors);
-
-    let policy0 = initial_policy(cfg);
-    // DESIGN.md §16: the parameter plane is sharded by parameter block.
-    // `param_shards = 1` (every preset's default) collapses to a single
-    // shard whose aggregation is bit-for-bit identical to the classic
-    // `ParameterServer` — the regression test in `parameter.rs` pins this.
-    let server = Arc::new(ShardedParameterServer::new(
-        policy0.clone(),
-        rule.clone(),
-        cfg.param_shards,
-        || cfg.optimizer.build(cfg.algo.lr()),
-    ));
-    // Snapshot first: `put_obj` locks cache shards, which must never happen
-    // while a parameter-shard guard is live.
-    let snapshot0 = server.snapshot();
-    cache.put_obj(POLICY_KEY, &snapshot0);
+fn train_async(cfg: &TrainConfig) -> TrainResult {
+    let mut run = Run::start(cfg, cfg.max_learners);
+    let cache = run.cache.clone();
+    let platform = run.platform.clone();
+    let router = run.router.clone();
+    let timers = run.timers.clone();
+    let server = run.server.clone();
 
     let board = Arc::new(match cfg.truncation_rho {
         Some(rho) => RatioBoard::new(rho),
         None => RatioBoard::disabled(),
     });
-    let throttle = rule.ssp_bound().map(|b| Arc::new(SspThrottle::new(b)));
+    let throttle = cfg
+        .learner_mode
+        .rule()
+        .ssp_bound()
+        .map(|b| Arc::new(SspThrottle::new(b)));
     let autoscaler = Arc::new(if cfg.dynamic_learners {
         LearnerAutoscaler::new(1, cfg.max_learners.max(1))
     } else {
@@ -243,7 +442,7 @@ fn train_async(cfg: &TrainConfig, rule: AggregationRule) -> TrainResult {
     let grad_cap = 8 * cfg.max_learners.max(8);
     // Learners hash into `grad_lanes` independent bounded MPSC lanes so a
     // 10k-learner fan-in never serialises on one queue lock; one lane (the
-    // default) is exactly the classic single bounded queue.
+    // default) is a single bounded queue.
     let grad_q: Arc<ShardedGradientQueue<String>> =
         Arc::new(ShardedGradientQueue::bounded(cfg.grad_lanes, grad_cap));
     let stop = Arc::new(AtomicBool::new(false));
@@ -263,9 +462,6 @@ fn train_async(cfg: &TrainConfig, rule: AggregationRule) -> TrainResult {
     // Retry-exhausted invocations/transfers: each one means some work was
     // permanently lost and the round degraded to a quorum of what arrived.
     let degraded_events = Arc::new(AtomicU64::new(0));
-    let mut degraded_rounds = 0u64;
-    let mut prev_degraded = 0u64;
-    let timers = Arc::new(Timers::default());
     let active_actors = Arc::new(AtomicUsize::new(if cfg.dynamic_actors {
         (cfg.n_actors / 2).max(1)
     } else {
@@ -273,12 +469,8 @@ fn train_async(cfg: &TrainConfig, rule: AggregationRule) -> TrainResult {
     }));
     let probe_obs: Arc<Mutex<Option<Tensor>>> = Arc::new(Mutex::new(None));
 
-    let mut rows = Vec::with_capacity(cfg.rounds);
     let gamma = cfg.algo.gamma();
-    let lambda = match &cfg.algo {
-        Algo::Ppo(p) => p.gae_lambda,
-        Algo::Impact(_) | Algo::Impala(_) => 0.95,
-    };
+    let lambda = cfg.algo.gae_lambda();
 
     crossbeam::thread::scope(|s| {
         // ----- actors (Step ①) -------------------------------------------------
@@ -517,19 +709,8 @@ fn train_async(cfg: &TrainConfig, rule: AggregationRule) -> TrainResult {
         }
 
         // ----- round control + evaluation ---------------------------------------
-        let mut eval_env = make_env(cfg.env_id, cfg.env_cfg);
-        let mut eval_policy = build_policy(cfg);
-        let mut prev_policy = build_policy(cfg);
-        let mut prev_updates = 0u64;
-        let mut prev_invocations = 0u64;
-        let mut prev_episodes = 0u64;
-        let mut prev_staleness_len = 0u64;
-        let mut last_round_end = Instant::now();
         let mut last_reward = f32::NEG_INFINITY;
-
-        let rounds_total = telemetry::global().counter("stellaris_core_rounds_total");
         let depth_gauge = telemetry::global().gauge("stellaris_core_work_queue_depth");
-        let degraded_gauge = telemetry::global().gauge("stellaris_core_degraded_rounds");
         for round in 0..cfg.rounds {
             let mut round_span = telemetry::span_with("core.round", vec![("round", round.into())]);
             let target = (round as u64 + 1) * round_quota;
@@ -542,25 +723,17 @@ fn train_async(cfg: &TrainConfig, rule: AggregationRule) -> TrainResult {
                 }
             }
             depth_gauge.set(work_q.len() as f64);
-            // Evaluate the current canonical policy.
-            if let Ok(snap) = cache.get_obj::<PolicySnapshot>(POLICY_KEY) {
-                eval_policy.load_snapshot(&snap);
+            if run.probe_obs.is_none() {
+                run.probe_obs = probe_obs.lock().clone();
             }
-            let reward = {
-                let _eval = telemetry::span("core.eval");
-                evaluate(
-                    &eval_policy,
-                    eval_env.as_mut(),
-                    cfg.eval_episodes,
-                    cfg.seed ^ 0xe7a1,
-                )
-            };
-            let policy_kl = probe_obs
-                .lock()
-                .as_ref()
-                .map(|obs| prev_policy.mean_kl_to(&eval_policy, obs))
-                .unwrap_or(0.0);
-            prev_policy.load_snapshot(&eval_policy.snapshot());
+            // Evaluate the published canonical policy.
+            let reward = run.close_round(
+                round,
+                &mut round_span,
+                read_snapshot(&cache),
+                episodes.load(Ordering::Relaxed),
+                degraded_events.load(Ordering::Relaxed),
+            );
 
             // MinionsRL-style dynamic actor scaling.
             if cfg.dynamic_actors {
@@ -573,51 +746,6 @@ fn train_async(cfg: &TrainConfig, rule: AggregationRule) -> TrainResult {
                 active_actors.store(next, Ordering::Release);
             }
             last_reward = reward;
-
-            let (updates, staleness_len, mean_staleness) = {
-                server.advance_round();
-                let recorded = server.staleness_log().recorded();
-                let new = (recorded - prev_staleness_len) as usize;
-                let mean = server.mean_recent_staleness(new.max(1));
-                (server.updates(), recorded, mean)
-            };
-            let records = platform.records();
-            let invocations = records
-                .iter()
-                .filter(|r| r.kind == FunctionKind::Learner)
-                .count() as u64;
-            let cost = cost_for(cfg, &platform, start.elapsed());
-            let now = Instant::now();
-            rows.push(TrainRow {
-                round,
-                wall_time_s: start.elapsed().as_secs_f64(),
-                round_duration_s: (now - last_round_end).as_secs_f64(),
-                learner_invocations: invocations - prev_invocations,
-                episodes: episodes.load(Ordering::Relaxed) - prev_episodes,
-                reward,
-                mean_staleness,
-                cost_usd: cost.total(),
-                learner_cost_usd: cost.learner_usd,
-                actor_cost_usd: cost.actor_usd,
-                policy_updates: updates - prev_updates,
-                policy_kl,
-            });
-            last_round_end = now;
-            prev_updates = updates;
-            prev_invocations = invocations;
-            prev_episodes = episodes.load(Ordering::Relaxed);
-            prev_staleness_len = staleness_len;
-            let deg_now = degraded_events.load(Ordering::Relaxed);
-            if deg_now > prev_degraded {
-                degraded_rounds += 1;
-                round_span.field("degraded", true);
-                telemetry::recorder::note_degraded_round();
-            }
-            prev_degraded = deg_now;
-            degraded_gauge.set(degraded_rounds as f64);
-            round_span.field("reward", f64::from(reward));
-            round_span.field("mean_staleness", mean_staleness);
-            rounds_total.inc();
         }
 
         // ----- shutdown ---------------------------------------------------------
@@ -632,101 +760,45 @@ fn train_async(cfg: &TrainConfig, rule: AggregationRule) -> TrainResult {
     // lint:allow(L1): re-raising a child thread's panic is the intended failure path
     .expect("orchestrator thread panicked");
 
-    // Learner/cache threads outlive the round loop's last bookkeeping pass;
-    // losses they report between that check and shutdown still degraded the
-    // final round.
-    if degraded_events.load(Ordering::Relaxed) > prev_degraded && cfg.rounds > 0 {
-        degraded_rounds += 1;
-    }
-
-    // Copy what finalize needs out of the server before it touches the
-    // platform: each accessor takes and releases its shard guard, so no
-    // server lock is ever held across `platform.records`.
-    let server_final = ServerFinal {
-        staleness_log: server.staleness_log().to_vec(),
-        updates: server.updates(),
-        grads_aggregated: server.grads_aggregated(),
-        snapshot: server.snapshot(),
-    };
-    finalize(
-        cfg,
-        rows,
-        server_final,
-        &platform,
-        &timers,
-        start,
-        degraded_rounds,
-    )
+    run.finish(degraded_events.load(Ordering::Relaxed))
 }
 
 // ---------------------------------------------------------------------------
-// Synchronous path (serverful baselines and MinionsRL's single learner)
+// Synchronous schedule (serverful baselines and MinionsRL's single learner)
 // ---------------------------------------------------------------------------
 
 fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
-    let start = Instant::now();
-    let cache = Arc::new(Cache::new(16, LatencyModel::lan_recorded()));
-    let faults = Arc::new(FaultPlan::new(cfg.faults.clone()));
-    let platform = Arc::new(
-        Platform::new(
-            n_learners.max(1),
-            cfg.n_actors,
-            StartupProfile::default(),
-            OverheadMode::Record,
-        )
-        .with_faults(faults.clone()),
-    );
-    let router = Router::with_faults(cache.clone(), faults);
-    platform.prewarm(FunctionKind::Learner, n_learners);
-    platform.prewarm(FunctionKind::Actor, cfg.n_actors);
-    let timers = Arc::new(Timers::default());
-
-    let policy0 = initial_policy(cfg);
-    let mut server = ParameterServer::new(
-        policy0,
-        cfg.optimizer.build(cfg.algo.lr()),
-        AggregationRule::FullSync {
-            n: n_learners.max(1),
-        },
-    );
-    cache.put_obj(POLICY_KEY, &server.snapshot());
+    let mut run = Run::start(cfg, n_learners);
+    let cache = run.cache.clone();
+    let platform = run.platform.clone();
+    let router = run.router.clone();
+    let timers = run.timers.clone();
+    let server = run.server.clone();
 
     let gamma = cfg.algo.gamma();
-    let lambda = match &cfg.algo {
-        Algo::Ppo(p) => p.gae_lambda,
-        Algo::Impact(_) | Algo::Impala(_) => 0.95,
-    };
+    let lambda = cfg.algo.gae_lambda();
+    let serverless_actor = cfg.deployment != Deployment::Serverful;
 
-    let mut workers: Vec<RolloutWorker> = (0..cfg.n_actors)
+    // One rollout stream and one policy replica per actor slot, one replica
+    // (plus IMPACT's target-network state, which must persist across waves:
+    // a fresh target every invocation would degenerate the ratio to 1) per
+    // learner slot — built once, refreshed from the wave's snapshot.
+    let mut actors: Vec<(RolloutWorker, PolicyNet)> = (0..cfg.n_actors)
         .map(|a| {
-            RolloutWorker::new(
+            let worker = RolloutWorker::new(
                 make_env(cfg.env_id, cfg.env_cfg),
                 cfg.seed.wrapping_mul(1000).wrapping_add(a as u64),
-            )
+            );
+            (worker, build_policy(cfg))
         })
         .collect();
-    let mut eval_env = make_env(cfg.env_id, cfg.env_cfg);
-    let mut eval_policy = build_policy(cfg);
-    let mut prev_policy = build_policy(cfg);
-    let mut probe_obs: Option<Tensor> = None;
+    let mut learners: Vec<(PolicyNet, Option<ImpactLearner>)> =
+        (0..n_learners).map(|_| (build_policy(cfg), None)).collect();
 
-    let mut rows = Vec::with_capacity(cfg.rounds);
-    // IMPACT's target-network state persists across waves per learner slot
-    // (a fresh target every invocation would degenerate the ratio to 1).
-    let impact_states: Vec<Mutex<Option<ImpactLearner>>> =
-        (0..n_learners.max(1)).map(|_| Mutex::new(None)).collect();
-    let mut episodes_total = 0u64;
-    let mut prev_invocations = 0u64;
-    let mut prev_episodes = 0u64;
-    let mut prev_updates = 0u64;
-    let mut last_round_end = Instant::now();
     let collects_per_round = cfg.round_timesteps.div_ceil(cfg.n_actors * cfg.actor_steps);
+    let mut episodes_total = 0u64;
     let mut degraded_events = 0u64;
-    let mut prev_degraded = 0u64;
-    let mut degraded_rounds = 0u64;
 
-    let rounds_total = telemetry::global().counter("stellaris_core_rounds_total");
-    let degraded_gauge = telemetry::global().gauge("stellaris_core_degraded_rounds");
     for round in 0..cfg.rounds {
         let mut round_span = telemetry::span_with("core.round", vec![("round", round.into())]);
         // Synchronous actor wave(s).
@@ -735,32 +807,27 @@ fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
             // An unreadable snapshot degrades the whole wave rather than
             // panicking the round loop.
             let Some(snap) = read_snapshot(&cache) else {
-                degraded_events += workers.len() as u64;
+                degraded_events += actors.len() as u64;
                 continue;
             };
-            let serverless_actor = cfg.deployment != Deployment::Serverful;
-            let n_spawned = workers.len();
+            let n_spawned = actors.len();
             let wave: Vec<SampleBatch> = crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = workers
+                let handles: Vec<_> = actors
                     .iter_mut()
-                    .map(|w| {
-                        let platform = platform.clone();
-                        let timers = timers.clone();
-                        let snap = snap.clone();
-                        let cfg2 = cfg.clone();
+                    .map(|(worker, local)| {
+                        let (platform, timers, snap) = (&*platform, &*timers, &snap);
                         s.spawn(move |_| {
-                            let mut local = build_policy(&cfg2);
-                            local.load_snapshot(&snap);
+                            local.load_snapshot(snap);
                             let mut collect = || {
                                 let _t = timers.span(Component::ActorSampling);
-                                w.collect(&local, cfg2.actor_steps)
+                                worker.collect(local, cfg.actor_steps)
                             };
                             if serverless_actor {
                                 platform
                                     .invoke_retry(
                                         FunctionKind::Actor,
-                                        &cfg2.retry,
-                                        cfg2.invoke_deadline,
+                                        &cfg.retry,
+                                        cfg.invoke_deadline,
                                         &mut collect,
                                     )
                                     .ok()
@@ -790,8 +857,8 @@ fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
             .iter()
             .map(|b| b.episode_returns.len() as u64)
             .sum::<u64>();
-        if probe_obs.is_none() {
-            probe_obs = batches.first().map(|b| b.obs.clone());
+        if run.probe_obs.is_none() {
+            run.probe_obs = batches.first().map(|b| b.obs.clone());
         }
 
         // Data loader: GAE + minibatching.
@@ -806,13 +873,7 @@ fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
         }
 
         // Synchronous data-parallel learner waves.
-        let mut idx = 0;
-        while idx < minibatches.len() {
-            let wave: Vec<&SampleBatch> = minibatches
-                [idx..(idx + n_learners.max(1)).min(minibatches.len())]
-                .iter()
-                .collect();
-            idx += wave.len();
+        for wave in minibatches.chunks(n_learners) {
             let snap = server.snapshot();
             let wave_size = wave.len();
             // No barrier here: a barrier sized to the wave deadlocks the
@@ -824,36 +885,21 @@ fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
             // is billed after the join from `wave_end - finish`.
             let results: Vec<Option<(GradientMsg, Instant)>> = crossbeam::thread::scope(|s| {
                 let handles: Vec<_> = wave
-                    .into_iter()
+                    .iter()
+                    .zip(learners.iter_mut())
                     .enumerate()
-                    .map(|(l, mb)| {
-                        let platform = platform.clone();
-                        let timers = timers.clone();
-                        let snap = snap.clone();
-                        let cfg2 = cfg.clone();
-                        let impact_slot = &impact_states[l];
+                    .map(|(l, (mb, (local, impact_state)))| {
+                        let (platform, timers, snap) = (&*platform, &*timers, &snap);
                         s.spawn(move |_| {
                             let mut compute = || {
                                 let _t = timers.span(Component::Gradient);
-                                let mut local = build_policy(&cfg2);
-                                let mut impact_state = impact_slot.lock().take();
-                                let msg = learner_compute(
-                                    &cfg2.algo,
-                                    &mut local,
-                                    &mut impact_state,
-                                    &snap,
-                                    mb,
-                                    None,
-                                    l,
-                                );
-                                *impact_slot.lock() = impact_state;
-                                msg
+                                learner_compute(&cfg.algo, local, impact_state, snap, mb, None, l)
                             };
                             platform
                                 .invoke_retry(
                                     FunctionKind::Learner,
-                                    &cfg2.retry,
-                                    cfg2.invoke_deadline,
+                                    &cfg.retry,
+                                    cfg.invoke_deadline,
                                     &mut compute,
                                 )
                                 .ok()
@@ -902,105 +948,28 @@ fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
             let _agg = timers.span(Component::Aggregation);
             let wave_n = msgs.len();
             degraded_events += (wave_size - wave_n) as u64;
-            if wave_n == 0 {
-                // Quorum of zero: every gradient in the wave was lost.
-                // Skip the update entirely rather than stalling.
-            } else if wave_n < n_learners.max(1) {
-                // Degraded or last partial wave: temporarily lower the
-                // sync quorum to the gradients that actually arrived.
-                let mut tmp = ParameterServer::new(
-                    server.policy.clone(),
-                    cfg.optimizer.build(cfg.algo.lr()),
-                    AggregationRule::FullSync { n: wave_n },
-                );
-                tmp.policy.version = server.policy.version;
-                for m in msgs {
-                    tmp.offer(m);
-                }
-                let snap = tmp.snapshot();
-                server.policy.load_snapshot(&snap);
-                server.updates += 1;
-                server.grads_aggregated += tmp.grads_aggregated;
-                server
-                    .staleness_log
-                    .extend(tmp.staleness_log.iter().copied());
-            } else {
-                for m in msgs {
-                    server.offer(m);
-                }
+            for m in msgs {
+                server.offer(m);
             }
-            cache.put_obj(POLICY_KEY, &server.snapshot());
+            if wave_n < n_learners {
+                // Degraded or last partial wave: the quorum is whatever
+                // arrived (nothing, if every gradient was lost).
+                server.commit_pending();
+            }
+            let snap = server.snapshot();
+            cache.put_obj(POLICY_KEY, &snap);
         }
 
-        // Evaluation + metrics.
-        eval_policy.load_snapshot(&server.snapshot());
-        let reward = {
-            let _eval = telemetry::span("core.eval");
-            evaluate(
-                &eval_policy,
-                eval_env.as_mut(),
-                cfg.eval_episodes,
-                cfg.seed ^ 0xe7a1,
-            )
-        };
-        let policy_kl = probe_obs
-            .as_ref()
-            .map(|obs| prev_policy.mean_kl_to(&eval_policy, obs))
-            .unwrap_or(0.0);
-        prev_policy.load_snapshot(&eval_policy.snapshot());
-        server.advance_round();
-
-        let records = platform.records();
-        let invocations = records
-            .iter()
-            .filter(|r| r.kind == FunctionKind::Learner)
-            .count() as u64;
-        let cost = cost_for(cfg, &platform, start.elapsed());
-        let now = Instant::now();
-        rows.push(TrainRow {
+        run.close_round(
             round,
-            wall_time_s: start.elapsed().as_secs_f64(),
-            round_duration_s: (now - last_round_end).as_secs_f64(),
-            learner_invocations: invocations - prev_invocations,
-            episodes: episodes_total - prev_episodes,
-            reward,
-            mean_staleness: 0.0,
-            cost_usd: cost.total(),
-            learner_cost_usd: cost.learner_usd,
-            actor_cost_usd: cost.actor_usd,
-            policy_updates: server.updates - prev_updates,
-            policy_kl,
-        });
-        last_round_end = now;
-        prev_invocations = invocations;
-        prev_episodes = episodes_total;
-        prev_updates = server.updates;
-        if degraded_events > prev_degraded {
-            degraded_rounds += 1;
-            round_span.field("degraded", true);
-            telemetry::recorder::note_degraded_round();
-        }
-        prev_degraded = degraded_events;
-        degraded_gauge.set(degraded_rounds as f64);
-        round_span.field("reward", f64::from(reward));
-        rounds_total.inc();
+            &mut round_span,
+            Some(server.snapshot()),
+            episodes_total,
+            degraded_events,
+        );
     }
 
-    let server_final = ServerFinal {
-        staleness_log: server.staleness_log.to_vec(),
-        updates: server.updates,
-        grads_aggregated: server.grads_aggregated,
-        snapshot: server.snapshot(),
-    };
-    finalize(
-        cfg,
-        rows,
-        server_final,
-        &platform,
-        &timers,
-        start,
-        degraded_rounds,
-    )
+    run.finish(degraded_events)
 }
 
 fn cost_for(cfg: &TrainConfig, platform: &Platform, wall: Duration) -> CostBreakdown {
@@ -1016,58 +985,6 @@ fn cost_for(cfg: &TrainConfig, platform: &Platform, wall: Duration) -> CostBreak
                 .collect();
             bill_hybrid(&cfg.cluster, wall, &actor_records)
         }
-    }
-}
-
-/// Values copied out of the parameter server before finalization, so no
-/// server guard is held while `finalize` locks platform internals.
-struct ServerFinal {
-    staleness_log: Vec<u64>,
-    updates: u64,
-    grads_aggregated: u64,
-    snapshot: PolicySnapshot,
-}
-
-fn finalize(
-    cfg: &TrainConfig,
-    rows: Vec<TrainRow>,
-    server: ServerFinal,
-    platform: &Platform,
-    timers: &Timers,
-    start: Instant,
-    degraded_rounds: u64,
-) -> TrainResult {
-    let wall = start.elapsed();
-    let mut timer_report = timers.report();
-    // Startup overhead + cache latency from the substrates' own accounting.
-    timer_report.startup_s = platform
-        .records()
-        .iter()
-        .map(|r| r.startup.as_secs_f64())
-        .sum();
-    let (cold, _) = platform.start_counts();
-    let final_reward = rows.last().map(|r| r.reward).unwrap_or(0.0);
-    TrainResult {
-        staleness_log: server.staleness_log.to_vec(),
-        timers: timer_report,
-        final_reward,
-        cost: cost_for(cfg, platform, wall),
-        wall_time_s: wall.as_secs_f64(),
-        learner_invocations: platform
-            .records()
-            .iter()
-            .filter(|r| r.kind == FunctionKind::Learner)
-            .count() as u64,
-        policy_updates: server.updates,
-        gpu_utilization: platform.gpu_utilization(cfg.max_learners),
-        cold_starts: cold,
-        label: cfg.label(),
-        final_snapshot: server.snapshot,
-        grads_aggregated: server.grads_aggregated,
-        degraded_rounds,
-        slots_leaked: platform.leaked_slots(),
-        faults: platform.faults().report(),
-        rows,
     }
 }
 
@@ -1089,6 +1006,7 @@ pub fn smooth(rewards: &[f32], window: usize) -> Vec<f32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::aggregation::AggregationRule;
     use stellaris_envs::EnvId;
 
     #[test]
@@ -1131,6 +1049,15 @@ mod tests {
             res.cost.total() > 0.0,
             "serverful billing charges wall time"
         );
+
+        // Regression: the sync loop used to ignore `param_shards`. Two
+        // shards commit twice per wave, so the same deterministic wave
+        // sequence reports exactly twice the updates.
+        let sharded = train(&cfg.with_sharding(2, 1));
+        assert!(sharded.final_snapshot.flat.iter().all(|w| w.is_finite()));
+        assert!(sharded.grads_aggregated > 0);
+        assert_eq!(sharded.policy_updates, 2 * res.policy_updates);
+        assert_eq!(sharded.degraded_rounds, 0);
     }
 
     #[test]

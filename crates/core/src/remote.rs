@@ -27,9 +27,8 @@ use stellaris_cache::{decode_seq, encode_seq, seq_encoded_len, Codec, CodecError
 use stellaris_envs::{make_env, EnvConfig, EnvId};
 use stellaris_nn::ParamSet;
 use stellaris_rl::{
-    apply_to_snapshot, fill_gae, BlockLayout, DeltaStore, ImpactConfig, ImpactLearner,
-    ImpalaConfig, PolicyDelta, PolicyNet, PolicySnapshot, PolicySpec, PpoConfig, RolloutWorker,
-    SampleBatch,
+    apply_to_snapshot, fill_gae, BlockLayout, ImpactConfig, ImpactLearner, ImpalaConfig,
+    PolicyDelta, PolicyNet, PolicySnapshot, PolicySpec, PpoConfig, RolloutWorker, SampleBatch,
 };
 use stellaris_serverless::{
     FaultPlan, FaultReport, FunctionKind, OverheadMode, Platform, ProcessConfig, ProcessPool,
@@ -37,11 +36,9 @@ use stellaris_serverless::{
 };
 use stellaris_telemetry::{self as telemetry, Event, EventKind, FieldValue};
 
-use crate::aggregation::AggregationRule;
-use crate::config::{Algo, LearnerMode, TrainConfig};
+use crate::config::{Algo, TrainConfig};
 use crate::messages::GradientMsg;
-use crate::orchestrator::{build_policy, learner_compute};
-use crate::parameter::ParameterServer;
+use crate::orchestrator::{learner_compute, learner_invocations, parameter_plane};
 
 // ---------------------------------------------------------------------------
 // Wire data types
@@ -865,21 +862,9 @@ impl RemoteFleet {
     pub fn run(&self) -> Result<RemoteRunReport, RemoteError> {
         let setup = RemoteSetup::from_train(&self.cfg);
         let n_learners = self.cfg.max_learners.max(1);
-        let rule = match &self.cfg.learner_mode {
-            LearnerMode::Async { rule } => rule.clone(),
-            LearnerMode::Sync { n } => AggregationRule::FullSync { n: (*n).max(1) },
-            LearnerMode::Single => AggregationRule::FullSync { n: 1 },
-        };
-        let mut server = ParameterServer::new(
-            build_policy(&self.cfg),
-            self.cfg.optimizer.build(self.cfg.algo.lr()),
-            rule,
-        );
+        let server = parameter_plane(&self.cfg);
         let gamma = self.cfg.algo.gamma();
-        let lambda = match &self.cfg.algo {
-            Algo::Ppo(p) => p.gae_lambda,
-            Algo::Impact(_) | Algo::Impala(_) => 0.95,
-        };
+        let lambda = self.cfg.algo.gae_lambda();
 
         // The actor's span base must not collide with any learner's, so it
         // takes the index right above the learner range.
@@ -888,13 +873,9 @@ impl RemoteFleet {
         let mut events_ingested = 0usize;
 
         // Delta-encoded policy pulls (DESIGN.md §16): the parent tracks the
-        // version the actor worker holds and ships only the blocks changed
-        // since. Round 0 (and any rejected delta) falls back to a full
-        // LOAD_POLICY.
-        let mut delta_store = DeltaStore::new(
-            BlockLayout::from_shapes(&build_policy(&self.cfg).param_shapes()),
-            &server.snapshot(),
-        );
+        // version the actor worker holds and asks the server for the blocks
+        // committed since. Round 0 (and any rejected delta) falls back to a
+        // full LOAD_POLICY.
         let mut actor_version: Option<u64> = None;
         let mut policy_full_pulls = 0u64;
         let mut policy_delta_pulls = 0u64;
@@ -910,10 +891,9 @@ impl RemoteFleet {
                 let collect_span =
                     telemetry::span_with("fleet.collect", vec![("round", round.into())]);
                 let t0 = Instant::now();
-                delta_store.ingest(&snap);
                 let shipped = match actor_version {
                     Some(v) => {
-                        let delta = delta_store.delta_since(v);
+                        let delta = server.delta_since(v);
                         // Ship whichever encoding is smaller: a dense
                         // update that touches every block makes the delta
                         // (blocks + index overhead) larger than the flat
@@ -942,7 +922,7 @@ impl RemoteFleet {
                     policy_full_pulls += 1;
                     policy_bytes_full += snap.encoded_len() as u64;
                 }
-                actor_version = Some(delta_store.version());
+                actor_version = Some(snap.version);
                 let batch = actor.collect(self.cfg.actor_steps as u64, collect_span.id())?;
                 let exec = t0.elapsed();
                 self.platform.record_remote(
@@ -1110,8 +1090,8 @@ impl RemoteFleet {
             rounds: self.cfg.rounds,
             final_version: server.clock(),
             final_checksum: snapshot_checksum(&snapshot),
-            grads_aggregated: server.grads_aggregated,
-            staleness_log: server.staleness_log.to_vec(),
+            grads_aggregated: server.grads_aggregated(),
+            staleness_log: server.staleness_log().to_vec(),
             cold_spawns,
             warm_reuses,
             recovered,
@@ -1121,12 +1101,7 @@ impl RemoteFleet {
             policy_delta_pulls,
             policy_bytes_full,
             policy_bytes_delta,
-            learner_invocations: self
-                .platform
-                .records()
-                .iter()
-                .filter(|r| r.kind == FunctionKind::Learner)
-                .count() as u64,
+            learner_invocations: learner_invocations(&self.platform),
         })
     }
 }
@@ -1134,6 +1109,7 @@ impl RemoteFleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::orchestrator::build_policy;
     use std::net::TcpListener;
     use stellaris_cache::frame::{write_value_frame, DEFAULT_MAX_FRAME};
     use stellaris_envs::EnvId;
@@ -1251,7 +1227,7 @@ mod tests {
             full: false,
             blocks: vec![BlockUpdate {
                 index: 0,
-                data: layout.split(&snap0.flat)[0]
+                data: snap0.flat[..layout.size(0)]
                     .iter()
                     .map(|x| x + 0.25)
                     .collect(),

@@ -6,8 +6,8 @@
 //! RUSTFLAGS="--cfg loom" cargo test -p stellaris-core --test loom_aggregation
 //! ```
 //!
-//! The orchestrator serialises `ParameterServer` access behind a mutex while
-//! learners race `offer` against the round driver's `advance_round`. These
+//! Learners race `offer` on the (one-shard) parameter server against the
+//! round driver's `advance_round`, serialised behind a loom mutex. These
 //! models check the accounting invariants that must hold across *every*
 //! interleaving of that race:
 //!
@@ -22,7 +22,7 @@ use loom::sync::{Arc, Mutex};
 use loom::thread;
 
 use stellaris_core::GradientMsg;
-use stellaris_core::{AggregationRule, ParameterServer, SspThrottle, StalenessSchedule};
+use stellaris_core::{AggregationRule, ShardedParameterServer, SspThrottle, StalenessSchedule};
 use stellaris_envs::ActionSpace;
 use stellaris_nn::{ParamSet, Sgd, Tensor};
 use stellaris_rl::{PolicyNet, PolicySpec};
@@ -57,21 +57,24 @@ fn grad_msg(policy: &PolicyNet, learner: usize, base: u64) -> GradientMsg {
 #[test]
 fn concurrent_offers_conserve_gradients() {
     loom::model(|| {
-        let ps = Arc::new(Mutex::new(ParameterServer::new(
-            tiny_policy(0),
-            Box::new(Sgd::new(0.01, 0.0)),
+        let policy = tiny_policy(0);
+        let ps = Arc::new(Mutex::new(ShardedParameterServer::new(
+            policy.clone(),
             AggregationRule::StalenessAware { d: 0.96, v: 3 },
+            1,
+            || Box::new(Sgd::new(0.01, 0.0)),
         )));
 
         const PER_LEARNER: usize = 3;
         let learners: Vec<_> = (0..2usize)
             .map(|id| {
                 let ps = Arc::clone(&ps);
+                let policy = policy.clone();
                 thread::spawn(move || {
                     for _ in 0..PER_LEARNER {
-                        let mut guard = ps.lock().unwrap();
+                        let guard = ps.lock().unwrap();
                         let base = guard.clock();
-                        let msg = grad_msg(&guard.policy, id, base);
+                        let msg = grad_msg(&policy, id, base);
                         guard.offer(msg);
                         drop(guard);
                         thread::yield_now();
@@ -97,18 +100,18 @@ fn concurrent_offers_conserve_gradients() {
         let ps = ps.lock().unwrap();
         let offered = (2 * PER_LEARNER) as u64;
         assert_eq!(
-            ps.pending() as u64 + ps.grads_aggregated,
+            ps.pending() as u64 + ps.grads_aggregated(),
             offered,
             "gradients must be conserved: pending + aggregated == offered"
         );
-        assert!(ps.grads_aggregated <= offered);
+        assert!(ps.grads_aggregated() <= offered);
         assert_eq!(
-            ps.staleness_log.recorded(),
-            ps.grads_aggregated,
+            ps.staleness_log().recorded(),
+            ps.grads_aggregated(),
             "every aggregated gradient logs exactly one staleness sample"
         );
-        assert!(ps.updates <= ps.grads_aggregated);
-        assert_eq!(ps.clock(), ps.updates, "clock advances once per update");
+        assert!(ps.updates() <= ps.grads_aggregated());
+        assert_eq!(ps.clock(), ps.updates(), "clock advances once per update");
     });
 }
 

@@ -5,12 +5,14 @@
 //! The parameter plane is partitioned into *blocks* — one block per parameter
 //! tensor ([`BlockLayout`], the same ordering `ParamSet::params` uses) — and
 //! every block carries the version of the commit that last wrote it. A pull
-//! at version `v` then ships exactly the blocks with `block_version > v`
-//! ([`DeltaStore::delta_since`]); a learner that is already current receives
-//! an empty delta a few bytes long. When `v` predates what the store can
-//! answer for (older than the store's birth version, or from an unknown
-//! lineage ahead of the store), the delta degrades to a **full refresh** that
-//! carries every block, so `apply` always converges to the store's state.
+//! at version `v` then ships exactly the blocks with `block_version > v`; a
+//! learner that is already current receives an empty delta a few bytes long.
+//! When `v` is from an unknown lineage ahead of the producer's clock, the
+//! delta degrades to a **full refresh** that carries every block, so
+//! [`apply_to_snapshot`] always converges to the producer's state. The one
+//! producer is the parameter server (`ShardedParameterServer::delta_since`
+//! in `stellaris-core`), which stamps blocks at commit time; this module is
+//! the format and the receiver half.
 //!
 //! ABS (arXiv 2301.08895) shows convergence survives communicating less per
 //! sync under bounded staleness; Adaptive Policy Synchronization
@@ -71,22 +73,6 @@ impl BlockLayout {
     /// Total element count across all blocks.
     pub fn total(&self) -> usize {
         self.total
-    }
-
-    /// Splits a flat vector into per-block vectors.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `flat.len() != self.total()` — layouts come from the same
-    /// policy spec as the flat vector, so a mismatch is a caller bug.
-    pub fn split(&self, flat: &[f32]) -> Vec<Vec<f32>> {
-        // lint:allow(L1): shape mismatch between a policy and its own layout is a caller bug
-        assert_eq!(flat.len(), self.total, "flat length disagrees with layout");
-        self.sizes
-            .iter()
-            .zip(&self.offsets)
-            .map(|(&sz, &off)| flat[off..off + sz].to_vec())
-            .collect()
     }
 }
 
@@ -265,121 +251,6 @@ pub fn apply_to_snapshot(
     Ok(())
 }
 
-/// Server-side versioned block store: tracks, per block, the version of the
-/// snapshot that last changed it, and serves [`PolicyDelta`]s against any
-/// base version it can answer for.
-///
-/// Content-diff based: feed it every published [`PolicySnapshot`] with
-/// [`DeltaStore::ingest`] and it detects which blocks actually moved. (The
-/// sharded parameter server maintains exact per-block versions natively and
-/// builds its deltas without diffing; this store is for serving deltas in
-/// front of any snapshot producer, e.g. the remote fleet's driver.)
-#[derive(Clone, Debug)]
-pub struct DeltaStore {
-    layout: BlockLayout,
-    blocks: Vec<Vec<f32>>,
-    block_versions: Vec<u64>,
-    version: u64,
-    /// The version tracking began at: pulls from before it get a full
-    /// refresh because the store cannot know which blocks changed earlier.
-    birth: u64,
-}
-
-impl DeltaStore {
-    /// Starts tracking from a snapshot.
-    pub fn new(layout: BlockLayout, snap: &PolicySnapshot) -> Self {
-        let blocks = layout.split(&snap.flat);
-        let n = layout.n_blocks();
-        Self {
-            layout,
-            blocks,
-            block_versions: vec![snap.version; n],
-            version: snap.version,
-            birth: snap.version,
-        }
-    }
-
-    /// The store's current version.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// The block layout this store serves.
-    pub fn layout(&self) -> &BlockLayout {
-        &self.layout
-    }
-
-    /// Ingests a newer snapshot, content-diffing each block; returns how
-    /// many blocks changed. Snapshots older than the store's version are
-    /// ignored (a racing stale publisher), returning 0.
-    pub fn ingest(&mut self, snap: &PolicySnapshot) -> usize {
-        if snap.version < self.version {
-            return 0;
-        }
-        let fresh = self.layout.split(&snap.flat);
-        let mut changed = 0;
-        for (i, block) in fresh.into_iter().enumerate() {
-            if block != self.blocks[i] {
-                self.blocks[i] = block;
-                self.block_versions[i] = snap.version;
-                changed += 1;
-            }
-        }
-        self.version = snap.version;
-        changed
-    }
-
-    /// The delta a learner at version `v` needs to reach the store's
-    /// current state. Empty when `v` is current; a full refresh when `v` is
-    /// ahead of the store (unknown lineage) or older than the store's birth.
-    pub fn delta_since(&self, v: u64) -> PolicyDelta {
-        if v > self.version || v < self.birth {
-            return PolicyDelta {
-                from: v,
-                to: self.version,
-                full: true,
-                blocks: self.all_blocks(),
-            };
-        }
-        let blocks = (0..self.layout.n_blocks())
-            .filter(|&i| self.block_versions[i] > v)
-            .map(|i| BlockUpdate {
-                index: i as u32,
-                data: self.blocks[i].clone(),
-            })
-            .collect();
-        PolicyDelta {
-            from: v,
-            to: self.version,
-            full: false,
-            blocks,
-        }
-    }
-
-    fn all_blocks(&self) -> Vec<BlockUpdate> {
-        self.blocks
-            .iter()
-            .enumerate()
-            .map(|(i, b)| BlockUpdate {
-                index: i as u32,
-                data: b.clone(),
-            })
-            .collect()
-    }
-
-    /// Reassembles the current state as a flat snapshot.
-    pub fn snapshot(&self) -> PolicySnapshot {
-        let mut flat = Vec::with_capacity(self.layout.total());
-        for b in &self.blocks {
-            flat.extend_from_slice(b);
-        }
-        PolicySnapshot {
-            version: self.version,
-            flat,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -404,58 +275,6 @@ mod tests {
         assert_eq!((l.offset(0), l.size(0)), (0, 6));
         assert_eq!((l.offset(1), l.size(1)), (6, 4));
         assert_eq!((l.offset(2), l.size(2)), (10, 1));
-        let split = l.split(&(0..11).map(|i| i as f32).collect::<Vec<_>>());
-        assert_eq!(split[2], vec![10.0]);
-    }
-
-    #[test]
-    fn empty_delta_for_current_learner() {
-        let l = layout3();
-        let store = DeltaStore::new(l, &snap(5, &layout3(), 0.0));
-        let d = store.delta_since(5);
-        assert!(d.is_empty());
-        assert_eq!((d.from, d.to), (5, 5));
-        // An empty delta is a few bytes, not a policy payload.
-        assert!(d.to_bytes().len() < 32);
-    }
-
-    #[test]
-    fn partial_delta_ships_only_changed_blocks() {
-        let l = layout3();
-        let mut store = DeltaStore::new(l.clone(), &snap(0, &l, 0.0));
-        // Bump only block 1's contents at version 1.
-        let mut s1 = store.snapshot();
-        s1.version = 1;
-        s1.flat[7] += 10.0;
-        assert_eq!(store.ingest(&s1), 1);
-        let d = store.delta_since(0);
-        assert!(!d.full);
-        assert_eq!(d.blocks.len(), 1);
-        assert_eq!(d.blocks[0].index, 1);
-        // A learner at 0 applies it and lands on the store's state.
-        let mut learner = snap(0, &l, 0.0);
-        apply_to_snapshot(&d, &mut learner, &l).unwrap();
-        assert_eq!(learner, store.snapshot());
-    }
-
-    #[test]
-    fn too_old_or_future_base_falls_back_to_full_refresh() {
-        let l = layout3();
-        let mut store = DeltaStore::new(l.clone(), &snap(10, &l, 0.0));
-        let mut s11 = store.snapshot();
-        s11.version = 11;
-        s11.flat[0] += 1.0;
-        store.ingest(&s11);
-
-        for v in [3, 99] {
-            let d = store.delta_since(v);
-            assert!(d.full, "v{v} must fall back to a full refresh");
-            assert_eq!(d.blocks.len(), l.n_blocks());
-            // Full refresh applies regardless of the receiver's version.
-            let mut learner = snap(v, &l, 42.0);
-            apply_to_snapshot(&d, &mut learner, &l).unwrap();
-            assert_eq!(learner, store.snapshot());
-        }
     }
 
     #[test]
@@ -527,6 +346,26 @@ mod tests {
     }
 
     #[test]
+    fn full_refresh_applies_over_any_receiver_version() {
+        let l = layout3();
+        let target = snap(11, &l, 0.0);
+        let d = PolicyDelta {
+            from: 99,
+            to: 11,
+            full: true,
+            blocks: (0..l.n_blocks())
+                .map(|i| BlockUpdate {
+                    index: i as u32,
+                    data: target.flat[l.offset(i)..l.offset(i) + l.size(i)].to_vec(),
+                })
+                .collect(),
+        };
+        let mut learner = snap(3, &l, 42.0);
+        apply_to_snapshot(&d, &mut learner, &l).unwrap();
+        assert_eq!(learner, target);
+    }
+
+    #[test]
     fn incomplete_full_refresh_rejected() {
         let l = layout3();
         let mut learner = snap(0, &l, 0.0);
@@ -546,53 +385,6 @@ mod tests {
     }
 
     proptest! {
-        /// The delta identity: for an arbitrary walk of block-change sets,
-        /// `apply(delta(v→w), snapshot_v) == snapshot_w` for every `v` along
-        /// the walk — including `v == w` (empty delta) and pre-birth `v`
-        /// (full-refresh fallback).
-        #[test]
-        fn prop_apply_delta_reaches_current_snapshot(
-            shapes in proptest::collection::vec(1usize..5, 1..6),
-            n_steps in 0usize..8,
-            seed in 0u64..1000,
-        ) {
-            use rand::{Rng, SeedableRng};
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let layout = BlockLayout::from_shapes(
-                &shapes.iter().map(|&n| vec![n]).collect::<Vec<_>>(),
-            );
-            let birth = 3u64;
-            let s0 = PolicySnapshot {
-                version: birth,
-                flat: (0..layout.total()).map(|i| i as f32).collect(),
-            };
-            let mut store = DeltaStore::new(layout.clone(), &s0);
-            // Snapshots a learner could have pulled at each version,
-            // including one from before the store was born.
-            let mut held = vec![
-                PolicySnapshot { version: 0, flat: vec![0.0; layout.total()] },
-                s0.clone(),
-            ];
-            let mut current = s0;
-            for _ in 0..n_steps {
-                current.version += 1;
-                // Arbitrary block-change set, possibly empty.
-                for i in 0..layout.n_blocks() {
-                    if rng.gen_bool(0.5) {
-                        current.flat[layout.offset(i)] += rng.gen_range(-1e3f32..1e3);
-                    }
-                }
-                store.ingest(&current);
-                held.push(current.clone());
-            }
-            for mut learner in held {
-                let d = store.delta_since(learner.version);
-                prop_assert!(d.from == learner.version || d.full);
-                apply_to_snapshot(&d, &mut learner, &layout).unwrap();
-                prop_assert_eq!(&learner, &store.snapshot());
-            }
-        }
-
         /// Wire roundtrip for arbitrary well-formed deltas.
         #[test]
         fn prop_delta_codec_roundtrip(

@@ -21,7 +21,7 @@ pub mod trajectory;
 pub mod vtrace;
 
 pub use checkpoint::{load_policy, save_policy};
-pub use delta::{apply_to_snapshot, BlockLayout, BlockUpdate, DeltaError, DeltaStore, PolicyDelta};
+pub use delta::{apply_to_snapshot, BlockLayout, BlockUpdate, DeltaError, PolicyDelta};
 pub use gae::fill_gae;
 pub use impact::{impact_gradients, ImpactConfig, ImpactLearner};
 pub use impala::{impala_gradients, ImpalaConfig};

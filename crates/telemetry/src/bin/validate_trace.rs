@@ -213,8 +213,8 @@ fn main() -> ExitCode {
     // Sharded-plane conservation: every (gradient, shard) fold increments
     // both the `stellaris_core_grads_aggregated_total` counter and exactly
     // one per-shard staleness histogram, so the `_count`s must sum to the
-    // counter. Vacuous when the counter is absent (plain ParameterServer
-    // runs never register it).
+    // counter. Vacuous when the counter is absent (a trace from a run that
+    // built no parameter server, e.g. the simulator).
     if let Some(total) = prom_sample(&prom, "stellaris_core_grads_aggregated_total") {
         let shard_sum: u64 = prom
             .lines()

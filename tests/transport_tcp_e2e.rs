@@ -10,7 +10,8 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use stellaris::core::{
-    train, GradientRequest, RemoteError, RemoteFleet, RemoteSetup, RemoteWorker, TrainConfig,
+    snapshot_checksum, train, GradientRequest, RemoteError, RemoteFleet, RemoteSetup, RemoteWorker,
+    TrainConfig,
 };
 use stellaris::envs::EnvId;
 use stellaris::rl::fill_gae;
@@ -94,6 +95,18 @@ fn same_seed_chaos_is_reproducible_over_sockets() {
     assert_eq!(a.staleness_log, b.staleness_log);
     assert_eq!(a.grads_aggregated, b.grads_aggregated);
     assert_eq!(a.faults, b.faults, "the chaos draws themselves must replay");
+}
+
+/// Regression: the remote loop used to start from fresh weights and drop
+/// `initial_snapshot`. A zero-round resume must report the resumed weights.
+#[test]
+fn remote_run_resumes_from_initial_snapshot() {
+    let _guard = FLEET_LOCK.lock().unwrap();
+    let resumed = train(&tiny_cfg(5, 1)).final_snapshot;
+    let cfg = tiny_cfg(5, 0).resume_from(resumed.clone());
+    let report = fleet(cfg, WireTransport::Tcp).run().expect("fleet run");
+    assert_eq!(report.final_checksum, snapshot_checksum(&resumed));
+    assert_eq!(report.final_version, resumed.version);
 }
 
 /// Worker spans cross the process boundary and stitch onto parent spans:
