@@ -128,7 +128,7 @@ impl<T> BlockingQueue<T> {
 ///
 /// ```
 /// use stellaris_cache::GradientQueue;
-/// let q = GradientQueue::new();
+/// let q = GradientQueue::bounded(8);
 /// q.push("grad:0", 0);
 /// q.push("grad:1", 2);
 /// assert_eq!(q.staleness_average(3), Some(2.0)); // ((3-0) + (3-2)) / 2
@@ -138,9 +138,9 @@ pub struct GradientQueue<T> {
     inner: Mutex<VecDeque<(T, u64)>>,
     cond: Condvar,
     closed: AtomicBool,
-    /// Depth cap; `None` means unbounded (see [`Self::bounded`]).
-    cap: Option<usize>,
-    /// Payloads shed (oldest-first) by pushes against a full bounded queue.
+    /// Depth cap (≥ 1): a push against a full queue sheds the oldest payload.
+    cap: usize,
+    /// Payloads shed (oldest-first) by pushes against a full queue.
     shed: AtomicU64,
     /// Consumer-published aggregation clock (see [`Self::advance_clock`]);
     /// lets dequeues compute per-gradient staleness without reaching into
@@ -158,18 +158,7 @@ pub struct GradientQueue<T> {
     lane_shed: Option<Arc<Counter>>,
 }
 
-impl<T> Default for GradientQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl<T> GradientQueue<T> {
-    /// Creates an empty, open, unbounded queue.
-    pub fn new() -> Self {
-        Self::with_cap(None)
-    }
-
     /// Creates an empty, open queue that holds at most `cap` payloads
     /// (clamped to ≥ 1). A push against a full queue sheds the *oldest*
     /// payload — the most stale gradient, the one aggregation weights least
@@ -177,31 +166,13 @@ impl<T> GradientQueue<T> {
     /// learners fan in. Sheds are counted ([`Self::shed_count`]) and
     /// exported as `stellaris_cache_queue_shed_total`.
     pub fn bounded(cap: usize) -> Self {
-        Self::with_cap(Some(cap.max(1)))
-    }
-
-    /// Creates one bounded lane of a sharded gradient plane: identical to
-    /// [`Self::bounded`] (shed-oldest at `cap`), plus per-lane telemetry —
-    /// `stellaris_cache_lane<i>_depth` and `stellaris_cache_lane<i>_shed_total`
-    /// (names sanitized at registration) — on top of the shared
-    /// `stellaris_cache_queue_*` aggregates.
-    pub fn bounded_lane(cap: usize, lane: usize) -> Self {
-        let mut q = Self::with_cap(Some(cap.max(1)));
-        let reg = stellaris_telemetry::global();
-        q.lane_depth = Some(reg.gauge(&format!("stellaris_cache_lane{lane}_depth")));
-        q.lane_shed = Some(reg.counter(&format!("stellaris_cache_lane{lane}_shed_total")));
-        q
-    }
-
-    fn with_cap(cap: Option<usize>) -> Self {
         let reg = stellaris_telemetry::global();
         Self {
-            // `new()` callers opt out explicitly and carry their own policy.
             // bound: capacity is enforced in `push` (shed-oldest at `cap`).
             inner: Mutex::new(VecDeque::new()),
             cond: Condvar::new(),
             closed: AtomicBool::new(false),
-            cap,
+            cap: cap.max(1),
             shed: AtomicU64::new(0),
             clock: AtomicU64::new(0),
             enqueued: reg.counter("stellaris_cache_queue_enqueued_total"),
@@ -214,8 +185,21 @@ impl<T> GradientQueue<T> {
         }
     }
 
-    /// The depth cap, if this queue was built with [`Self::bounded`].
-    pub fn capacity(&self) -> Option<usize> {
+    /// Creates one bounded lane of a sharded gradient plane: identical to
+    /// [`Self::bounded`] (shed-oldest at `cap`), plus per-lane telemetry —
+    /// `stellaris_cache_lane<i>_depth` and `stellaris_cache_lane<i>_shed_total`
+    /// (names sanitized at registration) — on top of the shared
+    /// `stellaris_cache_queue_*` aggregates.
+    pub fn bounded_lane(cap: usize, lane: usize) -> Self {
+        let mut q = Self::bounded(cap);
+        let reg = stellaris_telemetry::global();
+        q.lane_depth = Some(reg.gauge(&format!("stellaris_cache_lane{lane}_depth")));
+        q.lane_shed = Some(reg.counter(&format!("stellaris_cache_lane{lane}_shed_total")));
+        q
+    }
+
+    /// The depth cap.
+    pub fn capacity(&self) -> usize {
         self.cap
     }
 
@@ -247,12 +231,9 @@ impl<T> GradientQueue<T> {
         }
         let (depth, shed) = {
             let mut q = self.inner.lock();
-            let mut shed = false;
-            if let Some(cap) = self.cap {
-                if q.len() >= cap {
-                    q.pop_front();
-                    shed = true;
-                }
+            let shed = q.len() >= self.cap;
+            if shed {
+                q.pop_front();
             }
             q.push_back((item, base_version));
             (q.len(), shed)
@@ -655,7 +636,7 @@ mod tests {
 
     #[test]
     fn gradient_queue_tracks_base_versions() {
-        let q = GradientQueue::new();
+        let q = GradientQueue::bounded(8);
         q.push("a", 0);
         q.push("b", 3);
         q.push("c", 5);
@@ -668,7 +649,7 @@ mod tests {
 
     #[test]
     fn gradient_queue_staleness_saturates_at_zero() {
-        let q = GradientQueue::new();
+        let q = GradientQueue::bounded(8);
         q.push((), 9);
         // Clock behind the base version (producer raced an update).
         assert_eq!(q.staleness_average(4), Some(0.0));
@@ -676,7 +657,7 @@ mod tests {
 
     #[test]
     fn gradient_queue_empty_has_no_average() {
-        let q = GradientQueue::<u8>::new();
+        let q = GradientQueue::<u8>::bounded(8);
         assert_eq!(q.staleness_average(10), None);
         assert_eq!(q.staleness_max(10), None);
         assert!(q.is_empty());
@@ -684,7 +665,7 @@ mod tests {
 
     #[test]
     fn gradient_queue_clock_is_monotonic() {
-        let q = GradientQueue::<u8>::new();
+        let q = GradientQueue::<u8>::bounded(8);
         assert_eq!(q.clock(), 0);
         q.advance_clock(5);
         q.advance_clock(3); // stale publish ignored
@@ -698,7 +679,7 @@ mod tests {
         let before = stellaris_telemetry::global()
             .histogram("stellaris_cache_queue_staleness")
             .count();
-        let q = GradientQueue::new();
+        let q = GradientQueue::bounded(8);
         q.push("a", 0);
         q.push("b", 4);
         q.advance_clock(4);
@@ -713,7 +694,7 @@ mod tests {
     #[test]
     fn bounded_queue_sheds_oldest_on_overflow() {
         let q = GradientQueue::bounded(2);
-        assert_eq!(q.capacity(), Some(2));
+        assert_eq!(q.capacity(), 2);
         q.push("a", 0);
         q.push("b", 1);
         assert_eq!(q.shed_count(), 0);
@@ -728,7 +709,7 @@ mod tests {
     #[test]
     fn bounded_queue_clamps_capacity_to_one() {
         let q = GradientQueue::bounded(0);
-        assert_eq!(q.capacity(), Some(1));
+        assert_eq!(q.capacity(), 1);
         q.push(1u8, 0);
         q.push(2u8, 1);
         assert_eq!(q.shed_count(), 1);
@@ -736,19 +717,8 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_queue_never_sheds() {
-        let q = GradientQueue::new();
-        assert_eq!(q.capacity(), None);
-        for i in 0..1000u64 {
-            q.push(i, i);
-        }
-        assert_eq!(q.len(), 1000);
-        assert_eq!(q.shed_count(), 0);
-    }
-
-    #[test]
     fn gradient_queue_close_semantics_match_blocking_queue() {
-        let q = Arc::new(GradientQueue::<u8>::new());
+        let q = Arc::new(GradientQueue::<u8>::bounded(8));
         q.push(1, 0);
         q.close();
         assert_eq!(q.pop(), Some((1, 0)), "drains before reporting closed");

@@ -32,7 +32,7 @@ use stellaris_cache::{GradientQueue, ShardedGradientQueue};
 fn concurrent_push_pop_delivers_each_item_exactly_once() {
     loom::model(|| {
         const PER_PRODUCER: u64 = 4;
-        let q = Arc::new(GradientQueue::new());
+        let q = Arc::new(GradientQueue::bounded(16));
 
         let producers: Vec<_> = (0..2u64)
             .map(|p| {
@@ -84,7 +84,7 @@ fn concurrent_push_pop_delivers_each_item_exactly_once() {
 fn staleness_average_stays_bounded_under_concurrent_pushes() {
     loom::model(|| {
         const CLOCK: u64 = 10;
-        let q = Arc::new(GradientQueue::new());
+        let q = Arc::new(GradientQueue::bounded(16));
 
         let producer = {
             let q = Arc::clone(&q);
@@ -232,7 +232,7 @@ fn sharded_close_wakes_blocked_pop_any() {
 #[test]
 fn close_wakes_blocked_poppers() {
     loom::model(|| {
-        let q: Arc<GradientQueue<u32>> = Arc::new(GradientQueue::new());
+        let q: Arc<GradientQueue<u32>> = Arc::new(GradientQueue::bounded(16));
 
         let popper = {
             let q = Arc::clone(&q);

@@ -8,11 +8,16 @@
 //!   [`truncation::RatioBoard`];
 //! * **staleness-aware gradient aggregation** (§V-C, Eq. 3 & 4) —
 //!   [`staleness::StalenessSchedule`], [`parameter::ShardedParameterServer`]
-//!   (the one parameter plane all three training loops aggregate through);
+//!   (the one parameter plane every schedule aggregates through);
 //! * **on-demand serverless learner orchestration** (§V-B) —
 //!   [`orchestrator::train`], with the GPU data loader, hierarchical data
 //!   passing through the distributed cache, and the baseline aggregation
 //!   rules (Softsync, SSP, pure-async, full-sync) used by the ablations.
+//!
+//! There are two schedules. The free-running asynchronous pipeline lives in
+//! [`orchestrator`]. The lock-step cycle lives in [`cycle`], written once
+//! over a [`cycle::Fleet`]: synchronous training drives it over in-process
+//! threads, [`remote::RemoteFleet`] over child processes behind sockets.
 //!
 //! [`frameworks`] provides named configurations reproducing every baseline
 //! system of the evaluation: vanilla PPO/IMPACT, Ray RLlib-style synchronous
@@ -23,6 +28,7 @@
 pub mod aggregation;
 pub mod autoscale;
 pub mod config;
+pub mod cycle;
 pub mod frameworks;
 pub mod messages;
 pub mod metrics;
@@ -36,9 +42,10 @@ pub mod truncation;
 pub use aggregation::{AggregationRule, GradAccumulator, SspThrottle};
 pub use autoscale::LearnerAutoscaler;
 pub use config::{Algo, Deployment, LearnerMode, TrainConfig};
+pub use cycle::{fresh_net, lockstep_round, ActorBody, CycleTotals, Fleet, LearnerBody};
 pub use messages::GradientMsg;
 pub use metrics::{rows_to_csv, TimerReport, Timers, TrainRow};
-pub use orchestrator::{smooth, train, TrainResult, POLICY_KEY};
+pub use orchestrator::{parameter_plane, smooth, train, TrainResult, POLICY_KEY};
 pub use parameter::{ShardLayout, ShardedParameterServer, StalenessRing};
 pub use remote::{
     serve_worker, snapshot_checksum, GradientRequest, RemoteError, RemoteFleet, RemoteRunReport,

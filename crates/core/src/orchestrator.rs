@@ -11,12 +11,16 @@
 //! from genuine thread racing, not scripted.
 //!
 //! The synchronous path implements the serverful baselines (RLlib-style
-//! multi-learner data parallelism, single-learner MinionsRL) with the same
-//! components in lockstep. Both schedules aggregate through the one
-//! parameter plane (`parameter_plane`) and close their rounds through the
-//! one ledger (`Run`).
+//! multi-learner data parallelism, single-learner MinionsRL): it is the
+//! shared lock-step cycle ([`crate::cycle::lockstep_round`]) over
+//! `LocalFleet` — scoped threads behind the serverless platform and the
+//! router. Both schedules hold the same function bodies
+//! ([`crate::cycle::ActorBody`], [`crate::cycle::LearnerBody`]), aggregate
+//! through the one parameter plane ([`parameter_plane`]) and close their
+//! rounds through the one ledger (`Run`).
 
 use std::collections::VecDeque;
+use std::convert::Infallible;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -25,10 +29,7 @@ use parking_lot::Mutex;
 use stellaris_cache::{BlockingQueue, Cache, LatencyModel, ShardedGradientQueue};
 use stellaris_envs::{make_env, Env};
 use stellaris_nn::Tensor;
-use stellaris_rl::{
-    evaluate, fill_gae, impact_gradients, impala_gradients, ppo_gradients, ImpactLearner,
-    PolicyNet, PolicySnapshot, PolicySpec, RolloutWorker, SampleBatch,
-};
+use stellaris_rl::{evaluate, fill_gae, PolicyNet, PolicySnapshot, SampleBatch};
 use stellaris_serverless::{
     bill_hybrid, bill_serverful, bill_serverless, CostBreakdown, FaultPlan, FaultReport,
     FunctionKind, OverheadMode, Platform, StartupProfile,
@@ -37,11 +38,12 @@ use stellaris_telemetry as telemetry;
 
 use crate::aggregation::SspThrottle;
 use crate::autoscale::LearnerAutoscaler;
-use crate::config::{Algo, Deployment, LearnerMode, TrainConfig};
+use crate::config::{Deployment, LearnerMode, TrainConfig};
+use crate::cycle::{fresh_net, lockstep_round, ActorBody, CycleTotals, Fleet, LearnerBody};
 use crate::messages::GradientMsg;
 use crate::metrics::{Component, TimerReport, Timers, TrainRow};
 use crate::parameter::ShardedParameterServer;
-use crate::transport::{Placement, Router};
+use crate::transport::{Delivered, Placement, Router};
 use crate::truncation::RatioBoard;
 
 /// Cache key under which the canonical policy snapshot is published.
@@ -114,19 +116,11 @@ impl TrainResult {
     }
 }
 
-pub(crate) fn build_policy(cfg: &TrainConfig) -> PolicyNet {
-    let mut env = make_env(cfg.env_id, cfg.env_cfg);
-    env.reset(cfg.seed);
-    let mut spec = PolicySpec::for_env(env.as_ref());
-    spec.hidden = cfg.hidden;
-    PolicyNet::new(spec, cfg.seed)
-}
-
 /// The canonical starting policy: fresh weights, or the configured resume
-/// snapshot loaded on top (workers still start from `build_policy` and pull
-/// the canonical weights through the cache on their first cycle).
+/// snapshot loaded on top (function bodies still start from fresh weights
+/// and pull the canonical ones on their first cycle).
 fn initial_policy(cfg: &TrainConfig) -> PolicyNet {
-    let mut policy = build_policy(cfg);
+    let mut policy = fresh_net(cfg);
     if let Some(snap) = &cfg.initial_snapshot {
         use stellaris_nn::ParamSet;
         assert_eq!(
@@ -139,47 +133,11 @@ fn initial_policy(cfg: &TrainConfig) -> PolicyNet {
     policy
 }
 
-/// One learner-function body: load the snapshot, run the configured
-/// algorithm's gradient pass, wrap the result as a [`GradientMsg`]. Shared
-/// by the in-process learner threads and the remote worker loop
-/// (`remote::serve_worker`), so both sides of a socket compute identically.
-pub(crate) fn learner_compute(
-    algo: &Algo,
-    policy: &mut PolicyNet,
-    impact_state: &mut Option<ImpactLearner>,
-    snap: &PolicySnapshot,
-    batch: &SampleBatch,
-    cap: Option<f32>,
-    learner_id: usize,
-) -> GradientMsg {
-    policy.load_snapshot(snap);
-    let (grads, stats) = match algo {
-        Algo::Ppo(pc) => ppo_gradients(policy, batch, pc, cap),
-        Algo::Impala(ic) => impala_gradients(policy, batch, ic, cap),
-        Algo::Impact(ic) => {
-            let state = impact_state.get_or_insert_with(|| ImpactLearner::new(policy));
-            let target = state.target_net(policy);
-            let out = impact_gradients(policy, &target, batch, ic, cap);
-            state.maybe_refresh(policy, ic);
-            out
-        }
-    };
-    GradientMsg {
-        learner_id,
-        grads,
-        base_version: snap.version,
-        batch_len: batch.len(),
-        is_ratio: stats.mean_ratio,
-        kl: stats.kl,
-        surrogate: stats.surrogate,
-    }
-}
-
 /// The one constructor of the parameter plane: the configured starting
 /// policy, the topology's aggregation rule, `param_shards` shards and one
 /// optimizer per shard. `train_async`, `train_sync` and
 /// `RemoteFleet::run` all obtain their server here.
-pub(crate) fn parameter_plane(cfg: &TrainConfig) -> ShardedParameterServer {
+pub fn parameter_plane(cfg: &TrainConfig) -> ShardedParameterServer {
     ShardedParameterServer::new(
         initial_policy(cfg),
         cfg.learner_mode.rule(),
@@ -259,8 +217,8 @@ impl<'a> Run<'a> {
             timers: Arc::new(Timers::default()),
             server,
             eval_env: make_env(cfg.env_id, cfg.env_cfg),
-            eval_policy: build_policy(cfg),
-            prev_policy: build_policy(cfg),
+            eval_policy: fresh_net(cfg),
+            prev_policy: fresh_net(cfg),
             probe_obs: None,
             rows: Vec::with_capacity(cfg.rounds),
             last_round_end: Instant::now(),
@@ -402,6 +360,59 @@ pub(crate) fn learner_invocations(platform: &Platform) -> u64 {
         .count() as u64
 }
 
+/// Step ① for one actor slot, shared by both in-process schedules: pull
+/// `snap` and collect through the platform's fault/retry/billing path
+/// (serverful actors bypass it). `None` once the retry budget is spent.
+fn invoke_collect(
+    cfg: &TrainConfig,
+    platform: &Platform,
+    timers: &Timers,
+    actor: &mut ActorBody,
+    snap: &PolicySnapshot,
+) -> Option<SampleBatch> {
+    let mut collect = || {
+        let _t = timers.span(Component::ActorSampling);
+        actor.collect(snap, cfg.actor_steps)
+    };
+    if cfg.deployment == Deployment::Serverful {
+        return Some(collect());
+    }
+    platform
+        .invoke_retry(
+            FunctionKind::Actor,
+            &cfg.retry,
+            cfg.invoke_deadline,
+            &mut collect,
+        )
+        .ok()
+        .map(|(batch, _rec)| batch)
+}
+
+/// The Step ②→③ hop, shared by both in-process schedules: a gradient
+/// crosses from its learner's VM to the parameter function's host, subject
+/// to frame drop/corruption with retry. `None` when it is permanently lost.
+fn submit(
+    cfg: &TrainConfig,
+    router: &Router,
+    msg: GradientMsg,
+    key: &str,
+) -> Option<Delivered<GradientMsg>> {
+    let src = Placement {
+        vm: 1 + msg.learner_id,
+    };
+    router
+        .send_with_retry(
+            Arc::new(msg),
+            src,
+            Placement { vm: 0 },
+            false,
+            key,
+            &cfg.retry,
+        )
+        .ok()
+        .map(|(_tier, delivered)| delivered)
+}
+
 // ---------------------------------------------------------------------------
 // Asynchronous schedule (Stellaris and the Fig. 11a ablation baselines)
 // ---------------------------------------------------------------------------
@@ -487,14 +498,9 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
             let target_steps = sample_target.clone();
             let claims = sample_claims.clone();
             let degraded = degraded_events.clone();
-            let serverless_actor = cfg.deployment != Deployment::Serverful;
             let cfg = cfg.clone();
             s.spawn(move |_| {
-                let mut worker = RolloutWorker::new(
-                    make_env(cfg.env_id, cfg.env_cfg),
-                    cfg.seed.wrapping_mul(1000).wrapping_add(a as u64),
-                );
-                let mut local = build_policy(&cfg);
+                let mut actor = ActorBody::new(&cfg, a);
                 while !stop.load(Ordering::Acquire) {
                     if a >= active.load(Ordering::Acquire) {
                         std::thread::sleep(Duration::from_millis(1));
@@ -509,32 +515,17 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
                         std::thread::sleep(Duration::from_millis(1));
                         continue;
                     }
-                    if let Ok(snap) = cache.get_obj::<PolicySnapshot>(POLICY_KEY) {
-                        local.load_snapshot(&snap);
-                    }
-                    let mut collect = || {
-                        let _t = timers.span(Component::ActorSampling);
-                        worker.collect(&local, cfg.actor_steps)
-                    };
-                    let batch = if serverless_actor {
-                        match platform.invoke_retry(
-                            FunctionKind::Actor,
-                            &cfg.retry,
-                            cfg.invoke_deadline,
-                            &mut collect,
-                        ) {
-                            Ok((batch, _rec)) => batch,
-                            Err(_) => {
-                                // Refund the claimed quota so the round's
-                                // data budget can still be met by a later
-                                // attempt (here or on another actor).
-                                claims.fetch_sub(cfg.actor_steps as u64, Ordering::AcqRel);
-                                degraded.fetch_add(1, Ordering::Relaxed);
-                                continue;
-                            }
-                        }
-                    } else {
-                        collect()
+                    // An unreadable snapshot or a spent retry budget loses
+                    // this collect: refund the claimed quota so the round's
+                    // data budget can still be met by a later attempt (here
+                    // or on another actor).
+                    let batch = read_snapshot(&cache).and_then(|snap| {
+                        invoke_collect(&cfg, &platform, &timers, &mut actor, &snap)
+                    });
+                    let Some(batch) = batch else {
+                        claims.fetch_sub(cfg.actor_steps as u64, Ordering::AcqRel);
+                        degraded.fetch_add(1, Ordering::Relaxed);
+                        continue;
                     };
                     {
                         let mut p = probe.lock();
@@ -585,8 +576,7 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
             let degraded = degraded_events.clone();
             let cfg = cfg.clone();
             s.spawn(move |_| {
-                let mut local = build_policy(&cfg);
-                let mut impact_state: Option<ImpactLearner> = None;
+                let mut learner = LearnerBody::new(&cfg);
                 loop {
                     // Dynamic learner orchestration: workers beyond the
                     // autoscaler's current pool size idle without holding
@@ -615,16 +605,7 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
                         // An unreadable snapshot degrades this learner's
                         // wave instead of panicking the worker thread.
                         let snap = read_snapshot(&cache)?;
-                        let cap = board.cap();
-                        let msg = learner_compute(
-                            &cfg.algo,
-                            &mut local,
-                            &mut impact_state,
-                            &snap,
-                            &mb,
-                            cap,
-                            l,
-                        );
+                        let msg = learner.gradient(&snap, &mb, board.cap(), l);
                         board.publish(l, msg.is_ratio);
                         Some(msg)
                     };
@@ -652,23 +633,10 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
                     let sent = {
                         let _t = timers.span(Component::Cache);
                         let key = format!("grad:{}", cache.incr("grad_seq"));
-                        // Gradient submission crosses VMs (learner -> the
-                        // parameter function's host) and is subject to
-                        // frame drop/corruption with retry.
-                        router
-                            .send_with_retry(
-                                Arc::new(msg),
-                                Placement { vm: 1 + l },
-                                Placement { vm: 0 },
-                                false,
-                                &key,
-                                &cfg.retry,
-                            )
-                            .ok()
-                            .map(|(_tier, delivered)| {
-                                cache.put_obj(&key, delivered.get());
-                                key
-                            })
+                        submit(&cfg, &router, msg, &key).map(|delivered| {
+                            cache.put_obj(&key, delivered.get());
+                            key
+                        })
                     };
                     match sent {
                         // Lane choice is keyed by learner id: a learner
@@ -767,209 +735,137 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
 // Synchronous schedule (serverful baselines and MinionsRL's single learner)
 // ---------------------------------------------------------------------------
 
-fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
-    let mut run = Run::start(cfg, n_learners);
-    let cache = run.cache.clone();
-    let platform = run.platform.clone();
-    let router = run.router.clone();
-    let timers = run.timers.clone();
-    let server = run.server.clone();
+/// One scoped thread per slot, joined in slot order; a child's panic is
+/// re-raised on the caller.
+fn per_slot<S: Send, T: Send>(
+    slots: impl Iterator<Item = S>,
+    work: impl Fn(S) -> T + Sync,
+) -> Vec<T> {
+    std::thread::scope(|s| {
+        let handles: Vec<_> = slots.map(|slot| s.spawn(|| work(slot))).collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+            .collect()
+    })
+}
 
-    let gamma = cfg.algo.gamma();
-    let lambda = cfg.algo.gae_lambda();
-    let serverless_actor = cfg.deployment != Deployment::Serverful;
+/// The in-process venue of the lock-step cycle: one scoped thread per
+/// actor slot and per learner slot, each invoked through the serverless
+/// platform (fault injection, retry, billing), gradients crossing to the
+/// aggregator's VM through the router.
+struct LocalFleet<'r, 'c> {
+    run: &'r Run<'c>,
+    actors: &'r mut [ActorBody],
+    learners: &'r mut [LearnerBody],
+}
 
-    // One rollout stream and one policy replica per actor slot, one replica
-    // (plus IMPACT's target-network state, which must persist across waves:
-    // a fresh target every invocation would degenerate the ratio to 1) per
-    // learner slot — built once, refreshed from the wave's snapshot.
-    let mut actors: Vec<(RolloutWorker, PolicyNet)> = (0..cfg.n_actors)
-        .map(|a| {
-            let worker = RolloutWorker::new(
-                make_env(cfg.env_id, cfg.env_cfg),
-                cfg.seed.wrapping_mul(1000).wrapping_add(a as u64),
-            );
-            (worker, build_policy(cfg))
-        })
-        .collect();
-    let mut learners: Vec<(PolicyNet, Option<ImpactLearner>)> =
-        (0..n_learners).map(|_| (build_policy(cfg), None)).collect();
+impl Fleet for LocalFleet<'_, '_> {
+    type Error = Infallible;
 
-    let collects_per_round = cfg.round_timesteps.div_ceil(cfg.n_actors * cfg.actor_steps);
-    let mut episodes_total = 0u64;
-    let mut degraded_events = 0u64;
-
-    for round in 0..cfg.rounds {
-        let mut round_span = telemetry::span_with("core.round", vec![("round", round.into())]);
-        // Synchronous actor wave(s).
-        let mut batches: Vec<SampleBatch> = Vec::new();
-        for _ in 0..collects_per_round.max(1) {
+    /// Publishes `snap` under [`POLICY_KEY`]; every actor wave then pulls
+    /// it back out of the cache, as a deployed actor function would.
+    fn collect(
+        &mut self,
+        _server: &ShardedParameterServer,
+        snap: &PolicySnapshot,
+    ) -> Result<Vec<Option<SampleBatch>>, Infallible> {
+        let run = self.run;
+        let (cfg, platform, timers) = (run.cfg, &*run.platform, &*run.timers);
+        run.cache.put_obj(POLICY_KEY, snap);
+        let waves = cfg.round_timesteps.div_ceil(cfg.n_actors * cfg.actor_steps);
+        let mut batches = Vec::new();
+        for _ in 0..waves.max(1) {
             // An unreadable snapshot degrades the whole wave rather than
             // panicking the round loop.
-            let Some(snap) = read_snapshot(&cache) else {
-                degraded_events += actors.len() as u64;
+            let Some(snap) = read_snapshot(&run.cache) else {
+                batches.extend(self.actors.iter().map(|_| None));
                 continue;
             };
-            let n_spawned = actors.len();
-            let wave: Vec<SampleBatch> = crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = actors
-                    .iter_mut()
-                    .map(|(worker, local)| {
-                        let (platform, timers, snap) = (&*platform, &*timers, &snap);
-                        s.spawn(move |_| {
-                            local.load_snapshot(snap);
-                            let mut collect = || {
-                                let _t = timers.span(Component::ActorSampling);
-                                worker.collect(local, cfg.actor_steps)
-                            };
-                            if serverless_actor {
-                                platform
-                                    .invoke_retry(
-                                        FunctionKind::Actor,
-                                        &cfg.retry,
-                                        cfg.invoke_deadline,
-                                        &mut collect,
-                                    )
-                                    .ok()
-                                    .map(|(batch, _rec)| batch)
-                            } else {
-                                Some(collect())
-                            }
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // lint:allow(A8): deliberate re-panic — propagates a child actor's panic
-                    // lint:allow(L1): join() errs only if the actor panicked; propagate it
-                    .filter_map(|h| h.join().unwrap())
-                    .collect()
-            })
-            // lint:allow(A8): deliberate re-panic — propagates a child actor's panic
-            // lint:allow(L1): re-raising a child thread's panic is the intended failure path
-            .expect("actor wave panicked");
-            // A degraded wave: some actors exhausted their retries, the
-            // round trains on the trajectories that did arrive.
-            degraded_events += (n_spawned - wave.len()) as u64;
-            batches.extend(wave);
+            batches.extend(per_slot(self.actors.iter_mut(), |actor| {
+                invoke_collect(cfg, platform, timers, actor, &snap)
+            }));
         }
-        episodes_total += batches
-            .iter()
-            .map(|b| b.episode_returns.len() as u64)
-            .sum::<u64>();
+        Ok(batches)
+    }
+
+    fn wave_width(&self, _minibatches: usize) -> usize {
+        self.learners.len()
+    }
+
+    /// One data-parallel wave: mini-batch `l` goes to learner slot `l`, no
+    /// IS-truncation cap (every member differentiates the same snapshot).
+    fn gradients(
+        &mut self,
+        snap: &PolicySnapshot,
+        wave: Vec<SampleBatch>,
+    ) -> Result<Vec<(usize, GradientMsg)>, Infallible> {
+        let run = self.run;
+        let (cfg, platform, timers) = (run.cfg, &*run.platform, &*run.timers);
+        // No barrier here: a barrier sized to the wave deadlocks the
+        // moment one member exhausts its retries and never arrives.
+        // Each learner instead reports its finish instant, and the
+        // synchronous hold — a learner function keeps its slot (and its
+        // bill running) while it waits for the wave's stragglers, the
+        // economic cost of synchrony the paper's Fig. 2(b)/8 expose —
+        // is billed after the join from `wave_end - finish`.
+        let slots = wave.iter().zip(self.learners.iter_mut()).enumerate();
+        let results = per_slot(slots, |(l, (mb, learner))| {
+            let mut compute = || {
+                let _t = timers.span(Component::Gradient);
+                learner.gradient(snap, mb, None, l)
+            };
+            platform
+                .invoke_retry(
+                    FunctionKind::Learner,
+                    &cfg.retry,
+                    cfg.invoke_deadline,
+                    &mut compute,
+                )
+                .ok()
+                .map(|(msg, _rec)| (msg, Instant::now()))
+        });
+        if let Some(wave_end) = results.iter().flatten().map(|(_, t)| *t).max() {
+            for (_, finish) in results.iter().flatten() {
+                platform.bill_hold(FunctionKind::Learner, wave_end - *finish);
+            }
+        }
+        // A gradient lost on the way to the aggregator shrinks the wave.
+        let sent = results.into_iter().flatten().filter_map(|(m, _)| {
+            let l = m.learner_id;
+            let key = format!("grad:sync:{}:{l}", snap.version);
+            submit(cfg, &run.router, m, &key).map(|d| (l, d.into_owned()))
+        });
+        Ok(sent.collect())
+    }
+}
+
+fn train_sync(cfg: &TrainConfig, n_learners: usize) -> TrainResult {
+    let mut run = Run::start(cfg, n_learners);
+    let mut actors: Vec<_> = (0..cfg.n_actors).map(|a| ActorBody::new(cfg, a)).collect();
+    let mut learners: Vec<_> = (0..n_learners).map(|_| LearnerBody::new(cfg)).collect();
+    let mut totals = CycleTotals::default();
+    for round in 0..cfg.rounds {
+        let mut round_span = telemetry::span_with("core.round", vec![("round", round.into())]);
+        let mut fleet = LocalFleet {
+            run: &run,
+            actors: &mut actors,
+            learners: &mut learners,
+        };
+        let Ok(()) = lockstep_round(&mut fleet, &run.server, cfg, &run.timers, &mut totals);
         if run.probe_obs.is_none() {
-            run.probe_obs = batches.first().map(|b| b.obs.clone());
+            run.probe_obs = totals.probe_obs.clone();
         }
-
-        // Data loader: GAE + minibatching.
-        let mut minibatches: Vec<SampleBatch> = Vec::new();
-        {
-            let _t = timers.span(Component::DataLoading);
-            for mut b in batches {
-                fill_gae(&mut b, gamma, lambda);
-                b.normalize_advantages();
-                minibatches.extend(b.minibatches(cfg.minibatch));
-            }
-        }
-
-        // Synchronous data-parallel learner waves.
-        for wave in minibatches.chunks(n_learners) {
-            let snap = server.snapshot();
-            let wave_size = wave.len();
-            // No barrier here: a barrier sized to the wave deadlocks the
-            // moment one member exhausts its retries and never arrives.
-            // Each learner instead reports its finish instant, and the
-            // synchronous hold — a learner function keeps its slot (and its
-            // bill running) while it waits for the wave's stragglers, the
-            // economic cost of synchrony the paper's Fig. 2(b)/8 expose —
-            // is billed after the join from `wave_end - finish`.
-            let results: Vec<Option<(GradientMsg, Instant)>> = crossbeam::thread::scope(|s| {
-                let handles: Vec<_> = wave
-                    .iter()
-                    .zip(learners.iter_mut())
-                    .enumerate()
-                    .map(|(l, (mb, (local, impact_state)))| {
-                        let (platform, timers, snap) = (&*platform, &*timers, &snap);
-                        s.spawn(move |_| {
-                            let mut compute = || {
-                                let _t = timers.span(Component::Gradient);
-                                learner_compute(&cfg.algo, local, impact_state, snap, mb, None, l)
-                            };
-                            platform
-                                .invoke_retry(
-                                    FunctionKind::Learner,
-                                    &cfg.retry,
-                                    cfg.invoke_deadline,
-                                    &mut compute,
-                                )
-                                .ok()
-                                .map(|(msg, _rec)| (msg, Instant::now()))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    // lint:allow(A8): deliberate re-panic — propagates a child learner's panic
-                    // lint:allow(L1): join() errs only if the learner panicked; propagate it
-                    .map(|h| h.join().unwrap())
-                    .collect()
-            })
-            // lint:allow(A8): deliberate re-panic — propagates a child learner's panic
-            // lint:allow(L1): re-raising a child thread's panic is the intended failure path
-            .expect("learner wave panicked");
-            if let Some(wave_end) = results.iter().flatten().map(|(_, t)| *t).max() {
-                for (_, finish) in results.iter().flatten() {
-                    platform.bill_hold(FunctionKind::Learner, wave_end - *finish);
-                }
-            }
-            // Gradient submission crosses to the aggregator's VM with
-            // drop/corruption + retry; a lost gradient shrinks the wave.
-            let msgs: Vec<GradientMsg> = results
-                .into_iter()
-                .flatten()
-                .filter_map(|(m, _)| {
-                    let key = format!("grad:sync:{round}:{}", m.learner_id);
-                    let src = Placement {
-                        vm: 1 + m.learner_id,
-                    };
-                    router
-                        .send_with_retry(
-                            Arc::new(m),
-                            src,
-                            Placement { vm: 0 },
-                            false,
-                            &key,
-                            &cfg.retry,
-                        )
-                        .ok()
-                        .map(|(_tier, d)| d.into_owned())
-                })
-                .collect();
-            let _agg = timers.span(Component::Aggregation);
-            let wave_n = msgs.len();
-            degraded_events += (wave_size - wave_n) as u64;
-            for m in msgs {
-                server.offer(m);
-            }
-            if wave_n < n_learners {
-                // Degraded or last partial wave: the quorum is whatever
-                // arrived (nothing, if every gradient was lost).
-                server.commit_pending();
-            }
-            let snap = server.snapshot();
-            cache.put_obj(POLICY_KEY, &snap);
-        }
-
+        let snap = run.server.snapshot();
         run.close_round(
             round,
             &mut round_span,
-            Some(server.snapshot()),
-            episodes_total,
-            degraded_events,
+            Some(snap),
+            totals.episodes,
+            totals.degraded,
         );
     }
-
-    run.finish(degraded_events)
+    run.finish(totals.degraded)
 }
 
 fn cost_for(cfg: &TrainConfig, platform: &Platform, wall: Duration) -> CostBreakdown {

@@ -1,5 +1,7 @@
 //! Cross-process training workers: the wire data types, the child-side
-//! serve loop, and the parent-side fleet driver.
+//! serve loop, and the parent-side fleet — [`RemoteFleet::run`] is the
+//! shared lock-step cycle ([`crate::cycle::lockstep_round`]) over
+//! `ProcessFleet`, the venue whose functions are child processes.
 //!
 //! Everything in this module rides the length-prefixed frame protocol of
 //! [`stellaris_cache::frame`]: the parent spawns worker processes through
@@ -24,11 +26,11 @@ use std::time::{Duration, Instant};
 use bytes::BytesMut;
 use stellaris_cache::frame::{op, Frame, FrameReader, WireError};
 use stellaris_cache::{decode_seq, encode_seq, seq_encoded_len, Codec, CodecError};
-use stellaris_envs::{make_env, EnvConfig, EnvId};
+use stellaris_envs::{EnvConfig, EnvId};
 use stellaris_nn::ParamSet;
 use stellaris_rl::{
-    apply_to_snapshot, fill_gae, BlockLayout, ImpactConfig, ImpactLearner, ImpalaConfig,
-    PolicyDelta, PolicyNet, PolicySnapshot, PolicySpec, PpoConfig, RolloutWorker, SampleBatch,
+    apply_to_snapshot, BlockLayout, ImpactConfig, ImpalaConfig, PolicyDelta, PolicySnapshot,
+    PpoConfig, SampleBatch,
 };
 use stellaris_serverless::{
     FaultPlan, FaultReport, FunctionKind, OverheadMode, Platform, ProcessConfig, ProcessPool,
@@ -37,8 +39,11 @@ use stellaris_serverless::{
 use stellaris_telemetry::{self as telemetry, Event, EventKind, FieldValue};
 
 use crate::config::{Algo, TrainConfig};
+use crate::cycle::{lockstep_round, ActorBody, CycleTotals, Fleet, LearnerBody};
 use crate::messages::GradientMsg;
-use crate::orchestrator::{learner_compute, learner_invocations, parameter_plane};
+use crate::metrics::Timers;
+use crate::orchestrator::{learner_invocations, parameter_plane};
+use crate::parameter::ShardedParameterServer;
 
 // ---------------------------------------------------------------------------
 // Wire data types
@@ -104,11 +109,23 @@ impl RemoteSetup {
         }
     }
 
-    fn env_cfg(&self) -> EnvConfig {
-        EnvConfig {
-            frame_size: self.frame_size,
-            max_steps: self.max_steps,
-        }
+    /// The worker-side view of the job: the scaled preset with every field
+    /// this setup carries laid over it (function bodies read nothing else).
+    /// An unknown environment or algorithm tag is the `INIT` rejection text.
+    pub fn train_config(&self) -> Result<TrainConfig, String> {
+        let Some(env_id) = EnvId::parse(&self.env) else {
+            return Err(format!("unknown env: {}", self.env));
+        };
+        Ok(TrainConfig {
+            env_cfg: EnvConfig {
+                frame_size: self.frame_size,
+                max_steps: self.max_steps,
+            },
+            hidden: self.hidden,
+            algo: self.algo_config().map_err(|e| format!("bad setup: {e}"))?,
+            actor_steps: self.actor_steps,
+            ..TrainConfig::stellaris_scaled(env_id, self.seed)
+        })
     }
 }
 
@@ -363,42 +380,28 @@ impl Codec for WireEventBatch {
 // Child side: the worker serve loop
 // ---------------------------------------------------------------------------
 
+/// A worker process does not know which function it hosts until the first
+/// request: the learner body (whose replica also gives the delta geometry)
+/// is built at `INIT`, the actor body — the only one that owns a rollout
+/// environment — on the first `COLLECT`.
 struct WorkerState {
-    algo: Algo,
-    actor_steps: usize,
-    rollout: RolloutWorker,
-    policy: PolicyNet,
-    impact_state: Option<ImpactLearner>,
+    cfg: TrainConfig,
+    actor: Option<ActorBody>,
+    learner: LearnerBody,
     snap: Option<PolicySnapshot>,
     /// Flat-vector geometry for applying `POLICY_DELTA` frames.
     layout: BlockLayout,
 }
 
 impl WorkerState {
-    fn build(setup: RemoteSetup) -> Result<Self, String> {
-        let Some(env_id) = EnvId::parse(&setup.env) else {
-            return Err(format!("unknown env: {}", setup.env));
-        };
-        let algo = match setup.algo_config() {
-            Ok(a) => a,
-            Err(e) => return Err(format!("bad setup: {e}")),
-        };
-        let env_cfg = setup.env_cfg();
-        let mut env = make_env(env_id, env_cfg);
-        env.reset(setup.seed);
-        let mut spec = PolicySpec::for_env(env.as_ref());
-        spec.hidden = setup.hidden;
-        let policy = PolicyNet::new(spec, setup.seed);
-        // Same rollout seed derivation as the orchestrator's actor 0, so a
-        // remote collect and an in-process collect draw identical episodes.
-        let rollout = RolloutWorker::new(make_env(env_id, env_cfg), setup.seed.wrapping_mul(1000));
-        let layout = BlockLayout::from_shapes(&policy.param_shapes());
+    fn build(setup: &RemoteSetup) -> Result<Self, String> {
+        let cfg = setup.train_config()?;
+        let learner = LearnerBody::new(&cfg);
+        let layout = BlockLayout::from_shapes(&learner.policy().param_shapes());
         Ok(Self {
-            algo,
-            actor_steps: setup.actor_steps,
-            rollout,
-            policy,
-            impact_state: None,
+            cfg,
+            actor: None,
+            learner,
             snap: None,
             layout,
         })
@@ -452,7 +455,7 @@ pub fn serve_worker<S: Read + Write>(
         let trace = frame.header.trace_id;
         match frame.header.kind {
             op::INIT => match frame.decode_value::<RemoteSetup>() {
-                Ok(setup) => match WorkerState::build(setup) {
+                Ok(setup) => match WorkerState::build(&setup) {
                     Ok(s) => {
                         state = Some(s);
                         send_ok(&mut reader, trace)?;
@@ -480,7 +483,7 @@ pub fn serve_worker<S: Read + Write>(
                             Err(e) => send_err(&mut reader, trace, format!("delta rejected: {e}"))?,
                         },
                         None if delta.full => {
-                            let mut snap = s.policy.snapshot();
+                            let mut snap = s.learner.policy().snapshot();
                             match apply_to_snapshot(&delta, &mut snap, &s.layout) {
                                 Ok(()) => {
                                     s.snap = Some(snap);
@@ -503,20 +506,22 @@ pub fn serve_worker<S: Read + Write>(
             },
             op::COLLECT => match (&mut state, frame.decode_value::<u64>()) {
                 (Some(s), Ok(steps)) => {
+                    let Some(snap) = &s.snap else {
+                        send_err(&mut reader, trace, "no policy loaded".to_string())?;
+                        continue;
+                    };
                     let steps = if steps == 0 {
-                        s.actor_steps
+                        s.cfg.actor_steps
                     } else {
-                        usize::try_from(steps).unwrap_or(s.actor_steps)
+                        usize::try_from(steps).unwrap_or(s.cfg.actor_steps)
                     };
                     let span = telemetry::span_with_parent(
                         "remote.collect",
                         trace,
                         vec![("steps", steps.into())],
                     );
-                    if let Some(snap) = &s.snap {
-                        s.policy.load_snapshot(snap);
-                    }
-                    let batch = s.rollout.collect(&s.policy, steps);
+                    let actor = s.actor.get_or_insert_with(|| ActorBody::new(&s.cfg, 0));
+                    let batch = actor.collect(snap, steps);
                     drop(span);
                     send_ok_value(&mut reader, trace, &batch)?;
                 }
@@ -530,15 +535,9 @@ pub fn serve_worker<S: Read + Write>(
                         trace,
                         vec![("learner", req.learner_id.into())],
                     );
-                    let msg = learner_compute(
-                        &s.algo,
-                        &mut s.policy,
-                        &mut s.impact_state,
-                        &req.snap,
-                        &req.batch,
-                        req.cap,
-                        req.learner_id,
-                    );
+                    let msg = s
+                        .learner
+                        .gradient(&req.snap, &req.batch, req.cap, req.learner_id);
                     drop(span);
                     send_ok_value(&mut reader, trace, &msg)?;
                 }
@@ -749,7 +748,7 @@ impl RemoteWorker {
 
 /// Everything a remote training run reports (the cross-process analogue
 /// of `TrainResult`, scoped to what the socket path can observe).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct RemoteRunReport {
     /// Rounds driven.
     pub rounds: usize,
@@ -854,266 +853,258 @@ impl RemoteFleet {
         Ok(worker)
     }
 
-    /// Runs the configured number of rounds. Actor traffic is fault-free
-    /// (its rollout stream must survive the whole run for same-seed
-    /// determinism); learner traffic carries the seeded chaos plan, and
-    /// every injected fault must surface as a typed error and be absorbed
-    /// by the retry budget or the round's quorum degradation.
+    /// Records one warm remote invocation attempt on the platform.
+    fn record_warm(&self, kind: FunctionKind, exec: Duration, failed: bool) {
+        self.platform
+            .record_remote(kind, exec, exec, Duration::ZERO, false, failed);
+    }
+
+    /// Runs the configured number of rounds of the lock-step cycle over a
+    /// `ProcessFleet`. Actor traffic is fault-free (its rollout stream
+    /// must survive the whole run for same-seed determinism); learner
+    /// traffic carries the seeded chaos plan, and every injected fault must
+    /// surface as a typed error and be absorbed by the retry budget or the
+    /// round's quorum degradation.
     pub fn run(&self) -> Result<RemoteRunReport, RemoteError> {
         let setup = RemoteSetup::from_train(&self.cfg);
         let n_learners = self.cfg.max_learners.max(1);
+        let mut fleet = ProcessFleet {
+            fleet: self,
+            // The actor's span base must not collide with any learner's, so
+            // it takes the index right above the learner range.
+            actor: self.checkout_worker(FunctionKind::Actor, n_learners, &setup)?,
+            setup,
+            actor_version: None,
+            learners: (0..n_learners).map(|_| None).collect(),
+            round: 0,
+            report: RemoteRunReport::default(),
+        };
         let server = parameter_plane(&self.cfg);
-        let gamma = self.cfg.algo.gamma();
-        let lambda = self.cfg.algo.gae_lambda();
-
-        // The actor's span base must not collide with any learner's, so it
-        // takes the index right above the learner range.
-        let mut actor = self.checkout_worker(FunctionKind::Actor, n_learners, &setup)?;
-        let mut recovered = 0u64;
-        let mut events_ingested = 0usize;
-
-        // Delta-encoded policy pulls (DESIGN.md §16): the parent tracks the
-        // version the actor worker holds and asks the server for the blocks
-        // committed since. Round 0 (and any rejected delta) falls back to a
-        // full LOAD_POLICY.
-        let mut actor_version: Option<u64> = None;
-        let mut policy_full_pulls = 0u64;
-        let mut policy_delta_pulls = 0u64;
-        let mut policy_bytes_full = 0u64;
-        let mut policy_bytes_delta = 0u64;
+        let timers = Timers::default();
+        let mut totals = CycleTotals::default();
 
         for round in 0..self.cfg.rounds {
             let mut round_span = telemetry::span_with("fleet.round", vec![("round", round.into())]);
-            let snap = server.snapshot();
-
-            // ----- actor collect (Step ①, fault-free) ----------------------
-            let mut batch = {
-                let collect_span =
-                    telemetry::span_with("fleet.collect", vec![("round", round.into())]);
-                let t0 = Instant::now();
-                let shipped = match actor_version {
-                    Some(v) => {
-                        let delta = server.delta_since(v);
-                        // Ship whichever encoding is smaller: a dense
-                        // update that touches every block makes the delta
-                        // (blocks + index overhead) larger than the flat
-                        // snapshot, so the full pull wins there.
-                        if delta.encoded_len() >= snap.encoded_len() {
-                            false
-                        } else {
-                            policy_bytes_delta += delta.encoded_len() as u64;
-                            match actor.load_policy_delta(&delta, collect_span.id()) {
-                                Ok(()) => {
-                                    policy_delta_pulls += 1;
-                                    true
-                                }
-                                // Base mismatch: the worker's lineage
-                                // diverged (e.g. a respawn); fall back to
-                                // the full pull.
-                                Err(RemoteError::Rejected(_)) => false,
-                                Err(e) => return Err(e),
-                            }
-                        }
-                    }
-                    None => false,
-                };
-                if !shipped {
-                    actor.load_policy(&snap, collect_span.id())?;
-                    policy_full_pulls += 1;
-                    policy_bytes_full += snap.encoded_len() as u64;
-                }
-                actor_version = Some(snap.version);
-                let batch = actor.collect(self.cfg.actor_steps as u64, collect_span.id())?;
-                let exec = t0.elapsed();
-                self.platform.record_remote(
-                    FunctionKind::Actor,
-                    exec,
-                    exec,
-                    Duration::ZERO,
-                    false,
-                    false,
-                );
-                batch
-            };
-
-            // ----- GPU data loader (§V-B), parent-side ---------------------
-            fill_gae(&mut batch, gamma, lambda);
-            batch.normalize_advantages();
-            let minibatches = batch.minibatches(self.cfg.minibatch);
-
-            // ----- learner waves over the socket (Step ②) ------------------
-            let mut learners: Vec<Option<RemoteWorker>> = (0..n_learners).map(|_| None).collect();
-            let mut msgs: Vec<(usize, GradientMsg)> = Vec::with_capacity(minibatches.len());
-            for (i, mb) in minibatches.into_iter().enumerate() {
-                let l = i % n_learners;
-                // One chaos draw per mini-batch, before the retry loop, so
-                // a retried attempt is clean and recovery is guaranteed
-                // within the budget — and the draw sequence (hence the
-                // run's outcome) is a pure function of the fault seed.
-                let crash = self.faults.should_crash();
-                let straggle = self.faults.straggle();
-                let corrupt = self.faults.should_corrupt_frame();
-                let dropped = self.faults.should_drop_frame();
-                let req = GradientRequest {
-                    snap: snap.clone(),
-                    batch: mb,
-                    cap: self.cfg.truncation_rho,
-                    learner_id: l,
-                };
-                let mut span = telemetry::span_with(
-                    "fleet.gradient",
-                    vec![("minibatch", i.into()), ("learner", l.into())],
-                );
-                let mut outcome: Option<GradientMsg> = None;
-                let mut attempt: u32 = 0;
-                loop {
-                    if learners[l].is_none() {
-                        match self.checkout_worker(FunctionKind::Learner, l, &setup) {
-                            Ok(w) => learners[l] = Some(w),
-                            Err(_spawn_failed) if attempt < self.cfg.retry.max_retries => {
-                                self.faults.note_retry(Duration::ZERO);
-                                attempt += 1;
-                                continue;
-                            }
-                            Err(e) => return Err(e),
-                        }
-                    }
-                    let Some(w) = learners[l].as_mut() else { break };
-                    let injected = attempt == 0;
-                    let t0 = Instant::now();
-                    let result: Result<GradientMsg, RemoteError> = if injected && dropped {
-                        // Frame drop, socket edition: the peer vanishes and
-                        // the connection resets under the request.
-                        w.process().kill();
-                        w.gradient(&req, span.id())
-                    } else if injected && crash {
-                        Err(w.crash())
-                    } else if injected && corrupt {
-                        w.gradient_corrupted(&req, span.id())
-                    } else {
-                        if let (true, Some(dur)) = (injected, straggle) {
-                            let _slow_peer = w.sleep(dur.as_millis() as u64, span.id());
-                        }
-                        w.gradient(&req, span.id())
-                    };
-                    let exec = t0.elapsed();
-                    match result {
-                        Ok(msg) => {
-                            self.platform.record_remote(
-                                FunctionKind::Learner,
-                                exec,
-                                exec,
-                                Duration::ZERO,
-                                false,
-                                false,
-                            );
-                            if attempt > 0 {
-                                recovered += 1;
-                                span.field("recovered_after", attempt);
-                            }
-                            outcome = Some(msg);
-                            break;
-                        }
-                        Err(e) => {
-                            self.platform.record_remote(
-                                FunctionKind::Learner,
-                                exec,
-                                exec,
-                                Duration::ZERO,
-                                false,
-                                true,
-                            );
-                            span.field("error", format!("{e}"));
-                            // A rejected frame leaves the stream in sync;
-                            // anything wire-level poisons the connection
-                            // and the worker respawns cold.
-                            if !matches!(e, RemoteError::Rejected(_)) {
-                                learners[l] = None;
-                            }
-                            if attempt >= self.cfg.retry.max_retries {
-                                break;
-                            }
-                            let backoff = self.cfg.retry.backoff(attempt, self.faults.jitter());
-                            self.faults.note_retry(backoff);
-                            std::thread::sleep(backoff);
-                            attempt += 1;
-                        }
-                    }
-                }
-                match outcome {
-                    Some(msg) => msgs.push((i, msg)),
-                    None => {
-                        // Quorum degradation: this mini-batch's gradient is
-                        // permanently lost and the round proceeds without it.
-                        self.faults.note_exhausted();
-                        span.field("exhausted", true);
-                    }
-                }
-            }
-
-            // ----- aggregation (Step ③), deterministic order ---------------
-            msgs.sort_by_key(|(i, _)| *i);
-            for (_, msg) in msgs {
-                server.offer(msg);
-            }
+            lockstep_round(&mut fleet, &server, &self.cfg, &timers, &mut totals)?;
             server.advance_round();
             round_span.field("version", server.clock());
-
-            let last_round = round + 1 == self.cfg.rounds;
-            for w in learners.into_iter().flatten() {
-                let mut w = w;
-                if last_round {
-                    if let Ok(events) = w.pull_spans(round_span.id()) {
-                        events_ingested += events.len();
-                        telemetry::ingest_events(events);
-                    }
-                    let _graceful = w.shutdown();
-                    // Drop kills whatever is left of the process.
-                } else {
-                    // Keep-alive: the worker idles in the pool and the next
-                    // round's checkout reuses it warm.
-                    self.pool.checkin(w.into_process());
-                }
-            }
+            fleet.end_round(round_span.id());
         }
 
+        let ProcessFleet {
+            mut actor,
+            mut report,
+            ..
+        } = fleet;
         if let Ok(events) = actor.pull_spans(0) {
-            events_ingested += events.len();
+            report.events_ingested += events.len();
             telemetry::ingest_events(events);
         }
         let _graceful = actor.shutdown();
         self.pool.shutdown();
 
         let (cold_spawns, warm_reuses) = self.pool.start_counts();
-        let snapshot = server.snapshot();
         Ok(RemoteRunReport {
             rounds: self.cfg.rounds,
             final_version: server.clock(),
-            final_checksum: snapshot_checksum(&snapshot),
+            final_checksum: snapshot_checksum(&server.snapshot()),
             grads_aggregated: server.grads_aggregated(),
             staleness_log: server.staleness_log().to_vec(),
             cold_spawns,
             warm_reuses,
-            recovered,
             faults: self.faults.report(),
-            events_ingested,
-            policy_full_pulls,
-            policy_delta_pulls,
-            policy_bytes_full,
-            policy_bytes_delta,
             learner_invocations: learner_invocations(&self.platform),
+            ..report
         })
+    }
+}
+
+/// The cross-process venue of the lock-step cycle: one actor worker and
+/// `max_learners` learner workers, each a child process behind a framed
+/// socket. Execution is strictly serial; the wave is the whole round, cut
+/// against one snapshot with `cfg.truncation_rho` as the IS cap.
+struct ProcessFleet<'a> {
+    fleet: &'a RemoteFleet,
+    setup: RemoteSetup,
+    actor: RemoteWorker,
+    /// The policy version the actor worker holds (delta pulls are cut
+    /// against it); `None` until the first full `LOAD_POLICY`.
+    actor_version: Option<u64>,
+    /// Learner workers checked out this round, by slot.
+    learners: Vec<Option<RemoteWorker>>,
+    /// Rounds finished so far.
+    round: usize,
+    /// The fields a fleet counts as it goes: `recovered`,
+    /// `events_ingested` and the four `policy_*` pull counters.
+    report: RemoteRunReport,
+}
+
+impl ProcessFleet<'_> {
+    /// Keep-alive between rounds: learner workers idle in the pool and the
+    /// next round's checkout reuses them warm. After the last round their
+    /// spans are pulled and they shut down (drop kills whatever is left).
+    fn end_round(&mut self, trace: u64) {
+        self.round += 1;
+        let last = self.round == self.fleet.cfg.rounds;
+        for slot in &mut self.learners {
+            let Some(mut w) = slot.take() else { continue };
+            if last {
+                if let Ok(events) = w.pull_spans(trace) {
+                    self.report.events_ingested += events.len();
+                    telemetry::ingest_events(events);
+                }
+                let _graceful = w.shutdown();
+            } else {
+                self.fleet.pool.checkin(w.into_process());
+            }
+        }
+    }
+}
+
+impl Fleet for ProcessFleet<'_> {
+    type Error = RemoteError;
+
+    /// Delta-encoded policy pulls (DESIGN.md §16): the parent tracks the
+    /// version the actor worker holds and asks the server for the blocks
+    /// committed since. Round 0 (and any rejected delta) falls back to a
+    /// full `LOAD_POLICY`; a worker that already holds `snap` pulls nothing.
+    fn collect(
+        &mut self,
+        server: &ShardedParameterServer,
+        snap: &PolicySnapshot,
+    ) -> Result<Vec<Option<SampleBatch>>, RemoteError> {
+        let span = telemetry::span_with("fleet.collect", vec![("round", self.round.into())]);
+        let report = &mut self.report;
+        let t0 = Instant::now();
+        if self.actor_version != Some(snap.version) {
+            // Ship whichever encoding is smaller: a dense update that
+            // touches every block makes the delta (blocks + index overhead)
+            // larger than the flat snapshot, so the full pull wins there.
+            let delta = self.actor_version.map(|v| server.delta_since(v));
+            let delta = delta.filter(|d| d.encoded_len() < snap.encoded_len());
+            let shipped = match delta {
+                Some(delta) => {
+                    report.policy_bytes_delta += delta.encoded_len() as u64;
+                    match self.actor.load_policy_delta(&delta, span.id()) {
+                        Ok(()) => {
+                            report.policy_delta_pulls += 1;
+                            true
+                        }
+                        // Base mismatch: the worker's lineage diverged
+                        // (e.g. a respawn); fall back to the full pull.
+                        Err(RemoteError::Rejected(_)) => false,
+                        Err(e) => return Err(e),
+                    }
+                }
+                None => false,
+            };
+            if !shipped {
+                self.actor.load_policy(snap, span.id())?;
+                report.policy_full_pulls += 1;
+                report.policy_bytes_full += snap.encoded_len() as u64;
+            }
+            self.actor_version = Some(snap.version);
+        }
+        let steps = self.fleet.cfg.actor_steps as u64;
+        let batch = self.actor.collect(steps, span.id())?;
+        self.fleet
+            .record_warm(FunctionKind::Actor, t0.elapsed(), false);
+        Ok(vec![Some(batch)])
+    }
+
+    fn wave_width(&self, minibatches: usize) -> usize {
+        minibatches
+    }
+
+    fn gradients(
+        &mut self,
+        snap: &PolicySnapshot,
+        wave: Vec<SampleBatch>,
+    ) -> Result<Vec<(usize, GradientMsg)>, RemoteError> {
+        let (fleet, setup) = (self.fleet, &self.setup);
+        let (learners, report) = (&mut self.learners, &mut self.report);
+        let mut msgs = Vec::with_capacity(wave.len());
+        for (i, mb) in wave.into_iter().enumerate() {
+            let l = i % learners.len();
+            // One chaos draw per mini-batch, before the retry loop, so a
+            // retried attempt is clean and recovery is guaranteed within
+            // the budget — and the draw sequence (hence the run's outcome)
+            // is a pure function of the fault seed.
+            let crash = fleet.faults.should_crash();
+            let straggle = fleet.faults.straggle();
+            let corrupt = fleet.faults.should_corrupt_frame();
+            let dropped = fleet.faults.should_drop_frame();
+            let req = GradientRequest {
+                snap: snap.clone(),
+                batch: mb,
+                cap: fleet.cfg.truncation_rho,
+                learner_id: l,
+            };
+            let mut span = telemetry::span_with(
+                "fleet.gradient",
+                vec![("minibatch", i.into()), ("learner", l.into())],
+            );
+            let outcome = fleet.faults.with_retry(&fleet.cfg.retry, |attempt| {
+                let w = match &mut learners[l] {
+                    Some(w) => w,
+                    slot => slot.insert(fleet.checkout_worker(FunctionKind::Learner, l, setup)?),
+                };
+                let injected = attempt == 0;
+                let t0 = Instant::now();
+                let result = if injected && dropped {
+                    // Frame drop, socket edition: the peer vanishes and the
+                    // connection resets under the request.
+                    w.process().kill();
+                    w.gradient(&req, span.id())
+                } else if injected && crash {
+                    Err(w.crash())
+                } else if injected && corrupt {
+                    w.gradient_corrupted(&req, span.id())
+                } else {
+                    if let (true, Some(dur)) = (injected, straggle) {
+                        let _slow_peer = w.sleep(dur.as_millis() as u64, span.id());
+                    }
+                    w.gradient(&req, span.id())
+                };
+                fleet.record_warm(FunctionKind::Learner, t0.elapsed(), result.is_err());
+                match &result {
+                    Ok(_) if attempt > 0 => {
+                        report.recovered += 1;
+                        span.field("recovered_after", attempt);
+                    }
+                    Ok(_) => {}
+                    Err(e) => {
+                        span.field("error", format!("{e}"));
+                        // A rejected frame leaves the stream in sync;
+                        // anything wire-level poisons the connection and
+                        // the worker respawns cold.
+                        if !matches!(e, RemoteError::Rejected(_)) {
+                            learners[l] = None;
+                        }
+                    }
+                }
+                result
+            });
+            match outcome {
+                Ok(msg) => msgs.push((i, msg)),
+                // No worker could be spawned within the whole budget.
+                Err(e @ RemoteError::Spawn(_)) => return Err(e),
+                // Quorum degradation: this mini-batch's gradient is
+                // permanently lost and the round proceeds without it.
+                Err(_) => span.field("exhausted", true),
+            }
+        }
+        Ok(msgs)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::orchestrator::build_policy;
+    use crate::cycle::fresh_net;
     use std::net::TcpListener;
     use stellaris_cache::frame::{write_value_frame, DEFAULT_MAX_FRAME};
-    use stellaris_envs::EnvId;
-    use stellaris_rl::BlockUpdate;
+    use stellaris_rl::{fill_gae, BlockUpdate};
     use stellaris_serverless::WireStream;
 
     fn tiny_setup() -> RemoteSetup {
@@ -1135,13 +1126,8 @@ mod tests {
         assert_eq!(s.encoded_len(), s.to_bytes().len());
 
         let cfg = TrainConfig::test_tiny(EnvId::PointMass, 11);
-        let snap = build_policy(&cfg).snapshot();
-        let mut worker = RolloutWorker::new(
-            make_env(EnvId::PointMass, EnvConfig::tiny()),
-            11u64.wrapping_mul(1000),
-        );
-        let policy = build_policy(&cfg);
-        let batch = worker.collect(&policy, 16);
+        let snap = fresh_net(&cfg).snapshot();
+        let batch = ActorBody::new(&cfg, 0).collect(&snap, 16);
         for cap in [Some(1.0f32), None] {
             let req = GradientRequest {
                 snap: snap.clone(),
@@ -1217,8 +1203,7 @@ mod tests {
         let cap = reader.max_frame();
         assert_eq!(reader.read_frame().unwrap().header.kind, op::HELLO);
 
-        let cfg = TrainConfig::test_tiny(EnvId::PointMass, 11);
-        let policy = build_policy(&cfg);
+        let policy = fresh_net(&tiny_setup().train_config().unwrap());
         let layout = BlockLayout::from_shapes(&policy.param_shapes());
         let snap0 = policy.snapshot();
         let delta = PolicyDelta {
@@ -1282,14 +1267,8 @@ mod tests {
 
         let mut expected_snap = snap0.clone();
         apply_to_snapshot(&delta, &mut expected_snap, &layout).unwrap();
-        let mut local_policy = build_policy(&cfg);
-        local_policy.load_snapshot(&expected_snap);
-        let setup = tiny_setup();
-        let mut local_rollout = RolloutWorker::new(
-            make_env(EnvId::PointMass, setup.env_cfg()),
-            setup.seed.wrapping_mul(1000),
-        );
-        let local_batch = local_rollout.collect(&local_policy, 12);
+        let mut local_actor = ActorBody::new(&tiny_setup().train_config().unwrap(), 0);
+        let local_batch = local_actor.collect(&expected_snap, 12);
         assert_eq!(
             remote_batch, local_batch,
             "delta-applied policy diverged from local application"
@@ -1303,7 +1282,7 @@ mod tests {
     /// Full conversation against `serve_worker` on a real TCP socket:
     /// HELLO → INIT → LOAD_POLICY → COLLECT → GRADIENT (clean, corrupt,
     /// clean again) → PULL_SPANS → SHUTDOWN. Also pins that the remote
-    /// gradient equals the local `learner_compute` on identical inputs.
+    /// gradient equals the local learner body's on identical inputs.
     #[test]
     fn serve_worker_conversation_over_tcp() {
         let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
@@ -1328,8 +1307,12 @@ mod tests {
         write_value_frame(reader.get_mut(), op::INIT, 2, &setup, cap).unwrap();
         assert_eq!(reader.read_frame().unwrap().header.kind, op::OK);
 
-        let cfg = TrainConfig::test_tiny(EnvId::PointMass, 11);
-        let snap = build_policy(&cfg).snapshot();
+        // A collect before any policy arrived is rejected, not fatal.
+        write_value_frame(reader.get_mut(), op::COLLECT, 3, &8u64, cap).unwrap();
+        assert_eq!(reader.read_frame().unwrap().header.kind, op::ERR);
+
+        let cfg = setup.train_config().unwrap();
+        let snap = fresh_net(&cfg).snapshot();
         write_value_frame(reader.get_mut(), op::LOAD_POLICY, 3, &snap, cap).unwrap();
         assert_eq!(reader.read_frame().unwrap().header.kind, op::OK);
 
@@ -1371,20 +1354,9 @@ mod tests {
         assert_eq!(reply.header.kind, op::OK);
         let remote_msg = reply.decode_value::<GradientMsg>().unwrap();
 
-        // The same inputs through the local learner body must agree
-        // bit-for-bit — both sides built the policy from the same spec and
-        // seed, and `learner_compute` loads the snapshot first.
-        let mut local = build_policy(&cfg);
-        let mut impact_state = None;
-        let local_msg = learner_compute(
-            &Algo::Ppo(PpoConfig::scaled()),
-            &mut local,
-            &mut impact_state,
-            &req.snap,
-            &req.batch,
-            req.cap,
-            0,
-        );
+        // The same inputs through a local learner body must agree
+        // bit-for-bit — both sides built it from the same setup.
+        let local_msg = LearnerBody::new(&cfg).gradient(&req.snap, &req.batch, req.cap, 0);
         assert_eq!(remote_msg, local_msg, "remote and local gradients diverge");
 
         write_value_frame(reader.get_mut(), op::PULL_SPANS, 7, &0u8, cap).unwrap();
@@ -1437,8 +1409,8 @@ mod tests {
     #[test]
     fn snapshot_checksum_is_order_and_bit_sensitive() {
         let cfg = TrainConfig::test_tiny(EnvId::PointMass, 3);
-        let snap = build_policy(&cfg).snapshot();
-        let same = build_policy(&cfg).snapshot();
+        let snap = fresh_net(&cfg).snapshot();
+        let same = fresh_net(&cfg).snapshot();
         assert_eq!(snapshot_checksum(&snap), snapshot_checksum(&same));
         let mut tweaked = snap.clone();
         tweaked.flat[0] += 1.0e-6;

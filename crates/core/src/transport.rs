@@ -9,13 +9,11 @@
 //! sender) and charges the cache's latency model. A [`Router`] picks the
 //! cheapest tier that satisfies the placement of sender and receiver.
 
-use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use stellaris_cache::frame::{op, FrameReader, WireError};
 use stellaris_cache::{Cache, Codec, CodecError};
-use stellaris_serverless::{FaultPlan, RetryPolicy, WireStream};
+use stellaris_serverless::{FaultPlan, RetryPolicy};
 
 /// Where a function instance runs (for tier selection).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -31,8 +29,6 @@ pub enum Tier {
     SharedMemory,
     /// Cross-VM serialised message (simulated link).
     Rpc,
-    /// Cross-VM frames over a real socket (a registered wire route).
-    Socket,
     /// Persisted through the distributed cache.
     Cache,
 }
@@ -85,11 +81,6 @@ pub enum TransportError {
     /// The cache no longer holds the payload (dropped before the store, or
     /// evicted/taken by someone else).
     Missing,
-    /// A socket-tier frame failed at the wire level: connection reset,
-    /// truncated stream, oversized frame, protocol mismatch. (Payloads that
-    /// arrive but fail to decode map to [`TransportError::Decode`] like on
-    /// every other tier.)
-    Wire(WireError),
 }
 
 impl std::fmt::Display for TransportError {
@@ -98,16 +89,6 @@ impl std::fmt::Display for TransportError {
             TransportError::Dropped => write!(f, "frame dropped in flight"),
             TransportError::Decode(e) => write!(f, "frame failed to decode: {e}"),
             TransportError::Missing => write!(f, "cache payload missing"),
-            TransportError::Wire(e) => write!(f, "wire failure: {e}"),
-        }
-    }
-}
-
-impl From<WireError> for TransportError {
-    fn from(e: WireError) -> Self {
-        match e {
-            WireError::Codec(c) => TransportError::Decode(c),
-            other => TransportError::Wire(other),
         }
     }
 }
@@ -121,22 +102,10 @@ pub struct TransportStats {
     pub shared: AtomicU64,
     /// RPC transfers.
     pub rpc: AtomicU64,
-    /// Socket-tier transfers (frames over a real connection).
-    pub socket: AtomicU64,
     /// Cache transfers.
     pub cache: AtomicU64,
-    /// Serialised bytes moved (RPC + socket + cache).
+    /// Serialised bytes moved (RPC + cache).
     pub bytes: AtomicU64,
-}
-
-/// One registered socket destination: the peer's address plus a lazily
-/// (re)established framed connection. A wire failure tears the connection
-/// down; the next send through the route reconnects, so retry loops
-/// recover from real connection resets without extra plumbing.
-struct WireRoute {
-    addr: String,
-    max_frame: usize,
-    conn: parking_lot::Mutex<Option<FrameReader<WireStream>>>,
 }
 
 /// Tier-selecting transport router.
@@ -149,9 +118,6 @@ pub struct Router {
     pub stats: TransportStats,
     /// Fault plan consulted for frame drop/corruption (disabled by default).
     faults: Arc<FaultPlan>,
-    /// Socket routes by destination VM: when present, cross-VM sends use a
-    /// real connection instead of the simulated RPC link.
-    routes: parking_lot::Mutex<HashMap<usize, Arc<WireRoute>>>,
 }
 
 impl Router {
@@ -170,139 +136,22 @@ impl Router {
             rpc_latency_us: AtomicU64::new(0),
             stats: TransportStats::default(),
             faults,
-            routes: parking_lot::Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Registers a socket route for a destination VM. Cross-VM sends to
-    /// `vm` will frame their payload over a real connection to `addr`
-    /// (`tcp:HOST:PORT` or `uds:/path`); the peer must echo each frame back
-    /// (a [`op::RELAY`]-serving worker). The connection is established
-    /// lazily on first use and re-established after any wire failure.
-    pub fn add_socket_route(&self, vm: usize, addr: impl Into<String>, max_frame: usize) {
-        self.routes.lock().insert(
-            vm,
-            Arc::new(WireRoute {
-                addr: addr.into(),
-                max_frame: max_frame.max(1),
-                conn: parking_lot::Mutex::new(None),
-            }),
-        );
     }
 
     /// Which tier a transfer from `src` to `dst` should use; `persist`
     /// forces the cache tier (the payload must outlive the sender, e.g.
-    /// trajectories awaiting asynchronous learners). Cross-VM transfers use
-    /// the socket tier when a wire route to `dst` is registered, otherwise
-    /// the simulated RPC link.
+    /// trajectories awaiting asynchronous learners). Cross-VM transfers ride
+    /// the simulated RPC link; frames that cross a real process boundary go
+    /// through `remote::RemoteWorker`, not the router.
     pub fn pick(&self, src: Placement, dst: Placement, persist: bool) -> Tier {
         if persist {
             Tier::Cache
         } else if src.vm == dst.vm {
             Tier::SharedMemory
-        } else if self.routes.lock().contains_key(&dst.vm) {
-            Tier::Socket
         } else {
             Tier::Rpc
         }
-    }
-
-    /// Frames the payload over the route's real connection and decodes what
-    /// the peer echoes back. Faults are exercised against the actual
-    /// socket: a dropped frame shuts the connection down (the peer observes
-    /// a reset, the next send reconnects), a corrupted frame carries a
-    /// truncated *encoding* inside an intact frame (the stream stays in
-    /// sync and the decode fails with a typed error).
-    fn send_socket<T: Codec>(
-        &self,
-        route: &WireRoute,
-        value: &T,
-    ) -> Result<(Tier, Delivered<T>), TransportError> {
-        let mut span = stellaris_telemetry::span("transport.socket_send");
-        self.stats.socket.fetch_add(1, Ordering::Relaxed);
-        // Fault draws happen before the route lock is taken: the fault
-        // plan's per-class rng has its own mutex, which must never nest
-        // under a held connection guard.
-        if self.faults.should_drop_frame() {
-            // A real reset, not a simulated one: the peer's blocking read
-            // observes EOF and the next send through this route redials.
-            let stale = route.conn.lock().take();
-            if let Some(mut reader) = stale {
-                let _already_closed = reader.get_mut().shutdown();
-            }
-            span.field("dropped", true);
-            return Err(TransportError::Dropped);
-        }
-        let corrupt = self.faults.should_corrupt_frame();
-        let mut conn = route.conn.lock();
-        if conn.is_none() {
-            let stream = WireStream::connect_addr(&route.addr)
-                .map_err(|e| TransportError::Wire(WireError::from(e)))?;
-            *conn = Some(FrameReader::with_cap(stream, route.max_frame));
-        }
-        // `conn` was just filled above; poisoning the Option again on every
-        // error path below keeps a desynced stream from being reused.
-        let Some(reader) = conn.as_mut() else {
-            return Err(TransportError::Wire(WireError::Truncated));
-        };
-        let frame_len;
-        let sent = if corrupt {
-            let encoded = value.to_bytes();
-            let cut = &encoded[..encoded.len() / 2];
-            frame_len = cut.len();
-            span.field("corrupted", true);
-            stellaris_cache::write_frame(
-                reader.get_mut(),
-                op::RELAY,
-                span.id(),
-                cut,
-                route.max_frame,
-            )
-        } else {
-            frame_len = value.encoded_len();
-            stellaris_cache::write_value_frame(
-                reader.get_mut(),
-                op::RELAY,
-                span.id(),
-                value,
-                route.max_frame,
-            )
-        };
-        if let Err(e) = sent {
-            // Release the route lock before tearing the socket down; a
-            // blocking close must never run under it.
-            let dead = conn.take();
-            drop(conn);
-            if let Some(mut reader) = dead {
-                let _already_closed = reader.get_mut().shutdown();
-            }
-            return Err(e.into());
-        }
-        self.stats.bytes.fetch_add(
-            (frame_len + stellaris_cache::HEADER_LEN) as u64,
-            Ordering::Relaxed,
-        );
-        let read = reader.read_frame();
-        let reply = match read {
-            Ok(f) => f,
-            Err(e) => {
-                let dead = conn.take();
-                drop(conn);
-                if let Some(mut reader) = dead {
-                    let _already_closed = reader.get_mut().shutdown();
-                }
-                return Err(e.into());
-            }
-        };
-        if reply.header.kind == op::ERR {
-            // The peer rejected the frame (its decode failed); the payload
-            // never arrived intact.
-            return Err(TransportError::Decode(CodecError::Corrupt(
-                "peer rejected frame",
-            )));
-        }
-        let decoded = reply.decode_value::<T>().map_err(TransportError::from)?;
-        Ok((Tier::Socket, Delivered::Owned(decoded)))
     }
 
     /// Sends a payload, returning what the receiver observes.
@@ -324,15 +173,6 @@ impl Router {
             Tier::SharedMemory => {
                 self.stats.shared.fetch_add(1, Ordering::Relaxed);
                 Ok((Tier::SharedMemory, Delivered::Shared(value)))
-            }
-            Tier::Socket => {
-                let route = self.routes.lock().get(&dst.vm).cloned();
-                match route {
-                    Some(route) => self.send_socket(&route, value.as_ref()),
-                    // The route vanished between pick and send; treat it
-                    // like the simulated link losing the frame.
-                    None => Err(TransportError::Dropped),
-                }
             }
             Tier::Rpc => {
                 let frame = value.to_bytes();
@@ -392,25 +232,9 @@ impl Router {
         key: &str,
         retry: &RetryPolicy,
     ) -> Result<(Tier, Delivered<T>), TransportError> {
-        let mut attempt = 0u32;
-        loop {
-            match self.send(value.clone(), src, dst, persist, key) {
-                Ok(out) => return Ok(out),
-                Err(err) => {
-                    if attempt >= retry.max_retries {
-                        self.faults.note_exhausted();
-                        return Err(err);
-                    }
-                    let backoff = retry.backoff(attempt, self.faults.jitter());
-                    self.faults.note_retry(backoff);
-                    if !backoff.is_zero() {
-                        let _backoff = stellaris_telemetry::span("serverless.retry_backoff");
-                        std::thread::sleep(backoff);
-                    }
-                    attempt += 1;
-                }
-            }
-        }
+        self.faults.with_retry(retry, |_attempt| {
+            self.send(value.clone(), src, dst, persist, key)
+        })
     }
 
     /// Accumulated simulated RPC latency.
@@ -591,165 +415,6 @@ mod tests {
         assert!(
             r.faults.report().frames_dropped > 0,
             "the lossy link must actually drop frames"
-        );
-    }
-
-    // ----- the socket tier: frames over a real TCP connection ------------
-
-    /// Spawns a relay peer on loopback: echoes every frame back as OK and
-    /// keeps accepting fresh connections after resets. The thread is
-    /// detached; it dies with the test process.
-    fn spawn_relay() -> String {
-        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).expect("bind");
-        let addr = format!(
-            "tcp:127.0.0.1:{}",
-            listener.local_addr().expect("addr").port()
-        );
-        std::thread::spawn(move || {
-            while let Ok((stream, _)) = listener.accept() {
-                let mut reader = FrameReader::new(WireStream::Tcp(stream));
-                while let Ok(frame) = reader.read_frame() {
-                    let cap = reader.max_frame();
-                    if stellaris_cache::write_frame(
-                        reader.get_mut(),
-                        op::OK,
-                        frame.header.trace_id,
-                        &frame.payload,
-                        cap,
-                    )
-                    .is_err()
-                    {
-                        break;
-                    }
-                }
-            }
-        });
-        addr
-    }
-
-    #[test]
-    fn registered_route_switches_cross_vm_to_socket_tier() {
-        let r = router();
-        let addr = spawn_relay();
-        r.add_socket_route(1, addr, 1 << 20);
-        assert_eq!(
-            r.pick(Placement { vm: 0 }, Placement { vm: 1 }, false),
-            Tier::Socket
-        );
-        assert_eq!(
-            r.pick(Placement { vm: 0 }, Placement { vm: 2 }, false),
-            Tier::Rpc,
-            "unrouted VMs keep the simulated link"
-        );
-        let t = Arc::new(Tensor::from_vec(vec![1.0, -2.0, 3.5, 0.25], &[4]));
-        for _ in 0..3 {
-            let (tier, got) = r
-                .send(
-                    t.clone(),
-                    Placement { vm: 0 },
-                    Placement { vm: 1 },
-                    false,
-                    "k",
-                )
-                .expect("socket roundtrip");
-            assert_eq!(tier, Tier::Socket);
-            assert_eq!(got.get(), t.as_ref());
-        }
-        assert_eq!(r.stats.socket.load(Ordering::Relaxed), 3);
-        assert!(r.stats.bytes.load(Ordering::Relaxed) > 0);
-    }
-
-    #[test]
-    fn dropped_socket_frame_resets_the_connection_and_recovers() {
-        let addr = spawn_relay();
-        // Alternate-ish drop pattern, seeded: some sends reset the socket.
-        let r = chaos_router(FaultConfig {
-            seed: 21,
-            frame_drop: 0.5,
-            ..FaultConfig::off()
-        });
-        r.add_socket_route(1, addr, 1 << 20);
-        let retry = RetryPolicy {
-            max_retries: 16,
-            base: std::time::Duration::from_micros(10),
-            cap: std::time::Duration::from_micros(100),
-        };
-        let t = Arc::new(Tensor::ones(&[32]));
-        for i in 0..10 {
-            let (tier, got) = r
-                .send_with_retry(
-                    t.clone(),
-                    Placement { vm: 0 },
-                    Placement { vm: 1 },
-                    false,
-                    &format!("k{i}"),
-                    &retry,
-                )
-                .expect("retry must reconnect through resets");
-            assert_eq!(tier, Tier::Socket);
-            assert_eq!(got.get(), t.as_ref());
-        }
-        assert!(
-            r.faults.report().frames_dropped > 0,
-            "resets must actually fire"
-        );
-    }
-
-    #[test]
-    fn corrupted_socket_frame_is_a_typed_decode_error_and_stream_stays_usable() {
-        let addr = spawn_relay();
-        let r = chaos_router(FaultConfig {
-            frame_corrupt: 1.0,
-            ..FaultConfig::off()
-        });
-        r.add_socket_route(1, addr, 1 << 20);
-        let t = Arc::new(Tensor::ones(&[16]));
-        let out = r.send(
-            t.clone(),
-            Placement { vm: 0 },
-            Placement { vm: 1 },
-            false,
-            "k",
-        );
-        assert!(
-            matches!(out, Err(TransportError::Decode(_))),
-            "truncated encoding must fail decode, got {:?}",
-            out.as_ref().map(|(tier, _)| *tier)
-        );
-        // The frame itself was well-formed, so the stream is still in sync:
-        // a fault-free router reusing the same peer keeps working (here we
-        // just verify the peer still answers a fresh connection).
-        let clean = router();
-        let addr2 = spawn_relay();
-        clean.add_socket_route(1, addr2, 1 << 20);
-        assert!(clean
-            .send(t, Placement { vm: 0 }, Placement { vm: 1 }, false, "k")
-            .is_ok());
-    }
-
-    #[test]
-    fn unreachable_route_is_a_typed_wire_error() {
-        let r = router();
-        // Port 1 on loopback: nothing listens there.
-        r.add_socket_route(1, "tcp:127.0.0.1:1", 1 << 20);
-        let t = Arc::new(Tensor::ones(&[4]));
-        let out = r.send(t, Placement { vm: 0 }, Placement { vm: 1 }, false, "k");
-        assert!(
-            matches!(out, Err(TransportError::Wire(WireError::Io(_)))),
-            "connection refused must surface as a wire error"
-        );
-    }
-
-    #[test]
-    fn oversized_payload_rejected_before_hitting_the_socket() {
-        let r = router();
-        let addr = spawn_relay();
-        r.add_socket_route(1, addr, 64); // 64-byte cap
-        let t = Arc::new(Tensor::ones(&[256]));
-        let out = r.send(t, Placement { vm: 0 }, Placement { vm: 1 }, false, "k");
-        assert!(
-            matches!(out, Err(TransportError::Wire(WireError::TooLarge { .. }))),
-            "cap must reject before encoding"
         );
     }
 

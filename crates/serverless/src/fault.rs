@@ -314,17 +314,39 @@ impl FaultPlan {
         self.jitter_rng.lock().gen_range(0.0f64..1.0)
     }
 
-    /// Records one retry and its backoff in the retry histogram.
-    pub fn note_retry(&self, backoff: Duration) {
-        self.retries.fetch_add(1, Ordering::Relaxed);
-        self.retries_total.inc();
-        self.backoff_us.record_duration(backoff);
-    }
-
-    /// Records one operation that exhausted its retry budget.
-    pub fn note_exhausted(&self) {
-        self.exhausted.fetch_add(1, Ordering::Relaxed);
-        self.exhausted_total.inc();
+    /// The one retry loop (invocations, transfers and socket requests all
+    /// run through it): calls `op(attempt)` until it succeeds or `retry`'s
+    /// budget is spent, sleeping the exponential backoff between attempts
+    /// under a `serverless.retry_backoff` span. Exactly one jitter value is
+    /// drawn per failed attempt that is retried, so same-seed runs replay
+    /// the same backoffs; the final failure is counted as exhausted and
+    /// returned.
+    pub fn with_retry<T, E>(
+        &self,
+        retry: &RetryPolicy,
+        mut op: impl FnMut(u32) -> Result<T, E>,
+    ) -> Result<T, E> {
+        let mut attempt = 0u32;
+        loop {
+            let err = match op(attempt) {
+                Ok(out) => return Ok(out),
+                Err(err) => err,
+            };
+            if attempt >= retry.max_retries {
+                self.exhausted.fetch_add(1, Ordering::Relaxed);
+                self.exhausted_total.inc();
+                return Err(err);
+            }
+            let backoff = retry.backoff(attempt, self.jitter());
+            self.retries.fetch_add(1, Ordering::Relaxed);
+            self.retries_total.inc();
+            self.backoff_us.record_duration(backoff);
+            if !backoff.is_zero() {
+                let _backoff = stellaris_telemetry::span("serverless.retry_backoff");
+                std::thread::sleep(backoff);
+            }
+            attempt += 1;
+        }
     }
 
     /// Snapshot of everything injected and recovered so far.
@@ -470,6 +492,38 @@ mod tests {
         for attempt in [17, 31, 32, 63, u32::MAX] {
             assert_eq!(r.backoff(attempt, 0.5), at16, "attempt {attempt}");
         }
+    }
+
+    #[test]
+    fn with_retry_counts_retries_and_exhaustion_and_draws_one_jitter_each() {
+        let retry = RetryPolicy {
+            max_retries: 2,
+            base: Duration::from_micros(1),
+            cap: Duration::from_micros(4),
+        };
+        let plan = FaultPlan::new(FaultConfig::chaos(5));
+        let mut seen = Vec::new();
+        let out: Result<u32, &str> = plan.with_retry(&retry, |attempt| {
+            seen.push(attempt);
+            if attempt == 1 {
+                Ok(attempt)
+            } else {
+                Err("lost")
+            }
+        });
+        assert_eq!(out, Ok(1));
+        let lost: Result<(), &str> = plan.with_retry(&retry, |_| Err("lost"));
+        assert_eq!(lost, Err("lost"));
+        assert_eq!(seen, vec![0, 1]);
+        let report = plan.report();
+        assert_eq!((report.retries, report.exhausted), (3, 1));
+        // Three retried failures drew three jitters: a fresh same-seed plan
+        // is in step again after three draws.
+        let fresh = FaultPlan::new(FaultConfig::chaos(5));
+        for _ in 0..3 {
+            fresh.jitter();
+        }
+        assert_eq!(plan.jitter(), fresh.jitter());
     }
 
     #[test]

@@ -586,25 +586,10 @@ impl Platform {
         deadline: Option<Duration>,
         mut work: impl FnMut() -> R,
     ) -> Result<(R, InvocationRecord), InvokeError> {
-        let mut attempt = 0u32;
-        loop {
-            match self.try_invoke(kind, deadline, &mut work) {
-                Ok(out) => return Ok(out),
-                Err((err, _record)) => {
-                    if attempt >= retry.max_retries {
-                        self.faults.note_exhausted();
-                        return Err(err);
-                    }
-                    let backoff = retry.backoff(attempt, self.faults.jitter());
-                    self.faults.note_retry(backoff);
-                    if !backoff.is_zero() {
-                        let _backoff = stellaris_telemetry::span("serverless.retry_backoff");
-                        std::thread::sleep(backoff);
-                    }
-                    attempt += 1;
-                }
-            }
-        }
+        self.faults.with_retry(retry, |_attempt| {
+            self.try_invoke(kind, deadline, &mut work)
+                .map_err(|(err, _record)| err)
+        })
     }
 
     /// Free slots of a kind right now (learner and parameter functions

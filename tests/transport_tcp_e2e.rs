@@ -6,15 +6,17 @@
 //! The worker binary is the `stellaris worker` subcommand of this crate's
 //! own CLI; every test spawns genuine OS processes through `ProcessPool`.
 
+use std::convert::Infallible;
 use std::sync::Mutex;
 use std::time::Duration;
 
 use stellaris::core::{
-    snapshot_checksum, train, GradientRequest, RemoteError, RemoteFleet, RemoteSetup, RemoteWorker,
-    TrainConfig,
+    lockstep_round, parameter_plane, snapshot_checksum, train, ActorBody, CycleTotals, Fleet,
+    GradientMsg, GradientRequest, LearnerBody, RemoteError, RemoteFleet, RemoteSetup, RemoteWorker,
+    ShardedParameterServer, Timers, TrainConfig,
 };
 use stellaris::envs::EnvId;
-use stellaris::rl::fill_gae;
+use stellaris::rl::{fill_gae, PolicySnapshot, SampleBatch};
 use stellaris::serverless::{FunctionKind, ProcessConfig, ProcessPool, WireTransport};
 use stellaris_telemetry as telemetry;
 
@@ -222,9 +224,49 @@ fn connection_reset_is_a_typed_error_and_respawn_recovers() {
     assert_eq!(cold, 2, "the reset slot must respawn cold");
 }
 
+/// The process fleet's shape with the sockets taken away: one actor in slot
+/// 0, a round-wide wave served round-robin by the learner slots, the
+/// config's truncation threshold as the IS cap.
+struct InProcessFleet {
+    actor: ActorBody,
+    learners: Vec<LearnerBody>,
+    steps: usize,
+    cap: Option<f32>,
+}
+
+impl Fleet for InProcessFleet {
+    type Error = Infallible;
+
+    fn collect(
+        &mut self,
+        _server: &ShardedParameterServer,
+        snap: &PolicySnapshot,
+    ) -> Result<Vec<Option<SampleBatch>>, Infallible> {
+        Ok(vec![Some(self.actor.collect(snap, self.steps))])
+    }
+
+    fn wave_width(&self, minibatches: usize) -> usize {
+        minibatches
+    }
+
+    fn gradients(
+        &mut self,
+        snap: &PolicySnapshot,
+        wave: Vec<SampleBatch>,
+    ) -> Result<Vec<(usize, GradientMsg)>, Infallible> {
+        let n = self.learners.len();
+        Ok(wave
+            .iter()
+            .enumerate()
+            .map(|(i, mb)| (i, self.learners[i % n].gradient(snap, mb, self.cap, i % n)))
+            .collect())
+    }
+}
+
 /// The remote fleet agrees with the in-process orchestrator's world: a
 /// fault-free remote run advances the policy clock exactly once per
-/// aggregated gradient, like `train` does.
+/// aggregated gradient, like `train` does — and ends on the same bits as
+/// the same cycle driven over in-process bodies.
 #[test]
 fn fault_free_remote_run_matches_local_accounting() {
     let _guard = FLEET_LOCK.lock().unwrap();
@@ -265,6 +307,36 @@ fn fault_free_remote_run_matches_local_accounting() {
             "a shipped delta must beat a full snapshot ({per_delta} >= {per_full})"
         );
     }
+
+    // Process fleet ≡ in-process fleet, bitwise.
+    let mut in_process = InProcessFleet {
+        actor: ActorBody::new(&cfg, 0),
+        learners: (0..cfg.max_learners)
+            .map(|_| LearnerBody::new(&cfg))
+            .collect(),
+        steps: cfg.actor_steps,
+        cap: cfg.truncation_rho,
+    };
+    let server = parameter_plane(&cfg);
+    let mut totals = CycleTotals::default();
+    for _ in 0..cfg.rounds {
+        let Ok(()) = lockstep_round(
+            &mut in_process,
+            &server,
+            &cfg,
+            &Timers::default(),
+            &mut totals,
+        );
+        server.advance_round();
+    }
+    assert_eq!(totals.degraded, 0);
+    assert_eq!(report.final_version, server.clock());
+    assert_eq!(report.staleness_log, server.staleness_log().to_vec());
+    assert_eq!(
+        report.final_checksum,
+        snapshot_checksum(&server.snapshot()),
+        "the sockets must not reach the weights"
+    );
 }
 
 /// The same fleet over unix-domain sockets.
