@@ -85,16 +85,25 @@ struct GemmRow {
 }
 
 fn bench_gemm(reps: usize, rng: &mut ChaCha8Rng) -> Vec<GemmRow> {
-    // Square stress shape plus the three Table II matmul shapes the
-    // training loop actually issues (MLP hidden, policy head, CNN fc).
+    // Square stress shape, the three Table II matmul shapes the learners
+    // issue (MLP hidden, policy head, CNN fc), and the three single-row
+    // products an actor issues per network per environment step (Hopper
+    // MLP) — `m < MR`, so `gemm` serves them with the reference loop and
+    // their "packed" column times that route.
     let shapes: &[(&'static str, usize, usize, usize)] = &[
         ("square_512", 512, 512, 512),
         ("mlp_hidden_b4096", 4096, 256, 256),
         ("policy_head_b4096", 4096, 3, 256),
         ("cnn_fc_b256", 256, 256, 2592),
+        ("act_hidden_m1", 1, 256, 256),
+        ("act_input_m1", 1, 256, 11),
+        ("act_head_m1", 1, 3, 256),
     ];
     let mut rows = Vec::new();
     for &(name, m, n, k) in shapes {
+        // Microsecond-scale products repeat until a timed loop does about
+        // the work of one `square_512` call; the large shapes keep `reps`.
+        let reps = reps * ((1 << 27) / (m * n * k)).max(1);
         let a = fill(rng, m * k);
         let b = fill(rng, k * n);
         let mut c_naive = vec![0.0f32; m * n];

@@ -40,8 +40,9 @@ impl<T> BlockingQueue<T> {
     /// Creates an empty, open queue.
     pub fn new() -> Self {
         Self {
-            // Task queues are refilled once per round, one entry per worker.
-            // bound: depth never exceeds the round's worker count.
+            // No cap of its own: depth is whatever the producers are
+            // allowed to run ahead of the consumers by.
+            // bound: the caller's admission — `train_async` releases a round's quota only once the staged backlog is back under the learner pool's target.
             inner: Mutex::new(VecDeque::new()),
             cond: Condvar::new(),
             closed: AtomicBool::new(false),

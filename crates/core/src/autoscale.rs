@@ -48,6 +48,12 @@ impl LearnerAutoscaler {
         want.clamp(self.min, self.max)
     }
 
+    /// The staged backlog at which [`Self::decide`] already asks for every
+    /// slot: beyond it, more staged mini-batches cannot buy more learners.
+    pub fn full_pool_backlog(&self) -> usize {
+        self.max * self.backlog_per_learner.max(1)
+    }
+
     /// Observes the current backlog and rescales; returns the new size.
     pub fn observe(&self, backlog: usize) -> usize {
         let next = self.decide(backlog);
@@ -85,6 +91,7 @@ mod tests {
         assert_eq!(a.decide(4), 2);
         assert_eq!(a.decide(16), 8);
         assert_eq!(a.decide(1000), 8, "clamped to GPU slots");
+        assert_eq!(a.full_pool_backlog(), 16);
     }
 
     #[test]

@@ -29,7 +29,7 @@ use parking_lot::Mutex;
 use stellaris_cache::{BlockingQueue, Cache, LatencyModel, ShardedGradientQueue};
 use stellaris_envs::{make_env, Env};
 use stellaris_nn::Tensor;
-use stellaris_rl::{evaluate, fill_gae, PolicyNet, PolicySnapshot, SampleBatch};
+use stellaris_rl::{evaluate, fill_gae, DistParams, PolicyNet, PolicySnapshot, SampleBatch};
 use stellaris_serverless::{
     bill_hybrid, bill_serverful, bill_serverless, CostBreakdown, FaultPlan, FaultReport,
     FunctionKind, OverheadMode, Platform, StartupProfile,
@@ -170,10 +170,12 @@ struct Run<'a> {
     server: Arc<ShardedParameterServer>,
     eval_env: Box<dyn Env>,
     eval_policy: PolicyNet,
-    prev_policy: PolicyNet,
     /// First observation batch any actor produced: the fixed probe the
     /// per-round policy KL is measured on.
     probe_obs: Option<Tensor>,
+    /// The previous round's policy on the probe — what this round's KL is
+    /// measured from.
+    prev_probe: Option<DistParams>,
     rows: Vec<TrainRow>,
     last_round_end: Instant,
     prev_updates: u64,
@@ -218,8 +220,8 @@ impl<'a> Run<'a> {
             server,
             eval_env: make_env(cfg.env_id, cfg.env_cfg),
             eval_policy: fresh_net(cfg),
-            prev_policy: fresh_net(cfg),
             probe_obs: None,
+            prev_probe: None,
             rows: Vec::with_capacity(cfg.rounds),
             last_round_end: Instant::now(),
             prev_updates: 0,
@@ -244,10 +246,16 @@ impl<'a> Run<'a> {
         degraded_events: u64,
     ) -> f32 {
         let cfg = self.cfg;
+        // The round the probe first appears, `eval_policy` still holds the
+        // weights the KL is measured from (the initial net in round 0).
+        let prev_probe = self.prev_probe.take().or_else(|| {
+            let obs = self.probe_obs.as_ref()?;
+            Some(self.eval_policy.dist_params(obs))
+        });
         if let Some(snap) = snap {
             self.eval_policy.load_snapshot(&snap);
         }
-        // The probe KL is two forward passes over a full actor batch — the
+        // The probe KL is a forward pass over a full actor batch — the
         // other half of judging the round's policy — so it is staged with
         // the evaluation episodes rather than left unattributed.
         let (reward, policy_kl) = {
@@ -258,14 +266,16 @@ impl<'a> Run<'a> {
                 cfg.eval_episodes,
                 cfg.seed ^ 0xe7a1,
             );
-            let policy_kl = self
+            self.prev_probe = self
                 .probe_obs
                 .as_ref()
-                .map(|obs| self.prev_policy.mean_kl_to(&self.eval_policy, obs))
-                .unwrap_or(0.0);
+                .map(|obs| self.eval_policy.dist_params(obs));
+            let policy_kl = match (&prev_probe, &self.prev_probe) {
+                (Some(prev), Some(cur)) => prev.mean_kl_to(cur),
+                _ => 0.0,
+            };
             (reward, policy_kl)
         };
-        self.prev_policy.load_snapshot(&self.eval_policy.snapshot());
 
         self.server.advance_round();
         let staleness_len = self.server.staleness_log().recorded();
@@ -440,9 +450,13 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
         LearnerAutoscaler::pinned(cfg.max_learners.max(1))
     });
 
-    // bound: refilled once per round, ≤ one batch per actor invocation.
+    // The round gate below releases the next round's quota only once the
+    // staged backlog is back under `full_pool_backlog()`, which bounds both
+    // queues by the round, not by the run. Staleness-aware admission
+    // (ROADMAP item 5) is the owner of anything finer.
+    // bound: one round's actor batches; the data loader drains it continuously.
     let traj_q: Arc<BlockingQueue<SampleBatch>> = Arc::new(BlockingQueue::new());
-    // bound: mirrors traj_q one-to-one within a round.
+    // bound: `full_pool_backlog()` plus one round's mini-batches; drained before `train_async` returns.
     let work_q: Arc<BlockingQueue<Arc<SampleBatch>>> = Arc::new(BlockingQueue::new());
     // Generous cap: learners produce at most one gradient apiece per round
     // and the aggregator drains every round, so the shed path only fires if
@@ -562,6 +576,7 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
         }
 
         // ----- learner workers (Step ②) ----------------------------------------
+        let mut learner_threads = Vec::with_capacity(cfg.max_learners);
         for l in 0..cfg.max_learners {
             let cache = cache.clone();
             let platform = platform.clone();
@@ -575,7 +590,7 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
             let autoscaler = autoscaler.clone();
             let degraded = degraded_events.clone();
             let cfg = cfg.clone();
-            s.spawn(move |_| {
+            learner_threads.push(s.spawn(move |_| {
                 let mut learner = LearnerBody::new(&cfg);
                 loop {
                     // Dynamic learner orchestration: workers beyond the
@@ -648,7 +663,7 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
                         }
                     }
                 }
-            });
+            }));
         }
 
         // ----- parameter function (Step ③) -------------------------------------
@@ -679,6 +694,7 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
         // ----- round control + evaluation ---------------------------------------
         let mut last_reward = f32::NEG_INFINITY;
         let depth_gauge = telemetry::global().gauge("stellaris_core_work_queue_depth");
+        let backlog_cap = autoscaler.full_pool_backlog();
         for round in 0..cfg.rounds {
             let mut round_span = telemetry::span_with("core.round", vec![("round", round.into())]);
             let target = (round as u64 + 1) * round_quota;
@@ -686,7 +702,16 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
             let deadline = Instant::now() + Duration::from_secs(120);
             {
                 let _wait = telemetry::span("core.round_wait");
-                while steps.load(Ordering::Acquire) < target && Instant::now() < deadline {
+                // A round is over once its quota is sampled and staged and
+                // the staged backlog is back within what the full learner
+                // pool asks for. Until then the actors idle on the spent
+                // quota, so a learner-bound run holds a few staged batches,
+                // not every batch the actors can race ahead by.
+                while (steps.load(Ordering::Acquire) < target
+                    || !traj_q.is_empty()
+                    || work_q.len() > backlog_cap)
+                    && Instant::now() < deadline
+                {
                     std::thread::sleep(Duration::from_millis(2));
                 }
             }
@@ -722,6 +747,14 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
         // work_q is NOT closed here: the data loader closes it after
         // draining traj_q, so minibatches staged during shutdown still
         // reach the learners instead of being dropped by a closed queue.
+        // For the same reason the gradient plane closes only once the
+        // learners are done: a gradient computed during the drain is
+        // offered, not pushed at a closed queue.
+        for learner in learner_threads {
+            learner
+                .join()
+                .unwrap_or_else(|p| std::panic::resume_unwind(p));
+        }
         grad_q.close();
     })
     // lint:allow(A8): deliberate re-panic — a child thread died and the run cannot continue
@@ -954,6 +987,31 @@ mod tests {
         assert!(sharded.grads_aggregated > 0);
         assert_eq!(sharded.policy_updates, 2 * res.policy_updates);
         assert_eq!(sharded.degraded_rounds, 0);
+    }
+
+    /// `TrainRow::policy_kl` per round, frozen at the commit that still
+    /// forwarded the probe through a second `PolicyNet` every round
+    /// (identical in debug and release).
+    #[test]
+    fn policy_kl_golden() {
+        for (env, seed, golden) in [
+            (
+                EnvId::PointMass,
+                3,
+                [0x395a_cb00u32, 0x3833_6600, 0x3772_2000],
+            ),
+            (EnvId::ChainMdp, 2, [0x36cb_37a8, 0x362f_ccec, 0x363b_9b02]),
+        ] {
+            let mut cfg = TrainConfig::test_tiny(env, seed);
+            cfg.learner_mode = LearnerMode::Sync { n: 2 };
+            cfg.deployment = Deployment::Serverful;
+            let kl: Vec<u32> = train(&cfg)
+                .rows
+                .iter()
+                .map(|r| r.policy_kl.to_bits())
+                .collect();
+            assert_eq!(kl, golden, "{env:?}");
+        }
     }
 
     #[test]

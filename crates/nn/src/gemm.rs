@@ -27,6 +27,25 @@
 //! The same argument makes `accumulate = true` (used by backward) exact: it
 //! merely seeds the accumulators with the existing C values.
 //!
+//! Rows are independent: row `i` of the product is a function of row `i` of
+//! A alone, so a batched product equals, bit for bit, its single-row
+//! products stacked — whichever of the two routes serves each call (pinned
+//! by `prop_rows_are_independent` in `tests/backward_differential.rs`). The
+//! rollout relies on this to record the distribution row each action was
+//! sampled from in place of a second, batched actor forward.
+//!
+//! # Small-`m` route
+//!
+//! A left operand with fewer than `MR` rows and a unit-stride B — the
+//! actors' single-observation forwards, `m = 1`, six products per
+//! environment step — skips packing and runs the reference loop of
+//! [`gemm_naive`], which is therefore the production kernel for `m < MR`
+//! and not only the test oracle. Packing cannot pay below one register
+//! tile: `pack_b` copies all `k*n` elements of B to serve `m*k*n`
+//! multiply-adds, and `1 - m/MR` of every register tile is zero padding.
+//! The route is bit-identical by construction (it *is* the loop the
+//! contract is written against) and is selected by the operand shapes alone.
+//!
 //! # Parallelism
 //!
 //! Row-slabs of `MC` rows are distributed over rayon when the FLOP count
@@ -223,6 +242,17 @@ fn gemm_fused(
         return;
     }
 
+    if m < MR && b.cs == 1 {
+        // Below one register tile packing cannot pay (module docs): run the
+        // reference row loop directly on the unpacked operands.
+        if !accumulate {
+            c.fill(0.0);
+        }
+        accumulate_rows(a, b, c);
+        epilogue(c, n, 0, n, bias, act);
+        return;
+    }
+
     if par_worthwhile(m, n, k) && m > MC {
         c.par_chunks_mut(MC * n)
             .enumerate()
@@ -404,9 +434,16 @@ pub fn gemm_naive(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], accumulate: bool)
     if !accumulate {
         c.fill(0.0);
     }
-    for i in 0..m {
+    accumulate_rows(a, b, c);
+}
+
+/// `c += a @ b`, one output row at a time: the loop the exactness contract
+/// is written against, and the production kernel for `m < MR`.
+fn accumulate_rows(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
+    let n = b.cols;
+    for i in 0..a.rows {
         let crow = &mut c[i * n..(i + 1) * n];
-        for p in 0..k {
+        for p in 0..a.cols {
             let av = a.at(i, p);
             if b.cs == 1 {
                 let brow = &b.data[p * b.rs..p * b.rs + n];
@@ -509,6 +546,33 @@ mod tests {
             true,
         );
         assert_bits_eq(&packed, &naive, "accumulate");
+    }
+
+    #[test]
+    fn small_m_matches_naive_bitwise() {
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        // k = 0, one KC block and several; n ragged vs NR throughout.
+        for (k, n) in [(0, 5), (37, NR + 3), (KC + 44, 2 * NR - 1)] {
+            let a = rand_vec(&mut rng, MR * k);
+            let b = rand_vec(&mut rng, k * n);
+            // The same B stored transposed: not unit-stride, so the packed
+            // kernel serves it whatever `m` is.
+            let b_t: Vec<f32> = (0..n * k).map(|i| b[(i % k) * n + i / k]).collect();
+            let seed = rand_vec(&mut rng, MR * n);
+            for (m, accumulate) in (1..MR).flat_map(|m| [(m, false), (m, true)]) {
+                let am = MatRef::new(&a[..m * k], m, k);
+                let mut naive = seed[..m * n].to_vec();
+                gemm_naive(am, MatRef::new(&b, k, n), &mut naive, accumulate);
+                for (bv, ctx) in [
+                    (MatRef::new(&b, k, n), "unit-stride B"),
+                    (MatRef::new(&b_t, n, k).t(), "transposed B"),
+                ] {
+                    let mut got = seed[..m * n].to_vec();
+                    gemm(am, bv, &mut got, accumulate);
+                    assert_bits_eq(&got, &naive, &format!("{ctx} m={m} k={k} acc={accumulate}"));
+                }
+            }
+        }
     }
 
     #[test]

@@ -13,11 +13,34 @@
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use stellaris_nn::gemm::{gemm, gemm_naive, MatRef};
+use stellaris_nn::gemm::{gemm, gemm_bias_act, gemm_naive, FusedAct, MatRef, MR};
 use stellaris_nn::{bind_params, Activation, Cnn, Graph, Mlp, ParamSet, Tensor, Var};
 
 fn randvec(rng: &mut ChaCha8Rng, n: usize) -> Vec<f32> {
     Tensor::randn(&[n.max(1)], 1.0, rng).data()[..n].to_vec()
+}
+
+/// `gemm_bias_act` over an `m`-row matrix against its `m` single-row calls
+/// stacked. From `m = MR` up the batched call runs the packed kernel while
+/// every single-row call takes the small-`m` route, so this pins the two
+/// routes to each other row by row — the property that lets the rollout
+/// keep each step's actor output instead of re-running the batch.
+fn batched_and_stacked_rows(m: usize, n: usize, k: usize, seed: u64) -> [(Vec<f32>, Vec<f32>); 3] {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let a = randvec(&mut rng, m * k);
+    let b = randvec(&mut rng, k * n);
+    let bias = randvec(&mut rng, n);
+    [FusedAct::Identity, FusedAct::Tanh, FusedAct::Relu].map(|act| {
+        let bm = MatRef::new(&b, k, n);
+        let mut batched = vec![0.0f32; m * n];
+        gemm_bias_act(MatRef::new(&a, m, k), bm, &bias, act, &mut batched);
+        let mut stacked = vec![0.0f32; m * n];
+        for (i, crow) in stacked.chunks_mut(n).enumerate() {
+            let arow = MatRef::new(&a[i * k..(i + 1) * k], 1, k);
+            gemm_bias_act(arow, bm, &bias, act, crow);
+        }
+        (batched, stacked)
+    })
 }
 
 proptest! {
@@ -41,6 +64,19 @@ proptest! {
         gemm_naive(MatRef::new(&a, m, k), MatRef::new(&b, k, n), &mut c_naive, accumulate);
         gemm(MatRef::new(&a, m, k), MatRef::new(&b, k, n), &mut c_packed, accumulate);
         prop_assert_eq!(c_naive, c_packed);
+    }
+
+    /// Rows of a product are independent, whichever route serves the call.
+    #[test]
+    fn prop_rows_are_independent(
+        m in 1usize..2 * MR + 2,
+        n in 1usize..70,
+        k in 0usize..40,
+        seed in 0u64..1000,
+    ) {
+        for (batched, stacked) in batched_and_stacked_rows(m, n, k, seed) {
+            prop_assert_eq!(batched, stacked);
+        }
     }
 
     /// Transposed views feed the packed kernel through stride swaps; the
@@ -89,6 +125,13 @@ fn packed_gemm_matches_naive_beyond_one_kc_block() {
         false,
     );
     assert_eq!(c_naive, c_packed);
+}
+
+#[test]
+fn rows_are_independent_beyond_one_kc_block() {
+    for (batched, stacked) in batched_and_stacked_rows(2 * MR + 1, 21, 700, 8) {
+        assert_eq!(batched, stacked);
+    }
 }
 
 /// Builds the graph, runs one forward pass, and returns gradients from the

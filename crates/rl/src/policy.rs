@@ -130,6 +130,43 @@ pub enum DistParams {
     },
 }
 
+impl DistParams {
+    /// Mean over rows of KL(self ‖ other), both taken on the same
+    /// observation batch.
+    pub fn mean_kl_to(&self, other: &DistParams) -> f32 {
+        match (self, other) {
+            (
+                DistParams::Gaussian {
+                    mu: mu_a,
+                    log_std: ls_a,
+                },
+                DistParams::Gaussian {
+                    mu: mu_b,
+                    log_std: ls_b,
+                },
+            ) => {
+                let b = mu_a.shape()[0];
+                (0..b)
+                    .map(|i| {
+                        dist::gaussian_kl_value(mu_a.row(i).data(), ls_a, mu_b.row(i).data(), ls_b)
+                    })
+                    .sum::<f32>()
+                    / b as f32
+            }
+            (DistParams::Categorical { logits: la }, DistParams::Categorical { logits: lb }) => {
+                let b = la.shape()[0];
+                (0..b)
+                    .map(|i| dist::categorical_kl_value(la.row(i).data(), lb.row(i).data()))
+                    .sum::<f32>()
+                    / b as f32
+            }
+            // lint:allow(A8): both dist kinds come from the same net type; a mismatch is a caller bug
+            // lint:allow(L1): comparing policies over different action spaces is caller error, not a runtime state
+            _ => panic!("mean_kl_to: mismatched distribution kinds"),
+        }
+    }
+}
+
 /// One sampled action with its bookkeeping.
 #[derive(Clone, Debug)]
 pub struct ActOutput {
@@ -139,6 +176,10 @@ pub struct ActOutput {
     pub logp: f32,
     /// Critic value estimate.
     pub value: f32,
+    /// The actor's output row the action was sampled from (Gaussian means
+    /// or categorical logits): row `i` of [`PolicyNet::dist_params`] over a
+    /// batch is bitwise the `dist_row` of observation `i` alone.
+    pub dist_row: Vec<f32>,
 }
 
 /// Differentiable forward-pass products used by the loss builders.
@@ -242,6 +283,7 @@ impl PolicyNet {
                     action: Action::Continuous(a),
                     logp,
                     value,
+                    dist_row: mu.into_vec(),
                 }
             }
             DistParams::Categorical { logits } => {
@@ -250,6 +292,7 @@ impl PolicyNet {
                     action: Action::Discrete(a),
                     logp,
                     value,
+                    dist_row: logits.into_vec(),
                 }
             }
         }
@@ -359,40 +402,7 @@ impl PolicyNet {
     /// Mean KL(self ‖ other) over an observation batch — the metric behind
     /// the paper's Fig. 3(c) policy-update characterisation.
     pub fn mean_kl_to(&self, other: &PolicyNet, obs: &Tensor) -> f32 {
-        let b = obs.shape()[0];
-        match (self.dist_params(obs), other.dist_params(obs)) {
-            (
-                DistParams::Gaussian {
-                    mu: mu_a,
-                    log_std: ls_a,
-                },
-                DistParams::Gaussian {
-                    mu: mu_b,
-                    log_std: ls_b,
-                },
-            ) => {
-                (0..b)
-                    .map(|i| {
-                        dist::gaussian_kl_value(
-                            mu_a.row(i).data(),
-                            &ls_a,
-                            mu_b.row(i).data(),
-                            &ls_b,
-                        )
-                    })
-                    .sum::<f32>()
-                    / b as f32
-            }
-            (DistParams::Categorical { logits: la }, DistParams::Categorical { logits: lb }) => {
-                (0..b)
-                    .map(|i| dist::categorical_kl_value(la.row(i).data(), lb.row(i).data()))
-                    .sum::<f32>()
-                    / b as f32
-            }
-            // lint:allow(A8): both dist kinds come from the same net type; a mismatch is a caller bug
-            // lint:allow(L1): comparing policies over different action spaces is caller error, not a runtime state
-            _ => panic!("mean_kl_to: mismatched distribution kinds"),
-        }
+        self.dist_params(obs).mean_kl_to(&other.dist_params(obs))
     }
 
     /// Serialises weights + version.

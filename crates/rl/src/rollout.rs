@@ -7,7 +7,7 @@ use rand_chacha::ChaCha8Rng;
 use stellaris_envs::Env;
 use stellaris_nn::Tensor;
 
-use crate::policy::{DistParams, PolicyNet};
+use crate::policy::PolicyNet;
 use crate::trajectory::SampleBatch;
 
 /// A persistent actor: owns one environment and carries episode state
@@ -59,6 +59,9 @@ impl RolloutWorker {
         let mut dones = Vec::with_capacity(steps);
         let mut logps = Vec::with_capacity(steps);
         let mut values = Vec::with_capacity(steps);
+        // The actor-output row each action was sampled from, one per step.
+        let dist_width = policy.spec.actor_out();
+        let mut dist_rows: Vec<f32> = Vec::with_capacity(steps * dist_width);
         let mut episode_returns = Vec::new();
 
         for _ in 0..steps {
@@ -74,6 +77,7 @@ impl RolloutWorker {
             dones.push(step.done);
             logps.push(out.logp);
             values.push(out.value);
+            dist_rows.extend_from_slice(&out.dist_row);
             self.ep_return += step.reward;
             if step.done {
                 episode_returns.push(self.ep_return);
@@ -89,10 +93,12 @@ impl RolloutWorker {
         }
 
         let obs = Tensor::from_vec(obs_rows, &[steps, obs_dim]);
-        // Behaviour distribution parameters over the whole batch in one pass.
-        let (behaviour_mu, behaviour_log_std, behaviour_logits) = match policy.dist_params(&obs) {
-            DistParams::Gaussian { mu, log_std } => (Some(mu), Some(log_std), None),
-            DistParams::Categorical { logits } => (None, None, Some(logits)),
+        // GEMM rows are independent (nn::gemm exactness contract), so the
+        // stacked per-step rows are bitwise `policy.dist_params(&obs)`.
+        let dist = Tensor::from_vec(dist_rows, &[steps, dist_width]);
+        let (behaviour_mu, behaviour_log_std, behaviour_logits) = match &policy.log_std {
+            Some(ls) => (Some(dist), Some(ls.data().to_vec()), None),
+            None => (None, None, Some(dist)),
         };
         let bootstrap_value = if dones.last().copied().unwrap_or(true) {
             // Terminal (or degenerate empty) rollout: nothing to bootstrap.
@@ -228,5 +234,8 @@ mod tests {
         assert_eq!(b1.obs, b2.obs);
         assert_eq!(b1.rewards, b2.rewards);
         assert_eq!(b1.behaviour_logp, b2.behaviour_logp);
+        assert_eq!(b1.behaviour_mu, b2.behaviour_mu);
+        assert_eq!(b1.behaviour_log_std, b2.behaviour_log_std);
+        assert_eq!(b1.behaviour_logits, b2.behaviour_logits);
     }
 }

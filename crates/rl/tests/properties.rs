@@ -1,11 +1,16 @@
-//! Property-based tests for the estimator algebra: GAE, V-trace and the
-//! trajectory container.
+//! Property-based tests for the estimator algebra: GAE, V-trace, the
+//! trajectory container, and the rollout's recorded behaviour distribution.
 #![allow(clippy::needless_range_loop)]
 
 use proptest::prelude::*;
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use stellaris_cache::Codec;
+use stellaris_envs::{make_env, EnvConfig, EnvId};
 use stellaris_nn::Tensor;
-use stellaris_rl::{fill_gae, vtrace, SampleBatch, VtraceInput};
+use stellaris_rl::{
+    fill_gae, vtrace, DistParams, PolicyNet, PolicySpec, RolloutWorker, SampleBatch, VtraceInput,
+};
 
 fn batch(rewards: Vec<f32>, values: Vec<f32>, dones: Vec<bool>, bootstrap: f32) -> SampleBatch {
     let t = rewards.len();
@@ -155,5 +160,56 @@ proptest! {
             rebuilt.extend_from_slice(p.rewards.as_slice());
         }
         prop_assert_eq!(rebuilt, b.rewards);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// `collect` records the actor-output row each action was sampled from
+    /// instead of re-running the actor over the batch: the stacked rows must
+    /// be bitwise what the batched forward produces (continuous MLP,
+    /// discrete MLP and the CNN), and the recorded log-probs must be those
+    /// of the actions under their rows.
+    #[test]
+    fn collect_behaviour_rows_equal_batched_forward(
+        seed in 0u64..1000,
+        steps in 5usize..24,
+    ) {
+        for id in [EnvId::PointMass, EnvId::Hopper, EnvId::ChainMdp, EnvId::SpaceInvaders] {
+            let mut env = make_env(id, EnvConfig::tiny());
+            env.reset(seed);
+            let mut spec = PolicySpec::for_env(env.as_ref());
+            spec.hidden = 16;
+            let policy = PolicyNet::new(spec, seed);
+            let b = RolloutWorker::new(env, seed).collect(&policy, steps);
+            match policy.dist_params(&b.obs) {
+                DistParams::Gaussian { mu, log_std } => {
+                    prop_assert_eq!(b.behaviour_mu.as_ref(), Some(&mu));
+                    prop_assert_eq!(b.behaviour_log_std.as_ref(), Some(&log_std));
+                    prop_assert!(b.behaviour_logits.is_none());
+                }
+                DistParams::Categorical { logits } => {
+                    prop_assert_eq!(b.behaviour_logits.as_ref(), Some(&logits));
+                    prop_assert!(b.behaviour_mu.is_none() && b.behaviour_log_std.is_none());
+                }
+            }
+            prop_assert_eq!(&b.behaviour_logp, &policy.logp_plain(&b));
+        }
+    }
+}
+
+/// `ActOutput::dist_row` is `dist_params` of that single observation.
+#[test]
+fn act_dist_row_is_single_observation_dist_params() {
+    for id in [EnvId::Hopper, EnvId::ChainMdp, EnvId::SpaceInvaders] {
+        let mut env = make_env(id, EnvConfig::tiny());
+        let obs = env.reset(4);
+        let policy = PolicyNet::new(PolicySpec::for_env(env.as_ref()), 4);
+        let out = policy.act(&obs, &mut ChaCha8Rng::seed_from_u64(4));
+        let x = Tensor::from_vec(obs.clone(), &[1, obs.len()]);
+        let (DistParams::Gaussian { mu: row, .. } | DistParams::Categorical { logits: row }) =
+            policy.dist_params(&x);
+        assert_eq!(out.dist_row, row.into_vec(), "{id:?}");
     }
 }
