@@ -90,20 +90,21 @@ fn bench_gemm(reps: usize, rng: &mut ChaCha8Rng) -> Vec<GemmRow> {
     // products an actor issues per network per environment step (Hopper
     // MLP) — `m < MR`, so `gemm` serves them with the reference loop and
     // their "packed" column times that route.
-    let shapes: &[(&'static str, usize, usize, usize)] = &[
-        ("square_512", 512, 512, 512),
-        ("mlp_hidden_b4096", 4096, 256, 256),
-        ("policy_head_b4096", 4096, 3, 256),
-        ("cnn_fc_b256", 256, 256, 2592),
-        ("act_hidden_m1", 1, 256, 256),
-        ("act_input_m1", 1, 256, 11),
-        ("act_head_m1", 1, 3, 256),
+    // Last column: how many times `reps` a timed loop runs the shape. The
+    // microsecond-scale actor products repeat until a loop does about the
+    // work of one `square_512` call; the learner shapes run `reps` times.
+    let shapes: &[(&'static str, usize, usize, usize, usize)] = &[
+        ("square_512", 512, 512, 512, 1),
+        ("mlp_hidden_b4096", 4096, 256, 256, 1),
+        ("policy_head_b4096", 4096, 3, 256, 1),
+        ("cnn_fc_b256", 256, 256, 2592, 1),
+        ("act_hidden_m1", 1, 256, 256, 2_000),
+        ("act_input_m1", 1, 256, 11, 50_000),
+        ("act_head_m1", 1, 3, 256, 175_000),
     ];
     let mut rows = Vec::new();
-    for &(name, m, n, k) in shapes {
-        // Microsecond-scale products repeat until a timed loop does about
-        // the work of one `square_512` call; the large shapes keep `reps`.
-        let reps = reps * ((1 << 27) / (m * n * k)).max(1);
+    for &(name, m, n, k, rep_scale) in shapes {
+        let reps = reps * rep_scale;
         let a = fill(rng, m * k);
         let b = fill(rng, k * n);
         let mut c_naive = vec![0.0f32; m * n];

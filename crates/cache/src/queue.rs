@@ -40,9 +40,9 @@ impl<T> BlockingQueue<T> {
     /// Creates an empty, open queue.
     pub fn new() -> Self {
         Self {
-            // No cap of its own: depth is whatever the producers are
-            // allowed to run ahead of the consumers by.
-            // bound: the caller's admission — `train_async` releases a round's quota only once the staged backlog is back under the learner pool's target.
+            // No cap of its own: depth is however far the producers run
+            // ahead of the consumers, so each construction site states it.
+            // bound: none here — unbounded by design, the bound belongs to the caller.
             inner: Mutex::new(VecDeque::new()),
             cond: Condvar::new(),
             closed: AtomicBool::new(false),

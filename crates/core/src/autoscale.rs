@@ -50,7 +50,7 @@ impl LearnerAutoscaler {
 
     /// The staged backlog at which [`Self::decide`] already asks for every
     /// slot: beyond it, more staged mini-batches cannot buy more learners.
-    pub fn full_pool_backlog(&self) -> usize {
+    pub(crate) fn full_pool_backlog(&self) -> usize {
         self.max * self.backlog_per_learner.max(1)
     }
 

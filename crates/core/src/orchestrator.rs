@@ -590,7 +590,9 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
             let autoscaler = autoscaler.clone();
             let degraded = degraded_events.clone();
             let cfg = cfg.clone();
+            let down = StopOnPanic(stop.clone());
             learner_threads.push(s.spawn(move |_| {
+                let _down = down;
                 let mut learner = LearnerBody::new(&cfg);
                 loop {
                     // Dynamic learner orchestration: workers beyond the
@@ -711,9 +713,15 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
                     || !traj_q.is_empty()
                     || work_q.len() > backlog_cap)
                     && Instant::now() < deadline
+                    && !stop.load(Ordering::Acquire)
                 {
                     std::thread::sleep(Duration::from_millis(2));
                 }
+            }
+            // A learner died (`StopOnPanic`): nobody may be left to drain
+            // the backlog, so go to shutdown, which re-raises its panic.
+            if stop.load(Ordering::Acquire) {
+                break;
             }
             depth_gauge.set(work_q.len() as f64);
             if run.probe_obs.is_none() {
@@ -750,18 +758,41 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
         // For the same reason the gradient plane closes only once the
         // learners are done: a gradient computed during the drain is
         // offered, not pushed at a closed queue.
-        for learner in learner_threads {
-            learner
-                .join()
-                .unwrap_or_else(|p| std::panic::resume_unwind(p));
-        }
-        grad_q.close();
+        retire_learners(learner_threads, &grad_q);
     })
     // lint:allow(A8): deliberate re-panic — a child thread died and the run cannot continue
     // lint:allow(L1): re-raising a child thread's panic is the intended failure path
     .expect("orchestrator thread panicked");
 
     run.finish(degraded_events.load(Ordering::Relaxed))
+}
+
+/// Raises the run's stop flag when its thread unwinds.
+struct StopOnPanic(Arc<AtomicBool>);
+
+impl Drop for StopOnPanic {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            self.0.store(true, Ordering::Release);
+        }
+    }
+}
+
+/// Last step of `train_async`'s shutdown: waits for every learner thread,
+/// closes the gradient plane, then re-raises the first learner panic. The
+/// close comes before the re-raise because the parameter function blocks
+/// in `pop_any` until the plane closes and the thread scope waits for the
+/// parameter function: unwinding with the plane still open would hang the
+/// run instead of failing it.
+fn retire_learners(
+    learners: Vec<crossbeam::thread::ScopedJoinHandle<'_, ()>>,
+    grad_q: &ShardedGradientQueue<String>,
+) {
+    let joined: Vec<_> = learners.into_iter().map(|l| l.join()).collect();
+    grad_q.close();
+    if let Some(payload) = joined.into_iter().find_map(Result::err) {
+        std::panic::resume_unwind(payload);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -959,6 +990,66 @@ mod tests {
         for w in res.rows.windows(2) {
             assert!(w[1].cost_usd >= w[0].cost_usd - 1e-12);
         }
+    }
+
+    /// Learners are still draining the staged mini-batches when the last
+    /// round gate opens; closing the gradient plane before they finish
+    /// drops every gradient computed from then on at a closed queue.
+    #[test]
+    fn drain_phase_gradients_are_offered() {
+        let mut cfg = TrainConfig::test_tiny(EnvId::PointMass, 5);
+        cfg.learner_mode = LearnerMode::Async {
+            rule: AggregationRule::PureAsync,
+        };
+        cfg.rounds = 1;
+        cfg.round_timesteps = 1024;
+        cfg.minibatch = 8;
+        cfg.max_learners = 1;
+        let res = train(&cfg);
+        assert_eq!(res.learner_invocations, 128, "one per mini-batch");
+        assert_eq!(
+            res.grads_aggregated, res.learner_invocations,
+            "every computed gradient reaches the parameter function"
+        );
+    }
+
+    /// A learner panic must fail the run: the plane is closed before the
+    /// panic is re-raised, so the parameter function (blocked in `pop_any`)
+    /// exits and the thread scope can report the failure. The watchdog
+    /// turns a regression into a failed assertion rather than a hung test.
+    #[test]
+    fn learner_panic_fails_the_run_instead_of_hanging_it() {
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let grad_q: ShardedGradientQueue<String> = ShardedGradientQueue::bounded(1, 8);
+            let stop = Arc::new(AtomicBool::new(false));
+            let offered = AtomicU64::new(0);
+            let run = crossbeam::thread::scope(|s| {
+                s.spawn(|_| {
+                    while grad_q.pop_any().is_some() {
+                        offered.fetch_add(1, Ordering::Relaxed);
+                    }
+                });
+                let down = StopOnPanic(stop.clone());
+                let learner = s.spawn(|_| {
+                    let _down = down;
+                    grad_q.push(0, "grad:1".to_string(), 0);
+                    panic!("learner died");
+                });
+                retire_learners(vec![learner], &grad_q);
+            });
+            let _ = done.send((
+                run.is_err(),
+                offered.load(Ordering::Relaxed),
+                stop.load(Ordering::Acquire),
+            ));
+        });
+        let (failed, offered, stopped) = outcome
+            .recv_timeout(Duration::from_secs(30))
+            .expect("shutdown hung on a dead learner");
+        assert!(failed, "the learner's panic is the run's failure");
+        assert_eq!(offered, 1, "what it pushed before dying is still offered");
+        assert!(stopped, "the round loop is told to stop waiting");
     }
 
     #[test]
