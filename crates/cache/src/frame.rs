@@ -61,7 +61,9 @@ pub mod op {
     pub const LOAD_POLICY: u8 = 3;
     /// Run an environment rollout and return the sample batch.
     pub const COLLECT: u8 = 4;
-    /// Compute gradients for a minibatch and return the gradient message.
+    /// Install the policy snapshot the payload carries, compute gradients
+    /// for its minibatch against it and return the gradient message. The
+    /// worker keeps the snapshot for later [`GRADIENT_AT`] calls.
     pub const GRADIENT: u8 = 5;
     /// Return the worker's buffered telemetry events for span stitching.
     pub const PULL_SPANS: u8 = 6;
@@ -80,6 +82,11 @@ pub mod op {
     /// worker replies `ERR` when its base version does not match the
     /// delta's `from`, and the parent falls back to a full `LOAD_POLICY`.
     pub const POLICY_DELTA: u8 = 11;
+    /// Compute gradients for a minibatch against the policy version the
+    /// payload *names*: the worker must already hold that version (from a
+    /// `GRADIENT` or `LOAD_POLICY`) and replies `ERR stale-base` when it
+    /// does not, so the parent re-sends a self-contained `GRADIENT`.
+    pub const GRADIENT_AT: u8 = 12;
     /// Successful reply; payload is operation-specific.
     pub const OK: u8 = 0x40;
     /// Failed reply; payload is a `String` describing the error.

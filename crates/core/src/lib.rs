@@ -48,8 +48,8 @@ pub use metrics::{rows_to_csv, TimerReport, Timers, TrainRow};
 pub use orchestrator::{parameter_plane, smooth, train, TrainResult, POLICY_KEY};
 pub use parameter::{ShardLayout, ShardedParameterServer, StalenessRing};
 pub use remote::{
-    serve_worker, snapshot_checksum, GradientRequest, RemoteError, RemoteFleet, RemoteRunReport,
-    RemoteSetup, RemoteWorker, WireEvent, WireEventBatch,
+    serve_worker, snapshot_checksum, GradientCall, GradientRequest, RemoteError, RemoteFleet,
+    RemoteRunReport, RemoteSetup, RemoteWorker, WireEvent, WireEventBatch,
 };
 pub use staleness::{staleness_weight, StalenessSchedule};
 pub use transport::{Delivered, Placement, Router, Tier, TransportError};

@@ -13,6 +13,15 @@
 //! no longer decodes. Every failure surfaces as a typed [`RemoteError`]
 //! and is recovered by the configured retry policy.
 //!
+//! Policy state on a worker is addressed by version: the actor is sent a
+//! policy once per clock move (`LOAD_POLICY` / `POLICY_DELTA`), and a
+//! learner's first call at a new version carries the snapshot (`GRADIENT`,
+//! which the worker keeps) while every later one names the version only
+//! (`GRADIENT_AT`; `ERR stale-base` in-band if the worker does not hold
+//! it). A wave's mini-batches are dispatched on one lane per learner
+//! process; chaos is drawn before the lanes start and gradients are offered
+//! in mini-batch order, so concurrency never reaches the weights.
+//!
 //! Span stitching: each request frame carries the parent-side span ID in
 //! its trace-ID header field; the worker opens its handler spans with
 //! [`stellaris_telemetry::span_with_parent`] under a disjoint per-worker
@@ -163,9 +172,11 @@ impl Codec for RemoteSetup {
     }
 }
 
-/// One learner-function invocation shipped over the socket: the snapshot
-/// to differentiate against, the mini-batch, and the global IS-truncation
-/// cap (`None` travels as a NaN sentinel — NaN is never a valid cap).
+/// One self-contained learner-function invocation (the payload of a
+/// `GRADIENT` frame): the snapshot to differentiate against, the
+/// mini-batch, and the global IS-truncation cap (`None` travels as a NaN
+/// sentinel — NaN is never a valid cap). The worker keeps the snapshot, so
+/// later calls at the same version can travel as a [`GradientCall`].
 #[derive(Clone, Debug, PartialEq)]
 pub struct GradientRequest {
     /// Policy snapshot the gradient is computed against.
@@ -181,30 +192,96 @@ pub struct GradientRequest {
 impl Codec for GradientRequest {
     fn encode(&self, buf: &mut BytesMut) {
         self.snap.encode(buf);
-        self.batch.encode(buf);
-        self.cap.unwrap_or(f32::NAN).encode(buf);
-        self.learner_id.encode(buf);
+        encode_call_tail(&self.batch, self.cap, self.learner_id, buf);
     }
 
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         let snap = PolicySnapshot::decode(buf)?;
-        let batch = SampleBatch::decode(buf)?;
-        let raw_cap = f32::decode(buf)?;
-        let learner_id = usize::decode(buf)?;
+        let (batch, cap, learner_id) = decode_call_tail(buf)?;
         Ok(Self {
             snap,
             batch,
-            cap: (!raw_cap.is_nan()).then_some(raw_cap),
+            cap,
             learner_id,
         })
     }
 
     fn encoded_len(&self) -> usize {
-        self.snap.encoded_len()
-            + self.batch.encoded_len()
-            + self.cap.unwrap_or(f32::NAN).encoded_len()
-            + self.learner_id.encoded_len()
+        self.snap.encoded_len() + call_tail_len(&self.batch, self.learner_id)
     }
+}
+
+/// A learner-function invocation against a policy the worker already holds
+/// (the payload of a `GRADIENT_AT` frame): a [`GradientRequest`] with the
+/// snapshot replaced by its version.
+#[derive(Clone, Debug, PartialEq)]
+pub struct GradientCall {
+    /// Version of the snapshot the gradient is computed against.
+    pub version: u64,
+    /// GAE-processed mini-batch.
+    pub batch: SampleBatch,
+    /// Global IS-truncation cap (Eq. 2's ρ view), if enabled.
+    pub cap: Option<f32>,
+    /// Learner slot identity (flows into `GradientMsg::learner_id`).
+    pub learner_id: usize,
+}
+
+impl GradientCall {
+    /// The opcode and payload this call travels as: with a snapshot to
+    /// `push`, the self-contained `GRADIENT` frame ([`GradientRequest`]'s
+    /// layout, written without cloning the snapshot); without one, the slim
+    /// `GRADIENT_AT` frame.
+    fn frame(&self, push: Option<&PolicySnapshot>) -> (u8, bytes::Bytes) {
+        let Some(snap) = push else {
+            return (op::GRADIENT_AT, self.to_bytes());
+        };
+        let tail = call_tail_len(&self.batch, self.learner_id);
+        let mut buf = BytesMut::with_capacity(snap.encoded_len() + tail);
+        snap.encode(&mut buf);
+        encode_call_tail(&self.batch, self.cap, self.learner_id, &mut buf);
+        (op::GRADIENT, buf.freeze())
+    }
+}
+
+impl Codec for GradientCall {
+    fn encode(&self, buf: &mut BytesMut) {
+        self.version.encode(buf);
+        encode_call_tail(&self.batch, self.cap, self.learner_id, buf);
+    }
+
+    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
+        let version = u64::decode(buf)?;
+        let (batch, cap, learner_id) = decode_call_tail(buf)?;
+        Ok(Self {
+            version,
+            batch,
+            cap,
+            learner_id,
+        })
+    }
+
+    fn encoded_len(&self) -> usize {
+        self.version.encoded_len() + call_tail_len(&self.batch, self.learner_id)
+    }
+}
+
+/// What both learner frames carry after their policy address (snapshot or
+/// version): mini-batch, cap (NaN = `None`), learner slot.
+fn encode_call_tail(batch: &SampleBatch, cap: Option<f32>, learner_id: usize, buf: &mut BytesMut) {
+    batch.encode(buf);
+    cap.unwrap_or(f32::NAN).encode(buf);
+    learner_id.encode(buf);
+}
+
+fn decode_call_tail(buf: &mut &[u8]) -> Result<(SampleBatch, Option<f32>, usize), CodecError> {
+    let batch = SampleBatch::decode(buf)?;
+    let raw_cap = f32::decode(buf)?;
+    let learner_id = usize::decode(buf)?;
+    Ok((batch, (!raw_cap.is_nan()).then_some(raw_cap), learner_id))
+}
+
+fn call_tail_len(batch: &SampleBatch, learner_id: usize) -> usize {
+    batch.encoded_len() + f32::NAN.encoded_len() + learner_id.encoded_len()
 }
 
 /// A telemetry [`Event`] in wire form. Field values are flattened to text
@@ -431,6 +508,36 @@ fn send_err<S: Read + Write>(
     stellaris_cache::frame::write_value_frame(r.get_mut(), op::ERR, trace, &msg, cap)
 }
 
+/// The one gradient body behind both learner opcodes: differentiate against
+/// the held snapshot if it is the version the call names, otherwise answer
+/// `ERR stale-base` in-band (the stream stays in sync and the parent
+/// re-sends a self-contained `GRADIENT`).
+fn answer_gradient<S: Read + Write>(
+    reader: &mut FrameReader<S>,
+    trace: u64,
+    state: &mut WorkerState,
+    call: &GradientCall,
+) -> Result<(), WireError> {
+    let Some(snap) = state.snap.as_ref().filter(|s| s.version == call.version) else {
+        let held = state.snap.as_ref().map(|s| s.version);
+        let msg = format!(
+            "stale-base: call names v{}, worker holds {held:?}",
+            call.version
+        );
+        return send_err(reader, trace, msg);
+    };
+    let span = telemetry::span_with_parent(
+        "remote.gradient",
+        trace,
+        vec![("learner", call.learner_id.into())],
+    );
+    let msg = state
+        .learner
+        .gradient(snap, &call.batch, call.cap, call.learner_id);
+    drop(span);
+    send_ok_value(reader, trace, &msg)
+}
+
 /// The worker-process main loop: HELLO, then serve request frames until
 /// `SHUTDOWN`, the peer hangs up, or a `CRASH` frame terminates the
 /// process mid-work.
@@ -530,19 +637,22 @@ pub fn serve_worker<S: Read + Write>(
             },
             op::GRADIENT => match (&mut state, frame.decode_value::<GradientRequest>()) {
                 (Some(s), Ok(req)) => {
-                    let span = telemetry::span_with_parent(
-                        "remote.gradient",
-                        trace,
-                        vec![("learner", req.learner_id.into())],
-                    );
-                    let msg = s
-                        .learner
-                        .gradient(&req.snap, &req.batch, req.cap, req.learner_id);
-                    drop(span);
-                    send_ok_value(&mut reader, trace, &msg)?;
+                    let call = GradientCall {
+                        version: req.snap.version,
+                        batch: req.batch,
+                        cap: req.cap,
+                        learner_id: req.learner_id,
+                    };
+                    s.snap = Some(req.snap);
+                    answer_gradient(&mut reader, trace, s, &call)?;
                 }
                 (None, _) => send_err(&mut reader, trace, "not initialised".to_string())?,
                 (_, Err(e)) => send_err(&mut reader, trace, format!("bad GRADIENT: {e}"))?,
+            },
+            op::GRADIENT_AT => match (&mut state, frame.decode_value::<GradientCall>()) {
+                (Some(s), Ok(call)) => answer_gradient(&mut reader, trace, s, &call)?,
+                (None, _) => send_err(&mut reader, trace, "not initialised".to_string())?,
+                (_, Err(e)) => send_err(&mut reader, trace, format!("bad GRADIENT_AT: {e}"))?,
             },
             op::PULL_SPANS => {
                 telemetry::flush_thread();
@@ -694,28 +804,52 @@ impl RemoteWorker {
         Ok(reply.decode_value::<SampleBatch>()?)
     }
 
-    /// Computes one gradient remotely.
+    /// Computes one gradient remotely from a self-contained request; the
+    /// worker keeps `req.snap`.
     pub fn gradient(
         &mut self,
         req: &GradientRequest,
         trace: u64,
     ) -> Result<GradientMsg, RemoteError> {
-        let reply = self.request(op::GRADIENT, trace, &req.to_bytes())?;
+        self.gradient_frame(op::GRADIENT, &req.to_bytes(), trace)
+    }
+
+    fn gradient_frame(
+        &mut self,
+        kind: u8,
+        payload: &[u8],
+        trace: u64,
+    ) -> Result<GradientMsg, RemoteError> {
+        let reply = self.request(kind, trace, payload)?;
         Ok(reply.decode_value::<GradientMsg>()?)
     }
 
-    /// Chaos hook: sends the gradient request with its payload truncated —
-    /// a syntactically valid frame whose payload no longer decodes. The
+    /// Computes one gradient remotely against version `call.version`: with
+    /// `push`, the snapshot of that version rides along (a `GRADIENT` frame)
+    /// and the worker keeps it; without, the worker must already hold it
+    /// and answers `stale-base` ([`RemoteError::Rejected`]) if it does not.
+    pub fn gradient_at(
+        &mut self,
+        call: &GradientCall,
+        push: Option<&PolicySnapshot>,
+        trace: u64,
+    ) -> Result<GradientMsg, RemoteError> {
+        let (kind, bytes) = call.frame(push);
+        self.gradient_frame(kind, &bytes, trace)
+    }
+
+    /// Chaos hook: sends the call with its payload truncated — a
+    /// syntactically valid frame whose payload no longer decodes. The
     /// stream stays in sync; the worker answers `ERR` and this returns
     /// [`RemoteError::Rejected`].
     pub fn gradient_corrupted(
         &mut self,
-        req: &GradientRequest,
+        call: &GradientCall,
+        push: Option<&PolicySnapshot>,
         trace: u64,
     ) -> Result<GradientMsg, RemoteError> {
-        let bytes = req.to_bytes();
-        let reply = self.request(op::GRADIENT, trace, &bytes[..bytes.len() / 2])?;
-        Ok(reply.decode_value::<GradientMsg>()?)
+        let (kind, bytes) = call.frame(push);
+        self.gradient_frame(kind, &bytes[..bytes.len() / 2], trace)
     }
 
     /// Chaos hook: makes the worker sleep (a genuinely slow peer).
@@ -773,12 +907,16 @@ pub struct RemoteRunReport {
     pub events_ingested: usize,
     /// Learner invocations recorded on the platform (including failures).
     pub learner_invocations: u64,
-    /// Policy loads shipped as full snapshots (round 0 and delta
-    /// fallbacks).
+    /// Full policy snapshots that crossed a socket and landed: the actor's
+    /// `LOAD_POLICY` frames (round 0 and whenever a delta is not smaller)
+    /// plus every learner call that carried its snapshot (the first one a
+    /// learner worker serves at each new version, and self-contained
+    /// retries).
     pub policy_full_pulls: u64,
     /// Policy loads shipped delta-encoded.
     pub policy_delta_pulls: u64,
-    /// Payload bytes of full-snapshot policy loads.
+    /// Encoded snapshot bytes of those loads
+    /// (`policy_full_pulls * snap.encoded_len()`).
     pub policy_bytes_full: u64,
     /// Payload bytes of delta-encoded policy loads.
     pub policy_bytes_delta: u64,
@@ -794,9 +932,9 @@ pub fn snapshot_checksum(snap: &PolicySnapshot) -> u64 {
 
 /// Drives training rounds against real worker child processes: one
 /// fault-free actor worker collects trajectories, `max_learners` learner
-/// workers compute gradients over the socket under seeded chaos, and the
-/// parent aggregates deterministically (mini-batch order) so same-seed
-/// runs reproduce the same final policy bit-for-bit.
+/// workers compute gradients concurrently, each over its own socket, under
+/// seeded chaos, and the parent aggregates deterministically (mini-batch
+/// order) so same-seed runs reproduce the same final policy bit-for-bit.
 pub struct RemoteFleet {
     pool: ProcessPool,
     platform: Platform,
@@ -875,7 +1013,7 @@ impl RemoteFleet {
             actor: self.checkout_worker(FunctionKind::Actor, n_learners, &setup)?,
             setup,
             actor_version: None,
-            learners: (0..n_learners).map(|_| None).collect(),
+            learners: (0..n_learners).map(|_| LearnerSlot::default()).collect(),
             round: 0,
             report: RemoteRunReport::default(),
         };
@@ -921,8 +1059,9 @@ impl RemoteFleet {
 
 /// The cross-process venue of the lock-step cycle: one actor worker and
 /// `max_learners` learner workers, each a child process behind a framed
-/// socket. Execution is strictly serial; the wave is the whole round, cut
-/// against one snapshot with `cfg.truncation_rho` as the IS cap.
+/// socket. The wave is the whole round, cut against one snapshot with
+/// `cfg.truncation_rho` as the IS cap; its mini-batches are served
+/// round-robin by the learner slots, one dispatch lane (thread) per slot.
 struct ProcessFleet<'a> {
     fleet: &'a RemoteFleet,
     setup: RemoteSetup,
@@ -930,13 +1069,134 @@ struct ProcessFleet<'a> {
     /// The policy version the actor worker holds (delta pulls are cut
     /// against it); `None` until the first full `LOAD_POLICY`.
     actor_version: Option<u64>,
-    /// Learner workers checked out this round, by slot.
-    learners: Vec<Option<RemoteWorker>>,
+    learners: Vec<LearnerSlot>,
     /// Rounds finished so far.
     round: usize,
     /// The fields a fleet counts as it goes: `recovered`,
     /// `events_ingested` and the four `policy_*` pull counters.
     report: RemoteRunReport,
+}
+
+/// One learner slot: the worker checked out this round, and the policy
+/// version its process holds — the twin of `actor_version`. The version
+/// outlives the checkout because the process idles in the pool between
+/// rounds with its state intact.
+#[derive(Default)]
+struct LearnerSlot {
+    worker: Option<RemoteWorker>,
+    holds: Option<u64>,
+}
+
+/// The chaos draws for one mini-batch's first attempt.
+struct Chaos {
+    crash: bool,
+    straggle: Option<Duration>,
+    corrupt: bool,
+    dropped: bool,
+}
+
+/// What one dispatch lane brings back from a wave.
+#[derive(Default)]
+struct LaneReport {
+    /// Gradients that arrived, tagged with their index in the wave.
+    msgs: Vec<(usize, GradientMsg)>,
+    /// Typed errors a retry recovered.
+    recovered: u64,
+    /// Calls that carried the snapshot and succeeded.
+    pushes: u64,
+}
+
+impl LearnerSlot {
+    /// One dispatch lane: this slot's share of a wave, strictly in order
+    /// over its own socket. The first call at a new version carries `snap`
+    /// and the worker keeps it; later ones name the version only. Returns
+    /// early only when no worker could be spawned within the retry budget.
+    fn run_lane(
+        &mut self,
+        fleet: &RemoteFleet,
+        setup: &RemoteSetup,
+        snap: &PolicySnapshot,
+        wave_span: u64,
+        jobs: Vec<(usize, GradientCall, Chaos)>,
+    ) -> Result<LaneReport, RemoteError> {
+        let LearnerSlot { worker, holds } = self;
+        let mut report = LaneReport::default();
+        for (i, call, chaos) in jobs {
+            let l = call.learner_id;
+            let mut span = telemetry::span_with_parent(
+                "fleet.gradient",
+                wave_span,
+                vec![("minibatch", i.into()), ("learner", l.into())],
+            );
+            let outcome = fleet.faults.with_retry(&fleet.cfg.retry, |attempt| {
+                let w = match &mut *worker {
+                    Some(w) => w,
+                    slot => {
+                        let mut w = fleet.checkout_worker(FunctionKind::Learner, l, setup)?;
+                        // A fresh process (the last one was poisoned, or
+                        // died idle in the pool) holds nothing.
+                        if w.process().is_cold() {
+                            *holds = None;
+                        }
+                        slot.insert(w)
+                    }
+                };
+                let push = (*holds != Some(snap.version)).then_some(snap);
+                let injected = attempt == 0;
+                let t0 = Instant::now();
+                let result = if injected && chaos.dropped {
+                    // Frame drop, socket edition: the peer vanishes and the
+                    // connection resets under the request.
+                    w.process().kill();
+                    w.gradient_at(&call, push, span.id())
+                } else if injected && chaos.crash {
+                    Err(w.crash())
+                } else if injected && chaos.corrupt {
+                    w.gradient_corrupted(&call, push, span.id())
+                } else {
+                    if let (true, Some(dur)) = (injected, chaos.straggle) {
+                        let _slow_peer = w.sleep(dur.as_millis() as u64, span.id());
+                    }
+                    w.gradient_at(&call, push, span.id())
+                };
+                fleet.record_warm(FunctionKind::Learner, t0.elapsed(), result.is_err());
+                match &result {
+                    Ok(_) => {
+                        if push.is_some() {
+                            *holds = Some(snap.version);
+                            report.pushes += 1;
+                        }
+                        if attempt > 0 {
+                            report.recovered += 1;
+                            span.field("recovered_after", attempt);
+                        }
+                    }
+                    Err(e) => {
+                        span.field("error", format!("{e}"));
+                        // Whatever failed (`stale-base` included), the retry
+                        // is self-contained: forget what the worker held.
+                        *holds = None;
+                        // A rejected frame leaves the stream in sync;
+                        // anything wire-level poisons the connection and
+                        // the worker respawns cold.
+                        if !matches!(e, RemoteError::Rejected(_)) {
+                            *worker = None;
+                        }
+                    }
+                }
+                result
+            });
+            match outcome {
+                Ok(msg) => report.msgs.push((i, msg)),
+                // No worker could be spawned within the whole budget.
+                Err(e @ RemoteError::Spawn(_)) => return Err(e),
+                // Quorum degradation: this mini-batch's gradient is
+                // permanently lost and the round proceeds without it.
+                Err(_) => span.field("exhausted", true),
+            }
+        }
+        Ok(report)
+    }
 }
 
 impl ProcessFleet<'_> {
@@ -947,7 +1207,9 @@ impl ProcessFleet<'_> {
         self.round += 1;
         let last = self.round == self.fleet.cfg.rounds;
         for slot in &mut self.learners {
-            let Some(mut w) = slot.take() else { continue };
+            let Some(mut w) = slot.worker.take() else {
+                continue;
+            };
             if last {
                 if let Ok(events) = w.pull_spans(trace) {
                     self.report.events_ingested += events.len();
@@ -1016,85 +1278,81 @@ impl Fleet for ProcessFleet<'_> {
         minibatches
     }
 
+    /// One dispatch lane per learner slot ([`LearnerSlot::run_lane`]); all
+    /// lanes are joined before anything is returned, and the caller offers
+    /// in mini-batch order, so arrival order never reaches the weights.
     fn gradients(
         &mut self,
         snap: &PolicySnapshot,
         wave: Vec<SampleBatch>,
     ) -> Result<Vec<(usize, GradientMsg)>, RemoteError> {
         let (fleet, setup) = (self.fleet, &self.setup);
-        let (learners, report) = (&mut self.learners, &mut self.report);
-        let mut msgs = Vec::with_capacity(wave.len());
+        let n = self.learners.len();
+        let sent = wave.len();
+        // One chaos draw per mini-batch and class, in mini-batch order on
+        // this thread before any lane starts: each class has its own seeded
+        // stream, so the draw sequence (hence the run's outcome) is a pure
+        // function of the fault seed however the lanes interleave. Only the
+        // first attempt is injected, so a retried attempt is clean and
+        // recovery is guaranteed within the budget.
+        let mut jobs: Vec<Vec<_>> = (0..n).map(|_| Vec::new()).collect();
         for (i, mb) in wave.into_iter().enumerate() {
-            let l = i % learners.len();
-            // One chaos draw per mini-batch, before the retry loop, so a
-            // retried attempt is clean and recovery is guaranteed within
-            // the budget — and the draw sequence (hence the run's outcome)
-            // is a pure function of the fault seed.
-            let crash = fleet.faults.should_crash();
-            let straggle = fleet.faults.straggle();
-            let corrupt = fleet.faults.should_corrupt_frame();
-            let dropped = fleet.faults.should_drop_frame();
-            let req = GradientRequest {
-                snap: snap.clone(),
+            let chaos = Chaos {
+                crash: fleet.faults.should_crash(),
+                straggle: fleet.faults.straggle(),
+                corrupt: fleet.faults.should_corrupt_frame(),
+                dropped: fleet.faults.should_drop_frame(),
+            };
+            let call = GradientCall {
+                version: snap.version,
                 batch: mb,
                 cap: fleet.cfg.truncation_rho,
-                learner_id: l,
+                learner_id: i % n,
             };
-            let mut span = telemetry::span_with(
-                "fleet.gradient",
-                vec![("minibatch", i.into()), ("learner", l.into())],
-            );
-            let outcome = fleet.faults.with_retry(&fleet.cfg.retry, |attempt| {
-                let w = match &mut learners[l] {
-                    Some(w) => w,
-                    slot => slot.insert(fleet.checkout_worker(FunctionKind::Learner, l, setup)?),
-                };
-                let injected = attempt == 0;
-                let t0 = Instant::now();
-                let result = if injected && dropped {
-                    // Frame drop, socket edition: the peer vanishes and the
-                    // connection resets under the request.
-                    w.process().kill();
-                    w.gradient(&req, span.id())
-                } else if injected && crash {
-                    Err(w.crash())
-                } else if injected && corrupt {
-                    w.gradient_corrupted(&req, span.id())
-                } else {
-                    if let (true, Some(dur)) = (injected, straggle) {
-                        let _slow_peer = w.sleep(dur.as_millis() as u64, span.id());
-                    }
-                    w.gradient(&req, span.id())
-                };
-                fleet.record_warm(FunctionKind::Learner, t0.elapsed(), result.is_err());
-                match &result {
-                    Ok(_) if attempt > 0 => {
-                        report.recovered += 1;
-                        span.field("recovered_after", attempt);
-                    }
-                    Ok(_) => {}
-                    Err(e) => {
-                        span.field("error", format!("{e}"));
-                        // A rejected frame leaves the stream in sync;
-                        // anything wire-level poisons the connection and
-                        // the worker respawns cold.
-                        if !matches!(e, RemoteError::Rejected(_)) {
-                            learners[l] = None;
-                        }
-                    }
+            jobs[i % n].push((i, call, chaos));
+        }
+        let wave_span = telemetry::span_with(
+            "fleet.wave",
+            vec![("round", self.round.into()), ("minibatches", sent.into())],
+        );
+        let wave_id = wave_span.id();
+        let lanes: Vec<_> = std::thread::scope(|scope| {
+            let handles: Vec<_> = self
+                .learners
+                .iter_mut()
+                .zip(jobs)
+                .filter(|(_, jobs)| !jobs.is_empty())
+                .map(|(slot, jobs)| {
+                    scope.spawn(move || {
+                        let out = slot.run_lane(fleet, setup, snap, wave_id, jobs);
+                        // The lane's spans must be in the sink before the
+                        // round's trace is read, not whenever the thread's
+                        // locals are torn down.
+                        telemetry::flush_thread();
+                        out
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+        let report = &mut self.report;
+        let mut msgs = Vec::with_capacity(sent);
+        let mut spawn_err = None;
+        for lane in lanes {
+            match lane {
+                Ok(Ok(lane)) => {
+                    msgs.extend(lane.msgs);
+                    report.recovered += lane.recovered;
+                    report.policy_full_pulls += lane.pushes;
+                    report.policy_bytes_full += lane.pushes * snap.encoded_len() as u64;
                 }
-                result
-            });
-            match outcome {
-                Ok(msg) => msgs.push((i, msg)),
-                // No worker could be spawned within the whole budget.
-                Err(e @ RemoteError::Spawn(_)) => return Err(e),
-                // Quorum degradation: this mini-batch's gradient is
-                // permanently lost and the round proceeds without it.
-                Err(_) => span.field("exhausted", true),
+                // Lanes come back in slot order: the lowest one reports.
+                Ok(Err(e)) => spawn_err = spawn_err.or(Some(e)),
+                // Every lane has been joined; a lane's panic is the run's.
+                Err(panic) => std::panic::resume_unwind(panic),
             }
         }
-        Ok(msgs)
+        spawn_err.map_or(Ok(msgs), Err)
     }
 }
 
@@ -1117,6 +1375,25 @@ mod tests {
             algo: ALGO_PPO,
             actor_steps: 32,
         }
+    }
+
+    /// An in-thread `serve_worker` behind a real TCP pair, HELLO consumed.
+    fn dial_worker(
+        span_base: u64,
+    ) -> (
+        std::thread::JoinHandle<Result<(), WireError>>,
+        FrameReader<WireStream>,
+    ) {
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let port = listener.local_addr().unwrap().port();
+        let server = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            serve_worker(WireStream::Tcp(stream), span_base, DEFAULT_MAX_FRAME)
+        });
+        let stream = WireStream::connect_addr(&format!("tcp:127.0.0.1:{port}")).unwrap();
+        let mut reader = FrameReader::new(stream);
+        assert_eq!(reader.read_frame().unwrap().header.kind, op::HELLO);
+        (server, reader)
     }
 
     #[test]
@@ -1192,16 +1469,8 @@ mod tests {
     /// deltas before INIT / before a base snapshot are typed rejections.
     #[test]
     fn policy_delta_over_tcp() {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let port = listener.local_addr().unwrap().port();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            serve_worker(WireStream::Tcp(stream), 1 << 41, DEFAULT_MAX_FRAME)
-        });
-        let stream = WireStream::connect_addr(&format!("tcp:127.0.0.1:{port}")).unwrap();
-        let mut reader = FrameReader::new(stream);
+        let (server, mut reader) = dial_worker(1 << 41);
         let cap = reader.max_frame();
-        assert_eq!(reader.read_frame().unwrap().header.kind, op::HELLO);
 
         let policy = fresh_net(&tiny_setup().train_config().unwrap());
         let layout = BlockLayout::from_shapes(&policy.param_shapes());
@@ -1285,18 +1554,8 @@ mod tests {
     /// gradient equals the local learner body's on identical inputs.
     #[test]
     fn serve_worker_conversation_over_tcp() {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let port = listener.local_addr().unwrap().port();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            serve_worker(WireStream::Tcp(stream), 1 << 40, DEFAULT_MAX_FRAME)
-        });
-        let stream = WireStream::connect_addr(&format!("tcp:127.0.0.1:{port}")).unwrap();
-        let mut reader = FrameReader::new(stream);
+        let (server, mut reader) = dial_worker(1 << 40);
         let cap = reader.max_frame();
-
-        let hello = reader.read_frame().unwrap();
-        assert_eq!(hello.header.kind, op::HELLO);
 
         // Requests before INIT are rejected, not fatal.
         write_value_frame(reader.get_mut(), op::COLLECT, 1, &8u64, cap).unwrap();
@@ -1386,18 +1645,91 @@ mod tests {
         server.join().unwrap().unwrap();
     }
 
+    /// The version-addressed half of the learner protocol against a live
+    /// worker: a `GRADIENT_AT` naming a version the worker does not hold is
+    /// `ERR stale-base` with the stream intact, a `GRADIENT` installs its
+    /// snapshot, and the slim call at that version then returns the very
+    /// bytes the self-contained request did.
+    #[test]
+    fn gradient_at_needs_the_named_version_over_tcp() {
+        let (server, mut reader) = dial_worker(3 << 40);
+        let cap = reader.max_frame();
+        // Every frame rides trace id 6: the workers of this test binary
+        // share one telemetry buffer, and the conversation test asserts
+        // that the `remote.gradient` span it drains has parent 6.
+        let mut ask = |kind: u8, payload: &[u8]| {
+            stellaris_cache::frame::write_frame(reader.get_mut(), kind, 6, payload, cap).unwrap();
+            reader.read_frame().unwrap()
+        };
+        let rejection = |reply: &Frame| {
+            assert_eq!(reply.header.kind, op::ERR);
+            reply.decode_value::<String>().unwrap()
+        };
+
+        let setup = tiny_setup();
+        assert_eq!(ask(op::INIT, &setup.to_bytes()).header.kind, op::OK);
+        let cfg = setup.train_config().unwrap();
+        let snap = fresh_net(&cfg).snapshot();
+        let mut batch = ActorBody::new(&cfg, 0).collect(&snap, 16);
+        fill_gae(&mut batch, 0.99, 0.95);
+        batch.normalize_advantages();
+        let call = GradientCall {
+            version: snap.version,
+            batch,
+            cap: Some(1.0),
+            learner_id: 1,
+        };
+        assert_eq!(GradientCall::from_bytes(&call.to_bytes()).unwrap(), call);
+        assert_eq!(call.encoded_len(), call.to_bytes().len());
+
+        // No policy yet: rejected in band, and the next frame is answered.
+        let msg = rejection(&ask(op::GRADIENT_AT, &call.to_bytes()));
+        assert!(msg.contains("stale-base"), "typed rejection: {msg}");
+
+        // The self-contained frame is `GradientRequest`'s layout, written
+        // without owning the snapshot; the worker keeps what it carries.
+        let (kind, pushed) = call.frame(Some(&snap));
+        let req = GradientRequest {
+            snap: snap.clone(),
+            batch: call.batch.clone(),
+            cap: call.cap,
+            learner_id: call.learner_id,
+        };
+        assert_eq!((kind, &pushed[..]), (op::GRADIENT, &req.to_bytes()[..]));
+        let full = ask(kind, &pushed);
+        assert_eq!(full.header.kind, op::OK);
+
+        let (kind, slim_bytes) = call.frame(None);
+        assert_eq!(kind, op::GRADIENT_AT);
+        let saved = snap.encoded_len() - snap.version.encoded_len();
+        assert_eq!(pushed.len() - slim_bytes.len(), saved);
+        let slim = ask(kind, &slim_bytes);
+        assert_eq!(slim.header.kind, op::OK);
+        assert_eq!(slim.payload, full.payload, "slim and full gradients differ");
+        let local = LearnerBody::new(&cfg).gradient(&snap, &call.batch, call.cap, 1);
+        assert_eq!(slim.decode_value::<GradientMsg>().unwrap(), local);
+
+        // One version on: the worker still holds `snap.version` only.
+        let ahead = GradientCall {
+            version: snap.version + 1,
+            ..call.clone()
+        };
+        let msg = rejection(&ask(op::GRADIENT_AT, &ahead.to_bytes()));
+        assert!(msg.contains("stale-base"), "typed rejection: {msg}");
+
+        // Intact frame, truncated payload: ERR, stream still in sync.
+        let msg = rejection(&ask(op::GRADIENT_AT, &slim_bytes[..slim_bytes.len() / 2]));
+        assert!(msg.contains("bad GRADIENT_AT"), "typed rejection: {msg}");
+        assert_eq!(ask(op::GRADIENT_AT, &slim_bytes).payload, full.payload);
+
+        assert_eq!(ask(op::SHUTDOWN, &[]).header.kind, op::OK);
+        server.join().unwrap().unwrap();
+    }
+
     #[test]
     fn unknown_opcode_is_rejected_not_fatal() {
-        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
-        let port = listener.local_addr().unwrap().port();
-        let server = std::thread::spawn(move || {
-            let (stream, _) = listener.accept().unwrap();
-            serve_worker(WireStream::Tcp(stream), 2 << 40, DEFAULT_MAX_FRAME)
-        });
-        let stream = WireStream::connect_addr(&format!("tcp:127.0.0.1:{port}")).unwrap();
-        let mut reader = FrameReader::new(stream);
+        let (server, mut reader) = dial_worker(2 << 40);
         let cap = reader.max_frame();
-        assert_eq!(reader.read_frame().unwrap().header.kind, op::HELLO);
         stellaris_cache::frame::write_frame(reader.get_mut(), 0x3f, 9, b"??", cap).unwrap();
         let reply = reader.read_frame().unwrap();
         assert_eq!(reply.header.kind, op::ERR);

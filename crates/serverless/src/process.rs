@@ -51,7 +51,12 @@ impl WireStream {
     /// (the form [`ProcessPool`] passes to workers via `--connect`).
     pub fn connect_addr(addr: &str) -> std::io::Result<Self> {
         if let Some(rest) = addr.strip_prefix("tcp:") {
-            return Ok(WireStream::Tcp(TcpStream::connect(rest)?));
+            let stream = TcpStream::connect(rest)?;
+            // A frame is two writes (header, payload) and then a read of the
+            // reply: with Nagle on, the second write waits out the peer's
+            // delayed ACK of the first, on every request/reply pair.
+            stream.set_nodelay(true)?;
+            return Ok(WireStream::Tcp(stream));
         }
         #[cfg(unix)]
         if let Some(rest) = addr.strip_prefix("uds:") {
@@ -228,7 +233,11 @@ fn accept_with_timeout(listener: &Listener, timeout: Duration) -> Result<WireStr
         match accepted {
             Ok(stream) => {
                 match &stream {
-                    WireStream::Tcp(s) => s.set_nonblocking(false)?,
+                    WireStream::Tcp(s) => {
+                        s.set_nonblocking(false)?;
+                        // Same write-write-read reason as `connect_addr`.
+                        s.set_nodelay(true)?;
+                    }
                     #[cfg(unix)]
                     WireStream::Unix(s) => s.set_nonblocking(false)?,
                 }
@@ -534,6 +543,97 @@ mod tests {
         stellaris_cache::frame::write_frame(reader.get_mut(), op::RELAY, 0, b"over-uds", cap)
             .unwrap();
         server.join().unwrap();
+    }
+
+    /// Not a test of its own: the child half of the checkout tests below.
+    /// [`hello_pool`] re-runs this test binary filtered down to this
+    /// function; the `--connect ADDR` the pool appends lands after `--` as
+    /// one more (unmatched) filter and is read back from the arguments. In
+    /// a normal test run there is no `--connect` and it returns at once.
+    #[test]
+    fn hello_worker() {
+        let args: Vec<String> = std::env::args().collect();
+        let Some(at) = args.iter().position(|a| a == "--connect") else {
+            return;
+        };
+        let stream = WireStream::connect_addr(&args[at + 1]).unwrap();
+        if let WireStream::Tcp(s) = &stream {
+            assert!(s.nodelay().unwrap(), "worker side must disable Nagle");
+        }
+        let mut reader = FrameReader::new(stream);
+        let cap = reader.max_frame();
+        stellaris_cache::frame::write_frame(reader.get_mut(), op::HELLO, 0, &[], cap).unwrap();
+        // Echo until the parent hangs up.
+        while let Ok(frame) = reader.read_frame() {
+            let trace = frame.header.trace_id;
+            stellaris_cache::frame::write_frame(
+                reader.get_mut(),
+                op::OK,
+                trace,
+                &frame.payload,
+                cap,
+            )
+            .unwrap();
+        }
+    }
+
+    fn hello_pool(transport: WireTransport) -> ProcessPool {
+        let exe = std::env::current_exe().unwrap();
+        let args = ["process::tests::hello_worker", "--exact", "--"];
+        ProcessPool::new(
+            exe.to_string_lossy(),
+            args.map(String::from).to_vec(),
+            ProcessConfig {
+                transport,
+                ..ProcessConfig::default()
+            },
+        )
+    }
+
+    fn echo(worker: &mut WorkerProcess, payload: &[u8]) {
+        worker.send(op::RELAY, 9, payload).unwrap();
+        let reply = worker.recv().unwrap();
+        assert_eq!((reply.header.kind, reply.header.trace_id), (op::OK, 9));
+        assert_eq!(reply.payload, payload);
+    }
+
+    /// Both ends of a TCP worker connection run with Nagle off: a frame is
+    /// header-write, payload-write, then a read, which otherwise stalls on
+    /// the peer's delayed ACK.
+    #[test]
+    fn tcp_checkout_sets_nodelay_on_both_ends() {
+        let pool = hello_pool(WireTransport::Tcp);
+        let mut worker = pool
+            .checkout(FunctionKind::Learner, 0)
+            .expect("tcp checkout");
+        match worker.reader.get_mut() {
+            WireStream::Tcp(s) => assert!(s.nodelay().unwrap(), "parent side must disable Nagle"),
+            #[cfg(unix)]
+            WireStream::Unix(_) => panic!("tcp pool handed out a unix stream"),
+        }
+        // The child asserts its own side before HELLO; an echo proves it is
+        // still serving, i.e. that assertion held.
+        echo(&mut worker, b"nagle-free");
+
+        let listener = TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let port = listener.local_addr().unwrap().port();
+        match WireStream::connect_addr(&format!("tcp:127.0.0.1:{port}")).unwrap() {
+            WireStream::Tcp(s) => assert!(s.nodelay().unwrap()),
+            #[cfg(unix)]
+            WireStream::Unix(_) => panic!("tcp address dialled a unix stream"),
+        }
+    }
+
+    /// The option is TCP-only: a unix-domain checkout is untouched by it.
+    #[cfg(unix)]
+    #[test]
+    fn uds_checkout_still_works() {
+        let pool = hello_pool(WireTransport::Uds);
+        let mut worker = pool
+            .checkout(FunctionKind::Learner, 0)
+            .expect("uds checkout");
+        assert!(matches!(worker.reader.get_mut(), WireStream::Unix(_)));
+        echo(&mut worker, b"over-uds");
     }
 
     #[test]

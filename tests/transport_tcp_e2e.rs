@@ -8,8 +8,9 @@
 
 use std::convert::Infallible;
 use std::sync::Mutex;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
+use stellaris::cache::Codec;
 use stellaris::core::{
     lockstep_round, parameter_plane, snapshot_checksum, train, ActorBody, CycleTotals, Fleet,
     GradientMsg, GradientRequest, LearnerBody, RemoteError, RemoteFleet, RemoteSetup, RemoteWorker,
@@ -17,7 +18,7 @@ use stellaris::core::{
 };
 use stellaris::envs::EnvId;
 use stellaris::rl::{fill_gae, PolicySnapshot, SampleBatch};
-use stellaris::serverless::{FunctionKind, ProcessConfig, ProcessPool, WireTransport};
+use stellaris::serverless::{FunctionKind, ProcessConfig, ProcessPool, SpawnError, WireTransport};
 use stellaris_telemetry as telemetry;
 
 /// Fleet tests ingest worker telemetry into the process-global trace
@@ -284,14 +285,24 @@ fn fault_free_remote_run_matches_local_accounting() {
         local.policy_updates > 0,
         "local baseline must also have trained"
     );
-    // Delta-encoded policy pulls: every round loads the policy exactly
-    // once, by whichever encoding is smaller (a dense tiny-model update
-    // touches every block, so full pulls may win here), and a delta pull
-    // is never larger per-pull than a full snapshot.
+    // Version-addressed policy state: with faults off, every worker that
+    // received work loads the policy exactly once per round — the actor by
+    // whichever encoding is smaller (a dense tiny-model update touches
+    // every block, so full pulls may win here), a learner inside its first
+    // call of the round — and a delta pull is never larger per-pull than a
+    // full snapshot.
+    let busy_learners = cfg
+        .max_learners
+        .min(cfg.actor_steps.div_ceil(cfg.minibatch));
     assert_eq!(
         (report.policy_full_pulls + report.policy_delta_pulls) as usize,
-        cfg.rounds,
-        "one policy load per round"
+        cfg.rounds * (1 + busy_learners),
+        "one policy load per round per worker that received work"
+    );
+    assert_eq!(
+        report.policy_bytes_full,
+        report.policy_full_pulls * parameter_plane(&cfg).snapshot().encoded_len() as u64,
+        "every full pull is one encoded snapshot"
     );
     assert!(report.policy_full_pulls >= 1, "round 0 must pull full");
     if let (Some(per_full), Some(per_delta)) = (
@@ -336,6 +347,138 @@ fn fault_free_remote_run_matches_local_accounting() {
         report.final_checksum,
         snapshot_checksum(&server.snapshot()),
         "the sockets must not reach the weights"
+    );
+}
+
+/// Three learner lanes and a mini-batch count three does not divide.
+fn uneven_lanes_cfg(seed: u64) -> TrainConfig {
+    let mut cfg = tiny_cfg(seed, 3);
+    cfg.max_learners = 3;
+    cfg.actor_steps = 40;
+    cfg.minibatch = 8;
+    cfg
+}
+
+/// Lanes finish in whatever order the scheduler likes; the weights must not
+/// notice. Five mini-batches over three concurrent learner processes end on
+/// the bits of the same cycle driven serially over in-process bodies.
+#[test]
+fn lane_arrival_order_never_reaches_the_weights() {
+    let _guard = FLEET_LOCK.lock().unwrap();
+    telemetry::enable();
+    let cfg = uneven_lanes_cfg(13);
+    let report = fleet(cfg.clone(), WireTransport::Tcp)
+        .run()
+        .expect("fleet run");
+    assert_eq!(report.recovered, 0);
+    assert_eq!(report.cold_spawns, 4, "one actor and three learners");
+    assert_eq!(
+        (report.policy_full_pulls + report.policy_delta_pulls) as usize,
+        cfg.rounds * 4,
+        "one policy load per round per worker"
+    );
+
+    let mut in_process = InProcessFleet {
+        actor: ActorBody::new(&cfg, 0),
+        learners: (0..cfg.max_learners)
+            .map(|_| LearnerBody::new(&cfg))
+            .collect(),
+        steps: cfg.actor_steps,
+        cap: cfg.truncation_rho,
+    };
+    let server = parameter_plane(&cfg);
+    let mut totals = CycleTotals::default();
+    for _ in 0..cfg.rounds {
+        let Ok(()) = lockstep_round(
+            &mut in_process,
+            &server,
+            &cfg,
+            &Timers::default(),
+            &mut totals,
+        );
+        server.advance_round();
+    }
+    assert_eq!(report.grads_aggregated, server.grads_aggregated());
+    assert_eq!(report.staleness_log, server.staleness_log().to_vec());
+    assert_eq!(
+        report.final_checksum,
+        snapshot_checksum(&server.snapshot()),
+        "lane arrival order reached the weights"
+    );
+}
+
+/// The same uneven lanes under the chaos plan: the draws are made before
+/// the lanes start, so two runs inject, recover and end identically.
+#[test]
+fn concurrent_lanes_replay_chaos_bit_for_bit() {
+    let _guard = FLEET_LOCK.lock().unwrap();
+    telemetry::enable();
+    let run = || {
+        fleet(uneven_lanes_cfg(17).with_chaos(5), WireTransport::Tcp)
+            .run()
+            .expect("chaos fleet run")
+    };
+    let (a, b) = (run(), run());
+    assert!(a.faults.total_injected() > 0, "chaos must actually inject");
+    assert_eq!(a.final_checksum, b.final_checksum);
+    assert_eq!(a.staleness_log, b.staleness_log);
+    assert_eq!(a.faults, b.faults, "the chaos draws themselves must replay");
+    assert_eq!(
+        (a.recovered, a.policy_full_pulls),
+        (b.recovered, b.policy_full_pulls)
+    );
+}
+
+/// A fleet that cannot spawn fails with a typed error instead of hanging:
+/// at once when the binary does not exist, and within the retry budget's
+/// accept timeouts when only the learner lanes cannot spawn.
+#[test]
+fn spawn_failure_fails_the_run_instead_of_hanging_a_lane() {
+    let _guard = FLEET_LOCK.lock().unwrap();
+    let proc_cfg = ProcessConfig {
+        accept_timeout: Duration::from_millis(300),
+        ..ProcessConfig::default()
+    };
+    let cfg = uneven_lanes_cfg(19);
+    let t0 = Instant::now();
+
+    let missing = RemoteFleet::new(
+        "/nonexistent/stellaris-no-such-binary",
+        worker_args(),
+        proc_cfg.clone(),
+        cfg.clone(),
+    );
+    let err = missing.run().expect_err("nothing to spawn");
+    assert_eq!(
+        err,
+        RemoteError::Spawn(SpawnError::Io(std::io::ErrorKind::NotFound))
+    );
+
+    // The first spawn (the actor) leaves a marker and becomes the real
+    // worker; every later one (the learners, from inside their lanes)
+    // exits without dialling back.
+    #[cfg(unix)]
+    {
+        let marker = std::env::temp_dir().join(format!("stellaris-e2e-{}", std::process::id()));
+        let _stale = std::fs::remove_file(&marker);
+        let script = r#"if [ -e "$0" ]; then exit 1; fi; : > "$0"; exec "$@""#;
+        let args = vec![
+            "-c".to_string(),
+            script.to_string(),
+            marker.to_string_lossy().into_owned(),
+            worker_bin(),
+            "worker".to_string(),
+        ];
+        let err = RemoteFleet::new("sh", args, proc_cfg, cfg)
+            .run()
+            .expect_err("learner lanes cannot spawn");
+        let _cleanup = std::fs::remove_file(&marker);
+        assert_eq!(err, RemoteError::Spawn(SpawnError::AcceptTimeout));
+    }
+    assert!(
+        t0.elapsed() < Duration::from_secs(20),
+        "spawn failure took {:?}",
+        t0.elapsed()
     );
 }
 
