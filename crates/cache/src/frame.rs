@@ -77,11 +77,7 @@ pub mod op {
     /// Echo the payload back verbatim (transport-level ping used by the
     /// Router's socket tier and the e2e tests).
     pub const RELAY: u8 = 10;
-    /// Install a delta-encoded policy update (only the parameter blocks
-    /// changed since the worker's current version — DESIGN.md §16). The
-    /// worker replies `ERR` when its base version does not match the
-    /// delta's `from`, and the parent falls back to a full `LOAD_POLICY`.
-    pub const POLICY_DELTA: u8 = 11;
+    // 11 is retired (wire numbers are never reused or renumbered).
     /// Compute gradients for a minibatch against the policy version the
     /// payload *names*: the worker must already hold that version (from a
     /// `GRADIENT` or `LOAD_POLICY`) and replies `ERR stale-base` when it

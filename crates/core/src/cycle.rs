@@ -87,11 +87,6 @@ impl LearnerBody {
         }
     }
 
-    /// The replica as last loaded (fresh weights before the first gradient).
-    pub fn policy(&self) -> &PolicyNet {
-        &self.policy
-    }
-
     /// Loads `snap`, runs the algorithm's gradient pass over `batch` with
     /// the global IS-truncation `cap`, and wraps the result for the
     /// parameter function.
@@ -137,13 +132,9 @@ pub trait Fleet {
     type Error;
 
     /// Step ①: every actor slot pulls `snap` (the server's current
-    /// snapshot; `server` is there for fleets that ship deltas instead)
-    /// and collects. One entry per attempted collect, `None` where lost.
-    fn collect(
-        &mut self,
-        server: &ShardedParameterServer,
-        snap: &PolicySnapshot,
-    ) -> Result<Vec<Option<SampleBatch>>, Self::Error>;
+    /// snapshot) and collects. One entry per attempted collect, `None`
+    /// where lost.
+    fn collect(&mut self, snap: &PolicySnapshot) -> Result<Vec<Option<SampleBatch>>, Self::Error>;
 
     /// How many of a round's `minibatches` are differentiated against one
     /// snapshot before the next is cut.
@@ -186,7 +177,7 @@ pub fn lockstep_round<F: Fleet>(
     totals: &mut CycleTotals,
 ) -> Result<(), F::Error> {
     let mut snap = server.snapshot();
-    let collected = fleet.collect(server, &snap)?;
+    let collected = fleet.collect(&snap)?;
     totals.degraded += collected.iter().filter(|b| b.is_none()).count() as u64;
     let batches: Vec<SampleBatch> = collected.into_iter().flatten().collect();
     totals.episodes += batches
@@ -281,7 +272,6 @@ mod tests {
 
         fn collect(
             &mut self,
-            _server: &ShardedParameterServer,
             _snap: &PolicySnapshot,
         ) -> Result<Vec<Option<SampleBatch>>, Infallible> {
             self.next_minibatch = 0;

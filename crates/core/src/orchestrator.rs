@@ -551,6 +551,10 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
                     episodes.fetch_add(batch.episode_returns.len() as u64, Ordering::Relaxed);
                     traj_q.push(batch);
                 }
+                // The scope waits for this closure, not for the thread's
+                // locals to be torn down: put its spans in the sink now,
+                // before the caller reads the trace.
+                telemetry::flush_thread();
             });
         }
 
@@ -572,6 +576,7 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
                     }
                 }
                 work_q.close();
+                telemetry::flush_thread();
             });
         }
 
@@ -690,6 +695,7 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
                     // each gradient's staleness at consumption time.
                     grad_q.advance_clock(clock);
                 }
+                telemetry::flush_thread();
             });
         }
 
@@ -829,11 +835,7 @@ impl Fleet for LocalFleet<'_, '_> {
 
     /// Publishes `snap` under [`POLICY_KEY`]; every actor wave then pulls
     /// it back out of the cache, as a deployed actor function would.
-    fn collect(
-        &mut self,
-        _server: &ShardedParameterServer,
-        snap: &PolicySnapshot,
-    ) -> Result<Vec<Option<SampleBatch>>, Infallible> {
+    fn collect(&mut self, snap: &PolicySnapshot) -> Result<Vec<Option<SampleBatch>>, Infallible> {
         let run = self.run;
         let (cfg, platform, timers) = (run.cfg, &*run.platform, &*run.timers);
         run.cache.put_obj(POLICY_KEY, snap);

@@ -15,7 +15,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use stellaris_nn::{Optimizer, ParamSet, Tensor};
-use stellaris_rl::{BlockLayout, BlockUpdate, PolicyDelta, PolicyNet, PolicySnapshot};
+use stellaris_rl::{PolicyNet, PolicySnapshot};
 use stellaris_telemetry::{Counter, Histogram};
 
 use crate::aggregation::{AggregationRule, GradAccumulator};
@@ -98,6 +98,57 @@ impl StalenessRing {
     }
 }
 
+/// How a flat parameter vector splits into blocks: one block per parameter
+/// tensor, in `ParamSet::params` order.
+#[derive(Clone, Debug, PartialEq, Eq)]
+struct BlockLayout {
+    /// Element count of each block.
+    sizes: Vec<usize>,
+    /// Element offset of each block within the flat vector.
+    offsets: Vec<usize>,
+    /// Total element count (sum of `sizes`).
+    total: usize,
+}
+
+impl BlockLayout {
+    /// Builds the layout from parameter-tensor shapes
+    /// (`ParamSet::param_shapes`).
+    fn from_shapes(shapes: &[Vec<usize>]) -> Self {
+        let sizes: Vec<usize> = shapes.iter().map(|s| s.iter().product::<usize>()).collect();
+        let mut offsets = Vec::with_capacity(sizes.len());
+        let mut total = 0usize;
+        for &sz in &sizes {
+            offsets.push(total);
+            total += sz;
+        }
+        Self {
+            sizes,
+            offsets,
+            total,
+        }
+    }
+
+    /// Number of blocks.
+    fn n_blocks(&self) -> usize {
+        self.sizes.len()
+    }
+
+    /// Element count of block `i`.
+    fn size(&self, i: usize) -> usize {
+        self.sizes[i]
+    }
+
+    /// Element offset of block `i` within the flat vector.
+    fn offset(&self, i: usize) -> usize {
+        self.offsets[i]
+    }
+
+    /// Total element count across all blocks.
+    fn total(&self) -> usize {
+        self.total
+    }
+}
+
 /// How parameter blocks (one block per parameter tensor, `ParamSet::params`
 /// order) partition across shards: greedy balance by element count,
 /// deterministic, each shard's block list ascending.
@@ -166,10 +217,8 @@ struct ParamShard {
 /// into `N` shards keyed by parameter block, each aggregating independently
 /// — own optimizer-state slice, own staleness-schedule view, own pending
 /// queue, own per-shard staleness histogram — with a cheap version-vector
-/// commit. A commit bumps one global `commit_seq` (the policy clock) and
-/// stamps the shard's blocks with that sequence number, which is exactly
-/// the state delta pulls need: a learner at version `v` pulls the blocks
-/// stamped after `v` ([`Self::delta_since`]) and nothing else.
+/// commit: one tick of the global `commit_seq` (the policy clock), which is
+/// all [`Self::clock`], [`Self::snapshot`] and [`Self::version_vector`] read.
 ///
 /// **The single-shard configuration is the unsharded parameter function**:
 /// one shard owns every block in order, staleness is measured against the
@@ -180,15 +229,12 @@ struct ParamShard {
 /// times per full gradient sweep; staleness thresholds self-normalize
 /// because the schedule calibrates `δ_max` from observed values (Eq. 3).
 pub struct ShardedParameterServer {
-    /// Flat-vector geometry (shared with delta pulls).
+    /// Flat-vector geometry.
     layout: BlockLayout,
     shard_layout: ShardLayout,
     shards: Vec<Mutex<ParamShard>>,
     /// The global policy clock: one tick per shard commit.
     commit_seq: AtomicU64,
-    /// Per-block commit stamp: `block_versions[b]` is the `commit_seq`
-    /// value of the commit that last wrote block `b`.
-    block_versions: Vec<AtomicU64>,
     /// Template for reassembling a `PolicyNet` from the shard state.
     template: Mutex<PolicyNet>,
     /// `stellaris_core_grads_aggregated_total`: one increment per
@@ -238,15 +284,11 @@ impl ShardedParameterServer {
                 })
             })
             .collect();
-        let n_blocks = layout.n_blocks();
         Self {
             layout,
             shard_layout,
             shards,
             commit_seq: AtomicU64::new(policy.version),
-            block_versions: (0..n_blocks)
-                .map(|_| AtomicU64::new(policy.version))
-                .collect(),
             template: Mutex::new(policy),
             grads_counter: reg.counter("stellaris_core_grads_aggregated_total"),
             global_hist: reg.histogram("stellaris_core_staleness"),
@@ -258,11 +300,6 @@ impl ShardedParameterServer {
     /// Number of shards.
     pub fn n_shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The flat-vector block geometry.
-    pub fn layout(&self) -> &BlockLayout {
-        &self.layout
     }
 
     /// How blocks partition across shards.
@@ -301,9 +338,7 @@ impl ShardedParameterServer {
 
     /// Offers a gradient to every shard in order; returns how many shard
     /// commits it triggered (0 when the rule delays aggregation). The
-    /// sequential fan-out is deterministic. Concurrent callers may instead
-    /// drive [`Self::offer_to_shard`] per shard from separate threads —
-    /// shards lock independently.
+    /// sequential fan-out is deterministic.
     pub fn offer(&self, msg: GradientMsg) -> usize {
         let msg = Arc::new(msg);
         (0..self.shards.len())
@@ -313,7 +348,7 @@ impl ShardedParameterServer {
 
     /// Offers a gradient to one shard; returns how many commits it
     /// triggered on that shard.
-    pub fn offer_to_shard(&self, s: usize, msg: Arc<GradientMsg>) -> usize {
+    fn offer_to_shard(&self, s: usize, msg: Arc<GradientMsg>) -> usize {
         let mut sh = self.shards[s].lock();
         debug_assert!(
             msg.base_version <= self.clock(),
@@ -360,7 +395,7 @@ impl ShardedParameterServer {
 
     /// Folds a batch into one shard and commits: optimizer step over the
     /// shard's slice, then the version-vector commit — one `commit_seq`
-    /// tick stamped onto the shard's blocks.
+    /// tick.
     fn shard_apply(&self, sh: &mut ParamShard, batch: &[Arc<GradientMsg>]) {
         debug_assert!(!batch.is_empty());
         let clock = self.clock();
@@ -385,13 +420,8 @@ impl ShardedParameterServer {
         }
         let mut params: Vec<&mut Tensor> = sh.params.iter_mut().collect();
         sh.optimizer.step_refs(&mut params, sh.accumulator.grads());
-        // Version-vector commit: one global tick, stamped per block. The
-        // shard lock is held, so a concurrent delta pull sees either the
-        // whole commit or none of it for this shard's blocks.
-        let seq = self.commit_seq.fetch_add(1, Ordering::AcqRel) + 1;
-        for &b in &sh.blocks {
-            self.block_versions[b].store(seq, Ordering::Release);
-        }
+        // Version-vector commit: one global tick.
+        self.commit_seq.fetch_add(1, Ordering::AcqRel);
         sh.updates += 1;
         sh.grads_aggregated += batch.len() as u64;
         self.grads_counter.add(batch.len() as u64);
@@ -465,36 +495,6 @@ impl ShardedParameterServer {
         }
     }
 
-    /// The delta a learner at version `v` needs: every block stamped after
-    /// `v`, shard-consistently copied. Falls back to a full refresh when
-    /// `v` is ahead of the clock (unknown lineage). The returned `to` is
-    /// the highest stamp shipped, so an immediate re-pull is empty.
-    pub fn delta_since(&self, v: u64) -> PolicyDelta {
-        let mut to = self.clock();
-        let full = v > to;
-        let mut blocks: Vec<BlockUpdate> = Vec::new();
-        for shard in &self.shards {
-            let sh = shard.lock();
-            for (local, &b) in sh.blocks.iter().enumerate() {
-                let stamp = self.block_versions[b].load(Ordering::Acquire);
-                if full || stamp > v {
-                    to = to.max(stamp);
-                    blocks.push(BlockUpdate {
-                        index: b as u32,
-                        data: sh.params[local].data().to_vec(),
-                    });
-                }
-            }
-        }
-        blocks.sort_by_key(|b| b.index);
-        PolicyDelta {
-            from: v,
-            to,
-            full,
-            blocks,
-        }
-    }
-
     /// Reassembles the canonical `PolicyNet` (template weights replaced by
     /// the shard state, version set to the global clock).
     pub fn policy(&self) -> PolicyNet {
@@ -510,10 +510,9 @@ mod tests {
     use super::*;
     use crate::remote::snapshot_checksum;
     use proptest::prelude::*;
-    use stellaris_cache::Codec;
     use stellaris_envs::ActionSpace;
     use stellaris_nn::{OptimizerKind, Sgd, Tensor};
-    use stellaris_rl::{apply_to_snapshot, PolicySpec};
+    use stellaris_rl::PolicySpec;
 
     fn tiny_policy(seed: u64) -> PolicyNet {
         PolicyNet::new(
@@ -868,86 +867,61 @@ mod tests {
     }
 
     #[test]
-    fn delta_since_ships_only_committed_shard() {
-        let policy = tiny_policy(9);
-        let sharded = sgd_server(&policy, AggregationRule::PureAsync, 4, 0.1);
-        let n = sharded.n_shards();
-        assert!(n > 1, "test needs real sharding");
-        // A learner in sync at the current clock pulls an empty delta: a
-        // few bytes, not a policy payload.
-        let empty = sharded.delta_since(sharded.clock());
-        assert!(empty.is_empty() && !empty.full);
-        assert!(empty.to_bytes().len() < 32);
-        // Commit on shard 0 only: the delta carries exactly its blocks.
-        let msg = Arc::new(grad_msg(&policy, 0, 0, 1.0));
-        assert_eq!(sharded.offer_to_shard(0, msg), 1);
-        let delta = sharded.delta_since(0);
-        assert!(!delta.full);
-        assert_eq!(delta.to, sharded.clock());
-        let got: Vec<usize> = delta.blocks.iter().map(|b| b.index as usize).collect();
-        assert_eq!(got, sharded.shard_layout().blocks(0));
-        // A learner claiming a future version gets the full refresh.
-        let future = sharded.delta_since(sharded.clock() + 5);
-        assert!(future.full);
-        assert_eq!(future.blocks.len(), sharded.layout().n_blocks());
-        // Applying the partial delta to the stale snapshot reproduces the
-        // current full snapshot exactly.
-        let mut snap = policy.snapshot();
-        apply_to_snapshot(&delta, &mut snap, sharded.layout()).unwrap();
-        assert_same_bits(&snap, &sharded.snapshot());
+    fn layout_partitions_the_flat_vector() {
+        let l = BlockLayout::from_shapes(&[vec![2, 3], vec![4], vec![1]]);
+        assert_eq!(l.n_blocks(), 3);
+        assert_eq!(l.total(), 11);
+        assert_eq!((l.offset(0), l.size(0)), (0, 6));
+        assert_eq!((l.offset(1), l.size(1)), (6, 4));
+        assert_eq!((l.offset(2), l.size(2)), (10, 1));
     }
 
     proptest! {
-        /// The delta identity on the real plane: along an arbitrary walk of
-        /// whole-plane and single-shard offers (some gated, some committing),
-        /// `apply(delta_since(v), snapshot_v) == snapshot()` for every
-        /// snapshot a learner could hold — including one from before the
-        /// server's starting version — with an empty delta at `v == clock()`
-        /// and a full refresh for a `v` ahead of the clock.
+        /// `snapshot()`'s reassembly along an arbitrary walk of single-shard
+        /// commits, against references that do not go through `snapshot()`:
+        /// the clock counts the commits, a shard that never committed still
+        /// holds the initial bits at its blocks' offsets and one that did
+        /// does not, and the plane is a pure function of its offers.
         #[test]
-        fn prop_delta_since_reaches_current_snapshot(
-            n_shards in 1usize..5,
-            batched in any::<bool>(),
-            targets in proptest::collection::vec(0usize..6, 0..10),
-            fills in proptest::collection::vec(-1.0f32..1.0, 10..11),
+        fn prop_snapshot_reassembles_per_shard_commits(
+            n_shards in 1usize..9,
+            negate in any::<bool>(),
+            targets in proptest::collection::vec(0usize..8, 0..12),
+            fills in proptest::collection::vec(0.05f32..1.0, 12..13),
         ) {
             let mut policy = tiny_policy(1);
             policy.version = 3;
-            let rule = if batched {
-                AggregationRule::Softsync { c: 2 }
-            } else {
-                AggregationRule::PureAsync
-            };
-            let server = sgd_server(&policy, rule, n_shards, 0.1);
-            let layout = server.layout().clone();
-            let mut held = vec![
-                PolicySnapshot { version: 0, flat: vec![0.0; layout.total()] },
-                server.snapshot(),
-            ];
-            for (target, fill) in targets.into_iter().zip(fills) {
-                let msg = grad_msg(&policy, 0, server.clock(), fill);
-                // Targets past the shard count fan out to the whole plane.
-                if target < server.n_shards() {
-                    server.offer_to_shard(target, Arc::new(msg));
-                } else {
-                    server.offer(msg);
+            let initial = policy.flatten();
+            let layout = BlockLayout::from_shapes(&policy.param_shapes());
+            // Same-signed fills under SGD move every weight monotonically,
+            // so a committed block can never drift back onto its start.
+            let drive = |server: &ShardedParameterServer| {
+                for (&target, &fill) in targets.iter().zip(&fills) {
+                    let fill = if negate { -fill } else { fill };
+                    let msg = Arc::new(grad_msg(&policy, 0, server.clock(), fill));
+                    assert_eq!(server.offer_to_shard(target % server.n_shards(), msg), 1);
                 }
-                held.push(server.snapshot());
+            };
+            let server = sgd_server(&policy, AggregationRule::PureAsync, n_shards, 0.1);
+            drive(&server);
+            let snap = server.snapshot();
+            let vector = server.version_vector();
+            prop_assert_eq!(snap.version, server.clock());
+            prop_assert_eq!(server.clock(), policy.version + vector.iter().sum::<u64>());
+            prop_assert_eq!(snap.flat.len(), initial.len());
+            for (s, &updates) in vector.iter().enumerate() {
+                for &b in server.shard_layout().blocks(s) {
+                    let at = layout.offset(b)..layout.offset(b) + layout.size(b);
+                    let untouched = snap.flat[at.clone()]
+                        .iter()
+                        .zip(&initial[at])
+                        .all(|(x, y)| x.to_bits() == y.to_bits());
+                    prop_assert_eq!(untouched, updates == 0, "shard {} block {}", s, b);
+                }
             }
-            let now = server.snapshot();
-            prop_assert_eq!(now.version, server.clock());
-            for mut learner in held {
-                let delta = server.delta_since(learner.version);
-                prop_assert!(!delta.full);
-                prop_assert_eq!(delta.is_empty(), learner.version == server.clock());
-                apply_to_snapshot(&delta, &mut learner, &layout).unwrap();
-                prop_assert_eq!(&learner, &now);
-            }
-            let mut lost = PolicySnapshot { version: now.version + 7, flat: vec![9.0; layout.total()] };
-            let refresh = server.delta_since(lost.version);
-            prop_assert!(refresh.full);
-            apply_to_snapshot(&refresh, &mut lost, &layout).unwrap();
-            prop_assert_eq!(&lost, &now);
+            let replay = sgd_server(&policy, AggregationRule::PureAsync, n_shards, 0.1);
+            drive(&replay);
+            assert_same_bits(&replay.snapshot(), &snap);
         }
     }
 }

@@ -14,13 +14,13 @@
 //! and is recovered by the configured retry policy.
 //!
 //! Policy state on a worker is addressed by version: the actor is sent a
-//! policy once per clock move (`LOAD_POLICY` / `POLICY_DELTA`), and a
-//! learner's first call at a new version carries the snapshot (`GRADIENT`,
-//! which the worker keeps) while every later one names the version only
-//! (`GRADIENT_AT`; `ERR stale-base` in-band if the worker does not hold
-//! it). A wave's mini-batches are dispatched on one lane per learner
-//! process; chaos is drawn before the lanes start and gradients are offered
-//! in mini-batch order, so concurrency never reaches the weights.
+//! policy once per clock move (`LOAD_POLICY`), and a learner's first call
+//! at a new version carries the snapshot (`GRADIENT`, which the worker
+//! keeps) while every later one names the version only (`GRADIENT_AT`;
+//! `ERR stale-base` in-band if the worker does not hold it). A wave's
+//! mini-batches are dispatched on one lane per learner process; chaos is
+//! drawn before the lanes start and gradients are offered in mini-batch
+//! order, so concurrency never reaches the weights.
 //!
 //! Span stitching: each request frame carries the parent-side span ID in
 //! its trace-ID header field; the worker opens its handler spans with
@@ -36,11 +36,7 @@ use bytes::BytesMut;
 use stellaris_cache::frame::{op, Frame, FrameReader, WireError};
 use stellaris_cache::{decode_seq, encode_seq, seq_encoded_len, Codec, CodecError};
 use stellaris_envs::{EnvConfig, EnvId};
-use stellaris_nn::ParamSet;
-use stellaris_rl::{
-    apply_to_snapshot, BlockLayout, ImpactConfig, ImpalaConfig, PolicyDelta, PolicySnapshot,
-    PpoConfig, SampleBatch,
-};
+use stellaris_rl::{ImpactConfig, ImpalaConfig, PolicySnapshot, PpoConfig, SampleBatch};
 use stellaris_serverless::{
     FaultPlan, FaultReport, FunctionKind, OverheadMode, Platform, ProcessConfig, ProcessPool,
     SpawnError, StartupProfile, WorkerProcess,
@@ -52,7 +48,6 @@ use crate::cycle::{lockstep_round, ActorBody, CycleTotals, Fleet, LearnerBody};
 use crate::messages::GradientMsg;
 use crate::metrics::Timers;
 use crate::orchestrator::{learner_invocations, parameter_plane};
-use crate::parameter::ShardedParameterServer;
 
 // ---------------------------------------------------------------------------
 // Wire data types
@@ -458,29 +453,24 @@ impl Codec for WireEventBatch {
 // ---------------------------------------------------------------------------
 
 /// A worker process does not know which function it hosts until the first
-/// request: the learner body (whose replica also gives the delta geometry)
-/// is built at `INIT`, the actor body — the only one that owns a rollout
-/// environment — on the first `COLLECT`.
+/// request: the learner body is built at `INIT`, the actor body — the only
+/// one that owns a rollout environment — on the first `COLLECT`.
 struct WorkerState {
     cfg: TrainConfig,
     actor: Option<ActorBody>,
     learner: LearnerBody,
     snap: Option<PolicySnapshot>,
-    /// Flat-vector geometry for applying `POLICY_DELTA` frames.
-    layout: BlockLayout,
 }
 
 impl WorkerState {
     fn build(setup: &RemoteSetup) -> Result<Self, String> {
         let cfg = setup.train_config()?;
         let learner = LearnerBody::new(&cfg);
-        let layout = BlockLayout::from_shapes(&learner.policy().param_shapes());
         Ok(Self {
             cfg,
             actor: None,
             learner,
             snap: None,
-            layout,
         })
     }
 }
@@ -578,38 +568,6 @@ pub fn serve_worker<S: Read + Write>(
                 }
                 (None, _) => send_err(&mut reader, trace, "not initialised".to_string())?,
                 (_, Err(e)) => send_err(&mut reader, trace, format!("bad LOAD_POLICY: {e}"))?,
-            },
-            op::POLICY_DELTA => match (&mut state, frame.decode_value::<PolicyDelta>()) {
-                (Some(s), Ok(delta)) => {
-                    // Apply against the worker's held snapshot; a base
-                    // mismatch (or a delta with no base to land on) is an
-                    // ERR and the parent falls back to a full LOAD_POLICY.
-                    match &mut s.snap {
-                        Some(snap) => match apply_to_snapshot(&delta, snap, &s.layout) {
-                            Ok(()) => send_ok(&mut reader, trace)?,
-                            Err(e) => send_err(&mut reader, trace, format!("delta rejected: {e}"))?,
-                        },
-                        None if delta.full => {
-                            let mut snap = s.learner.policy().snapshot();
-                            match apply_to_snapshot(&delta, &mut snap, &s.layout) {
-                                Ok(()) => {
-                                    s.snap = Some(snap);
-                                    send_ok(&mut reader, trace)?;
-                                }
-                                Err(e) => {
-                                    send_err(&mut reader, trace, format!("delta rejected: {e}"))?
-                                }
-                            }
-                        }
-                        None => send_err(
-                            &mut reader,
-                            trace,
-                            "delta rejected: no base snapshot loaded".to_string(),
-                        )?,
-                    }
-                }
-                (None, _) => send_err(&mut reader, trace, "not initialised".to_string())?,
-                (_, Err(e)) => send_err(&mut reader, trace, format!("bad POLICY_DELTA: {e}"))?,
             },
             op::COLLECT => match (&mut state, frame.decode_value::<u64>()) {
                 (Some(s), Ok(steps)) => {
@@ -785,19 +743,6 @@ impl RemoteWorker {
             .map(|_| ())
     }
 
-    /// Ships a delta-encoded policy update (only the blocks changed since
-    /// the worker's version). The worker answers `ERR` on a base mismatch,
-    /// surfaced as [`RemoteError::Rejected`] — callers fall back to
-    /// [`Self::load_policy`].
-    pub fn load_policy_delta(
-        &mut self,
-        delta: &PolicyDelta,
-        trace: u64,
-    ) -> Result<(), RemoteError> {
-        self.request(op::POLICY_DELTA, trace, &delta.to_bytes())
-            .map(|_| ())
-    }
-
     /// Collects `steps` timesteps remotely (0 = the setup's default).
     pub fn collect(&mut self, steps: u64, trace: u64) -> Result<SampleBatch, RemoteError> {
         let reply = self.request(op::COLLECT, trace, &steps.to_bytes())?;
@@ -908,17 +853,17 @@ pub struct RemoteRunReport {
     /// Learner invocations recorded on the platform (including failures).
     pub learner_invocations: u64,
     /// Full policy snapshots that crossed a socket and landed: the actor's
-    /// `LOAD_POLICY` frames (round 0 and whenever a delta is not smaller)
-    /// plus every learner call that carried its snapshot (the first one a
-    /// learner worker serves at each new version, and self-contained
-    /// retries).
+    /// `LOAD_POLICY` frames plus every learner call that carried its
+    /// snapshot (the first one a learner worker serves at each new version,
+    /// and self-contained retries).
     pub policy_full_pulls: u64,
-    /// Policy loads shipped delta-encoded.
+    /// Always 0: nothing increments it. Kept because `benchmark/` reads it;
+    /// it leaves with a later `benchmark`-archetype issue.
     pub policy_delta_pulls: u64,
     /// Encoded snapshot bytes of those loads
     /// (`policy_full_pulls * snap.encoded_len()`).
     pub policy_bytes_full: u64,
-    /// Payload bytes of delta-encoded policy loads.
+    /// Always 0, kept for the same reader as `policy_delta_pulls`.
     pub policy_bytes_delta: u64,
 }
 
@@ -1066,14 +1011,14 @@ struct ProcessFleet<'a> {
     fleet: &'a RemoteFleet,
     setup: RemoteSetup,
     actor: RemoteWorker,
-    /// The policy version the actor worker holds (delta pulls are cut
-    /// against it); `None` until the first full `LOAD_POLICY`.
+    /// The policy version the actor worker holds; `None` until the first
+    /// `LOAD_POLICY`.
     actor_version: Option<u64>,
     learners: Vec<LearnerSlot>,
     /// Rounds finished so far.
     round: usize,
     /// The fields a fleet counts as it goes: `recovered`,
-    /// `events_ingested` and the four `policy_*` pull counters.
+    /// `events_ingested`, `policy_full_pulls` and `policy_bytes_full`.
     report: RemoteRunReport,
 }
 
@@ -1226,45 +1171,15 @@ impl ProcessFleet<'_> {
 impl Fleet for ProcessFleet<'_> {
     type Error = RemoteError;
 
-    /// Delta-encoded policy pulls (DESIGN.md §16): the parent tracks the
-    /// version the actor worker holds and asks the server for the blocks
-    /// committed since. Round 0 (and any rejected delta) falls back to a
-    /// full `LOAD_POLICY`; a worker that already holds `snap` pulls nothing.
-    fn collect(
-        &mut self,
-        server: &ShardedParameterServer,
-        snap: &PolicySnapshot,
-    ) -> Result<Vec<Option<SampleBatch>>, RemoteError> {
+    /// The actor worker is sent `snap` whole unless it already holds that
+    /// version (one `LOAD_POLICY` per clock move), then collects under it.
+    fn collect(&mut self, snap: &PolicySnapshot) -> Result<Vec<Option<SampleBatch>>, RemoteError> {
         let span = telemetry::span_with("fleet.collect", vec![("round", self.round.into())]);
-        let report = &mut self.report;
         let t0 = Instant::now();
         if self.actor_version != Some(snap.version) {
-            // Ship whichever encoding is smaller: a dense update that
-            // touches every block makes the delta (blocks + index overhead)
-            // larger than the flat snapshot, so the full pull wins there.
-            let delta = self.actor_version.map(|v| server.delta_since(v));
-            let delta = delta.filter(|d| d.encoded_len() < snap.encoded_len());
-            let shipped = match delta {
-                Some(delta) => {
-                    report.policy_bytes_delta += delta.encoded_len() as u64;
-                    match self.actor.load_policy_delta(&delta, span.id()) {
-                        Ok(()) => {
-                            report.policy_delta_pulls += 1;
-                            true
-                        }
-                        // Base mismatch: the worker's lineage diverged
-                        // (e.g. a respawn); fall back to the full pull.
-                        Err(RemoteError::Rejected(_)) => false,
-                        Err(e) => return Err(e),
-                    }
-                }
-                None => false,
-            };
-            if !shipped {
-                self.actor.load_policy(snap, span.id())?;
-                report.policy_full_pulls += 1;
-                report.policy_bytes_full += snap.encoded_len() as u64;
-            }
+            self.actor.load_policy(snap, span.id())?;
+            self.report.policy_full_pulls += 1;
+            self.report.policy_bytes_full += snap.encoded_len() as u64;
             self.actor_version = Some(snap.version);
         }
         let steps = self.fleet.cfg.actor_steps as u64;
@@ -1362,7 +1277,7 @@ mod tests {
     use crate::cycle::fresh_net;
     use std::net::TcpListener;
     use stellaris_cache::frame::{write_value_frame, DEFAULT_MAX_FRAME};
-    use stellaris_rl::{fill_gae, BlockUpdate};
+    use stellaris_rl::fill_gae;
     use stellaris_serverless::WireStream;
 
     fn tiny_setup() -> RemoteSetup {
@@ -1460,92 +1375,6 @@ mod tests {
             events[0].fields,
             vec![("learner", FieldValue::Text("2".to_string()))]
         );
-    }
-
-    /// The delta-pull half of the wire protocol against a live worker:
-    /// a partial `POLICY_DELTA` lands bit-for-bit (the subsequent collect
-    /// equals a local collect under the delta-applied snapshot), a
-    /// mismatched base is an `ERR` that leaves the stream usable, and
-    /// deltas before INIT / before a base snapshot are typed rejections.
-    #[test]
-    fn policy_delta_over_tcp() {
-        let (server, mut reader) = dial_worker(1 << 41);
-        let cap = reader.max_frame();
-
-        let policy = fresh_net(&tiny_setup().train_config().unwrap());
-        let layout = BlockLayout::from_shapes(&policy.param_shapes());
-        let snap0 = policy.snapshot();
-        let delta = PolicyDelta {
-            from: snap0.version,
-            to: snap0.version + 1,
-            full: false,
-            blocks: vec![BlockUpdate {
-                index: 0,
-                data: snap0.flat[..layout.size(0)]
-                    .iter()
-                    .map(|x| x + 0.25)
-                    .collect(),
-            }],
-        };
-
-        // Before INIT: rejected, stream intact.
-        write_value_frame(reader.get_mut(), op::POLICY_DELTA, 1, &delta, cap).unwrap();
-        let early = reader.read_frame().unwrap();
-        assert_eq!(early.header.kind, op::ERR);
-
-        write_value_frame(reader.get_mut(), op::INIT, 2, &tiny_setup(), cap).unwrap();
-        assert_eq!(reader.read_frame().unwrap().header.kind, op::OK);
-
-        // A partial delta with no base snapshot loaded yet: rejected.
-        write_value_frame(reader.get_mut(), op::POLICY_DELTA, 3, &delta, cap).unwrap();
-        let no_base = reader.read_frame().unwrap();
-        assert_eq!(no_base.header.kind, op::ERR);
-        let msg = no_base.decode_value::<String>().unwrap();
-        assert!(msg.contains("delta rejected"), "typed rejection: {msg}");
-
-        write_value_frame(reader.get_mut(), op::LOAD_POLICY, 4, &snap0, cap).unwrap();
-        assert_eq!(reader.read_frame().unwrap().header.kind, op::OK);
-
-        // Now the delta applies.
-        write_value_frame(reader.get_mut(), op::POLICY_DELTA, 5, &delta, cap).unwrap();
-        assert_eq!(reader.read_frame().unwrap().header.kind, op::OK);
-
-        // A delta against the wrong base: ERR naming the mismatch, and the
-        // worker's state must stay at the applied version.
-        let stale = PolicyDelta {
-            from: 99,
-            to: 100,
-            full: false,
-            blocks: delta.blocks.clone(),
-        };
-        write_value_frame(reader.get_mut(), op::POLICY_DELTA, 6, &stale, cap).unwrap();
-        let mismatch = reader.read_frame().unwrap();
-        assert_eq!(mismatch.header.kind, op::ERR);
-        let msg = mismatch.decode_value::<String>().unwrap();
-        assert!(msg.contains("base"), "mismatch names the base: {msg}");
-
-        // Collect under the delta-applied policy: must equal a local collect
-        // with the same snapshot bits and rollout seed. Trace id 4 matches
-        // the conversation test's collect: both workers share this process's
-        // telemetry buffer, so a concurrent PULL_SPANS there may drain this
-        // span and assert on its parent.
-        write_value_frame(reader.get_mut(), op::COLLECT, 4, &12u64, cap).unwrap();
-        let reply = reader.read_frame().unwrap();
-        assert_eq!(reply.header.kind, op::OK);
-        let remote_batch = reply.decode_value::<SampleBatch>().unwrap();
-
-        let mut expected_snap = snap0.clone();
-        apply_to_snapshot(&delta, &mut expected_snap, &layout).unwrap();
-        let mut local_actor = ActorBody::new(&tiny_setup().train_config().unwrap(), 0);
-        let local_batch = local_actor.collect(&expected_snap, 12);
-        assert_eq!(
-            remote_batch, local_batch,
-            "delta-applied policy diverged from local application"
-        );
-
-        write_value_frame(reader.get_mut(), op::SHUTDOWN, 8, &0u8, cap).unwrap();
-        assert_eq!(reader.read_frame().unwrap().header.kind, op::OK);
-        server.join().unwrap().unwrap();
     }
 
     /// Full conversation against `serve_worker` on a real TCP socket:
@@ -1730,9 +1559,12 @@ mod tests {
     fn unknown_opcode_is_rejected_not_fatal() {
         let (server, mut reader) = dial_worker(2 << 40);
         let cap = reader.max_frame();
-        stellaris_cache::frame::write_frame(reader.get_mut(), 0x3f, 9, b"??", cap).unwrap();
-        let reply = reader.read_frame().unwrap();
-        assert_eq!(reply.header.kind, op::ERR);
+        // 11 is the retired delta opcode: a stale parent gets the same ERR.
+        for (trace, kind) in [(8, 0x3f), (9, 11)] {
+            stellaris_cache::frame::write_frame(reader.get_mut(), kind, trace, b"??", cap).unwrap();
+            let reply = reader.read_frame().unwrap();
+            assert_eq!((reply.header.kind, reply.header.trace_id), (op::ERR, trace));
+        }
         stellaris_cache::frame::write_frame(reader.get_mut(), op::SHUTDOWN, 10, &[], cap).unwrap();
         assert_eq!(reader.read_frame().unwrap().header.kind, op::OK);
         server.join().unwrap().unwrap();

@@ -13,12 +13,6 @@
 //!     Compare two RunReports (A = baseline); prints the delta table.
 //!     With --fail-on-regress, exits non-zero when any key regressed.
 //!
-//! obs diff-bench <a.json> <b.json> --keys SPEC [--rel PCT] [--fail-on-regress]
-//!     Compare two arbitrary bench JSON files (A = baseline) over an
-//!     explicit key list. SPEC is comma-separated `path:dir` entries,
-//!     where `dir` is `up` (higher is worse) or `down` (lower is worse),
-//!     e.g. `wire.delta_fraction:up,scale.0.sharded.rounds_per_sec:down`.
-//!
 //! obs attribute <dump.jsonl>
 //!     Re-run the critical-path analyzer over a flight-recorder or
 //!     STELLARIS_TRACE JSONL dump and print the blame table.
@@ -30,7 +24,7 @@ use std::time::Duration;
 
 use stellaris_core::{train, TrainConfig};
 use stellaris_envs::EnvId;
-use stellaris_obs::{diff, diff_bench, jsonv, Dashboard, DiffOptions, Direction, RunReport};
+use stellaris_obs::{diff, jsonv, Dashboard, DiffOptions, RunReport};
 use stellaris_telemetry::{attribution, recorder, AttrEvent, RecorderConfig};
 
 fn main() -> ExitCode {
@@ -38,7 +32,6 @@ fn main() -> ExitCode {
     match args.first().map(String::as_str) {
         Some("dash") => cmd_dash(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
-        Some("diff-bench") => cmd_diff_bench(&args[1..]),
         Some("attribute") => cmd_attribute(&args[1..]),
         _ => {
             usage();
@@ -48,13 +41,11 @@ fn main() -> ExitCode {
 }
 
 fn usage() {
-    eprintln!("usage: obs <dash|diff|diff-bench|attribute> [options]");
+    eprintln!("usage: obs <dash|diff|attribute> [options]");
     eprintln!("  dash       [--env NAME] [--rounds N] [--seed S] [--chaos SEED]");
     eprintln!("             [--interval-ms M] [--runs-dir DIR] [--flight-dir DIR]");
     eprintln!("             [--report-name FILE] [--dump-on-exit]");
     eprintln!("  diff       <a.json> <b.json> [--rel PCT] [--abs-us U] [--fail-on-regress]");
-    eprintln!("  diff-bench <a.json> <b.json> --keys path:up,path:down,...");
-    eprintln!("             [--rel PCT] [--fail-on-regress]");
     eprintln!("  attribute  <dump.jsonl>");
 }
 
@@ -203,56 +194,6 @@ fn cmd_diff(args: &[String]) -> ExitCode {
         ..DiffOptions::default()
     };
     let d = diff(&a, &b, &opts);
-    print!("{}", d.render());
-    if flags.has("fail-on-regress") && !d.pass() {
-        return ExitCode::FAILURE;
-    }
-    ExitCode::SUCCESS
-}
-
-fn cmd_diff_bench(args: &[String]) -> ExitCode {
-    let flags = Flags { args };
-    let pos = flags.positional();
-    let [a_path, b_path] = pos.as_slice() else {
-        eprintln!("obs diff-bench: need exactly two bench JSON paths");
-        return ExitCode::FAILURE;
-    };
-    let Some(spec) = flags.get("keys") else {
-        eprintln!("obs diff-bench: --keys path:up,path:down,... is required");
-        return ExitCode::FAILURE;
-    };
-    let mut keys: Vec<(&str, Direction)> = Vec::new();
-    for entry in spec.split(',').filter(|e| !e.is_empty()) {
-        let Some((path, dir)) = entry.rsplit_once(':') else {
-            eprintln!("obs diff-bench: key {entry:?} needs a :up or :down suffix");
-            return ExitCode::FAILURE;
-        };
-        let Some(dir) = Direction::parse(dir) else {
-            eprintln!("obs diff-bench: key {entry:?}: direction must be up or down");
-            return ExitCode::FAILURE;
-        };
-        keys.push((path, dir));
-    }
-    if keys.is_empty() {
-        eprintln!("obs diff-bench: --keys spec selected no keys");
-        return ExitCode::FAILURE;
-    }
-    let parse = |path: &str| -> Result<jsonv::Value, String> {
-        let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-        jsonv::parse(&text).map_err(|e| format!("parse {path}: {e}"))
-    };
-    let (a, b) = match (parse(a_path), parse(b_path)) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(e), _) | (_, Err(e)) => {
-            eprintln!("obs diff-bench: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let opts = DiffOptions {
-        rel: flags.num("rel", 10.0f64) / 100.0,
-        ..DiffOptions::default()
-    };
-    let d = diff_bench(&a, &b, &opts, &keys);
     print!("{}", d.render());
     if flags.has("fail-on-regress") && !d.pass() {
         return ExitCode::FAILURE;

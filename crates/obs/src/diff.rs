@@ -122,78 +122,9 @@ impl DiffReport {
 fn num_at(v: &Value, path: &[&str]) -> Option<f64> {
     let mut cur = v;
     for p in path {
-        // Objects index by key; arrays by digit segments (`scale.0.speedup`).
-        cur = match cur.get(p) {
-            Some(next) => next,
-            None => cur.as_array()?.get(p.parse::<usize>().ok()?)?,
-        };
+        cur = cur.get(p)?;
     }
     cur.as_f64()
-}
-
-/// Which way a benchmark key regresses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Direction {
-    /// Higher candidate value is worse (latency, bytes, shed counts).
-    HigherWorse,
-    /// Lower candidate value is worse (throughput, speedup).
-    LowerWorse,
-}
-
-impl Direction {
-    /// Parses the `:up` / `:down` suffix of a `--keys` spec entry:
-    /// `up` = value going up is worse, `down` = value going down is worse.
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "up" => Some(Self::HigherWorse),
-            "down" => Some(Self::LowerWorse),
-            _ => None,
-        }
-    }
-}
-
-/// Compares two arbitrary benchmark JSON documents over an explicit key
-/// list (A = baseline, B = candidate). Each key is a dotted path plus a
-/// [`Direction`]; a key regresses when the candidate moves past the
-/// relative slack in the *worse* direction:
-///
-/// * `HigherWorse`: `b > a·(1+rel) + abs_count`
-/// * `LowerWorse`:  `b < a·(1−rel) − abs_count`
-///
-/// Keys missing from either document become warnings, not failures —
-/// same contract as [`diff`]. This is the CI gate for bench artifacts
-/// like `BENCH_scale.json`, where the schema is bench-specific and only
-/// a deterministic subset of keys is stable enough to gate on.
-pub fn diff_bench(
-    a: &Value,
-    b: &Value,
-    opts: &DiffOptions,
-    keys: &[(&str, Direction)],
-) -> DiffReport {
-    let mut out = DiffReport::default();
-    for (key, dir) in keys {
-        let path: Vec<&str> = key.split('.').collect();
-        let (av, bv) = (num_at(a, &path), num_at(b, &path));
-        match (av, bv) {
-            (Some(x), Some(y)) => {
-                let regressed = match dir {
-                    Direction::HigherWorse => y > x * (1.0 + opts.rel) + opts.abs_count,
-                    Direction::LowerWorse => y < x * (1.0 - opts.rel) - opts.abs_count,
-                };
-                out.deltas.push(Delta {
-                    key: (*key).to_owned(),
-                    a: x,
-                    b: y,
-                    regressed,
-                });
-            }
-            (None, None) => out.warnings.push(format!("{key}: missing in both reports")),
-            _ => out
-                .warnings
-                .push(format!("{key}: present in only one report")),
-        }
-    }
-    out
 }
 
 /// Sums per-stage `raw_us`/`blamed_us` across a report's attribution
@@ -402,95 +333,5 @@ mod tests {
         let b = jsonv::parse("{\"wall_time_s\":1.0}").unwrap_or(Value::Null);
         let d = diff(&a, &b, &DiffOptions::default());
         assert!(!d.warnings.is_empty());
-    }
-
-    fn bench(full: u64, fraction: f64, speedup: f64) -> Value {
-        let json = format!(
-            "{{\"wire\":{{\"full_snapshot_bytes\":{full},\"delta_fraction\":{fraction}}},\
-             \"scale\":{{\"speedup\":{speedup}}}}}"
-        );
-        jsonv::parse(&json).unwrap_or(Value::Null)
-    }
-
-    const BENCH_KEYS: &[(&str, Direction)] = &[
-        ("wire.full_snapshot_bytes", Direction::HigherWorse),
-        ("wire.delta_fraction", Direction::HigherWorse),
-        ("scale.speedup", Direction::LowerWorse),
-    ];
-
-    #[test]
-    fn bench_identical_passes() {
-        let a = bench(555048, 0.125, 5.4);
-        let d = diff_bench(&a, &a, &DiffOptions::default(), BENCH_KEYS);
-        assert!(d.pass(), "{}", d.render());
-        assert_eq!(d.deltas.len(), 3);
-        assert!(d.warnings.is_empty());
-    }
-
-    #[test]
-    fn bench_higher_worse_regresses_upward_only() {
-        let a = bench(555048, 0.125, 5.4);
-        // Delta fraction blowing up is a regression; bytes shrinking is not.
-        let b = bench(400000, 0.24, 5.4);
-        let d = diff_bench(&a, &b, &DiffOptions::default(), BENCH_KEYS);
-        let keys: Vec<&str> = d.regressions().iter().map(|r| r.key.as_str()).collect();
-        assert_eq!(keys, ["wire.delta_fraction"], "{}", d.render());
-    }
-
-    #[test]
-    fn bench_lower_worse_catches_throughput_loss() {
-        let a = bench(555048, 0.125, 5.4);
-        let b = bench(555048, 0.125, 3.0);
-        let d = diff_bench(&a, &b, &DiffOptions::default(), BENCH_KEYS);
-        let keys: Vec<&str> = d.regressions().iter().map(|r| r.key.as_str()).collect();
-        assert_eq!(keys, ["scale.speedup"], "{}", d.render());
-        // An *increase* in a LowerWorse key never regresses.
-        let faster = bench(555048, 0.125, 9.0);
-        assert!(diff_bench(&a, &faster, &DiffOptions::default(), BENCH_KEYS).pass());
-    }
-
-    #[test]
-    fn bench_slack_absorbs_relative_noise() {
-        let a = bench(555048, 0.125, 5.4);
-        // +8% bytes and -8% speedup both stay inside the 10% rel slack.
-        let b = bench(599452, 0.125, 4.97);
-        let d = diff_bench(&a, &b, &DiffOptions::default(), BENCH_KEYS);
-        assert!(d.pass(), "{}", d.render());
-    }
-
-    #[test]
-    fn bench_missing_keys_warn() {
-        let a = bench(555048, 0.125, 5.4);
-        let b = jsonv::parse("{\"wire\":{\"full_snapshot_bytes\":1}}").unwrap_or(Value::Null);
-        let d = diff_bench(&a, &b, &DiffOptions::default(), BENCH_KEYS);
-        assert_eq!(d.deltas.len(), 1);
-        assert_eq!(d.warnings.len(), 2);
-        let missing_both = diff_bench(
-            &a,
-            &a,
-            &DiffOptions::default(),
-            &[("no.such.key", Direction::HigherWorse)],
-        );
-        assert!(missing_both.deltas.is_empty());
-        assert_eq!(missing_both.warnings.len(), 1);
-    }
-
-    #[test]
-    fn bench_paths_index_into_arrays() {
-        let a = jsonv::parse("{\"scale\":[{\"speedup\":6.0},{\"speedup\":5.4}]}")
-            .unwrap_or(Value::Null);
-        let b = jsonv::parse("{\"scale\":[{\"speedup\":6.0},{\"speedup\":2.0}]}")
-            .unwrap_or(Value::Null);
-        let keys = [("scale.1.speedup", Direction::LowerWorse)];
-        let d = diff_bench(&a, &b, &DiffOptions::default(), &keys);
-        assert_eq!(d.deltas.len(), 1);
-        assert!(!d.pass(), "{}", d.render());
-    }
-
-    #[test]
-    fn direction_parse_round_trips_spec_suffixes() {
-        assert_eq!(Direction::parse("up"), Some(Direction::HigherWorse));
-        assert_eq!(Direction::parse("down"), Some(Direction::LowerWorse));
-        assert_eq!(Direction::parse("sideways"), None);
     }
 }

@@ -26,7 +26,7 @@ pub mod jsonv;
 pub mod report;
 
 pub use dash::Dashboard;
-pub use diff::{diff, diff_bench, DiffOptions, DiffReport, Direction};
+pub use diff::{diff, DiffOptions, DiffReport};
 pub use jsonv::Value;
 pub use report::{config_hash, maybe_write_report, RunReport, SloVerdict};
 

@@ -10,7 +10,6 @@
 #![warn(missing_docs)]
 
 pub mod checkpoint;
-pub mod delta;
 pub mod gae;
 pub mod impact;
 pub mod impala;
@@ -21,7 +20,6 @@ pub mod trajectory;
 pub mod vtrace;
 
 pub use checkpoint::{load_policy, save_policy};
-pub use delta::{apply_to_snapshot, BlockLayout, BlockUpdate, DeltaError, PolicyDelta};
 pub use gae::fill_gae;
 pub use impact::{impact_gradients, ImpactConfig, ImpactLearner};
 pub use impala::{impala_gradients, ImpalaConfig};

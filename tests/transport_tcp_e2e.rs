@@ -14,7 +14,7 @@ use stellaris::cache::Codec;
 use stellaris::core::{
     lockstep_round, parameter_plane, snapshot_checksum, train, ActorBody, CycleTotals, Fleet,
     GradientMsg, GradientRequest, LearnerBody, RemoteError, RemoteFleet, RemoteSetup, RemoteWorker,
-    ShardedParameterServer, Timers, TrainConfig,
+    Timers, TrainConfig,
 };
 use stellaris::envs::EnvId;
 use stellaris::rl::{fill_gae, PolicySnapshot, SampleBatch};
@@ -238,11 +238,7 @@ struct InProcessFleet {
 impl Fleet for InProcessFleet {
     type Error = Infallible;
 
-    fn collect(
-        &mut self,
-        _server: &ShardedParameterServer,
-        snap: &PolicySnapshot,
-    ) -> Result<Vec<Option<SampleBatch>>, Infallible> {
+    fn collect(&mut self, snap: &PolicySnapshot) -> Result<Vec<Option<SampleBatch>>, Infallible> {
         Ok(vec![Some(self.actor.collect(snap, self.steps))])
     }
 
@@ -286,16 +282,13 @@ fn fault_free_remote_run_matches_local_accounting() {
         "local baseline must also have trained"
     );
     // Version-addressed policy state: with faults off, every worker that
-    // received work loads the policy exactly once per round — the actor by
-    // whichever encoding is smaller (a dense tiny-model update touches
-    // every block, so full pulls may win here), a learner inside its first
-    // call of the round — and a delta pull is never larger per-pull than a
-    // full snapshot.
+    // received work is sent the whole policy exactly once per round — the
+    // actor by `LOAD_POLICY`, a learner inside its first call of the round.
     let busy_learners = cfg
         .max_learners
         .min(cfg.actor_steps.div_ceil(cfg.minibatch));
     assert_eq!(
-        (report.policy_full_pulls + report.policy_delta_pulls) as usize,
+        report.policy_full_pulls as usize,
         cfg.rounds * (1 + busy_learners),
         "one policy load per round per worker that received work"
     );
@@ -304,20 +297,7 @@ fn fault_free_remote_run_matches_local_accounting() {
         report.policy_full_pulls * parameter_plane(&cfg).snapshot().encoded_len() as u64,
         "every full pull is one encoded snapshot"
     );
-    assert!(report.policy_full_pulls >= 1, "round 0 must pull full");
-    if let (Some(per_full), Some(per_delta)) = (
-        report
-            .policy_bytes_full
-            .checked_div(report.policy_full_pulls),
-        report
-            .policy_bytes_delta
-            .checked_div(report.policy_delta_pulls),
-    ) {
-        assert!(
-            per_delta < per_full,
-            "a shipped delta must beat a full snapshot ({per_delta} >= {per_full})"
-        );
-    }
+    assert!(report.policy_delta_pulls == 0 && report.policy_bytes_delta == 0);
 
     // Process fleet ≡ in-process fleet, bitwise.
     let mut in_process = InProcessFleet {
@@ -373,10 +353,11 @@ fn lane_arrival_order_never_reaches_the_weights() {
     assert_eq!(report.recovered, 0);
     assert_eq!(report.cold_spawns, 4, "one actor and three learners");
     assert_eq!(
-        (report.policy_full_pulls + report.policy_delta_pulls) as usize,
+        report.policy_full_pulls as usize,
         cfg.rounds * 4,
         "one policy load per round per worker"
     );
+    assert!(report.policy_delta_pulls == 0 && report.policy_bytes_delta == 0);
 
     let mut in_process = InProcessFleet {
         actor: ActorBody::new(&cfg, 0),
