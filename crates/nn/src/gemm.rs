@@ -21,8 +21,9 @@
 //!   the per-element sum;
 //! * products are added in ascending-`k` order with separately rounded
 //!   multiply and add (no `mul_add`/FMA — Rust never fuses implicitly);
-//! * edge tiles are zero-padded in the packed panels; padded lanes only
-//!   produce values in padded rows/columns, which are never stored.
+//! * edge tiles are zero-padded in the packed panels (the packers zero a
+//!   ragged panel before filling it); padded lanes only produce values in
+//!   padded rows/columns, which are never stored.
 //!
 //! The same argument makes `accumulate = true` (used by backward) exact: it
 //! merely seeds the accumulators with the existing C values.
@@ -46,14 +47,27 @@
 //! The route is bit-identical by construction (it *is* the loop the
 //! contract is written against) and is selected by the operand shapes alone.
 //!
+//! # Packing
+//!
+//! B is packed once per `(j0, p0)` cache block and shared by every row
+//! slab; each slab packs its own `MC x KC` block of A. The two scratch
+//! buffers are thread-local and only ever grow: a call overwrites exactly
+//! the panels it reads, and zeroes nothing but a ragged final panel (fewer
+//! than `MR` rows or `NR` columns), whose padding lanes must not keep data
+//! from an earlier, larger product. A [`MatRef`] comes from `new` or `t()`,
+//! so one of its strides is always 1 and a full panel is packed from
+//! contiguous runs of the operand — `MR` row slices interleaved, or `MR`
+//! (`NR`) adjacent elements per `k`; only ragged panels walk element by
+//! element.
+//!
 //! # Parallelism
 //!
-//! Row-slabs of `MC` rows are distributed over rayon when the FLOP count
-//! `m*n*k` crosses [`PAR_GEMM_FLOPS`]. Gating on FLOPs rather than output
-//! size (`m*n`) matters for tall-skinny products such as the policy head
-//! (`m*k` large, `n` tiny): their output is small but their work is not.
-//! Each slab repacks B independently — for `m/MC` slabs that costs
-//! `m/MC * k * n` extra copies, noise next to the `m*n*k` multiplies.
+//! Inside each block, row-slabs of `MC` rows are distributed over rayon
+//! when the FLOP count `m*n*k` crosses [`PAR_GEMM_FLOPS`]. Gating on FLOPs
+//! rather than output size (`m*n`) matters for tall-skinny products such as
+//! the policy head (`m*k` large, `n` tiny): their output is small but their
+//! work is not. The slabs read the block's packed B, which the calling
+//! thread holds outside its thread-local slot for the duration of the call.
 
 use std::cell::RefCell;
 
@@ -205,9 +219,11 @@ pub fn gemm_bias_act(a: MatRef<'_>, b: MatRef<'_>, bias: &[f32], act: FusedAct, 
 }
 
 thread_local! {
-    /// Reusable (packed-A, packed-B) scratch so warm GEMM calls allocate
-    /// nothing. Thread-local: each rayon worker packs into its own buffers.
-    static PACK_BUFS: RefCell<(Vec<f32>, Vec<f32>)> = const { RefCell::new((Vec::new(), Vec::new())) };
+    /// Reusable packed-A scratch, one per thread: every slab packs its own
+    /// block of A, so warm GEMM calls allocate nothing.
+    static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
+    /// Reusable packed-B scratch of the thread that issued the call.
+    static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
 fn gemm_fused(
@@ -253,65 +269,68 @@ fn gemm_fused(
         return;
     }
 
-    if par_worthwhile(m, n, k) && m > MC {
-        c.par_chunks_mut(MC * n)
-            .enumerate()
-            .for_each(|(blk, slab)| {
-                gemm_slab(a, b, blk * MC, slab, accumulate, bias, act);
-            });
-    } else {
-        for (blk, slab) in c.chunks_mut(MC * n).enumerate() {
-            gemm_slab(a, b, blk * MC, slab, accumulate, bias, act);
+    let par = par_worthwhile(m, n, k) && m > MC;
+    // Taken out of its slot rather than borrowed in place: the slabs below
+    // may run as rayon jobs, and a thread waiting on them must be free to
+    // start another product.
+    let mut bpack = PACK_B.take();
+    for j0 in (0..n).step_by(NC) {
+        let nc = (n - j0).min(NC);
+        for (pci, p0) in (0..k).step_by(KC).enumerate() {
+            let kc = (k - p0).min(KC);
+            pack_b(b, p0, kc, j0, nc, &mut bpack);
+            // First KC block seeds the accumulators (unless the caller
+            // asked to accumulate); later blocks resume from C, which
+            // keeps the per-element summation order sequential in k.
+            let init = !accumulate && pci == 0;
+            let slab = |(blk, cslab): (usize, &mut [f32])| {
+                gemm_block(a, blk * MC, p0, kc, &bpack, j0, nc, cslab, n, init);
+            };
+            if par {
+                c.par_chunks_mut(MC * n).enumerate().for_each(slab);
+            } else {
+                c.chunks_mut(MC * n).enumerate().for_each(slab);
+            }
         }
+        epilogue(c, n, j0, nc, bias, act);
     }
+    PACK_B.set(bpack);
 }
 
-/// Computes one row-slab (`mc <= MC` rows starting at `i0`) of the output.
-fn gemm_slab(
+/// One `(j0, p0)` block of one row-slab (`mc <= MC` rows starting at `i0`):
+/// packs the slab's block of A and sweeps the register tiles against the
+/// block's packed B.
+#[allow(clippy::too_many_arguments)]
+fn gemm_block(
     a: MatRef<'_>,
-    b: MatRef<'_>,
     i0: usize,
+    p0: usize,
+    kc: usize,
+    bpack: &[f32],
+    j0: usize,
+    nc: usize,
     cslab: &mut [f32],
-    accumulate: bool,
-    bias: Option<&[f32]>,
-    act: FusedAct,
+    n: usize,
+    init: bool,
 ) {
-    let k = a.cols;
-    let n = b.cols;
     let mc = cslab.len() / n;
-    PACK_BUFS.with(|cell| {
-        let bufs = &mut *cell.borrow_mut();
-        let (apack, bpack) = (&mut bufs.0, &mut bufs.1);
-        for j0 in (0..n).step_by(NC) {
-            let nc = (n - j0).min(NC);
-            for (pci, p0) in (0..k).step_by(KC).enumerate() {
-                let kc = (k - p0).min(KC);
-                pack_b(b, p0, kc, j0, nc, bpack);
-                pack_a(a, i0, mc, p0, kc, apack);
-                // First KC block seeds the accumulators (unless the caller
-                // asked to accumulate); later blocks resume from C, which
-                // keeps the per-element summation order sequential in k.
-                let init = !accumulate && pci == 0;
-                let npanels = nc.div_ceil(NR);
-                let mpanels = mc.div_ceil(MR);
-                for jp in 0..npanels {
-                    let jr = j0 + jp * NR;
-                    let nr = (nc - jp * NR).min(NR);
-                    let bp = &bpack[jp * kc * NR..(jp + 1) * kc * NR];
-                    for ip in 0..mpanels {
-                        let ir = ip * MR;
-                        let mr = (mc - ir).min(MR);
-                        let ap = &apack[ip * kc * MR..(ip + 1) * kc * MR];
-                        micro_kernel(kc, ap, bp, &mut cslab[ir * n + jr..], n, mr, nr, init);
-                    }
-                }
+    PACK_A.with_borrow_mut(|apack| {
+        pack_a(a, i0, mc, p0, kc, apack);
+        for jp in 0..nc.div_ceil(NR) {
+            let jr = j0 + jp * NR;
+            let nr = (nc - jp * NR).min(NR);
+            let bp = &bpack[jp * kc * NR..(jp + 1) * kc * NR];
+            for ip in 0..mc.div_ceil(MR) {
+                let ir = ip * MR;
+                let mr = (mc - ir).min(MR);
+                let ap = &apack[ip * kc * MR..(ip + 1) * kc * MR];
+                micro_kernel(kc, ap, bp, &mut cslab[ir * n + jr..], n, mr, nr, init);
             }
-            epilogue(cslab, n, j0, nc, bias, act);
         }
     });
 }
 
-/// `c[r, j0..j0+nc] = act(c + bias)` over every row of the slab.
+/// `c[r, j0..j0+nc] = act(c + bias)` over every row of `cslab`.
 fn epilogue(
     cslab: &mut [f32],
     n: usize,
@@ -341,20 +360,46 @@ fn epilogue(
     }
 }
 
+/// Grows `buf` to hold `len` elements; it never shrinks, and what it
+/// already holds is left for the packers to overwrite.
+fn grow(buf: &mut Vec<f32>, len: usize) {
+    if buf.len() < len {
+        buf.resize(len, 0.0);
+    }
+}
+
 /// Packs `kc` columns of an `mc`-row slab of A into k-major `MR`-row panels,
 /// zero-padding the ragged final panel.
 fn pack_a(a: MatRef<'_>, i0: usize, mc: usize, p0: usize, kc: usize, buf: &mut Vec<f32>) {
     let mpanels = mc.div_ceil(MR);
-    buf.truncate(0);
-    buf.resize(mpanels * kc * MR, 0.0);
+    grow(buf, mpanels * kc * MR);
     for ip in 0..mpanels {
         let ibase = i0 + ip * MR;
         let h = (i0 + mc - ibase).min(MR);
         let panel = &mut buf[ip * kc * MR..(ip + 1) * kc * MR];
-        for (p, chunk) in panel.chunks_exact_mut(MR).enumerate() {
-            let kcol = p0 + p;
-            for (r, slot) in chunk.iter_mut().take(h).enumerate() {
-                *slot = a.at(ibase + r, kcol);
+        if h < MR {
+            panel.fill(0.0);
+            for (p, chunk) in panel.chunks_exact_mut(MR).enumerate() {
+                for (r, slot) in chunk.iter_mut().take(h).enumerate() {
+                    *slot = a.at(ibase + r, p0 + p);
+                }
+            }
+        } else if a.cs == 1 {
+            // Row-major A: interleave MR row slices.
+            let rows: [&[f32]; MR] = std::array::from_fn(|r| {
+                let start = (ibase + r) * a.rs + p0;
+                &a.data[start..start + kc]
+            });
+            for (p, chunk) in panel.chunks_exact_mut(MR).enumerate() {
+                for (slot, row) in chunk.iter_mut().zip(&rows) {
+                    *slot = row[p];
+                }
+            }
+        } else {
+            // Transposed view (`rs == 1`): the MR rows are adjacent per k.
+            for (p, chunk) in panel.chunks_exact_mut(MR).enumerate() {
+                let start = (p0 + p) * a.cs + ibase;
+                chunk.copy_from_slice(&a.data[start..start + MR]);
             }
         }
     }
@@ -364,20 +409,32 @@ fn pack_a(a: MatRef<'_>, i0: usize, mc: usize, p0: usize, kc: usize, buf: &mut V
 /// zero-padding the ragged final panel.
 fn pack_b(b: MatRef<'_>, p0: usize, kc: usize, j0: usize, nc: usize, buf: &mut Vec<f32>) {
     let npanels = nc.div_ceil(NR);
-    buf.truncate(0);
-    buf.resize(npanels * kc * NR, 0.0);
+    grow(buf, npanels * kc * NR);
     for jp in 0..npanels {
         let jbase = j0 + jp * NR;
         let w = (j0 + nc - jbase).min(NR);
         let panel = &mut buf[jp * kc * NR..(jp + 1) * kc * NR];
-        for (p, chunk) in panel.chunks_exact_mut(NR).enumerate() {
-            let krow = p0 + p;
-            if b.cs == 1 {
-                let start = krow * b.rs + jbase;
-                chunk[..w].copy_from_slice(&b.data[start..start + w]);
-            } else {
+        if w < NR {
+            panel.fill(0.0);
+            for (p, chunk) in panel.chunks_exact_mut(NR).enumerate() {
                 for (cj, slot) in chunk.iter_mut().take(w).enumerate() {
-                    *slot = b.data[krow * b.rs + (jbase + cj) * b.cs];
+                    *slot = b.at(p0 + p, jbase + cj);
+                }
+            }
+        } else if b.cs == 1 {
+            // Row-major B: the NR columns are adjacent per k.
+            for (p, chunk) in panel.chunks_exact_mut(NR).enumerate() {
+                let start = (p0 + p) * b.rs + jbase;
+                chunk.copy_from_slice(&b.data[start..start + NR]);
+            }
+        } else {
+            // Transposed view (`rs == 1`): each packed column is contiguous
+            // along k.
+            for cj in 0..NR {
+                let start = (jbase + cj) * b.cs + p0;
+                let col = &b.data[start..start + kc];
+                for (chunk, &v) in panel.chunks_exact_mut(NR).zip(col) {
+                    chunk[cj] = v;
                 }
             }
         }
@@ -571,6 +628,116 @@ mod tests {
                     gemm(am, bv, &mut got, accumulate);
                     assert_bits_eq(&got, &naive, &format!("{ctx} m={m} k={k} acc={accumulate}"));
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn slab_and_block_seams_match_naive_bitwise() {
+        // m crosses one and two row-slab boundaries, k sits either side of a
+        // KC block, n either side of a register tile; every operand view,
+        // both seedings and every epilogue.
+        let mut rng = ChaCha8Rng::seed_from_u64(13);
+        for (m, k, n) in [MC + 1, 2 * MC + 3].into_iter().flat_map(|m| {
+            [KC - 1, KC + 5]
+                .into_iter()
+                .flat_map(move |k| [NR - 1, NR + 1, 3 * NR + 2].map(|n| (m, k, n)))
+        }) {
+            let a = rand_vec(&mut rng, m * k);
+            let b = rand_vec(&mut rng, k * n);
+            // The same operands stored transposed, read back through `t()`.
+            let a_t: Vec<f32> = (0..k * m).map(|i| a[(i % m) * k + i / m]).collect();
+            let b_t: Vec<f32> = (0..n * k).map(|i| b[(i % k) * n + i / k]).collect();
+            let bias = rand_vec(&mut rng, n);
+            let seed = rand_vec(&mut rng, m * n);
+            for accumulate in [false, true] {
+                let mut reduced = seed.clone();
+                gemm_naive(
+                    MatRef::new(&a, m, k),
+                    MatRef::new(&b, k, n),
+                    &mut reduced,
+                    accumulate,
+                );
+                for act in [FusedAct::Identity, FusedAct::Tanh, FusedAct::Relu] {
+                    let mut want = reduced.clone();
+                    epilogue(&mut want, n, 0, n, Some(&bias), act);
+                    for (av, bv, ctx) in [
+                        (MatRef::new(&a, m, k), MatRef::new(&b, k, n), "A, B"),
+                        (MatRef::new(&a_t, k, m).t(), MatRef::new(&b, k, n), "At, B"),
+                        (MatRef::new(&a, m, k), MatRef::new(&b_t, n, k).t(), "A, Bt"),
+                        (
+                            MatRef::new(&a_t, k, m).t(),
+                            MatRef::new(&b_t, n, k).t(),
+                            "At, Bt",
+                        ),
+                    ] {
+                        let mut got = seed.clone();
+                        gemm_fused(av, bv, Some(&bias), act, &mut got, accumulate);
+                        let ctx = format!("{ctx} {m}x{k}x{n} acc={accumulate} {act:?}");
+                        assert_bits_eq(&got, &want, &ctx);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pack_buffers_never_leak_between_calls() {
+        // The scratch only grows, so a product packs into whatever an
+        // earlier, larger one left there: a large ragged product, then
+        // smaller ones whose last panels have fewer rows than MR and fewer
+        // columns than NR, on this one thread.
+        let mut rng = ChaCha8Rng::seed_from_u64(14);
+        for (m, k, n) in [
+            (MC + MR + 1, KC + 9, 2 * NR + 5),
+            (MR + 1, 40, NR + 3),
+            (2 * MR - 1, 7, NR - 1),
+            (MR, 3, 1),
+        ] {
+            check_shape(m, k, n, &mut rng);
+            let (a_t, b_t) = (rand_vec(&mut rng, k * m), rand_vec(&mut rng, n * k));
+            let (at, bt) = (MatRef::new(&a_t, k, m).t(), MatRef::new(&b_t, n, k).t());
+            let (mut packed, mut naive) = (vec![0.0f32; m * n], vec![0.0f32; m * n]);
+            gemm(at, bt, &mut packed, false);
+            gemm_naive(at, bt, &mut naive, false);
+            assert_bits_eq(&packed, &naive, &format!("transposed {m}x{k}x{n}"));
+        }
+
+        // What a leak would be: padding lanes of a ragged panel keeping what
+        // the buffer held. No stored element depends on them (the kernel
+        // never writes padded rows or columns back), so the products above
+        // cannot see it; the contract is that the lanes are zero.
+        let (h, w, kc) = (MR - 1, NR - 3, 5);
+        let a = rand_vec(&mut rng, (MR + h) * kc);
+        let b = rand_vec(&mut rng, kc * (NR + w));
+        let a_t: Vec<f32> = (0..a.len())
+            .map(|i| a[(i % (MR + h)) * kc + i / (MR + h)])
+            .collect();
+        let b_t: Vec<f32> = (0..b.len())
+            .map(|i| b[(i % kc) * (NR + w) + i / kc])
+            .collect();
+        for av in [
+            MatRef::new(&a, MR + h, kc),
+            MatRef::new(&a_t, kc, MR + h).t(),
+        ] {
+            let mut buf = vec![f32::NAN; 4 * MR * kc];
+            pack_a(av, 0, MR + h, 0, kc, &mut buf);
+            for (i, &v) in buf[..2 * MR * kc].iter().enumerate() {
+                let (row, p) = (i / (MR * kc) * MR + i % MR, i % (MR * kc) / MR);
+                let want = if row < MR + h { av.at(row, p) } else { 0.0 };
+                assert_eq!(v.to_bits(), want.to_bits(), "pack_a lane {i}");
+            }
+        }
+        for bv in [
+            MatRef::new(&b, kc, NR + w),
+            MatRef::new(&b_t, NR + w, kc).t(),
+        ] {
+            let mut buf = vec![f32::NAN; 4 * NR * kc];
+            pack_b(bv, 0, kc, 0, NR + w, &mut buf);
+            for (i, &v) in buf[..2 * NR * kc].iter().enumerate() {
+                let (col, p) = (i / (NR * kc) * NR + i % NR, i % (NR * kc) / NR);
+                let want = if col < NR + w { bv.at(p, col) } else { 0.0 };
+                assert_eq!(v.to_bits(), want.to_bits(), "pack_b lane {i}");
             }
         }
     }

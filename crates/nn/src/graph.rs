@@ -20,13 +20,27 @@
 //! allocate-per-contribution strategy as a differential-test reference and
 //! benchmark baseline; both paths run the same closures and produce
 //! identical gradients (see DESIGN.md §11 for the exactness argument).
+//!
+//! # Gradient reachability
+//!
+//! Every node records its parents, and `backward(loss, wrt)` says which
+//! gradients are wanted. Before replaying the tape, one forward sweep marks
+//! the nodes some `wrt` variable can be reached from (a node is marked when
+//! it is requested or one of its parents is marked); [`GradSink::with`]
+//! returns without claiming a buffer or running its closure for any other
+//! parent, so an unmarked node never becomes live and its own backward
+//! closure never runs. What disappears on the training paths is the
+//! gradient of the observation: the first convolution's `dX` and the first
+//! dense layer's. A marked node still receives every contribution it
+//! received before, in the same order, so the requested gradients keep their
+//! bits; both strategies share the sink and prune alike.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use stellaris_telemetry as telemetry;
 
-use crate::conv::{col2im, im2col, Conv2dSpec};
+use crate::conv::{col2im, conv2d_forward, gradient_rows, Conv2dSpec};
 use crate::gemm::{self, FusedAct, MatRef};
 use crate::tensor::Tensor;
 
@@ -48,6 +62,8 @@ type BackwardFn = Box<dyn Fn(&Tensor, &mut GradSink)>;
 
 struct Node {
     value: Rc<Tensor>,
+    /// The nodes `backward` feeds (no op has more than three).
+    parents: [Option<Var>; 3],
     backward: Option<BackwardFn>,
 }
 
@@ -57,7 +73,16 @@ struct Node {
 struct GradArena {
     bufs: Vec<Tensor>,
     live: Vec<bool>,
+    /// Nodes some requested variable is reachable from (module docs).
+    wanted: Vec<bool>,
     scratch: Vec<f32>,
+}
+
+impl GradArena {
+    /// Nodes that received a gradient in the last backward pass.
+    fn live_count(&self) -> usize {
+        self.live.iter().filter(|&&l| l).count()
+    }
 }
 
 thread_local! {
@@ -80,6 +105,7 @@ thread_local! {
 pub struct GradSink<'a> {
     bufs: &'a mut [Tensor],
     live: &'a mut [bool],
+    wanted: &'a [bool],
     nodes: &'a [Node],
     scratch: &'a mut Vec<f32>,
     cloning: bool,
@@ -89,7 +115,8 @@ impl GradSink<'_> {
     /// Accumulates into the gradient buffer of `parent`. The closure sees a
     /// buffer shaped like the parent's value; on the parent's first
     /// contribution it is all zeros, afterwards it holds the running sum, so
-    /// closures must only ever `+=` into it.
+    /// closures must only ever `+=` into it. When no requested variable is
+    /// reachable from `parent` its gradient is not wanted and `f` never runs.
     pub fn with(&mut self, parent: Var, f: impl FnOnce(&mut Tensor)) {
         let pid = parent.0;
         // The tape is append-only, so parents always precede their children;
@@ -98,6 +125,9 @@ impl GradSink<'_> {
             pid < self.bufs.len(),
             "backward contribution targets a non-parent node"
         );
+        if !self.wanted[pid] {
+            return;
+        }
         let shape = self.nodes[pid].value.shape();
         if self.cloning {
             let mut tmp = Tensor::zeros(shape);
@@ -172,13 +202,25 @@ impl Graph {
         self.forward_emitted.set(false);
     }
 
-    fn push(&self, value: Tensor, backward: Option<BackwardFn>) -> Var {
-        self.push_rc(Rc::new(value), backward)
+    fn push(&self, value: Tensor, parents: &[Var], backward: Option<BackwardFn>) -> Var {
+        self.push_rc(Rc::new(value), parents, backward)
     }
 
-    fn push_rc(&self, value: Rc<Tensor>, backward: Option<BackwardFn>) -> Var {
+    fn push_rc(&self, value: Rc<Tensor>, parents: &[Var], backward: Option<BackwardFn>) -> Var {
+        let mut slots = [None; 3];
+        assert!(
+            parents.len() <= slots.len(),
+            "an op has at most three parents"
+        );
+        for (slot, &p) in slots.iter_mut().zip(parents) {
+            *slot = Some(p);
+        }
         let mut nodes = self.nodes.borrow_mut();
-        nodes.push(Node { value, backward });
+        nodes.push(Node {
+            value,
+            parents: slots,
+            backward,
+        });
         Var(nodes.len() - 1)
     }
 
@@ -190,7 +232,7 @@ impl Graph {
     /// Inserts a leaf node (input or parameter). Gradients accumulate here
     /// but do not propagate further.
     pub fn input(&self, value: Tensor) -> Var {
-        self.push(value, None)
+        self.push(value, &[], None)
     }
 
     /// Number of recorded nodes.
@@ -217,7 +259,7 @@ impl Graph {
     /// gradient flows into `v`'s subgraph.
     pub fn detach(&self, v: Var) -> Var {
         let value = self.rc(v);
-        self.push_rc(value, None)
+        self.push_rc(value, &[], None)
     }
 
     // ----- elementwise binary ops ------------------------------------------------
@@ -227,6 +269,7 @@ impl Graph {
         let out = self.rc(a).add(&self.rc(b));
         self.push(
             out,
+            &[a, b],
             Some(Box::new(move |g, sink| {
                 sink.add(a, g);
                 sink.add(b, g);
@@ -239,6 +282,7 @@ impl Graph {
         let out = self.rc(a).sub(&self.rc(b));
         self.push(
             out,
+            &[a, b],
             Some(Box::new(move |g, sink| {
                 sink.add(a, g);
                 sink.with(b, |d| d.add_assign_map(g, |x| -x));
@@ -252,6 +296,7 @@ impl Graph {
         let out = va.mul(&vb);
         self.push(
             out,
+            &[a, b],
             Some(Box::new(move |g, sink| {
                 sink.with(a, |d| d.add_assign_zip(g, &vb, |gv, y| gv * y));
                 sink.with(b, |d| d.add_assign_zip(g, &va, |gv, x| gv * x));
@@ -265,6 +310,7 @@ impl Graph {
         let out = va.zip_map(&vb, |x, y| x / y);
         self.push(
             out,
+            &[a, b],
             Some(Box::new(move |g, sink| {
                 sink.with(a, |d| d.add_assign_zip(g, &vb, |gv, y| gv / y));
                 sink.with(b, |d| {
@@ -284,6 +330,7 @@ impl Graph {
         let mask = va.zip_map(&vb, |x, y| if x <= y { 1.0 } else { 0.0 });
         self.push(
             out,
+            &[a, b],
             Some(Box::new(move |g, sink| {
                 sink.with(a, |d| d.add_assign_zip(g, &mask, |gv, m| gv * m));
                 sink.with(b, |d| d.add_assign_zip(g, &mask, |gv, m| gv * (1.0 - m)));
@@ -298,6 +345,7 @@ impl Graph {
         let mask = va.zip_map(&vb, |x, y| if x >= y { 1.0 } else { 0.0 });
         self.push(
             out,
+            &[a, b],
             Some(Box::new(move |g, sink| {
                 sink.with(a, |d| d.add_assign_zip(g, &mask, |gv, m| gv * m));
                 sink.with(b, |d| d.add_assign_zip(g, &mask, |gv, m| gv * (1.0 - m)));
@@ -312,6 +360,7 @@ impl Graph {
         let out = self.rc(a).scaled(c);
         self.push(
             out,
+            &[a],
             Some(Box::new(move |g, sink| {
                 sink.with(a, |d| d.add_assign_map(g, |x| x * c));
             })),
@@ -321,7 +370,7 @@ impl Graph {
     /// Adds a constant to every element.
     pub fn add_scalar(&self, a: Var, c: f32) -> Var {
         let out = self.rc(a).map(|x| x + c);
-        self.push(out, Some(Box::new(move |g, sink| sink.add(a, g))))
+        self.push(out, &[a], Some(Box::new(move |g, sink| sink.add(a, g))))
     }
 
     /// Adds a scalar-valued node (`[1]`) to every element of `a`, scaled by
@@ -332,6 +381,7 @@ impl Graph {
         let out = self.rc(a).map(|x| x + coeff * sval.data()[0]);
         self.push(
             out,
+            &[a, s],
             Some(Box::new(move |g, sink| {
                 sink.add(a, g);
                 sink.with(s, |d| d.data_mut()[0] += coeff * g.sum());
@@ -346,6 +396,7 @@ impl Graph {
         let out = self.rc(a).add_row_broadcast(&vb);
         self.push(
             out,
+            &[a, bias],
             Some(Box::new(move |g, sink| {
                 sink.add(a, g);
                 sink.with(bias, |d| {
@@ -381,6 +432,7 @@ impl Graph {
         }
         self.push(
             out,
+            &[a, row],
             Some(Box::new(move |g, sink| {
                 sink.with(a, |d| {
                     for (drow, grow) in d.data_mut().chunks_mut(n).zip(g.data().chunks(n)) {
@@ -415,6 +467,7 @@ impl Graph {
         let out_cap = Rc::clone(&out);
         self.push_rc(
             out,
+            &[a],
             Some(Box::new(move |g, sink| {
                 sink.with(a, |d| {
                     d.add_assign_zip3(g, &va, &out_cap, |gv, x, y| gv * dfdx_from_out(x, y))
@@ -483,6 +536,7 @@ impl Graph {
         let out = Tensor::scalar(self.rc(a).sum());
         self.push(
             out,
+            &[a],
             Some(Box::new(move |g, sink| {
                 let g0 = g.data()[0];
                 sink.with(a, |d| {
@@ -509,6 +563,7 @@ impl Graph {
         let data: Vec<f32> = va.data().chunks(n).map(|r| r.iter().sum()).collect();
         self.push(
             Tensor::from_vec(data, &[m]),
+            &[a],
             Some(Box::new(move |g, sink| {
                 sink.with(a, |d| {
                     for (i, chunk) in d.data_mut().chunks_mut(n).enumerate() {
@@ -540,6 +595,7 @@ impl Graph {
         let n = vb.shape()[1];
         self.push(
             out,
+            &[a, b],
             Some(Box::new(move |g, sink| {
                 // da += g @ bᵀ, db += aᵀ @ g — transposes are stride views,
                 // accumulation happens inside the GEMM (no temporaries).
@@ -579,6 +635,7 @@ impl Graph {
         let out_cap = Rc::clone(&out);
         self.push_rc(
             out,
+            &[x, w, bias],
             Some(Box::new(move |g, sink| {
                 // gmod = g ⊙ act'(y), with act' read off the stored output.
                 let mut gmod = sink.take_scratch();
@@ -610,11 +667,13 @@ impl Graph {
         )
     }
 
-    /// Reshape (no data movement in the forward value; gradient is reshaped back).
+    /// Reshape: the node holds a copy of the value under the new shape, and
+    /// the gradient is added back flat.
     pub fn reshape(&self, a: Var, shape: &[usize]) -> Var {
         let out = self.value(a).reshaped(shape);
         self.push(
             out,
+            &[a],
             Some(Box::new(move |g, sink| {
                 // Same flat buffer, different shape: accumulate flat.
                 sink.with(a, |d| d.add_assign_flat(g));
@@ -641,6 +700,7 @@ impl Graph {
         let out_cap = Rc::clone(&out);
         self.push_rc(
             out,
+            &[logits],
             Some(Box::new(move |g, sink| {
                 // d logits = g - softmax * rowsum(g)
                 sink.with(logits, |d| {
@@ -670,6 +730,7 @@ impl Graph {
         let idx = idx.to_vec();
         self.push(
             Tensor::from_vec(data, &[m]),
+            &[a],
             Some(Box::new(move |g, sink| {
                 sink.with(a, |d| {
                     let dm = d.data_mut();
@@ -683,69 +744,94 @@ impl Graph {
 
     // ----- convolution ---------------------------------------------------------------
 
-    /// 2-D convolution: input `[b,c,h,w]`, weight `[o,c,kh,kw]`, bias `[o]`.
+    /// 2-D convolution: input `[b,c,h,w]`, weight `[o,c,kh,kw]`, bias `[o]`,
+    /// output `[b,o,oh,ow]`.
     pub fn conv2d(&self, input: Var, weight: Var, bias: Var, stride: usize) -> Var {
+        let spec = Conv2dSpec::infer(self.rc(input).shape(), self.rc(weight).shape(), stride);
+        let [oc, oh, ow] = spec.out_chw();
+        self.conv2d_node(input, weight, bias, spec, &[spec.batch, oc, oh, ow])
+    }
+
+    /// [`Graph::conv2d`] over flattened images: input `[b, c*h*w]` with the
+    /// image geometry `chw` alongside, output `[b, o*oh*ow]`. Same node, same
+    /// buffers, so a convolutional trunk needs no reshape between the
+    /// observation matrix, its layers and the dense head.
+    pub fn conv2d_rows(
+        &self,
+        input: Var,
+        chw: [usize; 3],
+        weight: Var,
+        bias: Var,
+        stride: usize,
+    ) -> Var {
         let x = self.rc(input);
-        let w = self.rc(weight);
-        let bv = self.rc(bias);
-        let spec = Conv2dSpec::infer(x.shape(), w.shape(), stride);
-        let cols = im2col(&x, &spec); // [b] of [ckk, oh*ow]
-        let w2 = w.reshape(&[spec.out_c, spec.ckk()]);
-        let (b, oc, oh, ow) = (spec.batch, spec.out_c, spec.out_h, spec.out_w);
-        let mut out = Vec::with_capacity(b * oc * oh * ow);
-        for col in &cols {
-            let o = w2.matmul(col); // [oc, oh*ow]
-            for (ch, chunk) in o.data().chunks(oh * ow).enumerate() {
-                let beta = bv.data()[ch];
-                out.extend(chunk.iter().map(|&v| v + beta));
-            }
-        }
-        let out = Tensor::from_vec(out, &[b, oc, oh, ow]);
+        let [c, h, w] = chw;
+        assert_eq!(
+            x.shape()[1..],
+            [c * h * w],
+            "conv2d_rows input must be [b, c*h*w]"
+        );
+        let b = x.shape()[0];
+        let spec = Conv2dSpec::infer(&[b, c, h, w], self.rc(weight).shape(), stride);
+        let shape = [b, spec.out_c * spec.out_hw()];
+        self.conv2d_node(input, weight, bias, spec, &shape)
+    }
+
+    /// The convolution node behind both entry points; `shape` only labels the
+    /// output, whose flat layout is `[b, o, oh, ow]` either way. The three
+    /// products and why they keep the per-image bits: [`crate::conv`].
+    fn conv2d_node(
+        &self,
+        input: Var,
+        weight: Var,
+        bias: Var,
+        spec: Conv2dSpec,
+        shape: &[usize],
+    ) -> Var {
+        let (x, w, bv) = (self.rc(input), self.rc(weight), self.rc(bias));
+        let (out, patches) =
+            conv2d_forward(x.data(), w.data(), bv.data(), &spec, FusedAct::Identity);
         self.push(
-            out,
+            Tensor::from_vec(out, shape),
+            &[input, weight, bias],
             Some(Box::new(move |g, sink| {
-                let hw = oh * ow;
-                let ckk = spec.ckk();
+                let (oc, hw, ckk) = (spec.out_c, spec.out_hw(), spec.ckk());
+                let rows = spec.batch * hw;
+                // Scratch: Gᵀ [oc, b*hw], then dcol [ckk, b*hw] if wanted.
+                let mut scratch = sink.take_scratch();
+                gradient_rows(g.data(), &spec, &mut scratch);
                 // dw: the [o,c,kh,kw] buffer is flat-identical to [oc,ckk],
-                // so the per-image GEMMs accumulate straight into it.
+                // so the product accumulates straight into it.
                 sink.with(weight, |d| {
-                    for (bi, col) in cols.iter().enumerate() {
-                        let gslice = &g.data()[bi * oc * hw..(bi + 1) * oc * hw];
-                        gemm::gemm(
-                            MatRef::new(gslice, oc, hw),
-                            MatRef::new(col.data(), ckk, hw).t(),
-                            d.data_mut(),
-                            true,
-                        );
-                    }
+                    gemm::gemm(
+                        MatRef::new(&scratch, oc, rows),
+                        MatRef::new(&patches, rows, ckk),
+                        d.data_mut(),
+                        true,
+                    );
                 });
                 sink.with(bias, |d| {
                     let db = d.data_mut();
-                    for bi in 0..b {
-                        let gslice = &g.data()[bi * oc * hw..(bi + 1) * oc * hw];
-                        for (ch, chunk) in gslice.chunks(hw).enumerate() {
-                            db[ch] += chunk.iter().sum::<f32>();
+                    for img in g.data().chunks(oc * hw) {
+                        for (acc, plane) in db.iter_mut().zip(img.chunks(hw)) {
+                            *acc += plane.iter().sum::<f32>();
                         }
                     }
                 });
-                // dx: dcol = w2ᵀ @ g_i into the arena scratch, scattered
-                // back through col2im. w2ᵀ is a stride view.
-                let mut dcol = sink.take_scratch();
-                dcol.truncate(0);
-                dcol.resize(ckk * hw, 0.0);
+                // dx: dcol = w2ᵀ @ Gᵀ (w2ᵀ is a stride view), scattered
+                // back through col2im.
                 sink.with(input, |d| {
-                    for bi in 0..b {
-                        let gslice = &g.data()[bi * oc * hw..(bi + 1) * oc * hw];
-                        gemm::gemm(
-                            MatRef::new(w2.data(), oc, ckk).t(),
-                            MatRef::new(gslice, oc, hw),
-                            &mut dcol,
-                            false,
-                        );
-                        col2im(&dcol, &spec, bi, d);
-                    }
+                    scratch.resize((oc + ckk) * rows, 0.0);
+                    let (gt, dcol) = scratch.split_at_mut(oc * rows);
+                    gemm::gemm(
+                        MatRef::new(w.data(), oc, ckk).t(),
+                        MatRef::new(gt, oc, rows),
+                        dcol,
+                        false,
+                    );
+                    col2im(dcol, &spec, d.data_mut());
                 });
-                sink.restore_scratch(dcol);
+                sink.restore_scratch(scratch);
             })),
         )
     }
@@ -811,7 +897,7 @@ impl Graph {
                 vec![("nodes", nodes.len().into())],
             );
         }
-        let _span = telemetry::span_with("nn.backward", vec![("nodes", nodes.len().into())]);
+        let mut span = telemetry::span_with("nn.backward", vec![("nodes", nodes.len().into())]);
         telemetry::global()
             .histogram("stellaris_nn_backward_nodes")
             .record(u64::try_from(nodes.len()).unwrap_or(u64::MAX));
@@ -826,6 +912,16 @@ impl Graph {
         }
         arena.live.truncate(0);
         arena.live.resize(n, false);
+        arena.wanted.truncate(0);
+        arena.wanted.resize(n, false);
+        for v in wrt {
+            arena.wanted[v.0] = true;
+        }
+        for (i, node) in nodes.iter().enumerate() {
+            if node.parents.iter().flatten().any(|p| arena.wanted[p.0]) {
+                arena.wanted[i] = true;
+            }
+        }
         {
             let seed = &mut arena.bufs[loss.0];
             seed.reuse_as_zeros(nodes[loss.0].value.shape());
@@ -846,12 +942,14 @@ impl Graph {
             let mut sink = GradSink {
                 bufs: bufs_head,
                 live: live_head,
+                wanted: &arena.wanted[..i],
                 nodes: &nodes[..i],
                 scratch: &mut arena.scratch,
                 cloning,
             };
             back(&bufs_tail[0], &mut sink);
         }
+        span.field("live", arena.live_count());
         out.resize_with(wrt.len(), || Tensor::zeros(&[0]));
         for (slot, v) in out.iter_mut().zip(wrt) {
             if arena.live[v.0] {
@@ -1143,6 +1241,32 @@ mod tests {
         let loss = g.mean_all(y);
         let grad = g.backward(loss, &[x]).remove(0);
         assert_eq!(grad, Tensor::zeros(&[3]));
+    }
+
+    #[test]
+    fn backward_skips_what_wrt_cannot_reach() {
+        // Table II CNN loss: with the parameters requested, nothing can be
+        // reached from the observation leaf, so it never becomes live; asking
+        // for it too costs the first convolution's dX and moves nothing else.
+        let mut rng = ChaCha8Rng::seed_from_u64(15);
+        let cnn = crate::Cnn::table2([4, 20, 20], 6, 0.01, &mut rng);
+        let g = Graph::new();
+        let obs = g.input(Tensor::randn(&[3, cnn.in_dim()], 1.0, &mut rng));
+        let params = crate::bind_params(&g, &crate::ParamSet::params(&cnn));
+        let out = cnn.forward(&g, obs, &params);
+        let loss = g.mean_all(g.square(out));
+        let run = |wrt: &[Var]| {
+            let (mut arena, mut grads) = (GradArena::default(), Vec::new());
+            g.backward_impl(loss, wrt, &mut arena, false, &mut grads);
+            (arena.live_count(), grads)
+        };
+        let (live, grads) = run(&params);
+        let with_obs: Vec<Var> = std::iter::once(obs).chain(params.iter().copied()).collect();
+        let (live_with_obs, grads_with_obs) = run(&with_obs);
+        assert!(live < g.len(), "{live} of {} nodes live", g.len());
+        assert!(live_with_obs > live);
+        assert_eq!(grads_with_obs[1..], grads[..]);
+        assert!(grads_with_obs[0].max_abs() > 0.0);
     }
 
     #[test]

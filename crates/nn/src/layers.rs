@@ -5,8 +5,11 @@
 //! [`bind_params`], mirroring how a Stellaris learner function initialises
 //! its policy model from the cached weights on every invocation.
 
+use std::borrow::Cow;
+
 use rand::Rng;
 
+use crate::conv::{conv2d_forward, Conv2dSpec};
 use crate::gemm::FusedAct;
 use crate::graph::{Graph, Var};
 use crate::tensor::{flatten_all, unflatten_all, Tensor};
@@ -235,6 +238,11 @@ impl ConvLayer {
             stride,
         }
     }
+
+    /// Geometry of this layer over `batch` images of shape `[c, h, w]`.
+    fn spec(&self, batch: usize, [c, h, w]: [usize; 3]) -> Conv2dSpec {
+        Conv2dSpec::infer(&[batch, c, h, w], self.w.shape(), self.stride)
+    }
 }
 
 /// Convolutional trunk + fully-connected feature layer, the paper's Atari
@@ -300,52 +308,41 @@ impl Cnn {
 
     /// Graph-free forward pass for inference over a `[batch, c*h*w]` matrix.
     pub fn forward_plain(&self, x: &Tensor) -> Tensor {
-        use crate::conv::{im2col, Conv2dSpec};
-        let [c, h, w] = self.input_shape;
         let batch = x.shape()[0];
-        let mut cur = x.reshape(&[batch, c, h, w]);
+        let mut chw = self.input_shape;
+        let mut cur = Cow::Borrowed(x.data());
         for conv in &self.convs {
-            let spec = Conv2dSpec::infer(cur.shape(), conv.w.shape(), conv.stride);
-            let cols = im2col(&cur, &spec);
-            let w2 = conv.w.reshape(&[spec.out_c, spec.ckk()]);
-            let hw = spec.out_hw();
-            let mut out = Vec::with_capacity(spec.batch * spec.out_c * hw);
-            for col in &cols {
-                let o = w2.matmul(col);
-                for (ch, chunk) in o.data().chunks(hw).enumerate() {
-                    let beta = conv.b.data()[ch];
-                    out.extend(chunk.iter().map(|&v| (v + beta).max(0.0)));
-                }
-            }
-            cur = Tensor::from_vec(out, &[spec.batch, spec.out_c, spec.out_h, spec.out_w]);
+            let spec = conv.spec(batch, chw);
+            let (out, _patches) = conv2d_forward(
+                &cur,
+                conv.w.data(),
+                conv.b.data(),
+                &spec,
+                self.activation.fused(),
+            );
+            cur = Cow::Owned(out);
+            chw = spec.out_chw();
         }
-        let flat: usize = cur.shape()[1..].iter().product();
-        let cur = cur.reshape(&[batch, flat]);
-        let feat = cur.matmul_bias_act(&self.fc.w, &self.fc.b, self.activation.fused());
+        let flat = Tensor::from_vec(cur.into_owned(), &[batch, chw.iter().product()]);
+        let feat = flat.matmul_bias_act(&self.fc.w, &self.fc.b, self.activation.fused());
         feat.matmul_bias_act(&self.head.w, &self.head.b, FusedAct::Identity)
     }
 
-    /// Forward pass over a `[batch, c*h*w]` observation matrix.
+    /// Forward pass over a `[batch, c*h*w]` observation matrix. The image
+    /// rows stay rows from the observation to the dense head
+    /// ([`Graph::conv2d_rows`]): no reshape, so no copy of either.
     pub fn forward(&self, g: &Graph, x: Var, params: &[Var]) -> Var {
         let expected = self.convs.len() * 2 + 4;
         assert_eq!(params.len(), expected, "param var count mismatch");
-        let [c, h, w] = self.input_shape;
-        let batch = g.shape_of(x)[0];
-        let mut cur = g.reshape(x, &[batch, c, h, w]);
+        let mut chw = self.input_shape;
+        let mut cur = x;
         for (i, conv) in self.convs.iter().enumerate() {
-            cur = g.conv2d(cur, params[2 * i], params[2 * i + 1], conv.stride);
+            cur = g.conv2d_rows(cur, chw, params[2 * i], params[2 * i + 1], conv.stride);
             cur = self.activation.apply(g, cur);
+            chw = conv.spec(1, chw).out_chw();
         }
-        let cur_shape = g.shape_of(cur);
-        let flat: usize = cur_shape[1..].iter().product();
-        let flat_v = g.reshape(cur, &[batch, flat]);
         let base = self.convs.len() * 2;
-        let feat = g.dense(
-            flat_v,
-            params[base],
-            params[base + 1],
-            self.activation.fused(),
-        );
+        let feat = g.dense(cur, params[base], params[base + 1], self.activation.fused());
         self.head
             .forward(g, feat, params[base + 2], params[base + 3])
     }
