@@ -25,7 +25,7 @@ use crate::model::{CallSite, FnInfo};
 
 /// Methods that resolve to std/prelude types in practice; calling one never
 /// dispatches to first-party code in this workspace.
-const METHOD_DENYLIST: [&str; 63] = [
+const METHOD_DENYLIST: [&str; 62] = [
     "clone",
     "to_string",
     "to_owned",
@@ -88,10 +88,6 @@ const METHOD_DENYLIST: [&str; 63] = [
     "count",
     "collect",
     "fold",
-    // `f32::tanh` in numeric kernels would otherwise resolve to
-    // `Graph::tanh` (the one first-party method of that name) and smear
-    // graph-construction facts onto the GEMM hot path.
-    "tanh",
 ];
 
 /// A provenance chain for a transitive fact: the callee names walked from

@@ -48,7 +48,7 @@ fn bench_rules(c: &mut Criterion) {
             });
             bench.iter(|| {
                 let m = msg(&p, ps.clock());
-                black_box(ps.offer(m))
+                black_box(ps.offer(&m))
             })
         });
     }

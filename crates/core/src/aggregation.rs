@@ -117,11 +117,12 @@ impl AggregationRule {
 
 /// Pre-allocated accumulator for weighted gradient sums.
 ///
-/// The parameter server folds every admitted batch into these buffers with
-/// axpy updates (`buf += w * g`); [`GradAccumulator::reset`] zeroes them in
-/// place, so steady-state aggregation performs no heap allocation regardless
-/// of batch size — the same discipline as the nn gradient arena (DESIGN.md
-/// §11).
+/// A parameter shard folds every arriving gradient into these buffers with
+/// axpy updates (`buf += w * g`), scales the sum by `1/H_c` at the commit,
+/// and [`GradAccumulator::reset`] zeroes them in place, so steady-state
+/// aggregation performs no heap allocation and holds one gradient's worth of
+/// memory however many gradients a commit waits for — the same discipline as
+/// the nn gradient arena (DESIGN.md §11).
 pub struct GradAccumulator {
     bufs: Vec<Tensor>,
 }
@@ -159,6 +160,14 @@ impl GradAccumulator {
             let grad = &grads[b];
             assert_eq!(acc.shape(), grad.shape(), "gradient shape mismatch");
             acc.axpy(w, grad);
+        }
+    }
+
+    /// Divides every accumulated sum by `h` in place (one correctly rounded
+    /// division per element).
+    pub fn divide(&mut self, h: f32) {
+        for b in &mut self.bufs {
+            b.data_mut().iter_mut().for_each(|x| *x /= h);
         }
     }
 

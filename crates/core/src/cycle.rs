@@ -216,7 +216,7 @@ pub fn lockstep_round<F: Fleet>(
         totals.degraded += (sent - msgs.len()) as u64;
         msgs.sort_by_key(|(i, _)| *i);
         for (_, msg) in msgs {
-            server.offer(msg);
+            server.offer(&msg);
         }
         if barrier && server.pending() > 0 {
             server.commit_pending();

@@ -685,7 +685,7 @@ fn train_async(cfg: &TrainConfig) -> TrainResult {
                     let Ok(msg) = cache.take_obj::<GradientMsg>(&key) else {
                         continue;
                     };
-                    let applied = server.offer(msg);
+                    let applied = server.offer(&msg);
                     let clock = server.clock();
                     if applied > 0 {
                         let snap = server.snapshot();
@@ -1084,7 +1084,9 @@ mod tests {
 
     /// `TrainRow::policy_kl` per round, frozen at the commit that still
     /// forwarded the probe through a second `PolicyNet` every round
-    /// (identical in debug and release).
+    /// (identical in debug and release). The `ChainMdp` rounds 2–3 were
+    /// re-pinned when the Tanh activations moved from the platform libm's
+    /// `tanhf` to `nn::gemm::tanh`; the `Sync { n: 2 }` fold is unchanged.
     #[test]
     fn policy_kl_golden() {
         for (env, seed, golden) in [
@@ -1093,7 +1095,7 @@ mod tests {
                 3,
                 [0x395a_cb00u32, 0x3833_6600, 0x3772_2000],
             ),
-            (EnvId::ChainMdp, 2, [0x36cb_37a8, 0x362f_ccec, 0x363b_9b02]),
+            (EnvId::ChainMdp, 2, [0x36cb_37a8, 0x3630_ac44, 0x363a_bb72]),
         ] {
             let mut cfg = TrainConfig::test_tiny(env, seed);
             cfg.learner_mode = LearnerMode::Sync { n: 2 };

@@ -1,14 +1,36 @@
 //! The Parameter Function (workflow Step ③): staleness-aware gradient
 //! aggregation and policy updates.
 //!
-//! Gradients arriving from learner functions are queued; every enqueue
-//! re-evaluates the aggregation rule, and admitted batches are folded into
-//! the policy as `θ_{c+1} = θ_c - (1/H_c) Σ (α_0/δ^(1/v)) g` via the
-//! configured optimizer. The policy clock ([`ShardedParameterServer::clock`])
-//! increments on every commit and is the reference for all staleness
-//! computations. Every training loop — asynchronous, synchronous and remote
-//! — aggregates through this one server.
+//! Every arriving gradient re-evaluates the aggregation rule, and admitted
+//! batches are committed to the policy as
+//! `θ_{c+1} = θ_c - (1/H_c) Σ (α_0/δ^(1/v)) g` via the configured optimizer.
+//! The policy clock ([`ShardedParameterServer::clock`]) increments on every
+//! commit and is the reference for all staleness computations. Every
+//! training loop — asynchronous, synchronous and remote — aggregates
+//! through this one server.
+//!
+//! # Aggregation fold
+//!
+//! A shard folds `w(δ)·g` into its running sum when the gradient arrives,
+//! with δ its staleness at arrival, and keeps only the gradient's base
+//! version. The Eq. 3 gate averages staleness recomputed from those base
+//! versions against the current clock, and the staleness ledger and
+//! histograms record staleness at commit. A commit scales the sum by
+//! `1/H_c`, steps the optimizer and zeroes the sum. So a shard holds
+//! O(params) however long Eq. 3 delays a commit, where keeping the messages
+//! until the commit held one whole gradient per delayed arrival.
+//!
+//! With one shard the weights are those of a fold at commit time: only a
+//! commit moves the clock, and nothing commits while that shard waits. The
+//! bits are too whenever `H_c` is a power of two (every `FullSync { n: 2 }`
+//! wave, every `PureAsync` commit), because scaling by `2^-k` commutes with
+//! rounding; for other `H_c` the division rounds once where the per-gradient
+//! `w/H_c` weights rounded once each, so the sums agree to within their
+//! rounding error. On more than one shard the other shards move the clock
+//! while one waits, and the weight uses staleness at arrival rather than at
+//! commit.
 
+use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -195,7 +217,8 @@ impl ShardLayout {
 }
 
 /// One shard's independent aggregation state: its parameter tensors, its
-/// optimizer-state slice, its staleness-schedule view and its pending queue.
+/// optimizer-state slice, its staleness-schedule view and the running fold
+/// of the gradients it has not committed yet.
 struct ParamShard {
     /// Global block indices this shard owns (ascending).
     blocks: Vec<usize>,
@@ -204,7 +227,10 @@ struct ParamShard {
     optimizer: Box<dyn Optimizer>,
     rule: AggregationRule,
     schedule: Option<StalenessSchedule>,
-    pending: Vec<Arc<GradientMsg>>,
+    /// Base versions of the gradients folded since the last commit, in
+    /// arrival order — all the gate and the ledger need of them.
+    folded: Vec<u64>,
+    /// `Σ w(δ)·g` over those gradients, δ their staleness at arrival.
     accumulator: GradAccumulator,
     staleness_log: StalenessRing,
     updates: u64,
@@ -215,8 +241,8 @@ struct ParamShard {
 
 /// The sharded parameter plane (DESIGN.md §16): the parameter function split
 /// into `N` shards keyed by parameter block, each aggregating independently
-/// — own optimizer-state slice, own staleness-schedule view, own pending
-/// queue, own per-shard staleness histogram — with a cheap version-vector
+/// — own optimizer-state slice, own staleness-schedule view, own running
+/// fold, own per-shard staleness histogram — with a cheap version-vector
 /// commit: one tick of the global `commit_seq` (the policy clock), which is
 /// all [`Self::clock`], [`Self::snapshot`] and [`Self::version_vector`] read.
 ///
@@ -275,7 +301,7 @@ impl ShardedParameterServer {
                     optimizer: make_optimizer(),
                     rule: rule.clone(),
                     schedule: rule.make_schedule(),
-                    pending: Vec::new(),
+                    folded: Vec::new(),
                     accumulator: GradAccumulator::new(&shard_shapes),
                     staleness_log: StalenessRing::new(),
                     updates: 0,
@@ -329,106 +355,89 @@ impl ShardedParameterServer {
         self.shards.iter().map(|s| s.lock().grads_aggregated).sum()
     }
 
-    /// Gradients waiting in shard 0's delay queue (all shards see the same
-    /// offers, so with aligned rules the counts agree; shard 0 is the
+    /// Gradients shard 0 has folded but not committed (all shards see the
+    /// same offers, so with aligned rules the counts agree; shard 0 is the
     /// canonical view).
     pub fn pending(&self) -> usize {
-        self.shards[0].lock().pending.len()
+        self.shards[0].lock().folded.len()
     }
 
     /// Offers a gradient to every shard in order; returns how many shard
     /// commits it triggered (0 when the rule delays aggregation). The
-    /// sequential fan-out is deterministic.
-    pub fn offer(&self, msg: GradientMsg) -> usize {
-        let msg = Arc::new(msg);
+    /// sequential fan-out is deterministic. The message is only read: each
+    /// shard folds it into its running sum on arrival and the server keeps
+    /// no gradient (an owned message is borrowed and dropped).
+    pub fn offer(&self, msg: impl Borrow<GradientMsg>) -> usize {
+        let msg = msg.borrow();
+        assert_eq!(
+            msg.grads.len(),
+            self.layout.n_blocks(),
+            "gradient layout mismatch from learner {}",
+            msg.learner_id
+        );
         (0..self.shards.len())
-            .map(|s| self.offer_to_shard(s, msg.clone()))
+            .map(|s| self.offer_to_shard(s, msg))
             .sum()
     }
 
-    /// Offers a gradient to one shard; returns how many commits it
-    /// triggered on that shard.
-    fn offer_to_shard(&self, s: usize, msg: Arc<GradientMsg>) -> usize {
-        let mut sh = self.shards[s].lock();
+    /// Folds a gradient into one shard and runs the shard's gate; returns 1
+    /// if that committed the shard, else 0.
+    fn offer_to_shard(&self, s: usize, msg: &GradientMsg) -> usize {
+        let mut guard = self.shards[s].lock();
+        let sh = &mut *guard;
+        let clock = self.clock();
         debug_assert!(
-            msg.base_version <= self.clock(),
-            "gradient from the future: base {} > clock {} (staleness would go negative)",
+            msg.base_version <= clock,
+            "gradient from the future: base {} > clock {clock} (staleness would go negative)",
             msg.base_version,
-            self.clock()
         );
-        let staleness = msg.staleness(self.clock());
+        let staleness = msg.staleness(clock);
         if let Some(sched) = &mut sh.schedule {
             // lint:allow(A2): StalenessSchedule::observe mutates plain fields; the flagged lock edges belong to identically-named recorder/profiler methods
             sched.observe(staleness);
         }
-        sh.pending.push(msg);
-        let mut applied = 0;
-        // lint:allow(A2): shard_try_flush folds into this locked shard only; the flagged Cache lock rides a name collision on `reset`
-        while self.shard_try_flush(&mut sh) {
-            applied += 1;
-        }
-        applied
-    }
+        let w = sh.rule.weight(staleness);
+        sh.accumulator.accumulate_indexed(&msg.grads, &sh.blocks, w);
+        sh.folded.push(msg.base_version);
 
-    /// One aggregation attempt on a locked shard; true if it committed.
-    fn shard_try_flush(&self, sh: &mut ParamShard) -> bool {
-        if sh.pending.is_empty() {
-            return false;
-        }
-        let clock = self.clock();
-        let staleness: Vec<u64> = sh.pending.iter().map(|m| m.staleness(clock)).collect();
+        let staleness: Vec<u64> = sh.folded.iter().map(|&b| clock.saturating_sub(b)).collect();
         if !sh.rule.admits(&staleness, sh.schedule.as_ref()) {
             self.gate_delayed.inc();
-            return false;
+            return 0;
         }
         self.gate_admitted.inc();
-        // Per-gradient aggregation rules consume one message per update;
-        // batched rules fold the whole queue.
-        let take = match sh.rule {
-            AggregationRule::PureAsync | AggregationRule::Ssp { .. } => 1,
-            _ => sh.pending.len(),
-        };
-        let batch: Vec<Arc<GradientMsg>> = sh.pending.drain(..take).collect();
-        self.shard_apply(sh, &batch);
-        true
+        // lint:allow(A2): shard_commit steps this locked shard only; the flagged Cache lock rides a name collision on `reset`
+        self.shard_commit(sh);
+        1
     }
 
-    /// Folds a batch into one shard and commits: optimizer step over the
-    /// shard's slice, then the version-vector commit — one `commit_seq`
-    /// tick.
-    fn shard_apply(&self, sh: &mut ParamShard, batch: &[Arc<GradientMsg>]) {
-        debug_assert!(!batch.is_empty());
-        let clock = self.clock();
+    /// Commits a shard's running fold: steps the optimizer over the shard's
+    /// slice with the sum scaled by `1/H_c`, zeroes the sum, records each
+    /// folded gradient's staleness at commit, and ticks `commit_seq` once
+    /// (the version-vector commit).
+    fn shard_commit(&self, sh: &mut ParamShard) {
+        debug_assert!(!sh.folded.is_empty());
+        let h = sh.folded.len();
+        // lint:allow(L4): H_c counts gradients, far below 2^24, exact in f32
+        sh.accumulator.divide(h as f32);
+        let mut params: Vec<&mut Tensor> = sh.params.iter_mut().collect();
+        sh.optimizer.step_refs(&mut params, sh.accumulator.grads());
         sh.accumulator.reset();
-        // lint:allow(L4): batch sizes are far below 2^24, exact in f32
-        let h = batch.len() as f32;
-        for msg in batch {
-            assert_eq!(
-                msg.grads.len(),
-                self.layout.n_blocks(),
-                "gradient layout mismatch from learner {}",
-                msg.learner_id
-            );
-            let delta = msg.staleness(clock);
+        let clock = self.clock();
+        for base in sh.folded.drain(..) {
+            let delta = clock.saturating_sub(base);
             sh.staleness_log.push(delta);
             sh.hist.record(delta);
             self.global_hist.record(delta);
-            let w = sh.rule.weight(delta) / h;
-            let blocks = std::mem::take(&mut sh.blocks);
-            sh.accumulator.accumulate_indexed(&msg.grads, &blocks, w);
-            sh.blocks = blocks;
         }
-        let mut params: Vec<&mut Tensor> = sh.params.iter_mut().collect();
-        sh.optimizer.step_refs(&mut params, sh.accumulator.grads());
-        // Version-vector commit: one global tick.
         self.commit_seq.fetch_add(1, Ordering::AcqRel);
         sh.updates += 1;
-        sh.grads_aggregated += batch.len() as u64;
-        self.grads_counter.add(batch.len() as u64);
+        sh.grads_aggregated += h as u64;
+        self.grads_counter.add(h as u64);
     }
 
-    /// Folds whatever each shard holds pending as one batch (`H_c` = the
-    /// pending count, same Eq. 4 weights) under the live optimizer state,
+    /// Commits whatever each shard has folded as one batch (`H_c` = the
+    /// folded count, same Eq. 4 weights) under the live optimizer state,
     /// regardless of the rule's gate; returns how many shards committed.
     /// This is the quorum-degradation step of a lock-step wave that fell
     /// short of its group size: the gradients that did arrive still count.
@@ -436,10 +445,9 @@ impl ShardedParameterServer {
         let mut commits = 0;
         for shard in &self.shards {
             let mut sh = shard.lock();
-            if !sh.pending.is_empty() {
-                let batch = std::mem::take(&mut sh.pending);
-                // lint:allow(A2): shard_apply folds into this locked shard only; the flagged Cache lock rides a name collision on `reset`
-                self.shard_apply(&mut sh, &batch);
+            if !sh.folded.is_empty() {
+                // lint:allow(A2): shard_commit steps this locked shard only; the flagged Cache lock rides a name collision on `reset`
+                self.shard_commit(&mut sh);
                 commits += 1;
             }
         }
@@ -510,6 +518,8 @@ mod tests {
     use super::*;
     use crate::remote::snapshot_checksum;
     use proptest::prelude::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
     use stellaris_envs::ActionSpace;
     use stellaris_nn::{OptimizerKind, Sgd, Tensor};
     use stellaris_rl::PolicySpec;
@@ -866,6 +876,305 @@ mod tests {
         }
     }
 
+    /// An optimizer that logs the summed gradient of every commit it is
+    /// handed and leaves the parameters alone.
+    struct Recorder(Arc<Mutex<Vec<Vec<Tensor>>>>);
+
+    impl Optimizer for Recorder {
+        fn step_refs(&mut self, _params: &mut [&mut Tensor], grads: &[Tensor]) {
+            self.0.lock().push(grads.to_vec());
+        }
+        fn lr(&self) -> f32 {
+            0.0
+        }
+        fn set_lr(&mut self, _lr: f32) {}
+        fn name(&self) -> &'static str {
+            "recorder"
+        }
+    }
+
+    /// The fold the server used before folding on arrival, kept as the
+    /// reference: each shard queues whole messages and, at the commit, sums
+    /// `(w(δ)/H_c)·g` in arrival order with δ measured at the commit — or,
+    /// with `at_arrival`, with the staleness each message had when it
+    /// reached the shard. `commits` logs every shard commit's `H_c` and sum,
+    /// in order.
+    struct QueueingReference {
+        rule: AggregationRule,
+        at_arrival: bool,
+        clock: u64,
+        shards: Vec<RefShard>,
+        commits: Vec<(u64, Vec<Tensor>)>,
+    }
+
+    struct RefShard {
+        blocks: Vec<usize>,
+        shapes: Vec<Vec<usize>>,
+        schedule: Option<StalenessSchedule>,
+        /// Queued messages with their staleness at arrival.
+        pending: Vec<(GradientMsg, u64)>,
+    }
+
+    impl QueueingReference {
+        fn new(server: &ShardedParameterServer, rule: AggregationRule, at_arrival: bool) -> Self {
+            let shapes = server.template.lock().param_shapes();
+            let shards = (0..server.n_shards())
+                .map(|s| {
+                    let blocks = server.shard_layout().blocks(s).to_vec();
+                    RefShard {
+                        shapes: blocks.iter().map(|&b| shapes[b].clone()).collect(),
+                        blocks,
+                        schedule: rule.make_schedule(),
+                        pending: Vec::new(),
+                    }
+                })
+                .collect();
+            Self {
+                rule,
+                at_arrival,
+                clock: server.clock(),
+                shards,
+                commits: Vec::new(),
+            }
+        }
+
+        fn offer(&mut self, msg: &GradientMsg) -> usize {
+            (0..self.shards.len())
+                .map(|s| self.offer_to_shard(s, msg))
+                .sum()
+        }
+
+        fn offer_to_shard(&mut self, s: usize, msg: &GradientMsg) -> usize {
+            let delta = msg.staleness(self.clock);
+            let sh = &mut self.shards[s];
+            if let Some(sched) = &mut sh.schedule {
+                sched.observe(delta);
+            }
+            sh.pending.push((msg.clone(), delta));
+            let clock = self.clock;
+            let staleness: Vec<u64> = sh.pending.iter().map(|(m, _)| m.staleness(clock)).collect();
+            if !self.rule.admits(&staleness, sh.schedule.as_ref()) {
+                return 0;
+            }
+            // One message per update for per-gradient rules (whose gate
+            // admits everything, so they never queue two).
+            let take = match self.rule {
+                AggregationRule::PureAsync | AggregationRule::Ssp { .. } => 1,
+                _ => sh.pending.len(),
+            };
+            self.commit(s, take);
+            1
+        }
+
+        fn commit(&mut self, s: usize, take: usize) {
+            let sh = &mut self.shards[s];
+            let batch: Vec<(GradientMsg, u64)> = sh.pending.drain(..take).collect();
+            let h = batch.len() as f32;
+            let h_c = batch.len() as u64;
+            let mut acc = GradAccumulator::new(&sh.shapes);
+            for (msg, arrival) in &batch {
+                let delta = if self.at_arrival {
+                    *arrival
+                } else {
+                    msg.staleness(self.clock)
+                };
+                acc.accumulate_indexed(&msg.grads, &sh.blocks, self.rule.weight(delta) / h);
+            }
+            self.commits.push((h_c, acc.grads().to_vec()));
+            self.clock += 1;
+        }
+
+        fn commit_pending(&mut self) {
+            for s in 0..self.shards.len() {
+                let take = self.shards[s].pending.len();
+                if take > 0 {
+                    self.commit(s, take);
+                }
+            }
+        }
+
+        fn advance_round(&mut self) {
+            for sh in &mut self.shards {
+                if let Some(sched) = &mut sh.schedule {
+                    sched.advance_round();
+                }
+            }
+        }
+    }
+
+    /// Distance in representable `f32`s (±0 are one point).
+    fn ulp_distance(a: f32, b: f32) -> u64 {
+        let key = |x: f32| {
+            let mag = i64::from(x.to_bits() & 0x7fff_ffff);
+            if x.is_sign_negative() {
+                -mag
+            } else {
+                mag
+            }
+        };
+        key(a).abs_diff(key(b))
+    }
+
+    /// Per commit, `H_c` and the largest per-element distance in ulp.
+    type Distances = Vec<(u64, u64)>;
+
+    /// The [`Distances`] between the server's summed gradients and the
+    /// reference's.
+    fn commit_distances(got: &[Vec<Tensor>], want: &QueueingReference) -> Distances {
+        assert_eq!(got.len(), want.commits.len(), "commit count");
+        got.iter()
+            .zip(&want.commits)
+            .map(|(g, (h_c, w))| {
+                assert_eq!(g.len(), w.len());
+                let mut worst = 0;
+                for (gt, wt) in g.iter().zip(w) {
+                    assert_eq!(gt.shape(), wt.shape());
+                    for (&x, &y) in gt.data().iter().zip(wt.data()) {
+                        worst = worst.max(ulp_distance(x, y));
+                    }
+                }
+                (*h_c, worst)
+            })
+            .collect()
+    }
+
+    /// The two folds differ only in rounding. Each sums `H_c` positive terms
+    /// (at most `H_c - 1` roundings each) and rounds each term once or twice
+    /// plus the final `1/H_c` once, so the two sums are within
+    /// `(2·H_c + 2)·2^-24` relative of each other — that many ulp at most.
+    fn within_rounding(distances: &[(u64, u64)]) -> bool {
+        distances.iter().all(|&(h_c, d)| d <= 2 * h_c + 2)
+    }
+
+    /// Drives the server and two queueing references (weighted at commit
+    /// and at arrival) with the same 48 random gradients — positive
+    /// elements, so sums do not cancel and the comparison is about rounding
+    /// order alone — on bases trailing the clock by 0–3, with a round
+    /// advance every 8 offers and a final `commit_pending`. Returns the
+    /// per-commit distances to the two references and the server's
+    /// (updates, gradients aggregated).
+    fn fold_against_reference(
+        rule: &AggregationRule,
+        n_shards: usize,
+    ) -> (Distances, Distances, u64, u64) {
+        let policy = tiny_policy(11);
+        let log = Arc::new(Mutex::new(Vec::new()));
+        let server = ShardedParameterServer::new(policy.clone(), rule.clone(), n_shards, || {
+            Box::new(Recorder(Arc::clone(&log)))
+        });
+        let mut at_commit = QueueingReference::new(&server, rule.clone(), false);
+        let mut at_arrival = QueueingReference::new(&server, rule.clone(), true);
+        let mut rng = ChaCha8Rng::seed_from_u64(21);
+        for i in 0..48 {
+            let lag = if rng.gen_bool(0.6) {
+                0
+            } else {
+                rng.gen_range(1..4)
+            };
+            let mut msg = grad_msg(&policy, i % 4, server.clock().saturating_sub(lag), 0.0);
+            for t in &mut msg.grads {
+                t.data_mut()
+                    .iter_mut()
+                    .for_each(|x| *x = rng.gen_range(0.01f32..1.0));
+            }
+            let commits = server.offer(&msg);
+            assert_eq!(commits, at_commit.offer(&msg), "{rule:?} offer {i}");
+            assert_eq!(commits, at_arrival.offer(&msg), "{rule:?} offer {i}");
+            assert_eq!(server.clock(), at_commit.clock);
+            if i % 8 == 7 {
+                server.advance_round();
+                at_commit.advance_round();
+                at_arrival.advance_round();
+            }
+        }
+        server.commit_pending();
+        at_commit.commit_pending();
+        at_arrival.commit_pending();
+        let got = log.lock();
+        (
+            commit_distances(&got, &at_commit),
+            commit_distances(&got, &at_arrival),
+            server.updates(),
+            server.grads_aggregated(),
+        )
+    }
+
+    #[test]
+    fn fold_on_arrival_matches_the_queueing_reference() {
+        // Weight 1 and H_c a power of two: the same bits on any shard count.
+        for rule in [
+            AggregationRule::PureAsync,
+            AggregationRule::FullSync { n: 1 },
+            AggregationRule::FullSync { n: 2 },
+            AggregationRule::FullSync { n: 4 },
+        ] {
+            for n_shards in [1, 3] {
+                let (to_commit, to_arrival, ..) = fold_against_reference(&rule, n_shards);
+                assert!(
+                    to_commit.iter().chain(&to_arrival).all(|&(_, d)| d == 0),
+                    "{rule:?} x{n_shards}: {to_commit:?}"
+                );
+            }
+        }
+        // Staleness weights and H_c = 3 (Softsync) or anything (Eq. 3): the
+        // division by H_c rounds once instead of once per gradient.
+        for rule in [
+            AggregationRule::Softsync { c: 3 },
+            AggregationRule::StalenessAware { d: 0.9, v: 3 },
+        ] {
+            let (to_commit, to_arrival, updates, grads) = fold_against_reference(&rule, 1);
+            assert!(within_rounding(&to_commit), "{rule:?}: {to_commit:?}");
+            assert!(within_rounding(&to_arrival), "{rule:?}: {to_arrival:?}");
+            assert!(grads > updates, "{rule:?} must batch some commits");
+            // On three shards the others move the clock while one waits:
+            // the weights are those at arrival, not at commit.
+            let (to_commit, to_arrival, ..) = fold_against_reference(&rule, 3);
+            assert!(within_rounding(&to_arrival), "{rule:?} x3: {to_arrival:?}");
+            assert!(!within_rounding(&to_commit), "{rule:?} x3: {to_commit:?}");
+        }
+    }
+
+    /// Round 0 observes nothing stale (δ_max clamps to 1), so by round 100
+    /// β = 0.96^100 ≈ 0.01687 and one δ = 1 gradient is only admitted once
+    /// 59 fresh ones pull the average down to 1/60 (1/59 ≈ 0.01695 is still
+    /// above β) — and the server holds one running sum, not 60 messages,
+    /// while it waits.
+    #[test]
+    fn long_eq3_delay_commits_once_at_sixty() {
+        let policy = tiny_policy(2);
+        let ps = sgd_server(
+            &policy,
+            AggregationRule::StalenessAware { d: 0.96, v: 3 },
+            1,
+            0.1,
+        );
+        ps.offer(grad_msg(&policy, 0, 0, 0.1)); // fresh: δ_max = 1 after clamping
+        for _ in 0..100 {
+            ps.advance_round();
+        }
+        let clock = ps.clock();
+        assert_eq!(clock, 1);
+        let before = ps.snapshot();
+        assert_eq!(ps.offer(grad_msg(&policy, 1, clock - 1, 0.1)), 0);
+        for fresh in 1..=59 {
+            assert_eq!(ps.pending(), fresh);
+            assert_eq!(ps.clock(), clock, "nothing commits while Eq. 3 waits");
+            assert_eq!(ps.snapshot().flat, before.flat);
+            let commits = ps.offer(grad_msg(&policy, 2, clock, 0.1));
+            assert_eq!(commits, usize::from(fresh == 59), "fresh gradient {fresh}");
+        }
+        assert_eq!((ps.clock(), ps.pending(), ps.updates()), (clock + 1, 0, 2));
+        assert_eq!(ps.grads_aggregated(), 61);
+        // The first commit's fresh gradient, then this one: 1 and 59 zeros.
+        let mut ledger = vec![0, 1];
+        ledger.extend([0; 59]);
+        assert_eq!(ps.staleness_log().to_vec(), ledger);
+        // Every weight is 1 (1/∛δ with δ ≤ 1), so the step is lr · fill.
+        for (b, a) in before.flat.iter().zip(&ps.snapshot().flat) {
+            assert!((b - 0.01 - a).abs() < 1e-6, "{b} -> {a}");
+        }
+    }
+
     #[test]
     fn layout_partitions_the_flat_vector() {
         let l = BlockLayout::from_shapes(&[vec![2, 3], vec![4], vec![1]]);
@@ -898,8 +1207,8 @@ mod tests {
             let drive = |server: &ShardedParameterServer| {
                 for (&target, &fill) in targets.iter().zip(&fills) {
                     let fill = if negate { -fill } else { fill };
-                    let msg = Arc::new(grad_msg(&policy, 0, server.clock(), fill));
-                    assert_eq!(server.offer_to_shard(target % server.n_shards(), msg), 1);
+                    let msg = grad_msg(&policy, 0, server.clock(), fill);
+                    assert_eq!(server.offer_to_shard(target % server.n_shards(), &msg), 1);
                 }
             };
             let server = sgd_server(&policy, AggregationRule::PureAsync, n_shards, 0.1);

@@ -75,7 +75,7 @@ fn concurrent_offers_conserve_gradients() {
                         let guard = ps.lock().unwrap();
                         let base = guard.clock();
                         let msg = grad_msg(&policy, id, base);
-                        guard.offer(msg);
+                        guard.offer(&msg);
                         drop(guard);
                         thread::yield_now();
                     }

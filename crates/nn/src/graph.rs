@@ -481,9 +481,10 @@ impl Graph {
         self.scale(a, -1.0)
     }
 
-    /// Hyperbolic tangent.
+    /// Hyperbolic tangent ([`gemm::tanh`], the same function the fused
+    /// epilogue applies).
     pub fn tanh(&self, a: Var) -> Var {
-        self.unary(a, f32::tanh, |_, y| 1.0 - y * y)
+        self.unary(a, gemm::tanh, |_, y| 1.0 - y * y)
     }
 
     /// Rectified linear unit.

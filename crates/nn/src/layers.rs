@@ -12,7 +12,7 @@ use rand::Rng;
 use crate::conv::{conv2d_forward, Conv2dSpec};
 use crate::gemm::FusedAct;
 use crate::graph::{Graph, Var};
-use crate::tensor::{flatten_all, unflatten_all, Tensor};
+use crate::tensor::Tensor;
 
 /// Activation functions used in Table II of the paper.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -62,16 +62,27 @@ pub trait ParamSet {
 
     /// Serialises all parameters into one flat buffer.
     fn flatten(&self) -> Vec<f32> {
-        let owned: Vec<Tensor> = self.params().into_iter().cloned().collect();
-        flatten_all(&owned)
+        let params = self.params();
+        let mut flat = Vec::with_capacity(params.iter().map(|t| t.numel()).sum());
+        for t in params {
+            flat.extend_from_slice(t.data());
+        }
+        flat
     }
 
-    /// Loads all parameters from a flat buffer produced by [`ParamSet::flatten`].
+    /// Loads all parameters from a flat buffer produced by
+    /// [`ParamSet::flatten`], copying into the existing tensors.
     fn load_flat(&mut self, flat: &[f32]) {
-        let shapes = self.param_shapes();
-        let tensors = unflatten_all(flat, &shapes);
-        for (dst, src) in self.params_mut().into_iter().zip(tensors) {
-            *dst = src;
+        assert_eq!(
+            self.num_scalars(),
+            flat.len(),
+            "unflatten_all length mismatch"
+        );
+        let mut rest = flat;
+        for dst in self.params_mut() {
+            let (head, tail) = rest.split_at(dst.numel());
+            dst.data_mut().copy_from_slice(head);
+            rest = tail;
         }
     }
 }
@@ -445,8 +456,21 @@ mod tests {
         let flat = mlp.flatten();
         let mut other = Mlp::new(&[3, 5, 2], Activation::Relu, 1.0, &mut rng);
         assert_ne!(other.flatten(), flat);
+        let before: Vec<*const f32> = other.params().iter().map(|t| t.data().as_ptr()).collect();
         other.load_flat(&flat);
         assert_eq!(other.flatten(), flat);
+        let after: Vec<*const f32> = other.params().iter().map(|t| t.data().as_ptr()).collect();
+        assert_eq!(before, after, "load_flat copies into the existing tensors");
+    }
+
+    #[test]
+    #[should_panic(expected = "unflatten_all length mismatch")]
+    fn load_flat_rejects_wrong_length() {
+        let mut rng = ChaCha8Rng::seed_from_u64(4);
+        let mut mlp = Mlp::new(&[3, 5, 2], Activation::Relu, 1.0, &mut rng);
+        let mut flat = mlp.flatten();
+        flat.pop();
+        mlp.load_flat(&flat);
     }
 
     #[test]

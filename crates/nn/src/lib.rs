@@ -27,4 +27,4 @@ pub use gemm::FusedAct;
 pub use graph::{Graph, Var};
 pub use layers::{bind_params, Activation, Cnn, ConvLayer, Linear, Mlp, ParamSet};
 pub use optim::{clip_grad_norm, Adam, Optimizer, OptimizerKind, RmsProp, Sgd};
-pub use tensor::{flatten_all, unflatten_all, Tensor};
+pub use tensor::{flatten_all, Tensor};

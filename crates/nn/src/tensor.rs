@@ -488,20 +488,6 @@ pub fn flatten_all(tensors: &[Tensor]) -> Vec<f32> {
     out
 }
 
-/// Inverse of [`flatten_all`]: splits a flat buffer back into tensors with
-/// the given shapes. Panics if the total element count does not match.
-pub fn unflatten_all(flat: &[f32], shapes: &[Vec<usize>]) -> Vec<Tensor> {
-    let mut out = Vec::with_capacity(shapes.len());
-    let mut offset = 0usize;
-    for shape in shapes {
-        let n: usize = shape.iter().product();
-        out.push(Tensor::from_vec(flat[offset..offset + n].to_vec(), shape));
-        offset += n;
-    }
-    assert_eq!(offset, flat.len(), "unflatten_all length mismatch");
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,20 +537,6 @@ mod tests {
         let b = Tensor::from_vec(vec![1.0, 2.0, 3.0], &[3]);
         let c = a.add_row_broadcast(&b);
         assert_eq!(c.data(), &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
-    }
-
-    #[test]
-    fn flatten_unflatten_roundtrip() {
-        let mut rng = ChaCha8Rng::seed_from_u64(1);
-        let ts = vec![
-            Tensor::randn(&[3, 4], 1.0, &mut rng),
-            Tensor::randn(&[4], 1.0, &mut rng),
-            Tensor::randn(&[2, 2, 2], 1.0, &mut rng),
-        ];
-        let flat = flatten_all(&ts);
-        let shapes: Vec<Vec<usize>> = ts.iter().map(|t| t.shape().to_vec()).collect();
-        let back = unflatten_all(&flat, &shapes);
-        assert_eq!(ts, back);
     }
 
     #[test]
@@ -660,7 +632,7 @@ mod tests {
         let b = Tensor::randn(&[4], 0.5, &mut rng);
         for (act, f) in [
             (FusedAct::Identity, None),
-            (FusedAct::Tanh, Some(f32::tanh as fn(f32) -> f32)),
+            (FusedAct::Tanh, Some(crate::gemm::tanh as fn(f32) -> f32)),
             (
                 FusedAct::Relu,
                 Some((|v: f32| v.max(0.0)) as fn(f32) -> f32),
