@@ -6,7 +6,7 @@
 //!   potential deadlock; the finding carries the full acquisition path.
 //! * **A2 (held-guard)** — a guard live across a blocking operation, a
 //!   channel op in a *later* statement (same-statement hazards stay with
-//!   lint's L3), or a call into a function that may lock / block / touch a
+//!   L3), or a call into a function that may lock / block / touch a
 //!   channel. Condvar waits that release the guard they are passed are
 //!   exempt for that guard but still block every other live guard.
 //! * **A3 (channel-topology)** — a sender whose receiver half is provably
@@ -17,12 +17,12 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::callgraph::{CallGraph, Summary};
 use crate::model::{FileModel, FnInfo, GuardRange};
-use crate::source::SourceFile;
+use crate::source::{rule_name, SourceFile};
 
 /// One analyzer finding.
 #[derive(Clone, Debug)]
 pub struct Finding {
-    /// `A1` / `A2` / `A3`.
+    /// Rule id from [`KNOWN_RULES`](crate::source::KNOWN_RULES), e.g. `A1`.
     pub rule: &'static str,
     /// Repo-relative path.
     pub file: String,
@@ -30,24 +30,6 @@ pub struct Finding {
     pub line: usize,
     /// What was found.
     pub message: String,
-}
-
-/// Human-readable name of an analyzer rule id.
-pub fn rule_name(rule: &str) -> &'static str {
-    match rule {
-        "A1" => "lock-order",
-        "A2" => "held-guard",
-        "A3" => "channel-topology",
-        "A4" => "determinism-taint",
-        "A5" => "atomics-ordering",
-        "A6" => "float-reduction-order",
-        "A7" => "unsafe-justification",
-        "A8" => "panic-reachability",
-        "A9" => "hot-alloc",
-        "A10" => "swallowed-error",
-        "A11" => "bounded-producer",
-        _ => "unknown",
-    }
 }
 
 impl std::fmt::Display for Finding {

@@ -1,4 +1,4 @@
-//! Baseline files: a way to adopt the analyzer (or linter) on a codebase with
+//! Baseline files: a way to adopt the analyzer on a codebase with
 //! pre-existing findings without fixing them all up front.
 //!
 //! A baseline is a text file of known findings, one per line:

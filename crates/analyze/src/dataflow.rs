@@ -35,8 +35,8 @@ use crate::callgraph::{CallGraph, Summary};
 use crate::model::{AtomicSite, FileModel, FnInfo};
 use crate::source::SourceFile;
 
-/// Determinism sinks: code whose outputs are training results. Mirrors the
-/// linter's L2 determinism scopes plus the cache codec (whose bytes feed
+/// Determinism sinks: code whose outputs are training results. Mirrors
+/// L2's determinism scopes plus the cache codec (whose bytes feed
 /// gradient reconstruction).
 const TAINT_SINKS: [&str; 7] = [
     "crates/nn/src/",

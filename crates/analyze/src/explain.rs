@@ -6,7 +6,7 @@
 //! checked against `KNOWN_RULES` by a unit test, and CI smoke-runs
 //! `--explain` for every id.
 
-use crate::source::{canonical_rule, KNOWN_RULES};
+use crate::source::{canonical_rule, rule_name, KNOWN_RULES};
 
 /// One rule's documentation.
 struct Entry {
@@ -47,11 +47,14 @@ const ENTRIES: [Entry; 17] = [
     },
     Entry {
         id: "L4",
-        rationale: "`as` casts silently truncate/round; gradient ids, step counters, \
-                    and byte lengths must use `try_into` or checked conversions.",
-        example: "let n = big_len as u32;  // L4: u32::try_from(big_len)?",
-        escapes: "`try_from`/`try_into`, or `lint:allow(L4): <why>` when the domain \
-                  is provably in range.",
+        rationale: "`as f32` / `as f64` silently round: in the gradient and \
+                    staleness math (core staleness/truncation/parameter, \
+                    `nn::optim`, `rl` gae/vtrace/ppo) a count or version cast to \
+                    a float must be shown exact or harmless.",
+        example: "let w = 1.0 / (staleness as f32);  // L4 in core/src/staleness.rs",
+        escapes: "`f32::from`/`f64::from` for lossless widenings; \
+                  `lint:allow(L4): <why>` when the value is provably exact \
+                  (e.g. below 2^24 for f32).",
     },
     Entry {
         id: "L5",
@@ -63,12 +66,13 @@ const ENTRIES: [Entry; 17] = [
     },
     Entry {
         id: "L6",
-        rationale: "The gradient hot path must not allocate per step: allocation \
-                    inside `apply_gradient`/`backward` paths shows up as tail \
-                    latency at every aggregation round.",
-        example: "let tmp = vec![0.0; n];  // L6 in a hot-path fn: reuse a buffer",
-        escapes: "Preallocate in the owner and reuse; `lint:allow(L6): <why>` for \
-                  cold setup paths.",
+        rationale: "The backward pass accumulates into a recycled gradient arena; \
+                    a `.clone()` inside one of `graph.rs`'s boxed backward \
+                    closures allocates a fresh tensor per contribution and \
+                    brings back the churn the arena removed.",
+        example: "Box::new(move |grad, sink| sink.add(a, &grad.clone()))  // L6",
+        escapes: "Accumulate through `GradSink::with`/`GradSink::add`; \
+                  `lint:allow(L6): <why>` where a copy is genuinely needed.",
     },
     Entry {
         id: "A1",
@@ -179,16 +183,16 @@ const ENTRIES: [Entry; 17] = [
     Entry {
         id: "A9",
         rationale: "The hot path (backward pass, packed GEMM, gradient accumulate, \
-                    exact-reserve encode) must not mint fresh allocations per step: \
-                    the PR 5 counting-allocator bench pins 3 allocs/step, and A9 \
-                    proves the same set statically by walking from the annotated hot \
+                    exact-reserve encode) must not mint fresh allocations per step. \
+                    A9 proves this statically by walking from the annotated hot \
                     roots to every unconditional fresh allocation (`vec!`, \
                     `collect`, `to_vec`, `Box::new`, `format!`, ..). Everything \
-                    reachable must be in the explicit allowlist, whose entry count a \
-                    test pins to the `arena_allocs` figure in BENCH_hotpath.json; a \
-                    stale entry is itself a finding, so the list only shrinks. \
-                    Capacity-reusing calls (`resize`, `reserve`, `extend`) are the \
-                    bench's job; the telemetry crate is a barrier.",
+                    reachable must be in the explicit allowlist. A counting-allocator \
+                    test (`crates/nn/tests/arena_allocs.rs`) pins warm \
+                    `backward_into` to exactly one allocation per entry; a stale \
+                    entry is itself a finding, so the list only shrinks. \
+                    Capacity-reusing calls (`resize`, `reserve`, `extend`) are left \
+                    to that test; the telemetry crate is a barrier.",
         example: "fn backward_into(&self) {\n\
                   let tmp = self.nodes.to_vec();  // A9: fresh alloc on the hot path",
         escapes: "Reuse a caller-owned or arena buffer (`backward_into`, \
@@ -231,11 +235,7 @@ const ENTRIES: [Entry; 17] = [
 pub fn explain(rule: &str) -> Option<String> {
     let id = canonical_rule(rule)?;
     let entry = ENTRIES.iter().find(|e| e.id == id)?;
-    let name = KNOWN_RULES
-        .iter()
-        .find(|(i, _)| *i == id)
-        .map(|&(_, n)| n)
-        .unwrap_or("unknown");
+    let name = rule_name(id);
     Some(format!(
         "{id} ({name})\n\nWhy:\n  {}\n\nExample:\n  {}\n\nSanitizers / escapes:\n  {}\n",
         entry

@@ -1,11 +1,17 @@
-//! `stellaris-analyze`: whole-repo static concurrency analyzer for the
-//! Stellaris workspace.
+//! `stellaris-analyze`: the Stellaris workspace's one static analyzer.
 //!
 //! The crate builds a lightweight source model — a lossless token stream
 //! ([`token`]), masked source with comment/test tracking ([`source`]), and
-//! per-function concurrency facts ([`model`]) — assembles a workspace call
-//! graph with interprocedural lock/block/channel summaries ([`callgraph`]),
-//! and runs eleven analyses ([`analyses`], [`dataflow`], [`reachability`]):
+//! per-function concurrency facts ([`model`]) — and checks seventeen rules
+//! over it.
+//!
+//! Six per-file rules ([`lint`]), scoped by path: L1 panic-freedom, L2
+//! determinism, L3 lock-discipline, L4 lossy-cast, L5 print-discipline and
+//! L6 grad-alloc-discipline.
+//!
+//! Eleven whole-workspace analyses ([`analyses`], [`dataflow`],
+//! [`reachability`]) over a call graph with interprocedural
+//! lock/block/channel summaries ([`callgraph`]):
 //!
 //! * **A1 `lock-order`** — lock acquisition-order graph; cycles (including
 //!   through calls) are potential deadlocks.
@@ -27,34 +33,31 @@
 //!   invocation entry points, the orchestrator round loop, or wire-decode
 //!   surfaces, with witness chains.
 //! * **A9 `hot-alloc`** — unconditional fresh allocations reachable from
-//!   the annotated hot roots, checked against an explicit allowlist pinned
-//!   to the counting-allocator bench figure.
+//!   the annotated hot roots, checked against an explicit allowlist whose
+//!   length a counting-allocator test pins.
 //! * **A10 `swallowed-error`** — discarded `Result`s (`let _ =`, trailing
 //!   `.ok();`) on the retry/transport/fault paths.
 //! * **A11 `bounded-producer`** — queue/ring constructors that are neither
 //!   intrinsically bounded nor annotated with a shed/bound policy.
 //!
-//! Findings can be suppressed with a justified
-//! `// lint:allow(A1): <why>` comment (same syntax as `stellaris-lint`,
-//! shared registry in [`source::KNOWN_RULES`]), or absorbed wholesale by a
-//! baseline file ([`baseline`]). Output formats live in [`report`].
-//!
-//! `stellaris-lint` reuses this crate's [`source`] module as its parsing
-//! layer, so both tools agree on masking, statement boundaries, and
-//! `lint:allow` semantics.
+//! Any finding can be suppressed with a justified
+//! `// lint:allow(<rule>): <why>` comment (registry in
+//! [`source::KNOWN_RULES`]), or absorbed wholesale by a baseline file
+//! ([`baseline`]). Output formats live in [`report`].
 
 pub mod analyses;
 pub mod baseline;
 pub mod callgraph;
 pub mod dataflow;
 pub mod explain;
+pub mod lint;
 pub mod model;
 pub mod reachability;
 pub mod report;
 pub mod source;
 pub mod token;
 
-pub use analyses::{channel_topology, held_guard, lock_order, rule_name, Finding};
+pub use analyses::{channel_topology, held_guard, lock_order, Finding};
 pub use callgraph::{build_graph, summarize, CallGraph, Summary};
 pub use dataflow::{atomics_ordering, determinism_taint, float_reduction, unsafe_audit};
 pub use model::{model_file, FileModel, FnInfo};
@@ -62,7 +65,7 @@ pub use reachability::{
     alloc_reachability, bounded_producers, panic_reachability, swallowed_errors, ALLOC_ALLOWLIST,
 };
 pub use report::{render, Format};
-pub use source::{canonical_rule, parse_allows, Allows, SourceFile, KNOWN_RULES};
+pub use source::{canonical_rule, parse_allows, rule_name, Allows, SourceFile, KNOWN_RULES};
 
 use std::collections::HashMap;
 use std::io;
@@ -83,11 +86,11 @@ pub struct Analysis {
 
 /// Whether a repo-relative path (forward slashes) is in analysis scope.
 ///
-/// Mirrors the linter's scoping: first-party `src/` trees only; vendored
-/// crates, build output, and test/bench/example trees are excluded. Unlike
-/// the per-rule lint scoping, the concurrency analyses apply uniformly to
-/// every in-scope file (bins included — a deadlock in `main.rs` is still a
-/// deadlock).
+/// First-party `src/` trees only; vendored crates, build output, and
+/// test/bench/example trees are excluded. The call-graph analyses apply
+/// uniformly to every in-scope file (bins included — a deadlock in
+/// `main.rs` is still a deadlock); the L-rules narrow further per path
+/// ([`lint::rules_for`]).
 pub fn in_analysis_scope(rel: &str) -> bool {
     if !rel.ends_with(".rs") {
         return false;
@@ -109,10 +112,18 @@ pub fn in_analysis_scope(rel: &str) -> bool {
 /// Analyzes in-memory sources given as `(repo-relative path, text)` pairs.
 ///
 /// The call graph spans all files at once, so cross-file lock orders and
-/// guard-across-call hazards are visible. Suppressions (`lint:allow(A..)`)
-/// are honored here; malformed allow comments are the linter's business and
-/// are not re-reported.
+/// guard-across-call hazards are visible. `lint:allow` suppressions are
+/// honored here for every rule, and a malformed allow comment is itself an
+/// L1 finding that no allow can silence.
 pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
+    analyze_scoped(files, lint::rules_for)
+}
+
+/// [`analyze_sources`] with the per-file L-rules chosen by `rules_for`.
+pub(crate) fn analyze_scoped(
+    files: &[(String, String)],
+    rules_for: impl Fn(&str) -> lint::RuleSet,
+) -> Analysis {
     let mut models: Vec<(FileModel, SourceFile)> = Vec::with_capacity(files.len());
     for (path, text) in files {
         let src = SourceFile::parse(text);
@@ -134,6 +145,9 @@ pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
     findings.extend(alloc_reachability(&all_fns, &graph));
     findings.extend(swallowed_errors(&all_fns));
     findings.extend(bounded_producers(&all_fns));
+    for (m, s) in &models {
+        findings.extend(lint::check(&m.path, s, rules_for(&m.path)));
+    }
 
     let allows: HashMap<&str, Allows> = models
         .iter()
@@ -151,11 +165,25 @@ pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
             kept.push(f);
         }
     }
+    for (file, a) in &allows {
+        kept.extend(a.errors.iter().map(|(line, message)| Finding {
+            rule: "L1",
+            file: file.to_string(),
+            line: *line,
+            message: message.clone(),
+        }));
+    }
     kept.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });
+    // A call-graph analysis can reach one site along several paths; an
+    // L-rule reports each occurrence, so two casts on a line are two findings.
     kept.dedup_by(|a, b| {
-        a.rule == b.rule && a.file == b.file && a.line == b.line && a.message == b.message
+        a.rule.starts_with('A')
+            && a.rule == b.rule
+            && a.file == b.file
+            && a.line == b.line
+            && a.message == b.message
     });
 
     Analysis {
@@ -302,5 +330,24 @@ mod tests {
         assert!(clean.suppressed >= 1);
         let dirty = analyze_sources(&[("crates/x/src/a.rs".to_string(), noisy.to_string())]);
         assert!(dirty.findings.iter().any(|f| f.rule == "A1"));
+    }
+
+    #[test]
+    fn malformed_allows_are_findings() {
+        // An allow with no reason, and one naming no rule, each surface as
+        // an L1 finding at their line, and an allow cannot silence them.
+        let text = "pub fn f() -> u64 {\n    // lint:allow(L1)\n    // lint:allow(L1): meant for the line below\n    // lint:allow(L9): no such rule\n    7\n}\n";
+        let analysis = analyze_sources(&[("crates/x/src/a.rs".to_string(), text.to_string())]);
+        let got: Vec<(&str, usize, bool)> = analysis
+            .findings
+            .iter()
+            .map(|f| (f.rule, f.line, f.message.contains("lint:allow")))
+            .collect();
+        assert_eq!(
+            got,
+            [("L1", 2, true), ("L1", 4, true)],
+            "{:?}",
+            analysis.findings
+        );
     }
 }

@@ -1,4 +1,4 @@
-//! CLI for the Stellaris static concurrency analyzer.
+//! CLI for the Stellaris static analyzer (L1–L6, A1–A11).
 //!
 //! ```text
 //! stellaris-analyze [root] [--format human|json|sarif] [--out FILE]

@@ -10,10 +10,10 @@
 //!   expressions inside wire-decode functions) reachable from a serverless
 //!   invocation entry point, the orchestrator round loop, or a
 //!   `Codec::decode` surface is reported with a witness chain.
-//! * **A9 `hot-alloc`** — the PR 5 counting-allocator bench proves the hot
-//!   path performs 3 allocations per step *dynamically*; A9 proves the same
-//!   set *statically* by walking from annotated hot roots to every
-//!   unconditional fresh allocation, checked against [`ALLOC_ALLOWLIST`].
+//! * **A9 `hot-alloc`** — a counting-allocator test shows warm
+//!   `backward_into` performs one allocation per [`ALLOC_ALLOWLIST`] entry
+//!   *dynamically*; A9 proves the same set *statically* by walking from
+//!   annotated hot roots to every unconditional fresh allocation.
 //!   A stale allowlist entry is itself a finding, so the list can only
 //!   shrink with the code.
 //! * **A10 `swallowed-error`** — `let _ = ..;` and statement-terminated
@@ -29,7 +29,7 @@
 //! resolved call edges — the same precision rule the taint lattice uses, so
 //! a method-name collision cannot smear panics across unrelated types — and
 //! A9 additionally refuses to descend into the telemetry crate (a barrier:
-//! observability allocations are accounted by the dynamic bench, not the
+//! observability allocations are counted by the dynamic test, not the
 //! static hot-path budget). Justified sites are consumed at extraction time
 //! by `lint:allow(A8)` / `lint:allow(A10)` comments (see
 //! [`crate::model`]), so a clean workspace reports zero suppressions.
@@ -42,16 +42,16 @@ use crate::model::FnInfo;
 
 /// The A9 allowlist: `(enclosing fn, allocation kind, why)` triples.
 ///
-/// The entry count is pinned to the allocs/step figure the
-/// counting-allocator bench records in `BENCH_hotpath.json`
-/// (`arena_allocs`: 3 for both Table II models); a workspace test asserts
-/// the two stay in sync. An entry that matches no reachable allocation is
-/// stale and reported as a finding, so the list can only shrink.
+/// The entry count is pinned by `crates/nn/tests/arena_allocs.rs`, which
+/// counts the allocations of a warm `backward_into` on both Table II models
+/// and requires exactly this many per step. An entry that matches no
+/// reachable allocation is stale and reported as a finding, so the list can
+/// only shrink.
 pub const ALLOC_ALLOWLIST: [(&str, &str, &str); 3] = [
     (
         "Graph::backward_impl",
         "vec!",
-        "telemetry span fields on the backward span; observability cost counted by the bench",
+        "telemetry span fields on the backward span; observability cost counted by arena_allocs",
     ),
     (
         "Tensor::zeros",

@@ -3,8 +3,8 @@
 //! All serialization is hand-rolled — the workspace vendors no JSON library,
 //! so we emit the (small, fixed-shape) documents directly.
 
-use crate::analyses::{rule_name, Finding};
-use crate::source::KNOWN_RULES;
+use crate::analyses::Finding;
+use crate::source::{rule_name, KNOWN_RULES};
 use std::fmt::Write as _;
 
 /// Output format selector for the CLI.
@@ -91,11 +91,7 @@ pub fn render_sarif(findings: &[Finding]) -> String {
     out.push_str("          \"name\": \"stellaris-analyze\",\n");
     out.push_str("          \"informationUri\": \"https://example.invalid/stellaris\",\n");
     out.push_str("          \"rules\": [");
-    let analyzer_rules: Vec<&(&str, &str)> = KNOWN_RULES
-        .iter()
-        .filter(|(id, _)| id.starts_with('A'))
-        .collect();
-    for (i, (id, name)) in analyzer_rules.iter().enumerate() {
+    for (i, (id, name)) in KNOWN_RULES.iter().enumerate() {
         if i > 0 {
             out.push(',');
         }

@@ -1,8 +1,8 @@
-//! Lexical source model shared by the analyzer and `stellaris-lint`:
-//! comment/string masking, test-region detection, statement spans, and the
-//! `lint:allow` escape hatch.
+//! Lexical source model under every rule: comment/string masking,
+//! test-region detection, statement spans, and the `lint:allow` escape
+//! hatch.
 //!
-//! Both tools are token-based rather than AST-based (the build environment
+//! The analyzer is token-based rather than AST-based (the build environment
 //! has no registry access for `syn`), so every rule runs over a *masked*
 //! view of the file in which comments and string/char literals are replaced
 //! by spaces. Token searches therefore never match inside literals or docs,
@@ -302,8 +302,8 @@ pub fn boundary_ok(hay: &str, at: usize, token: &str) -> bool {
     true
 }
 
-/// Every rule either tool can emit or suppress: the linter's L1–L6 plus the
-/// analyzer's A1–A11. One registry so `lint:allow(A2)` parses in both tools.
+/// Every rule the analyzer can emit or suppress: the per-file L1–L6 plus
+/// the call-graph A1–A11.
 pub const KNOWN_RULES: [(&str, &str); 17] = [
     ("L1", "panic-freedom"),
     ("L2", "determinism"),
@@ -331,6 +331,14 @@ pub fn canonical_rule(s: &str) -> Option<&'static str> {
         .iter()
         .find(|(id, name)| t.eq_ignore_ascii_case(id) || t == *name)
         .map(|&(id, _)| id)
+}
+
+/// Human-readable name of a rule id (`L1` → `panic-freedom`).
+pub fn rule_name(id: &str) -> &'static str {
+    KNOWN_RULES
+        .iter()
+        .find(|(i, _)| *i == id)
+        .map_or("unknown", |&(_, name)| name)
 }
 
 /// Parsed `lint:allow` markers: line -> allowed rule ids (with

@@ -1,6 +1,6 @@
 //! Lossless tokenizer for Rust-shaped source text.
 //!
-//! The analyzer (and the linter built on top of it) cannot use `syn` — the
+//! The analyzer cannot use `syn` — the
 //! build environment has no registry access — so everything downstream works
 //! from a token stream instead of an AST. The invariant that makes that
 //! workable is *losslessness*: the tokens produced by [`tokenize`] partition

@@ -545,7 +545,7 @@ fn micro_kernel(
 
 /// Retained naive reference kernel (`ikj`, ascending `k`, no zero-skip, no
 /// blocking). The packed kernel is pinned to this bit for bit by the
-/// differential tests; the hotpath bench reports speedup against it.
+/// differential tests.
 pub fn gemm_naive(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], accumulate: bool) {
     let (m, k) = (a.rows, a.cols);
     let n = b.cols;

@@ -14,12 +14,12 @@
 //! `+=`). The buffers live in a thread-local arena that is recycled across
 //! `Graph` lifetimes, so once warm, a PPO epoch performs O(1) heap
 //! allocations per backward step instead of O(nodes). The allocation
-//! discipline is enforced by lint rule L6 (`grad-alloc-discipline`): no
+//! discipline is enforced by analyzer rule L6 (`grad-alloc-discipline`): no
 //! `.clone()` inside a backward closure without a `lint:allow(L6)`
-//! justification. [`Graph::backward_cloning`] retains the historical
-//! allocate-per-contribution strategy as a differential-test reference and
-//! benchmark baseline; both paths run the same closures and produce
-//! identical gradients (see DESIGN.md §11 for the exactness argument).
+//! justification. A test-only cloning backward pass retains the historical
+//! allocate-per-contribution strategy as a differential-test reference;
+//! both paths run the same closures and produce identical gradients (see
+//! DESIGN.md §11 for the exactness argument).
 //!
 //! # Gradient reachability
 //!
@@ -99,7 +99,7 @@ thread_local! {
 /// [`GradSink::with`] hands the closure a zero-initialised (on first touch)
 /// gradient buffer for a parent node to accumulate into. In arena mode the
 /// buffer is the node's recycled arena slot; in cloning mode (the
-/// [`Graph::backward_cloning`] reference path) a fresh tensor is allocated
+/// test-only reference backward pass) a fresh tensor is allocated
 /// per contribution and merged, reproducing the historical allocation
 /// behaviour exactly.
 pub struct GradSink<'a> {
@@ -859,7 +859,7 @@ impl Graph {
     /// Like [`Graph::backward`] but writes the gradients into `out`, reusing
     /// its tensors' storage. With warm buffers (same parameter layout as the
     /// previous step) a call performs zero gradient-related heap allocations;
-    /// this is the variant the hotpath bench counts.
+    /// `tests/arena_allocs.rs` counts what it does allocate.
     pub fn backward_into(&self, loss: Var, wrt: &[Var], out: &mut Vec<Tensor>) {
         ARENA_POOL.with(|pool| {
             let mut arena = pool.borrow_mut().pop().unwrap_or_default();
@@ -871,8 +871,8 @@ impl Graph {
     /// Reference backward pass with the historical allocation strategy: a
     /// fresh tensor per gradient contribution, merged with `+=`. Produces
     /// gradients identical to [`Graph::backward`] (same closures, same
-    /// accumulation order); kept as the differential-test oracle and as the
-    /// "before" baseline for the hotpath benchmark.
+    /// accumulation order); kept as the differential-test oracle.
+    #[cfg(test)]
     pub fn backward_cloning(&self, loss: Var, wrt: &[Var]) -> Vec<Tensor> {
         let mut arena = GradArena::default();
         let mut out = Vec::with_capacity(wrt.len());
@@ -965,6 +965,7 @@ impl Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -1346,5 +1347,300 @@ mod tests {
         let y2 = g.square(x2);
         let grad = g.backward(y2, &[x2]).remove(0);
         assert!((grad.data()[0] - 6.0).abs() < 1e-6);
+    }
+
+    // The arena backward pass is pinned bit for bit to the cloning
+    // reference on the Table II MLP and CNN: both run the identical closures
+    // in the identical order. The convolution is pinned the same way:
+    // [`per_image`] keeps the one-product-per-image form the crate used
+    // before it batched a layer into one product per mini-batch, and the
+    // batched node must reproduce its output, `dW`, `db` and `dX` exactly
+    // (reduction-order argument: `conv.rs` module docs).
+
+    /// The per-image convolution (`im2col` one image at a time, `W2 x col`,
+    /// `dW += G_i x col^T`, `W2^T x G_i` through `col2im`): the reference the
+    /// batched products are compared with.
+    mod per_image {
+        use crate::conv::Conv2dSpec;
+        use crate::gemm::{gemm, MatRef};
+        use crate::tensor::Tensor;
+
+        /// Expands each batch image into a `[ckk, oh*ow]` column matrix.
+        fn im2col(input: &Tensor, spec: &Conv2dSpec) -> Vec<Tensor> {
+            let mut cols = Vec::with_capacity(spec.batch);
+            let chw = spec.in_c * spec.in_h * spec.in_w;
+            for b in 0..spec.batch {
+                let img = &input.data()[b * chw..(b + 1) * chw];
+                let mut col = vec![0.0f32; spec.ckk() * spec.out_hw()];
+                let mut row = 0usize;
+                for c in 0..spec.in_c {
+                    for ky in 0..spec.kh {
+                        for kx in 0..spec.kw {
+                            let dst = &mut col[row * spec.out_hw()..(row + 1) * spec.out_hw()];
+                            let mut di = 0usize;
+                            for oy in 0..spec.out_h {
+                                let iy = oy * spec.stride + ky;
+                                let base = c * spec.in_h * spec.in_w + iy * spec.in_w + kx;
+                                for ox in 0..spec.out_w {
+                                    dst[di] = img[base + ox * spec.stride];
+                                    di += 1;
+                                }
+                            }
+                            row += 1;
+                        }
+                    }
+                }
+                cols.push(Tensor::from_vec(col, &[spec.ckk(), spec.out_hw()]));
+            }
+            cols
+        }
+
+        /// Scatters a `[ckk, oh*ow]` column gradient back onto image `b` of `dx`.
+        fn col2im(dcol: &[f32], spec: &Conv2dSpec, b: usize, dx: &mut Tensor) {
+            let chw = spec.in_c * spec.in_h * spec.in_w;
+            let img = &mut dx.data_mut()[b * chw..(b + 1) * chw];
+            let mut row = 0usize;
+            for c in 0..spec.in_c {
+                for ky in 0..spec.kh {
+                    for kx in 0..spec.kw {
+                        let src = &dcol[row * spec.out_hw()..(row + 1) * spec.out_hw()];
+                        let mut si = 0usize;
+                        for oy in 0..spec.out_h {
+                            let iy = oy * spec.stride + ky;
+                            let base = c * spec.in_h * spec.in_w + iy * spec.in_w + kx;
+                            for ox in 0..spec.out_w {
+                                img[base + ox * spec.stride] += src[si];
+                                si += 1;
+                            }
+                        }
+                        row += 1;
+                    }
+                }
+            }
+        }
+
+        /// Output and the three gradients of one convolution.
+        pub struct Conv {
+            pub out: Tensor,
+            pub dw: Tensor,
+            pub db: Tensor,
+            pub dx: Tensor,
+        }
+
+        /// `x [b,c,h,w]`, `w [o,c,kh,kw]`, `bias [o]`, and the gradient `g`
+        /// arriving at the output `[b,o,oh,ow]`.
+        pub fn conv(x: &Tensor, w: &Tensor, bias: &Tensor, stride: usize, g: &Tensor) -> Conv {
+            let spec = Conv2dSpec::infer(x.shape(), w.shape(), stride);
+            let (b, oc, hw, ckk) = (spec.batch, spec.out_c, spec.out_hw(), spec.ckk());
+            let cols = im2col(x, &spec);
+            let w2 = w.reshape(&[oc, ckk]);
+            let mut out = Vec::with_capacity(b * oc * hw);
+            for col in &cols {
+                let o = w2.matmul(col);
+                for (ch, chunk) in o.data().chunks(hw).enumerate() {
+                    let beta = bias.data()[ch];
+                    out.extend(chunk.iter().map(|&v| v + beta));
+                }
+            }
+            let out = Tensor::from_vec(out, &[b, oc, spec.out_h, spec.out_w]);
+            assert_eq!(g.numel(), out.numel());
+            let mut dw = Tensor::zeros(w.shape());
+            let mut db = Tensor::zeros(&[oc]);
+            let mut dx = Tensor::zeros(x.shape());
+            let mut dcol = vec![0.0f32; ckk * hw];
+            for (bi, col) in cols.iter().enumerate() {
+                let gslice = &g.data()[bi * oc * hw..(bi + 1) * oc * hw];
+                gemm(
+                    MatRef::new(gslice, oc, hw),
+                    MatRef::new(col.data(), ckk, hw).t(),
+                    dw.data_mut(),
+                    true,
+                );
+                for (ch, chunk) in gslice.chunks(hw).enumerate() {
+                    db.data_mut()[ch] += chunk.iter().sum::<f32>();
+                }
+                gemm(
+                    MatRef::new(w2.data(), oc, ckk).t(),
+                    MatRef::new(gslice, oc, hw),
+                    &mut dcol,
+                    false,
+                );
+                col2im(&dcol, &spec, bi, &mut dx);
+            }
+            Conv { out, dw, db, dx }
+        }
+    }
+
+    proptest! {
+        /// One product per layer per mini-batch gives the bits of one product
+        /// per image: output, `dW`, `db` and `dX` of `Graph::conv2d`, with
+        /// `b*oh*ow` and `out_c` landing on both sides of `MR` and `NR`; and the
+        /// graph-free forward (the actors run it at batch 1) equals the graph's.
+        #[test]
+        fn prop_batched_conv_matches_per_image_reference(
+            batch in 1usize..6,
+            in_c in 1usize..5,
+            k in 1usize..6,
+            stride in 1usize..4,
+            out_c in 1usize..21,
+            h in 5usize..15,
+            w in 5usize..15,
+            seed in 0u64..1000,
+        ) {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let x = Tensor::randn(&[batch, in_c, h, w], 1.0, &mut rng);
+            let conv = crate::ConvLayer {
+                w: Tensor::randn(&[out_c, in_c, k, k], 0.5, &mut rng),
+                b: Tensor::randn(&[out_c], 0.5, &mut rng),
+                stride,
+            };
+
+            let g = Graph::new();
+            let (xv, wv, bv) = (g.input(x.clone()), g.input(conv.w.clone()), g.input(conv.b.clone()));
+            let y = g.conv2d(xv, wv, bv, stride);
+            let loss = g.mean_all(g.square(g.tanh(y)));
+            let grads = g.backward(loss, &[y, wv, bv, xv]);
+            let want = per_image::conv(&x, &conv.w, &conv.b, stride, &grads[0]);
+            prop_assert_eq!(g.value(y), want.out);
+            prop_assert_eq!(&grads[1], &want.dw);
+            prop_assert_eq!(&grads[2], &want.db);
+            prop_assert_eq!(&grads[3], &want.dx);
+
+            let flat = want.out.numel() / batch;
+            let cnn = crate::Cnn {
+                input_shape: [in_c, h, w],
+                convs: vec![conv],
+                fc: crate::Linear::new(flat, 7, 1.0, &mut rng),
+                head: crate::Linear::new(7, 3, 1.0, &mut rng),
+                activation: crate::Activation::Relu,
+            };
+            for rows in [1, batch] {
+                let obs = Tensor::from_vec(x.data()[..rows * cnn.in_dim()].to_vec(), &[rows, cnn.in_dim()]);
+                let g = Graph::new();
+                let vars = crate::bind_params(&g, &crate::ParamSet::params(&cnn));
+                let via_graph = g.value(cnn.forward(&g, g.input(obs.clone()), &vars));
+                prop_assert_eq!(cnn.forward_plain(&obs), via_graph);
+            }
+        }
+    }
+
+    /// Builds the graph, runs one forward pass, and returns gradients from the
+    /// requested strategy.
+    fn grads_of(
+        x: &Tensor,
+        params: &[&Tensor],
+        fwd: impl Fn(&Graph, &[Var]) -> Var,
+        cloning: bool,
+    ) -> Vec<Tensor> {
+        let g = Graph::new();
+        let mut vars = vec![g.input(x.clone())];
+        vars.extend(crate::bind_params(&g, params));
+        let out = fwd(&g, &vars);
+        let loss = g.mean_all(g.square(out));
+        if cloning {
+            g.backward_cloning(loss, &vars[1..])
+        } else {
+            g.backward(loss, &vars[1..])
+        }
+    }
+
+    #[test]
+    fn inplace_backward_matches_cloning_on_table2_mlp() {
+        // Table II Hopper actor: 11 -> 256 -> 256 -> 3.
+        let mut rng = ChaCha8Rng::seed_from_u64(42);
+        let mlp = crate::Mlp::new(&[11, 256, 256, 3], crate::Activation::Tanh, 0.01, &mut rng);
+        let x = Tensor::randn(&[16, 11], 1.0, &mut rng);
+        let params = crate::ParamSet::params(&mlp);
+        let fwd = |g: &Graph, vars: &[Var]| mlp.forward(g, vars[0], &vars[1..]);
+        let arena = grads_of(&x, &params, fwd, false);
+        let cloned = grads_of(&x, &params, fwd, true);
+        assert_eq!(arena.len(), cloned.len());
+        for (a, c) in arena.iter().zip(&cloned) {
+            assert_eq!(a, c, "arena backward diverged from the cloning reference");
+        }
+    }
+
+    #[test]
+    fn inplace_backward_matches_cloning_on_table2_cnn() {
+        let mut rng = ChaCha8Rng::seed_from_u64(43);
+        let cnn = crate::Cnn::table2([4, 20, 20], 6, 0.01, &mut rng);
+        let x = Tensor::randn(&[3, cnn.in_dim()], 1.0, &mut rng);
+        let params = crate::ParamSet::params(&cnn);
+        let fwd = |g: &Graph, vars: &[Var]| cnn.forward(g, vars[0], &vars[1..]);
+        let arena = grads_of(&x, &params, fwd, false);
+        let cloned = grads_of(&x, &params, fwd, true);
+        assert_eq!(arena.len(), cloned.len());
+        for (a, c) in arena.iter().zip(&cloned) {
+            assert_eq!(a, c, "arena backward diverged from the cloning reference");
+        }
+    }
+
+    #[test]
+    fn table2_cnn_observation_gradient_matches_per_image_reference() {
+        // The training paths never ask for the observation's gradient, so the
+        // tape skips it; asked for, it is still the per-image value, and asking
+        // changes no parameter gradient.
+        let mut rng = ChaCha8Rng::seed_from_u64(46);
+        let cnn = crate::Cnn::table2([4, 20, 20], 6, 0.01, &mut rng);
+        let batch = 3;
+        let x = Tensor::randn(&[batch, cnn.in_dim()], 1.0, &mut rng);
+        let params = crate::ParamSet::params(&cnn);
+
+        // The trunk spelled out op by op, to reach the gradient arriving at the
+        // first convolution's output.
+        let g = Graph::new();
+        let xv = g.input(x.clone());
+        let vars = crate::bind_params(&g, &params);
+        let x4 = g.reshape(xv, &[batch, 4, 20, 20]);
+        let c1 = g.conv2d(x4, vars[0], vars[1], cnn.convs[0].stride);
+        let c2 = g.conv2d(g.relu(c1), vars[2], vars[3], cnn.convs[1].stride);
+        let flat = g.reshape(g.relu(c2), &[batch, cnn.fc.in_dim()]);
+        let feat = g.dense(flat, vars[4], vars[5], FusedAct::Relu);
+        let out = g.dense(feat, vars[6], vars[7], FusedAct::Identity);
+        let loss = g.mean_all(g.square(out));
+        let spelled = g.backward(loss, &[xv, c1]);
+        let want = per_image::conv(
+            &x.reshape(&[batch, 4, 20, 20]),
+            params[0],
+            params[1],
+            cnn.convs[0].stride,
+            &spelled[1],
+        );
+        assert_eq!(spelled[0].data(), want.dx.data());
+        assert!(want.dx.max_abs() > 0.0);
+
+        let fwd = |g: &Graph, vars: &[Var]| cnn.forward(g, vars[0], &vars[1..]);
+        let params_only = grads_of(&x, &params, fwd, false);
+        let g = Graph::new();
+        let mut all = vec![g.input(x.clone())];
+        all.extend(crate::bind_params(&g, &params));
+        let loss = g.mean_all(g.square(fwd(&g, &all)));
+        for with_obs in [g.backward(loss, &all), g.backward_cloning(loss, &all)] {
+            assert_eq!(with_obs[0], spelled[0]);
+            assert_eq!(with_obs[1..], params_only[..]);
+        }
+    }
+
+    #[test]
+    fn multi_use_node_gradients_match_between_strategies() {
+        // A node consumed by several ops exercises the accumulation ("+=") path
+        // in both strategies; order is identical, so equality is still exact.
+        let mut rng = ChaCha8Rng::seed_from_u64(45);
+        let w = Tensor::randn(&[6, 6], 1.0, &mut rng);
+        let x = Tensor::randn(&[4, 6], 1.0, &mut rng);
+        let run = |cloning: bool| {
+            let g = Graph::new();
+            let xv = g.input(x.clone());
+            let wv = g.input(w.clone());
+            let h = g.matmul(xv, wv);
+            let s = g.add(g.tanh(h), g.square(h)); // h used twice
+            let loss = g.mean_all(g.mul(s, s)); // s used twice
+            if cloning {
+                g.backward_cloning(loss, &[xv, wv])
+            } else {
+                g.backward(loss, &[xv, wv])
+            }
+        };
+        assert_eq!(run(false), run(true));
     }
 }
