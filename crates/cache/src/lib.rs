@@ -3,8 +3,8 @@
 //! The distributed-cache substrate of the Stellaris reproduction — the Rust
 //! stand-in for the Redis instance in §VII of the paper. It provides a
 //! sharded in-memory key-value store with blocking waits and counters, a
-//! compact binary [`codec`] for tensors and training messages, blocking
-//! MPMC queues for the trajectory/gradient streams, and a configurable
+//! compact binary [`codec`] for tensors and training messages, bounded
+//! gradient queues, length-prefixed wire frames, and a configurable
 //! latency model so transfer costs show up in the cost experiments.
 
 #![warn(missing_docs)]
@@ -19,5 +19,5 @@ pub use frame::{
     write_frame, write_value_frame, Frame, FrameHeader, FrameReader, WireError, DEFAULT_MAX_FRAME,
     FRAME_MAGIC, FRAME_VERSION, HEADER_LEN,
 };
-pub use queue::{BlockingQueue, GradientQueue, ShardedGradientQueue};
+pub use queue::{GradientQueue, ShardedGradientQueue};
 pub use store::{Cache, CacheError, CacheStats, LatencyMode, LatencyModel};

@@ -1,129 +1,22 @@
-//! Blocking MPMC queues used for the trajectory stream and gradient stream.
+//! Bounded gradient queues: one lane ([`GradientQueue`]) and the sharded
+//! plane of lanes ([`ShardedGradientQueue`]).
 //!
 //! The paper's components communicate through Redis lists; this is the
-//! equivalent primitive with close-on-shutdown semantics so orchestrator
-//! threads terminate cleanly when training ends.
+//! equivalent primitive, bounded with shed-oldest overflow so producers
+//! never block. Consumers poll ([`GradientQueue::try_pop`],
+//! [`ShardedGradientQueue::try_pop_any`]): no training path queues
+//! gradients any more — the asynchronous schedule offers each one on the
+//! cycle's thread as it lands — and the benchmark's plane probe drives the
+//! lanes from one thread.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 use stellaris_telemetry::{Counter, Gauge, Histogram};
 
-/// A blocking multi-producer multi-consumer FIFO queue.
-///
-/// ```
-/// use stellaris_cache::BlockingQueue;
-/// let q = BlockingQueue::new();
-/// q.push(1);
-/// q.push(2);
-/// assert_eq!(q.pop(), Some(1));
-/// q.close();
-/// assert_eq!(q.pop(), Some(2)); // drains, then reports closed
-/// assert_eq!(q.pop(), None);
-/// ```
-pub struct BlockingQueue<T> {
-    inner: Mutex<VecDeque<T>>,
-    cond: Condvar,
-    closed: AtomicBool,
-}
-
-impl<T> Default for BlockingQueue<T> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<T> BlockingQueue<T> {
-    /// Creates an empty, open queue.
-    pub fn new() -> Self {
-        Self {
-            // No cap of its own: depth is however far the producers run
-            // ahead of the consumers, so each construction site states it.
-            // bound: none here — unbounded by design, the bound belongs to the caller.
-            inner: Mutex::new(VecDeque::new()),
-            cond: Condvar::new(),
-            closed: AtomicBool::new(false),
-        }
-    }
-
-    /// Enqueues an item (no-op if closed; producers racing shutdown simply
-    /// drop their payload, matching fire-and-forget function semantics).
-    pub fn push(&self, item: T) {
-        if self.closed.load(Ordering::Acquire) {
-            return;
-        }
-        self.inner.lock().push_back(item);
-        self.cond.notify_one();
-    }
-
-    /// Dequeues, blocking until an item arrives or the queue is closed.
-    /// Returns `None` only after close with an empty queue.
-    pub fn pop(&self) -> Option<T> {
-        let mut q = self.inner.lock();
-        loop {
-            if let Some(item) = q.pop_front() {
-                return Some(item);
-            }
-            if self.closed.load(Ordering::Acquire) {
-                return None;
-            }
-            self.cond.wait(&mut q);
-        }
-    }
-
-    /// Dequeues with a timeout; `None` means timed out *or* closed-and-empty.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<T> {
-        let deadline = std::time::Instant::now() + timeout;
-        let mut q = self.inner.lock();
-        loop {
-            if let Some(item) = q.pop_front() {
-                return Some(item);
-            }
-            if self.closed.load(Ordering::Acquire) {
-                return None;
-            }
-            if self.cond.wait_until(&mut q, deadline).timed_out() {
-                return q.pop_front();
-            }
-        }
-    }
-
-    /// Non-blocking dequeue.
-    pub fn try_pop(&self) -> Option<T> {
-        self.inner.lock().pop_front()
-    }
-
-    /// Drains everything currently queued.
-    pub fn drain(&self) -> Vec<T> {
-        self.inner.lock().drain(..).collect()
-    }
-
-    /// Current length.
-    pub fn len(&self) -> usize {
-        self.inner.lock().len()
-    }
-
-    /// True when empty.
-    pub fn is_empty(&self) -> bool {
-        self.inner.lock().is_empty()
-    }
-
-    /// Closes the queue, waking all blocked consumers.
-    pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        self.cond.notify_all();
-    }
-
-    /// Whether the queue has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-    }
-}
-
-/// The gradient stream (workflow Step ②→③): a blocking FIFO that tracks
+/// The gradient stream (workflow Step ②→③): a bounded FIFO that tracks
 /// each payload's policy base version so the consumer can reason about the
 /// queue's staleness profile before aggregating.
 ///
@@ -133,12 +26,10 @@ impl<T> BlockingQueue<T> {
 /// q.push("grad:0", 0);
 /// q.push("grad:1", 2);
 /// assert_eq!(q.staleness_average(3), Some(2.0)); // ((3-0) + (3-2)) / 2
-/// assert_eq!(q.pop(), Some(("grad:0", 0)));
+/// assert_eq!(q.try_pop(), Some(("grad:0", 0)));
 /// ```
 pub struct GradientQueue<T> {
     inner: Mutex<VecDeque<(T, u64)>>,
-    cond: Condvar,
-    closed: AtomicBool,
     /// Depth cap (≥ 1): a push against a full queue sheds the oldest payload.
     cap: usize,
     /// Payloads shed (oldest-first) by pushes against a full queue.
@@ -160,7 +51,7 @@ pub struct GradientQueue<T> {
 }
 
 impl<T> GradientQueue<T> {
-    /// Creates an empty, open queue that holds at most `cap` payloads
+    /// Creates an empty queue that holds at most `cap` payloads
     /// (clamped to ≥ 1). A push against a full queue sheds the *oldest*
     /// payload — the most stale gradient, the one aggregation weights least
     /// — so producers never block and memory stays bounded however many
@@ -171,8 +62,6 @@ impl<T> GradientQueue<T> {
         Self {
             // bound: capacity is enforced in `push` (shed-oldest at `cap`).
             inner: Mutex::new(VecDeque::new()),
-            cond: Condvar::new(),
-            closed: AtomicBool::new(false),
             cap: cap.max(1),
             shed: AtomicU64::new(0),
             clock: AtomicU64::new(0),
@@ -222,14 +111,10 @@ impl<T> GradientQueue<T> {
         self.clock.load(Ordering::Acquire)
     }
 
-    /// Enqueues a payload computed against policy version `base_version`
-    /// (no-op if closed, like [`BlockingQueue::push`]). The enqueue is
-    /// traced as a `cache.queue_push` span.
+    /// Enqueues a payload computed against policy version `base_version`.
+    /// The enqueue is traced as a `cache.queue_push` span.
     pub fn push(&self, item: T, base_version: u64) {
         let _span = stellaris_telemetry::span("cache.queue_push");
-        if self.closed.load(Ordering::Acquire) {
-            return;
-        }
         let (depth, shed) = {
             let mut q = self.inner.lock();
             let shed = q.len() >= self.cap;
@@ -239,7 +124,6 @@ impl<T> GradientQueue<T> {
             q.push_back((item, base_version));
             (q.len(), shed)
         };
-        self.cond.notify_one();
         if shed {
             self.shed.fetch_add(1, Ordering::Relaxed);
             self.shed_total.inc();
@@ -268,57 +152,12 @@ impl<T> GradientQueue<T> {
         self.staleness_hist.record(staleness);
     }
 
-    /// Dequeues the oldest payload and its base version, blocking until an
-    /// item arrives or the queue is closed (then `None` once drained). The
-    /// wait (if any) is traced as a `cache.queue_pop` span.
-    pub fn pop(&self) -> Option<(T, u64)> {
-        let _span = stellaris_telemetry::span("cache.queue_pop");
-        let (entry, depth) = {
-            let mut q = self.inner.lock();
-            loop {
-                if let Some(entry) = q.pop_front() {
-                    break (entry, q.len());
-                }
-                if self.closed.load(Ordering::Acquire) {
-                    return None;
-                }
-                self.cond.wait(&mut q);
-            }
-        };
-        self.note_dequeue(entry.1, depth);
-        Some(entry)
-    }
-
-    /// Non-blocking dequeue.
+    /// Dequeues the oldest payload and its base version, if any.
     pub fn try_pop(&self) -> Option<(T, u64)> {
         let (entry, depth) = {
             let mut q = self.inner.lock();
             let entry = q.pop_front()?;
             (entry, q.len())
-        };
-        self.note_dequeue(entry.1, depth);
-        Some(entry)
-    }
-
-    /// Dequeues with a timeout; `None` means timed out *or* closed-and-empty
-    /// (mirrors [`BlockingQueue::pop_timeout`]).
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<(T, u64)> {
-        let _span = stellaris_telemetry::span("cache.queue_pop");
-        let deadline = std::time::Instant::now() + timeout;
-        let (entry, depth) = {
-            let mut q = self.inner.lock();
-            loop {
-                if let Some(entry) = q.pop_front() {
-                    break (entry, q.len());
-                }
-                if self.closed.load(Ordering::Acquire) {
-                    return None;
-                }
-                if self.cond.wait_until(&mut q, deadline).timed_out() {
-                    let entry = q.pop_front()?;
-                    break (entry, q.len());
-                }
-            }
         };
         self.note_dequeue(entry.1, depth);
         Some(entry)
@@ -357,17 +196,6 @@ impl<T> GradientQueue<T> {
     pub fn is_empty(&self) -> bool {
         self.inner.lock().is_empty()
     }
-
-    /// Closes the queue, waking all blocked consumers.
-    pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        self.cond.notify_all();
-    }
-
-    /// Whether the queue has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.closed.load(Ordering::Acquire)
-    }
 }
 
 /// The sharded gradient plane (DESIGN.md §16): `n_lanes` independent bounded
@@ -378,9 +206,9 @@ impl<T> GradientQueue<T> {
 /// memory is bounded at `n_lanes * per_lane_cap` payloads however many
 /// learners push.
 ///
-/// Consumers drain with a rotating scan ([`Self::try_pop_any`] /
-/// [`Self::pop_any`]); the rotation cursor is a single relaxed atomic, not a
-/// lock, and exists only for fairness across lanes.
+/// Consumers drain with a rotating scan ([`Self::try_pop_any`]); the
+/// rotation cursor is a single relaxed atomic, not a lock, and exists only
+/// for fairness across lanes.
 ///
 /// ```
 /// use stellaris_cache::ShardedGradientQueue;
@@ -445,53 +273,6 @@ impl<T> ShardedGradientQueue<T> {
         None
     }
 
-    /// Dequeues with a timeout; `None` means timed out *or* closed-and-drained.
-    /// Scans all lanes, then parks briefly on one lane's condvar between
-    /// scans — the 1 ms park slice bounds the latency of a push landing on a
-    /// lane the consumer is not parked on.
-    pub fn pop_any_timeout(&self, timeout: Duration) -> Option<(T, u64)> {
-        if self.lanes.len() == 1 {
-            return self.lanes[0].pop_timeout(timeout);
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        loop {
-            if let Some(entry) = self.try_pop_any() {
-                return Some(entry);
-            }
-            if self.is_closed() {
-                // Closed: one final scan catches payloads pushed before the
-                // close raced ahead of our empty scan.
-                return self.try_pop_any();
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let slice = Duration::from_millis(1).min(deadline - now);
-            let park = (self.cursor.load(Ordering::Relaxed) as usize) % self.lanes.len();
-            if let Some(entry) = self.lanes[park].pop_timeout(slice) {
-                return Some(entry);
-            }
-        }
-    }
-
-    /// Dequeues, blocking until a payload arrives on any lane or the plane is
-    /// closed and drained (then `None`). With a single lane this is exactly
-    /// [`GradientQueue::pop`] — same blocking semantics, same trace spans.
-    pub fn pop_any(&self) -> Option<(T, u64)> {
-        if self.lanes.len() == 1 {
-            return self.lanes[0].pop();
-        }
-        loop {
-            if let Some(entry) = self.pop_any_timeout(Duration::from_millis(50)) {
-                return Some(entry);
-            }
-            if self.is_closed() && self.is_empty() {
-                return None;
-            }
-        }
-    }
-
     /// Publishes the consumer's aggregation clock to every lane (see
     /// [`GradientQueue::advance_clock`]).
     pub fn advance_clock(&self, clock: u64) {
@@ -520,120 +301,11 @@ impl<T> ShardedGradientQueue<T> {
     pub fn shed_count(&self) -> u64 {
         self.lanes.iter().map(|l| l.shed_count()).sum()
     }
-
-    /// Closes every lane, waking all blocked consumers.
-    pub fn close(&self) {
-        for lane in &self.lanes {
-            lane.close();
-        }
-    }
-
-    /// Whether the plane has been closed.
-    pub fn is_closed(&self) -> bool {
-        self.lanes[0].is_closed()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
-
-    #[test]
-    fn fifo_order() {
-        let q = BlockingQueue::new();
-        q.push(1);
-        q.push(2);
-        q.push(3);
-        assert_eq!(q.pop(), Some(1));
-        assert_eq!(q.pop(), Some(2));
-        assert_eq!(q.try_pop(), Some(3));
-        assert_eq!(q.try_pop(), None);
-    }
-
-    #[test]
-    fn close_wakes_blocked_consumer() {
-        let q = Arc::new(BlockingQueue::<u32>::new());
-        let consumer = {
-            let q = q.clone();
-            std::thread::spawn(move || q.pop())
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        q.close();
-        assert_eq!(consumer.join().unwrap(), None);
-    }
-
-    #[test]
-    fn close_drains_remaining_items_first() {
-        let q = BlockingQueue::new();
-        q.push("a");
-        q.close();
-        assert_eq!(q.pop(), Some("a"));
-        assert_eq!(q.pop(), None);
-        // Pushes after close are dropped.
-        q.push("b");
-        assert_eq!(q.pop(), None);
-    }
-
-    #[test]
-    fn pop_timeout_returns_none_on_idle() {
-        let q = BlockingQueue::<u8>::new();
-        let start = std::time::Instant::now();
-        assert_eq!(q.pop_timeout(Duration::from_millis(40)), None);
-        assert!(start.elapsed() >= Duration::from_millis(35));
-    }
-
-    #[test]
-    fn mpmc_all_items_delivered_exactly_once() {
-        let q = Arc::new(BlockingQueue::new());
-        let mut producers = Vec::new();
-        for p in 0..4u64 {
-            let q = q.clone();
-            producers.push(std::thread::spawn(move || {
-                for i in 0..100u64 {
-                    q.push(p * 1000 + i);
-                }
-            }));
-        }
-        let mut consumers = Vec::new();
-        for _ in 0..4 {
-            let q = q.clone();
-            consumers.push(std::thread::spawn(move || {
-                let mut got = Vec::new();
-                while let Some(v) = q.pop() {
-                    got.push(v);
-                }
-                got
-            }));
-        }
-        for p in producers {
-            p.join().unwrap();
-        }
-        // Give consumers time to drain before closing.
-        while !q.is_empty() {
-            std::thread::sleep(Duration::from_millis(1));
-        }
-        q.close();
-        let mut all: Vec<u64> = consumers
-            .into_iter()
-            .flat_map(|c| c.join().unwrap())
-            .collect();
-        all.sort_unstable();
-        let want: Vec<u64> = (0..4u64)
-            .flat_map(|p| (0..100u64).map(move |i| p * 1000 + i))
-            .collect();
-        assert_eq!(all, want);
-    }
-
-    #[test]
-    fn drain_empties_queue() {
-        let q = BlockingQueue::new();
-        for i in 0..5 {
-            q.push(i);
-        }
-        assert_eq!(q.drain(), vec![0, 1, 2, 3, 4]);
-        assert!(q.is_empty());
-    }
 
     #[test]
     fn gradient_queue_tracks_base_versions() {
@@ -644,7 +316,7 @@ mod tests {
         assert_eq!(q.len(), 3);
         assert_eq!(q.staleness_average(5), Some((5.0 + 2.0) / 3.0)); // stalenesses 5, 2, 0
         assert_eq!(q.staleness_max(5), Some(5));
-        assert_eq!(q.pop(), Some(("a", 0)));
+        assert_eq!(q.try_pop(), Some(("a", 0)));
         assert_eq!(q.staleness_average(5), Some(1.0));
     }
 
@@ -684,7 +356,7 @@ mod tests {
         q.push("a", 0);
         q.push("b", 4);
         q.advance_clock(4);
-        assert_eq!(q.pop(), Some(("a", 0))); // staleness 4
+        assert_eq!(q.try_pop(), Some(("a", 0))); // staleness 4
         assert_eq!(q.try_pop(), Some(("b", 4))); // staleness 0
                                                  // Other queue tests in this binary record concurrently into the
                                                  // same global histogram, so only a monotonic bound is safe here.
@@ -702,8 +374,8 @@ mod tests {
         q.push("c", 2); // full: "a" (the stalest payload) is shed
         assert_eq!(q.len(), 2);
         assert_eq!(q.shed_count(), 1);
-        assert_eq!(q.pop(), Some(("b", 1)));
-        assert_eq!(q.pop(), Some(("c", 2)));
+        assert_eq!(q.try_pop(), Some(("b", 1)));
+        assert_eq!(q.try_pop(), Some(("c", 2)));
         assert_eq!(q.try_pop(), None);
     }
 
@@ -714,19 +386,7 @@ mod tests {
         q.push(1u8, 0);
         q.push(2u8, 1);
         assert_eq!(q.shed_count(), 1);
-        assert_eq!(q.pop(), Some((2, 1)));
-    }
-
-    #[test]
-    fn gradient_queue_close_semantics_match_blocking_queue() {
-        let q = Arc::new(GradientQueue::<u8>::bounded(8));
-        q.push(1, 0);
-        q.close();
-        assert_eq!(q.pop(), Some((1, 0)), "drains before reporting closed");
-        assert_eq!(q.pop(), None);
-        q.push(2, 0);
-        assert_eq!(q.try_pop(), None, "pushes after close are dropped");
-        assert!(q.is_closed());
+        assert_eq!(q.try_pop(), Some((2, 1)));
     }
 
     #[test]
@@ -739,8 +399,8 @@ mod tests {
         assert_eq!(q.len(), 8);
         // Keys 1 and 5 share lane 1 and stay FIFO within it.
         assert_eq!(q.lane_of(1), q.lane_of(5));
-        assert_eq!(q.lane(1).pop(), Some((1, 1)));
-        assert_eq!(q.lane(1).pop(), Some((5, 5)));
+        assert_eq!(q.lane(1).try_pop(), Some((1, 1)));
+        assert_eq!(q.lane(1).try_pop(), Some((5, 5)));
     }
 
     #[test]
@@ -766,34 +426,11 @@ mod tests {
         assert_eq!(q.shed_count(), 2);
         assert_eq!(q.lane(0).shed_count(), 2);
         assert_eq!(q.lane(1).shed_count(), 0);
-        assert_eq!(q.lane(0).pop(), Some((2, 2)), "oldest payloads were shed");
-    }
-
-    #[test]
-    fn sharded_close_drains_then_reports_closed() {
-        let q = ShardedGradientQueue::bounded(2, 4);
-        q.push(0, "a", 0);
-        q.push(1, "b", 0);
-        q.close();
-        assert!(q.is_closed());
-        let mut got = vec![q.pop_any().unwrap().0, q.pop_any().unwrap().0];
-        got.sort_unstable();
-        assert_eq!(got, vec!["a", "b"]);
-        assert_eq!(q.pop_any(), None);
-        q.push(0, "c", 0);
-        assert!(q.is_empty(), "pushes after close are dropped");
-    }
-
-    #[test]
-    fn sharded_pop_any_blocks_until_push_on_any_lane() {
-        let q = Arc::new(ShardedGradientQueue::bounded(4, 4));
-        let consumer = {
-            let q = q.clone();
-            std::thread::spawn(move || q.pop_any())
-        };
-        std::thread::sleep(Duration::from_millis(20));
-        q.push(3, 42u64, 7);
-        assert_eq!(consumer.join().unwrap(), Some((42, 7)));
+        assert_eq!(
+            q.lane(0).try_pop(),
+            Some((2, 2)),
+            "oldest payloads were shed"
+        );
     }
 
     #[test]
@@ -814,8 +451,8 @@ mod tests {
             assert_eq!(q.lane_of(key), 0);
         }
         q.push(5, "x", 2);
-        assert_eq!(q.pop_any(), Some(("x", 2)));
-        assert_eq!(q.pop_any_timeout(Duration::from_millis(5)), None);
+        assert_eq!(q.try_pop_any(), Some(("x", 2)));
+        assert_eq!(q.try_pop_any(), None);
     }
 
     #[test]

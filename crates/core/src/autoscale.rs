@@ -2,13 +2,12 @@
 //! should be scalable and dynamic to achieve efficient learning for
 //! serverless DRL training."
 //!
-//! The autoscaler sizes the active learner pool from the staged-batch
-//! backlog: enough learners that each has a couple of mini-batches queued,
-//! never more than the GPU slots allow. Scaling down releases GPU slots
-//! (raising utilisation, Fig. 3a's right axis); scaling up cuts learning
-//! time at high actor counts (the left axis).
-
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+//! The autoscaler sizes the learner pool from the staged backlog: enough
+//! learners that each has a couple of mini-batches staged, never more than
+//! the GPU slots allow. Scaling down releases GPU slots (raising
+//! utilisation, Fig. 3a's right axis); scaling up cuts learning time at
+//! high actor counts (the left axis). The in-process fleet asks it once per
+//! batch of staged mini-batches — a round, or a lock-step wave.
 
 /// Backlog-driven learner-pool autoscaler.
 #[derive(Debug)]
@@ -17,8 +16,6 @@ pub struct LearnerAutoscaler {
     max: usize,
     /// Target staged mini-batches per active learner.
     pub backlog_per_learner: usize,
-    active: AtomicUsize,
-    decisions: AtomicU64,
 }
 
 impl LearnerAutoscaler {
@@ -32,8 +29,6 @@ impl LearnerAutoscaler {
             min,
             max,
             backlog_per_learner: 2,
-            active: AtomicUsize::new(min),
-            decisions: AtomicU64::new(0),
         }
     }
 
@@ -46,35 +41,6 @@ impl LearnerAutoscaler {
     pub fn decide(&self, backlog: usize) -> usize {
         let want = backlog.div_ceil(self.backlog_per_learner.max(1));
         want.clamp(self.min, self.max)
-    }
-
-    /// The staged backlog at which [`Self::decide`] already asks for every
-    /// slot: beyond it, more staged mini-batches cannot buy more learners.
-    pub(crate) fn full_pool_backlog(&self) -> usize {
-        self.max * self.backlog_per_learner.max(1)
-    }
-
-    /// Observes the current backlog and rescales; returns the new size.
-    pub fn observe(&self, backlog: usize) -> usize {
-        let next = self.decide(backlog);
-        self.active.store(next, Ordering::Release);
-        self.decisions.fetch_add(1, Ordering::Relaxed);
-        next
-    }
-
-    /// Currently allowed pool size.
-    pub fn active(&self) -> usize {
-        self.active.load(Ordering::Acquire)
-    }
-
-    /// Whether worker `id` may pull work right now.
-    pub fn admits(&self, id: usize) -> bool {
-        id < self.active()
-    }
-
-    /// Number of scaling decisions taken.
-    pub fn decisions(&self) -> u64 {
-        self.decisions.load(Ordering::Relaxed)
     }
 }
 
@@ -91,30 +57,13 @@ mod tests {
         assert_eq!(a.decide(4), 2);
         assert_eq!(a.decide(16), 8);
         assert_eq!(a.decide(1000), 8, "clamped to GPU slots");
-        assert_eq!(a.full_pool_backlog(), 16);
-    }
-
-    #[test]
-    fn observe_updates_admission() {
-        let a = LearnerAutoscaler::new(1, 4);
-        assert!(a.admits(0));
-        assert!(!a.admits(1));
-        a.observe(8);
-        assert_eq!(a.active(), 4);
-        assert!(a.admits(3));
-        a.observe(0);
-        assert_eq!(a.active(), 1);
-        assert!(!a.admits(1));
-        assert_eq!(a.decisions(), 2);
     }
 
     #[test]
     fn pinned_never_moves() {
         let a = LearnerAutoscaler::pinned(3);
-        a.observe(0);
-        assert_eq!(a.active(), 3);
-        a.observe(1000);
-        assert_eq!(a.active(), 3);
+        assert_eq!(a.decide(0), 3);
+        assert_eq!(a.decide(1000), 3);
     }
 
     #[test]

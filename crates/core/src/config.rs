@@ -155,11 +155,12 @@ pub struct TrainConfig {
     /// MinionsRL-style dynamic actor scaling.
     pub dynamic_actors: bool,
     /// Backlog-driven learner autoscaling (§V-B's dynamic learner
-    /// orchestration); when false the pool is pinned at `max_learners`.
+    /// orchestration): each batch of staged mini-batches sizes the learner
+    /// pool that serves it. When false the pool is pinned at every slot.
     pub dynamic_learners: bool,
     /// Resume training from a previous run's final snapshot (architecture
-    /// must match this config's env/hidden geometry). Honoured by all three
-    /// training loops.
+    /// must match this config's env/hidden geometry). Honoured by both
+    /// schedules and by the remote fleet.
     pub initial_snapshot: Option<PolicySnapshot>,
     /// Fault-injection plan (seeded chaos); `FaultConfig::off()` disables
     /// every fault class.
@@ -171,15 +172,10 @@ pub struct TrainConfig {
     /// (required for bitwise-deterministic runs — deadlines compare
     /// wall-clock time).
     pub invoke_deadline: Option<Duration>,
-    /// Parameter-plane shards (DESIGN.md §16), honoured by all three
-    /// training loops (async, sync, remote). 1 = one shard owning every
-    /// block; N>1 splits parameter blocks across N independently-committing
-    /// shards.
+    /// Parameter-plane shards (DESIGN.md §16), honoured by both schedules
+    /// and by the remote fleet. 1 = one shard owning every block; N>1
+    /// splits parameter blocks across N independently-committing shards.
     pub param_shards: usize,
-    /// Gradient-plane lanes: bounded MPSC lanes learners hash into so
-    /// enqueues never contend on one global lock. 1 = the classic single
-    /// queue.
-    pub grad_lanes: usize,
 }
 
 impl TrainConfig {
@@ -214,7 +210,6 @@ impl TrainConfig {
             retry: RetryPolicy::default(),
             invoke_deadline: None,
             param_shards: 1,
-            grad_lanes: 1,
         }
     }
 
@@ -281,11 +276,12 @@ impl TrainConfig {
         self
     }
 
-    /// Shards the gradient/parameter plane: `shards` parameter shards and
-    /// `lanes` gradient lanes (both clamped to at least 1).
-    pub fn with_sharding(mut self, shards: usize, lanes: usize) -> Self {
+    /// Shards the parameter plane into `shards` parameter shards (clamped
+    /// to at least 1). `_lanes` is unused: gradients reach the plane on the
+    /// cycle's thread, not through queue lanes. The argument stays only
+    /// because the benchmark's workload table passes it.
+    pub fn with_sharding(mut self, shards: usize, _lanes: usize) -> Self {
         self.param_shards = shards.max(1);
-        self.grad_lanes = lanes.max(1);
         self
     }
 

@@ -14,10 +14,11 @@
 //!   passing through the distributed cache, and the baseline aggregation
 //!   rules (Softsync, SSP, pure-async, full-sync) used by the ablations.
 //!
-//! There are two schedules. The free-running asynchronous pipeline lives in
-//! [`orchestrator`]. The lock-step cycle lives in [`cycle`], written once
-//! over a [`cycle::Fleet`]: synchronous training drives it over in-process
-//! threads, [`remote::RemoteFleet`] over child processes behind sockets.
+//! One cycle, two schedules: [`cycle::async_round`] and
+//! [`cycle::lockstep_round`] are each written once over a [`cycle::Fleet`].
+//! [`orchestrator::train`] drives either over in-process threads,
+//! [`remote::RemoteFleet`] drives the lock-step one over child processes
+//! behind sockets.
 //!
 //! [`frameworks`] provides named configurations reproducing every baseline
 //! system of the evaluation: vanilla PPO/IMPACT, Ray RLlib-style synchronous
@@ -30,6 +31,7 @@ pub mod autoscale;
 pub mod config;
 pub mod cycle;
 pub mod frameworks;
+pub mod local;
 pub mod messages;
 pub mod metrics;
 pub mod orchestrator;
@@ -42,10 +44,14 @@ pub mod truncation;
 pub use aggregation::{AggregationRule, GradAccumulator, SspThrottle};
 pub use autoscale::LearnerAutoscaler;
 pub use config::{Algo, Deployment, LearnerMode, TrainConfig};
-pub use cycle::{fresh_net, lockstep_round, ActorBody, CycleTotals, Fleet, LearnerBody};
+pub use cycle::{
+    async_round, fresh_net, lockstep_round, ActorBody, Actors, CycleTotals, Fleet, LearnerBody,
+    Learners, Published,
+};
+pub use local::POLICY_KEY;
 pub use messages::GradientMsg;
 pub use metrics::{rows_to_csv, TimerReport, Timers, TrainRow};
-pub use orchestrator::{parameter_plane, smooth, train, TrainResult, POLICY_KEY};
+pub use orchestrator::{parameter_plane, smooth, train, TrainResult};
 pub use parameter::{ShardLayout, ShardedParameterServer, StalenessRing};
 pub use remote::{
     serve_worker, snapshot_checksum, GradientCall, GradientRequest, RemoteError, RemoteFleet,

@@ -44,7 +44,9 @@ use stellaris_serverless::{
 use stellaris_telemetry::{self as telemetry, Event, EventKind, FieldValue};
 
 use crate::config::{Algo, TrainConfig};
-use crate::cycle::{lockstep_round, ActorBody, CycleTotals, Fleet, LearnerBody};
+use crate::cycle::{
+    lockstep_round, ActorBody, Actors, CycleTotals, Fleet, LearnerBody, Learners, Published,
+};
 use crate::messages::GradientMsg;
 use crate::metrics::Timers;
 use crate::orchestrator::{learner_invocations, parameter_plane};
@@ -952,15 +954,24 @@ impl RemoteFleet {
         let setup = RemoteSetup::from_train(&self.cfg);
         let n_learners = self.cfg.max_learners.max(1);
         let mut fleet = ProcessFleet {
-            fleet: self,
-            // The actor's span base must not collide with any learner's, so
-            // it takes the index right above the learner range.
-            actor: self.checkout_worker(FunctionKind::Actor, n_learners, &setup)?,
-            setup,
-            actor_version: None,
-            learners: (0..n_learners).map(|_| LearnerSlot::default()).collect(),
-            round: 0,
-            report: RemoteRunReport::default(),
+            actor: ProcessActor {
+                fleet: self,
+                // The actor's span base must not collide with any
+                // learner's, so it takes the index right above the learner
+                // range.
+                worker: self.checkout_worker(FunctionKind::Actor, n_learners, &setup)?,
+                holds: None,
+                round: 0,
+                pulls: 0,
+                pulled_bytes: 0,
+            },
+            learners: ProcessLearners {
+                fleet: self,
+                setup,
+                slots: (0..n_learners).map(|_| LearnerSlot::default()).collect(),
+                round: 0,
+                report: RemoteRunReport::default(),
+            },
         };
         let server = parameter_plane(&self.cfg);
         let timers = Timers::default();
@@ -971,19 +982,19 @@ impl RemoteFleet {
             lockstep_round(&mut fleet, &server, &self.cfg, &timers, &mut totals)?;
             server.advance_round();
             round_span.field("version", server.clock());
-            fleet.end_round(round_span.id());
+            fleet.actor.round += 1;
+            fleet.learners.end_round(round_span.id());
         }
 
         let ProcessFleet {
             mut actor,
-            mut report,
-            ..
+            learners: ProcessLearners { mut report, .. },
         } = fleet;
-        if let Ok(events) = actor.pull_spans(0) {
+        if let Ok(events) = actor.worker.pull_spans(0) {
             report.events_ingested += events.len();
             telemetry::ingest_events(events);
         }
-        let _graceful = actor.shutdown();
+        let _graceful = actor.worker.shutdown();
         self.pool.shutdown();
 
         let (cold_spawns, warm_reuses) = self.pool.start_counts();
@@ -997,6 +1008,8 @@ impl RemoteFleet {
             warm_reuses,
             faults: self.faults.report(),
             learner_invocations: learner_invocations(&self.platform),
+            policy_full_pulls: report.policy_full_pulls + actor.pulls,
+            policy_bytes_full: report.policy_bytes_full + actor.pulled_bytes,
             ..report
         })
     }
@@ -1004,28 +1017,61 @@ impl RemoteFleet {
 
 /// The cross-process venue of the lock-step cycle: one actor worker and
 /// `max_learners` learner workers, each a child process behind a framed
-/// socket. The wave is the whole round, cut against one snapshot with
-/// `cfg.truncation_rho` as the IS cap; its mini-batches are served
-/// round-robin by the learner slots, one dispatch lane (thread) per slot.
+/// socket. The wave is the whole round, with `cfg.truncation_rho` as the
+/// IS cap; its mini-batches are served round-robin by the learner slots,
+/// one dispatch lane (thread) per slot.
 struct ProcessFleet<'a> {
+    actor: ProcessActor<'a>,
+    learners: ProcessLearners<'a>,
+}
+
+impl<'a> Fleet for ProcessFleet<'a> {
+    type Error = RemoteError;
+    type Actors<'f>
+        = &'f mut ProcessActor<'a>
+    where
+        Self: 'f;
+    type Learners<'f>
+        = &'f mut ProcessLearners<'a>
+    where
+        Self: 'f;
+
+    fn split(&mut self) -> (&mut ProcessActor<'a>, &mut ProcessLearners<'a>) {
+        (&mut self.actor, &mut self.learners)
+    }
+}
+
+/// The actor half of `ProcessFleet`: one actor worker process.
+struct ProcessActor<'a> {
     fleet: &'a RemoteFleet,
-    setup: RemoteSetup,
-    actor: RemoteWorker,
-    /// The policy version the actor worker holds; `None` until the first
+    worker: RemoteWorker,
+    /// The policy version the worker holds; `None` until the first
     /// `LOAD_POLICY`.
-    actor_version: Option<u64>,
-    learners: Vec<LearnerSlot>,
+    holds: Option<u64>,
     /// Rounds finished so far.
     round: usize,
-    /// The fields a fleet counts as it goes: `recovered`,
+    /// `LOAD_POLICY` frames that landed, and their snapshot bytes.
+    pulls: u64,
+    pulled_bytes: u64,
+}
+
+/// The learner half of `ProcessFleet`: one [`LearnerSlot`] per learner
+/// worker.
+struct ProcessLearners<'a> {
+    fleet: &'a RemoteFleet,
+    setup: RemoteSetup,
+    slots: Vec<LearnerSlot>,
+    /// Rounds finished so far.
+    round: usize,
+    /// The fields the learner half counts as it goes: `recovered`,
     /// `events_ingested`, `policy_full_pulls` and `policy_bytes_full`.
     report: RemoteRunReport,
 }
 
 /// One learner slot: the worker checked out this round, and the policy
-/// version its process holds — the twin of `actor_version`. The version
-/// outlives the checkout because the process idles in the pool between
-/// rounds with its state intact.
+/// version its process holds — the twin of `ProcessActor::holds`. The
+/// version outlives the checkout because the process idles in the pool
+/// between rounds with its state intact.
 #[derive(Default)]
 struct LearnerSlot {
     worker: Option<RemoteWorker>,
@@ -1047,27 +1093,36 @@ struct LaneReport {
     msgs: Vec<(usize, GradientMsg)>,
     /// Typed errors a retry recovered.
     recovered: u64,
-    /// Calls that carried the snapshot and succeeded.
+    /// Calls that carried the snapshot and succeeded, and its bytes.
     pushes: u64,
+    pushed_bytes: u64,
 }
 
 impl LearnerSlot {
-    /// One dispatch lane: this slot's share of a wave, strictly in order
-    /// over its own socket. The first call at a new version carries `snap`
-    /// and the worker keeps it; later ones name the version only. Returns
-    /// early only when no worker could be spawned within the retry budget.
+    /// Dispatch lane `l`: this slot's share of a wave, strictly in order
+    /// over its own socket, each call against the policy published when it
+    /// starts. The first call at a new version carries the snapshot and the
+    /// worker keeps it; later ones name the version only. Returns early
+    /// only when no worker could be spawned within the retry budget.
     fn run_lane(
         &mut self,
         fleet: &RemoteFleet,
         setup: &RemoteSetup,
-        snap: &PolicySnapshot,
+        policy: &Published,
         wave_span: u64,
-        jobs: Vec<(usize, GradientCall, Chaos)>,
+        l: usize,
+        jobs: Vec<(usize, SampleBatch, Chaos)>,
     ) -> Result<LaneReport, RemoteError> {
         let LearnerSlot { worker, holds } = self;
         let mut report = LaneReport::default();
-        for (i, call, chaos) in jobs {
-            let l = call.learner_id;
+        for (i, batch, chaos) in jobs {
+            let snap = policy.get();
+            let call = GradientCall {
+                version: snap.version,
+                batch,
+                cap: fleet.cfg.truncation_rho,
+                learner_id: l,
+            };
             let mut span = telemetry::span_with_parent(
                 "fleet.gradient",
                 wave_span,
@@ -1086,7 +1141,7 @@ impl LearnerSlot {
                         slot.insert(w)
                     }
                 };
-                let push = (*holds != Some(snap.version)).then_some(snap);
+                let push = (*holds != Some(snap.version)).then_some(&*snap);
                 let injected = attempt == 0;
                 let t0 = Instant::now();
                 let result = if injected && chaos.dropped {
@@ -1110,6 +1165,7 @@ impl LearnerSlot {
                         if push.is_some() {
                             *holds = Some(snap.version);
                             report.pushes += 1;
+                            report.pushed_bytes += snap.encoded_len() as u64;
                         }
                         if attempt > 0 {
                             report.recovered += 1;
@@ -1144,14 +1200,14 @@ impl LearnerSlot {
     }
 }
 
-impl ProcessFleet<'_> {
+impl ProcessLearners<'_> {
     /// Keep-alive between rounds: learner workers idle in the pool and the
     /// next round's checkout reuses them warm. After the last round their
     /// spans are pulled and they shut down (drop kills whatever is left).
     fn end_round(&mut self, trace: u64) {
         self.round += 1;
         let last = self.round == self.fleet.cfg.rounds;
-        for slot in &mut self.learners {
+        for slot in &mut self.slots {
             let Some(mut w) = slot.worker.take() else {
                 continue;
             };
@@ -1168,7 +1224,7 @@ impl ProcessFleet<'_> {
     }
 }
 
-impl Fleet for ProcessFleet<'_> {
+impl Actors for ProcessActor<'_> {
     type Error = RemoteError;
 
     /// The actor worker is sent `snap` whole unless it already holds that
@@ -1176,33 +1232,37 @@ impl Fleet for ProcessFleet<'_> {
     fn collect(&mut self, snap: &PolicySnapshot) -> Result<Vec<Option<SampleBatch>>, RemoteError> {
         let span = telemetry::span_with("fleet.collect", vec![("round", self.round.into())]);
         let t0 = Instant::now();
-        if self.actor_version != Some(snap.version) {
-            self.actor.load_policy(snap, span.id())?;
-            self.report.policy_full_pulls += 1;
-            self.report.policy_bytes_full += snap.encoded_len() as u64;
-            self.actor_version = Some(snap.version);
+        if self.holds != Some(snap.version) {
+            self.worker.load_policy(snap, span.id())?;
+            self.pulls += 1;
+            self.pulled_bytes += snap.encoded_len() as u64;
+            self.holds = Some(snap.version);
         }
         let steps = self.fleet.cfg.actor_steps as u64;
-        let batch = self.actor.collect(steps, span.id())?;
+        let batch = self.worker.collect(steps, span.id())?;
         self.fleet
             .record_warm(FunctionKind::Actor, t0.elapsed(), false);
         Ok(vec![Some(batch)])
     }
+}
+
+impl Learners for ProcessLearners<'_> {
+    type Error = RemoteError;
 
     fn wave_width(&self, minibatches: usize) -> usize {
         minibatches
     }
 
-    /// One dispatch lane per learner slot ([`LearnerSlot::run_lane`]); all
-    /// lanes are joined before anything is returned, and the caller offers
-    /// in mini-batch order, so arrival order never reaches the weights.
+    /// One dispatch lane per learner slot ([`LearnerSlot::run_lane`]); every
+    /// lane is joined before the gradients are handed over, in slot order.
     fn gradients(
         &mut self,
-        snap: &PolicySnapshot,
+        policy: &Published,
         wave: Vec<SampleBatch>,
-    ) -> Result<Vec<(usize, GradientMsg)>, RemoteError> {
+        arrived: &mut dyn FnMut(usize, GradientMsg),
+    ) -> Result<(), RemoteError> {
         let (fleet, setup) = (self.fleet, &self.setup);
-        let n = self.learners.len();
+        let n = self.slots.len();
         let sent = wave.len();
         // One chaos draw per mini-batch and class, in mini-batch order on
         // this thread before any lane starts: each class has its own seeded
@@ -1218,13 +1278,7 @@ impl Fleet for ProcessFleet<'_> {
                 corrupt: fleet.faults.should_corrupt_frame(),
                 dropped: fleet.faults.should_drop_frame(),
             };
-            let call = GradientCall {
-                version: snap.version,
-                batch: mb,
-                cap: fleet.cfg.truncation_rho,
-                learner_id: i % n,
-            };
-            jobs[i % n].push((i, call, chaos));
+            jobs[i % n].push((i, mb, chaos));
         }
         let wave_span = telemetry::span_with(
             "fleet.wave",
@@ -1233,13 +1287,14 @@ impl Fleet for ProcessFleet<'_> {
         let wave_id = wave_span.id();
         let lanes: Vec<_> = std::thread::scope(|scope| {
             let handles: Vec<_> = self
-                .learners
+                .slots
                 .iter_mut()
                 .zip(jobs)
-                .filter(|(_, jobs)| !jobs.is_empty())
-                .map(|(slot, jobs)| {
+                .enumerate()
+                .filter(|(_, (_, jobs))| !jobs.is_empty())
+                .map(|(l, (slot, jobs))| {
                     scope.spawn(move || {
-                        let out = slot.run_lane(fleet, setup, snap, wave_id, jobs);
+                        let out = slot.run_lane(fleet, setup, policy, wave_id, l, jobs);
                         // The lane's spans must be in the sink before the
                         // round's trace is read, not whenever the thread's
                         // locals are torn down.
@@ -1259,7 +1314,7 @@ impl Fleet for ProcessFleet<'_> {
                     msgs.extend(lane.msgs);
                     report.recovered += lane.recovered;
                     report.policy_full_pulls += lane.pushes;
-                    report.policy_bytes_full += lane.pushes * snap.encoded_len() as u64;
+                    report.policy_bytes_full += lane.pushed_bytes;
                 }
                 // Lanes come back in slot order: the lowest one reports.
                 Ok(Err(e)) => spawn_err = spawn_err.or(Some(e)),
@@ -1267,7 +1322,13 @@ impl Fleet for ProcessFleet<'_> {
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
-        spawn_err.map_or(Ok(msgs), Err)
+        if let Some(e) = spawn_err {
+            return Err(e);
+        }
+        for (i, msg) in msgs {
+            arrived(i, msg);
+        }
+        Ok(())
     }
 }
 

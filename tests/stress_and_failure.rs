@@ -5,7 +5,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use stellaris::cache::{BlockingQueue, Cache, LatencyModel};
+use stellaris::cache::{Cache, LatencyModel};
 use stellaris::prelude::*;
 
 #[test]
@@ -77,26 +77,6 @@ fn cache_interference_does_not_corrupt_training() {
     noise.join().unwrap();
     assert!(result.policy_updates > 0);
     assert!(cache.len() <= 64);
-}
-
-#[test]
-fn queue_consumer_death_does_not_block_producers() {
-    let q: Arc<BlockingQueue<u32>> = Arc::new(BlockingQueue::new());
-    let consumer = {
-        let q = q.clone();
-        std::thread::spawn(move || {
-            // Consumes two items then "dies".
-            q.pop();
-            q.pop();
-        })
-    };
-    for i in 0..100 {
-        q.push(i);
-    }
-    consumer.join().unwrap();
-    assert!(q.len() >= 98 - 2, "producers must never block on push");
-    q.close();
-    assert!(q.pop().is_some(), "remaining items drain after close");
 }
 
 #[test]

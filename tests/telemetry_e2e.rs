@@ -33,7 +33,8 @@ fn tiny_run_traces_all_layers_and_matches_staleness_log() {
     let names: BTreeSet<&str> = events.iter().map(|e| e.name).collect();
     for required in [
         "core.round",
-        "cache.queue_pop",
+        "core.round_wait",
+        "core.aggregation",
         "serverless.invoke",
         "nn.backward",
         "nn.forward",
@@ -61,8 +62,8 @@ fn tiny_run_traces_all_layers_and_matches_staleness_log() {
 
     // Acceptance criterion: the staleness histogram records exactly one sample
     // per aggregated gradient. `train` logs every aggregated gradient's
-    // staleness in `staleness_log`, and `ParameterStore::apply` records the
-    // same value into the histogram, so the counts must match exactly.
+    // staleness in `staleness_log`, and the parameter shard's commit records
+    // the same value into the histogram, so the counts must match exactly.
     let staleness = telemetry::global().histogram("stellaris_core_staleness");
     assert_eq!(
         staleness.count(),

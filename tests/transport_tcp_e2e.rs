@@ -12,9 +12,9 @@ use std::time::{Duration, Instant};
 
 use stellaris::cache::Codec;
 use stellaris::core::{
-    lockstep_round, parameter_plane, snapshot_checksum, train, ActorBody, CycleTotals, Fleet,
-    GradientMsg, GradientRequest, LearnerBody, RemoteError, RemoteFleet, RemoteSetup, RemoteWorker,
-    Timers, TrainConfig,
+    lockstep_round, parameter_plane, snapshot_checksum, train, ActorBody, Actors, CycleTotals,
+    Fleet, GradientMsg, GradientRequest, LearnerBody, Learners, Published, RemoteError,
+    RemoteFleet, RemoteSetup, RemoteWorker, Timers, TrainConfig,
 };
 use stellaris::envs::EnvId;
 use stellaris::rl::{fill_gae, PolicySnapshot, SampleBatch};
@@ -237,10 +237,42 @@ struct InProcessFleet {
 
 impl Fleet for InProcessFleet {
     type Error = Infallible;
+    type Actors<'f> = InProcessActor<'f>;
+    type Learners<'f> = InProcessLearners<'f>;
+
+    fn split(&mut self) -> (InProcessActor<'_>, InProcessLearners<'_>) {
+        let actor = InProcessActor {
+            body: &mut self.actor,
+            steps: self.steps,
+        };
+        let learners = InProcessLearners {
+            bodies: &mut self.learners,
+            cap: self.cap,
+        };
+        (actor, learners)
+    }
+}
+
+struct InProcessActor<'f> {
+    body: &'f mut ActorBody,
+    steps: usize,
+}
+
+impl Actors for InProcessActor<'_> {
+    type Error = Infallible;
 
     fn collect(&mut self, snap: &PolicySnapshot) -> Result<Vec<Option<SampleBatch>>, Infallible> {
-        Ok(vec![Some(self.actor.collect(snap, self.steps))])
+        Ok(vec![Some(self.body.collect(snap, self.steps))])
     }
+}
+
+struct InProcessLearners<'f> {
+    bodies: &'f mut [LearnerBody],
+    cap: Option<f32>,
+}
+
+impl Learners for InProcessLearners<'_> {
+    type Error = Infallible;
 
     fn wave_width(&self, minibatches: usize) -> usize {
         minibatches
@@ -248,15 +280,18 @@ impl Fleet for InProcessFleet {
 
     fn gradients(
         &mut self,
-        snap: &PolicySnapshot,
+        policy: &Published,
         wave: Vec<SampleBatch>,
-    ) -> Result<Vec<(usize, GradientMsg)>, Infallible> {
-        let n = self.learners.len();
-        Ok(wave
-            .iter()
-            .enumerate()
-            .map(|(i, mb)| (i, self.learners[i % n].gradient(snap, mb, self.cap, i % n)))
-            .collect())
+        arrived: &mut dyn FnMut(usize, GradientMsg),
+    ) -> Result<(), Infallible> {
+        let n = self.bodies.len();
+        for (i, mb) in wave.iter().enumerate() {
+            arrived(
+                i,
+                self.bodies[i % n].gradient(&policy.get(), mb, self.cap, i % n),
+            );
+        }
+        Ok(())
     }
 }
 
