@@ -35,9 +35,9 @@ use crate::callgraph::{CallGraph, Summary};
 use crate::model::{AtomicSite, FileModel, FnInfo};
 use crate::source::SourceFile;
 
-/// Determinism sinks: code whose outputs are training results. Mirrors
-/// L2's determinism scopes plus the cache codec (whose bytes feed
-/// gradient reconstruction).
+/// Determinism sinks: code whose outputs are training results — nn, rl,
+/// core's Eq. 2–4 modules, and the cache codec (whose bytes feed gradient
+/// reconstruction).
 const TAINT_SINKS: [&str; 7] = [
     "crates/nn/src/",
     "crates/rl/src/",

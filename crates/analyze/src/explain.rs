@@ -3,8 +3,7 @@
 //!
 //! Keeping the table here (not in help text) means a rule cannot be added
 //! to the registry without an explanation: [`explain`] is exhaustiveness-
-//! checked against `KNOWN_RULES` by a unit test, and CI smoke-runs
-//! `--explain` for every id.
+//! checked against `KNOWN_RULES` by a unit test.
 
 use crate::source::{canonical_rule, rule_name, KNOWN_RULES};
 
@@ -16,26 +15,7 @@ struct Entry {
     escapes: &'static str,
 }
 
-const ENTRIES: [Entry; 17] = [
-    Entry {
-        id: "L1",
-        rationale: "Library crates must not panic: a panicking learner function takes \
-                    down its whole serverless invocation, which the orchestrator then \
-                    bills and retries. `unwrap`/`expect`/`panic!` are for bins/tests.",
-        example: "let v = map.get(&k).unwrap();  // L1: propagate an error instead",
-        escapes: "Return Result/Option; `lint:allow(L1): <why>` for provably-held \
-                  invariants.",
-    },
-    Entry {
-        id: "L2",
-        rationale: "Determinism scopes (nn, rl, aggregation, staleness, truncation, \
-                    parameter server) must produce bit-identical results for a fixed \
-                    seed; ambient entropy there invalidates ablations.",
-        example: "let jitter = rand::random::<f32>();  // L2 in crates/nn",
-        escapes: "Thread a seeded `ChaCha8Rng` through the call path; \
-                  `lint:allow(L2): <why>` when the value provably never reaches a \
-                  result.",
-    },
+const ENTRIES: [Entry; 11] = [
     Entry {
         id: "L3",
         rationale: "A lock guard held across `.await`-like blocking (channel recv, \
@@ -44,25 +24,6 @@ const ENTRIES: [Entry; 17] = [
         example: "self.state.lock().queue.recv();  // L3: split the statement",
         escapes: "Bind the guard, copy what you need, drop it before blocking; \
                   `lint:allow(L3): <why>`.",
-    },
-    Entry {
-        id: "L4",
-        rationale: "`as f32` / `as f64` silently round: in the gradient and \
-                    staleness math (core staleness/truncation/parameter, \
-                    `nn::optim`, `rl` gae/vtrace/ppo) a count or version cast to \
-                    a float must be shown exact or harmless.",
-        example: "let w = 1.0 / (staleness as f32);  // L4 in core/src/staleness.rs",
-        escapes: "`f32::from`/`f64::from` for lossless widenings; \
-                  `lint:allow(L4): <why>` when the value is provably exact \
-                  (e.g. below 2^24 for f32).",
-    },
-    Entry {
-        id: "L5",
-        rationale: "Library crates log through `stellaris-telemetry`, not stdout: \
-                    `println!` in a learner function interleaves with the driver's \
-                    protocol stream.",
-        example: "println!(\"step {}\", s);  // L5: telemetry::event instead",
-        escapes: "Use telemetry spans/events; bins and tests are exempt by scope.",
     },
     Entry {
         id: "L6",
@@ -199,34 +160,6 @@ const ENTRIES: [Entry; 17] = [
                   `reuse_as_zeros`, `GradAccumulator::reset`); genuinely amortized \
                   sites go in `ALLOC_ALLOWLIST` with a written reason — there is no \
                   comment-level escape, the allowlist is the single budget.",
-    },
-    Entry {
-        id: "A10",
-        rationale: "On the retry/transport/fault paths a discarded `Result` is a \
-                    silently lost gradient, refund, or billing record: `let _ = ..;` \
-                    and statement-terminated `.ok();` acknowledge an error exists \
-                    and then drop it on the floor. Scope is deliberately narrow \
-                    (transport, fault, orchestrator, platform, queue files) so the \
-                    rule stays high-signal.",
-        example: "let _ = router.send(&msg);  // A10: a dropped frame vanishes",
-        escapes: "Handle or propagate the error, count it (`note_*` telemetry \
-                  hooks), or keep the value under a named `_binding`; \
-                  `lint:allow(A10): <why>` for provably best-effort paths.",
-    },
-    Entry {
-        id: "A11",
-        rationale: "Item-1 sharding multiplies gradient producers, so every edge \
-                    into a `GradientQueue`/recorder ring must be bounded *by \
-                    construction*, not by test luck: an unbounded queue under a \
-                    slow consumer is an OOM with a staleness bound attached. A11 \
-                    extends A3 to construction discipline: each first-party queue \
-                    constructor must be intrinsically bounded (`::bounded`) or \
-                    carry an explicit `// bound:` / `// shed:` policy comment on \
-                    the same or previous line.",
-        example: "let inner = VecDeque::new();  // A11: who bounds this queue?",
-        escapes: "Use `GradientQueue::bounded(cap)` (shed-oldest) or document the \
-                  invariant that bounds growth (`// bound: window ≤ k, evicted \
-                  below`); `lint:allow(A11): <why>` as a last resort.",
     },
 ];
 

@@ -2,14 +2,15 @@
 //!
 //! The crate builds a lightweight source model — a lossless token stream
 //! ([`token`]), masked source with comment/test tracking ([`source`]), and
-//! per-function concurrency facts ([`model`]) — and checks seventeen rules
-//! over it.
+//! per-function concurrency facts ([`model`]) — and checks eleven rules
+//! over it, the ones no off-the-shelf checker does. Panic-freedom, lossy
+//! casts, print discipline and swallowed `Result`s are clippy lints, set in
+//! the crate roots and the workspace lint table (DESIGN.md §9).
 //!
-//! Six per-file rules ([`lint`]), scoped by path: L1 panic-freedom, L2
-//! determinism, L3 lock-discipline, L4 lossy-cast, L5 print-discipline and
-//! L6 grad-alloc-discipline.
+//! Two per-file rules ([`lint`]): L3 lock-discipline and L6
+//! grad-alloc-discipline.
 //!
-//! Eleven whole-workspace analyses ([`analyses`], [`dataflow`],
+//! Nine whole-workspace analyses ([`analyses`], [`dataflow`],
 //! [`reachability`]) over a call graph with interprocedural
 //! lock/block/channel summaries ([`callgraph`]):
 //!
@@ -35,10 +36,6 @@
 //! * **A9 `hot-alloc`** — unconditional fresh allocations reachable from
 //!   the annotated hot roots, checked against an explicit allowlist whose
 //!   length a counting-allocator test pins.
-//! * **A10 `swallowed-error`** — discarded `Result`s (`let _ =`, trailing
-//!   `.ok();`) on the retry/transport/fault paths.
-//! * **A11 `bounded-producer`** — queue/ring constructors that are neither
-//!   intrinsically bounded nor annotated with a shed/bound policy.
 //!
 //! Any finding can be suppressed with a justified
 //! `// lint:allow(<rule>): <why>` comment (registry in
@@ -61,11 +58,11 @@ pub use analyses::{channel_topology, held_guard, lock_order, Finding};
 pub use callgraph::{build_graph, summarize, CallGraph, Summary};
 pub use dataflow::{atomics_ordering, determinism_taint, float_reduction, unsafe_audit};
 pub use model::{model_file, FileModel, FnInfo};
-pub use reachability::{
-    alloc_reachability, bounded_producers, panic_reachability, swallowed_errors, ALLOC_ALLOWLIST,
-};
+pub use reachability::{alloc_reachability, panic_reachability, ALLOC_ALLOWLIST};
 pub use report::{render, Format};
-pub use source::{canonical_rule, parse_allows, rule_name, Allows, SourceFile, KNOWN_RULES};
+pub use source::{
+    canonical_rule, parse_allows, rule_name, Allows, SourceFile, KNOWN_RULES, MALFORMED_ALLOW,
+};
 
 use std::collections::HashMap;
 use std::io;
@@ -89,8 +86,8 @@ pub struct Analysis {
 /// First-party `src/` trees only; vendored crates, build output, and
 /// test/bench/example trees are excluded. The call-graph analyses apply
 /// uniformly to every in-scope file (bins included — a deadlock in
-/// `main.rs` is still a deadlock); the L-rules narrow further per path
-/// ([`lint::rules_for`]).
+/// `main.rs` is still a deadlock); L6 narrows further to the graph tape
+/// ([`lint::check`]).
 pub fn in_analysis_scope(rel: &str) -> bool {
     if !rel.ends_with(".rs") {
         return false;
@@ -113,17 +110,9 @@ pub fn in_analysis_scope(rel: &str) -> bool {
 ///
 /// The call graph spans all files at once, so cross-file lock orders and
 /// guard-across-call hazards are visible. `lint:allow` suppressions are
-/// honored here for every rule, and a malformed allow comment is itself an
-/// L1 finding that no allow can silence.
+/// honored here for every rule, and a malformed allow comment is itself a
+/// [`MALFORMED_ALLOW`] finding that no allow can silence.
 pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
-    analyze_scoped(files, lint::rules_for)
-}
-
-/// [`analyze_sources`] with the per-file L-rules chosen by `rules_for`.
-pub(crate) fn analyze_scoped(
-    files: &[(String, String)],
-    rules_for: impl Fn(&str) -> lint::RuleSet,
-) -> Analysis {
     let mut models: Vec<(FileModel, SourceFile)> = Vec::with_capacity(files.len());
     for (path, text) in files {
         let src = SourceFile::parse(text);
@@ -143,10 +132,8 @@ pub(crate) fn analyze_scoped(
     findings.extend(unsafe_audit(&models, &all_fns, &sums, &graph));
     findings.extend(panic_reachability(&all_fns, &graph));
     findings.extend(alloc_reachability(&all_fns, &graph));
-    findings.extend(swallowed_errors(&all_fns));
-    findings.extend(bounded_producers(&all_fns));
     for (m, s) in &models {
-        findings.extend(lint::check(&m.path, s, rules_for(&m.path)));
+        findings.extend(lint::check(&m.path, s));
     }
 
     let allows: HashMap<&str, Allows> = models
@@ -167,7 +154,7 @@ pub(crate) fn analyze_scoped(
     }
     for (file, a) in &allows {
         kept.extend(a.errors.iter().map(|(line, message)| Finding {
-            rule: "L1",
+            rule: MALFORMED_ALLOW.0,
             file: file.to_string(),
             line: *line,
             message: message.clone(),
@@ -177,7 +164,7 @@ pub(crate) fn analyze_scoped(
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });
     // A call-graph analysis can reach one site along several paths; an
-    // L-rule reports each occurrence, so two casts on a line are two findings.
+    // L-rule reports each occurrence, so two clones on a line are two findings.
     kept.dedup_by(|a, b| {
         a.rule.starts_with('A')
             && a.rule == b.rule
@@ -334,8 +321,9 @@ mod tests {
 
     #[test]
     fn malformed_allows_are_findings() {
-        // An allow with no reason, and one naming no rule, each surface as
-        // an L1 finding at their line, and an allow cannot silence them.
+        // An allow with no reason, and ones naming a retired rule or no rule
+        // at all, each surface as a malformed-allow finding at their line,
+        // and an allow cannot silence them.
         let text = "pub fn f() -> u64 {\n    // lint:allow(L1)\n    // lint:allow(L1): meant for the line below\n    // lint:allow(L9): no such rule\n    7\n}\n";
         let analysis = analyze_sources(&[("crates/x/src/a.rs".to_string(), text.to_string())]);
         let got: Vec<(&str, usize, bool)> = analysis
@@ -345,7 +333,7 @@ mod tests {
             .collect();
         assert_eq!(
             got,
-            [("L1", 2, true), ("L1", 4, true)],
+            [("allow", 2, true), ("allow", 3, true), ("allow", 4, true)],
             "{:?}",
             analysis.findings
         );

@@ -1,221 +1,36 @@
-//! L1–L6: the per-file rules.
+//! L3 and L6: the per-file rules.
 //!
-//! | id | name                  | guards                                             |
-//! |----|-----------------------|----------------------------------------------------|
-//! | L1 | panic-freedom         | no `unwrap()`/`expect()`/`panic!` in library code  |
-//! | L2 | determinism           | no ambient RNG or wall-clock in deterministic code |
-//! | L3 | lock-discipline       | no guard held across send/recv or a second lock    |
-//! | L4 | lossy-cast            | no `as f32`/`as f64` in gradient/staleness math    |
-//! | L5 | print-discipline      | no `println!`-family macros in library code        |
-//! | L6 | grad-alloc-discipline | no `.clone()` inside backward closures             |
+//! | id | name                  | guards                                          |
+//! |----|-----------------------|-------------------------------------------------|
+//! | L3 | lock-discipline       | no guard held across send/recv or a second lock |
+//! | L6 | grad-alloc-discipline | no `.clone()` inside backward closures          |
 //!
-//! Unlike the call-graph analyses, each rule looks at one file at a time and
-//! is scoped per path by [`rules_for`]. The checks here report every hit;
-//! `lint:allow` suppression happens once, for all seventeen rules, in
-//! [`crate::analyze_sources`].
+//! Unlike the call-graph analyses, each rule looks at one file at a time:
+//! L3 at every in-scope file, L6 at the graph tape only. The checks here
+//! report every hit; `lint:allow` suppression happens once, for every rule,
+//! in [`crate::analyze_sources`]. Panic-freedom, lossy casts, print
+//! discipline and swallowed `Result`s are clippy lints (DESIGN.md §9).
 
 use crate::analyses::Finding;
 use crate::in_analysis_scope;
-use crate::source::{boundary_ok, find_token, statement_spans, SourceFile};
+use crate::source::{find_token, statement_spans, SourceFile};
 
-/// Library crates that must be panic-free (L1) outside tests.
-const L1_CRATES: [&str; 7] = [
-    "crates/cache/src/",
-    "crates/core/src/",
-    "crates/nn/src/",
-    "crates/rl/src/",
-    "crates/serverless/src/",
-    "crates/simcluster/src/",
-    "crates/telemetry/src/",
-];
+/// The one file whose backward closures L6 checks: the allocation-free
+/// backward pass lives (and must stay) in the graph tape; everywhere else
+/// `.clone()` is ordinary Rust.
+const GRAPH_TAPE: &str = "crates/nn/src/graph.rs";
 
-/// Deterministic code: math must not read ambient RNGs or clocks (L2).
-const L2_SCOPES: [&str; 6] = [
-    "crates/nn/src/",
-    "crates/rl/src/",
-    "crates/core/src/aggregation.rs",
-    "crates/core/src/truncation.rs",
-    "crates/core/src/staleness.rs",
-    "crates/core/src/parameter.rs",
-];
-
-/// Gradient/staleness math where `as` float casts need justification (L4).
-const L4_MODULES: [&str; 7] = [
-    "crates/core/src/staleness.rs",
-    "crates/core/src/truncation.rs",
-    "crates/core/src/parameter.rs",
-    "crates/nn/src/optim.rs",
-    "crates/rl/src/gae.rs",
-    "crates/rl/src/vtrace.rs",
-    "crates/rl/src/ppo.rs",
-];
-
-/// Which L-rules run on a given file.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct RuleSet {
-    /// Run L1 (panic-freedom).
-    pub l1: bool,
-    /// Run L2 (determinism).
-    pub l2: bool,
-    /// Run L3 (lock-discipline).
-    pub l3: bool,
-    /// Run L4 (lossy-cast).
-    pub l4: bool,
-    /// Run L5 (print-discipline).
-    pub l5: bool,
-    /// Run L6 (grad-alloc-discipline).
-    pub l6: bool,
-}
-
-impl RuleSet {
-    /// All six rules.
-    pub fn all() -> Self {
-        Self {
-            l1: true,
-            l2: true,
-            l3: true,
-            l4: true,
-            l5: true,
-            l6: true,
-        }
-    }
-
-    /// True when at least one rule is enabled.
-    pub fn any(self) -> bool {
-        self.l1 || self.l2 || self.l3 || self.l4 || self.l5 || self.l6
-    }
-}
-
-/// Decides which L-rules apply to a repo-relative path (forward slashes).
-/// Files outside [`in_analysis_scope`] get none.
-pub fn rules_for(rel: &str) -> RuleSet {
-    if !in_analysis_scope(rel) {
-        return RuleSet::default();
-    }
-    // Binary entry points (CLI, figure harnesses, the analyzer) own their
-    // stdout/stderr; library code must route output through telemetry.
-    let is_bin = rel.contains("/src/bin/") || rel.ends_with("/main.rs") || rel == "src/main.rs";
-    RuleSet {
-        l1: L1_CRATES.iter().any(|p| rel.starts_with(p)),
-        l2: L2_SCOPES.iter().any(|p| rel.starts_with(p)),
-        // Lock discipline holds everywhere in first-party sources,
-        // including the CLI and this analyzer itself.
-        l3: true,
-        l4: L4_MODULES.contains(&rel),
-        l5: !is_bin,
-        // The allocation-free backward pass lives (and must stay) in the
-        // graph tape; everywhere else `.clone()` is ordinary Rust.
-        l6: rel == "crates/nn/src/graph.rs",
-    }
-}
-
-/// Runs the enabled rules over one file. Findings are unsuppressed.
-pub fn check(file: &str, src: &SourceFile, rules: RuleSet) -> Vec<Finding> {
+/// Runs the per-file rules over one file. Findings are unsuppressed; files
+/// outside [`in_analysis_scope`] get none.
+pub fn check(file: &str, src: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
-    if rules.l1 {
-        check_tokens(
-            file,
-            src,
-            "L1",
-            &[
-                (
-                    ".unwrap()",
-                    "`.unwrap()` in library code; return a Result or justify",
-                ),
-                (
-                    ".expect(",
-                    "`.expect(..)` in library code; return a Result or justify",
-                ),
-                (
-                    "panic!",
-                    "`panic!` in library code; return an error or justify",
-                ),
-            ],
-            &mut out,
-        );
+    if !in_analysis_scope(file) {
+        return out;
     }
-    if rules.l2 {
-        check_tokens(
-            file,
-            src,
-            "L2",
-            &[
-                (
-                    "thread_rng",
-                    "ambient `thread_rng()`; use a config-seeded ChaCha8Rng",
-                ),
-                (
-                    "from_entropy",
-                    "entropy-seeded RNG; use a config-seeded ChaCha8Rng",
-                ),
-                (
-                    "rand::random",
-                    "ambient `rand::random`; use a config-seeded ChaCha8Rng",
-                ),
-                (
-                    "SystemTime::now()",
-                    "wall-clock read in deterministic code; inject a clock",
-                ),
-                (
-                    "Instant::now()",
-                    "monotonic-clock read in deterministic code; inject a clock",
-                ),
-            ],
-            &mut out,
-        );
-    }
-    if rules.l3 {
-        check_lock_discipline(file, src, &mut out);
-    }
-    if rules.l4 {
-        check_tokens(
-            file,
-            src,
-            "L4",
-            &[
-                (
-                    "as f32",
-                    "lossy `as f32` cast in numeric-critical code; justify exactness",
-                ),
-                (
-                    "as f64",
-                    "lossy `as f64` cast in numeric-critical code; justify exactness",
-                ),
-            ],
-            &mut out,
-        );
-    }
-    if rules.l5 {
-        check_tokens(
-            file,
-            src,
-            "L5",
-            &[
-                (
-                    "println!",
-                    "`println!` in library code; emit a telemetry event or use `progress!`",
-                ),
-                (
-                    "eprintln!",
-                    "`eprintln!` in library code; emit a telemetry event or use `progress!`",
-                ),
-                (
-                    "print!",
-                    "`print!` in library code; emit a telemetry event or use `progress!`",
-                ),
-                (
-                    "eprint!",
-                    "`eprint!` in library code; emit a telemetry event or use `progress!`",
-                ),
-                (
-                    "dbg!",
-                    "`dbg!` left in library code; remove it or trace via telemetry",
-                ),
-            ],
-            &mut out,
-        );
-    }
-    if rules.l6 {
+    // Lock discipline holds everywhere in first-party sources, including
+    // the CLI and this analyzer itself.
+    check_lock_discipline(file, src, &mut out);
+    if file == GRAPH_TAPE {
         check_grad_alloc_discipline(file, src, &mut out);
     }
     out
@@ -227,22 +42,6 @@ fn finding(rule: &'static str, file: &str, line: usize, message: &str) -> Findin
         file: file.to_string(),
         line,
         message: message.to_string(),
-    }
-}
-
-fn check_tokens(
-    file: &str,
-    src: &SourceFile,
-    rule: &'static str,
-    tokens: &[(&str, &str)],
-    out: &mut Vec<Finding>,
-) {
-    for &(token, message) in tokens {
-        for at in find_token(&src.masked, token) {
-            if boundary_ok(&src.masked, at, token) && !src.in_test(at) {
-                out.push(finding(rule, file, src.line_of(at), message));
-            }
-        }
     }
 }
 
@@ -332,131 +131,64 @@ fn check_lock_discipline(file: &str, src: &SourceFile, out: &mut Vec<Finding>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{analyze_scoped, Analysis};
+    use crate::analyze_sources;
     use proptest::prelude::*;
 
-    /// The L-rule findings `analyze_sources` reports for one file, with the
-    /// rules chosen by `rules` instead of by path. (A call-graph rule may
-    /// also fire on a snippet: `v.lock().fold(v.lock())` is an A1 too.)
-    fn lint_text(file: &str, text: &str, rules: RuleSet) -> Vec<Finding> {
-        let Analysis { mut findings, .. } =
-            analyze_scoped(&[(file.to_string(), text.to_string())], |_| rules);
-        findings.retain(|f| f.rule.starts_with('L'));
+    /// The per-file and malformed-allow findings `analyze_sources` reports
+    /// for one file. (A call-graph rule may also fire on a snippet:
+    /// `v.lock().fold(v.lock())` is an A1 too.)
+    fn lint_at(file: &str, text: &str) -> Vec<Finding> {
+        let mut findings = analyze_sources(&[(file.to_string(), text.to_string())]).findings;
+        findings.retain(|f| !f.rule.starts_with('A'));
         findings
     }
 
+    /// Both rules apply at the graph tape.
     fn lint_all(text: &str) -> Vec<Finding> {
-        lint_text("test.rs", text, RuleSet::all())
+        lint_at(GRAPH_TAPE, text)
     }
 
     fn rules_of(findings: &[Finding]) -> Vec<&'static str> {
         findings.iter().map(|f| f.rule).collect()
     }
 
-    #[test]
-    fn scoping_matches_policy() {
-        let r = rules_for("crates/core/src/aggregation.rs");
-        assert!(r.l1 && r.l2 && r.l3 && !r.l4 && r.l5);
-        let r = rules_for("crates/core/src/staleness.rs");
-        assert!(r.l1 && r.l2 && r.l3 && r.l4);
-        let r = rules_for("crates/envs/src/mujoco.rs");
-        assert!(!r.l1 && !r.l2 && r.l3, "envs: lock discipline only");
-        let r = rules_for("src/main.rs");
-        assert!(!r.l1 && r.l3 && !r.l5, "CLI may panic and print");
-        let r = rules_for("crates/telemetry/src/trace.rs");
-        assert!(r.l1 && r.l5, "telemetry is panic-free, print-free library");
-    }
+    const DOUBLE_LOCK: &str = "fn f() { a.lock().merge(b.lock()); }";
+    const CLONE_IN_CLOSURE: &str = "fn op(g: &Graph) {\n    g.push(\n        out,\n        Box::new(move |grad: &Tensor, sink: &mut GradSink| {\n            let t = grad.clone();\n            sink.add(a, t);\n        }),\n    );\n}";
 
     #[test]
-    fn l6_is_scoped_to_the_graph_tape() {
-        assert!(rules_for("crates/nn/src/graph.rs").l6);
-        assert!(!rules_for("crates/nn/src/tensor.rs").l6);
-        assert!(!rules_for("crates/rl/src/learner.rs").l6);
-    }
-
-    #[test]
-    fn bins_are_exempt_from_print_discipline() {
-        assert!(!rules_for("crates/bench/src/bin/fig6_ppo.rs").l5);
-        assert!(!rules_for("crates/analyze/src/main.rs").l5);
-        assert!(rules_for("crates/bench/src/lib.rs").l5);
-        // `domain.rs` must not be mistaken for `main.rs`.
-        assert!(rules_for("crates/core/src/domain.rs").l5);
-    }
-
-    #[test]
-    fn out_of_scope_paths_get_no_rules() {
+    fn l3_runs_on_every_in_scope_file_and_no_other() {
+        for rel in [
+            "crates/envs/src/mujoco.rs",
+            "crates/analyze/src/model.rs",
+            "crates/bench/src/bin/fig6_ppo.rs",
+            "src/main.rs",
+        ] {
+            assert_eq!(rules_of(&lint_at(rel, DOUBLE_LOCK)), ["L3"], "{rel}");
+        }
         for rel in [
             "vendor/rand/src/lib.rs",
             "tests/train_e2e.rs",
             "crates/bench/benches/aggregation.rs",
             "examples/custom_env.rs",
-            "crates/cache/src/notes.md",
             "target/debug/build/foo.rs",
         ] {
-            assert!(!rules_for(rel).any(), "{rel} must be unscoped");
+            assert!(
+                lint_at(rel, DOUBLE_LOCK).is_empty(),
+                "{rel} must be unscoped"
+            );
         }
-        assert!(rules_for("crates/cache/src/queue.rs").any());
     }
 
     #[test]
-    fn analyze_crate_is_in_l3_scope_but_not_l1() {
-        let r = rules_for("crates/analyze/src/model.rs");
-        assert!(!r.l1 && r.l3 && r.l5);
-    }
-
-    #[test]
-    fn ruleset_all_enables_everything() {
-        let r = RuleSet::all();
-        assert!(r.l1 && r.l2 && r.l3 && r.l4 && r.l5 && r.l6 && r.any());
-        assert!(!RuleSet::default().any());
-    }
-
-    #[test]
-    fn l1_flags_unwrap_expect_panic() {
-        let d = lint_all("fn f() { x.unwrap(); y.expect(\"m\"); panic!(\"z\"); }");
-        assert_eq!(rules_of(&d), ["L1", "L1", "L1"]);
-        assert_eq!(d[0].line, 1);
-    }
-
-    #[test]
-    fn l1_ignores_unwrap_or_family() {
-        let d =
-            lint_all("fn f() { x.unwrap_or(0); x.unwrap_or_else(|| 1); x.unwrap_or_default(); }");
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn l1_ignores_test_code_and_comments_and_strings() {
-        let src = r#"
-// a comment mentioning panic! and x.unwrap()
-fn f() { let s = "panic!"; }
-#[cfg(test)]
-mod tests {
-    #[test]
-    fn t() { x.unwrap(); panic!("fine in tests"); }
-}
-"#;
-        assert!(lint_all(src).is_empty());
-    }
-
-    #[test]
-    fn l2_flags_ambient_nondeterminism() {
-        let d =
-            lint_all("fn f() { let r = rand::thread_rng(); let t = std::time::Instant::now(); }");
-        assert_eq!(rules_of(&d), ["L2", "L2"]);
-    }
-
-    #[test]
-    fn l2_allows_seeded_and_injected() {
-        let d = lint_all(
-            "fn f(clock: &dyn Clock) { let r = ChaCha8Rng::seed_from_u64(7); let t = clock.now(); }",
-        );
-        assert!(d.is_empty(), "{d:?}");
+    fn l6_is_scoped_to_the_graph_tape() {
+        assert_eq!(rules_of(&lint_all(CLONE_IN_CLOSURE)), ["L6"]);
+        assert!(lint_at("crates/nn/src/tensor.rs", CLONE_IN_CLOSURE).is_empty());
+        assert!(lint_at("crates/rl/src/learner.rs", CLONE_IN_CLOSURE).is_empty());
     }
 
     #[test]
     fn l3_flags_double_lock_in_one_expression() {
-        let d = lint_all("fn f() { a.lock().merge(b.lock()); }");
+        let d = lint_all(DOUBLE_LOCK);
         assert_eq!(rules_of(&d), ["L3"]);
     }
 
@@ -479,43 +211,8 @@ mod tests {
     }
 
     #[test]
-    fn l4_flags_float_casts() {
-        let d = lint_all("fn f(n: u64) -> f32 { n as f32 + (n as f64) as f32 }");
-        assert_eq!(rules_of(&d), ["L4", "L4", "L4"]);
-    }
-
-    #[test]
-    fn l5_flags_print_macros() {
-        let d = lint_all("fn f() { println!(\"x\"); eprintln!(\"y\"); dbg!(z); }");
-        assert_eq!(rules_of(&d), ["L5", "L5", "L5"]);
-    }
-
-    #[test]
-    fn l5_does_not_cross_match_print_families() {
-        // `println!` must not also fire the `print!` token, nor `eprintln!`
-        // the `println!` token.
-        let d = lint_all("fn f() { println!(\"x\"); }");
-        assert_eq!(d.len(), 1, "{d:?}");
-        let d = lint_all("fn f() { eprintln!(\"x\"); }");
-        assert_eq!(d.len(), 1, "{d:?}");
-    }
-
-    #[test]
-    fn l5_allows_with_justification_and_test_code() {
-        let d = lint_all(
-            "fn f() {\n    // lint:allow(L5): stdout is this binary's data channel\n    println!(\"csv\");\n}",
-        );
-        assert!(d.is_empty(), "{d:?}");
-        let d = lint_all(
-            "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { println!(\"dbg\"); }\n}",
-        );
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
     fn l6_flags_clone_in_backward_closure() {
-        let src = "fn op(g: &Graph) {\n    g.push(\n        out,\n        Box::new(move |grad: &Tensor, sink: &mut GradSink| {\n            let t = grad.clone();\n            sink.add(a, t);\n        }),\n    );\n}";
-        let d = lint_all(src);
+        let d = lint_all(CLONE_IN_CLOSURE);
         assert_eq!(rules_of(&d), ["L6"], "{d:?}");
         assert_eq!(d[0].line, 5);
     }
@@ -539,20 +236,21 @@ mod tests {
 
     #[test]
     fn allow_with_justification_suppresses_same_line() {
-        let d =
-            lint_all("fn f() { x.unwrap(); } // lint:allow(L1): invariant: x was just inserted");
+        let d = lint_all(
+            "fn f() { a.lock().merge(b.lock()); } // lint:allow(L3): both guards are the same shard",
+        );
         assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]
     fn allow_with_justification_suppresses_next_line() {
-        let src = "// lint:allow(L4): delta is bounded by cfg.rounds << 2^24\nfn f(n: u64) -> f32 { n as f32 }";
+        let src = "// lint:allow(L3): the send is on an unbounded channel\nfn f() { tx.send(state.lock().snapshot()); }";
         assert!(lint_all(src).is_empty());
     }
 
     #[test]
     fn allow_without_justification_is_an_error() {
-        let d = lint_all("fn f() { x.unwrap(); } // lint:allow(L1)");
+        let d = lint_all("fn f() { a.lock().merge(b.lock()); } // lint:allow(L3)");
         assert!(
             d.iter()
                 .any(|d| d.message.contains("requires a justification")),
@@ -562,54 +260,49 @@ mod tests {
 
     #[test]
     fn allow_for_wrong_rule_does_not_suppress() {
-        let d = lint_all("fn f() { x.unwrap(); } // lint:allow(L2): not the right rule");
-        assert_eq!(rules_of(&d), ["L1"]);
+        let d =
+            lint_all("fn f() { a.lock().merge(b.lock()); } // lint:allow(L6): not the right rule");
+        assert_eq!(rules_of(&d), ["L3"]);
     }
 
     #[test]
     fn allow_accepts_rule_names() {
         let d = lint_all(
-            "fn f() { x.unwrap(); } // lint:allow(panic-freedom): checked two lines above",
+            "fn f() { a.lock().merge(b.lock()); } // lint:allow(lock-discipline): checked two lines above",
         );
         assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]
     fn unknown_rule_in_allow_is_an_error() {
-        let d = lint_all("fn f() {} // lint:allow(L9): nope");
-        assert!(d.iter().any(|d| d.message.contains("unknown lint rule")));
+        // Retired rules are unknown too: their checks are clippy's now.
+        for rule in ["L9", "L1", "A10"] {
+            let d = lint_all(&format!("fn f() {{}} // lint:allow({rule}): nope"));
+            assert!(
+                d.iter().any(|d| d.message.contains("unknown lint rule")),
+                "{rule}: {d:?}"
+            );
+        }
     }
 
     #[test]
     fn analyzer_rule_allows_are_not_unknown_here() {
         // `lint:allow(A2)` is a known rule: it parses without an error and
-        // suppresses nothing of L1's.
-        let d = lint_all("fn f() { x.unwrap(); } // lint:allow(A2): guard is released by wait()");
-        assert_eq!(rules_of(&d), ["L1"], "{d:?}");
-    }
-
-    #[test]
-    fn rule_set_gates_rules() {
-        let only_l1 = RuleSet {
-            l1: true,
-            ..RuleSet::default()
-        };
-        let d = lint_text(
-            "t.rs",
-            "fn f(n: u64) -> f32 { thread_rng(); n as f32 }",
-            only_l1,
+        // suppresses nothing of L3's.
+        let d = lint_all(
+            "fn f() { a.lock().merge(b.lock()); } // lint:allow(A2): guard is released by wait()",
         );
-        assert!(d.is_empty(), "L2/L4 disabled: {d:?}");
+        assert_eq!(rules_of(&d), ["L3"], "{d:?}");
     }
 
     #[test]
     fn diagnostics_point_at_lines() {
-        let src = "fn a() {}\nfn b() { x.unwrap(); }\n";
+        let src = "fn a() {}\nfn b() { x.lock().merge(y.lock()); }\n";
         let d = lint_all(src);
         assert_eq!(d.len(), 1);
         assert_eq!(d[0].line, 2);
         let shown = d[0].to_string();
-        assert!(shown.starts_with("test.rs:2: L1"), "{shown}");
+        assert!(shown.starts_with("crates/nn/src/graph.rs:2: L3"), "{shown}");
     }
 
     /// An identifier-shaped string from a constrained alphabet.
@@ -629,31 +322,31 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         #[test]
-        fn unwrap_on_any_receiver_is_flagged(name in ".{0,12}") {
-            let receiver = ident_from(&name);
-            let src = format!("fn f() {{ {receiver}.unwrap(); }}");
-            let diags = lint_text("x.rs", &src, RuleSet::all());
+        fn send_under_any_guard_is_flagged(name in ".{0,12}") {
+            let guarded = ident_from(&name);
+            let src = format!("fn f() {{ tx.send({guarded}.lock().snapshot()); }}");
+            let diags = lint_all(&src);
             prop_assert_eq!(diags.len(), 1);
-            prop_assert_eq!(diags[0].rule, "L1");
+            prop_assert_eq!(diags[0].rule, "L3");
         }
 
         #[test]
         fn tokens_inside_string_literals_never_fire(payload in ".{0,40}") {
-            // Whatever the literal contains — including `.unwrap()`, `panic!`,
-            // `thread_rng` — masking must hide it from every rule.
+            // Whatever the literal contains — including `.lock()`, `.send(`,
+            // a boxed closure's `.clone()` — masking must hide it from every rule.
             let escaped = payload.replace(['\\', '"'], "");
             let src = format!(
-                "fn f() -> String {{ format!(\"{escaped}.unwrap() panic! thread_rng as f32\") }}"
+                "fn f() -> String {{ format!(\"{escaped} a.lock().merge(b.lock()) tx.send(m.lock()) Box::new(move |g| g.clone())\") }}"
             );
-            let diags = lint_text("x.rs", &src, RuleSet::all());
+            let diags = lint_all(&src);
             prop_assert!(diags.is_empty(), "{:?}", diags);
         }
 
         #[test]
         fn tokens_inside_comments_never_fire(payload in ".{0,40}") {
             let line = payload.replace('\n', " ").replace("lint:allow", "lint allow");
-            let src = format!("// {line} .unwrap() panic! Instant::now() as f64\nfn f() {{}}\n");
-            let diags = lint_text("x.rs", &src, RuleSet::all());
+            let src = format!("// {line} a.lock().merge(b.lock()) Box::new(move |g| g.clone())\nfn f() {{}}\n");
+            let diags = lint_all(&src);
             prop_assert!(diags.is_empty(), "{:?}", diags);
         }
 
@@ -663,18 +356,18 @@ mod tests {
             if reason.is_empty() || reason.contains(')') {
                 return Ok(());
             }
-            let src = format!("fn f() {{ x.unwrap(); }} // lint:allow(L1): {reason}");
-            let diags = lint_text("x.rs", &src, RuleSet::all());
+            let src = format!("fn f() {{ a.lock().merge(b.lock()); }} // lint:allow(L3): {reason}");
+            let diags = lint_all(&src);
             prop_assert!(diags.is_empty(), "justified allow must suppress: {:?}", diags);
         }
 
         #[test]
         fn unjustified_allow_never_suppresses(pad in 0usize..8) {
             let spaces = " ".repeat(pad);
-            let src = format!("fn f() {{ x.unwrap(); }} // lint:allow(L1){spaces}");
-            let diags = lint_text("x.rs", &src, RuleSet::all());
+            let src = format!("fn f() {{ a.lock().merge(b.lock()); }} // lint:allow(L3){spaces}");
+            let diags = lint_all(&src);
             // Both the violation and the malformed-allow error must surface.
-            prop_assert!(diags.iter().any(|d| d.message.contains("unwrap")), "{:?}", diags);
+            prop_assert!(diags.iter().any(|d| d.message.contains("second lock")), "{:?}", diags);
             prop_assert!(
                 diags.iter().any(|d| d.message.contains("requires a justification")),
                 "{:?}",
@@ -684,28 +377,28 @@ mod tests {
 
         #[test]
         fn test_code_is_exempt_for_all_rules(name in ".{0,12}") {
-            let receiver = ident_from(&name);
+            let guarded = ident_from(&name);
             let src = format!(
-                "#[cfg(test)]\nmod tests {{\n    #[test]\n    fn t() {{\n        {receiver}.unwrap();\n        panic!(\"x\");\n        let _ = rand::thread_rng();\n        let _ = 3u64 as f32;\n        a.lock().merge(b.lock());\n    }}\n}}\n"
+                "#[cfg(test)]\nmod tests {{\n    #[test]\n    fn t() {{\n        tx.send({guarded}.lock().snapshot());\n        a.lock().merge(b.lock());\n        let k = Box::new(move |g| g.clone());\n    }}\n}}\n"
             );
-            let diags = lint_text("x.rs", &src, RuleSet::all());
+            let diags = lint_all(&src);
             prop_assert!(diags.is_empty(), "{:?}", diags);
         }
 
         #[test]
-        fn cast_count_matches_occurrences(n in 1usize..6) {
-            let body: String = (0..n).map(|i| format!("let _{i} = {i}u64 as f32; ")).collect();
-            let src = format!("fn f() {{ {body} }}");
-            let diags = lint_text("x.rs", &src, RuleSet::all());
+        fn clone_count_matches_occurrences(n in 1usize..6) {
+            let body: String = (0..n).map(|i| format!("let t{i} = grad.clone(); ")).collect();
+            let src = format!("fn op(g: &Graph) {{ g.push(out, Box::new(move |grad, sink| {{ {body} }})); }}");
+            let diags = lint_all(&src);
             prop_assert_eq!(diags.len(), n);
-            prop_assert!(diags.iter().all(|d| d.rule == "L4"));
+            prop_assert!(diags.iter().all(|d| d.rule == "L6"));
         }
 
         #[test]
         fn double_lock_flagged_regardless_of_names(a in ".{0,10}", b in ".{0,10}") {
             let (ma, mb) = (ident_from(&a), ident_from(&b));
             let src = format!("fn f() {{ {ma}.lock().fold({mb}.lock()); }}");
-            let diags = lint_text("x.rs", &src, RuleSet::all());
+            let diags = lint_all(&src);
             prop_assert_eq!(diags.len(), 1, "{:?}", &diags);
             prop_assert_eq!(diags[0].rule, "L3");
         }

@@ -1,4 +1,4 @@
-//! CLI for the Stellaris static analyzer (L1–L6, A1–A11).
+//! CLI for the Stellaris static analyzer (L3, L6, A1–A9).
 //!
 //! ```text
 //! stellaris-analyze [root] [--format human|json|sarif] [--out FILE]
@@ -16,6 +16,8 @@
 //! Exit codes: 0 when clean (or everything is baselined), 1 when
 //! unsuppressed findings remain (or, under `--ratchet`, when the baseline
 //! has stale entries), 2 on usage or I/O errors.
+
+#![allow(clippy::print_stdout, clippy::print_stderr)]
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -116,7 +118,7 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
             None => {
-                eprintln!("stellaris-analyze: unknown rule `{rule}` (try L1–L6, A1–A11, or `all`)");
+                eprintln!("stellaris-analyze: unknown rule `{rule}` (try L3, L6, A1–A9, or `all`)");
                 ExitCode::from(2)
             }
         };

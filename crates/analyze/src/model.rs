@@ -289,36 +289,6 @@ pub struct AllocSite {
     pub line: usize,
 }
 
-/// One swallowed-`Result` site (A10): `let _ = ..;` or a
-/// statement-terminated `.ok();` on the retry/transport/fault paths.
-#[derive(Clone, Debug)]
-pub struct SwallowSite {
-    /// The swallowing shape: `let _ =` or `.ok()`.
-    pub what: String,
-    /// Byte offset of the statement head.
-    pub offset: usize,
-    /// 1-based line.
-    pub line: usize,
-}
-
-/// One queue/ring constructor call (A11): every producer edge into a
-/// first-party queue must be bounded by construction or carry an explicit
-/// shed/bound policy comment.
-#[derive(Clone, Debug)]
-pub struct QueueCtorSite {
-    /// Constructor as written, e.g. `GradientQueue::new`.
-    pub ctor: String,
-    /// Intrinsically bounded constructor (`::bounded(..)`).
-    pub bounded: bool,
-    /// A `// bound:` / `// shed:` policy comment covers the site (same
-    /// line or the line above).
-    pub has_policy: bool,
-    /// Byte offset of the token.
-    pub offset: usize,
-    /// 1-based line.
-    pub line: usize,
-}
-
 /// Everything the analyses need to know about one function.
 #[derive(Clone, Debug)]
 pub struct FnInfo {
@@ -361,10 +331,6 @@ pub struct FnInfo {
     pub panics: Vec<PanicSite>,
     /// Unconditional fresh allocations (A9).
     pub allocs: Vec<AllocSite>,
-    /// Swallowed-`Result` sites (A10).
-    pub swallows: Vec<SwallowSite>,
-    /// First-party queue/ring constructor calls (A11).
-    pub queue_ctors: Vec<QueueCtorSite>,
     /// Declared `unsafe fn` (A7 reachability).
     pub is_unsafe_fn: bool,
 }
@@ -556,8 +522,6 @@ fn raw_fns(
             reductions: Vec::new(),
             panics: Vec::new(),
             allocs: Vec::new(),
-            swallows: Vec::new(),
-            queue_ctors: Vec::new(),
             is_unsafe_fn,
         });
     }
@@ -704,12 +668,9 @@ fn extract_facts(
     scan_atomics(f, src, masked, b0, b1, nested);
     scan_reductions(f, src, masked, b0, b1, nested, spans);
 
-    // Panic (A8), fresh-allocation (A9), swallowed-error (A10), and
-    // queue-constructor (A11) sites.
+    // Panic (A8) and fresh-allocation (A9) sites.
     scan_panics(f, src, masked, b0, b1, nested);
     scan_allocs(f, src, masked, b0, b1, nested);
-    scan_swallows(f, src, masked, b0, b1, nested, spans);
-    scan_queue_ctors(f, src, masked, b0, b1, nested);
 
     // Truncate named-guard ranges at `drop(binding)`.
     let drops = f.drops.clone();
@@ -897,7 +858,7 @@ fn sorted_later(masked: &str, after: usize, b1: usize) -> bool {
     .any(|t| rest.contains(t))
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments)]
 fn scan_taints(
     f: &mut FnInfo,
     src: &SourceFile,
@@ -1136,15 +1097,17 @@ fn scan_reductions(
     f.reductions.sort_by_key(|r| r.offset);
 }
 
-/// A `lint:allow(RULE): why` comment on the same line or up to three lines
-/// above consumes the site at extraction time (mirroring the `// SAFETY:`
-/// window), so a justified site never becomes a finding and the workspace
-/// stays at zero suppressions. Rules stack across separate comment lines
-/// because `parse_allows` reads one allow per line.
-fn allow_covers(src: &SourceFile, line: usize, rule: &str) -> bool {
-    let needle = format!("lint:allow({rule})");
-    (line.saturating_sub(3)..=line)
-        .any(|l| l >= 1 && src.comment_text(l).is_some_and(|c| c.contains(&needle)))
+/// A `lint:allow(A8): why` comment on the same line or up to three lines
+/// above consumes the panic site at extraction time (mirroring the
+/// `// SAFETY:` window), so a justified site never becomes a finding and the
+/// workspace stays at zero suppressions.
+fn a8_allowed(src: &SourceFile, line: usize) -> bool {
+    (line.saturating_sub(3)..=line).any(|l| {
+        l >= 1
+            && src
+                .comment_text(l)
+                .is_some_and(|c| c.contains("lint:allow(A8)"))
+    })
 }
 
 /// Always-panicking macros and panicking `Option`/`Result` projections
@@ -1184,7 +1147,7 @@ fn scan_panics(
                 continue;
             }
             let line = src.line_of(at);
-            if allow_covers(src, line, "A8") {
+            if a8_allowed(src, line) {
                 continue;
             }
             f.panics.push(PanicSite {
@@ -1216,7 +1179,7 @@ fn scan_panics(
                 continue;
             }
             let line = src.line_of(at);
-            if allow_covers(src, line, "A8") {
+            if a8_allowed(src, line) {
                 continue;
             }
             f.panics.push(PanicSite {
@@ -1273,132 +1236,6 @@ fn scan_allocs(
         }
     }
     f.allocs.sort_by_key(|a| a.offset);
-}
-
-/// File suffixes where A10 swallowed-error discipline applies: the PR 4
-/// retry/transport/fault paths, where a dropped `Result` silently loses a
-/// gradient, a refund, or a billing record.
-const A10_SCOPE: [&str; 5] = [
-    "/transport.rs",
-    "/fault.rs",
-    "/orchestrator.rs",
-    "/platform.rs",
-    "/queue.rs",
-];
-
-#[allow(clippy::too_many_arguments)]
-fn scan_swallows(
-    f: &mut FnInfo,
-    src: &SourceFile,
-    masked: &str,
-    b0: usize,
-    b1: usize,
-    nested: &[(usize, usize)],
-    spans: &[(usize, usize)],
-) {
-    if !A10_SCOPE.iter().any(|s| f.file.ends_with(s)) {
-        return;
-    }
-    let bytes = masked.as_bytes();
-    for &(s, e) in spans {
-        if e <= b0 || s >= b1 {
-            continue;
-        }
-        let s0 = s.max(b0);
-        if in_ranges(nested, s0) || src.in_test(s0) {
-            continue;
-        }
-        let span = &masked[s0..e.min(b1)];
-        let head = span.trim_start();
-        // `let _ = expr;` — the binding is exactly `_`, so a `Result` is
-        // discarded unread (`let _guard = ..` keeps the value alive and
-        // names intent; it does not match).
-        let discards = head
-            .strip_prefix("let ")
-            .map(|r| r.trim_start())
-            .and_then(|r| r.strip_prefix('_'))
-            .map(|r| r.trim_start())
-            .is_some_and(|r| r.starts_with('=') && !r.starts_with("=="));
-        if discards {
-            let line = src.line_of(s0);
-            if !allow_covers(src, line, "A10") {
-                f.swallows.push(SwallowSite {
-                    what: "let _ =".to_string(),
-                    offset: s0,
-                    line,
-                });
-            }
-            continue;
-        }
-        // Statement-terminated `.ok();` — the error is computed, then
-        // dropped. `.ok().map(..)` and other continuations are uses.
-        let trimmed = span.trim_end();
-        if trimmed.ends_with(".ok()") && e.min(b1) < bytes.len() && bytes[e.min(b1)] == b';' {
-            let at = s0 + trimmed.len() - ".ok()".len();
-            let line = src.line_of(at);
-            if !allow_covers(src, line, "A10") {
-                f.swallows.push(SwallowSite {
-                    what: ".ok()".to_string(),
-                    offset: at,
-                    line,
-                });
-            }
-        }
-    }
-    f.swallows.sort_by_key(|s| s.offset);
-}
-
-/// First-party queue / ring constructors A11 requires to be bounded by
-/// construction (`::bounded`) or annotated with a `// bound:` / `// shed:`
-/// policy comment.
-const QUEUE_CTOR_TOKENS: [&str; 8] = [
-    "GradientQueue::new(",
-    "GradientQueue::bounded(",
-    "GradientQueue::bounded_lane(",
-    "BlockingQueue::new(",
-    "BlockingQueue::bounded(",
-    "ShardedGradientQueue::bounded(",
-    "VecDeque::new(",
-    "VecDeque::with_capacity(",
-];
-
-fn scan_queue_ctors(
-    f: &mut FnInfo,
-    src: &SourceFile,
-    masked: &str,
-    b0: usize,
-    b1: usize,
-    nested: &[(usize, usize)],
-) {
-    let body = &masked[b0..b1];
-    let skip = |at: usize| in_ranges(nested, at) || src.in_test(at);
-    for token in QUEUE_CTOR_TOKENS {
-        for rel in find_token(body, token) {
-            let at = b0 + rel;
-            if skip(at) || !boundary_ok(body, rel, token) {
-                continue;
-            }
-            let ctor = token.trim_end_matches('(').to_string();
-            // `::bounded` and its lane variant (`::bounded_lane`) are both
-            // intrinsically capped by construction.
-            let bounded = ctor.contains("::bounded");
-            let line = src.line_of(at);
-            let has_policy = (line.saturating_sub(1)..=line).any(|l| {
-                l >= 1
-                    && src
-                        .comment_text(l)
-                        .is_some_and(|c| c.contains("bound:") || c.contains("shed:"))
-            });
-            f.queue_ctors.push(QueueCtorSite {
-                ctor,
-                bounded,
-                has_policy,
-                offset: at,
-                line,
-            });
-        }
-    }
-    f.queue_ctors.sort_by_key(|q| q.offset);
 }
 
 /// Non-test `unsafe` occurrences with their `// SAFETY:` status. An
@@ -1955,29 +1792,6 @@ mod tests {
         );
         let kinds: Vec<&str> = m.fns[0].allocs.iter().map(|a| a.what.as_str()).collect();
         assert_eq!(kinds, ["to_vec", "with_capacity"]);
-    }
-
-    #[test]
-    fn swallowed_results_only_in_scope_files() {
-        let text = "fn f(rx: &Receiver) {\n    let _ = rx.recv();\n    rx.recv().ok();\n    let _named = rx.recv();\n    rx.recv().ok().map(|v| v);\n}\n";
-        let src = SourceFile::parse(text);
-        let m = model_file("crates/x/src/transport.rs", &src);
-        let what: Vec<&str> = m.fns[0].swallows.iter().map(|s| s.what.as_str()).collect();
-        assert_eq!(what, ["let _ =", ".ok()"]);
-        let m2 = model_file("crates/x/src/sample.rs", &src);
-        assert!(m2.fns[0].swallows.is_empty());
-    }
-
-    #[test]
-    fn queue_ctors_record_bound_and_policy() {
-        let (_, m) = model(
-            "fn f() {\n    let a = GradientQueue::bounded(64);\n    // bound: window of k, evicted on push\n    let b = VecDeque::with_capacity(8);\n\n\n    let c = BlockingQueue::new();\n    use_all(a, b, c);\n}\n",
-        );
-        let q = &m.fns[0].queue_ctors;
-        assert_eq!(q.len(), 3, "{q:?}");
-        assert!(q[0].bounded && q[0].ctor == "GradientQueue::bounded");
-        assert!(q[1].has_policy && !q[1].bounded);
-        assert!(!q[2].bounded && !q[2].has_policy, "{q:?}");
     }
 
     #[test]

@@ -1,5 +1,4 @@
-//! A8–A11: panic-reachability, hot-path allocation discipline, swallowed
-//! errors, and bounded-producer verification.
+//! A8–A9: panic-reachability and hot-path allocation discipline.
 //!
 //! The fourth analysis family rides the same call graph as A1–A7 but asks
 //! availability questions instead of interleaving questions:
@@ -16,23 +15,15 @@
 //!   annotated hot roots to every unconditional fresh allocation.
 //!   A stale allowlist entry is itself a finding, so the list can only
 //!   shrink with the code.
-//! * **A10 `swallowed-error`** — `let _ = ..;` and statement-terminated
-//!   `.ok();` on the retry/transport/fault paths silently lose gradients,
-//!   refunds, or billing records (extraction is scoped to those files).
-//! * **A11 `bounded-producer`** — extends A3 from "pushed but never
-//!   popped" to construction discipline: every first-party queue/ring
-//!   constructor must be intrinsically bounded (`::bounded`) or carry an
-//!   explicit `// bound:` / `// shed:` policy comment, so item-1 sharding
-//!   can multiply producers without minting unbounded buffers.
 //!
-//! Reachability (A8/A9) is a per-root BFS that only follows uniquely
-//! resolved call edges — the same precision rule the taint lattice uses, so
-//! a method-name collision cannot smear panics across unrelated types — and
-//! A9 additionally refuses to descend into the telemetry crate (a barrier:
+//! Reachability is a per-root BFS that only follows uniquely resolved call
+//! edges — the same precision rule the taint lattice uses, so a method-name
+//! collision cannot smear panics across unrelated types — and A9
+//! additionally refuses to descend into the telemetry crate (a barrier:
 //! observability allocations are counted by the dynamic test, not the
-//! static hot-path budget). Justified sites are consumed at extraction time
-//! by `lint:allow(A8)` / `lint:allow(A10)` comments (see
-//! [`crate::model`]), so a clean workspace reports zero suppressions.
+//! static hot-path budget). Justified A8 sites are consumed at extraction
+//! time by `lint:allow(A8)` comments (see [`crate::model`]), so a clean
+//! workspace reports zero suppressions.
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -232,49 +223,6 @@ pub fn alloc_reachability(fns: &[FnInfo], graph: &CallGraph) -> Vec<Finding> {
     out
 }
 
-/// A10: swallowed `Result`s on the retry/transport/fault paths (extraction
-/// is already scoped to those files).
-pub fn swallowed_errors(fns: &[FnInfo]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for f in fns {
-        for s in &f.swallows {
-            out.push(Finding {
-                rule: "A10",
-                file: f.file.clone(),
-                line: s.line,
-                message: format!(
-                    "`{}` in `{}` swallows a `Result` on the retry/transport/fault path — handle the error or annotate `lint:allow(A10): <why>`",
-                    s.what, f.name
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// A11: queue/ring constructors that are neither intrinsically bounded nor
-/// annotated with a shed/bound policy.
-pub fn bounded_producers(fns: &[FnInfo]) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for f in fns {
-        for q in &f.queue_ctors {
-            if q.bounded || q.has_policy {
-                continue;
-            }
-            out.push(Finding {
-                rule: "A11",
-                file: f.file.clone(),
-                line: q.line,
-                message: format!(
-                    "unbounded `{}` construction in `{}` without a `// bound:`/`// shed:` policy — use a bounded constructor or document the shed policy",
-                    q.ctor, f.name
-                ),
-            });
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -378,28 +326,5 @@ mod tests {
             f.is_empty(),
             "telemetry allocs must not be blamed on the hot path: {f:#?}"
         );
-    }
-
-    #[test]
-    fn swallows_and_unbounded_ctors_become_findings() {
-        let fns = fns_of(
-            "crates/core/src/transport.rs",
-            "fn f(rx: &R) {\n    let _ = rx.recv();\n    let q: VecDeque<u32> = VecDeque::new();\n    drop(q);\n}\n",
-        );
-        let s = swallowed_errors(&fns);
-        assert_eq!(s.len(), 1, "{s:#?}");
-        assert!(s[0].message.contains("`let _ =`"), "{}", s[0].message);
-        let b = bounded_producers(&fns);
-        assert_eq!(b.len(), 1, "{b:#?}");
-        assert!(b[0].message.contains("VecDeque::new"), "{}", b[0].message);
-    }
-
-    #[test]
-    fn bounded_or_annotated_ctors_are_clean() {
-        let fns = fns_of(
-            "crates/cache/src/queue.rs",
-            "fn f() {\n    let a = GradientQueue::bounded(64);\n    // bound: ring sheds oldest beyond capacity\n    let b = VecDeque::with_capacity(8);\n    use_both(a, b);\n}\n",
-        );
-        assert!(bounded_producers(&fns).is_empty());
     }
 }

@@ -4,7 +4,7 @@
 //! so we emit the (small, fixed-shape) documents directly.
 
 use crate::analyses::Finding;
-use crate::source::{rule_name, KNOWN_RULES};
+use crate::source::{rule_name, KNOWN_RULES, MALFORMED_ALLOW};
 use std::fmt::Write as _;
 
 /// Output format selector for the CLI.
@@ -91,7 +91,7 @@ pub fn render_sarif(findings: &[Finding]) -> String {
     out.push_str("          \"name\": \"stellaris-analyze\",\n");
     out.push_str("          \"informationUri\": \"https://example.invalid/stellaris\",\n");
     out.push_str("          \"rules\": [");
-    for (i, (id, name)) in KNOWN_RULES.iter().enumerate() {
+    for (i, (id, name)) in KNOWN_RULES.iter().chain([&MALFORMED_ALLOW]).enumerate() {
         if i > 0 {
             out.push(',');
         }

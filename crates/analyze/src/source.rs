@@ -302,14 +302,11 @@ pub fn boundary_ok(hay: &str, at: usize, token: &str) -> bool {
     true
 }
 
-/// Every rule the analyzer can emit or suppress: the per-file L1–L6 plus
-/// the call-graph A1–A11.
-pub const KNOWN_RULES: [(&str, &str); 17] = [
-    ("L1", "panic-freedom"),
-    ("L2", "determinism"),
+/// Every rule the analyzer can emit or suppress: the per-file L3 and L6
+/// plus the call-graph A1–A9. (L1, L2, L4, L5, A10 and A11 were retired to
+/// clippy or to construction.)
+pub const KNOWN_RULES: [(&str, &str); 11] = [
     ("L3", "lock-discipline"),
-    ("L4", "lossy-cast"),
-    ("L5", "print-discipline"),
     ("L6", "grad-alloc-discipline"),
     ("A1", "lock-order"),
     ("A2", "held-guard"),
@@ -320,11 +317,14 @@ pub const KNOWN_RULES: [(&str, &str); 17] = [
     ("A7", "unsafe-justification"),
     ("A8", "panic-reachability"),
     ("A9", "hot-alloc"),
-    ("A10", "swallowed-error"),
-    ("A11", "bounded-producer"),
 ];
 
-/// Parses `L1` / `l1` / `panic-freedom` style spellings to the canonical id.
+/// The id and name a malformed `lint:allow` comment is reported under. It
+/// is not a rule, so no allow can name it, and the finding cannot be
+/// silenced.
+pub const MALFORMED_ALLOW: (&str, &str) = ("allow", "malformed-allow");
+
+/// Parses `L3` / `l3` / `lock-discipline` style spellings to the canonical id.
 pub fn canonical_rule(s: &str) -> Option<&'static str> {
     let t = s.trim();
     KNOWN_RULES
@@ -333,10 +333,11 @@ pub fn canonical_rule(s: &str) -> Option<&'static str> {
         .map(|&(id, _)| id)
 }
 
-/// Human-readable name of a rule id (`L1` → `panic-freedom`).
+/// Human-readable name of a rule id (`L3` → `lock-discipline`).
 pub fn rule_name(id: &str) -> &'static str {
     KNOWN_RULES
         .iter()
+        .chain([&MALFORMED_ALLOW])
         .find(|(i, _)| *i == id)
         .map_or("unknown", |&(_, name)| name)
 }
@@ -531,12 +532,14 @@ mod tests {
 
     #[test]
     fn canonical_rule_accepts_ids_and_names() {
-        assert_eq!(canonical_rule("L1"), Some("L1"));
-        assert_eq!(canonical_rule("l3"), Some("L3"));
-        assert_eq!(canonical_rule("panic-freedom"), Some("L1"));
+        assert_eq!(canonical_rule("L3"), Some("L3"));
+        assert_eq!(canonical_rule("l6"), Some("L6"));
+        assert_eq!(canonical_rule("lock-discipline"), Some("L3"));
         assert_eq!(canonical_rule("A2"), Some("A2"));
         assert_eq!(canonical_rule("held-guard"), Some("A2"));
         assert_eq!(canonical_rule("L9"), None);
+        assert_eq!(canonical_rule("L1"), None, "retired to clippy");
+        assert_eq!(canonical_rule("allow"), None, "not a rule");
     }
 
     #[test]

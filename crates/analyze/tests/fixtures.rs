@@ -1,6 +1,6 @@
 //! Seeded-hazard fixtures: the analyzer must flag every hazard class
-//! (A1–A3 concurrency, A4–A7 dataflow, A8–A11 reachability/discipline)
-//! and stay silent on the clean twin of each shape.
+//! (A1–A3 concurrency, A4–A7 dataflow, A8–A9 reachability) and stay silent
+//! on the clean twin of each shape.
 //!
 //! Fixture sources live under `tests/fixtures/` and are fed to the analyzer
 //! with synthetic in-scope paths; they are never compiled.
@@ -19,9 +19,6 @@ const UNSAFE_NO_SAFETY: &str = include_str!("fixtures/unsafe_no_safety.rs");
 const CLEAN_DATAFLOW: &str = include_str!("fixtures/clean_dataflow.rs");
 const PANIC_IN_INVOKE: &str = include_str!("fixtures/panic_in_invoke.rs");
 const ALLOC_IN_HOT: &str = include_str!("fixtures/alloc_in_hot.rs");
-const SWALLOWED_ERR: &str = include_str!("fixtures/swallowed_err.rs");
-const UNBOUNDED_PRODUCER: &str = include_str!("fixtures/unbounded_producer.rs");
-const SHARDED_LANES: &str = include_str!("fixtures/sharded_lanes.rs");
 const CLEAN_PANICFREE: &str = include_str!("fixtures/clean_panicfree.rs");
 
 fn run_one(path: &str, text: &str) -> Analysis {
@@ -292,95 +289,16 @@ fn hot_path_allocation_is_flagged_with_its_chain() {
 }
 
 #[test]
-fn swallowed_results_on_the_transport_path_are_flagged() {
-    // Exactly two A10 (`let _ =` and `.ok();`); the propagating and
-    // named-binding twins stay silent. The fixture rides a transport path
-    // name because A10 is scoped to retry/transport/fault files.
-    let a = run_one("crates/fx/src/transport.rs", SWALLOWED_ERR);
-    assert_eq!(rules(&a), ["A10"], "{:#?}", a.findings);
-    assert_eq!(a.findings.len(), 2, "{:#?}", a.findings);
-    assert!(
-        a.findings
-            .iter()
-            .any(|f| f.message.contains("`let _ =`") && f.message.contains("send_frame")),
-        "{:#?}",
-        a.findings
-    );
-    assert!(
-        a.findings
-            .iter()
-            .any(|f| f.message.contains("`.ok()`") && f.message.contains("flush")),
-        "{:#?}",
-        a.findings
-    );
-    // Out of the scoped path set, the same source is silent.
-    let out = run_one("crates/fx/src/sample.rs", SWALLOWED_ERR);
-    assert!(
-        out.findings.iter().all(|f| f.rule != "A10"),
-        "{:#?}",
-        out.findings
-    );
-}
-
-#[test]
-fn unbounded_producers_are_flagged_and_bounded_ctor_is_not() {
-    // Exactly two A11: the raw `VecDeque::new` and the `GradientQueue::new`
-    // without a policy comment; `GradientQueue::bounded` is clean.
-    let a = run_one("crates/fx/src/unbounded_producer.rs", UNBOUNDED_PRODUCER);
-    assert_eq!(rules(&a), ["A11"], "{:#?}", a.findings);
-    assert_eq!(a.findings.len(), 2, "{:#?}", a.findings);
-    assert!(
-        a.findings
-            .iter()
-            .any(|f| f.message.contains("`VecDeque::new`") && f.message.contains("Stream::open")),
-        "{:#?}",
-        a.findings
-    );
-    assert!(
-        a.findings
-            .iter()
-            .any(|f| f.message.contains("`GradientQueue::new`")
-                && f.message.contains("open_gradient_stream")),
-        "{:#?}",
-        a.findings
-    );
-}
-
-#[test]
-fn sharded_lane_ctors_are_bounded_by_construction() {
-    // Exactly one A11: the per-lane `VecDeque::new` the hand-rolled plane
-    // multiplies by `n_lanes`; the `ShardedGradientQueue::bounded` ctor is
-    // intrinsically capped and must stay silent with zero suppressions.
-    let a = run_one("crates/fx/src/sharded_lanes.rs", SHARDED_LANES);
-    assert_eq!(rules(&a), ["A11"], "{:#?}", a.findings);
-    assert_eq!(a.findings.len(), 1, "{:#?}", a.findings);
-    let f = &a.findings[0];
-    assert!(
-        f.message.contains("`VecDeque::new`") && f.message.contains("LaneSet::open"),
-        "{}",
-        f.message
-    );
-    assert!(
-        !a.findings
-            .iter()
-            .any(|f| f.message.contains("ShardedGradientQueue")),
-        "{:#?}",
-        a.findings
-    );
-    assert_eq!(a.suppressed, 0, "clean plane needs no suppressions");
-}
-
-#[test]
 fn clean_panicfree_twin_is_silent() {
-    // Total parsing, checked decode, in-place accumulate, annotated ring:
-    // nothing for A8–A11, with zero suppressions.
+    // Total parsing, checked decode, in-place accumulate: nothing for
+    // A8–A9, with zero suppressions.
     let a = run_one("crates/fx/src/clean_panicfree.rs", CLEAN_PANICFREE);
     assert!(a.findings.is_empty(), "{:#?}", a.findings);
     assert_eq!(a.suppressed, 0, "clean without suppressions");
 }
 
 #[test]
-fn all_fixtures_together_yield_all_eleven_rules() {
+fn all_fixtures_together_yield_all_nine_analyses() {
     let files = vec![
         ("crates/fx/src/ab_ba.rs".to_string(), AB_BA.to_string()),
         (
@@ -421,14 +339,6 @@ fn all_fixtures_together_yield_all_eleven_rules() {
             ALLOC_IN_HOT.to_string(),
         ),
         (
-            "crates/fx/src/transport.rs".to_string(),
-            SWALLOWED_ERR.to_string(),
-        ),
-        (
-            "crates/fx/src/unbounded_producer.rs".to_string(),
-            UNBOUNDED_PRODUCER.to_string(),
-        ),
-        (
             "crates/fx/src/clean_panicfree.rs".to_string(),
             CLEAN_PANICFREE.to_string(),
         ),
@@ -437,7 +347,7 @@ fn all_fixtures_together_yield_all_eleven_rules() {
     let r = rules(&a);
     assert_eq!(
         r,
-        ["A1", "A10", "A11", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9"],
+        ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9"],
         "{r:?}"
     );
     // The clean files contribute nothing even with the whole set in view.

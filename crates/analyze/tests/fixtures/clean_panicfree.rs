@@ -1,9 +1,7 @@
-//! Clean twin for A8–A11: the same shapes written correctly — total
+//! Clean twin for A8–A9: the same shapes written correctly — total
 //! parsing under an invocation root, length-checked decode with a typed
-//! error, an allocation-free hot loop, and a policy-annotated ring. The
-//! analyzer must stay silent on every function here with no suppressions.
-
-use std::collections::VecDeque;
+//! error, and an allocation-free hot loop. The analyzer must stay silent on
+//! every function here with no suppressions.
 
 pub struct Platform {
     warm: u64,
@@ -57,27 +55,4 @@ impl GradAccumulator {
 /// Pure scalar math on the hot path.
 fn scale_one(g: f32) -> f32 {
     g * 0.5
-}
-
-pub struct Window {
-    ring: VecDeque<f32>,
-    cap: usize,
-}
-
-impl Window {
-    /// A ring with a documented policy on its backing deque.
-    pub fn with_cap(cap: usize) -> Self {
-        Self {
-            // shed: push() pops the oldest entry once `cap` is reached.
-            ring: VecDeque::new(),
-            cap,
-        }
-    }
-
-    pub fn push(&mut self, v: f32) {
-        if self.ring.len() >= self.cap.max(1) {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(v);
-    }
 }

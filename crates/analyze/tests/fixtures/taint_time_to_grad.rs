@@ -6,7 +6,7 @@
 //! `crates/nn/src/` path (determinism sink scope); never compiled.
 
 pub fn jitter_scale() -> f32 {
-    let t = std::time::Instant::now(); // lint:allow(L2): fixture pins A4; silences L2 only
+    let t = std::time::Instant::now();
     t.elapsed().as_secs_f32() * 1e-6
 }
 

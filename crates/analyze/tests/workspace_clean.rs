@@ -1,9 +1,9 @@
 //! The gate this crate exists for: the Stellaris workspace carries zero
-//! unsuppressed findings under all seventeen rules, and a seeded violation
-//! is caught with a `file:line` finding. CI runs the binary; these tests
+//! unsuppressed findings under all eleven rules, and a seeded hazard is
+//! caught in the file it was planted in. CI runs the binary; these tests
 //! keep `cargo test` equivalent to the CI job.
 
-use stellaris_analyze::{analyze_sources, analyze_workspace, find_workspace_root, Finding};
+use stellaris_analyze::{analyze_sources, analyze_workspace, find_workspace_root};
 
 fn root() -> std::path::PathBuf {
     let cwd = std::env::current_dir().expect("cwd");
@@ -45,19 +45,6 @@ fn workspace_sources() -> Vec<(String, String)> {
             (rel, text)
         })
         .collect()
-}
-
-/// Analyzes the workspace with `line` appended to the file at `rel`, and
-/// returns the findings plus the appended line's number.
-fn analyze_with_appended(rel: &str, line: &str) -> (Vec<Finding>, usize) {
-    let mut files = workspace_sources();
-    let (_, text) = files
-        .iter_mut()
-        .find(|(path, _)| path == rel)
-        .expect("seeded file is in scope");
-    text.push_str(line);
-    let seeded_line = text.lines().count();
-    (analyze_sources(&files).findings, seeded_line)
 }
 
 #[test]
@@ -102,33 +89,5 @@ fn seeded_hazard_on_top_of_workspace_is_caught() {
             .any(|f| f.rule == "A1" && f.file == "crates/core/src/seeded_hazard.rs"),
         "seeded cycle must surface: {:#?}",
         analysis.findings
-    );
-}
-
-#[test]
-fn seeded_violation_in_core_module_is_caught() {
-    // An unwrap added to core::aggregation must produce exactly one finding,
-    // L1, with the right file and line.
-    let rel = "crates/core/src/aggregation.rs";
-    let (findings, seeded_line) = analyze_with_appended(
-        rel,
-        "\npub fn seeded() { let _ = std::env::var(\"X\").unwrap(); }\n",
-    );
-    assert_eq!(findings.len(), 1, "{findings:#?}");
-    assert_eq!(findings[0].rule, "L1");
-    assert_eq!(findings[0].file, rel);
-    assert_eq!(findings[0].line, seeded_line);
-    assert!(findings[0].to_string().contains("aggregation.rs"));
-}
-
-#[test]
-fn seeded_nondeterminism_in_deterministic_crate_is_caught() {
-    let (findings, _) = analyze_with_appended(
-        "crates/nn/src/optim.rs",
-        "\npub fn jitter() -> u64 { rand::thread_rng().next_u64() }\n",
-    );
-    assert!(
-        findings.iter().any(|f| f.rule == "L2"),
-        "thread_rng must trip L2: {findings:#?}"
     );
 }

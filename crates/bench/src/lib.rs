@@ -21,16 +21,22 @@ use stellaris_envs::EnvId;
 /// `bench.progress` telemetry instant event. Stdout is reserved for
 /// machine-parseable output (see [`emit_csv`]), so piping a bench binary
 /// into a file or parser never captures banners and sparklines.
+#[expect(
+    clippy::print_stderr,
+    reason = "progress goes to stderr by design; stdout stays CSV-only"
+)]
 pub fn emit_progress(msg: &str) {
     stellaris_telemetry::instant("bench.progress", vec![("msg", msg.into())]);
-    // lint:allow(L5): progress goes to stderr by design; stdout stays CSV-only
     eprintln!("{msg}");
 }
 
 /// Writes one machine-parseable line (CSV row, path, or summary record) to
 /// stdout — the only thing bench binaries print there.
+#[expect(
+    clippy::print_stdout,
+    reason = "stdout is the bench binaries' machine-readable channel"
+)]
 pub fn emit_csv(line: &str) {
-    // lint:allow(L5): stdout is the bench binaries' machine-readable channel
     println!("{line}");
 }
 

@@ -99,7 +99,10 @@ pub fn checked_len_u32(len: usize) -> Result<u32, CodecError> {
 fn encode_len_prefix(len: usize, buf: &mut BytesMut) {
     match checked_len_u32(len) {
         Ok(n) => n.encode(buf),
-        // lint:allow(L1): documented panic — a >u32::MAX-element payload is a caller bug
+        #[expect(
+            clippy::panic,
+            reason = "documented panic — a >u32::MAX-element payload is a caller bug"
+        )]
         Err(e) => panic!("{e}"),
     }
 }
@@ -338,6 +341,7 @@ pub fn decode_seq<T: Codec>(buf: &mut &[u8]) -> Result<Vec<T>, CodecError> {
 }
 
 #[cfg(test)]
+#[allow(clippy::let_underscore_must_use)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

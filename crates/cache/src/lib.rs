@@ -7,7 +7,14 @@
 //! gradient queues, length-prefixed wire frames, and a configurable
 //! latency model so transfer costs show up in the cost experiments.
 
-#![warn(missing_docs)]
+#![warn(
+    missing_docs,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::unused_result_ok
+)]
 
 pub mod codec;
 pub mod frame;

@@ -132,20 +132,16 @@ impl<T> GradientQueue<T> {
             }
         }
         self.enqueued.inc();
-        // lint:allow(L4): queue depths are tiny, exact in f64
         self.depth.set(depth as f64);
         if let Some(lane_depth) = &self.lane_depth {
-            // lint:allow(L4): queue depths are tiny, exact in f64
             lane_depth.set(depth as f64);
         }
     }
 
     fn note_dequeue(&self, base_version: u64, depth: usize) {
         self.dequeued.inc();
-        // lint:allow(L4): queue depths are tiny, exact in f64
         self.depth.set(depth as f64);
         if let Some(lane_depth) = &self.lane_depth {
-            // lint:allow(L4): queue depths are tiny, exact in f64
             lane_depth.set(depth as f64);
         }
         let staleness = self.clock().saturating_sub(base_version);
@@ -227,7 +223,7 @@ impl<T> ShardedGradientQueue<T> {
     /// Creates `n_lanes` lanes (clamped to ≥ 1), each bounded at
     /// `per_lane_cap` payloads with shed-oldest overflow. Every lane is an
     /// intrinsically bounded `GradientQueue::bounded_lane` ctor, so the plane
-    /// satisfies the A11 bounded-producer rule by construction.
+    /// is bounded by construction.
     pub fn bounded(n_lanes: usize, per_lane_cap: usize) -> Self {
         let lanes = (0..n_lanes.max(1))
             .map(|i| GradientQueue::bounded_lane(per_lane_cap, i))

@@ -24,7 +24,14 @@
 //! system of the evaluation: vanilla PPO/IMPACT, Ray RLlib-style synchronous
 //! multi-learner training, MinionsRL, and PAR-RL on the HPC cluster.
 
-#![warn(missing_docs)]
+#![warn(
+    missing_docs,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::unused_result_ok
+)]
 
 pub mod aggregation;
 pub mod autoscale;

@@ -30,6 +30,8 @@
 //! while one waits, and the weight uses staleness at arrival rather than at
 //! commit.
 
+#![warn(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
+
 use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -109,13 +111,16 @@ impl StalenessRing {
     }
 
     /// Mean over the last `n` retained samples (0.0 when empty).
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "staleness sums and lengths stay far below 2^53, exact in f64"
+    )]
     pub fn tail_mean(&self, n: usize) -> f64 {
         let start = self.buf.len().saturating_sub(n);
         let len = self.buf.len() - start;
         if len == 0 {
             return 0.0;
         }
-        // lint:allow(L4): staleness sums and lengths stay far below 2^53, exact in f64
         self.buf.iter().skip(start).sum::<u64>() as f64 / len as f64
     }
 }
@@ -418,7 +423,10 @@ impl ShardedParameterServer {
     fn shard_commit(&self, sh: &mut ParamShard) {
         debug_assert!(!sh.folded.is_empty());
         let h = sh.folded.len();
-        // lint:allow(L4): H_c counts gradients, far below 2^24, exact in f32
+        #[expect(
+            clippy::cast_precision_loss,
+            reason = "H_c counts gradients, far below 2^24, exact in f32"
+        )]
         sh.accumulator.divide(h as f32);
         let mut params: Vec<&mut Tensor> = sh.params.iter_mut().collect();
         sh.optimizer.step_refs(&mut params, sh.accumulator.grads());
@@ -514,6 +522,7 @@ impl ShardedParameterServer {
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
 mod tests {
     use super::*;
     use crate::remote::snapshot_checksum;
@@ -801,7 +810,6 @@ mod tests {
             let ps = adam_server(&policy, rule.clone());
             for i in 0..12u64 {
                 let base = ps.clock().saturating_sub(i % 3);
-                // lint:allow(L4): tiny integer fills are exact in f32
                 let msg = grad_msg(&policy, i as usize % 4, base, 0.01 * (i + 1) as f32);
                 assert_eq!(
                     ps.offer(msg),

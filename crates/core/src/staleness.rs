@@ -9,6 +9,8 @@
 //! round unbounded. `d = 1` degenerates to pure asynchrony; `d → 0`
 //! degenerates to synchronous training.
 
+#![warn(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
+
 /// The adaptive staleness-threshold schedule of Eq. 3.
 ///
 /// ```
@@ -49,13 +51,20 @@ impl StalenessSchedule {
     /// the first training round to obtain the maximum staleness").
     pub fn observe(&mut self, staleness: u64) {
         if self.round == 0 {
-            // lint:allow(L4): u64 -> f64 is exact below 2^53; staleness counts policy updates
+            #[expect(
+                clippy::cast_precision_loss,
+                reason = "u64 -> f64 is exact below 2^53; staleness counts policy updates"
+            )]
             let s = staleness as f64;
             self.delta_max = Some(self.delta_max.map_or(s, |m| m.max(s)));
         }
     }
 
     /// Current threshold `β_k`, or `None` while still calibrating (round 0).
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "u64 -> f64 is exact below 2^53, merely imprecise above"
+    )]
     pub fn beta(&self) -> Option<f64> {
         if self.round == 0 {
             return None;
@@ -63,7 +72,6 @@ impl StalenessSchedule {
         let dmax = self.delta_max.unwrap_or(0.0).max(1.0);
         // The previous `powi(self.round as i32)` *wrapped* for rounds past
         // i32::MAX, flipping β to dmax/d^huge = +inf.
-        // lint:allow(L4): u64 -> f64 is exact below 2^53, merely imprecise above
         Some(dmax * self.d.powf(self.round as f64))
     }
 
@@ -124,7 +132,10 @@ pub fn staleness_weight(delta: u64, v: u32) -> f32 {
         return 1.0;
     }
     assert!(v >= 1, "root factor v must be >= 1");
-    // lint:allow(L4): delta and v are update counts far below 2^24, exact in f32
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "delta and v are update counts far below 2^24, exact in f32"
+    )]
     let w = 1.0 / (delta as f32).powf(1.0 / v as f32);
     debug_assert!(
         w.is_finite() && w > 0.0 && w <= 1.0,
@@ -134,6 +145,7 @@ pub fn staleness_weight(delta: u64, v: u32) -> f32 {
 }
 
 #[cfg(test)]
+#[allow(clippy::cast_precision_loss)]
 mod tests {
     use super::*;
     use proptest::prelude::*;

@@ -13,6 +13,8 @@
 //! inside its surrogate objective (the `ratio_cap` parameter of
 //! [`stellaris_rl::ppo_gradients`]).
 
+#![warn(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
+
 use std::collections::HashMap;
 
 use parking_lot::RwLock;

@@ -63,7 +63,7 @@ impl Figure {
 
 /// Builds one leg (thigh, shin, optional foot) hanging from `parent` at
 /// world anchor height `hip_y`, returning the new joints in top-down order.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments)]
 fn build_leg(
     w: &mut World,
     parent: BodyId,

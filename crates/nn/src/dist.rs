@@ -202,7 +202,7 @@ pub fn gaussian_kl_value(mu_old: &[f32], ls_old: &[f32], mu_new: &[f32], ls_new:
 }
 
 #[cfg(test)]
-#[allow(clippy::needless_range_loop)]
+#[expect(clippy::needless_range_loop)]
 mod tests {
     use super::*;
     use rand::SeedableRng;

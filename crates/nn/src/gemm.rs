@@ -364,7 +364,7 @@ fn gemm_fused(
 /// One `(j0, p0)` block of one row-slab (`mc <= MC` rows starting at `i0`):
 /// packs the slab's block of A and sweeps the register tiles against the
 /// block's packed B.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments)]
 fn gemm_block(
     a: MatRef<'_>,
     i0: usize,
@@ -512,7 +512,7 @@ fn pack_b(b: MatRef<'_>, p0: usize, kc: usize, j0: usize, nc: usize, buf: &mut V
 /// `init`), sweeps the packed panels in ascending `k`, stores the valid
 /// `mr x nr` region back. Plain `a*b` + `+=` — no FMA — so rounding matches
 /// the naive reference bit for bit.
-#[allow(clippy::too_many_arguments)]
+#[expect(clippy::too_many_arguments)]
 #[inline]
 fn micro_kernel(
     kc: usize,

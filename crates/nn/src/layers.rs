@@ -166,8 +166,11 @@ impl Mlp {
     }
 
     /// Output feature dimension.
+    #[expect(
+        clippy::unwrap_used,
+        reason = "`new` asserts sizes.len() >= 2, so layers is never empty"
+    )]
     pub fn out_dim(&self) -> usize {
-        // lint:allow(L1): `new` asserts sizes.len() >= 2, so layers is never empty
         self.layers.last().unwrap().out_dim()
     }
 

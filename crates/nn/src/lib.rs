@@ -13,7 +13,7 @@
 //! The performance contract of the hot path (GEMM blocking, the gradient
 //! arena, fused dense ops) is documented in DESIGN.md §11.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod conv;
 pub mod dist;

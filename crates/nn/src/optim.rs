@@ -5,6 +5,8 @@
 //! the staleness-modulated learning rate is applied per-gradient *before*
 //! aggregation, so the optimizer itself stays standard.
 
+#![warn(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
+
 use crate::tensor::Tensor;
 
 /// A stateful first-order optimizer over a flat parameter list.
@@ -116,8 +118,11 @@ impl Optimizer for Adam {
             self.v = grads.iter().map(|g| Tensor::zeros(g.shape())).collect();
         }
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        // Saturate the exponent: past step 2^31 a wrapped `i32` would make
+        // the bias correction -inf and freeze every parameter.
+        let t = i32::try_from(self.t).unwrap_or(i32::MAX);
+        let bc1 = 1.0 - self.beta1.powi(t);
+        let bc2 = 1.0 - self.beta2.powi(t);
         for ((p, g), (m, v)) in params
             .iter_mut()
             .zip(grads.iter())
@@ -291,6 +296,19 @@ mod tests {
         let grads = vec![Tensor::from_vec(vec![123.0], &[1])];
         opt.step(&mut params, &grads);
         assert!((params[0].data()[0] - 0.9).abs() < 1e-3);
+    }
+
+    #[test]
+    fn adam_keeps_stepping_past_step_2_pow_31() {
+        // Steady state at step i32::MAX (m = g, v = g^2): the next step,
+        // number 2^31, must still move the parameter by about lr.
+        let mut opt = Adam::new(0.1);
+        opt.t = i32::MAX as u64;
+        opt.m = vec![Tensor::from_vec(vec![2.0], &[1])];
+        opt.v = vec![Tensor::from_vec(vec![4.0], &[1])];
+        let mut params = vec![Tensor::from_vec(vec![1.0], &[1])];
+        opt.step(&mut params, &[Tensor::from_vec(vec![2.0], &[1])]);
+        assert!((params[0].data()[0] - 0.9).abs() < 1e-3, "{params:?}");
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //!     STELLARIS_TRACE JSONL dump and print the blame table.
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;

@@ -1,7 +1,7 @@
 //! The plain-text live dashboard: renders a snapshot of the global
 //! metrics registry as a small fixed-width panel. Pure string rendering —
-//! the `obs` binary owns the printing loop (lint rule L5 keeps stdout/err
-//! out of library code).
+//! the `obs` binary owns the printing loop (clippy's `print_stdout` and
+//! `print_stderr` keep stdout/err out of library code).
 
 use std::sync::Arc;
 

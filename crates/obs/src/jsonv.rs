@@ -5,7 +5,7 @@
 //! ([`stellaris_telemetry::validate_json`]); this module adds the value
 //! tree the `obs diff`/`obs attribute` subcommands need. It parses the
 //! subset our writers emit — which is standard JSON — with a recursion
-//! depth cap, and returns `Result` everywhere (lint rule L1: no panics).
+//! depth cap, and returns `Result` everywhere rather than panicking.
 
 use std::collections::BTreeMap;
 

@@ -1,6 +1,8 @@
 //! Generalized Advantage Estimation (Schulman et al., used by the paper's
 //! "standard distributed PPO with GAE", §VIII-B).
 
+#![warn(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
+
 use crate::trajectory::SampleBatch;
 
 /// Computes GAE(γ, λ) advantages and discounted return targets for a batch

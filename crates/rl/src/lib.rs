@@ -7,7 +7,7 @@
 //! IMPACT — both accepting the Stellaris global importance-sampling
 //! truncation as a ratio cap.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod checkpoint;
 pub mod gae;

@@ -60,7 +60,7 @@ impl PolicySpec {
 /// Actor or critic trunk: MLP for vector observations, CNN for images.
 // The CNN variant is much larger than the MLP one, but backbones are
 // created once per function invocation, never stored in bulk.
-#[allow(clippy::large_enum_variant)]
+#[expect(clippy::large_enum_variant)]
 #[derive(Clone, Debug)]
 pub enum Backbone {
     /// Table II MuJoCo trunk (2x256, Tanh).
@@ -160,8 +160,11 @@ impl DistParams {
                     .sum::<f32>()
                     / b as f32
             }
+            #[expect(
+                clippy::panic,
+                reason = "comparing policies over different action spaces is caller error, not a runtime state"
+            )]
             // lint:allow(A8): both dist kinds come from the same net type; a mismatch is a caller bug
-            // lint:allow(L1): comparing policies over different action spaces is caller error, not a runtime state
             _ => panic!("mean_kl_to: mismatched distribution kinds"),
         }
     }
@@ -314,11 +317,14 @@ impl PolicyNet {
     pub fn logp_plain(&self, batch: &SampleBatch) -> Vec<f32> {
         match self.dist_params(&batch.obs) {
             DistParams::Gaussian { mu, log_std } => {
+                #[expect(
+                    clippy::expect_used,
+                    reason = "batch layout is fixed by the rollout worker that built it; a missing field is a producer bug"
+                )]
                 let actions = batch
                     .actions_cont
                     .as_ref()
                     // lint:allow(A8): wire corruption fails typed decode upstream; a field mismatch here is a producer bug
-                    // lint:allow(L1): batch layout is fixed by the rollout worker that built it; a missing field is a producer bug
                     .expect("continuous batch missing actions");
                 (0..batch.len())
                     .map(|i| {
@@ -349,30 +355,42 @@ impl PolicyNet {
         let b = batch.len();
         let value = g.reshape(value_raw, &[b]);
         let (logp_new, entropy, kl) = if has_ls {
+            #[expect(
+                clippy::unwrap_used,
+                reason = "has_ls guarantees the log-std var was appended to param_vars"
+            )]
             // lint:allow(A8): has_ls guarantees the log-std var was appended to param_vars
-            // lint:allow(L1): has_ls guarantees the log-std var was appended to param_vars
             let ls_var = *param_vars.last().unwrap();
+            #[expect(
+                clippy::expect_used,
+                reason = "batch layout is fixed by the rollout worker that built it; a missing field is a producer bug"
+            )]
             let actions = batch
                 .actions_cont
                 .as_ref()
                 // lint:allow(A8): wire corruption fails typed decode upstream; a field mismatch here is a producer bug
-                // lint:allow(L1): batch layout is fixed by the rollout worker that built it; a missing field is a producer bug
                 .expect("continuous batch missing actions");
             let dim = actions.shape()[1];
             let logp = dist::gaussian_log_prob(g, actor_out, ls_var, actions);
             let ent = dist::gaussian_entropy(g, ls_var, dim);
+            #[expect(
+                clippy::expect_used,
+                reason = "batch layout is fixed by the rollout worker that built it; a missing field is a producer bug"
+            )]
             let mu_old = batch
                 .behaviour_mu
                 .as_ref()
                 // lint:allow(A8): wire corruption fails typed decode upstream; a field mismatch here is a producer bug
-                // lint:allow(L1): batch layout is fixed by the rollout worker that built it; a missing field is a producer bug
                 .expect("continuous batch missing behaviour means");
+            #[expect(
+                clippy::expect_used,
+                reason = "batch layout is fixed by the rollout worker that built it; a missing field is a producer bug"
+            )]
             let ls_old = Tensor::from_vec(
                 batch
                     .behaviour_log_std
                     .clone()
                     // lint:allow(A8): wire corruption fails typed decode upstream; a field mismatch here is a producer bug
-                    // lint:allow(L1): batch layout is fixed by the rollout worker that built it; a missing field is a producer bug
                     .expect("continuous batch missing behaviour log-stds"),
                 &[dim],
             );
@@ -381,11 +399,14 @@ impl PolicyNet {
         } else {
             let logp = dist::categorical_log_prob(g, actor_out, &batch.actions_disc);
             let ent = dist::categorical_entropy_mean(g, actor_out);
+            #[expect(
+                clippy::expect_used,
+                reason = "batch layout is fixed by the rollout worker that built it; a missing field is a producer bug"
+            )]
             let old_logits = batch
                 .behaviour_logits
                 .as_ref()
                 // lint:allow(A8): wire corruption fails typed decode upstream; a field mismatch here is a producer bug
-                // lint:allow(L1): batch layout is fixed by the rollout worker that built it; a missing field is a producer bug
                 .expect("discrete batch missing behaviour logits");
             let kl = dist::categorical_kl_mean(g, old_logits, actor_out);
             (logp, ent, kl)

@@ -2,6 +2,8 @@
 //! surrogate clipping, a KL penalty, and the optional *global* importance
 //! sampling truncation of Stellaris (§V-A, Eq. 2) injected as a ratio cap.
 
+#![warn(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
+
 use stellaris_nn::{clip_grad_norm, Graph, Tensor};
 
 use crate::policy::PolicyNet;
@@ -171,11 +173,15 @@ pub fn ppo_gradients(
     // divergence from the actor policy, not the already-truncated value —
     // otherwise the global cap feeds back on itself and ratchets to zero.
     let ratio_vals = g.value(ratio);
+    #[expect(
+        clippy::cast_precision_loss,
+        reason = "clip counts are bounded by minibatch size, exact in f32"
+    )]
     let clip_frac = ratio_vals
         .data()
         .iter()
         .filter(|&&r| (r - 1.0).abs() > cfg.clip)
-        .count() as f32 // lint:allow(L4): clip counts are bounded by minibatch size, exact in f32
+        .count() as f32
         / b as f32;
     let min_ratio = ratio_vals
         .data()

@@ -1,6 +1,8 @@
 //! V-trace off-policy correction (Espeholt et al., IMPALA), the advantage
 //! estimator IMPACT builds on (§VIII-B: "V-trace importance sampling").
 
+#![warn(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
+
 /// Inputs to the V-trace computation for one trajectory slice.
 pub struct VtraceInput<'a> {
     /// Behaviour-policy log-probs of the taken actions.

@@ -1,6 +1,6 @@
 //! Property-based tests for the estimator algebra: GAE, V-trace, the
 //! trajectory container, and the rollout's recorded behaviour distribution.
-#![allow(clippy::needless_range_loop)]
+#![expect(clippy::needless_range_loop)]
 
 use proptest::prelude::*;
 use rand::SeedableRng;

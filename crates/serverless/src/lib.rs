@@ -6,7 +6,14 @@
 //! GPU), plus the paper's dollar-per-resource-second cost model over the
 //! §VIII-A EC2 cluster profiles.
 
-#![warn(missing_docs)]
+#![warn(
+    missing_docs,
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::let_underscore_must_use,
+    clippy::unused_result_ok
+)]
 
 pub mod cost;
 pub mod cputime;

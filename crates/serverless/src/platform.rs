@@ -354,7 +354,7 @@ impl Platform {
 
     /// Records one finished attempt (successful or failed) in the latency
     /// histograms, the utilisation accumulator and the record log.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(clippy::too_many_arguments)]
     fn record_attempt(
         &self,
         kind: FunctionKind,
@@ -490,9 +490,12 @@ impl Platform {
         let (out, cpu, _used_cpu_clock) = crate::cputime::measure_cpu(|| {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let r = work();
+                #[expect(
+                    clippy::panic,
+                    reason = "this panic IS the injected mid-work container crash"
+                )]
                 if crash {
                     // lint:allow(A8): the panic is the chaos fault itself, caught by catch_unwind above
-                    // lint:allow(L1): this panic IS the injected mid-work container crash
                     panic!("injected container crash");
                 }
                 r
@@ -683,6 +686,7 @@ impl Platform {
 }
 
 #[cfg(test)]
+#[allow(clippy::let_underscore_must_use)]
 mod tests {
     use super::*;
     use crate::pricing::Cluster;

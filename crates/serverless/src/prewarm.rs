@@ -134,7 +134,6 @@ impl PrewarmController {
         let reg = stellaris_telemetry::global();
         reg.counter("stellaris_serverless_prewarm_plans_total")
             .inc();
-        // lint:allow(L4): container counts are tiny, exact in f64
         reg.gauge(&format!(
             "stellaris_serverless_prewarm_planned_{}",
             kind.name()

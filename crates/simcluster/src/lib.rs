@@ -11,7 +11,7 @@
 //! Use it for the cost/utilisation/staleness questions that need full
 //! scale: Fig. 2(b), Fig. 3(a)/(b) and Fig. 8's economics.
 
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 pub mod profile;
 pub mod sim;

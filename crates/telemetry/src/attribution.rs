@@ -594,10 +594,8 @@ mod tests {
         assert!(table.contains("retry/backoff"));
         assert!(table.contains("coverage: 90.0%"));
         let json = run.to_json();
-        crate::json::validate_json(&json).unwrap_or_else(|e| {
-            // lint:allow(L1): test assertion
-            panic!("bad attribution json: {e}\n{json}")
-        });
+        crate::json::validate_json(&json)
+            .unwrap_or_else(|e| panic!("bad attribution json: {e}\n{json}"));
         assert!(json.contains("\"gemm/backward\""));
     }
 

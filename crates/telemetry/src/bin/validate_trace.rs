@@ -31,6 +31,9 @@
 //!
 //! Exits non-zero with a diagnostic on the first failure.
 
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 use std::collections::HashSet;
 use std::process::ExitCode;
 
@@ -135,7 +138,6 @@ fn main() -> ExitCode {
         if line.contains("\"name\":\"recorder.dump\"") {
             if let Some(dropped) = field_u64(line, "dropped_events") {
                 if dropped > 0 {
-                    // lint:allow(L5): bin diagnostic channel
                     eprintln!(
                         "validate_trace: WARNING: ***** flight-recorder dump reports {dropped} \
                          DROPPED trace events — the dump is incomplete *****"

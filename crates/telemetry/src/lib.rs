@@ -1,4 +1,4 @@
-#![warn(missing_docs)]
+#![warn(missing_docs, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 //! Zero-dependency observability substrate for the Stellaris training stack.
 //!
 //! Two halves, both safe to call from any thread at any time, plus two

@@ -20,7 +20,7 @@
 //! evicted out of the window (an orphaned `parent` becomes 0), so every
 //! dump satisfies the `validate_trace` parent-closure check.
 //!
-//! All entry points are panic-free (lint rule L1) and safe to call from a
+//! All entry points are panic-free and safe to call from a
 //! panic hook: poisoned locks are recovered, filesystem errors are
 //! swallowed, and an unarmed recorder is a single atomic load.
 
@@ -234,8 +234,11 @@ impl Core {
             return None;
         }
         let path = self.dump(reason);
+        #[expect(
+            clippy::print_stderr,
+            reason = "a postmortem dump must announce itself to the operator"
+        )]
         if let Some(p) = &path {
-            // lint:allow(L5): a postmortem dump must announce itself to the operator
             eprintln!(
                 "stellaris flight recorder: {reason} -> {}.{{jsonl,trace.json,prom}}",
                 p.display()
@@ -432,10 +435,8 @@ mod tests {
         assert!(first.contains("recorder.dump"), "meta line first: {first}");
         assert!(first.contains("\"reason\":\"unit test\""));
         for line in jsonl.lines() {
-            crate::json::validate_json(line).unwrap_or_else(|e| {
-                // lint:allow(L1): test assertion
-                panic!("bad dump line {line}: {e}")
-            });
+            crate::json::validate_json(line)
+                .unwrap_or_else(|e| panic!("bad dump line {line}: {e}"));
         }
         let chrome = std::fs::read_to_string(with_ext(&base, ".trace.json")).unwrap_or_default();
         assert!(crate::json::validate_json(&chrome).is_ok());

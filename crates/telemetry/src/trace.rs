@@ -60,9 +60,9 @@ static LAST_NOW_US: AtomicU64 = AtomicU64::new(0);
 
 /// Microseconds since the trace epoch (first telemetry call or [`enable`]).
 ///
-/// This is the only clock the tracing layer uses; instrumented crates that
-/// must stay free of literal `Instant::now()` calls (lint rule L2) can read
-/// time through it.
+/// This is the only clock the tracing layer uses; deterministic code can
+/// read time through it without tainting its results, since A4 treats the
+/// telemetry crate as a barrier where `Instant::now()` is a taint source.
 ///
 /// The reading is clamped monotonic across threads via
 /// [`clamp_monotonic`]: `Instant` is monotonic per the platform contract,

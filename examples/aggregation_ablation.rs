@@ -5,6 +5,8 @@
 //!
 //! Run with: `cargo run --release --example aggregation_ablation`
 
+#![allow(clippy::print_stdout)]
+
 use stellaris::prelude::*;
 
 fn main() {

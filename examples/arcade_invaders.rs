@@ -5,6 +5,8 @@
 //!
 //! Run with: `cargo run --release --example arcade_invaders`
 
+#![allow(clippy::print_stdout)]
+
 use stellaris::prelude::*;
 
 fn main() {

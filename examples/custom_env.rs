@@ -6,6 +6,8 @@
 //!
 //! Run with: `cargo run --release --example custom_env`
 
+#![allow(clippy::print_stdout)]
+
 use stellaris::envs::{env_rng, Step};
 use stellaris::prelude::*;
 use stellaris::rl::fill_gae;

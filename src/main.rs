@@ -10,6 +10,8 @@
 //! stellaris envs
 //! ```
 
+#![allow(clippy::print_stdout, clippy::print_stderr)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 
