@@ -20,7 +20,8 @@
 //!   round-trip is exact, so splitting `k` into blocks does not reassociate
 //!   the per-element sum;
 //! * products are added in ascending-`k` order with separately rounded
-//!   multiply and add (no `mul_add`/FMA — Rust never fuses implicitly);
+//!   multiply and add (no fused multiply-add: Rust never fuses implicitly,
+//!   and the AVX-512 tile issues `_mm512_mul_ps` then `_mm512_add_ps`);
 //! * edge tiles are zero-padded in the packed panels (the packers zero a
 //!   ragged panel before filling it); padded lanes only produce values in
 //!   padded rows/columns, which are never stored.
@@ -38,19 +39,32 @@
 //! products stacked — whichever of the two routes serves each call (pinned
 //! by `prop_rows_are_independent` in `tests/backward_differential.rs`). The
 //! rollout relies on this to record the distribution row each action was
-//! sampled from in place of a second, batched actor forward.
+//! sampled from in place of a second, batched actor forward, and to run the
+//! critic once over a whole rollout instead of once per step.
+//!
+//! # Register tile
+//!
+//! The tile is chosen at build time. Under `target_feature = "avx512f"`
+//! (`.cargo/config.toml` builds with `target-cpu=native`) it is an explicit
+//! `8 x 32` AVX-512 tile holding its accumulators in 16 zmm registers — the
+//! crate's one `unsafe` function. Everywhere else the portable `4 x 16`
+//! tile, an array LLVM autovectorises, is the only kernel. Only the explicit
+//! tile can be that wide: an autovectorised `8 x 32` array spills to the
+//! stack and runs several times slower.
 //!
 //! # Small-`m` route
 //!
 //! A left operand with fewer than `MR` rows and a unit-stride B — the
-//! actors' single-observation forwards, `m = 1`, six products per
-//! environment step — skips packing and runs the reference loop of
-//! [`gemm_naive`], which is therefore the production kernel for `m < MR`
-//! and not only the test oracle. Packing cannot pay below one register
+//! actors' single-observation forwards, `m = 1`, three products per
+//! environment step — skips packing. Packing cannot pay below one register
 //! tile: `pack_b` copies all `k*n` elements of B to serve `m*k*n`
 //! multiply-adds, and `1 - m/MR` of every register tile is zero padding.
-//! The route is bit-identical by construction (it *is* the loop the
-//! contract is written against) and is selected by the operand shapes alone.
+//! Each output row is instead cut into `STRIP`-column strips whose
+//! accumulators stay in registers across the whole `k` reduction; the
+//! columns past the last full strip, and every column once `k > KC`, run the
+//! reference loop of [`gemm_naive`]. Each element sees the reference's
+//! operations in the reference's order, so the route is bit-identical, and
+//! it is selected by the operand shapes alone.
 //!
 //! # Packing
 //!
@@ -79,17 +93,31 @@ use std::cell::RefCell;
 use rayon::prelude::*;
 
 /// Micro-kernel tile height (rows of A per register tile).
+#[cfg(target_feature = "avx512f")]
+pub const MR: usize = 8;
+/// Micro-kernel tile width (columns of B per register tile): the explicit
+/// AVX-512 tile holds its `8 x 32` accumulators in 16 of the 32 zmm
+/// registers.
+#[cfg(target_feature = "avx512f")]
+pub const NR: usize = 32;
+/// Micro-kernel tile height (rows of A per register tile).
+#[cfg(not(target_feature = "avx512f"))]
 pub const MR: usize = 4;
-/// Micro-kernel tile width (columns of B per register tile). `MR * NR` is
-/// 64 f32 accumulators — small enough that LLVM keeps the whole tile in
-/// vector registers (wider tiles such as 6x16 or 4x32 spill to the stack
-/// and run an order of magnitude slower).
+/// Micro-kernel tile width (columns of B per register tile). The portable
+/// tile is autovectorised: `MR * NR` is 64 f32 accumulators, small enough
+/// that LLVM keeps the whole tile in vector registers (wider autovectorised
+/// tiles such as 6x16 or 8x32 spill to the stack and run several times
+/// slower).
+#[cfg(not(target_feature = "avx512f"))]
 pub const NR: usize = 16;
+/// Output columns per register strip of the small-`m` route: 128 f32
+/// accumulators under AVX-512, 64 on the portable build.
+const STRIP: usize = 4 * NR;
 /// Rows of A per cache block (L2-resident packed A panel).
 const MC: usize = 128;
 /// Inner (`k`) extent per cache block. `KC * NR * 4` bytes is one packed B
-/// panel; at 256 that is 16 KB, leaving half of a 32 KB L1d for the A panel
-/// and the C tile.
+/// panel: at 256 that is 16 KB for the portable tile, half of a 32 KB L1d,
+/// and 32 KB for the AVX-512 tile, two thirds of its host's 48 KB L1d.
 const KC: usize = 256;
 /// Columns of B per cache block (L3-resident packed B panel).
 const NC: usize = 4096;
@@ -114,7 +142,7 @@ pub fn par_worthwhile(m: usize, n: usize, k: usize) -> bool {
 /// the odd Taylor series to `x^19`; above, `(1 - t) / (1 + t)` with
 /// `t = e^{-2|x|}` from a Cody–Waite reduction (`2^n · e^r`, `|r| ≤ ln2/2`,
 /// degree-7 Taylor `e^r`), `|x|` clamped at 10 where the result has
-/// rounded to 1. Separately rounded IEEE operations only — no `mul_add`,
+/// rounded to 1. Separately rounded IEEE operations only — no fused multiply-add,
 /// no libm — so its bits do not depend on the host. At most 2 ulp from the
 /// exact value (1.51 measured over every `f32` in `[0, 12]`); exactly odd;
 /// `±0 → ±0`, `NaN → NaN`, `±inf → ±1`.
@@ -328,7 +356,7 @@ fn gemm_fused(
         if !accumulate {
             c.fill(0.0);
         }
-        accumulate_rows(a, b, c);
+        accumulate_row_strips(a, b, c);
         epilogue(c, n, 0, n, bias, act);
         return;
     }
@@ -512,6 +540,7 @@ fn pack_b(b: MatRef<'_>, p0: usize, kc: usize, j0: usize, nc: usize, buf: &mut V
 /// `init`), sweeps the packed panels in ascending `k`, stores the valid
 /// `mr x nr` region back. Plain `a*b` + `+=` — no FMA — so rounding matches
 /// the naive reference bit for bit.
+#[cfg(not(target_feature = "avx512f"))]
 #[expect(clippy::too_many_arguments)]
 #[inline]
 fn micro_kernel(
@@ -543,6 +572,98 @@ fn micro_kernel(
     }
 }
 
+/// The `MR x NR` register tile in explicit AVX-512: the same contract as
+/// the portable tile, its `8 x 32` accumulators held in 16 zmm registers.
+/// Each `k` broadcasts the row's A value and adds `_mm512_mul_ps` into the
+/// accumulator with `_mm512_add_ps` — two rounded operations, never a
+/// fused multiply-add — in ascending `k`, so every lane rounds exactly as
+/// the naive reference does. A ragged tile reads and writes C through
+/// lane masks, so only the valid `mr x nr` region is touched.
+#[cfg(target_feature = "avx512f")]
+#[expect(
+    unsafe_code,
+    reason = "explicit SIMD tile: unaligned vector loads/stores of panel and C memory whose bounds the asserts at the top establish"
+)]
+#[expect(clippy::too_many_arguments)]
+#[inline]
+fn micro_kernel(
+    kc: usize,
+    ap: &[f32],
+    bp: &[f32],
+    c: &mut [f32],
+    ldc: usize,
+    mr: usize,
+    nr: usize,
+    init: bool,
+) {
+    use std::arch::x86_64::{
+        _mm512_add_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
+        _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+    };
+    /// f32 lanes per zmm register; a tile row is two of them.
+    const L: usize = 16;
+    const _: () = assert!(NR == 2 * L);
+    assert!(ap.len() >= kc * MR, "packed A panel shorter than kc rows");
+    assert!(bp.len() >= kc * NR, "packed B panel shorter than kc rows");
+    assert!(
+        (1..=MR).contains(&mr) && (1..=NR).contains(&nr),
+        "tile extent"
+    );
+    assert!(c.len() >= (mr - 1) * ldc + nr, "C tile out of bounds");
+    // Lane j of half h is live iff h*L + j < nr.
+    let mask = |h: usize| -> u16 {
+        let live = nr.saturating_sub(h * L).min(L);
+        u16::try_from((1u32 << live) - 1).unwrap_or(u16::MAX)
+    };
+    let masks = [mask(0), mask(1)];
+    let panels = ap.chunks_exact(MR).zip(bp.chunks_exact(NR)).take(kc);
+
+    // A masked C access starts at row r < mr, column h*L < nr (its mask is
+    // nonzero), and touches only the live lanes, columns h*L..nr.
+    // SAFETY: compiled only with avx512f enabled (the cfg above); unmasked
+    // loads read 16 lanes at offset 0 or L of `brow`, exactly NR = 2*L long;
+    // masked C lanes lie inside `c` by the bound asserted above.
+    unsafe {
+        let mut acc = [[_mm512_setzero_ps(); 2]; MR];
+        if !init {
+            for (r, accr) in acc.iter_mut().enumerate().take(mr) {
+                for (h, x) in accr.iter_mut().enumerate() {
+                    if masks[h] != 0 {
+                        *x = _mm512_maskz_loadu_ps(masks[h], c[r * ldc + h * L..].as_ptr());
+                    }
+                }
+            }
+        }
+        if masks[1] == 0 {
+            // Only the first half is live (`n <= 16`, e.g. a 16-filter
+            // convolution): the padded half's arithmetic is skipped.
+            for (arow, brow) in panels {
+                let b0 = _mm512_loadu_ps(brow.as_ptr());
+                for (accr, &av) in acc.iter_mut().zip(arow) {
+                    accr[0] = _mm512_add_ps(accr[0], _mm512_mul_ps(_mm512_set1_ps(av), b0));
+                }
+            }
+        } else {
+            for (arow, brow) in panels {
+                let b0 = _mm512_loadu_ps(brow.as_ptr());
+                let b1 = _mm512_loadu_ps(brow[L..].as_ptr());
+                for (accr, &av) in acc.iter_mut().zip(arow) {
+                    let av = _mm512_set1_ps(av);
+                    accr[0] = _mm512_add_ps(accr[0], _mm512_mul_ps(av, b0));
+                    accr[1] = _mm512_add_ps(accr[1], _mm512_mul_ps(av, b1));
+                }
+            }
+        }
+        for (r, accr) in acc.iter().enumerate().take(mr) {
+            for (h, &x) in accr.iter().enumerate() {
+                if masks[h] != 0 {
+                    _mm512_mask_storeu_ps(c[r * ldc + h * L..].as_mut_ptr(), masks[h], x);
+                }
+            }
+        }
+    }
+}
+
 /// Retained naive reference kernel (`ikj`, ascending `k`, no zero-skip, no
 /// blocking). The packed kernel is pinned to this bit for bit by the
 /// differential tests.
@@ -558,24 +679,55 @@ pub fn gemm_naive(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], accumulate: bool)
     if !accumulate {
         c.fill(0.0);
     }
-    accumulate_rows(a, b, c);
+    accumulate_rows(a, b, c, 0);
 }
 
-/// `c += a @ b`, one output row at a time: the loop the exactness contract
-/// is written against, and the production kernel for `m < MR`.
-fn accumulate_rows(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
+/// `c += a @ b` for `m < MR` and a unit-stride B. Each output row is cut
+/// into `STRIP`-column strips whose accumulators stay in registers across
+/// the whole `k` reduction, where the `ikj` loop loads and stores the C row
+/// once per `k`; every element still sees the reference's sequence of
+/// operations (seeded from C, ascending `k`, separate multiply and add), so
+/// the bits are the same. Columns past the last full strip, and every
+/// column when `k > KC` (B then no longer sits in L2, and the strips'
+/// column-block walk over it lost to the row-major one), take the
+/// reference loop.
+fn accumulate_row_strips(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
+    let (k, n) = (a.cols, b.cols);
+    let strips = if k <= KC { n / STRIP } else { 0 };
+    for i in 0..a.rows {
+        let crow = &mut c[i * n..i * n + strips * STRIP];
+        for (s, cstrip) in crow.chunks_exact_mut(STRIP).enumerate() {
+            let mut acc = [0.0f32; STRIP];
+            acc.copy_from_slice(cstrip);
+            for p in 0..k {
+                let av = a.at(i, p);
+                let start = p * b.rs + s * STRIP;
+                for (x, &bv) in acc.iter_mut().zip(&b.data[start..start + STRIP]) {
+                    *x += av * bv;
+                }
+            }
+            cstrip.copy_from_slice(&acc);
+        }
+    }
+    accumulate_rows(a, b, c, strips * STRIP);
+}
+
+/// `c[:, j0..] += a @ b[:, j0..]`, one output row at a time: the loop the
+/// exactness contract is written against (at `j0 = 0`), and the small-`m`
+/// route's kernel past its last register strip.
+fn accumulate_rows(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], j0: usize) {
     let n = b.cols;
     for i in 0..a.rows {
-        let crow = &mut c[i * n..(i + 1) * n];
+        let crow = &mut c[i * n + j0..(i + 1) * n];
         for p in 0..a.cols {
             let av = a.at(i, p);
             if b.cs == 1 {
-                let brow = &b.data[p * b.rs..p * b.rs + n];
+                let brow = &b.data[p * b.rs + j0..p * b.rs + n];
                 for (o, &bv) in crow.iter_mut().zip(brow) {
                     *o += av * bv;
                 }
             } else {
-                for (j, o) in crow.iter_mut().enumerate() {
+                for (j, o) in (j0..).zip(crow.iter_mut()) {
                     *o += av * b.data[p * b.rs + j * b.cs];
                 }
             }
@@ -627,14 +779,15 @@ mod tests {
     #[test]
     fn packed_matches_naive_bitwise_on_edge_shapes() {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
-        // Deliberately ragged vs the MR=4 / NR=16 / MC=128 tiling.
+        // Deliberately ragged vs the MR x NR tile (whichever one the build
+        // selected) and the MC row slab.
         for (m, k, n) in [
             (1, 1, 1),
-            (3, 5, 2),
-            (4, 16, 16),
-            (5, 17, 19),
-            (33, 7, 130),
-            (130, 40, 33),
+            (MR - 1, 5, 2),
+            (MR, 16, NR),
+            (MR + 1, 17, NR + 3),
+            (8 * MR + 1, 7, 8 * NR + 2),
+            (MC + 2, 40, 2 * NR + 1),
         ] {
             check_shape(m, k, n, &mut rng);
         }
@@ -675,8 +828,18 @@ mod tests {
     #[test]
     fn small_m_matches_naive_bitwise() {
         let mut rng = ChaCha8Rng::seed_from_u64(12);
-        // k = 0, one KC block and several; n ragged vs NR throughout.
-        for (k, n) in [(0, 5), (37, NR + 3), (KC + 44, 2 * NR - 1)] {
+        // k = 0, inside one KC block, exactly one, and past it (where the
+        // register strips give way to the row loop); n ragged vs NR, below
+        // one register strip, exactly one, and either side of two.
+        for (k, n) in [
+            (0, 5),
+            (37, NR + 3),
+            (37, STRIP - 1),
+            (KC, STRIP),
+            (KC, 2 * STRIP + 5),
+            (KC + 1, 2 * STRIP - 3),
+            (KC + 44, 2 * NR - 1),
+        ] {
             let a = rand_vec(&mut rng, MR * k);
             let b = rand_vec(&mut rng, k * n);
             // The same B stored transposed: not unit-stride, so the packed
@@ -703,13 +866,15 @@ mod tests {
     fn slab_and_block_seams_match_naive_bitwise() {
         // m crosses one and two row-slab boundaries, k sits either side of a
         // KC block, n either side of a register tile; every operand view,
-        // both seedings and every epilogue.
+        // both seedings and every epilogue. The last shape has the first
+        // Table II convolution's k and n (192 and 16 filters).
         let mut rng = ChaCha8Rng::seed_from_u64(13);
-        for (m, k, n) in [MC + 1, 2 * MC + 3].into_iter().flat_map(|m| {
+        let seams = [MC + 1, 2 * MC + 3].into_iter().flat_map(|m| {
             [KC - 1, KC + 5]
                 .into_iter()
                 .flat_map(move |k| [NR - 1, NR + 1, 3 * NR + 2].map(|n| (m, k, n)))
-        }) {
+        });
+        for (m, k, n) in seams.chain([(2 * MC + 3, 192, 16)]) {
             let a = rand_vec(&mut rng, m * k);
             let b = rand_vec(&mut rng, k * n);
             // The same operands stored transposed, read back through `t()`.

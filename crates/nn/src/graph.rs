@@ -1482,7 +1482,7 @@ mod tests {
             in_c in 1usize..5,
             k in 1usize..6,
             stride in 1usize..4,
-            out_c in 1usize..21,
+            out_c in 1usize..crate::gemm::NR + 6,
             h in 5usize..15,
             w in 5usize..15,
             seed in 0u64..1000,

@@ -14,6 +14,7 @@
 //! arena, fused dense ops) is documented in DESIGN.md §11.
 
 #![warn(missing_docs, clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(unsafe_code)]
 
 pub mod conv;
 pub mod dist;

@@ -177,8 +177,6 @@ pub struct ActOutput {
     pub action: Action,
     /// Behaviour log-probability.
     pub logp: f32,
-    /// Critic value estimate.
-    pub value: f32,
     /// The actor's output row the action was sampled from (Gaussian means
     /// or categorical logits): row `i` of [`PolicyNet::dist_params`] over a
     /// batch is bitwise the `dist_row` of observation `i` alone.
@@ -275,17 +273,18 @@ impl PolicyNet {
         self.critic.forward_plain(obs).into_vec()
     }
 
-    /// Samples one action for a single observation.
+    /// Samples one action for a single observation. Only the actor runs:
+    /// a rollout's critic values come from one [`PolicyNet::value_batch`]
+    /// over all its observations once the steps are taken
+    /// ([`crate::RolloutWorker::collect`]), and evaluation never reads them.
     pub fn act(&self, obs: &[f32], rng: &mut ChaCha8Rng) -> ActOutput {
         let x = Tensor::from_vec(obs.to_vec(), &[1, obs.len()]);
-        let value = self.value_batch(&x)[0];
         match self.dist_params(&x) {
             DistParams::Gaussian { mu, log_std } => {
                 let (a, logp) = dist::sample_gaussian(mu.data(), &log_std, rng);
                 ActOutput {
                     action: Action::Continuous(a),
                     logp,
-                    value,
                     dist_row: mu.into_vec(),
                 }
             }
@@ -294,7 +293,6 @@ impl PolicyNet {
                 ActOutput {
                     action: Action::Discrete(a),
                     logp,
-                    value,
                     dist_row: logits.into_vec(),
                 }
             }
@@ -510,7 +508,8 @@ mod tests {
             Action::Discrete(_) => panic!("wrong action kind"),
         }
         assert!(out.logp.is_finite());
-        assert!(out.value.is_finite());
+        assert_eq!(out.dist_row.len(), 3);
+        assert!(out.dist_row.iter().all(|m| m.is_finite()));
     }
 
     #[test]

@@ -1,6 +1,8 @@
 //! Actor-side rollout collection: stepping environments under the current
 //! policy and packaging transitions into [`SampleBatch`]es (workflow Step ①
-//! of the paper: importance-sampling-driven trajectory collection).
+//! of the paper: importance-sampling-driven trajectory collection). A step
+//! runs the actor alone; the critic values a whole rollout in one batched
+//! forward after its last step.
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -44,6 +46,11 @@ impl RolloutWorker {
     /// Collects `steps` transitions under `policy`, returning a batch with
     /// the behaviour-distribution parameters needed for importance sampling
     /// downstream. Advantages/returns are left for the data loader to fill.
+    ///
+    /// Each step runs only the actor; the critic runs once, after the last
+    /// step, over the `steps + 1` observations (the last is the bootstrap
+    /// state), which by GEMM row independence gives every value the bits of
+    /// a per-step critic forward.
     pub fn collect(&mut self, policy: &PolicyNet, steps: usize) -> SampleBatch {
         assert!(steps > 0, "collect needs at least one step");
         let _span = stellaris_telemetry::span_with(
@@ -52,13 +59,12 @@ impl RolloutWorker {
         );
         let obs_dim = self.env.obs_dim();
         let continuous = !self.env.action_space().is_discrete();
-        let mut obs_rows: Vec<f32> = Vec::with_capacity(steps * obs_dim);
+        let mut obs_rows: Vec<f32> = Vec::with_capacity((steps + 1) * obs_dim);
         let mut actions_disc = Vec::new();
         let mut actions_cont: Vec<f32> = Vec::new();
         let mut rewards = Vec::with_capacity(steps);
         let mut dones = Vec::with_capacity(steps);
         let mut logps = Vec::with_capacity(steps);
-        let mut values = Vec::with_capacity(steps);
         // The actor-output row each action was sampled from, one per step.
         let dist_width = policy.spec.actor_out();
         let mut dist_rows: Vec<f32> = Vec::with_capacity(steps * dist_width);
@@ -76,7 +82,6 @@ impl RolloutWorker {
             rewards.push(step.reward);
             dones.push(step.done);
             logps.push(out.logp);
-            values.push(out.value);
             dist_rows.extend_from_slice(&out.dist_row);
             self.ep_return += step.reward;
             if step.done {
@@ -92,20 +97,27 @@ impl RolloutWorker {
             }
         }
 
-        let obs = Tensor::from_vec(obs_rows, &[steps, obs_dim]);
         // GEMM rows are independent (nn::gemm exactness contract), so the
-        // stacked per-step rows are bitwise `policy.dist_params(&obs)`.
+        // stacked per-step rows are bitwise `policy.dist_params(&obs)`, and
+        // one critic forward over every observation plus the state the
+        // rollout stopped in gives each row its single-observation value.
+        obs_rows.extend_from_slice(&self.obs);
+        let with_last = Tensor::from_vec(obs_rows, &[steps + 1, obs_dim]);
+        let mut values = policy.value_batch(&with_last);
+        let last_value = values.pop().unwrap_or(0.0);
+        let mut obs_rows = with_last.into_vec();
+        obs_rows.truncate(steps * obs_dim);
+        let obs = Tensor::from_vec(obs_rows, &[steps, obs_dim]);
         let dist = Tensor::from_vec(dist_rows, &[steps, dist_width]);
         let (behaviour_mu, behaviour_log_std, behaviour_logits) = match &policy.log_std {
             Some(ls) => (Some(dist), Some(ls.data().to_vec()), None),
             None => (None, None, Some(dist)),
         };
+        // A terminal rollout has nothing to bootstrap.
         let bootstrap_value = if dones.last().copied().unwrap_or(true) {
-            // Terminal (or degenerate empty) rollout: nothing to bootstrap.
             0.0
         } else {
-            let last = Tensor::from_vec(self.obs.clone(), &[1, obs_dim]);
-            policy.value_batch(&last)[0]
+            last_value
         };
 
         SampleBatch {

@@ -170,19 +170,40 @@ proptest! {
     /// instead of re-running the actor over the batch: the stacked rows must
     /// be bitwise what the batched forward produces (continuous MLP,
     /// discrete MLP and the CNN), and the recorded log-probs must be those
-    /// of the actions under their rows.
+    /// of the actions under their rows. Its one batched critic forward must
+    /// give every value, and the bootstrap value, the bits of a
+    /// single-observation forward. Hidden 256 (Table II Hopper) reaches the
+    /// full register strips of the single-row GEMM route; hidden 16 does not.
     #[test]
     fn collect_behaviour_rows_equal_batched_forward(
         seed in 0u64..1000,
         steps in 5usize..24,
     ) {
-        for id in [EnvId::PointMass, EnvId::Hopper, EnvId::ChainMdp, EnvId::SpaceInvaders] {
+        for (id, hidden) in [
+            (EnvId::PointMass, 16),
+            (EnvId::Hopper, 16),
+            (EnvId::ChainMdp, 16),
+            (EnvId::SpaceInvaders, 16),
+            (EnvId::Hopper, 256),
+        ] {
             let mut env = make_env(id, EnvConfig::tiny());
             env.reset(seed);
             let mut spec = PolicySpec::for_env(env.as_ref());
-            spec.hidden = 16;
+            spec.hidden = hidden;
             let policy = PolicyNet::new(spec, seed);
-            let b = RolloutWorker::new(env, seed).collect(&policy, steps);
+            let mut worker = RolloutWorker::new(env, seed);
+            let b = worker.collect(&policy, steps);
+            // The next collect starts from the state this one stopped in.
+            let next = worker.collect(&policy, 1);
+            let value_of = |obs: Tensor| {
+                let d = obs.numel();
+                policy.value_batch(&Tensor::from_vec(obs.into_vec(), &[1, d]))[0].to_bits()
+            };
+            let want: Vec<u32> = (0..steps).map(|i| value_of(b.obs.row(i))).collect();
+            let got: Vec<u32> = b.values.iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(got, want);
+            let bootstrap = if b.dones[steps - 1] { 0.0f32.to_bits() } else { value_of(next.obs.row(0)) };
+            prop_assert_eq!(b.bootstrap_value.to_bits(), bootstrap);
             match policy.dist_params(&b.obs) {
                 DistParams::Gaussian { mu, log_std } => {
                     prop_assert_eq!(b.behaviour_mu.as_ref(), Some(&mu));
