@@ -136,7 +136,7 @@ const ENTRIES: [Entry; 11] = [
                     resolved call edges propagate, so name collisions cannot smear.",
         example: "fn decode(buf: &[u8]) -> Msg {\n\
                   let head = &buf[..4];  // A8: short frame panics mid-invocation",
-        escapes: "Return a typed error (`CodecError`, `TransportError`) and degrade; \
+        escapes: "Return a typed error (`CodecError`, `RemoteError`) and degrade; \
                   justify truly-unreachable sites with `lint:allow(A8): <why>` on \
                   the same or one of the three preceding lines (consumed at \
                   extraction, so the workspace stays at zero suppressions).",

@@ -74,8 +74,8 @@ pub mod op {
     pub const CRASH: u8 = 8;
     /// Graceful shutdown; worker acknowledges then exits.
     pub const SHUTDOWN: u8 = 9;
-    /// Echo the payload back verbatim (transport-level ping used by the
-    /// Router's socket tier and the e2e tests).
+    /// Echo the payload back verbatim (a transport-level ping the worker
+    /// answers; the process-pool and frame tests use it).
     pub const RELAY: u8 = 10;
     // 11 is retired (wire numbers are never reused or renumbered).
     /// Compute gradients for a minibatch against the policy version the

@@ -1,11 +1,15 @@
 //! # stellaris-cache
 //!
-//! The distributed-cache substrate of the Stellaris reproduction — the Rust
-//! stand-in for the Redis instance in §VII of the paper. It provides a
-//! sharded in-memory key-value store with blocking waits and counters, a
-//! compact binary [`codec`] for tensors and training messages, bounded
-//! gradient queues, length-prefixed wire frames, and a configurable
-//! latency model so transfer costs show up in the cost experiments.
+//! The data-passing substrate of the Stellaris reproduction. Training
+//! uses two of its parts: a compact binary [`codec`] for tensors and
+//! training messages, and the length-prefixed wire [`frame`]s that carry
+//! them to worker processes. In process nothing is encoded; policies and
+//! gradients are handed over by value, as §V-B's shared memory would.
+//!
+//! The sharded key-value [`store`] (the stand-in for the paper's Redis
+//! instance), its latency model and the bounded gradient [`queue`]s have no
+//! training caller; the benchmark's serial reference cycle still binds
+//! them.
 
 #![warn(
     missing_docs,

@@ -269,8 +269,10 @@ impl TrainConfig {
     }
 
     /// Turns on the default chaos profile (20% invocation failures, 5%
-    /// mid-work crashes, 20% stragglers, 20% frame drops, 10% frame
-    /// corruption) with its own seed, keeping the default retry policy.
+    /// mid-work crashes, 20% stragglers, 20% drops and 10% corruptions of
+    /// worker-socket frames (`ProcessFleet`)) with its own seed, keeping
+    /// the default retry policy. In process there are no frames, so only
+    /// the invocation classes fire.
     pub fn with_chaos(mut self, seed: u64) -> Self {
         self.faults = FaultConfig::chaos(seed);
         self

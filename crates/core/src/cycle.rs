@@ -163,9 +163,12 @@ pub trait Actors: Send {
     /// What aborts a round.
     type Error;
 
-    /// The active actor slots pull `snap` and collect the round's data
-    /// budget. One entry per attempted collect, `None` where lost.
-    fn collect(&mut self, snap: &PolicySnapshot) -> Result<Vec<Option<SampleBatch>>, Self::Error>;
+    /// The active actor slots collect the round's data budget under
+    /// `snap`. One entry per attempted collect, `None` where lost.
+    fn collect(
+        &mut self,
+        snap: &Arc<PolicySnapshot>,
+    ) -> Result<Vec<Option<SampleBatch>>, Self::Error>;
 }
 
 /// A fleet's learner half (Step ②). It loses gradients the way [`Actors`]
@@ -193,7 +196,10 @@ pub trait Learners {
 impl<A: Actors + ?Sized> Actors for &mut A {
     type Error = A::Error;
 
-    fn collect(&mut self, snap: &PolicySnapshot) -> Result<Vec<Option<SampleBatch>>, A::Error> {
+    fn collect(
+        &mut self,
+        snap: &Arc<PolicySnapshot>,
+    ) -> Result<Vec<Option<SampleBatch>>, A::Error> {
         (**self).collect(snap)
     }
 }
@@ -478,7 +484,7 @@ mod tests {
 
         fn collect(
             &mut self,
-            _snap: &PolicySnapshot,
+            _snap: &Arc<PolicySnapshot>,
         ) -> Result<Vec<Option<SampleBatch>>, Infallible> {
             let arrives = |slot| !self.lost.contains(&(self.round, slot));
             Ok((0..2)

@@ -10,9 +10,10 @@
 //!   [`staleness::StalenessSchedule`], [`parameter::ShardedParameterServer`]
 //!   (the one parameter plane every schedule aggregates through);
 //! * **on-demand serverless learner orchestration** (§V-B) —
-//!   [`orchestrator::train`], with the GPU data loader, hierarchical data
-//!   passing through the distributed cache, and the baseline aggregation
-//!   rules (Softsync, SSP, pure-async, full-sync) used by the ablations.
+//!   [`orchestrator::train`], with the GPU data loader, by-value hand-offs
+//!   between functions on one server (§V-B's shared memory), and the
+//!   baseline aggregation rules (Softsync, SSP, pure-async, full-sync) used
+//!   by the ablations.
 //!
 //! One cycle, two schedules: [`cycle::async_round`] and
 //! [`cycle::lockstep_round`] are each written once over a [`cycle::Fleet`].
@@ -45,7 +46,6 @@ pub mod orchestrator;
 pub mod parameter;
 pub mod remote;
 pub mod staleness;
-pub mod transport;
 pub mod truncation;
 
 pub use aggregation::{AggregationRule, GradAccumulator, SspThrottle};
@@ -55,7 +55,6 @@ pub use cycle::{
     async_round, fresh_net, lockstep_round, ActorBody, Actors, CycleTotals, Fleet, LearnerBody,
     Learners, Published,
 };
-pub use local::POLICY_KEY;
 pub use messages::GradientMsg;
 pub use metrics::{rows_to_csv, TimerReport, Timers, TrainRow};
 pub use orchestrator::{parameter_plane, smooth, train, TrainResult};
@@ -65,5 +64,4 @@ pub use remote::{
     RemoteRunReport, RemoteSetup, RemoteWorker, WireEvent, WireEventBatch,
 };
 pub use staleness::{staleness_weight, StalenessSchedule};
-pub use transport::{Delivered, Placement, Router, Tier, TransportError};
 pub use truncation::{reward_improvement_bound, RatioBoard};

@@ -1,16 +1,15 @@
 //! The in-process venue of the cycle: the substrates a training run shares
-//! ([`Run`]: cache, serverless platform, router, timers, parameter plane,
-//! Eq. 2's ratio board) and [`LocalFleet`], whose functions run on threads
-//! beside them — the twin of `remote::ProcessFleet`, whose functions are
-//! child processes.
+//! ([`Run`]: serverless platform, timers, parameter plane, Eq. 2's ratio
+//! board) and [`LocalFleet`], whose functions run on threads beside them —
+//! the twin of `remote::ProcessFleet`, whose functions are child processes.
 //!
-//! Actor functions pull the policy back out of the distributed cache and
-//! collect (Step ①). Learner functions differentiate against the cycle's
+//! Data moves the way §V-B moves it between functions on one server, over
+//! shared memory: actor functions collect under the policy the cycle hands
+//! them (Step ①), and learner functions differentiate against the cycle's
 //! published policy — asynchronous ones with Eq. 2's global IS-truncation
-//! cap, under SSP behind a dispatch throttle — and send each gradient to
-//! the parameter function's VM through the router (Step ②). Every function
-//! is invoked through the serverless platform: fault injection, retry,
-//! billing.
+//! cap, under SSP behind a dispatch throttle — and hand each gradient to
+//! the aggregator by value (Step ②). Every function is invoked through the
+//! serverless platform: fault injection, retry, billing.
 //!
 //! Each function body sits in a [`Host`]: resident on a thread of its own
 //! for the asynchronous schedule, lent to a fresh thread per call for the
@@ -26,7 +25,6 @@ use std::thread::{self, Scope, ScopedJoinHandle};
 use std::time::Instant;
 
 use parking_lot::Mutex;
-use stellaris_cache::{Cache, LatencyModel};
 use stellaris_rl::{PolicySnapshot, SampleBatch};
 use stellaris_serverless::{FaultPlan, FunctionKind, OverheadMode, Platform, StartupProfile};
 use stellaris_telemetry as telemetry;
@@ -39,26 +37,13 @@ use crate::messages::GradientMsg;
 use crate::metrics::{Component, Timers};
 use crate::orchestrator::parameter_plane;
 use crate::parameter::ShardedParameterServer;
-use crate::transport::{Delivered, Placement, Router};
 use crate::truncation::RatioBoard;
-
-/// Cache key under which the canonical policy snapshot is published.
-pub const POLICY_KEY: &str = "policy:latest";
-
-/// Reads the published policy snapshot, mapping a missing or corrupt frame
-/// (fault injection can corrupt stored bytes) to `None` so callers degrade
-/// the wave instead of panicking mid-round.
-fn read_snapshot(cache: &Cache) -> Option<PolicySnapshot> {
-    cache.get_obj(POLICY_KEY).ok()
-}
 
 /// The substrates both schedules run on in process.
 pub(crate) struct Run<'a> {
     pub(crate) cfg: &'a TrainConfig,
     pub(crate) start: Instant,
-    cache: Arc<Cache>,
     pub(crate) platform: Platform,
-    router: Router,
     pub(crate) timers: Timers,
     pub(crate) server: ShardedParameterServer,
     /// Eq. 2's global view for asynchronous learners; disabled for
@@ -74,35 +59,25 @@ impl<'a> Run<'a> {
     }
 
     /// Builds the substrates with `learner_slots` prewarmed learner
-    /// functions and publishes the starting policy.
+    /// functions.
     pub(crate) fn start(cfg: &'a TrainConfig, learner_slots: usize) -> Self {
         let start = Instant::now();
-        let cache = Arc::new(Cache::new(16, LatencyModel::lan_recorded()));
-        let faults = Arc::new(FaultPlan::new(cfg.faults.clone()));
         let platform = Platform::new(
             learner_slots,
             cfg.n_actors,
             StartupProfile::default(),
             OverheadMode::Record,
         )
-        .with_faults(faults.clone());
-        let router = Router::with_faults(cache.clone(), faults);
+        .with_faults(Arc::new(FaultPlan::new(cfg.faults.clone())));
         platform.prewarm(FunctionKind::Learner, learner_slots);
         platform.prewarm(FunctionKind::Actor, cfg.n_actors);
-        let server = parameter_plane(cfg);
-        // Snapshot first: `put_obj` locks cache shards, which must never
-        // happen while a parameter-shard guard is live.
-        let snapshot0 = server.snapshot();
-        cache.put_obj(POLICY_KEY, &snapshot0);
         let asynchronous = matches!(cfg.learner_mode, LearnerMode::Async { .. });
         Self {
             cfg,
             start,
-            cache,
             platform,
-            router,
             timers: Timers::default(),
-            server,
+            server: parameter_plane(cfg),
             board: match cfg.truncation_rho {
                 Some(rho) if asynchronous => RatioBoard::new(rho),
                 _ => RatioBoard::disabled(),
@@ -328,37 +303,24 @@ pub(crate) struct LocalActors<'s> {
 impl Actors for LocalActors<'_> {
     type Error = Infallible;
 
-    /// Publishes `snap` under [`POLICY_KEY`], then deals the round's data
-    /// budget — `round_timesteps / actor_steps` collects, at least one —
-    /// round-robin over the active slots, in waves that each pull the
-    /// policy back out of the cache, as a deployed actor function would.
-    fn collect(&mut self, snap: &PolicySnapshot) -> Result<Vec<Option<SampleBatch>>, Infallible> {
+    /// Deals the round's data budget — `round_timesteps / actor_steps`
+    /// collects, at least one — round-robin over the active slots, in
+    /// waves that each share `snap` with their slots.
+    fn collect(
+        &mut self,
+        snap: &Arc<PolicySnapshot>,
+    ) -> Result<Vec<Option<SampleBatch>>, Infallible> {
         let run = self.run;
-        let timers = &run.timers;
-        {
-            let _t = timers.span(Component::Cache);
-            run.cache.put_obj(POLICY_KEY, snap);
-        }
         let collects = (run.cfg.round_timesteps / run.cfg.actor_steps).max(1);
         let active = &self.hosts[..self.active];
         let mut batches = Vec::with_capacity(collects);
         while batches.len() < collects {
             let wave = active.len().min(collects - batches.len());
-            // An unreadable snapshot degrades the whole wave rather than
-            // panicking the round loop.
-            let pulled = {
-                let _t = timers.span(Component::Cache);
-                read_snapshot(&run.cache)
-            };
-            let Some(snap) = pulled.map(Arc::new) else {
-                batches.extend((0..wave).map(|_| None));
-                continue;
-            };
             thread::scope(|s| {
                 let pending: Vec<_> = active[..wave]
                     .iter()
                     .map(|host| {
-                        let snap = snap.clone();
+                        let snap = Arc::clone(snap);
                         host.invoke(s, move |actor| invoke_collect(run, actor, &snap))
                     })
                     .collect();
@@ -424,9 +386,9 @@ impl Learners for LocalLearners<'_> {
                 .collect();
             drop(tx);
             let mut finishes = Vec::new();
-            for (i, (finish, msg)) in landed {
-                finishes.extend(finish);
-                if let Some(msg) = msg {
+            for (i, out) in landed {
+                if let Some((finish, msg)) = out {
+                    finishes.push(finish);
                     arrived(i, msg);
                 }
             }
@@ -472,22 +434,19 @@ fn invoke_collect(run: &Run, actor: &mut ActorBody, snap: &PolicySnapshot) -> Op
         .map(|(batch, _rec)| batch)
 }
 
-/// Step ② for one mini-batch on learner slot `l`, then the Step ②→③ hop.
-/// The invocation reads the published policy when it starts — a retry
-/// re-reads it, so a straggler's re-execution carries a fresher
-/// `base_version`, whose residual staleness is what the Eq. 3 threshold
-/// and Eq. 4 weight absorb. The gradient then crosses from the learner's
-/// VM to the parameter function's host, subject to frame drop/corruption
-/// with retry. Returns when the invocation finished (`None` once its
-/// retries are spent) and the gradient as the aggregator received it
-/// (`None` when lost on the way).
+/// Step ② for one mini-batch on learner slot `l`. The invocation reads
+/// the published policy when it starts — a retry re-reads it, so a
+/// straggler's re-execution carries a fresher `base_version`, whose
+/// residual staleness is what the Eq. 3 threshold and Eq. 4 weight absorb.
+/// Returns when the invocation finished and the gradient it computed, to
+/// be handed to the aggregator as it is; `None` once its retries are spent.
 fn invoke_gradient(
     run: &Run,
     learner: &mut LearnerBody,
     policy: &Published,
     mb: &SampleBatch,
     l: usize,
-) -> (Option<Instant>, Option<GradientMsg>) {
+) -> Option<(Instant, GradientMsg)> {
     let (cfg, board, throttle) = (run.cfg, &run.board, run.throttle.as_ref());
     let token = throttle.map(|t| t.begin(policy.get().version));
     let mut compute = || {
@@ -505,43 +464,12 @@ fn invoke_gradient(
     if let (Some(th), Some(t)) = (throttle, token) {
         th.end(t);
     }
-    let Ok((msg, _rec)) = out else {
-        return (None, None);
-    };
-    let finish = Instant::now();
-    let _t = run.timers.span(Component::Cache);
-    let key = format!("grad:{}:{l}", msg.base_version);
-    let (src, dst) = (Placement { vm: 1 + l }, Placement { vm: 0 });
-    let sent = run
-        .router
-        .send_with_retry(Arc::new(msg), src, dst, false, &key, &cfg.retry);
-    (
-        Some(finish),
-        sent.ok().map(|(_tier, got)| Delivered::into_owned(got)),
-    )
+    out.ok().map(|(msg, _rec)| (Instant::now(), msg))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cycle::fresh_net;
-    use stellaris_envs::EnvId;
-
-    #[test]
-    fn unreadable_policy_snapshot_degrades_instead_of_panicking() {
-        // Regression: both round loops used to `.expect()` the snapshot
-        // read; a corrupt frame under POLICY_KEY panicked a worker thread
-        // and took the whole run down with it.
-        let cache = Cache::new(4, LatencyModel::off());
-        assert!(read_snapshot(&cache).is_none(), "missing key degrades");
-        cache.put(POLICY_KEY, bytes::Bytes::from_static(b"\xff\x00garbage"));
-        assert!(read_snapshot(&cache).is_none(), "corrupt frame degrades");
-        let cfg = TrainConfig::test_tiny(EnvId::PointMass, 11);
-        let snap = fresh_net(&cfg).snapshot();
-        cache.put_obj(POLICY_KEY, &snap);
-        let got = read_snapshot(&cache).expect("valid snapshot must round-trip");
-        assert_eq!(got.version, snap.version);
-    }
 
     /// A panic on a host comes back to the caller through the invocation,
     /// and the host lives on for the next one, resident or per call.

@@ -1,5 +1,6 @@
-//! The gradient messages learner functions submit to the cache for the
-//! parameter function to aggregate (workflow Steps ② and ③).
+//! The gradient messages learner functions hand to the parameter function
+//! to aggregate (workflow Steps ② and ③), and their wire encoding for
+//! worker sockets.
 
 use bytes::BytesMut;
 use stellaris_cache::{decode_seq, encode_seq, seq_encoded_len, Codec, CodecError};

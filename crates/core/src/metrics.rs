@@ -95,8 +95,6 @@ pub struct Timers {
     pub aggregation_us: AtomicU64,
     /// Serverless startup overhead (cold/warm starts).
     pub startup_us: AtomicU64,
-    /// Policy/trajectory (de)serialisation + cache traffic.
-    pub cache_us: AtomicU64,
 }
 
 /// One component of the Fig. 14 latency breakdown.
@@ -112,19 +110,16 @@ pub enum Component {
     Aggregation,
     /// Serverless startup overhead (cold/warm starts).
     Startup,
-    /// Policy/trajectory (de)serialisation + cache traffic.
-    Cache,
 }
 
 impl Component {
     /// All components, in [`TimerReport`] field order.
-    pub const ALL: [Component; 6] = [
+    pub const ALL: [Component; 5] = [
         Component::ActorSampling,
         Component::DataLoading,
         Component::Gradient,
         Component::Aggregation,
         Component::Startup,
-        Component::Cache,
     ];
 
     /// Short snake_case component name.
@@ -135,7 +130,6 @@ impl Component {
             Component::Gradient => "gradient",
             Component::Aggregation => "aggregation",
             Component::Startup => "startup",
-            Component::Cache => "cache",
         }
     }
 
@@ -147,7 +141,6 @@ impl Component {
             Component::Gradient => "core.gradient",
             Component::Aggregation => "core.aggregation",
             Component::Startup => "core.startup",
-            Component::Cache => "core.cache",
         }
     }
 
@@ -158,14 +151,13 @@ impl Component {
             Component::Gradient => 2,
             Component::Aggregation => 3,
             Component::Startup => 4,
-            Component::Cache => 5,
         }
     }
 }
 
 /// Global per-component latency histograms, resolved once.
-fn component_histograms() -> &'static [Arc<Histogram>; 6] {
-    static HISTS: OnceLock<[Arc<Histogram>; 6]> = OnceLock::new();
+fn component_histograms() -> &'static [Arc<Histogram>; 5] {
+    static HISTS: OnceLock<[Arc<Histogram>; 5]> = OnceLock::new();
     HISTS.get_or_init(|| {
         Component::ALL.map(|c| {
             telemetry::global().histogram(&format!("stellaris_core_latency_us_{}", c.name()))
@@ -206,7 +198,6 @@ impl Timers {
             Component::Gradient => &self.gradient_us,
             Component::Aggregation => &self.aggregation_us,
             Component::Startup => &self.startup_us,
-            Component::Cache => &self.cache_us,
         }
     }
 
@@ -243,7 +234,7 @@ impl Timers {
             gradient_s: s(&self.gradient_us),
             aggregation_s: s(&self.aggregation_us),
             startup_s: s(&self.startup_us),
-            cache_s: s(&self.cache_us),
+            cache_s: 0.0,
         }
     }
 }
@@ -261,7 +252,8 @@ pub struct TimerReport {
     pub aggregation_s: f64,
     /// Startup overhead seconds.
     pub startup_s: f64,
-    /// Cache/serialisation seconds.
+    /// Seconds of cache traffic and serialisation: 0 in process, where
+    /// hand-offs are by value (§V-B shared memory).
     pub cache_s: f64,
 }
 
@@ -359,14 +351,14 @@ mod tests {
             let _g = t.span(Component::Aggregation);
             std::thread::sleep(Duration::from_millis(2));
         }
-        t.record(Component::Cache, Duration::from_millis(3));
+        t.record(Component::Startup, Duration::from_millis(3));
         let r = t.report();
         assert!(r.aggregation_s > 0.0, "{r:?}");
-        assert!((r.cache_s - 0.003).abs() < 1e-9, "{r:?}");
+        assert!((r.startup_s - 0.003).abs() < 1e-9, "{r:?}");
         // The same samples land in the global latency histograms.
         assert!(
             stellaris_telemetry::global()
-                .histogram("stellaris_core_latency_us_cache")
+                .histogram("stellaris_core_latency_us_startup")
                 .count()
                 >= 1
         );
@@ -383,7 +375,7 @@ mod tests {
 
     #[test]
     fn component_names_are_stable() {
-        assert_eq!(Component::ALL.len(), 6);
+        assert_eq!(Component::ALL.len(), 5);
         for c in Component::ALL {
             assert!(c.span_name().starts_with("core."));
             assert!(c.span_name().ends_with(c.name()));

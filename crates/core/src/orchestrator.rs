@@ -2,7 +2,7 @@
 //!
 //! [`train`] drives the schedules of [`crate::cycle`] over
 //! `local::LocalFleet`, whose function bodies run on threads behind the
-//! serverless platform and the router. `Async` learners run
+//! serverless platform. `Async` learners run
 //! [`crate::cycle::async_round`], so staleness is emergent from genuine
 //! thread racing, not scripted. `Sync` and `Single` run
 //! [`crate::cycle::lockstep_round`], the RLlib-style and MinionsRL
@@ -184,7 +184,7 @@ fn report(run: Run, ledger: Ledger) -> TrainResult {
     let (cfg, platform) = (run.cfg, &run.platform);
     let wall = run.start.elapsed();
     let mut timers = run.timers.report();
-    // Startup overhead + cache latency from the substrates' own accounting.
+    // Startup overhead from the platform's own accounting.
     timers.startup_s = platform
         .records()
         .iter()

@@ -411,7 +411,7 @@ impl ShardedParameterServer {
             return 0;
         }
         self.gate_admitted.inc();
-        // lint:allow(A2): shard_commit steps this locked shard only; the flagged Cache lock rides a name collision on `reset`
+        // lint:allow(A2): shard_commit steps this locked shard only; the flagged lock is the cache store shard map, reached through a name collision on `reset`
         self.shard_commit(sh);
         1
     }
@@ -454,7 +454,7 @@ impl ShardedParameterServer {
         for shard in &self.shards {
             let mut sh = shard.lock();
             if !sh.folded.is_empty() {
-                // lint:allow(A2): shard_commit steps this locked shard only; the flagged Cache lock rides a name collision on `reset`
+                // lint:allow(A2): shard_commit steps this locked shard only; the flagged lock is the cache store shard map, reached through a name collision on `reset`
                 self.shard_commit(&mut sh);
                 commits += 1;
             }

@@ -30,6 +30,7 @@
 //! sides of the socket.
 
 use std::io::{Read, Write};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
@@ -1229,7 +1230,10 @@ impl Actors for ProcessActor<'_> {
 
     /// The actor worker is sent `snap` whole unless it already holds that
     /// version (one `LOAD_POLICY` per clock move), then collects under it.
-    fn collect(&mut self, snap: &PolicySnapshot) -> Result<Vec<Option<SampleBatch>>, RemoteError> {
+    fn collect(
+        &mut self,
+        snap: &Arc<PolicySnapshot>,
+    ) -> Result<Vec<Option<SampleBatch>>, RemoteError> {
         let span = telemetry::span_with("fleet.collect", vec![("round", self.round.into())]);
         let t0 = Instant::now();
         if self.holds != Some(snap.version) {

@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use stellaris_telemetry::{global, Counter, Gauge, Histogram};
+use stellaris_telemetry::{global, Counter, Histogram};
 
 /// Cached handles into the global registry for the metrics the panel
 /// shows. Handles are get-or-create: a metric the run never touches just
@@ -13,9 +13,6 @@ use stellaris_telemetry::{global, Counter, Gauge, Histogram};
 pub struct Dashboard {
     rounds: Arc<Counter>,
     degraded: Arc<Counter>,
-    queue_depth: Arc<Gauge>,
-    enqueued: Arc<Counter>,
-    dequeued: Arc<Counter>,
     staleness: Arc<Histogram>,
     gate_admitted: Arc<Counter>,
     gate_delayed: Arc<Counter>,
@@ -38,9 +35,6 @@ impl Dashboard {
         Dashboard {
             rounds: r.counter("stellaris_core_rounds_total"),
             degraded: r.counter("stellaris_core_degraded_rounds"),
-            queue_depth: r.gauge("stellaris_cache_queue_depth"),
-            enqueued: r.counter("stellaris_cache_queue_enqueued_total"),
-            dequeued: r.counter("stellaris_cache_queue_dequeued_total"),
             staleness: r.histogram("stellaris_core_staleness"),
             gate_admitted: r.counter("stellaris_core_gate_admitted_total"),
             gate_delayed: r.counter("stellaris_core_gate_delayed_total"),
@@ -57,14 +51,11 @@ impl Dashboard {
         let p50 = self.staleness.p50().unwrap_or(0.0);
         let p99 = self.staleness.p99().unwrap_or(0.0);
         format!(
-            "rounds {:>6}  degraded {:>4} | queue depth {:>5} (in {} / out {}) | \
+            "rounds {:>6}  degraded {:>4} | \
              staleness p50 {:.1} p99 {:.1} (gate ok {} delayed {}) | \
              faults {:>4} retries {:>4} exhausted {:>3} | trace drops {}",
             self.rounds.get(),
             self.degraded.get(),
-            self.queue_depth.get() as i64,
-            self.enqueued.get(),
-            self.dequeued.get(),
             p50,
             p99,
             self.gate_admitted.get(),

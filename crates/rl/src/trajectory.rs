@@ -1,5 +1,5 @@
-//! Trajectory containers: the sample batches actors publish to the cache
-//! and learners consume for gradient computation.
+//! Trajectory containers: the sample batches actors collect and learners
+//! consume for gradient computation.
 
 use bytes::{BufMut, BytesMut};
 use stellaris_cache::{Codec, CodecError};

@@ -6,9 +6,10 @@
 //! module provides the controlled adversary: a [`FaultPlan`] seeded from
 //! the run's master seed decides, via independent per-site ChaCha streams,
 //! whether an invocation fails at the platform level, crashes mid-work,
-//! straggles (injected delay), or whether an RPC/cache frame is dropped or
-//! corrupted in flight. Same seed → same decision sequence, so chaos runs
-//! are reproducible and regressions bisectable.
+//! straggles (injected delay), or whether a worker-socket frame
+//! (`ProcessFleet`) is dropped or corrupted in flight. Same seed → same
+//! decision sequence, so chaos runs are reproducible and regressions
+//! bisectable.
 //!
 //! [`RetryPolicy`] is the companion recovery knob: exponential backoff with
 //! seeded jitter (drawn from the plan, not the wall clock, so retry timing
@@ -41,11 +42,13 @@ pub struct FaultConfig {
     pub straggler: f64,
     /// Injected straggler delay.
     pub straggler_delay: Duration,
-    /// Probability an RPC/cache frame is dropped in flight.
+    /// Probability a worker-socket frame (`ProcessFleet`) is dropped in
+    /// flight.
     pub frame_drop: f64,
-    /// Probability an RPC/cache frame is corrupted in flight (modelled as
-    /// deterministic truncation, which the length-prefixed codec always
-    /// detects; random byte flips could decode "successfully").
+    /// Probability a worker-socket frame (`ProcessFleet`) is corrupted in
+    /// flight (modelled as deterministic truncation, which the
+    /// length-prefixed codec always detects; random byte flips could decode
+    /// "successfully").
     pub frame_corrupt: f64,
 }
 
@@ -153,9 +156,9 @@ pub struct FaultReport {
     pub injected_crashes: u64,
     /// Stragglers injected.
     pub injected_stragglers: u64,
-    /// RPC/cache frames dropped.
+    /// Worker-socket frames (`ProcessFleet`) dropped.
     pub frames_dropped: u64,
-    /// RPC/cache frames corrupted.
+    /// Worker-socket frames (`ProcessFleet`) corrupted.
     pub frames_corrupted: u64,
     /// Retries performed (invocations + transport).
     pub retries: u64,

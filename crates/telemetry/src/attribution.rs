@@ -106,7 +106,6 @@ pub fn stage_of(name: &str) -> Option<Stage> {
         "serverless.straggle" => Some(Stage::Straggle),
         "serverless.retry_backoff" => Some(Stage::Retry),
         "cache.queue_push" => Some(Stage::Enqueue),
-        "core.cache" => Some(Stage::Codec),
         "core.data_loading" => Some(Stage::DataLoad),
         "rl.rollout_collect" | "core.actor_sampling" => Some(Stage::Rollout),
         "core.aggregation" => Some(Stage::Aggregation),
@@ -610,7 +609,6 @@ mod tests {
             "serverless.straggle",
             "serverless.retry_backoff",
             "cache.queue_push",
-            "core.cache",
             "core.data_loading",
             "rl.rollout_collect",
             "core.actor_sampling",

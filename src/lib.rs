@@ -5,8 +5,9 @@
 //! asynchronous learning paradigm for distributed DRL training on
 //! serverless infrastructure, together with every substrate the system
 //! needs — a tape-based autograd/NN library, MuJoCo-like and Atari-like
-//! environments, a Redis-like distributed cache, and a serverless container
-//! platform simulator with the paper's cost model.
+//! environments, a binary codec and framed sockets for real worker
+//! processes, and a serverless container platform simulator with the
+//! paper's cost model.
 //!
 //! ## Quickstart
 //!

@@ -6,6 +6,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use stellaris::cache::{Cache, LatencyModel};
+use stellaris::core::snapshot_checksum;
 use stellaris::prelude::*;
 
 #[test]
@@ -70,8 +71,9 @@ fn cache_interference_does_not_corrupt_training() {
             }
         })
     };
-    // Training uses its own internal cache; this test asserts the cache
-    // itself stays correct under concurrent unrelated load.
+    // Training hands its data over by value and touches no cache; this
+    // test asserts the cache itself stays correct under concurrent
+    // unrelated load while a run competes for the cores.
     let result = train(&TrainConfig::test_tiny(EnvId::PointMass, 5));
     stop.store(true, std::sync::atomic::Ordering::Release);
     noise.join().unwrap();
@@ -176,6 +178,35 @@ fn async_chaos_run_survives_and_reports_faults() {
     );
     assert!(result.final_reward.is_finite());
     assert!(result.rows.iter().all(|r| r.reward.is_finite()));
+}
+
+#[test]
+fn frame_faults_never_reach_in_process_hand_offs() {
+    // In process, policies and gradients are handed over by value: there
+    // is no frame for the frame fault classes to drop or corrupt, so even
+    // certain frame faults leave a lock-step run bit-for-bit untouched.
+    let run = |faults: FaultConfig| {
+        let mut cfg = TrainConfig::test_tiny(EnvId::PointMass, 21);
+        cfg.learner_mode = LearnerMode::Sync { n: 2 };
+        cfg.faults = faults;
+        train(&cfg)
+    };
+    let clean = run(FaultConfig::off());
+    let framed = run(FaultConfig {
+        frame_drop: 1.0,
+        frame_corrupt: 1.0,
+        ..FaultConfig::off()
+    });
+    assert!(clean.policy_updates > 0);
+    assert_eq!(
+        snapshot_checksum(&framed.final_snapshot),
+        snapshot_checksum(&clean.final_snapshot)
+    );
+    assert_eq!(framed.policy_updates, clean.policy_updates);
+    assert_eq!(framed.staleness_log, clean.staleness_log);
+    assert_eq!(framed.faults.frames_dropped, 0);
+    assert_eq!(framed.faults.frames_corrupted, 0);
+    assert_eq!(framed.degraded_rounds, 0);
 }
 
 #[test]

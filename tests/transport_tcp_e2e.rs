@@ -7,7 +7,7 @@
 //! own CLI; every test spawns genuine OS processes through `ProcessPool`.
 
 use std::convert::Infallible;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 use stellaris::cache::Codec;
@@ -261,7 +261,10 @@ struct InProcessActor<'f> {
 impl Actors for InProcessActor<'_> {
     type Error = Infallible;
 
-    fn collect(&mut self, snap: &PolicySnapshot) -> Result<Vec<Option<SampleBatch>>, Infallible> {
+    fn collect(
+        &mut self,
+        snap: &Arc<PolicySnapshot>,
+    ) -> Result<Vec<Option<SampleBatch>>, Infallible> {
         Ok(vec![Some(self.body.collect(snap, self.steps))])
     }
 }
