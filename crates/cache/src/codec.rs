@@ -3,9 +3,13 @@
 //! The original system serialises trajectories, gradients and policy weights
 //! with Python's pickle (§VII). Here every cached payload implements
 //! [`Codec`], a small hand-rolled format (little-endian, length-prefixed)
-//! chosen so that encoding a gradient message is a couple of `memcpy`s — the
-//! cache is on the training hot path and the paper's Fig. 14 budgets its
-//! overhead below 5 % of a round.
+//! in which encoding a gradient message is a couple of `memcpy`s: every
+//! numeric slice (`Vec<f32>`, tensor data, `Vec<u64>`, `Vec<usize>`) is
+//! converted in one pass, through a 4 KiB stack block on encode
+//! ([`put_le_words`]) and straight from the checked prefix into the
+//! destination `Vec` on decode ([`take_le_words`]). The wire bytes are the
+//! ones element-at-a-time encoding writes. The cache is on the training hot
+//! path and the paper's Fig. 14 budgets its overhead below 5 % of a round.
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use stellaris_nn::Tensor;
@@ -86,7 +90,8 @@ pub fn checked_len_u32(len: usize) -> Result<u32, CodecError> {
     u32::try_from(len).map_err(|_| CodecError::TooLarge(len))
 }
 
-/// Encodes a length prefix, panicking on overflow.
+/// Encodes a length prefix (or any other `u32` count field, such as a
+/// tensor dimension), panicking on overflow.
 ///
 /// # Panics
 ///
@@ -96,7 +101,7 @@ pub fn checked_len_u32(len: usize) -> Result<u32, CodecError> {
 /// silent wrap it replaces. Wire-facing paths reject oversized values with
 /// a typed error *before* encoding (see `frame::write_value_frame`), which
 /// keeps this panic unreachable from a socket.
-fn encode_len_prefix(len: usize, buf: &mut BytesMut) {
+pub fn encode_len_prefix(len: usize, buf: &mut BytesMut) {
     match checked_len_u32(len) {
         Ok(n) => n.encode(buf),
         #[expect(
@@ -105,6 +110,44 @@ fn encode_len_prefix(len: usize, buf: &mut BytesMut) {
         )]
         Err(e) => panic!("{e}"),
     }
+}
+
+/// Bytes [`put_le_words`] converts on the stack per append.
+const BLOCK_BYTES: usize = 4096;
+
+/// Appends `items` as consecutive `N`-byte little-endian words, with no
+/// length prefix: each 4 KiB block is converted on the stack and appended
+/// with one `extend_from_slice`. The bytes are those of one `put_*_le` per
+/// element.
+pub fn put_le_words<T: Copy, const N: usize>(
+    buf: &mut BytesMut,
+    items: &[T],
+    to_le: impl Fn(T) -> [u8; N],
+) {
+    buf.reserve(items.len() * N);
+    let mut block = [0u8; BLOCK_BYTES];
+    let (block, _) = block.as_chunks_mut::<N>();
+    for chunk in items.chunks(block.len()) {
+        let words = &mut block[..chunk.len()];
+        for (word, &v) in words.iter_mut().zip(chunk) {
+            *word = to_le(v);
+        }
+        buf.extend_from_slice(words.as_flattened());
+    }
+}
+
+/// Takes the next `len` `N`-byte words off `buf` for one pass of
+/// `from_le_bytes`, or [`CodecError::Truncated`] when fewer bytes remain.
+pub fn take_le_words<'a, const N: usize>(
+    buf: &mut &'a [u8],
+    len: usize,
+) -> Result<&'a [[u8; N]], CodecError> {
+    let bytes = len
+        .checked_mul(N)
+        .ok_or(CodecError::Corrupt("length overflow"))?;
+    let (words, rest) = buf.split_at_checked(bytes).ok_or(CodecError::Truncated)?;
+    *buf = rest;
+    Ok(words.as_chunks().0)
 }
 
 macro_rules! impl_codec_num {
@@ -185,19 +228,12 @@ impl Codec for String {
 impl Codec for Vec<f32> {
     fn encode(&self, buf: &mut BytesMut) {
         encode_len_prefix(self.len(), buf);
-        buf.reserve(self.len() * 4);
-        for &v in self {
-            buf.put_f32_le(v);
-        }
+        put_le_words(buf, self, f32::to_le_bytes);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         let len = u32::decode(buf)? as usize;
-        need(buf, len * 4)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(buf.get_f32_le());
-        }
-        Ok(out)
+        let words = take_le_words(buf, len)?;
+        Ok(words.iter().map(|&w| f32::from_le_bytes(w)).collect())
     }
     fn encoded_len(&self) -> usize {
         4 + self.len() * 4
@@ -207,18 +243,12 @@ impl Codec for Vec<f32> {
 impl Codec for Vec<u64> {
     fn encode(&self, buf: &mut BytesMut) {
         encode_len_prefix(self.len(), buf);
-        for &v in self {
-            buf.put_u64_le(v);
-        }
+        put_le_words(buf, self, u64::to_le_bytes);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         let len = u32::decode(buf)? as usize;
-        need(buf, len * 8)?;
-        let mut out = Vec::with_capacity(len);
-        for _ in 0..len {
-            out.push(buf.get_u64_le());
-        }
-        Ok(out)
+        let words = take_le_words(buf, len)?;
+        Ok(words.iter().map(|&w| u64::from_le_bytes(w)).collect())
     }
     fn encoded_len(&self) -> usize {
         4 + self.len() * 8
@@ -228,14 +258,17 @@ impl Codec for Vec<u64> {
 impl Codec for Vec<usize> {
     fn encode(&self, buf: &mut BytesMut) {
         encode_len_prefix(self.len(), buf);
-        for &v in self {
-            buf.put_u64_le(v as u64);
-        }
+        put_le_words(buf, self, |v| (v as u64).to_le_bytes());
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        let raw = Vec::<u64>::decode(buf)?;
-        raw.into_iter()
-            .map(|v| usize::try_from(v).map_err(|_| CodecError::Corrupt("usize overflow")))
+        let len = u32::decode(buf)? as usize;
+        let words = take_le_words(buf, len)?;
+        words
+            .iter()
+            .map(|&w| {
+                usize::try_from(u64::from_le_bytes(w))
+                    .map_err(|_| CodecError::Corrupt("usize overflow"))
+            })
             .collect()
     }
     fn encoded_len(&self) -> usize {
@@ -247,12 +280,9 @@ impl Codec for Tensor {
     fn encode(&self, buf: &mut BytesMut) {
         encode_len_prefix(self.shape().len(), buf);
         for &d in self.shape() {
-            buf.put_u32_le(d as u32);
+            encode_len_prefix(d, buf);
         }
-        buf.reserve(self.numel() * 4);
-        for &v in self.data() {
-            buf.put_f32_le(v);
-        }
+        put_le_words(buf, self.data(), f32::to_le_bytes);
     }
     fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
         let rank = u32::decode(buf)? as usize;
@@ -265,7 +295,7 @@ impl Codec for Tensor {
         }
         // Checked product: a hostile shape like [2^32, 2^32] wraps a plain
         // `iter().product()` in release builds, and the wrapped (small)
-        // numel would pass the `need` guard while `from_vec` later panics
+        // numel would pass the length check while `from_vec` later panics
         // on the shape/data mismatch.
         let mut numel = 1usize;
         for &d in &shape {
@@ -273,16 +303,8 @@ impl Codec for Tensor {
                 .checked_mul(d)
                 .ok_or(CodecError::Corrupt("tensor numel overflow"))?;
         }
-        need(
-            buf,
-            numel
-                .checked_mul(4)
-                .ok_or(CodecError::Corrupt("tensor numel overflow"))?,
-        )?;
-        let mut data = Vec::with_capacity(numel);
-        for _ in 0..numel {
-            data.push(buf.get_f32_le());
-        }
+        let words = take_le_words(buf, numel)?;
+        let data = words.iter().map(|&w| f32::from_le_bytes(w)).collect();
         Ok(Tensor::from_vec(data, &shape))
     }
     fn encoded_len(&self) -> usize {
@@ -486,7 +508,179 @@ mod tests {
         );
     }
 
+    #[test]
+    #[should_panic(expected = "exceeds the u32 length-prefix range")]
+    fn oversized_tensor_dimension_panics_instead_of_wrapping() {
+        // Zero elements, so nothing is allocated: a wrapping `d as u32`
+        // would round-trip this as shape [0, 0].
+        let _ = Tensor::zeros(&[1 << 32, 0]).to_bytes();
+    }
+
+    /// The per-element encoding the bulk slice codec replaced, kept as the
+    /// oracle its bytes and decodes are held to.
+    mod oracle {
+        use super::*;
+
+        pub fn encode_f32s(v: &[f32], buf: &mut BytesMut) {
+            for &x in v {
+                buf.put_f32_le(x);
+            }
+        }
+
+        pub fn vec_f32(v: &[f32]) -> Vec<u8> {
+            let mut buf = BytesMut::new();
+            buf.put_u32_le(v.len() as u32);
+            encode_f32s(v, &mut buf);
+            buf.to_vec()
+        }
+
+        pub fn vec_u64(v: &[u64]) -> Vec<u8> {
+            let mut buf = BytesMut::new();
+            buf.put_u32_le(v.len() as u32);
+            for &x in v {
+                buf.put_u64_le(x);
+            }
+            buf.to_vec()
+        }
+
+        pub fn tensor(t: &Tensor) -> Vec<u8> {
+            let mut buf = BytesMut::new();
+            buf.put_u32_le(t.shape().len() as u32);
+            for &d in t.shape() {
+                buf.put_u32_le(d as u32);
+            }
+            encode_f32s(t.data(), &mut buf);
+            buf.to_vec()
+        }
+
+        pub fn decode_f32s(buf: &mut &[u8], len: usize) -> Result<Vec<f32>, CodecError> {
+            need(buf, len * 4)?;
+            Ok((0..len).map(|_| buf.get_f32_le()).collect())
+        }
+
+        pub fn decode_vec_f32(mut buf: &[u8]) -> Result<Vec<f32>, CodecError> {
+            let len = u32::decode(&mut buf)? as usize;
+            decode_f32s(&mut buf, len)
+        }
+
+        pub fn decode_vec_u64(mut buf: &[u8]) -> Result<Vec<u64>, CodecError> {
+            let len = u32::decode(&mut buf)? as usize;
+            need(&buf, len * 8)?;
+            Ok((0..len).map(|_| buf.get_u64_le()).collect())
+        }
+    }
+
+    /// `len` floats drawn from a seeded stream: every sixth one a special
+    /// value (NaN payloads of both signs and kinds, ±0, subnormals, ±inf),
+    /// the rest arbitrary bit patterns.
+    fn floats(len: usize, seed: u64) -> Vec<f32> {
+        use rand::{RngCore, SeedableRng};
+        const SPECIAL: [u32; 10] = [
+            0x7fc0_0000, // quiet NaN
+            0x7f80_0001, // signalling NaN, low payload
+            0xffbf_ffff, // negative signalling NaN, full payload
+            0xffc0_1234, // negative quiet NaN with payload
+            0x0000_0000, // +0
+            0x8000_0000, // -0
+            0x0000_0001, // smallest subnormal
+            0x807f_ffff, // largest negative subnormal
+            0x7f80_0000, // +inf
+            0xff80_0000, // -inf
+        ];
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        (0..len)
+            .map(|_| {
+                let draw = rng.next_u32();
+                let bits = match SPECIAL.get(draw as usize % 60) {
+                    Some(&special) => special,
+                    None => rng.next_u32(),
+                };
+                f32::from_bits(bits)
+            })
+            .collect()
+    }
+
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn bulk_decode_errors_typed_at_every_cut_across_a_block_boundary() {
+        // 1025 elements: one full 1024-float block plus one.
+        let v = floats(1025, 7);
+        let bytes = v.to_bytes();
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                Vec::<f32>::from_bytes(&bytes[..cut]),
+                Err(CodecError::Truncated),
+                "cut at {cut}"
+            );
+        }
+        let t = Tensor::from_vec(v, &[5, 205]);
+        let bytes = t.to_bytes();
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                Tensor::from_bytes(&bytes[..cut]),
+                Err(CodecError::Truncated),
+                "cut at {cut}"
+            );
+        }
+        let words: Vec<u64> = (0..1025u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+            .collect();
+        let bytes = words.to_bytes();
+        for cut in 0..bytes.len() {
+            assert_eq!(
+                Vec::<u64>::from_bytes(&bytes[..cut]),
+                Err(CodecError::Truncated),
+                "cut at {cut}"
+            );
+        }
+        let mut long = bytes.to_vec();
+        long.push(0);
+        assert_eq!(
+            Vec::<u64>::from_bytes(&long),
+            Err(CodecError::Corrupt("trailing bytes"))
+        );
+    }
+
     proptest! {
+        #[test]
+        fn prop_bulk_codec_matches_per_element_oracle(
+            len in 0usize..2101,
+            seed in any::<u64>(),
+            rows in 1usize..8,
+        ) {
+            let v = floats(len, seed);
+            let bytes = v.to_bytes();
+            prop_assert_eq!(&bytes[..], &oracle::vec_f32(&v)[..]);
+            prop_assert_eq!(bits(&Vec::<f32>::from_bytes(&bytes).unwrap()), bits(&v));
+            prop_assert_eq!(bits(&oracle::decode_vec_f32(&bytes).unwrap()), bits(&v));
+
+            let words: Vec<u64> = v
+                .iter()
+                .map(|x| u64::from(x.to_bits()).wrapping_mul(seed | 1))
+                .collect();
+            let bytes = words.to_bytes();
+            prop_assert_eq!(&bytes[..], &oracle::vec_u64(&words)[..]);
+            prop_assert_eq!(Vec::<u64>::from_bytes(&bytes).unwrap(), words.clone());
+            prop_assert_eq!(oracle::decode_vec_u64(&bytes).unwrap(), words);
+
+            let cols = len / rows;
+            let t = Tensor::from_vec(v[..rows * cols].to_vec(), &[rows, cols]);
+            let bytes = t.to_bytes();
+            prop_assert_eq!(&bytes[..], &oracle::tensor(&t)[..]);
+            let back = Tensor::from_bytes(&bytes).unwrap();
+            prop_assert_eq!(back.shape(), t.shape());
+            prop_assert_eq!(bits(back.data()), bits(t.data()));
+            let mut body: &[u8] = &bytes[4 + 8..];
+            prop_assert_eq!(
+                bits(&oracle::decode_f32s(&mut body, rows * cols).unwrap()),
+                bits(t.data())
+            );
+            prop_assert!(body.is_empty());
+        }
+
         #[test]
         fn prop_vec_f32_roundtrip(v in proptest::collection::vec(-1e6f32..1e6, 0..200)) {
             let bytes = v.to_bytes();

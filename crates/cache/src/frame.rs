@@ -316,7 +316,9 @@ impl<R: Read> FrameReader<R> {
     ///
     /// The header's length field is validated against the cap *before* the
     /// payload buffer is allocated: a hostile 4-byte prefix costs at most a
-    /// 16-byte header read, never a multi-gigabyte `Vec`.
+    /// 16-byte header read, never a multi-gigabyte `Vec`. The payload is
+    /// read into spare capacity rather than a zero-filled buffer; a stream
+    /// that ends short of `len` is [`WireError::Truncated`].
     pub fn read_frame(&mut self) -> Result<Frame, WireError> {
         let mut raw = [0u8; HEADER_LEN];
         read_full(&mut self.inner, &mut raw)?;
@@ -328,8 +330,13 @@ impl<R: Read> FrameReader<R> {
                 cap: self.max_frame,
             });
         }
-        let mut payload = vec![0u8; len];
-        read_full(&mut self.inner, &mut payload)?;
+        let mut payload = Vec::with_capacity(len);
+        (&mut self.inner)
+            .take(len as u64)
+            .read_to_end(&mut payload)?;
+        if payload.len() < len {
+            return Err(WireError::Truncated);
+        }
         Ok(Frame { header, payload })
     }
 }

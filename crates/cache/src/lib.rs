@@ -25,7 +25,10 @@ pub mod frame;
 pub mod queue;
 pub mod store;
 
-pub use codec::{checked_len_u32, decode_seq, encode_seq, seq_encoded_len, Codec, CodecError};
+pub use codec::{
+    checked_len_u32, decode_seq, encode_len_prefix, encode_seq, put_le_words, seq_encoded_len,
+    take_le_words, Codec, CodecError,
+};
 pub use frame::{
     write_frame, write_value_frame, Frame, FrameHeader, FrameReader, WireError, DEFAULT_MAX_FRAME,
     FRAME_MAGIC, FRAME_VERSION, HEADER_LEN,

@@ -285,6 +285,11 @@ fn load(batches: Vec<SampleBatch>, cfg: &TrainConfig, timers: &Timers) -> Vec<Sa
 /// One round of the lock-step cycle: collect → GAE and mini-batching → per
 /// wave: snapshot, gradients, offer in mini-batch order, barrier commit.
 ///
+/// Offers stream during the wave: each gradient that completes the
+/// mini-batch-order prefix is offered as it lands. An `Err` from the
+/// learner half (over processes: no worker could be spawned) fails the
+/// round, possibly after that prefix was offered.
+///
 /// The barrier is the synchronous topologies' quorum rule: under a
 /// `FullSync` rule a wave that ends short of its group (a lost gradient, a
 /// mini-batch count the group size does not divide) commits what arrived
@@ -312,12 +317,26 @@ pub fn lockstep_round<F: Fleet>(
         if policy.get().version != server.clock() {
             policy.set(server.snapshot());
         }
-        let mut msgs = Vec::with_capacity(sent);
-        learners.gradients(&policy, wave, &mut |i, msg| msgs.push((i, msg)))?;
+        // The reorder window: gradients are offered in mini-batch order,
+        // the contiguous prefix as it lands and whatever a lost one held
+        // back once the wave returns. The published policy does not move
+        // inside a wave, so when an offer happens cannot reach the bits.
+        let mut window: Vec<Option<GradientMsg>> = (0..sent).map(|_| None).collect();
+        let (mut next, mut landed) = (0, 0);
+        learners.gradients(&policy, wave, &mut |i, msg| {
+            landed += 1;
+            let _agg = timers.span(Component::Aggregation);
+            if let Some(slot) = window.get_mut(i) {
+                *slot = Some(msg);
+            }
+            while let Some(msg) = window.get_mut(next).and_then(Option::take) {
+                server.offer(&msg);
+                next += 1;
+            }
+        })?;
         let _agg = timers.span(Component::Aggregation);
-        totals.degraded += (sent - msgs.len()) as u64;
-        msgs.sort_by_key(|(i, _)| *i);
-        for (_, msg) in msgs {
+        totals.degraded += (sent - landed) as u64;
+        for msg in window.into_iter().flatten() {
             server.offer(&msg);
         }
         if barrier && server.pending() > 0 {
@@ -412,6 +431,10 @@ mod tests {
         lost_gradients: Vec<(usize, usize)>,
         /// The `(round, mini-batch of the round)` whose learner panics.
         panics_at: Option<(usize, usize)>,
+        /// The plane a learner reads before each gradient it computes.
+        observes: Option<Arc<ShardedParameterServer>>,
+        /// `(round, mini-batch, gradients offered)` at each such read.
+        offered_at_start: Vec<(usize, usize, u64)>,
         round: usize,
         next_minibatch: usize,
         delivered: u64,
@@ -428,6 +451,8 @@ mod tests {
                 lost_collects: Vec::new(),
                 lost_gradients: Vec::new(),
                 panics_at: None,
+                observes: None,
+                offered_at_start: Vec::new(),
                 round: 0,
                 next_minibatch: 0,
                 delivered: 0,
@@ -447,6 +472,8 @@ mod tests {
         reversed: bool,
         lost: &'f [(usize, usize)],
         panics_at: Option<(usize, usize)>,
+        observes: Option<&'f ShardedParameterServer>,
+        offered_at_start: &'f mut Vec<(usize, usize, u64)>,
         round: usize,
         next_minibatch: &'f mut usize,
         delivered: &'f mut u64,
@@ -471,6 +498,8 @@ mod tests {
                 reversed: self.reversed,
                 lost: &self.lost_gradients,
                 panics_at: self.panics_at,
+                observes: self.observes.as_deref(),
+                offered_at_start: &mut self.offered_at_start,
                 round: self.round,
                 next_minibatch: &mut self.next_minibatch,
                 delivered: &mut self.delivered,
@@ -532,6 +561,11 @@ mod tests {
                     let id = (self.round, first + i);
                     assert_ne!(self.panics_at, Some(id), "scripted learner panic");
                     if !self.lost.contains(&id) {
+                        if let Some(plane) = self.observes {
+                            let n = plane.n_shards() as u64;
+                            let offered = plane.grads_aggregated() / n + plane.pending() as u64;
+                            self.offered_at_start.push((id.0, id.1, offered));
+                        }
                         let msg = self.learner.gradient(&snap, &mb, None, l);
                         *self.delivered += 1;
                         arrived(i, msg);
@@ -614,6 +648,115 @@ mod tests {
                 scripted_run(shards, true),
                 "{shards} shard(s): the fleet's delivery order must not reach the weights"
             );
+        }
+    }
+
+    /// `lockstep_round` as it was before offers streamed: every wave is
+    /// collected whole, sorted by mini-batch index, then offered. The oracle
+    /// the reorder window is held to (no barrier rule, so no commit step).
+    fn collect_and_sort_round(
+        fleet: &mut ScriptedFleet,
+        server: &ShardedParameterServer,
+        cfg: &TrainConfig,
+        totals: &mut CycleTotals,
+    ) {
+        let (mut actors, mut learners) = fleet.split();
+        let policy = Published::new(server.snapshot());
+        let Ok(collected) = actors.collect(&policy.get());
+        let minibatches = load(
+            collected_batches(collected, totals),
+            cfg,
+            &Timers::default(),
+        );
+        let width = learners.wave_width(minibatches.len()).max(1);
+        let mut rest = minibatches.into_iter().peekable();
+        while rest.peek().is_some() {
+            let wave: Vec<SampleBatch> = rest.by_ref().take(width).collect();
+            if policy.get().version != server.clock() {
+                policy.set(server.snapshot());
+            }
+            let mut msgs = Vec::new();
+            let Ok(()) = learners.gradients(&policy, wave, &mut |i, msg| msgs.push((i, msg)));
+            msgs.sort_by_key(|(i, _)| *i);
+            for (_, msg) in msgs {
+                server.offer(&msg);
+            }
+        }
+    }
+
+    /// Two rounds of one four-wide wave each over `shards` shard(s), the
+    /// scripted learners reading the plane before every gradient; with
+    /// `streamed` through `lockstep_round`, otherwise through the
+    /// collect-and-sort oracle. Returns the final checksum, the staleness
+    /// log and what the learners read.
+    fn observed_run(
+        shards: usize,
+        reversed: bool,
+        lost: &[(usize, usize)],
+        streamed: bool,
+    ) -> (u64, Vec<u64>, Vec<(usize, usize, u64)>) {
+        let rule = AggregationRule::Softsync { c: 2 };
+        let cfg = tiny(LearnerMode::Async { rule }, shards);
+        let server = Arc::new(parameter_plane(&cfg));
+        // Two collects of 64 steps = four mini-batches, one wave.
+        let mut fleet = ScriptedFleet::new(&cfg, 64, 4);
+        fleet.reversed = reversed;
+        fleet.lost_gradients = lost.to_vec();
+        fleet.observes = Some(Arc::clone(&server));
+        let mut totals = CycleTotals::default();
+        for round in 0..2 {
+            fleet.round = round;
+            if streamed {
+                let Ok(()) =
+                    lockstep_round(&mut fleet, &server, &cfg, &Timers::default(), &mut totals);
+            } else {
+                collect_and_sort_round(&mut fleet, &server, &cfg, &mut totals);
+            }
+        }
+        let log = server.staleness_log().to_vec();
+        (
+            snapshot_checksum(&server.snapshot()),
+            log,
+            fleet.offered_at_start,
+        )
+    }
+
+    #[test]
+    fn lockstep_offers_stream_during_the_wave() {
+        let (_, _, seen) = observed_run(1, false, &[], true);
+        // Slot `l` computes mini-batch `l`; each learner finds every
+        // earlier mini-batch already offered, so mini-batch 0 was offered
+        // before the wave's last gradient was computed.
+        assert_eq!(
+            seen[..4],
+            [(0, 0, 0), (0, 1, 1), (0, 2, 2), (0, 3, 3)],
+            "offers must stream in mini-batch order as gradients land"
+        );
+        let (_, _, sorted_seen) = observed_run(1, false, &[], false);
+        assert!(
+            sorted_seen[..4].iter().all(|&(_, _, offered)| offered == 0),
+            "the collect-and-sort oracle offers nothing until the wave ends"
+        );
+    }
+
+    #[test]
+    fn a_lost_gradient_holds_later_offers_back_in_index_order() {
+        let lost = [(0, 1), (1, 2)];
+        for shards in [1, 3] {
+            let (sum, log, seen) = observed_run(shards, false, &lost, true);
+            // Mini-batch 1 never lands, so 2 and 3 wait for the wave's end.
+            assert_eq!(seen[..3], [(0, 0, 0), (0, 2, 1), (0, 3, 1)]);
+            for reversed in [false, true] {
+                let (ref_sum, ref_log, _) = observed_run(shards, reversed, &lost, false);
+                assert_eq!(
+                    (sum, &log),
+                    (ref_sum, &ref_log),
+                    "{shards} shard(s), reversed {reversed}: the reorder window \
+                     must end where collect-and-sort does"
+                );
+                let streamed = observed_run(shards, reversed, &lost, true);
+                assert_eq!((streamed.0, &streamed.1), (ref_sum, &ref_log));
+            }
         }
     }
 

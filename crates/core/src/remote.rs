@@ -30,6 +30,7 @@
 //! sides of the socket.
 
 use std::io::{Read, Write};
+use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -1087,11 +1088,10 @@ struct Chaos {
     dropped: bool,
 }
 
-/// What one dispatch lane brings back from a wave.
+/// What one dispatch lane counts over a wave (its gradients leave as they
+/// land).
 #[derive(Default)]
 struct LaneReport {
-    /// Gradients that arrived, tagged with their index in the wave.
-    msgs: Vec<(usize, GradientMsg)>,
     /// Typed errors a retry recovered.
     recovered: u64,
     /// Calls that carried the snapshot and succeeded, and its bytes.
@@ -1103,8 +1103,14 @@ impl LearnerSlot {
     /// Dispatch lane `l`: this slot's share of a wave, strictly in order
     /// over its own socket, each call against the policy published when it
     /// starts. The first call at a new version carries the snapshot and the
-    /// worker keeps it; later ones name the version only. Returns early
-    /// only when no worker could be spawned within the retry budget.
+    /// worker keeps it; later ones name the version only. Each gradient is
+    /// sent to `landed`, tagged with its index in the wave, as it arrives.
+    /// Returns early only when no worker could be spawned within the retry
+    /// budget, or when nobody is receiving any more.
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one lane's borrowed context; a struct would only rename it"
+    )]
     fn run_lane(
         &mut self,
         fleet: &RemoteFleet,
@@ -1113,6 +1119,7 @@ impl LearnerSlot {
         wave_span: u64,
         l: usize,
         jobs: Vec<(usize, SampleBatch, Chaos)>,
+        landed: &Sender<(usize, GradientMsg)>,
     ) -> Result<LaneReport, RemoteError> {
         let LearnerSlot { worker, holds } = self;
         let mut report = LaneReport::default();
@@ -1189,7 +1196,11 @@ impl LearnerSlot {
                 result
             });
             match outcome {
-                Ok(msg) => report.msgs.push((i, msg)),
+                Ok(msg) => {
+                    if landed.send((i, msg)).is_err() {
+                        break;
+                    }
+                }
                 // No worker could be spawned within the whole budget.
                 Err(e @ RemoteError::Spawn(_)) => return Err(e),
                 // Quorum degradation: this mini-batch's gradient is
@@ -1257,8 +1268,11 @@ impl Learners for ProcessLearners<'_> {
         minibatches
     }
 
-    /// One dispatch lane per learner slot ([`LearnerSlot::run_lane`]); every
-    /// lane is joined before the gradients are handed over, in slot order.
+    /// One dispatch lane per learner slot ([`LearnerSlot::run_lane`]). Each
+    /// gradient crosses a channel to this thread and is handed to `arrived`
+    /// as it lands; every lane is joined before this returns. A spawn
+    /// failure is reported from the lowest lane that hit one, after the
+    /// gradients that did land were handed over.
     fn gradients(
         &mut self,
         policy: &Published,
@@ -1290,6 +1304,7 @@ impl Learners for ProcessLearners<'_> {
         );
         let wave_id = wave_span.id();
         let lanes: Vec<_> = std::thread::scope(|scope| {
+            let (tx, landed) = mpsc::channel();
             let handles: Vec<_> = self
                 .slots
                 .iter_mut()
@@ -1297,8 +1312,9 @@ impl Learners for ProcessLearners<'_> {
                 .enumerate()
                 .filter(|(_, (_, jobs))| !jobs.is_empty())
                 .map(|(l, (slot, jobs))| {
+                    let tx = tx.clone();
                     scope.spawn(move || {
-                        let out = slot.run_lane(fleet, setup, policy, wave_id, l, jobs);
+                        let out = slot.run_lane(fleet, setup, policy, wave_id, l, jobs, &tx);
                         // The lane's spans must be in the sink before the
                         // round's trace is read, not whenever the thread's
                         // locals are torn down.
@@ -1307,15 +1323,17 @@ impl Learners for ProcessLearners<'_> {
                     })
                 })
                 .collect();
+            drop(tx);
+            for (i, msg) in landed {
+                arrived(i, msg);
+            }
             handles.into_iter().map(|h| h.join()).collect()
         });
         let report = &mut self.report;
-        let mut msgs = Vec::with_capacity(sent);
         let mut spawn_err = None;
         for lane in lanes {
             match lane {
                 Ok(Ok(lane)) => {
-                    msgs.extend(lane.msgs);
                     report.recovered += lane.recovered;
                     report.policy_full_pulls += lane.pushes;
                     report.policy_bytes_full += lane.pushed_bytes;
@@ -1326,13 +1344,7 @@ impl Learners for ProcessLearners<'_> {
                 Err(panic) => std::panic::resume_unwind(panic),
             }
         }
-        if let Some(e) = spawn_err {
-            return Err(e);
-        }
-        for (i, msg) in msgs {
-            arrived(i, msg);
-        }
-        Ok(())
+        spawn_err.map_or(Ok(()), Err)
     }
 }
 

@@ -1,8 +1,8 @@
 //! Trajectory containers: the sample batches actors collect and learners
 //! consume for gradient computation.
 
-use bytes::{BufMut, BytesMut};
-use stellaris_cache::{Codec, CodecError};
+use bytes::BytesMut;
+use stellaris_cache::{encode_len_prefix, put_le_words, take_le_words, Codec, CodecError};
 use stellaris_nn::Tensor;
 
 /// A batch of `T` consecutive transitions collected by one actor under one
@@ -143,10 +143,8 @@ impl Codec for SampleBatch {
         // Same wire layout as `Vec<u64>`, written directly: encode sits on
         // the exact-reserve hot path, so widening `dones` must not
         // materialise a temporary vector (A9).
-        (self.dones.len() as u32).encode(buf);
-        for &d in &self.dones {
-            buf.put_u64_le(u64::from(d));
-        }
+        encode_len_prefix(self.dones.len(), buf);
+        put_le_words(buf, &self.dones, |d| u64::from(d).to_le_bytes());
         self.behaviour_logp.encode(buf);
         self.values.encode(buf);
         self.bootstrap_value.encode(buf);
@@ -166,10 +164,11 @@ impl Codec for SampleBatch {
             actions_disc: Vec::<usize>::decode(buf)?,
             actions_cont: Option::<Tensor>::decode(buf)?,
             rewards: Vec::<f32>::decode(buf)?,
-            dones: Vec::<u64>::decode(buf)?
-                .into_iter()
-                .map(|d| d != 0)
-                .collect(),
+            dones: {
+                let len = u32::decode(buf)? as usize;
+                let words = take_le_words(buf, len)?;
+                words.iter().map(|&w| u64::from_le_bytes(w) != 0).collect()
+            },
             behaviour_logp: Vec::<f32>::decode(buf)?,
             values: Vec::<f32>::decode(buf)?,
             bootstrap_value: f32::decode(buf)?,
