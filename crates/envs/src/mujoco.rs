@@ -46,12 +46,18 @@ impl Figure {
     }
 
     fn apply_and_step(&mut self, action: &[f32]) {
+        self.apply_and_step_with(action, World::step);
+    }
+
+    /// One control step of `SUBSTEPS` physics substeps, each advanced by
+    /// `step` (the tests swap in [`World::step_reference`]).
+    fn apply_and_step_with(&mut self, action: &[f32], step: fn(&mut World, f32)) {
         for _ in 0..SUBSTEPS {
             for (i, (&j, &gear)) in self.joints.iter().zip(self.gears.iter()).enumerate() {
                 let a = action.get(i).copied().unwrap_or(0.0).clamp(-1.0, 1.0);
                 self.world.set_motor(j, a * gear);
             }
-            self.world.step(SUB_DT);
+            step(&mut self.world, SUB_DT);
         }
     }
 
@@ -581,6 +587,96 @@ mod tests {
             }
         }
         assert!(disp.abs() > 1e-4, "actuation had no effect: vx {disp}");
+    }
+
+    /// The environments whose figure the reference-step test drives.
+    trait Figured: Env {
+        fn figure(&mut self) -> &mut Figure;
+    }
+    impl Figured for Hopper {
+        fn figure(&mut self) -> &mut Figure {
+            &mut self.figure
+        }
+    }
+    impl Figured for Walker2d {
+        fn figure(&mut self) -> &mut Figure {
+            &mut self.figure
+        }
+    }
+    impl Figured for Humanoid {
+        fn figure(&mut self) -> &mut Figure {
+            &mut self.figure
+        }
+    }
+
+    /// Every body's state as raw bits.
+    fn body_bits(world: &World) -> Vec<[u32; 6]> {
+        world
+            .bodies
+            .iter()
+            .map(|b| [b.pos.x, b.pos.y, b.vel.x, b.vel.y, b.angle, b.angvel].map(f32::to_bits))
+            .collect()
+    }
+
+    /// Steps `fast` through [`Env::step`] (so [`World::step`]) and `slow`
+    /// through [`World::step_reference`] on the same 2,000 actions,
+    /// resetting both whenever `fast`'s episode ends, and asserts their
+    /// bodies agree bit for bit after every step, and that the run crossed
+    /// resets and ground contacts.
+    fn check_against_reference<E: Figured>(mut fast: E, mut slow: E, seed: u64) {
+        let dim = fast.action_space().dim();
+        let mut rng = env_rng(seed);
+        let (mut resets, mut grounded) = (0, 0);
+        fast.reset(seed);
+        slow.reset(seed);
+        for t in 0..2000 {
+            // Alternate scripted bang-bang phases with seeded-random ones.
+            let action: Vec<f32> = if (t / 50) % 2 == 0 {
+                (0..dim)
+                    .map(|i| if (t / 7 + i) % 2 == 0 { 1.0 } else { -1.0 })
+                    .collect()
+            } else {
+                (0..dim).map(|_| rng.gen_range(-1.0..1.0)).collect()
+            };
+            let done = fast.step(&Action::Continuous(action.clone())).done;
+            slow.figure()
+                .apply_and_step_with(&action, World::step_reference);
+            let world = &fast.figure().world;
+            assert_eq!(
+                body_bits(world),
+                body_bits(&slow.figure().world),
+                "{} diverged from the reference step at step {t}",
+                fast.name()
+            );
+            grounded += usize::from(
+                world
+                    .bodies
+                    .iter()
+                    .any(|b| b.collide_ground && b.endpoints().iter().any(|p| p.y < 0.0)),
+            );
+            if done {
+                resets += 1;
+                fast.reset(seed + resets);
+                slow.reset(seed + resets);
+            }
+        }
+        let name = fast.name();
+        assert!(resets >= 3, "{name}: only {resets} resets crossed");
+        assert!(
+            grounded >= 100,
+            "{name}: only {grounded} steps touched ground"
+        );
+    }
+
+    #[test]
+    fn rotations_once_per_substep_match_reference_step() {
+        let cfg = EnvConfig {
+            max_steps: 300,
+            ..EnvConfig::default()
+        };
+        check_against_reference(Hopper::new(cfg), Hopper::new(cfg), 11);
+        check_against_reference(Walker2d::new(cfg), Walker2d::new(cfg), 12);
+        check_against_reference(Humanoid::new(cfg), Humanoid::new(cfg), 13);
     }
 
     #[test]

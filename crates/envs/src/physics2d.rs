@@ -51,7 +51,12 @@ impl Vec2 {
     /// Rotates by `angle` radians.
     #[inline]
     pub fn rotated(self, angle: f32) -> Vec2 {
-        let (s, c) = angle.sin_cos();
+        self.rotated_by(angle.sin_cos())
+    }
+
+    /// Rotates by the angle whose `(sin, cos)` is given.
+    #[inline]
+    pub(crate) fn rotated_by(self, (s, c): (f32, f32)) -> Vec2 {
         Vec2::new(c * self.x - s * self.y, s * self.x + c * self.y)
     }
 }
@@ -137,8 +142,16 @@ impl Body {
 
     /// World-space endpoints of the segment.
     pub fn endpoints(&self) -> [Vec2; 2] {
+        self.endpoints_by(self.angle.sin_cos())
+    }
+
+    /// [`Body::endpoints`] given the `(sin, cos)` of the body's angle.
+    fn endpoints_by(&self, rot: (f32, f32)) -> [Vec2; 2] {
         let half = Vec2::new(self.length * 0.5, 0.0);
-        [self.world_point(half), self.world_point(-half)]
+        [
+            self.pos + half.rotated_by(rot),
+            self.pos + (-half).rotated_by(rot),
+        ]
     }
 
     /// Velocity of a world-space point attached to the body.
@@ -200,6 +213,19 @@ impl RevoluteJoint {
     }
 }
 
+/// A joint's constants over one substep: its anchors rotated into the
+/// world frame and its effective mass matrix K (2x2, symmetric), functions
+/// of the body angles and masses alone.
+#[derive(Clone, Copy)]
+struct JointFrame {
+    ra: Vec2,
+    rb: Vec2,
+    k11: f32,
+    k12: f32,
+    k22: f32,
+    det: f32,
+}
+
 struct Contact {
     body: usize,
     r: Vec2,
@@ -249,6 +275,12 @@ pub struct World {
     pub joints: Vec<RevoluteJoint>,
     /// Parameters.
     pub config: WorldConfig,
+    /// Per-substep scratch, kept across steps so a warm world allocates
+    /// nothing: each body's `(sin, cos)` of its angle, each joint's frame,
+    /// and the ground contacts.
+    rot: Vec<(f32, f32)>,
+    frames: Vec<JointFrame>,
+    contacts: Vec<Contact>,
 }
 
 impl World {
@@ -258,6 +290,9 @@ impl World {
             bodies: Vec::new(),
             joints: Vec::new(),
             config,
+            rot: Vec::new(),
+            frames: Vec::new(),
+            contacts: Vec::new(),
         }
     }
 
@@ -313,9 +348,70 @@ impl World {
     }
 
     /// Advances the simulation by `dt`, running the impulse solver.
+    ///
+    /// What the velocity iterations share is computed once, before them:
+    /// one `sin_cos` per body, which places the contact points and rotates
+    /// each joint's anchors into the world frame, and each joint's
+    /// effective mass matrix. This is exact: both are functions of the body
+    /// angles and masses alone, angles only change in the integrate stage
+    /// (stage 4), and impulses move velocities only, so every iteration
+    /// sees the bits it would have recomputed (pinned against
+    /// [`World::step_reference`] by
+    /// `rotations_once_per_substep_match_reference_step` in `mujoco.rs`).
     pub fn step(&mut self, dt: f32) {
+        self.apply_forces(dt);
+        let mut rot = std::mem::take(&mut self.rot);
+        rot.clear();
+        rot.extend(self.bodies.iter().map(|b| b.angle.sin_cos()));
+        let mut contacts = std::mem::take(&mut self.contacts);
+        self.collect_contacts(&mut contacts, |i, b| b.endpoints_by(rot[i]));
+        let mut frames = std::mem::take(&mut self.frames);
+        frames.clear();
+        frames.extend(self.joints.iter().map(|j| {
+            self.joint_frame(
+                j,
+                j.local_a.rotated_by(rot[j.body_a.0]),
+                j.local_b.rotated_by(rot[j.body_b.0]),
+            )
+        }));
+        // Stage 3, iterative velocity solve: joints then contacts.
+        for _ in 0..self.config.iterations {
+            for (j, frame) in self.joints.iter().zip(&frames) {
+                Self::solve_joint(&mut self.bodies, j, frame, self.config, dt);
+            }
+            self.solve_contacts(&mut contacts, dt);
+        }
+        self.integrate(dt);
+        self.rot = rot;
+        self.frames = frames;
+        self.contacts = contacts;
+    }
+
+    /// The tests' oracle for [`World::step`], with nothing hoisted: each
+    /// contact point is rotated on its own, and every velocity iteration
+    /// rotates each joint's anchors and builds its mass matrix afresh.
+    #[cfg(test)]
+    pub(crate) fn step_reference(&mut self, dt: f32) {
+        self.apply_forces(dt);
+        let mut contacts = Vec::new();
+        self.collect_contacts(&mut contacts, |_, b| b.endpoints());
+        for _ in 0..self.config.iterations {
+            for j in &self.joints {
+                let frame = self.joint_frame(
+                    j,
+                    j.local_a.rotated(self.bodies[j.body_a.0].angle),
+                    j.local_b.rotated(self.bodies[j.body_b.0].angle),
+                );
+                Self::solve_joint(&mut self.bodies, j, &frame, self.config, dt);
+            }
+            self.solve_contacts(&mut contacts, dt);
+        }
+        self.integrate(dt);
+    }
+
+    /// Stage 1, external forces: gravity, joint motors, soft limits.
+    fn apply_forces(&mut self, dt: f32) {
         let cfg = self.config;
-        // 1. External forces: gravity, joint motors, soft limits.
         for b in &mut self.bodies {
             if b.inv_mass > 0.0 {
                 b.vel.y += cfg.gravity * dt;
@@ -341,14 +437,21 @@ impl World {
             self.bodies[ia].angvel -= total * inv_ia * dt;
             self.bodies[ib].angvel += total * inv_ib * dt;
         }
+    }
 
-        // 2. Collect ground contacts at segment endpoints.
-        let mut contacts = Vec::new();
+    /// Stage 2, ground contacts at segment endpoints (body `i`'s placed by
+    /// `endpoints`), into `contacts` (cleared first).
+    fn collect_contacts(
+        &self,
+        contacts: &mut Vec<Contact>,
+        endpoints: impl Fn(usize, &Body) -> [Vec2; 2],
+    ) {
+        contacts.clear();
         for (i, b) in self.bodies.iter().enumerate() {
             if !b.collide_ground || b.inv_mass == 0.0 {
                 continue;
             }
-            for p in b.endpoints() {
+            for p in endpoints(i, b) {
                 if p.y < 0.0 {
                     contacts.push(Contact {
                         body: i,
@@ -360,37 +463,38 @@ impl World {
                 }
             }
         }
+    }
 
-        // 3. Iterative velocity solve: joints then contacts.
-        for _ in 0..cfg.iterations {
-            for j in 0..self.joints.len() {
-                self.solve_joint(j, dt);
-            }
-            for c in &mut contacts {
-                let b = &mut self.bodies[c.body];
-                let r = c.r;
-                let v = b.vel + r.perp_scaled(b.angvel);
-                // Normal (0, 1): push out of the ground.
-                let bias = cfg.baumgarte / dt * (c.penetration - 0.005).max(0.0);
-                let mass_n = b.inv_mass + b.inv_inertia * r.x * r.x;
-                let dn = -(v.y - bias) / mass_n.max(1e-9);
-                let new_n = (c.accum_n + dn).max(0.0);
-                let applied_n = new_n - c.accum_n;
-                c.accum_n = new_n;
-                b.apply_impulse(Vec2::new(0.0, applied_n), r);
-                // Friction along (1, 0), clamped by μ * normal impulse.
-                let v2 = b.vel + r.perp_scaled(b.angvel);
-                let mass_t = b.inv_mass + b.inv_inertia * r.y * r.y;
-                let dtn = -v2.x / mass_t.max(1e-9);
-                let max_t = cfg.friction * c.accum_n;
-                let new_t = (c.accum_t + dtn).clamp(-max_t, max_t);
-                let applied_t = new_t - c.accum_t;
-                c.accum_t = new_t;
-                b.apply_impulse(Vec2::new(applied_t, 0.0), r);
-            }
+    /// One velocity iteration over the ground contacts.
+    fn solve_contacts(&mut self, contacts: &mut [Contact], dt: f32) {
+        let cfg = self.config;
+        for c in contacts {
+            let b = &mut self.bodies[c.body];
+            let r = c.r;
+            let v = b.vel + r.perp_scaled(b.angvel);
+            // Normal (0, 1): push out of the ground.
+            let bias = cfg.baumgarte / dt * (c.penetration - 0.005).max(0.0);
+            let mass_n = b.inv_mass + b.inv_inertia * r.x * r.x;
+            let dn = -(v.y - bias) / mass_n.max(1e-9);
+            let new_n = (c.accum_n + dn).max(0.0);
+            let applied_n = new_n - c.accum_n;
+            c.accum_n = new_n;
+            b.apply_impulse(Vec2::new(0.0, applied_n), r);
+            // Friction along (1, 0), clamped by μ * normal impulse.
+            let v2 = b.vel + r.perp_scaled(b.angvel);
+            let mass_t = b.inv_mass + b.inv_inertia * r.y * r.y;
+            let dtn = -v2.x / mass_t.max(1e-9);
+            let max_t = cfg.friction * c.accum_n;
+            let new_t = (c.accum_t + dtn).clamp(-max_t, max_t);
+            let applied_t = new_t - c.accum_t;
+            c.accum_t = new_t;
+            b.apply_impulse(Vec2::new(applied_t, 0.0), r);
         }
+    }
 
-        // 4. Integrate positions and damp.
+    /// Stage 4, integrate positions and damp.
+    fn integrate(&mut self, dt: f32) {
+        let cfg = self.config;
         let lin_k = (1.0 - cfg.linear_damping * dt).max(0.0);
         let ang_k = (1.0 - cfg.angular_damping * dt).max(0.0);
         for b in &mut self.bodies {
@@ -404,42 +508,54 @@ impl World {
         }
     }
 
-    fn solve_joint(&mut self, j: usize, dt: f32) {
-        let cfg = self.config;
-        let (ia, ib, la, lb) = {
-            let jt = &self.joints[j];
-            (jt.body_a.0, jt.body_b.0, jt.local_a, jt.local_b)
-        };
-        let (ra, rb, c_err, rel_v, ma, inv_ia, mb, inv_ib);
-        {
-            let a = &self.bodies[ia];
-            let b = &self.bodies[ib];
-            ra = la.rotated(a.angle);
-            rb = lb.rotated(b.angle);
-            let pa = a.pos + ra;
-            let pb = b.pos + rb;
-            c_err = pb - pa;
-            rel_v = (b.vel + rb.perp_scaled(b.angvel)) - (a.vel + ra.perp_scaled(a.angvel));
-            ma = a.inv_mass;
-            inv_ia = a.inv_inertia;
-            mb = b.inv_mass;
-            inv_ib = b.inv_inertia;
-        }
-        // Effective mass matrix K (2x2, symmetric).
+    /// Joint `j`'s frame for anchors `ra`/`rb`, already rotated into the
+    /// world frame.
+    fn joint_frame(&self, j: &RevoluteJoint, ra: Vec2, rb: Vec2) -> JointFrame {
+        let (a, b) = (&self.bodies[j.body_a.0], &self.bodies[j.body_b.0]);
+        let (ma, inv_ia, mb, inv_ib) = (a.inv_mass, a.inv_inertia, b.inv_mass, b.inv_inertia);
         let k11 = ma + mb + inv_ia * ra.y * ra.y + inv_ib * rb.y * rb.y;
         let k12 = -inv_ia * ra.x * ra.y - inv_ib * rb.x * rb.y;
         let k22 = ma + mb + inv_ia * ra.x * ra.x + inv_ib * rb.x * rb.x;
-        let det = k11 * k22 - k12 * k12;
+        JointFrame {
+            ra,
+            rb,
+            k11,
+            k12,
+            k22,
+            det: k11 * k22 - k12 * k12,
+        }
+    }
+
+    /// One velocity iteration of joint `j` in its substep's `frame`.
+    fn solve_joint(
+        bodies: &mut [Body],
+        j: &RevoluteJoint,
+        frame: &JointFrame,
+        cfg: WorldConfig,
+        dt: f32,
+    ) {
+        let JointFrame {
+            ra,
+            rb,
+            k11,
+            k12,
+            k22,
+            det,
+        } = *frame;
         if det.abs() < 1e-12 {
             return;
         }
+        let (ia, ib) = (j.body_a.0, j.body_b.0);
+        let (a, b) = (&bodies[ia], &bodies[ib]);
+        let c_err = (b.pos + rb) - (a.pos + ra);
+        let rel_v = (b.vel + rb.perp_scaled(b.angvel)) - (a.vel + ra.perp_scaled(a.angvel));
         let bias = c_err * (cfg.baumgarte / dt);
         let rhs = -(rel_v + bias);
         let px = (rhs.x * k22 - rhs.y * k12) / det;
         let py = (k11 * rhs.y - k12 * rhs.x) / det;
         let p = Vec2::new(px, py);
-        self.bodies[ia].apply_impulse(-p, ra);
-        self.bodies[ib].apply_impulse(p, rb);
+        bodies[ia].apply_impulse(-p, ra);
+        bodies[ib].apply_impulse(p, rb);
     }
 }
 

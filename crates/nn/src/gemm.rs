@@ -46,11 +46,12 @@
 //!
 //! The tile is chosen at build time. Under `target_feature = "avx512f"`
 //! (`.cargo/config.toml` builds with `target-cpu=native`) it is an explicit
-//! `8 x 32` AVX-512 tile holding its accumulators in 16 zmm registers — the
-//! crate's one `unsafe` function. Everywhere else the portable `4 x 16`
-//! tile, an array LLVM autovectorises, is the only kernel. Only the explicit
-//! tile can be that wide: an autovectorised `8 x 32` array spills to the
-//! stack and runs several times slower.
+//! `8 x 32` AVX-512 tile holding its accumulators in 16 zmm registers, one
+//! of the crate's two `unsafe` functions (with the small-`m` strip below).
+//! Everywhere else the portable `4 x 16` tile, an array LLVM
+//! autovectorises, is the only kernel. Only the explicit tile can be that
+//! wide: an autovectorised `8 x 32` array spills to the stack and runs
+//! several times slower.
 //!
 //! # Small-`m` route
 //!
@@ -59,12 +60,16 @@
 //! environment step — skips packing. Packing cannot pay below one register
 //! tile: `pack_b` copies all `k*n` elements of B to serve `m*k*n`
 //! multiply-adds, and `1 - m/MR` of every register tile is zero padding.
-//! Each output row is instead cut into `STRIP`-column strips whose
-//! accumulators stay in registers across the whole `k` reduction; the
-//! columns past the last full strip, and every column once `k > KC`, run the
-//! reference loop of [`gemm_naive`]. Each element sees the reference's
-//! operations in the reference's order, so the route is bit-identical, and
-//! it is selected by the operand shapes alone.
+//! Each output row is instead cut into column strips whose accumulators
+//! stay in registers across the whole `k` reduction. Under AVX-512 the
+//! strips are explicit (256 columns in 16 zmm accumulators), followed by
+//! 16-column groups and one lane-masked group for the last `n % 16`
+//! columns, for every `k`. On the portable build the 64-column strips are
+//! autovectorised, and the columns past the last full strip, and every
+//! column once `k > KC`, run the reference loop of [`gemm_naive`]. Each
+//! element sees the reference's operations in the reference's order, so
+//! the route is bit-identical, and it is selected by the operand shapes
+//! alone.
 //!
 //! # Packing
 //!
@@ -110,8 +115,9 @@ pub const MR: usize = 4;
 /// slower).
 #[cfg(not(target_feature = "avx512f"))]
 pub const NR: usize = 16;
-/// Output columns per register strip of the small-`m` route: 128 f32
-/// accumulators under AVX-512, 64 on the portable build.
+/// Output columns per register strip of the portable small-`m` route: 64
+/// f32 accumulators.
+#[cfg(not(target_feature = "avx512f"))]
 const STRIP: usize = 4 * NR;
 /// Rows of A per cache block (L2-resident packed A panel).
 const MC: usize = 128;
@@ -691,6 +697,7 @@ pub fn gemm_naive(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], accumulate: bool)
 /// column when `k > KC` (B then no longer sits in L2, and the strips'
 /// column-block walk over it lost to the row-major one), take the
 /// reference loop.
+#[cfg(not(target_feature = "avx512f"))]
 fn accumulate_row_strips(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
     let (k, n) = (a.cols, b.cols);
     let strips = if k <= KC { n / STRIP } else { 0 };
@@ -710,6 +717,97 @@ fn accumulate_row_strips(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
         }
     }
     accumulate_rows(a, b, c, strips * STRIP);
+}
+
+/// `c += a @ b` for `m < MR` and a unit-stride B, in explicit AVX-512:
+/// each output row is swept by 256-column strips of 16 zmm accumulators
+/// (one contiguous 1 KB run of each B row per `k`, which streamed faster
+/// than two 128-column passes), then by 16-column groups of one, the last
+/// with its lanes past `n` masked off. The accumulators stay in registers
+/// across the whole `k` reduction, for every `k`, so no column runs the
+/// reference loop; every element still sees its operations (seeded from C,
+/// ascending `k`, `_mm512_mul_ps` then `_mm512_add_ps`), so the bits are
+/// the same.
+#[cfg(target_feature = "avx512f")]
+fn accumulate_row_strips(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
+    const L: usize = 16;
+    const W: usize = 16;
+    let n = b.cols;
+    for (i, crow) in c.chunks_exact_mut(n).enumerate().take(a.rows) {
+        let arow = a.data[i * a.rs..].iter().step_by(a.cs).take(a.cols);
+        let mut j = 0;
+        while j + W * L <= n {
+            row_strip::<W>(arow.clone(), b, j, crow);
+            j += W * L;
+        }
+        while j < n {
+            row_strip::<1>(arow.clone(), b, j, crow);
+            j += L;
+        }
+    }
+}
+
+/// `crow[j..] += arow @ b[:, j..]` over the `W * 16` columns from `j`, in
+/// `W` zmm accumulators, the lanes at or past `n = crow.len() = b.cols`
+/// masked off; `arow` is read for at most `b.rows` values. Panics unless B
+/// is unit-stride and the last register has a live lane.
+#[cfg(target_feature = "avx512f")]
+#[expect(
+    unsafe_code,
+    reason = "explicit SIMD strip: masked vector loads/stores of B and C rows whose bounds the asserts at the top establish"
+)]
+#[inline]
+fn row_strip<'a, const W: usize>(
+    arow: impl Iterator<Item = &'a f32>,
+    b: MatRef<'a>,
+    j: usize,
+    crow: &mut [f32],
+) {
+    use std::arch::x86_64::{
+        _mm512_add_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_ps,
+        _mm512_setzero_ps,
+    };
+    const L: usize = 16;
+    let n = b.cols;
+    assert!(
+        b.cs == 1 && crow.len() == n && j + (W - 1) * L < n,
+        "strip out of bounds"
+    );
+    assert!(
+        b.rows
+            .checked_sub(1)
+            .is_none_or(|last| last * b.rs + n <= b.data.len()),
+        "unit-stride B out of bounds"
+    );
+    // Register t holds columns j + t*L..; by the first assert all but the
+    // last lie wholly below n, and the last has 1..=L live lanes.
+    let last = u16::MAX >> (L - (n - j - (W - 1) * L).min(L));
+    let mask = |t: usize| if t + 1 < W { u16::MAX } else { last };
+    // Every live lane of register t is a column below n, so a C access
+    // stays in `crow` and the B access of row p < b.rows stays inside
+    // `b.data` by the second assert. The row pointer only advances with
+    // `wrapping_add`, so the step past the last row is never dereferenced.
+    // SAFETY: compiled only with avx512f enabled (the cfg above); every
+    // live lane is in bounds by the above, and masked-off lanes are never
+    // touched.
+    unsafe {
+        let mut acc = [_mm512_setzero_ps(); W];
+        for (t, x) in acc.iter_mut().enumerate() {
+            *x = _mm512_maskz_loadu_ps(mask(t), crow[j + t * L..].as_ptr());
+        }
+        let mut brow = b.data.as_ptr().wrapping_add(j);
+        for &av in arow.take(b.rows) {
+            let av = _mm512_set1_ps(av);
+            for (t, x) in acc.iter_mut().enumerate() {
+                let bv = _mm512_maskz_loadu_ps(mask(t), brow.wrapping_add(t * L));
+                *x = _mm512_add_ps(*x, _mm512_mul_ps(av, bv));
+            }
+            brow = brow.wrapping_add(b.rs);
+        }
+        for (t, &x) in acc.iter().enumerate() {
+            _mm512_mask_storeu_ps(crow[j + t * L..].as_mut_ptr(), mask(t), x);
+        }
+    }
 }
 
 /// `c[:, j0..] += a @ b[:, j0..]`, one output row at a time: the loop the
@@ -828,35 +926,53 @@ mod tests {
     #[test]
     fn small_m_matches_naive_bitwise() {
         let mut rng = ChaCha8Rng::seed_from_u64(12);
-        // k = 0, inside one KC block, exactly one, and past it (where the
-        // register strips give way to the row loop); n ragged vs NR, below
-        // one register strip, exactly one, and either side of two.
-        for (k, n) in [
-            (0, 5),
-            (37, NR + 3),
-            (37, STRIP - 1),
-            (KC, STRIP),
-            (KC, 2 * STRIP + 5),
-            (KC + 1, 2 * STRIP - 3),
-            (KC + 44, 2 * NR - 1),
-        ] {
+        // Every m below one register tile; n below, at and past one 16-lane
+        // group, one register strip and two, plus a row of one wide strip
+        // and nine groups, the last ragged (401), and one past two wide
+        // strips (513); k from one to past one KC block, including the
+        // CNN's 288-wide `fc`. Both seedings, and the plain product beside every epilogue, which
+        // the want side applies one scalar element at a time.
+        let epilogues = [
+            (false, FusedAct::Identity),
+            (true, FusedAct::Identity),
+            (true, FusedAct::Relu),
+            (false, FusedAct::Tanh),
+            (true, FusedAct::Tanh),
+        ];
+        let ns = [1, 2, 3, 6, 15, 16, 17, 127, 128, 129, 256, 257, 401, 513];
+        for (k, n) in [0, 1, 11, 256, 257, 288]
+            .into_iter()
+            .flat_map(|k| ns.map(|n| (k, n)))
+        {
             let a = rand_vec(&mut rng, MR * k);
             let b = rand_vec(&mut rng, k * n);
             // The same B stored transposed: not unit-stride, so the packed
             // kernel serves it whatever `m` is.
             let b_t: Vec<f32> = (0..n * k).map(|i| b[(i % k) * n + i / k]).collect();
+            // Wide enough that tanh leaves its Taylor series for the ratio.
+            let bias: Vec<f32> = rand_vec(&mut rng, n).iter().map(|x| 4.0 * x).collect();
             let seed = rand_vec(&mut rng, MR * n);
             for (m, accumulate) in (1..MR).flat_map(|m| [(m, false), (m, true)]) {
                 let am = MatRef::new(&a[..m * k], m, k);
-                let mut naive = seed[..m * n].to_vec();
-                gemm_naive(am, MatRef::new(&b, k, n), &mut naive, accumulate);
-                for (bv, ctx) in [
-                    (MatRef::new(&b, k, n), "unit-stride B"),
-                    (MatRef::new(&b_t, n, k).t(), "transposed B"),
-                ] {
-                    let mut got = seed[..m * n].to_vec();
-                    gemm(am, bv, &mut got, accumulate);
-                    assert_bits_eq(&got, &naive, &format!("{ctx} m={m} k={k} acc={accumulate}"));
+                let mut reduced = seed[..m * n].to_vec();
+                gemm_naive(am, MatRef::new(&b, k, n), &mut reduced, accumulate);
+                for (with_bias, act) in epilogues {
+                    let bias = with_bias.then_some(&bias[..]);
+                    let mut want = reduced.clone();
+                    for row in want.chunks_exact_mut(n) {
+                        for (j, x) in row.iter_mut().enumerate() {
+                            *x = act.activate(*x + bias.map_or(0.0, |bv| bv[j]));
+                        }
+                    }
+                    for (bv, ctx) in [
+                        (MatRef::new(&b, k, n), "unit-stride B"),
+                        (MatRef::new(&b_t, n, k).t(), "transposed B"),
+                    ] {
+                        let mut got = seed[..m * n].to_vec();
+                        gemm_fused(am, bv, bias, act, &mut got, accumulate);
+                        let ctx = format!("{ctx} {m}x{k}x{n} acc={accumulate} {act:?} {bias:?}");
+                        assert_bits_eq(&got, &want, &ctx);
+                    }
                 }
             }
         }

@@ -18,6 +18,19 @@ fn flight_dir() -> PathBuf {
     PathBuf::from("target/test-flight-obs")
 }
 
+/// The tiny training configuration at 40 rounds of 1024 timesteps. Each
+/// round ends with 13-20 µs of bookkeeping outside any stage, so a run of
+/// 3 rounds of 128 (about 3 ms) let one scheduler preemption there pull
+/// clean coverage under 0.95; over this run's ~200 ms it takes a stall of
+/// several ms to move coverage by 2 points.
+fn run_cfg() -> TrainConfig {
+    TrainConfig {
+        rounds: 40,
+        round_timesteps: 1024,
+        ..TrainConfig::test_tiny(EnvId::PointMass, 17)
+    }
+}
+
 fn recorder_cfg() -> RecorderConfig {
     RecorderConfig {
         dir: flight_dir(),
@@ -69,7 +82,7 @@ fn flight_recorder_attribution_and_ledger_end_to_end() {
 
     // ---- Clean baseline run -------------------------------------------
     recorder::arm(recorder_cfg());
-    let cfg_clean = TrainConfig::test_tiny(EnvId::PointMass, 17);
+    let cfg_clean = run_cfg();
     let res_clean = train(&cfg_clean);
     assert!(res_clean.policy_updates > 0);
 
@@ -96,7 +109,7 @@ fn flight_recorder_attribution_and_ledger_end_to_end() {
     // Re-arming clears the ring and the fired-trigger latches.
     recorder::arm(recorder_cfg());
     let dumps_before = recorder::dump_count();
-    let cfg_chaos = TrainConfig::test_tiny(EnvId::PointMass, 17).with_chaos(99);
+    let cfg_chaos = run_cfg().with_chaos(99);
     let res_chaos = train(&cfg_chaos);
 
     // The chaos fault rate trips the fault-spike trigger mid-run.
