@@ -154,6 +154,9 @@ pub fn train(cfg: &TrainConfig) -> TrainResult {
             } else {
                 lockstep_round(&mut fleet, server, cfg, timers, &mut totals)
             };
+            // The round's close: its judge dispatched, its row tallied, the
+            // last round's verdict recorded.
+            let _close = telemetry::span("core.round_close");
             if let Some((row, judged)) = judging.take() {
                 ledger.close(row, verdict(judged), &mut fleet);
             }
@@ -472,6 +475,36 @@ mod tests {
                 .map(|r| r.policy_kl.to_bits())
                 .collect();
             assert_eq!(kl, golden, "{env:?}");
+        }
+    }
+
+    /// `snapshot_checksum` of the final policy of lock-step SpaceInvaders
+    /// runs: the only goldens whose training path passes through the
+    /// convolutions, forward (actors, critic batch, probe) and backward.
+    /// Identical in debug and release, and on the explicit AVX-512 and the
+    /// portable builds, which run different convolution kernels.
+    #[test]
+    fn cnn_sync_golden() {
+        use stellaris_envs::EnvConfig;
+        for (seed, frames_42, golden) in [
+            (1, false, 0xc73c_560a_4c8d_efd6u64),
+            (5, false, 0xdf55_5277_096c_f4d0),
+            (1, true, 0x4379_d52d_9251_17be),
+            (5, true, 0x219f_ceac_6ba8_7bc2),
+        ] {
+            let mut cfg = TrainConfig::test_tiny(EnvId::SpaceInvaders, seed);
+            cfg.learner_mode = LearnerMode::Sync { n: 2 };
+            cfg.deployment = Deployment::Serverful;
+            if frames_42 {
+                cfg.env_cfg = EnvConfig::default();
+                cfg.rounds = 2;
+            }
+            let got = snapshot_checksum(&train(&cfg).final_snapshot);
+            assert_eq!(
+                format!("{got:016x}"),
+                format!("{golden:016x}"),
+                "seed {seed}, 42-px frames {frames_42}"
+            );
         }
     }
 

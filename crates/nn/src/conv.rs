@@ -1,30 +1,45 @@
-//! im2col-based 2-D convolution kernels.
+//! 2-D convolution kernels: a direct forward, and im2col products for the
+//! backward pass.
 //!
 //! The paper's Atari policy (Table II) uses strided convolutions with no
 //! padding, so this module implements valid (unpadded) strided convolution
 //! only. [`im2col`] expands the whole mini-batch into one patch matrix with
-//! a row per output position, `[b*oh*ow, c*kh*kw]`, so a layer is three
-//! products on the packed kernel in [`crate::gemm`], each issued once per
-//! mini-batch (`W2` is the weight read as `[out_c, ckk]`, `G` the upstream
-//! gradient `[b, out_c, oh*ow]`):
+//! a row per output position, `[b*oh*ow, c*kh*kw]`. `W2` is the weight read
+//! as `[out_c, ckk]` and `G` the upstream gradient `[b, out_c, oh*ow]`:
 //!
-//! * forward — `patches [b*hw, ckk] x W2^T [ckk, out_c]`, then one
-//!   transposing pass that adds the bias into `[b, out_c, oh, ow]`
-//!   ([`conv2d_forward`], shared by `Graph::conv2d` and
-//!   `Cnn::forward_plain`);
+//! * forward — [`conv2d_forward`], shared by `Graph::conv2d*` and
+//!   `Cnn::forward_plain`. Under `target_feature = "avx512f"`, a layer of
+//!   16 or 32 filters (every Table II layer) runs a direct kernel: 8 output
+//!   positions by `out_c / 16` zmm accumulators, each pixel broadcast
+//!   straight from the image, with no patch matrix and no packing, and the
+//!   bias and activation applied as it writes `[b, out_c, oh, ow]`. Other
+//!   widths and the portable build run `conv2d_reference`: the patch
+//!   matrix times `W2^T` on the packed kernel in [`crate::gemm`], then one
+//!   transposing pass for the bias and activation;
 //! * `dW += G^T [out_c, b*hw] x patches [b*hw, ckk]`, accumulating into the
-//!   weight's gradient buffer;
+//!   weight's gradient buffer. The graph builds this patch matrix once per
+//!   tape for each input and geometry, so convolutions that read one
+//!   observation batch share it;
 //! * `dcol = W2^T [ckk, out_c] x G^T [out_c, b*hw]`, scattered back onto the
 //!   input by [`col2im`] — only when the input's gradient is wanted.
+//!
+//! # Same bits as the reference forward
+//!
+//! The direct kernel computes every output element as the packed GEMM
+//! does: accumulators seeded from zero, products added in ascending
+//! `(c, ky, kx)` order with `_mm512_mul_ps` then `_mm512_add_ps` (never a
+//! fused multiply-add), the pixel as the multiply's first operand, then
+//! `act(sum + bias)` in scalar code. So its output is bit-identical to
+//! `conv2d_reference` (`direct_forward_matches_reference_bitwise`).
 //!
 //! # Same bits as one product per image
 //!
 //! The per-image form (`W2 x col_i`, `dW += G_i x col_i^T`,
-//! `W2^T x G_i`, image by image — kept as the reference in
-//! `tests/backward_differential.rs`) computes the same sums in the same
-//! order. Every output element is one ascending-`k` reduction under the
-//! exactness contract of [`crate::gemm`]; the forward swaps the operands,
-//! and `f32` products commute. `dW`'s reduction index runs image-major, then
+//! `W2^T x G_i`, image by image — kept as the reference in `graph.rs`'s
+//! tests) computes the same sums in the same order. Every output element
+//! is one ascending-`k` reduction under the exactness contract of
+//! [`crate::gemm`]; the forward swaps the operands, and `f32` products
+//! commute. `dW`'s reduction index runs image-major, then
 //! output position — the order in which the per-image accumulating calls
 //! added their terms, each resuming from the stored partial sum, which is
 //! exact. `dcol` reduces over `out_c` either way, and [`col2im`] visits the
@@ -136,16 +151,37 @@ pub fn im2col(input: &[f32], spec: &Conv2dSpec) -> Vec<f32> {
     patches
 }
 
-/// `act(conv(x, w) + bias)` for a flat `[b, c, h, w]` input: returns the
-/// flat `[b, out_c, oh, ow]` output and the patch matrix the backward pass
-/// needs. The one convolution forward in the crate (module docs).
+/// `act(conv(x, w) + bias)` for a flat `[b, c, h, w]` input, as the flat
+/// `[b, out_c, oh, ow]` output: the one convolution forward in the crate.
+/// Under `target_feature = "avx512f"` the direct kernel serves 16 and 32
+/// filters; every other call runs `conv2d_reference`, with the same bits
+/// (module docs).
 pub fn conv2d_forward(
     x: &[f32],
     w: &[f32],
     bias: &[f32],
     spec: &Conv2dSpec,
     act: FusedAct,
-) -> (Vec<f32>, Vec<f32>) {
+) -> Vec<f32> {
+    #[cfg(target_feature = "avx512f")]
+    match spec.out_c {
+        16 => return direct::conv2d_direct::<1>(x, w, bias, spec, act),
+        32 => return direct::conv2d_direct::<2>(x, w, bias, spec, act),
+        _ => {}
+    }
+    conv2d_reference(x, w, bias, spec, act)
+}
+
+/// The reference forward: the [`im2col`] patch matrix times `W2^T` on the
+/// packed GEMM, then one transposing pass that adds the bias and applies
+/// `act` into `[b, out_c, oh, ow]`.
+pub(crate) fn conv2d_reference(
+    x: &[f32],
+    w: &[f32],
+    bias: &[f32],
+    spec: &Conv2dSpec,
+    act: FusedAct,
+) -> Vec<f32> {
     let (oc, hw, ckk) = (spec.out_c, spec.out_hw(), spec.ckk());
     assert_eq!(bias.len(), oc, "conv2d bias length must equal out_c");
     let patches = im2col(x, spec);
@@ -164,19 +200,176 @@ pub fn conv2d_forward(
             out.extend(img.chunks_exact(oc).map(|pos| act.activate(pos[ch] + beta)));
         }
     }
-    (out, patches)
+    out
 }
 
-/// Re-lays the upstream gradient `[b, out_c, hw]` as `G^T [out_c, b*hw]`
-/// into `gt` (replacing its contents) — the left operand of the `dW`
-/// product and the right operand of the `dcol` product.
-pub fn gradient_rows(g: &[f32], spec: &Conv2dSpec, gt: &mut Vec<f32>) {
+/// The direct forward kernel (module docs).
+#[cfg(target_feature = "avx512f")]
+mod direct {
+    use super::Conv2dSpec;
+    use crate::gemm::FusedAct;
+
+    /// f32 lanes per zmm register.
+    const L: usize = 16;
+    /// Output positions per register tile.
+    const P: usize = 8;
+
+    /// `act(conv(x, w) + bias)` for `out_c = 16 * G` filters. Tiles of `P`
+    /// output positions run over the flattened `b*oh*ow` rows across image
+    /// boundaries; each holds `P x G` accumulators and, per kernel offset
+    /// `(c, ky, kx)` in ascending order, loads `G` registers of the
+    /// repacked weights and broadcasts one pixel per position. A ragged
+    /// last tile computes its missing positions on its last real one and
+    /// stores nothing for them. Panics unless the operand lengths match
+    /// `spec` and the farthest pixel any position reads lies inside `x`.
+    #[expect(
+        unsafe_code,
+        reason = "explicit SIMD kernel: unaligned vector loads of repacked weights and pixel broadcasts whose bounds the asserts at the top establish"
+    )]
+    pub(super) fn conv2d_direct<const G: usize>(
+        x: &[f32],
+        w: &[f32],
+        bias: &[f32],
+        spec: &Conv2dSpec,
+        act: FusedAct,
+    ) -> Vec<f32> {
+        use std::arch::x86_64::{
+            _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+            _mm512_storeu_ps,
+        };
+        const { assert!(G == 1 || G == 2, "a tile row holds at most two registers") };
+        let oc = G * L;
+        let (ow, stride) = (spec.out_w, spec.stride);
+        // Every product is checked, so no index the kernel forms can wrap.
+        // `reach` is the last position's origin plus the last kernel
+        // offset: the largest index into `x` any broadcast reads.
+        let dims = (|| {
+            let hw_in = spec.in_h.checked_mul(spec.in_w)?;
+            let chw = spec.in_c.checked_mul(hw_in)?;
+            let row_step = stride.checked_mul(spec.in_w)?;
+            let hw = spec.out_h.checked_mul(ow)?;
+            let ckk = spec.in_c.checked_mul(spec.kh)?.checked_mul(spec.kw)?;
+            let reach = [
+                (spec.batch, chw),
+                (spec.out_h, row_step),
+                (ow, stride),
+                (spec.in_c, hw_in),
+                (spec.kh, spec.in_w),
+                (spec.kw, 1),
+            ]
+            .into_iter()
+            .try_fold(0usize, |sum, (n, step)| {
+                sum.checked_add(n.saturating_sub(1).checked_mul(step)?)
+            })?;
+            Some((hw_in, chw, row_step, hw, ckk, reach))
+        })();
+        assert!(dims.is_some(), "conv2d geometry overflows usize");
+        let Some((hw_in, chw, row_step, hw, ckk, reach)) = dims else {
+            return Vec::new();
+        };
+        assert_eq!(spec.out_c, oc, "direct kernel width");
+        assert_eq!(
+            spec.batch.checked_mul(chw),
+            Some(x.len()),
+            "conv2d input length does not match its geometry"
+        );
+        assert_eq!(
+            ckk.checked_mul(oc),
+            Some(w.len()),
+            "conv2d weight length does not match its geometry"
+        );
+        assert_eq!(bias.len(), oc, "conv2d bias length must equal out_c");
+        let rows = spec.batch * hw;
+        let mut out = vec![0.0f32; rows * oc];
+        if rows == 0 {
+            return out;
+        }
+        assert!(reach < x.len(), "conv2d window out of bounds");
+        // W2 [oc, ckk] re-laid as [ckk, oc]: one kernel offset's filters
+        // are G adjacent registers.
+        let mut wt = vec![0.0f32; ckk * oc];
+        for (q, filters) in wt.chunks_exact_mut(oc).enumerate() {
+            for (v, wrow) in filters.iter_mut().zip(w.chunks_exact(ckk)) {
+                *v = wrow[q];
+            }
+        }
+        let origin = |r: usize| {
+            let (img, s) = (r / hw, r % hw);
+            img * chw + (s / ow) * row_step + (s % ow) * stride
+        };
+        let (xp, wp) = (x.as_ptr(), wt.as_ptr());
+        let mut tile = [[0.0f32; 2 * L]; P];
+        for r0 in (0..rows).step_by(P) {
+            let live = (rows - r0).min(P);
+            let org: [usize; P] = std::array::from_fn(|p| origin(r0 + p.min(live - 1)));
+            // A position below `rows` has img < batch, oy < out_h and
+            // ox < ow, and a kernel offset has c < in_c, ky < kh and
+            // kx < kw, so origin + offset <= `reach` < x.len() (no term
+            // wraps: each is at most its checked counterpart). The weight
+            // loads read oc = G*L floats from q*oc for q < ckk, inside
+            // `wt`'s ckk*oc; each store writes L floats from g*L, g < G <= 2,
+            // inside a 2*L-float tile row.
+            // SAFETY: compiled only with avx512f enabled (the cfg on this
+            // module); every access is in bounds by the above.
+            unsafe {
+                let bases = org.map(|o| xp.add(o));
+                let mut acc = [[_mm512_setzero_ps(); G]; P];
+                let mut q = 0;
+                for c in 0..spec.in_c {
+                    for ky in 0..spec.kh {
+                        let row = c * hw_in + ky * spec.in_w;
+                        for off in row..row + spec.kw {
+                            let wv: [_; G] =
+                                std::array::from_fn(|g| _mm512_loadu_ps(wp.add(q * oc + g * L)));
+                            for (accp, &base) in acc.iter_mut().zip(&bases) {
+                                let a = _mm512_set1_ps(*base.add(off));
+                                for (x, &wg) in accp.iter_mut().zip(&wv) {
+                                    *x = _mm512_add_ps(*x, _mm512_mul_ps(a, wg));
+                                }
+                            }
+                            q += 1;
+                        }
+                    }
+                }
+                for (trow, accp) in tile.iter_mut().zip(&acc) {
+                    for (g, &x) in accp.iter().enumerate() {
+                        _mm512_storeu_ps(trow[g * L..].as_mut_ptr(), x);
+                    }
+                }
+            }
+            for (p, trow) in tile.iter().enumerate().take(live) {
+                let (img, s) = ((r0 + p) / hw, (r0 + p) % hw);
+                let dst = &mut out[img * oc * hw + s..];
+                for (o, (&v, &beta)) in trow.iter().zip(bias).enumerate() {
+                    dst[o * hw] = act.activate(v + beta);
+                }
+            }
+        }
+        out
+    }
+}
+
+/// Re-lays the upstream gradient `[b, out_c, hw]` of the output `y` as
+/// `G^T [out_c, b*hw]` into `gt` (replacing its contents), each element
+/// multiplied by `act`'s derivative at `y` — the left operand of the `dW`
+/// product, the right operand of the `dcol` product, and what `db` sums.
+pub fn gradient_rows(g: &[f32], y: &[f32], act: FusedAct, spec: &Conv2dSpec, gt: &mut Vec<f32>) {
     let (oc, hw) = (spec.out_c, spec.out_hw());
+    assert_eq!(
+        g.len(),
+        y.len(),
+        "conv2d gradient and output lengths differ"
+    );
     gt.truncate(0);
     gt.reserve(g.len());
     for ch in 0..oc {
-        for img in g.chunks_exact(oc * hw) {
-            gt.extend_from_slice(&img[ch * hw..(ch + 1) * hw]);
+        for (gi, yi) in g.chunks_exact(oc * hw).zip(y.chunks_exact(oc * hw)) {
+            let (gp, yp) = (&gi[ch * hw..(ch + 1) * hw], &yi[ch * hw..(ch + 1) * hw]);
+            gt.extend(
+                gp.iter()
+                    .zip(yp)
+                    .map(|(&gv, &yv)| gv * act.deriv_from_output(yv)),
+            );
         }
     }
 }
@@ -213,6 +406,8 @@ pub fn col2im(dcol: &[f32], spec: &Conv2dSpec, dx: &mut [f32]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::{Rng, SeedableRng};
+    use rand_chacha::ChaCha8Rng;
 
     #[test]
     fn spec_infer_matches_paper_atari_geometry() {
@@ -251,12 +446,73 @@ mod tests {
         let img: Vec<f32> = (0..16).map(|x| x as f32).collect();
         let w = [1.0, 0.0, 0.0, -1.0];
         let spec = Conv2dSpec::infer(&[1, 1, 4, 4], &[1, 1, 2, 2], 1);
-        let (out, patches) = conv2d_forward(&img, &w, &[0.5], &spec, FusedAct::Identity);
-        assert_eq!(patches.len(), spec.out_hw() * spec.ckk());
         // out[y][x] = img[y][x] - img[y+1][x+1] + 0.5 = -4.5 everywhere.
+        let out = conv2d_forward(&img, &w, &[0.5], &spec, FusedAct::Identity);
         assert_eq!(out, vec![-4.5; 9]);
-        let (relu, _) = conv2d_forward(&img, &w, &[0.5], &spec, FusedAct::Relu);
+        let relu = conv2d_forward(&img, &w, &[0.5], &spec, FusedAct::Relu);
         assert_eq!(relu, vec![0.0; 9]);
+    }
+
+    /// A pixel that is mostly a plain normal draw, else NaN with a random
+    /// payload and sign, an infinity, a subnormal or a signed zero.
+    fn pixel(rng: &mut ChaCha8Rng) -> f32 {
+        let sign = rng.gen_range(0u32..2) << 31;
+        match rng.gen_range(0..1000) {
+            0 => f32::from_bits(sign | 0x7fc0_0000 | rng.gen_range(0u32..1 << 22)),
+            1 => f32::INFINITY,
+            2 => f32::NEG_INFINITY,
+            3..=9 => f32::from_bits(sign | rng.gen_range(1u32..1 << 23)),
+            10..=19 => f32::from_bits(sign),
+            _ => rng.gen_range(-2.0f32..2.0),
+        }
+    }
+
+    #[test]
+    fn direct_forward_matches_reference_bitwise() {
+        // The Table II layers at 42 and 84 px, `(in_c, side, k, stride)`:
+        // conv1 over three stacked frames (42 -> 9, 84 -> 20), conv2 over
+        // its 16 maps (9 -> 3, 20 -> 9). Batches 1-3 and 129 give row
+        // counts that are not multiples of the 8-position tile, and tiles
+        // that straddle images. 16 and 32 filters take the direct kernel
+        // on AVX-512 builds, 8 and 48 always fall back; both must give the
+        // reference's bits, for every epilogue, on pixels that include
+        // NaN payloads, infinities, subnormals and signed zeros.
+        let mut rng = ChaCha8Rng::seed_from_u64(35);
+        let layers = [(3, 42, 8, 4), (16, 9, 4, 2), (16, 20, 4, 2), (3, 84, 8, 4)];
+        let acts = [FusedAct::Identity, FusedAct::Relu, FusedAct::Tanh];
+        for (i, (in_c, side, k, stride)) in layers.into_iter().enumerate() {
+            for (batch, out_c) in [1, 2, 3, 129]
+                .into_iter()
+                .flat_map(|b| [16, 32, 8, 48].map(|oc| (b, oc)))
+            {
+                // The big batch only where the direct kernel runs, and
+                // not on the 84-px frames, to keep debug builds quick.
+                if batch > 3 && (i == 3 || !matches!(out_c, 16 | 32)) {
+                    continue;
+                }
+                let spec =
+                    Conv2dSpec::infer(&[batch, in_c, side, side], &[out_c, in_c, k, k], stride);
+                let x: Vec<f32> = (0..batch * in_c * side * side)
+                    .map(|_| pixel(&mut rng))
+                    .collect();
+                let w: Vec<f32> = (0..out_c * spec.ckk())
+                    .map(|_| rng.gen_range(-0.3f32..0.3))
+                    .collect();
+                let bias: Vec<f32> = (0..out_c).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                for act in acts {
+                    let got = conv2d_forward(&x, &w, &bias, &spec, act);
+                    let want = conv2d_reference(&x, &w, &bias, &spec, act);
+                    assert_eq!(got.len(), want.len());
+                    for (j, (g, r)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            g.to_bits(),
+                            r.to_bits(),
+                            "{spec:?} {act:?}: element {j} is {g}, reference {r}"
+                        );
+                    }
+                }
+            }
+        }
     }
 
     #[test]
@@ -264,9 +520,13 @@ mod tests {
         // [b=2, oc=2, hw=2] -> [oc=2, b*hw=4].
         let spec = Conv2dSpec::infer(&[2, 1, 1, 2], &[2, 1, 1, 1], 1);
         let g = [0.0, 1.0, 10.0, 11.0, 2.0, 3.0, 12.0, 13.0];
+        let y = [1.0, 0.0, 2.0, 0.5, 0.0, 3.0, 0.0, 1.0];
         let mut gt = vec![9.0f32; 3];
-        gradient_rows(&g, &spec, &mut gt);
+        gradient_rows(&g, &y, FusedAct::Identity, &spec, &mut gt);
         assert_eq!(gt, [0.0, 1.0, 2.0, 3.0, 10.0, 11.0, 12.0, 13.0]);
+        // Under ReLU the positions whose output is zero pass no gradient.
+        gradient_rows(&g, &y, FusedAct::Relu, &spec, &mut gt);
+        assert_eq!(gt, [0.0, 0.0, 0.0, 3.0, 10.0, 11.0, 0.0, 13.0]);
     }
 
     #[test]

@@ -47,7 +47,8 @@
 //! The tile is chosen at build time. Under `target_feature = "avx512f"`
 //! (`.cargo/config.toml` builds with `target-cpu=native`) it is an explicit
 //! `8 x 32` AVX-512 tile holding its accumulators in 16 zmm registers, one
-//! of the crate's two `unsafe` functions (with the small-`m` strip below).
+//! of the crate's three `unsafe` functions (with the small-`m` strip below
+//! and the direct convolution kernel in [`crate::conv`]).
 //! Everywhere else the portable `4 x 16` tile, an array LLVM
 //! autovectorises, is the only kernel. Only the explicit tile can be that
 //! wide: an autovectorised `8 x 32` array spills to the stack and runs

@@ -40,7 +40,7 @@ use std::rc::Rc;
 
 use stellaris_telemetry as telemetry;
 
-use crate::conv::{col2im, conv2d_forward, gradient_rows, Conv2dSpec};
+use crate::conv::{col2im, conv2d_forward, gradient_rows, im2col, Conv2dSpec};
 use crate::gemm::{self, FusedAct, MatRef};
 use crate::tensor::Tensor;
 
@@ -166,9 +166,16 @@ impl GradSink<'_> {
     }
 }
 
+/// A patch matrix with its key: input node and geometry (`out_c` zeroed).
+type PatchMatrix = (Var, Conv2dSpec, Rc<Vec<f32>>);
+
 /// A single-use autodiff tape.
 pub struct Graph {
     nodes: RefCell<Vec<Node>>,
+    /// The tape's `im2col` patch matrices, keyed by input node and
+    /// geometry: convolutions that read one input share one (the actor's
+    /// and the critic's first layer over the observations).
+    patches: RefCell<Vec<PatchMatrix>>,
     /// Telemetry timestamp of tape creation. The forward pass *is* the
     /// tape's lifetime up to `backward`, so the first `backward` call emits
     /// a retroactive `nn.forward` span covering `[born_us, now]`.
@@ -187,17 +194,20 @@ impl Graph {
     pub fn new() -> Self {
         Self {
             nodes: RefCell::new(Vec::with_capacity(64)),
+            patches: RefCell::new(Vec::new()),
             born_us: telemetry::now_us(),
             forward_emitted: Cell::new(false),
         }
     }
 
-    /// Clears the tape for reuse, keeping the node vector's capacity. The
-    /// telemetry forward-span clock restarts, as if freshly constructed.
+    /// Clears the tape and its patch matrices for reuse, keeping the node
+    /// vector's capacity. The telemetry forward-span clock restarts, as if
+    /// freshly constructed.
     pub fn reset(&mut self) {
         // truncate(0) over clear(): identical for Vec, avoids a name-based
         // false edge to locking `clear` methods in stellaris-analyze.
         self.nodes.get_mut().truncate(0);
+        self.patches.get_mut().truncate(0);
         self.born_us = telemetry::now_us();
         self.forward_emitted.set(false);
     }
@@ -750,13 +760,17 @@ impl Graph {
     pub fn conv2d(&self, input: Var, weight: Var, bias: Var, stride: usize) -> Var {
         let spec = Conv2dSpec::infer(self.rc(input).shape(), self.rc(weight).shape(), stride);
         let [oc, oh, ow] = spec.out_chw();
-        self.conv2d_node(input, weight, bias, spec, &[spec.batch, oc, oh, ow])
+        let shape = [spec.batch, oc, oh, ow];
+        self.conv2d_node(input, weight, bias, spec, &shape, FusedAct::Identity)
     }
 
-    /// [`Graph::conv2d`] over flattened images: input `[b, c*h*w]` with the
-    /// image geometry `chw` alongside, output `[b, o*oh*ow]`. Same node, same
-    /// buffers, so a convolutional trunk needs no reshape between the
-    /// observation matrix, its layers and the dense head.
+    /// `act(conv2d)` over flattened images, as one node: input `[b, c*h*w]`
+    /// with the image geometry `chw` alongside, output `[b, o*oh*ow]`. A
+    /// convolutional trunk needs no reshape between the observation matrix,
+    /// its layers and the dense head. As in [`Graph::dense`], backward
+    /// modulates the upstream gradient by the activation derivative read
+    /// off the output, so gradients are bit-identical to the unfused
+    /// `conv2d_rows(.., FusedAct::Identity)` + activation chain.
     pub fn conv2d_rows(
         &self,
         input: Var,
@@ -764,6 +778,7 @@ impl Graph {
         weight: Var,
         bias: Var,
         stride: usize,
+        act: FusedAct,
     ) -> Var {
         let x = self.rc(input);
         let [c, h, w] = chw;
@@ -775,12 +790,26 @@ impl Graph {
         let b = x.shape()[0];
         let spec = Conv2dSpec::infer(&[b, c, h, w], self.rc(weight).shape(), stride);
         let shape = [b, spec.out_c * spec.out_hw()];
-        self.conv2d_node(input, weight, bias, spec, &shape)
+        self.conv2d_node(input, weight, bias, spec, &shape, act)
+    }
+
+    /// The patch matrix of `input` under `spec`, built on first use and
+    /// shared for the rest of the tape. The filter count does not shape it.
+    fn patches_of(&self, input: Var, x: &Tensor, spec: &Conv2dSpec) -> Rc<Vec<f32>> {
+        let key = Conv2dSpec { out_c: 0, ..*spec };
+        let mut memo = self.patches.borrow_mut();
+        if let Some((_, _, p)) = memo.iter().find(|(v, k, _)| (*v, *k) == (input, key)) {
+            return Rc::clone(p);
+        }
+        let p = Rc::new(im2col(x.data(), spec));
+        memo.push((input, key, Rc::clone(&p)));
+        p
     }
 
     /// The convolution node behind both entry points; `shape` only labels the
-    /// output, whose flat layout is `[b, o, oh, ow]` either way. The three
-    /// products and why they keep the per-image bits: [`crate::conv`].
+    /// output, whose flat layout is `[b, o, oh, ow]` either way. The forward
+    /// and the three backward products, and why they keep the bits:
+    /// [`crate::conv`].
     fn conv2d_node(
         &self,
         input: Var,
@@ -788,19 +817,26 @@ impl Graph {
         bias: Var,
         spec: Conv2dSpec,
         shape: &[usize],
+        act: FusedAct,
     ) -> Var {
         let (x, w, bv) = (self.rc(input), self.rc(weight), self.rc(bias));
-        let (out, patches) =
-            conv2d_forward(x.data(), w.data(), bv.data(), &spec, FusedAct::Identity);
-        self.push(
-            Tensor::from_vec(out, shape),
+        let out = Rc::new(Tensor::from_vec(
+            conv2d_forward(x.data(), w.data(), bv.data(), &spec, act),
+            shape,
+        ));
+        // Only the weight gradient reads the patch matrix.
+        let patches = self.patches_of(input, &x, &spec);
+        let out_cap = Rc::clone(&out);
+        self.push_rc(
+            out,
             &[input, weight, bias],
             Some(Box::new(move |g, sink| {
                 let (oc, hw, ckk) = (spec.out_c, spec.out_hw(), spec.ckk());
                 let rows = spec.batch * hw;
-                // Scratch: Gᵀ [oc, b*hw], then dcol [ckk, b*hw] if wanted.
+                // Scratch: Gᵀ [oc, b*hw] ⊙ act'(y), then dcol [ckk, b*hw]
+                // if wanted.
                 let mut scratch = sink.take_scratch();
-                gradient_rows(g.data(), &spec, &mut scratch);
+                gradient_rows(g.data(), out_cap.data(), act, &spec, &mut scratch);
                 // dw: the [o,c,kh,kw] buffer is flat-identical to [oc,ckk],
                 // so the product accumulates straight into it.
                 sink.with(weight, |d| {
@@ -811,10 +847,10 @@ impl Graph {
                         true,
                     );
                 });
+                // db: per image, each channel's plane sums into its entry.
                 sink.with(bias, |d| {
-                    let db = d.data_mut();
-                    for img in g.data().chunks(oc * hw) {
-                        for (acc, plane) in db.iter_mut().zip(img.chunks(hw)) {
+                    for (acc, row) in d.data_mut().iter_mut().zip(scratch.chunks(rows)) {
+                        for plane in row.chunks(hw) {
                             *acc += plane.iter().sum::<f32>();
                         }
                     }
@@ -1474,19 +1510,23 @@ mod tests {
     proptest! {
         /// One product per layer per mini-batch gives the bits of one product
         /// per image: output, `dW`, `db` and `dX` of `Graph::conv2d`, with
-        /// `b*oh*ow` and `out_c` landing on both sides of `MR` and `NR`; and the
-        /// graph-free forward (the actors run it at batch 1) equals the graph's.
+        /// `b*oh*ow` and `out_c` landing on both sides of `MR` and `NR`, and at
+        /// the direct kernel's 16 and 32 filters; and the graph-free forward
+        /// (the actors run it at batch 1) equals the graph's.
         #[test]
         fn prop_batched_conv_matches_per_image_reference(
             batch in 1usize..6,
             in_c in 1usize..5,
             k in 1usize..6,
             stride in 1usize..4,
-            out_c in 1usize..crate::gemm::NR + 6,
+            narrow_c in 1usize..crate::gemm::NR + 6,
+            // 0: `narrow_c` filters; 1, 2: 16 and 32, the direct kernel's.
+            width in 0usize..3,
             h in 5usize..15,
             w in 5usize..15,
             seed in 0u64..1000,
         ) {
+            let out_c = [narrow_c, 16, 32][width];
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let x = Tensor::randn(&[batch, in_c, h, w], 1.0, &mut rng);
             let conv = crate::ConvLayer {
@@ -1619,6 +1659,76 @@ mod tests {
             assert_eq!(with_obs[0], spelled[0]);
             assert_eq!(with_obs[1..], params_only[..]);
         }
+    }
+
+    #[test]
+    fn fused_conv_activation_matches_unfused_chain_bitwise() {
+        // The Table II CNN at 42 px (16 and 32 filters: the direct kernel
+        // on AVX-512 builds). `Cnn::forward` fuses each ReLU into its
+        // convolution node; spelled out unfused, every parameter gradient
+        // must keep its bits, under both backward strategies.
+        let mut rng = ChaCha8Rng::seed_from_u64(47);
+        let cnn = crate::Cnn::table2([3, 42, 42], 6, 0.01, &mut rng);
+        let x = Tensor::randn(&[5, cnn.in_dim()], 1.0, &mut rng);
+        let params = crate::ParamSet::params(&cnn);
+        let unfused = |g: &Graph, vars: &[Var]| {
+            let mut chw = cnn.input_shape;
+            let mut cur = vars[0];
+            for (i, conv) in cnn.convs.iter().enumerate() {
+                let (w, b) = (vars[1 + 2 * i], vars[2 + 2 * i]);
+                let y = g.conv2d_rows(cur, chw, w, b, conv.stride, FusedAct::Identity);
+                cur = g.relu(y);
+                chw = Conv2dSpec::infer(&[1, chw[0], chw[1], chw[2]], conv.w.shape(), conv.stride)
+                    .out_chw();
+            }
+            let feat = g.dense(cur, vars[5], vars[6], FusedAct::Relu);
+            g.dense(feat, vars[7], vars[8], FusedAct::Identity)
+        };
+        let fused = |g: &Graph, vars: &[Var]| cnn.forward(g, vars[0], &vars[1..]);
+        let want = grads_of(&x, &params, unfused, false);
+        assert!(want.iter().all(|t| t.max_abs() > 0.0));
+        for cloning in [false, true] {
+            let got = grads_of(&x, &params, fused, cloning);
+            assert_eq!(got.len(), want.len());
+            for (a, b) in got.iter().zip(&want) {
+                let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b), "cloning {cloning}");
+            }
+        }
+    }
+
+    #[test]
+    fn actor_and_critic_share_one_patch_matrix_per_tape() {
+        // Two trunks over one observation node: the first layers share one
+        // patch matrix, each second layer (its own input) has its own. A
+        // reset tape starts without any and builds them again.
+        let mut rng = ChaCha8Rng::seed_from_u64(48);
+        let actor = crate::Cnn::table2([3, 42, 42], 6, 0.01, &mut rng);
+        let critic = crate::Cnn::table2([3, 42, 42], 1, 1.0, &mut rng);
+        let x = Tensor::randn(&[4, actor.in_dim()], 1.0, &mut rng);
+        let mut g = Graph::new();
+        let mut grads = Vec::new();
+        for _ in 0..2 {
+            let obs = g.input(x.clone());
+            let mut vars = crate::bind_params(&g, &crate::ParamSet::params(&actor));
+            let n_actor = vars.len();
+            vars.extend(crate::bind_params(&g, &crate::ParamSet::params(&critic)));
+            let a = actor.forward(&g, obs, &vars[..n_actor]);
+            let v = critic.forward(&g, obs, &vars[n_actor..]);
+            let memo = g.patches.borrow();
+            assert_eq!(
+                memo.len(),
+                3,
+                "one first-layer matrix, two second-layer ones"
+            );
+            assert_eq!(memo.iter().filter(|(input, ..)| *input == obs).count(), 1);
+            drop(memo);
+            let loss = g.add(g.mean_all(g.square(a)), g.mean_all(g.square(v)));
+            grads.push(g.backward(loss, &vars));
+            g.reset();
+            assert!(g.patches.borrow().is_empty());
+        }
+        assert_eq!(grads[0], grads[1]);
     }
 
     #[test]

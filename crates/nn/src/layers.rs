@@ -24,17 +24,10 @@ pub enum Activation {
 }
 
 impl Activation {
-    /// Applies the activation inside a graph.
-    pub fn apply(self, g: &Graph, x: Var) -> Var {
-        match self {
-            Activation::Tanh => g.tanh(x),
-            Activation::Relu => g.relu(x),
-        }
-    }
-
-    /// The fused-epilogue equivalent, for [`Graph::dense`] and
-    /// [`Tensor::matmul_bias_act`]. Bit-identical to applying the
-    /// activation as a separate op (see DESIGN.md §11).
+    /// The fused-epilogue equivalent, for [`Graph::dense`],
+    /// [`Graph::conv2d_rows`] and [`Tensor::matmul_bias_act`].
+    /// Bit-identical to applying the activation as a separate op (see
+    /// DESIGN.md §11).
     pub fn fused(self) -> FusedAct {
         match self {
             Activation::Tanh => FusedAct::Tanh,
@@ -327,14 +320,13 @@ impl Cnn {
         let mut cur = Cow::Borrowed(x.data());
         for conv in &self.convs {
             let spec = conv.spec(batch, chw);
-            let (out, _patches) = conv2d_forward(
+            cur = Cow::Owned(conv2d_forward(
                 &cur,
                 conv.w.data(),
                 conv.b.data(),
                 &spec,
                 self.activation.fused(),
-            );
-            cur = Cow::Owned(out);
+            ));
             chw = spec.out_chw();
         }
         let flat = Tensor::from_vec(cur.into_owned(), &[batch, chw.iter().product()]);
@@ -344,15 +336,16 @@ impl Cnn {
 
     /// Forward pass over a `[batch, c*h*w]` observation matrix. The image
     /// rows stay rows from the observation to the dense head
-    /// ([`Graph::conv2d_rows`]): no reshape, so no copy of either.
+    /// ([`Graph::conv2d_rows`]): no reshape, so no copy of either. Each
+    /// layer's activation is fused into its convolution node.
     pub fn forward(&self, g: &Graph, x: Var, params: &[Var]) -> Var {
         let expected = self.convs.len() * 2 + 4;
         assert_eq!(params.len(), expected, "param var count mismatch");
         let mut chw = self.input_shape;
         let mut cur = x;
         for (i, conv) in self.convs.iter().enumerate() {
-            cur = g.conv2d_rows(cur, chw, params[2 * i], params[2 * i + 1], conv.stride);
-            cur = self.activation.apply(g, cur);
+            let (w, b) = (params[2 * i], params[2 * i + 1]);
+            cur = g.conv2d_rows(cur, chw, w, b, conv.stride, self.activation.fused());
             chw = conv.spec(1, chw).out_chw();
         }
         let base = self.convs.len() * 2;

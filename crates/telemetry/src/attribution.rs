@@ -99,7 +99,7 @@ impl Stage {
 /// (`core.round` itself, startup, unknown names).
 pub fn stage_of(name: &str) -> Option<Stage> {
     match name {
-        "core.round_wait" => Some(Stage::RoundGate),
+        "core.round_wait" | "core.round_close" => Some(Stage::RoundGate),
         "core.eval" => Some(Stage::Eval),
         "cache.queue_pop" => Some(Stage::QueueWait),
         "serverless.invoke" | "core.startup" => Some(Stage::Invoke),
@@ -602,6 +602,7 @@ mod tests {
     fn stage_of_covers_every_instrumented_span() {
         for name in [
             "core.round_wait",
+            "core.round_close",
             "core.eval",
             "cache.queue_pop",
             "serverless.invoke",

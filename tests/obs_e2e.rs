@@ -18,17 +18,12 @@ fn flight_dir() -> PathBuf {
     PathBuf::from("target/test-flight-obs")
 }
 
-/// The tiny training configuration at 40 rounds of 1024 timesteps. Each
-/// round ends with 13-20 µs of bookkeeping outside any stage, so a run of
-/// 3 rounds of 128 (about 3 ms) let one scheduler preemption there pull
-/// clean coverage under 0.95; over this run's ~200 ms it takes a stall of
-/// several ms to move coverage by 2 points.
+/// The tiny training configuration (3 rounds of 128 timesteps). Its rounds
+/// close inside a stage span (`core.round_close`), so a scheduler
+/// preemption in the bookkeeping between rounds is attributed time, not an
+/// unattributed hole that pulls coverage under 0.95.
 fn run_cfg() -> TrainConfig {
-    TrainConfig {
-        rounds: 40,
-        round_timesteps: 1024,
-        ..TrainConfig::test_tiny(EnvId::PointMass, 17)
-    }
+    TrainConfig::test_tiny(EnvId::PointMass, 17)
 }
 
 fn recorder_cfg() -> RecorderConfig {
