@@ -467,4 +467,148 @@ mod tests {
         assert!(text.contains("stellaris_cache_lane0_shed_total"));
         stellaris_telemetry::validate_prometheus(&text).expect("lane metric names validate");
     }
+
+    /// Calls `run` with every interleaving of threads that take `steps[t]`
+    /// steps each, as the thread that takes each step in turn; returns how
+    /// many interleavings there were. Every `push` and `try_pop` is one
+    /// critical section of one lane's lock, so running a schedule's steps
+    /// one after another is that schedule.
+    fn for_each_interleaving(steps: &[usize], run: &mut dyn FnMut(&[usize])) -> usize {
+        fn go(left: &mut [usize], order: &mut Vec<usize>, run: &mut dyn FnMut(&[usize])) -> usize {
+            if left.iter().all(|&n| n == 0) {
+                run(order);
+                return 1;
+            }
+            let mut count = 0;
+            for t in 0..left.len() {
+                if left[t] > 0 {
+                    left[t] -= 1;
+                    order.push(t);
+                    count += go(left, order, run);
+                    order.pop();
+                    left[t] += 1;
+                }
+            }
+            count
+        }
+        go(&mut steps.to_vec(), &mut Vec::new(), run)
+    }
+
+    /// Two producers push two payloads each while two consumers poll twice
+    /// each: every one of the 8!/(2!)^4 = 2520 schedules delivers each
+    /// payload exactly once, each producer's payloads in push order.
+    #[test]
+    fn every_push_pop_schedule_delivers_each_item_exactly_once() {
+        const PER: u64 = 2;
+        let schedules = for_each_interleaving(&[2, 2, 2, 2], &mut |order| {
+            let q = GradientQueue::bounded(16);
+            let mut pc = [0u64; 4];
+            let mut popped = Vec::new();
+            for &t in order {
+                if t < 2 {
+                    q.push(t as u64 * PER + pc[t], pc[t]);
+                } else if let Some((item, base)) = q.try_pop() {
+                    assert_eq!(base, item % PER, "the base version echoes the push");
+                    popped.push(item);
+                }
+                pc[t] += 1;
+            }
+            popped.extend(std::iter::from_fn(|| q.try_pop().map(|(item, _)| item)));
+            for p in 0..2 {
+                let mine: Vec<u64> = popped.iter().copied().filter(|i| i / PER == p).collect();
+                assert_eq!(mine, [p * PER, p * PER + 1], "{order:?}: producer {p}");
+            }
+            assert_eq!(popped.len(), 4, "{order:?}: each payload exactly once");
+        });
+        assert_eq!(schedules, 2520);
+    }
+
+    /// A producer pushes bases 0, 3, 7, 10 while an observer reads the
+    /// staleness average eight times: in all C(12, 4) = 495 schedules each
+    /// read is the mean over exactly the pushes before it.
+    #[test]
+    fn every_staleness_read_sees_exactly_the_pushes_before_it() {
+        const CLOCK: u64 = 10;
+        const BASES: [u64; 4] = [0, 3, 7, 10];
+        let schedules = for_each_interleaving(&[4, 8], &mut |order| {
+            let q = GradientQueue::bounded(16);
+            let mut pushed = 0;
+            for &t in order {
+                if t == 0 {
+                    q.push((), BASES[pushed]);
+                    pushed += 1;
+                    continue;
+                }
+                let before = &BASES[..pushed];
+                let want = (!before.is_empty()).then(|| {
+                    before.iter().map(|b| CLOCK - b).sum::<u64>() as f64 / before.len() as f64
+                });
+                assert_eq!(q.staleness_average(CLOCK), want, "{order:?}");
+            }
+            assert_eq!(q.staleness_average(CLOCK), Some(5.0), "(10+7+3+0)/4");
+            assert_eq!(q.staleness_max(CLOCK), Some(10));
+        });
+        assert_eq!(schedules, 495);
+    }
+
+    /// Two producers push one payload into each of two lanes while two
+    /// consumers call `try_pop_any` once each. The scan holds no lock
+    /// across lanes, so a call is modelled as its two lane pops, starting
+    /// at either lane (the cursor only spreads the starts): 4 start pairs x
+    /// 2520 schedules, each delivering every payload exactly once.
+    #[test]
+    fn every_sharded_scan_schedule_delivers_each_item_exactly_once() {
+        const LANES: usize = 2;
+        let mut schedules = 0;
+        for starts in [[0, 0], [0, 1], [1, 0], [1, 1]] {
+            schedules += for_each_interleaving(&[2, 2, 2, 2], &mut |order| {
+                let q = ShardedGradientQueue::bounded(LANES, 64);
+                let mut pc = [0usize; 4];
+                let mut found = [false; 2];
+                let mut popped = Vec::new();
+                for &t in order {
+                    if t < 2 {
+                        let lane = pc[t] as u64;
+                        q.push(lane, t as u64 * 2 + lane, lane);
+                    } else if !found[t - 2] {
+                        let lane = (starts[t - 2] + pc[t]) % LANES;
+                        if let Some((item, base)) = q.lane(lane).try_pop() {
+                            assert_eq!(base, item % 2, "the base version echoes the push");
+                            found[t - 2] = true;
+                            popped.push(item);
+                        }
+                    }
+                    pc[t] += 1;
+                }
+                popped.extend(std::iter::from_fn(|| q.try_pop_any().map(|(item, _)| item)));
+                popped.sort_unstable();
+                assert_eq!(popped, [0, 1, 2, 3], "{starts:?} {order:?}");
+                assert_eq!(q.shed_count(), 0, "lanes far under cap never shed");
+            });
+        }
+        assert_eq!(schedules, 4 * 2520);
+    }
+
+    /// Two producers push six payloads each, alternating between two lanes
+    /// of cap 2: in all C(12, 6) = 924 schedules, after every push each
+    /// lane stays within its cap and `queued + shed == pushed`.
+    #[test]
+    fn every_shedding_schedule_conserves_payload_count() {
+        let schedules = for_each_interleaving(&[6, 6], &mut |order| {
+            let q = ShardedGradientQueue::bounded(2, 2);
+            let mut pc = [0u64; 2];
+            for (pushed, &t) in order.iter().enumerate() {
+                q.push(pc[t] % 2, t as u64 * 6 + pc[t], pc[t]);
+                pc[t] += 1;
+                assert_eq!(
+                    q.len() as u64 + q.shed_count(),
+                    pushed as u64 + 1,
+                    "{order:?}: a push lands in a lane or sheds its oldest"
+                );
+                assert!((0..2).all(|l| q.lane(l).len() <= 2), "{order:?}: lane cap");
+            }
+            assert_eq!(q.len(), 4, "both lanes end full");
+        });
+        assert_eq!(schedules, 924);
+    }
 }

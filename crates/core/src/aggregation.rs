@@ -383,4 +383,69 @@ mod tests {
         waiter.join().unwrap();
         assert_eq!(t.inflight(), 0);
     }
+
+    /// Calls `run` with every interleaving of threads that take `steps[t]`
+    /// steps each, as the thread that takes each step in turn; returns how
+    /// many interleavings there were.
+    fn for_each_interleaving(steps: &[usize], run: &mut dyn FnMut(&[usize])) -> usize {
+        fn go(left: &mut [usize], order: &mut Vec<usize>, run: &mut dyn FnMut(&[usize])) -> usize {
+            if left.iter().all(|&n| n == 0) {
+                run(order);
+                return 1;
+            }
+            let mut count = 0;
+            for t in 0..left.len() {
+                if left[t] > 0 {
+                    left[t] -= 1;
+                    order.push(t);
+                    count += go(left, order, run);
+                    order.pop();
+                    left[t] += 1;
+                }
+            }
+            count
+        }
+        go(&mut steps.to_vec(), &mut Vec::new(), run)
+    }
+
+    /// Three learners at clocks 1, 2 and 5 each `try_begin` and then `end`
+    /// (if admitted), while the slow computation at clock 0 ends at any
+    /// point. Each call is one critical section of the throttle's lock, so
+    /// the 7!/(2!·2!·2!) = 630 interleavings are every schedule; in each, a
+    /// clock is admitted exactly when nothing is in flight or it is within
+    /// `bound` of the oldest clock in flight.
+    #[test]
+    fn every_ssp_schedule_keeps_admissions_within_the_bound() {
+        const BOUND: u64 = 2;
+        const CLOCKS: [u64; 3] = [1, 2, 5];
+        let schedules = for_each_interleaving(&[2, 2, 2, 1], &mut |order| {
+            let t = SspThrottle::new(BOUND);
+            let slow = t.try_begin(0).expect("an empty throttle admits");
+            let mut inflight = vec![0u64];
+            let mut tokens = [None; 3];
+            let mut begun = [false; 3];
+            for &l in order {
+                if l == 3 {
+                    t.end(slow);
+                    inflight.retain(|&c| c != 0);
+                } else if !begun[l] {
+                    begun[l] = true;
+                    let clock = CLOCKS[l];
+                    let oldest = inflight.iter().min().copied();
+                    let within = oldest.is_none_or(|o| clock <= o + BOUND);
+                    tokens[l] = t.try_begin(clock);
+                    assert_eq!(tokens[l].is_some(), within, "{order:?}: clock {clock}");
+                    if within {
+                        inflight.push(clock);
+                    }
+                } else if let Some(token) = tokens[l].take() {
+                    t.end(token);
+                    inflight.retain(|&c| c != token);
+                }
+                assert_eq!(t.inflight(), inflight.len(), "{order:?}");
+            }
+            assert_eq!(t.inflight(), 0, "{order:?}: all tokens returned");
+        });
+        assert_eq!(schedules, 630);
+    }
 }

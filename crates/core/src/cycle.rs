@@ -420,45 +420,67 @@ mod tests {
     /// Two actor slots returning a canned batch, gradients from a real
     /// learner body, and a script for both: `(round, slot)` collects and
     /// `(round, mini-batch of the round)` gradients that never arrive, and
-    /// the order `width` learner slots land in.
+    /// the order `width` learner slots land in, round by round.
     struct ScriptedFleet {
         canned: SampleBatch,
         learner: LearnerBody,
         width: usize,
-        /// Slots land last-first instead of first-first.
-        reversed: bool,
+        /// Per round, a permutation of the slots: the order they land in at
+        /// every turn of that round (first to last where no entry is given).
+        orders: Vec<Vec<usize>>,
         lost_collects: Vec<(usize, usize)>,
         lost_gradients: Vec<(usize, usize)>,
         /// The `(round, mini-batch of the round)` whose learner panics.
         panics_at: Option<(usize, usize)>,
-        /// The plane a learner reads before each gradient it computes.
+        /// The plane a learner reads before each gradient it computes, and
+        /// before it hands each gradient over.
         observes: Option<Arc<ShardedParameterServer>>,
-        /// `(round, mini-batch, gradients offered)` at each such read.
+        /// `(round, mini-batch, gradients offered)` at each start.
         offered_at_start: Vec<(usize, usize, u64)>,
+        /// `(round, clock, gradient)` for each gradient handed over, in
+        /// arrival order.
+        arrivals: Vec<(usize, u64, GradientMsg)>,
+        /// Gradients already computed, by `(policy version, policy
+        /// checksum, mini-batch of the round)`.
+        memo: Option<Memo>,
         round: usize,
         next_minibatch: usize,
+        /// Mini-batches handed to the learner half.
+        sent: u64,
+        /// Gradients handed back.
         delivered: u64,
     }
 
     impl ScriptedFleet {
         fn new(cfg: &TrainConfig, steps: usize, width: usize) -> Self {
             let snap = fresh_net(cfg).snapshot();
+            Self::with_batch(cfg, ActorBody::new(cfg, 0).collect(&snap, steps), width)
+        }
+
+        fn with_batch(cfg: &TrainConfig, canned: SampleBatch, width: usize) -> Self {
             Self {
-                canned: ActorBody::new(cfg, 0).collect(&snap, steps),
+                canned,
                 learner: LearnerBody::new(cfg),
                 width,
-                reversed: false,
+                orders: Vec::new(),
                 lost_collects: Vec::new(),
                 lost_gradients: Vec::new(),
                 panics_at: None,
                 observes: None,
                 offered_at_start: Vec::new(),
+                arrivals: Vec::new(),
+                memo: None,
                 round: 0,
                 next_minibatch: 0,
+                sent: 0,
                 delivered: 0,
             }
         }
     }
+
+    /// Gradients by `(policy version, policy checksum, mini-batch of the
+    /// round)`.
+    type Memo = std::collections::HashMap<(u64, u64, usize), GradientMsg>;
 
     struct ScriptedActors<'f> {
         canned: &'f SampleBatch,
@@ -469,13 +491,16 @@ mod tests {
     struct ScriptedLearners<'f> {
         learner: &'f mut LearnerBody,
         width: usize,
-        reversed: bool,
+        order: Vec<usize>,
         lost: &'f [(usize, usize)],
         panics_at: Option<(usize, usize)>,
         observes: Option<&'f ShardedParameterServer>,
         offered_at_start: &'f mut Vec<(usize, usize, u64)>,
+        arrivals: &'f mut Vec<(usize, u64, GradientMsg)>,
+        memo: Option<&'f mut Memo>,
         round: usize,
         next_minibatch: &'f mut usize,
+        sent: &'f mut u64,
         delivered: &'f mut u64,
     }
 
@@ -492,16 +517,23 @@ mod tests {
                 lost: &self.lost_collects,
                 round: self.round,
             };
+            let order = match self.orders.get(self.round) {
+                Some(order) => order.clone(),
+                None => (0..self.width).collect(),
+            };
             let learners = ScriptedLearners {
                 learner: &mut self.learner,
                 width: self.width,
-                reversed: self.reversed,
+                order,
                 lost: &self.lost_gradients,
                 panics_at: self.panics_at,
                 observes: self.observes.as_deref(),
                 offered_at_start: &mut self.offered_at_start,
+                arrivals: &mut self.arrivals,
+                memo: self.memo.as_mut(),
                 round: self.round,
                 next_minibatch: &mut self.next_minibatch,
+                sent: &mut self.sent,
                 delivered: &mut self.delivered,
             };
             (actors, learners)
@@ -530,8 +562,8 @@ mod tests {
         }
 
         /// Slot `l` serves mini-batches `l, l + width, ...`, starting each
-        /// (reading the policy) when its previous one has landed; the slots
-        /// land in turn, first to last or last to first.
+        /// (reading the policy) when its previous one has landed; at every
+        /// turn the busy slots land in the round's order.
         fn gradients(
             &mut self,
             policy: &Published,
@@ -540,6 +572,7 @@ mod tests {
         ) -> Result<(), Infallible> {
             let first = *self.next_minibatch;
             *self.next_minibatch += wave.len();
+            *self.sent += wave.len() as u64;
             let mut shares: Vec<VecDeque<(usize, SampleBatch)>> =
                 (0..self.width).map(|_| VecDeque::new()).collect();
             for (i, mb) in wave.into_iter().enumerate() {
@@ -549,12 +582,8 @@ mod tests {
                 share.pop_front().map(|(i, mb)| (i, mb, policy.get()))
             };
             let mut running: Vec<_> = shares.iter_mut().map(start).collect();
-            let mut turns: Vec<usize> = (0..self.width).collect();
-            if self.reversed {
-                turns.reverse();
-            }
             while running.iter().any(Option::is_some) {
-                for &l in &turns {
+                for &l in &self.order {
                     let Some((i, mb, snap)) = running[l].take() else {
                         continue;
                     };
@@ -566,8 +595,21 @@ mod tests {
                             let offered = plane.grads_aggregated() / n + plane.pending() as u64;
                             self.offered_at_start.push((id.0, id.1, offered));
                         }
-                        let msg = self.learner.gradient(&snap, &mb, None, l);
+                        let mut msg = match self.memo.as_deref_mut() {
+                            None => self.learner.gradient(&snap, &mb, None, l),
+                            // The learner's gradient is a pure function of
+                            // the policy and the mini-batch, and every
+                            // round cuts the same mini-batches.
+                            Some(memo) => memo
+                                .entry((snap.version, snapshot_checksum(&snap), id.1))
+                                .or_insert_with(|| self.learner.gradient(&snap, &mb, None, l))
+                                .clone(),
+                        };
+                        msg.learner_id = l;
                         *self.delivered += 1;
+                        if let Some(plane) = self.observes {
+                            self.arrivals.push((id.0, plane.clock(), msg.clone()));
+                        }
                         arrived(i, msg);
                     }
                     running[l] = start(&mut shares[l]);
@@ -613,7 +655,9 @@ mod tests {
         assert_eq!(n, shards as u64);
         // Two collects of 64 steps = four mini-batches: waves of 3 and 1.
         let mut fleet = ScriptedFleet::new(&cfg, 64, 3);
-        fleet.reversed = reversed;
+        if reversed {
+            fleet.orders = vec![vec![2, 1, 0]; 3];
+        }
         fleet.lost_collects = vec![(1, 0)];
         fleet.lost_gradients = vec![(0, 2), (2, 0), (2, 3)];
         let mut totals = CycleTotals::default();
@@ -700,7 +744,9 @@ mod tests {
         let server = Arc::new(parameter_plane(&cfg));
         // Two collects of 64 steps = four mini-batches, one wave.
         let mut fleet = ScriptedFleet::new(&cfg, 64, 4);
-        fleet.reversed = reversed;
+        if reversed {
+            fleet.orders = vec![vec![3, 2, 1, 0]; 2];
+        }
         fleet.lost_gradients = lost.to_vec();
         fleet.observes = Some(Arc::clone(&server));
         let mut totals = CycleTotals::default();
@@ -770,7 +816,9 @@ mod tests {
         let server = parameter_plane(&cfg);
         let n = server.n_shards() as u64;
         let mut fleet = ScriptedFleet::new(&cfg, 64, 3);
-        fleet.reversed = reversed;
+        if reversed {
+            fleet.orders = vec![vec![2, 1, 0]; 3];
+        }
         // The collect made during round 1 is round 2's data.
         fleet.lost_collects = vec![(1, 0)];
         fleet.lost_gradients = vec![(0, 2), (2, 0)];
@@ -871,5 +919,319 @@ mod tests {
             4 + 2,
             "what landed before the panic was offered"
         );
+    }
+
+    /// Which schedule an enumerated run drives.
+    #[derive(Clone, Copy, Debug)]
+    enum Schedule {
+        /// `async_round` under `StalenessAware { d: 0.96, v: 3 }`.
+        Async,
+        /// `lockstep_round` under `Sync { n: 2 }`.
+        Lockstep,
+    }
+
+    /// Eq. 3's decay `d` in the enumerated asynchronous runs (Eq. 4's root
+    /// `v` is 3).
+    const D: f64 = 0.96;
+
+    /// Every permutation of `0..n`.
+    fn permutations(n: usize) -> Vec<Vec<usize>> {
+        if n == 0 {
+            return vec![Vec::new()];
+        }
+        let mut out = Vec::new();
+        for shorter in permutations(n - 1) {
+            for at in 0..n {
+                let mut p = shorter.clone();
+                p.insert(at, n - 1);
+                out.push(p);
+            }
+        }
+        out
+    }
+
+    /// Every choice of one slot order per round.
+    fn orders_per_round(width: usize, rounds: usize) -> Vec<Vec<Vec<usize>>> {
+        let mut out = vec![Vec::new()];
+        for _ in 0..rounds {
+            out = out
+                .into_iter()
+                .flat_map(|prefix: Vec<Vec<usize>>| {
+                    permutations(width).into_iter().map(move |p| {
+                        let mut next = prefix.clone();
+                        next.push(p);
+                        next
+                    })
+                })
+                .collect();
+        }
+        out
+    }
+
+    /// Eq. 3 and Eq. 4 spelled out on one shard, over the arrivals a run
+    /// recorded: each gradient is weighted `1/δ^(1/3)` by its staleness δ
+    /// against this fold's own clock, and what is held commits once its
+    /// mean staleness is within `β_k = max(δ_max, 1) · d^k`, where `δ_max`
+    /// is the largest staleness of round 0, whose gate is open.
+    struct ReferenceFold {
+        params: Vec<Tensor>,
+        optimizer: Box<dyn stellaris_nn::Optimizer>,
+        sum: crate::aggregation::GradAccumulator,
+        /// Base versions of the gradients held.
+        held: Vec<u64>,
+        clock: u64,
+        round: u64,
+        delta_max: u64,
+    }
+
+    impl ReferenceFold {
+        fn new(cfg: &TrainConfig) -> Self {
+            use stellaris_nn::ParamSet;
+            let net = fresh_net(cfg);
+            Self {
+                params: net.params().into_iter().cloned().collect(),
+                optimizer: cfg.optimizer.build(cfg.algo.lr()),
+                sum: crate::aggregation::GradAccumulator::new(&net.param_shapes()),
+                held: Vec::new(),
+                clock: net.version,
+                round: 0,
+                delta_max: 0,
+            }
+        }
+
+        fn beta(&self) -> Option<f64> {
+            (self.round > 0).then(|| self.delta_max.max(1) as f64 * D.powf(self.round as f64))
+        }
+
+        fn arrive(&mut self, msg: &GradientMsg) {
+            let delta = self.clock - msg.base_version;
+            if self.round == 0 {
+                self.delta_max = self.delta_max.max(delta);
+            }
+            let w = if delta == 0 {
+                1.0
+            } else {
+                1.0 / (delta as f32).powf(1.0 / 3.0)
+            };
+            self.sum.accumulate(&msg.grads, w);
+            self.held.push(msg.base_version);
+            let stale: u64 = self.held.iter().map(|b| self.clock - b).sum();
+            let mean = stale as f64 / self.held.len() as f64;
+            if self.beta().is_none_or(|beta| mean <= beta) {
+                self.sum.divide(self.held.len() as f32);
+                let mut params: Vec<&mut Tensor> = self.params.iter_mut().collect();
+                self.optimizer.step_refs(&mut params, self.sum.grads());
+                self.sum.reset();
+                self.held.clear();
+                self.clock += 1;
+            }
+        }
+
+        fn checksum(&self) -> u64 {
+            let flat = self.params.iter().flat_map(|p| p.data()).copied().collect();
+            snapshot_checksum(&PolicySnapshot {
+                version: self.clock,
+                flat,
+            })
+        }
+    }
+
+    /// Mini-batches a round of an enumerated run: two collects of 64 steps.
+    const ENUMERATED_MINIBATCHES: usize = 4;
+
+    /// One enumerated run: `orders.len()` rounds of `schedule` over
+    /// `shards` shard(s), the slots landing in `orders[round]`, `lost` the
+    /// one gradient that never arrives, and `server.advance_round()` after
+    /// every round as the orchestrator's ledger does. The conservation laws
+    /// are checked after each round; returns each round's checksum and
+    /// staleness log.
+    fn enumerated_run(
+        schedule: Schedule,
+        shards: usize,
+        canned: &SampleBatch,
+        orders: &[Vec<usize>],
+        lost: Option<(usize, usize)>,
+        memo: &mut Memo,
+    ) -> Vec<(u64, Vec<u64>)> {
+        let mode = match schedule {
+            Schedule::Async => LearnerMode::Async {
+                rule: AggregationRule::StalenessAware { d: D, v: 3 },
+            },
+            Schedule::Lockstep => LearnerMode::Sync { n: 2 },
+        };
+        let cfg = tiny(mode, shards);
+        let server = Arc::new(parameter_plane(&cfg));
+        let mut fleet = ScriptedFleet::with_batch(&cfg, canned.clone(), orders[0].len());
+        fleet.orders = orders.to_vec();
+        fleet.lost_gradients = lost.into_iter().collect();
+        fleet.observes = Some(Arc::clone(&server));
+        fleet.memo = Some(std::mem::take(memo));
+        let asynchronous = matches!(schedule, Schedule::Async);
+        let mut reference = (asynchronous && shards == 1).then(|| ReferenceFold::new(&cfg));
+        let (mut totals, mut staged) = (CycleTotals::default(), None);
+        let (mut delta_max, mut beta) = (0, f64::INFINITY);
+        let mut per_round = Vec::new();
+        for round in 0..orders.len() {
+            fleet.round = round;
+            let timers = Timers::default();
+            let lead = asynchronous && round + 1 < orders.len();
+            let Ok(()) = match schedule {
+                Schedule::Async => async_round(
+                    &mut fleet,
+                    &server,
+                    &cfg,
+                    &timers,
+                    &mut totals,
+                    &mut staged,
+                    lead,
+                ),
+                Schedule::Lockstep => {
+                    lockstep_round(&mut fleet, &server, &cfg, &timers, &mut totals)
+                }
+            };
+            server.advance_round();
+            let at = format!("{schedule:?} x{shards} {orders:?} lost {lost:?}, round {round}");
+            assert_eq!(staged.is_some(), lead, "{at}: one round staged");
+
+            let sent = (round as u64 + 1) * ENUMERATED_MINIBATCHES as u64;
+            assert_eq!(fleet.sent, sent, "{at}: mini-batches sent");
+            let lost_so_far = lost.filter(|&(r, _)| r <= round).into_iter().count() as u64;
+            assert_eq!(totals.degraded, lost_so_far, "{at}: losses counted");
+            assert_eq!(
+                fleet.delivered + totals.degraded,
+                sent,
+                "{at}: delivered + lost = sent"
+            );
+            let tallies = server.shard_tallies();
+            assert_eq!(tallies.len(), shards);
+            for (s, &(aggregated, pending)) in tallies.iter().enumerate() {
+                assert_eq!(
+                    fleet.delivered,
+                    aggregated + pending as u64,
+                    "{at}: delivered = aggregated + pending on shard {s}"
+                );
+            }
+            assert_eq!(server.clock(), server.updates(), "{at}: clock");
+            let log = server.staleness_log();
+            assert_eq!(
+                log.recorded(),
+                tallies[0].0,
+                "{at}: one log entry per gradient"
+            );
+
+            if asynchronous {
+                if round == 0 {
+                    // Shard 0 takes each offer first, at the clock recorded.
+                    for (_, clock, msg) in &fleet.arrivals {
+                        delta_max = delta_max.max(clock - msg.base_version);
+                    }
+                }
+                let k = round as u64 + 1;
+                let want = delta_max.max(1) as f64 * D.powf(k as f64);
+                let got = server.beta().expect("a round has passed");
+                assert_eq!(got.to_bits(), want.to_bits(), "{at}: β_k = δ_max · d^k");
+                assert!(got <= beta, "{at}: β_k never increases");
+                beta = got;
+            }
+            if let Some(fold) = &mut reference {
+                for (_, clock, msg) in fleet.arrivals.iter().filter(|a| a.0 == round) {
+                    assert_eq!(*clock, fold.clock, "{at}: clock at arrival");
+                    fold.arrive(msg);
+                }
+                fold.round += 1;
+                assert_eq!(fold.beta(), server.beta(), "{at}: reference β_k");
+                assert_eq!(
+                    fold.checksum(),
+                    snapshot_checksum(&server.snapshot()),
+                    "{at}: the reference fold reaches the server's bits"
+                );
+            }
+            per_round.push((snapshot_checksum(&server.snapshot()), log.to_vec()));
+        }
+        *memo = fleet.memo.take().unwrap_or_default();
+        per_round
+    }
+
+    /// Every schedule of `width` learner slots: 1 to 3 rounds, every slot
+    /// order in every round, with no gradient lost or each single one lost,
+    /// on 1 and on 3 shards. Lock-step must end on one checksum and one
+    /// staleness log whatever the order; asynchronously the order must
+    /// reach the weights somewhere once two slots race. Returns how many
+    /// runs were made.
+    fn every_schedule(schedule: Schedule, width: usize) -> usize {
+        let probe = tiny(LearnerMode::Sync { n: 2 }, 1);
+        let canned = ActorBody::new(&probe, 0).collect(&fresh_net(&probe).snapshot(), 64);
+        let mut runs = 0;
+        for rounds in 1..=3 {
+            let losses = std::iter::once(None).chain(
+                (0..rounds).flat_map(|r| (0..ENUMERATED_MINIBATCHES).map(move |i| Some((r, i)))),
+            );
+            for lost in losses {
+                for shards in [1, 3] {
+                    let (mut ends, mut memo) = (Vec::new(), Memo::new());
+                    for orders in orders_per_round(width, rounds) {
+                        let end =
+                            enumerated_run(schedule, shards, &canned, &orders, lost, &mut memo);
+                        ends.push(end);
+                        runs += 1;
+                    }
+                    ends.sort();
+                    ends.dedup();
+                    match schedule {
+                        Schedule::Lockstep => assert_eq!(
+                            ends.len(),
+                            1,
+                            "x{shards}, {rounds} round(s), lost {lost:?}: \
+                             the arrival order reached the weights"
+                        ),
+                        Schedule::Async => assert!(
+                            width == 1 || ends.len() > 1,
+                            "x{shards}, {rounds} round(s), lost {lost:?}: \
+                             no order reached the weights"
+                        ),
+                    }
+                }
+            }
+        }
+        runs
+    }
+
+    /// Runs at `width`: `Σ_{r=1..3} (width!)^r · (1 + 4r)` schedules, each
+    /// on 1 and on 3 shards.
+    fn schedule_count(width: usize) -> usize {
+        let orders: usize = (1..=width).product();
+        (1..=3u32)
+            .map(|r| orders.pow(r) * (1 + ENUMERATED_MINIBATCHES * r as usize) * 2)
+            .sum()
+    }
+
+    #[test]
+    fn every_async_schedule_of_one_slot() {
+        assert_eq!(every_schedule(Schedule::Async, 1), schedule_count(1));
+    }
+
+    #[test]
+    fn every_async_schedule_of_two_slots() {
+        assert_eq!(every_schedule(Schedule::Async, 2), schedule_count(2));
+    }
+
+    #[test]
+    fn every_async_schedule_of_three_slots() {
+        assert_eq!(every_schedule(Schedule::Async, 3), schedule_count(3));
+    }
+
+    #[test]
+    fn every_lockstep_schedule_of_one_slot() {
+        assert_eq!(every_schedule(Schedule::Lockstep, 1), schedule_count(1));
+    }
+
+    #[test]
+    fn every_lockstep_schedule_of_two_slots() {
+        assert_eq!(every_schedule(Schedule::Lockstep, 2), schedule_count(2));
+    }
+
+    #[test]
+    fn every_lockstep_schedule_of_three_slots() {
+        assert_eq!(every_schedule(Schedule::Lockstep, 3), schedule_count(3));
     }
 }

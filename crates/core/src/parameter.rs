@@ -367,6 +367,20 @@ impl ShardedParameterServer {
         self.shards[0].lock().folded.len()
     }
 
+    /// Per shard, `(gradients folded and committed, gradients folded and
+    /// pending)`: under Eq. 3 the shards' gates can disagree, so a
+    /// conservation law is checked shard by shard.
+    #[cfg(test)]
+    pub(crate) fn shard_tallies(&self) -> Vec<(u64, usize)> {
+        self.shards
+            .iter()
+            .map(|s| {
+                let sh = s.lock();
+                (sh.grads_aggregated, sh.folded.len())
+            })
+            .collect()
+    }
+
     /// Offers a gradient to every shard in order; returns how many shard
     /// commits it triggered (0 when the rule delays aggregation). The
     /// sequential fan-out is deterministic. The message is only read: each

@@ -1,16 +1,13 @@
 //! Environment wrappers and vectorised execution.
 //!
-//! `VecEnv` steps a homogeneous set of environments in parallel with rayon
-//! (the serverful-actor pattern: "we use the Python multiprocessing library
-//! to implement and run concurrent actors", §VII — here, a work-stealing
-//! thread pool). `NormalizedEnv` maintains running observation statistics,
-//! the standard preprocessing for MuJoCo-style continuous control.
-
-use rayon::prelude::*;
+//! `VecEnv` steps a homogeneous set of environments together, one after
+//! another on the calling thread. `NormalizedEnv` maintains running
+//! observation statistics, the standard preprocessing for MuJoCo-style
+//! continuous control.
 
 use crate::env::{Action, ActionSpace, Env, Step};
 
-/// A batch of environments stepped in parallel.
+/// A batch of environments stepped together.
 pub struct VecEnv {
     envs: Vec<Box<dyn Env>>,
     obs_dim: usize,
@@ -53,20 +50,20 @@ impl VecEnv {
     /// flattened `[n, obs_dim]` observation rows.
     pub fn reset_all(&mut self, seed: u64) -> Vec<Vec<f32>> {
         self.envs
-            .par_iter_mut()
+            .iter_mut()
             .enumerate()
             .map(|(i, e)| e.reset(seed.wrapping_add(i as u64 * 7919)))
             .collect()
     }
 
-    /// Steps every environment with its own action, in parallel. Done
+    /// Steps every environment with its own action, in order. Done
     /// environments are auto-reset (the returned step keeps `done = true`
     /// and the *post-reset* observation, the common vec-env convention).
     pub fn step_all(&mut self, actions: &[Action], reset_seed: u64) -> Vec<Step> {
         assert_eq!(actions.len(), self.envs.len(), "one action per environment");
         self.envs
-            .par_iter_mut()
-            .zip(actions.par_iter())
+            .iter_mut()
+            .zip(actions)
             .enumerate()
             .map(|(i, (env, action))| {
                 let mut step = env.step(action);

@@ -85,18 +85,14 @@
 //! (`NR`) adjacent elements per `k`; only ragged panels walk element by
 //! element.
 //!
-//! # Parallelism
+//! # Threads
 //!
-//! Inside each block, row-slabs of `MC` rows are distributed over rayon
-//! when the FLOP count `m*n*k` crosses [`PAR_GEMM_FLOPS`]. Gating on FLOPs
-//! rather than output size (`m*n`) matters for tall-skinny products such as
-//! the policy head (`m*k` large, `n` tiny): their output is small but their
-//! work is not. The slabs read the block's packed B, which the calling
-//! thread holds outside its thread-local slot for the duration of the call.
+//! A product runs on the thread that calls it, row-slab after row-slab.
+//! The cycle's parallelism is between functions — actor and learner
+//! functions on threads of their own — not inside one product, so the
+//! packing scratch is thread-local and a call takes no lock.
 
 use std::cell::RefCell;
-
-use rayon::prelude::*;
 
 /// Micro-kernel tile height (rows of A per register tile).
 #[cfg(target_feature = "avx512f")]
@@ -128,18 +124,6 @@ const MC: usize = 128;
 const KC: usize = 256;
 /// Columns of B per cache block (L3-resident packed B panel).
 const NC: usize = 4096;
-
-/// Parallelise when `m*n*k` (one multiply-add each) reaches this many FLOPs.
-/// The old heuristic gated on output size `m*n`, which kept tall-skinny
-/// products (policy-head shapes like `[4096,256]x[256,4]`) serial forever.
-pub const PAR_GEMM_FLOPS: usize = 1 << 20;
-
-/// Whether a `[m,k] x [k,n]` product is worth distributing over rayon.
-/// Saturating so absurd shapes cannot overflow the predicate.
-#[inline]
-pub fn par_worthwhile(m: usize, n: usize, k: usize) -> bool {
-    m.saturating_mul(n).saturating_mul(k) >= PAR_GEMM_FLOPS
-}
 
 /// Hyperbolic tangent in plain `f32` arithmetic: the one `tanh` of the
 /// crate ([`FusedAct::Tanh`], the GEMM epilogue and `Graph::tanh`).
@@ -321,7 +305,7 @@ thread_local! {
     /// Reusable packed-A scratch, one per thread: every slab packs its own
     /// block of A, so warm GEMM calls allocate nothing.
     static PACK_A: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
-    /// Reusable packed-B scratch of the thread that issued the call.
+    /// Reusable packed-B scratch, one per thread.
     static PACK_B: RefCell<Vec<f32>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -368,10 +352,8 @@ fn gemm_fused(
         return;
     }
 
-    let par = par_worthwhile(m, n, k) && m > MC;
-    // Taken out of its slot rather than borrowed in place: the slabs below
-    // may run as rayon jobs, and a thread waiting on them must be free to
-    // start another product.
+    // Taken out of its slot for the call and put back at its end, so the
+    // slabs below read it as a plain slice.
     let mut bpack = PACK_B.take();
     for j0 in (0..n).step_by(NC) {
         let nc = (n - j0).min(NC);
@@ -382,13 +364,8 @@ fn gemm_fused(
             // asked to accumulate); later blocks resume from C, which
             // keeps the per-element summation order sequential in k.
             let init = !accumulate && pci == 0;
-            let slab = |(blk, cslab): (usize, &mut [f32])| {
+            for (blk, cslab) in c.chunks_mut(MC * n).enumerate() {
                 gemm_block(a, blk * MC, p0, kc, &bpack, j0, nc, cslab, n, init);
-            };
-            if par {
-                c.par_chunks_mut(MC * n).enumerate().for_each(slab);
-            } else {
-                c.chunks_mut(MC * n).enumerate().for_each(slab);
             }
         }
         epilogue(c, n, j0, nc, bias, act);
@@ -1234,18 +1211,6 @@ mod tests {
         }
         println!("tanh max error over [0, 12]: {worst:.4} ulp at {at:e}");
         assert!(worst <= 2.0);
-    }
-
-    #[test]
-    fn par_threshold_keys_on_flops_not_output_size() {
-        // Policy-head shape: tiny output (m*n = 8192 was below the old
-        // m*n threshold of 16384) but 4.2M multiply-adds of work.
-        assert!(par_worthwhile(2048, 4, 512), "tall-skinny must parallelise");
-        assert!(!par_worthwhile(64, 64, 8), "small products stay serial");
-        assert!(
-            par_worthwhile(usize::MAX, usize::MAX, usize::MAX),
-            "saturates"
-        );
     }
 
     #[test]

@@ -5,9 +5,7 @@
 //! 2x256 MLPs and three-layer CNNs), so the priority is predictable memory
 //! behaviour and cheap cloning for the gradient-message pipeline rather than
 //! a full broadcasting engine. Matrix multiplication runs on the packed,
-//! cache-blocked kernel in [`crate::gemm`], which parallelises over row
-//! slabs with rayon once the FLOP count (`m*n*k`, not output size) is large
-//! enough to amortise the fork.
+//! cache-blocked kernel in [`crate::gemm`], on the calling thread.
 
 use crate::gemm::{self, FusedAct, MatRef};
 use rand::Rng;
@@ -508,8 +506,7 @@ mod tests {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let a = Tensor::randn(&[64, 300], 1.0, &mut rng);
         let b = Tensor::randn(&[300, 300], 1.0, &mut rng);
-        // Force the parallel path via a large output and compare against a
-        // reference triple loop.
+        // Two `k` blocks (300 > `KC`) against a reference triple loop.
         let c = a.matmul(&b);
         let mut want = vec![0.0f32; 64 * 300];
         for i in 0..64 {
@@ -579,14 +576,11 @@ mod tests {
 
     #[test]
     fn tall_skinny_policy_head_parallelises_and_matches_reference() {
-        // Regression for the parallel heuristic: a policy-head product has a
-        // tiny output (m*n = 8192, below the old m*n threshold of 16384) but
-        // lots of work. The FLOP gate must take the parallel path, and the
-        // result must stay bit-identical to the naive reference.
-        use crate::gemm::{gemm_naive, par_worthwhile, MatRef};
+        // A policy-head product: a tiny output (m*n = 8192) over many row
+        // slabs and 4.2M multiply-adds. The result must stay bit-identical
+        // to the naive reference.
+        use crate::gemm::{gemm_naive, MatRef};
         let (m, k, n) = (2048usize, 512usize, 4usize);
-        assert!(m * n < 16 * 1024, "shape must sit below the old threshold");
-        assert!(par_worthwhile(m, n, k), "FLOP gate must parallelise this");
         let mut rng = ChaCha8Rng::seed_from_u64(5);
         let a = Tensor::randn(&[m, k], 1.0, &mut rng);
         let b = Tensor::randn(&[k, n], 1.0, &mut rng);
