@@ -173,8 +173,10 @@ pub struct TrainConfig {
     /// wall-clock time).
     pub invoke_deadline: Option<Duration>,
     /// Parameter-plane shards (DESIGN.md §16), honoured by both schedules
-    /// and by the remote fleet. 1 = one shard owning every block; N>1
-    /// splits parameter blocks across N independently-committing shards.
+    /// and by the remote fleet: the parameter blocks split across this
+    /// many shards, all committing on the plane's one staleness gate. Any
+    /// count computes the bits of one shard; the option stays only because
+    /// the benchmark's workload table sets it.
     pub param_shards: usize,
 }
 
@@ -279,9 +281,10 @@ impl TrainConfig {
     }
 
     /// Shards the parameter plane into `shards` parameter shards (clamped
-    /// to at least 1). `_lanes` is unused: gradients reach the plane on the
-    /// cycle's thread, not through queue lanes. The argument stays only
-    /// because the benchmark's workload table passes it.
+    /// to at least 1), which changes no bit of the run (see
+    /// [`Self::param_shards`]). `_lanes` is unused: gradients reach the
+    /// plane on the cycle's thread, not through queue lanes. Both arguments
+    /// stay only because the benchmark's workload table passes them.
     pub fn with_sharding(mut self, shards: usize, _lanes: usize) -> Self {
         self.param_shards = shards.max(1);
         self

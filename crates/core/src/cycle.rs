@@ -591,8 +591,7 @@ mod tests {
                     assert_ne!(self.panics_at, Some(id), "scripted learner panic");
                     if !self.lost.contains(&id) {
                         if let Some(plane) = self.observes {
-                            let n = plane.n_shards() as u64;
-                            let offered = plane.grads_aggregated() / n + plane.pending() as u64;
+                            let offered = plane.grads_aggregated() + plane.pending() as u64;
                             self.offered_at_start.push((id.0, id.1, offered));
                         }
                         let mut msg = match self.memo.as_deref_mut() {
@@ -651,8 +650,7 @@ mod tests {
         let rule = AggregationRule::Softsync { c: 2 };
         let cfg = tiny(LearnerMode::Async { rule }, shards);
         let server = parameter_plane(&cfg);
-        let n = server.n_shards() as u64;
-        assert_eq!(n, shards as u64);
+        assert_eq!(server.n_shards(), shards);
         // Two collects of 64 steps = four mini-batches: waves of 3 and 1.
         let mut fleet = ScriptedFleet::new(&cfg, 64, 3);
         if reversed {
@@ -669,9 +667,9 @@ mod tests {
                 "round {round}: losses counted"
             );
             assert_eq!(
-                fleet.delivered * n,
-                server.grads_aggregated() + server.pending() as u64 * n,
-                "round {round}: offered = aggregated + pending on every shard"
+                fleet.delivered,
+                server.grads_aggregated() + server.pending() as u64,
+                "round {round}: offered = aggregated + pending"
             );
             assert_eq!(server.clock(), server.updates(), "round {round}: clock");
         }
@@ -814,7 +812,6 @@ mod tests {
         let rule = AggregationRule::Softsync { c: 2 };
         let cfg = tiny(LearnerMode::Async { rule }, shards);
         let server = parameter_plane(&cfg);
-        let n = server.n_shards() as u64;
         let mut fleet = ScriptedFleet::new(&cfg, 64, 3);
         if reversed {
             fleet.orders = vec![vec![2, 1, 0]; 3];
@@ -838,9 +835,9 @@ mod tests {
             assert_eq!(staged.is_some(), lead, "round {round}: one round staged");
             assert_eq!(totals.degraded, lost_so_far, "round {round}: losses");
             assert_eq!(
-                fleet.delivered * n,
-                server.grads_aggregated() + server.pending() as u64 * n,
-                "round {round}: offered = aggregated + pending on every shard"
+                fleet.delivered,
+                server.grads_aggregated() + server.pending() as u64,
+                "round {round}: offered = aggregated + pending"
             );
             assert_eq!(server.clock(), server.updates(), "round {round}: clock");
         }
@@ -968,7 +965,7 @@ mod tests {
         out
     }
 
-    /// Eq. 3 and Eq. 4 spelled out on one shard, over the arrivals a run
+    /// Eq. 3 and Eq. 4 spelled out without shards, over the arrivals a run
     /// recorded: each gradient is weighted `1/δ^(1/3)` by its staleness δ
     /// against this fold's own clock, and what is held commits once its
     /// mean staleness is within `β_k = max(δ_max, 1) · d^k`, where `δ_max`
@@ -1039,12 +1036,15 @@ mod tests {
     /// Mini-batches a round of an enumerated run: two collects of 64 steps.
     const ENUMERATED_MINIBATCHES: usize = 4;
 
+    /// Where an enumerated round ends: the snapshot checksum, the staleness
+    /// log, the clock and the gradients aggregated.
+    type RoundEnd = (u64, Vec<u64>, u64, u64);
+
     /// One enumerated run: `orders.len()` rounds of `schedule` over
     /// `shards` shard(s), the slots landing in `orders[round]`, `lost` the
     /// one gradient that never arrives, and `server.advance_round()` after
     /// every round as the orchestrator's ledger does. The conservation laws
-    /// are checked after each round; returns each round's checksum and
-    /// staleness log.
+    /// are checked after each round; returns each round's [`RoundEnd`].
     fn enumerated_run(
         schedule: Schedule,
         shards: usize,
@@ -1052,7 +1052,7 @@ mod tests {
         orders: &[Vec<usize>],
         lost: Option<(usize, usize)>,
         memo: &mut Memo,
-    ) -> Vec<(u64, Vec<u64>)> {
+    ) -> Vec<RoundEnd> {
         let mode = match schedule {
             Schedule::Async => LearnerMode::Async {
                 rule: AggregationRule::StalenessAware { d: D, v: 3 },
@@ -1067,7 +1067,7 @@ mod tests {
         fleet.observes = Some(Arc::clone(&server));
         fleet.memo = Some(std::mem::take(memo));
         let asynchronous = matches!(schedule, Schedule::Async);
-        let mut reference = (asynchronous && shards == 1).then(|| ReferenceFold::new(&cfg));
+        let mut reference = asynchronous.then(|| ReferenceFold::new(&cfg));
         let (mut totals, mut staged) = (CycleTotals::default(), None);
         let (mut delta_max, mut beta) = (0, f64::INFINITY);
         let mut per_round = Vec::new();
@@ -1102,26 +1102,23 @@ mod tests {
                 sent,
                 "{at}: delivered + lost = sent"
             );
-            let tallies = server.shard_tallies();
-            assert_eq!(tallies.len(), shards);
-            for (s, &(aggregated, pending)) in tallies.iter().enumerate() {
-                assert_eq!(
-                    fleet.delivered,
-                    aggregated + pending as u64,
-                    "{at}: delivered = aggregated + pending on shard {s}"
-                );
-            }
+            let aggregated = server.grads_aggregated();
+            assert_eq!(
+                fleet.delivered,
+                aggregated + server.pending() as u64,
+                "{at}: delivered = aggregated + pending"
+            );
             assert_eq!(server.clock(), server.updates(), "{at}: clock");
             let log = server.staleness_log();
             assert_eq!(
                 log.recorded(),
-                tallies[0].0,
+                aggregated,
                 "{at}: one log entry per gradient"
             );
 
             if asynchronous {
                 if round == 0 {
-                    // Shard 0 takes each offer first, at the clock recorded.
+                    // The gate observes each offer at the clock recorded.
                     for (_, clock, msg) in &fleet.arrivals {
                         delta_max = delta_max.max(clock - msg.base_version);
                     }
@@ -1146,7 +1143,12 @@ mod tests {
                     "{at}: the reference fold reaches the server's bits"
                 );
             }
-            per_round.push((snapshot_checksum(&server.snapshot()), log.to_vec()));
+            per_round.push((
+                snapshot_checksum(&server.snapshot()),
+                log.to_vec(),
+                server.clock(),
+                aggregated,
+            ));
         }
         *memo = fleet.memo.take().unwrap_or_default();
         per_round
@@ -1154,10 +1156,11 @@ mod tests {
 
     /// Every schedule of `width` learner slots: 1 to 3 rounds, every slot
     /// order in every round, with no gradient lost or each single one lost,
-    /// on 1 and on 3 shards. Lock-step must end on one checksum and one
-    /// staleness log whatever the order; asynchronously the order must
-    /// reach the weights somewhere once two slots race. Returns how many
-    /// runs were made.
+    /// on 1 and on 3 shards. Three shards must end every round where one
+    /// does: checksum, staleness log, clock and gradients aggregated.
+    /// Lock-step must end on one checksum and one staleness log whatever
+    /// the order; asynchronously the order must reach the weights somewhere
+    /// once two slots race. Returns how many runs were made.
     fn every_schedule(schedule: Schedule, width: usize) -> usize {
         let probe = tiny(LearnerMode::Sync { n: 2 }, 1);
         let canned = ActorBody::new(&probe, 0).collect(&fresh_net(&probe).snapshot(), 64);
@@ -1167,29 +1170,29 @@ mod tests {
                 (0..rounds).flat_map(|r| (0..ENUMERATED_MINIBATCHES).map(move |i| Some((r, i)))),
             );
             for lost in losses {
-                for shards in [1, 3] {
-                    let (mut ends, mut memo) = (Vec::new(), Memo::new());
-                    for orders in orders_per_round(width, rounds) {
-                        let end =
-                            enumerated_run(schedule, shards, &canned, &orders, lost, &mut memo);
-                        ends.push(end);
-                        runs += 1;
-                    }
-                    ends.sort();
-                    ends.dedup();
-                    match schedule {
-                        Schedule::Lockstep => assert_eq!(
-                            ends.len(),
-                            1,
-                            "x{shards}, {rounds} round(s), lost {lost:?}: \
-                             the arrival order reached the weights"
-                        ),
-                        Schedule::Async => assert!(
-                            width == 1 || ends.len() > 1,
-                            "x{shards}, {rounds} round(s), lost {lost:?}: \
-                             no order reached the weights"
-                        ),
-                    }
+                let (mut ends, mut memo) = (Vec::new(), Memo::new());
+                for orders in orders_per_round(width, rounds) {
+                    let one = enumerated_run(schedule, 1, &canned, &orders, lost, &mut memo);
+                    let three = enumerated_run(schedule, 3, &canned, &orders, lost, &mut memo);
+                    assert_eq!(
+                        one, three,
+                        "{schedule:?} {orders:?} lost {lost:?}: three shards must end where one does"
+                    );
+                    ends.push(one);
+                    runs += 2;
+                }
+                ends.sort();
+                ends.dedup();
+                match schedule {
+                    Schedule::Lockstep => assert_eq!(
+                        ends.len(),
+                        1,
+                        "{rounds} round(s), lost {lost:?}: the arrival order reached the weights"
+                    ),
+                    Schedule::Async => assert!(
+                        width == 1 || ends.len() > 1,
+                        "{rounds} round(s), lost {lost:?}: no order reached the weights"
+                    ),
                 }
             }
         }

@@ -7,7 +7,7 @@
 //! * **importance-sampling truncation with a global view** (§V-A, Eq. 2) —
 //!   [`truncation::RatioBoard`];
 //! * **staleness-aware gradient aggregation** (§V-C, Eq. 3 & 4) —
-//!   [`staleness::StalenessSchedule`], [`parameter::ShardedParameterServer`]
+//!   [`staleness::StalenessGate`], [`parameter::ShardedParameterServer`]
 //!   (the one parameter plane every schedule aggregates through);
 //! * **on-demand serverless learner orchestration** (§V-B) —
 //!   [`orchestrator::train`], with the GPU data loader, by-value hand-offs
@@ -58,10 +58,10 @@ pub use cycle::{
 pub use messages::GradientMsg;
 pub use metrics::{rows_to_csv, TimerReport, Timers, TrainRow};
 pub use orchestrator::{parameter_plane, smooth, train, TrainResult};
-pub use parameter::{ShardLayout, ShardedParameterServer, StalenessRing};
+pub use parameter::{ShardLayout, ShardedParameterServer};
 pub use remote::{
     serve_worker, snapshot_checksum, GradientCall, GradientRequest, RemoteError, RemoteFleet,
     RemoteRunReport, RemoteSetup, RemoteWorker, WireEvent, WireEventBatch,
 };
-pub use staleness::{staleness_weight, StalenessSchedule};
+pub use staleness::{staleness_weight, StalenessGate, StalenessRing, StalenessSchedule};
 pub use truncation::{reward_improvement_bound, RatioBoard};

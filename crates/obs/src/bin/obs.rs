@@ -26,8 +26,8 @@ use std::time::Duration;
 
 use stellaris_core::{train, TrainConfig};
 use stellaris_envs::EnvId;
-use stellaris_obs::{diff, jsonv, Dashboard, DiffOptions, RunReport};
-use stellaris_telemetry::{attribution, recorder, AttrEvent, RecorderConfig};
+use stellaris_obs::{diff, Dashboard, DiffOptions, RunReport};
+use stellaris_telemetry::{attribution, json, recorder, AttrEvent, RecorderConfig};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -179,9 +179,9 @@ fn cmd_diff(args: &[String]) -> ExitCode {
         eprintln!("obs diff: need exactly two report paths");
         return ExitCode::FAILURE;
     };
-    let parse = |path: &str| -> Result<jsonv::Value, String> {
+    let parse = |path: &str| -> Result<json::Value, String> {
         let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
-        jsonv::parse(&text).map_err(|e| format!("parse {path}: {e}"))
+        json::parse(&text).map_err(|e| format!("parse {path}: {e}"))
     };
     let (a, b) = match (parse(a_path), parse(b_path)) {
         (Ok(a), Ok(b)) => (a, b),

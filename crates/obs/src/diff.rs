@@ -16,7 +16,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-use crate::jsonv::Value;
+use stellaris_telemetry::json::Value;
 
 /// Diff thresholds.
 #[derive(Clone, Copy, Debug)]
@@ -266,7 +266,7 @@ pub fn diff(a: &Value, b: &Value, opts: &DiffOptions) -> DiffReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::jsonv;
+    use stellaris_telemetry::json;
 
     fn report(straggle_raw: u64, retries: u64, wall: f64) -> Value {
         let json = format!(
@@ -279,7 +279,7 @@ mod tests {
                {{\"round\":0,\"stages\":{{\"straggle\":{{\"blamed_us\":10,\"raw_us\":{straggle_raw}}},\
                  \"gemm/backward\":{{\"blamed_us\":50000,\"raw_us\":60000}}}}}}]}}}}"
         );
-        jsonv::parse(&json).unwrap_or(Value::Null)
+        json::parse(&json).unwrap_or(Value::Null)
     }
 
     #[test]
@@ -330,7 +330,7 @@ mod tests {
     #[test]
     fn missing_keys_warn_instead_of_failing() {
         let a = report(0, 0, 1.0);
-        let b = jsonv::parse("{\"wall_time_s\":1.0}").unwrap_or(Value::Null);
+        let b = json::parse("{\"wall_time_s\":1.0}").unwrap_or(Value::Null);
         let d = diff(&a, &b, &DiffOptions::default());
         assert!(!d.warnings.is_empty());
     }

@@ -11,8 +11,9 @@
 //!   regressions surface as named keys.
 //! * **[`dash`]** — the plain-text live dashboard panel the `obs` binary
 //!   tails while a sim runs.
-//! * **[`jsonv`]** — a minimal JSON value DOM for reading our own
-//!   artifacts back (reports, flight-recorder JSONL dumps).
+//!
+//! Artifacts are read back with `stellaris_telemetry::json`, the one JSON
+//! parser of the workspace.
 //!
 //! The flight recorder and the critical-path analyzer themselves live in
 //! `stellaris_telemetry::{recorder, attribution}` so every crate can feed
@@ -22,14 +23,13 @@
 
 pub mod dash;
 pub mod diff;
-pub mod jsonv;
 pub mod report;
 
 pub use dash::Dashboard;
 pub use diff::{diff, DiffOptions, DiffReport};
-pub use jsonv::Value;
 pub use report::{config_hash, maybe_write_report, RunReport, SloVerdict};
 
+use stellaris_telemetry::json::{self, Value};
 use stellaris_telemetry::{attribution, AttrEvent};
 
 /// Parses flight-recorder / trace JSONL text into analysis-ready events,
@@ -40,7 +40,7 @@ pub fn parse_jsonl_events(text: &str) -> Result<Vec<AttrEvent>, String> {
         if line.trim().is_empty() {
             continue;
         }
-        let v = jsonv::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
+        let v = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
         let name = v
             .get("name")
             .and_then(Value::as_str)

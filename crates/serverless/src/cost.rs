@@ -57,7 +57,7 @@ pub fn bill_serverless(cluster: &Cluster, records: &[InvocationRecord]) -> CostB
     for r in records {
         let secs = r.exec.as_secs_f64();
         let usd = match r.kind {
-            FunctionKind::Learner | FunctionKind::Parameter => {
+            FunctionKind::Learner => {
                 let usd = secs * cluster.learner_fn_price();
                 out.learner_usd += usd;
                 usd
@@ -129,7 +129,7 @@ mod tests {
         let c = Cluster::regular();
         let records = vec![
             rec(FunctionKind::Learner, 10.0),
-            rec(FunctionKind::Parameter, 5.0),
+            rec(FunctionKind::Learner, 5.0),
             rec(FunctionKind::Actor, 100.0),
         ];
         let bill = bill_serverless(&c, &records);

@@ -19,7 +19,6 @@ pub mod cost;
 pub mod cputime;
 pub mod fault;
 pub mod platform;
-pub mod prewarm;
 pub mod pricing;
 pub mod process;
 
@@ -29,7 +28,6 @@ pub use fault::{FaultConfig, FaultPlan, FaultReport, RetryPolicy};
 pub use platform::{
     FunctionKind, InvocationRecord, InvokeError, OverheadMode, Platform, StartupProfile,
 };
-pub use prewarm::{FunctionProfiler, PrewarmController};
 pub use pricing::{Cluster, InstanceType, VmGroup};
 pub use process::{
     ProcessConfig, ProcessPool, SpawnError, WireStream, WireTransport, WorkerProcess,

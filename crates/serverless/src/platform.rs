@@ -27,8 +27,6 @@ use crate::fault::{FaultPlan, RetryPolicy};
 pub enum FunctionKind {
     /// Gradient-computing learner function (GPU slot).
     Learner,
-    /// Staleness-aware aggregating parameter function (GPU slot).
-    Parameter,
     /// Trajectory-sampling actor function (CPU slot).
     Actor,
 }
@@ -38,7 +36,6 @@ impl FunctionKind {
     pub fn name(&self) -> &'static str {
         match self {
             FunctionKind::Learner => "learner",
-            FunctionKind::Parameter => "parameter",
             FunctionKind::Actor => "actor",
         }
     }
@@ -224,11 +221,7 @@ impl KindMetrics {
     }
 }
 
-const ALL_KINDS: [FunctionKind; 3] = [
-    FunctionKind::Learner,
-    FunctionKind::Parameter,
-    FunctionKind::Actor,
-];
+const ALL_KINDS: [FunctionKind; 2] = [FunctionKind::Learner, FunctionKind::Actor];
 
 /// The serverless platform for one cluster.
 pub struct Platform {
@@ -239,14 +232,14 @@ pub struct Platform {
     actor_capacity: usize,
     profile: StartupProfile,
     mode: OverheadMode,
-    pools: [Pool; 3],
+    pools: [Pool; 2],
     records: Mutex<Vec<InvocationRecord>>,
     cold_starts: AtomicU64,
     warm_starts: AtomicU64,
     /// Busy time accumulated per kind (for utilisation metrics), in micros.
-    busy_us: [AtomicU64; 3],
+    busy_us: [AtomicU64; 2],
     /// Per-kind telemetry handles (cold/warm counters, latency histograms).
-    metrics: [KindMetrics; 3],
+    metrics: [KindMetrics; 2],
     /// Fault-injection plan consulted by `try_invoke`/`invoke_retry`
     /// (disabled by default).
     faults: Arc<FaultPlan>,
@@ -274,8 +267,7 @@ fn panic_msg(payload: &(dyn std::any::Any + Send)) -> String {
 fn kind_index(kind: FunctionKind) -> usize {
     match kind {
         FunctionKind::Learner => 0,
-        FunctionKind::Parameter => 1,
-        FunctionKind::Actor => 2,
+        FunctionKind::Actor => 1,
     }
 }
 
@@ -431,8 +423,8 @@ impl Platform {
         let mut span =
             stellaris_telemetry::span_with("serverless.invoke", vec![("kind", kind.name().into())]);
         let sem = match kind {
+            FunctionKind::Learner => &self.learner_slots,
             FunctionKind::Actor => &self.actor_slots,
-            _ => &self.learner_slots,
         };
         sem.acquire();
         let _permit = SlotPermit { sem };
@@ -599,8 +591,8 @@ impl Platform {
     /// share the GPU semaphore).
     pub fn free_slots(&self, kind: FunctionKind) -> usize {
         match kind {
+            FunctionKind::Learner => self.learner_slots.available(),
             FunctionKind::Actor => self.actor_slots.available(),
-            _ => self.learner_slots.available(),
         }
     }
 
@@ -611,22 +603,6 @@ impl Platform {
             self.learner_capacity - self.learner_slots.available().min(self.learner_capacity);
         let actor = self.actor_capacity - self.actor_slots.available().min(self.actor_capacity);
         (learner + actor) as u64
-    }
-
-    /// Total idle keep-alive time currently accrued by warm containers of a
-    /// kind (time since release, summed). The paper excludes keep-alive from
-    /// billed cost; this metric exposes the provider-side waste that policy
-    /// hides (useful when tuning the pre-warm controller).
-    pub fn keep_alive_waste(&self, kind: FunctionKind) -> Duration {
-        let now = Instant::now();
-        let warm = self.pools[kind_index(kind)].warm.lock();
-        warm.iter()
-            .map(|&expiry| {
-                // Containers were released keep_alive before their expiry.
-                let released = expiry - self.profile.keep_alive;
-                now.saturating_duration_since(released)
-            })
-            .sum()
     }
 
     /// Bills extra slot-holding time to a function kind (e.g. a synchronous
@@ -671,11 +647,10 @@ impl Platform {
         self.epoch.elapsed()
     }
 
-    /// GPU-slot utilisation of learner+parameter work over the elapsed
-    /// window, given the number of slots (0..=1 scale, can exceed 1 only on
-    /// timer skew).
+    /// GPU-slot utilisation of learner work over the elapsed window, given
+    /// the number of slots (0..=1 scale, can exceed 1 only on timer skew).
     pub fn gpu_utilization(&self, learner_slots: usize) -> f64 {
-        let busy = self.busy_time(FunctionKind::Learner) + self.busy_time(FunctionKind::Parameter);
+        let busy = self.busy_time(FunctionKind::Learner);
         let total = self.elapsed().as_secs_f64() * learner_slots.max(1) as f64;
         if total <= 0.0 {
             0.0
@@ -727,8 +702,8 @@ mod tests {
     fn kinds_have_separate_pools() {
         let p = fast_platform(2, 2);
         p.prewarm(FunctionKind::Learner, 1);
-        let (_, r) = p.invoke(FunctionKind::Parameter, || ());
-        assert!(r.cold, "parameter pool is distinct from learner pool");
+        let (_, r) = p.invoke(FunctionKind::Actor, || ());
+        assert!(r.cold, "actor pool is distinct from learner pool");
     }
 
     #[test]
@@ -832,16 +807,6 @@ mod tests {
         let u = p.gpu_utilization(1);
         assert!(u > 0.2, "utilization {u}");
         assert!(u <= 1.1);
-    }
-
-    #[test]
-    fn keep_alive_waste_accrues_while_idle() {
-        let p = fast_platform(2, 2);
-        p.invoke(FunctionKind::Learner, || ());
-        std::thread::sleep(Duration::from_millis(30));
-        let waste = p.keep_alive_waste(FunctionKind::Learner);
-        assert!(waste >= Duration::from_millis(25), "{waste:?}");
-        assert_eq!(p.keep_alive_waste(FunctionKind::Actor), Duration::ZERO);
     }
 
     #[test]

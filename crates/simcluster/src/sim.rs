@@ -1,9 +1,10 @@
 //! The discrete-event simulation of the Stellaris pipeline.
 //!
 //! Actors, learner slots and the parameter function are modelled as
-//! stations in a queueing network; gradients carry their base policy clock
-//! so staleness, the Eq. 3 admission schedule and the aggregation rules are
-//! *exactly* the ones from `stellaris-core` — only the tensor arithmetic is
+//! stations in a queueing network. Each gradient carries its base policy
+//! clock into `stellaris-core`'s own [`StalenessGate`], the one the real
+//! parameter plane runs, so the clock, the Eq. 3 admission and the
+//! staleness ledger are the real ones. Only the tensor arithmetic is
 //! replaced by virtual service times. One paper-scale training run (128
 //! actors x 1024 steps x 50 rounds) simulates in milliseconds.
 
@@ -12,7 +13,7 @@ use std::collections::BinaryHeap;
 
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-use stellaris_core::AggregationRule;
+use stellaris_core::{AggregationRule, StalenessGate};
 use stellaris_serverless::{Cluster, CostBreakdown};
 
 use crate::profile::TimingProfile;
@@ -55,11 +56,6 @@ pub struct SimConfig {
     pub timing: TimingProfile,
     /// RNG seed for jitter.
     pub seed: u64,
-    /// Parameter-plane shards (DESIGN.md §16). Shards aggregate their block
-    /// slices concurrently, so each policy update's critical-path service
-    /// time is `aggregate_us / param_shards`; 1 reproduces the classic
-    /// single-server timings exactly.
-    pub param_shards: usize,
 }
 
 impl SimConfig {
@@ -79,7 +75,6 @@ impl SimConfig {
             billing: SimBilling::Serverless,
             timing: TimingProfile::mujoco_v100(),
             seed: 1,
-            param_shards: 1,
         }
     }
 
@@ -165,7 +160,6 @@ impl SimConfig {
             billing: SimBilling::Serverless,
             timing: TimingProfile::test_flat(),
             seed: 7,
-            param_shards: 1,
         }
     }
 }
@@ -261,11 +255,6 @@ impl Ord for Event {
     }
 }
 
-struct PendingGrad {
-    base_clock: u64,
-    done_t: f64,
-}
-
 /// Runs the simulation to completion.
 ///
 /// ```
@@ -275,25 +264,22 @@ struct PendingGrad {
 /// assert!(result.cost.total() > 0.0);
 /// ```
 pub fn simulate(cfg: &SimConfig) -> SimResult {
-    assert!(cfg.n_actors > 0 && cfg.max_learners > 0 && cfg.rounds > 0 && cfg.param_shards > 0);
-    // DESIGN.md §16: shards aggregate their block slices concurrently, so
-    // the parameter function's per-update service time divides by the
-    // shard count (1 = the classic single server, timing unchanged).
-    let aggregate_us = cfg.timing.aggregate_us / cfg.param_shards as f64;
+    assert!(cfg.n_actors > 0 && cfg.max_learners > 0 && cfg.rounds > 0);
     let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
     let mut heap: BinaryHeap<Event> = BinaryHeap::new();
     let mut seq = 0u64;
     let mut now = 0.0f64;
 
-    let mut schedule = cfg.rule.make_schedule();
-    let mut clock = 0u64;
-    let mut updates = 0u64;
+    let mut gate = StalenessGate::new(cfg.rule.clone(), 0);
     let mut invocations = 0u64;
+    // Every committed gradient's staleness: the gate's ledger keeps only
+    // the most recent ones, and a paper-scale run commits more.
     let mut staleness_log: Vec<u64> = Vec::new();
     let mut round_staleness_start = 0usize;
 
+    // Finish times of the gradients the gate holds, in arrival order.
+    let mut held_done: Vec<f64> = Vec::new();
     let mut backlog: Vec<usize> = Vec::new(); // pending mini-batch job sizes (samples)
-    let mut pending: Vec<PendingGrad> = Vec::new();
     let mut free_learners = cfg.max_learners;
     let mut warm_containers = 0usize;
 
@@ -360,7 +346,7 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
         () => {
             // Sync baselines do not sample while learning is in flight.
             let barrier_blocked = cfg.sync_barrier
-                && (!backlog.is_empty() || !pending.is_empty() || free_learners < cfg.max_learners);
+                && (!backlog.is_empty() || gate.pending() > 0 || free_learners < cfg.max_learners);
             if !barrier_blocked {
                 for a in 0..cfg.n_actors {
                     if actor_free[a] && quota_left >= cfg.actor_steps {
@@ -403,7 +389,7 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
                 push_event!(
                     done_t,
                     EventKind::LearnerDone {
-                        base_clock: clock,
+                        base_clock: gate.clock(),
                         done_t
                     }
                 );
@@ -411,40 +397,19 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
         };
     }
 
-    macro_rules! try_aggregate {
+    // Commits everything the gate holds: one policy update.
+    macro_rules! commit {
         () => {
-            loop {
-                let staleness: Vec<u64> = pending
-                    .iter()
-                    .map(|p| clock.saturating_sub(p.base_clock))
-                    .collect();
-                if let Some(s) = schedule.as_mut() {
-                    for &d in &staleness {
-                        s.observe(d);
-                    }
+            if cfg.sync_barrier {
+                // Synchronous learners bill until the wave completes.
+                let wave_end = held_done.iter().fold(0.0f64, |m, &t| m.max(t));
+                for &t in &held_done {
+                    learner_busy += wave_end - t;
                 }
-                if !cfg.rule.admits(&staleness, schedule.as_ref()) {
-                    break;
-                }
-                let take = match cfg.rule {
-                    AggregationRule::PureAsync | AggregationRule::Ssp { .. } => 1,
-                    _ => pending.len(),
-                };
-                let batch: Vec<PendingGrad> = pending.drain(..take).collect();
-                if cfg.sync_barrier {
-                    // Synchronous learners bill until the wave completes.
-                    let wave_end = batch.iter().fold(0.0f64, |m, g| m.max(g.done_t));
-                    for g in &batch {
-                        learner_busy += wave_end - g.done_t;
-                    }
-                }
-                for g in &batch {
-                    staleness_log.push(clock.saturating_sub(g.base_clock));
-                }
-                clock += 1;
-                updates += 1;
-                parameter_busy += aggregate_us;
             }
+            held_done.clear();
+            staleness_log.extend_from_slice(gate.commit());
+            parameter_busy += cfg.timing.aggregate_us;
         };
     }
 
@@ -469,41 +434,33 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
             EventKind::LearnerDone { base_clock, done_t } => {
                 free_learners += 1;
                 warm_containers += 1;
-                pending.push(PendingGrad { base_clock, done_t });
-                try_aggregate!();
+                gate.arrive(base_clock);
+                held_done.push(done_t);
+                if gate.admits() {
+                    commit!();
+                }
                 dispatch_learners!();
                 start_actors!();
             }
         }
 
-        // Partial final wave: when no more gradients can arrive, FullSync
-        // lowers its barrier for the remainder (as the real orchestrator
-        // does for the last wave of a round).
+        // Partial final wave: when no more gradients can arrive, the gate's
+        // hold is lifted for the remainder (as the real orchestrator's
+        // `commit_pending` does for the last wave of a round).
         if quota_left == 0
             && inflight_steps == 0
             && backlog.is_empty()
             && free_learners == cfg.max_learners
-            && !pending.is_empty()
+            && gate.pending() > 0
         {
-            let batch: Vec<PendingGrad> = std::mem::take(&mut pending);
-            if cfg.sync_barrier {
-                let wave_end = batch.iter().fold(0.0f64, |m, g| m.max(g.done_t));
-                for g in &batch {
-                    learner_busy += wave_end - g.done_t;
-                }
-            }
-            for g in &batch {
-                staleness_log.push(clock.saturating_sub(g.base_clock));
-            }
-            clock += 1;
-            updates += 1;
-            parameter_busy += aggregate_us;
+            commit!();
         }
 
         // Round boundary: quota fully sampled and (for sync) pipeline drained.
         let round_done = quota_left == 0
             && inflight_steps == 0
-            && (!cfg.sync_barrier || (backlog.is_empty() && pending.is_empty() && heap.is_empty()));
+            && (!cfg.sync_barrier
+                || (backlog.is_empty() && gate.pending() == 0 && heap.is_empty()));
         if round_done {
             let new = &staleness_log[round_staleness_start..];
             let mean = if new.is_empty() {
@@ -517,13 +474,11 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
                 round,
                 virtual_time_s: now / 1e6,
                 invocations,
-                updates,
+                updates: gate.updates(),
                 mean_staleness: mean,
                 cost_usd: cost.total(),
             });
-            if let Some(s) = schedule.as_mut() {
-                s.advance_round();
-            }
+            gate.end_round();
             round += 1;
             if round >= cfg.rounds {
                 break;
@@ -542,7 +497,7 @@ pub fn simulate(cfg: &SimConfig) -> SimResult {
         actor_busy_s: actor_busy / 1e6,
         parameter_busy_s: parameter_busy / 1e6,
         invocations,
-        updates,
+        updates: gate.updates(),
         gpu_utilization: if gpu_slot_time > 0.0 {
             ((learner_exec + parameter_busy) / gpu_slot_time).min(1.0)
         } else {
@@ -690,25 +645,100 @@ mod tests {
         assert!(!res.staleness_log.is_empty());
     }
 
+    /// FNV-1a over the staleness samples, in order.
+    fn log_checksum(log: &[u64]) -> u64 {
+        log.iter().fold(0xcbf2_9ce4_8422_2325, |h, &d| {
+            (h ^ d).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    /// Every preset's output, bit for bit: updates, invocations, the
+    /// staleness log's length and checksum, and the bits of the virtual
+    /// duration and the total cost.
     #[test]
-    fn sharding_divides_parameter_service_time() {
-        let base = SimConfig::stellaris_scale(1024);
-        let sharded = SimConfig {
-            param_shards: 8,
-            ..base.clone()
-        };
-        let a = simulate(&base);
-        let b = simulate(&sharded);
-        // Identical event schedule (shards change only the parameter
-        // function's service-time accounting), 8x less busy time.
-        assert_eq!(a.updates, b.updates);
-        assert_eq!(a.staleness_log, b.staleness_log);
-        assert!(
-            (b.parameter_busy_s - a.parameter_busy_s / 8.0).abs() < 1e-9,
-            "8 shards must cut aggregation busy time 8x: {} vs {}",
-            a.parameter_busy_s,
-            b.parameter_busy_s
-        );
+    fn presets_are_pinned() {
+        type Golden = (&'static str, SimConfig, u64, u64, usize, u64, u64, u64);
+        let goldens: [Golden; 7] = [
+            (
+                "stellaris_paper_mujoco",
+                SimConfig::stellaris_paper_mujoco(),
+                142,
+                2682,
+                2623,
+                0xaf11427e1b7e0bca,
+                0x4033c9e2dddb64d1,
+                0x3fa765106c40cde0,
+            ),
+            (
+                "sync_serverful_paper_mujoco",
+                SimConfig::sync_serverful_paper_mujoco(),
+                800,
+                6400,
+                6400,
+                0xee5189047f4d3e19,
+                0x404d2911b6dcfd79,
+                0x3fc6d7d62bcbffa9,
+            ),
+            (
+                "stellaris_paper_atari",
+                SimConfig::stellaris_paper_atari(),
+                491,
+                8471,
+                8422,
+                0xaacb786d09185eb,
+                0x40603129c1f91309,
+                0x3fd51d223c9813a6,
+            ),
+            (
+                "stellaris_hpc_atari",
+                SimConfig::stellaris_hpc_atari(),
+                452,
+                67993,
+                67827,
+                0x16055ad83e6d7a44,
+                0x40603c47bd85797b,
+                0x400435b285847d1a,
+            ),
+            (
+                "parrl_hpc_atari",
+                SimConfig::parrl_hpc_atari(),
+                3000,
+                192000,
+                192000,
+                0x7ce1401362e40af7,
+                0x407ba6923545e8ba,
+                0x4024e1bca6637d60,
+            ),
+            (
+                "test_small",
+                SimConfig::test_small(),
+                3,
+                8,
+                5,
+                0x44c509d0cef90fe7,
+                0x3f96bb98c7e28241,
+                0x3ed26e8ef649eb28,
+            ),
+            (
+                "stellaris_scale(64)",
+                SimConfig::stellaris_scale(64),
+                1,
+                96,
+                1,
+                0xaf63bd4c8601b7df,
+                0x3f96bb98c7e28241,
+                0x3ee60cede053f962,
+            ),
+        ];
+        for (name, cfg, updates, invocations, len, log, time, cost) in goldens {
+            let r = simulate(&cfg);
+            assert_eq!(r.updates, updates, "{name}: updates");
+            assert_eq!(r.invocations, invocations, "{name}: invocations");
+            assert_eq!(r.staleness_log.len(), len, "{name}: gradients aggregated");
+            assert_eq!(log_checksum(&r.staleness_log), log, "{name}: staleness log");
+            assert_eq!(r.virtual_time_s.to_bits(), time, "{name}: virtual time");
+            assert_eq!(r.cost.total().to_bits(), cost, "{name}: cost");
+        }
     }
 
     #[test]

@@ -20,10 +20,10 @@
 //!   cumulative histogram buckets and `+Inf == _count`;
 //! * every `--expect-span NAME` occurs as an event name in the JSONL;
 //! * every `--expect-metric NAME` occurs as a sample in the exposition;
-//! * when the sharded parameter plane ran (the
+//! * when the parameter plane ran (the
 //!   `stellaris_core_grads_aggregated_total` counter is present), the
-//!   per-shard `stellaris_core_staleness_shard<N>_count` histogram counts
-//!   sum to it — every (gradient, shard) fold is recorded exactly once.
+//!   `stellaris_core_staleness_count` histogram count equals it — every
+//!   committed gradient is recorded exactly once.
 //!
 //! A flight-recorder dump base (`flight-<reason>`) validates with the same
 //! invocation — its `recorder.dump` meta line additionally surfaces a LOUD
@@ -212,29 +212,16 @@ fn main() -> ExitCode {
         }
     }
 
-    // Sharded-plane conservation: every (gradient, shard) fold increments
-    // both the `stellaris_core_grads_aggregated_total` counter and exactly
-    // one per-shard staleness histogram, so the `_count`s must sum to the
-    // counter. Vacuous when the counter is absent (a trace from a run that
-    // built no parameter server, e.g. the simulator).
+    // Parameter-plane conservation: every committed gradient increments
+    // the `stellaris_core_grads_aggregated_total` counter once and records
+    // its staleness once in the `stellaris_core_staleness` histogram, so
+    // the two counts agree. Vacuous when the counter is absent (a trace
+    // from a run that built no parameter server, e.g. the simulator).
     if let Some(total) = prom_sample(&prom, "stellaris_core_grads_aggregated_total") {
-        let shard_sum: u64 = prom
-            .lines()
-            .filter_map(|l| {
-                let rest = l.strip_prefix("stellaris_core_staleness_shard")?;
-                let (series, value) = rest.split_once(' ')?;
-                let (shard, suffix) = series.split_at(
-                    series
-                        .find(|c: char| !c.is_ascii_digit())
-                        .unwrap_or(series.len()),
-                );
-                (!shard.is_empty() && suffix == "_count")
-                    .then(|| value.trim().parse::<u64>().ok())?
-            })
-            .sum();
-        if shard_sum != total {
+        let recorded = prom_sample(&prom, "stellaris_core_staleness_count").unwrap_or(0);
+        if recorded != total {
             return fail(&format!(
-                "{prom_path}: per-shard staleness histogram counts sum to {shard_sum} \
+                "{prom_path}: stellaris_core_staleness_count is {recorded} \
                  but stellaris_core_grads_aggregated_total is {total}"
             ));
         }

@@ -10,9 +10,9 @@
 use std::path::PathBuf;
 
 use stellaris::prelude::*;
-use stellaris_obs::{diff, jsonv, DiffOptions, RunReport};
+use stellaris_obs::{diff, DiffOptions, RunReport};
 use stellaris_telemetry as telemetry;
-use stellaris_telemetry::{attribution, recorder, AttrEvent, RecorderConfig};
+use stellaris_telemetry::{attribution, json, recorder, AttrEvent, RecorderConfig};
 
 fn flight_dir() -> PathBuf {
     PathBuf::from("target/test-flight-obs")
@@ -46,18 +46,18 @@ fn validate_dump(text: &str) {
     let mut span_ids = std::collections::HashSet::new();
     let mut parents = Vec::new();
     for (i, line) in text.lines().enumerate() {
-        let v = jsonv::parse(line).unwrap_or_else(|e| panic!("dump line {}: {e}", i + 1));
-        let name = v.get("name").and_then(jsonv::Value::as_str).expect("name");
+        let v = json::parse(line).unwrap_or_else(|e| panic!("dump line {}: {e}", i + 1));
+        let name = v.get("name").and_then(json::Value::as_str).expect("name");
         if i == 0 {
             assert_eq!(name, "recorder.dump", "meta event must lead the dump");
             let fields = v.get("fields").expect("meta fields");
             assert!(fields.get("reason").is_some(), "meta carries the trigger");
             continue;
         }
-        if v.get("type").and_then(jsonv::Value::as_str) == Some("span") {
-            span_ids.insert(v.get("id").and_then(jsonv::Value::as_u64).expect("id"));
+        if v.get("type").and_then(json::Value::as_str) == Some("span") {
+            span_ids.insert(v.get("id").and_then(json::Value::as_u64).expect("id"));
         }
-        let parent = v.get("parent").and_then(jsonv::Value::as_u64).unwrap_or(0);
+        let parent = v.get("parent").and_then(json::Value::as_u64).unwrap_or(0);
         if parent != 0 {
             parents.push((i + 1, parent));
         }
@@ -152,7 +152,7 @@ fn flight_recorder_attribution_and_ledger_end_to_end() {
         .write_named(&runs_dir, "chaos.json")
         .expect("write chaos");
     let parse =
-        |p: &PathBuf| jsonv::parse(&std::fs::read_to_string(p).expect("read")).expect("json");
+        |p: &PathBuf| json::parse(&std::fs::read_to_string(p).expect("read")).expect("json");
     let d = diff(&parse(&path_a), &parse(&path_b), &DiffOptions::default());
     assert!(!d.pass(), "chaos vs clean must regress");
     let keys: Vec<&str> = d.regressions().iter().map(|r| r.key.as_str()).collect();

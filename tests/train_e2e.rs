@@ -48,9 +48,9 @@ fn stellaris_ppo_improves_on_chain_mdp() {
 
 #[test]
 fn sharded_plane_trains_end_to_end() {
-    // DESIGN.md §16: a sharded parameter/gradient plane must run the full
-    // async stack — shards commit independently but every gradient still
-    // lands, the policy clock advances, and evaluation stays finite.
+    // DESIGN.md §16: a sharded parameter plane must run the full async
+    // stack — the shards commit on the one staleness gate, every gradient
+    // still lands, the policy clock advances, and evaluation stays finite.
     let cfg = TrainConfig::test_tiny(EnvId::PointMass, 8).with_sharding(4, 4);
     let result = train(&cfg);
     assert_eq!(result.rows.len(), 3);
@@ -59,7 +59,7 @@ fn sharded_plane_trains_end_to_end() {
     assert!(result.final_reward.is_finite());
     assert!(
         !result.staleness_log.is_empty(),
-        "per-shard staleness must still be recorded"
+        "staleness must still be recorded"
     );
 }
 
