@@ -1,4 +1,4 @@
-//! The distributed cache: a sharded, blocking-wait-capable key-value store.
+//! The distributed cache: a sharded key-value store.
 //!
 //! This is the Rust stand-in for the Redis instance of §VII ("Distributed
 //! cache"): actors publish serialised trajectories, learner functions pull
@@ -7,15 +7,14 @@
 //! buffers ([`bytes::Bytes`], so reads are zero-copy reference bumps).
 //!
 //! A configurable latency model charges each operation a base cost plus a
-//! per-kilobyte cost, either recorded (for the simulated-cost experiments)
-//! or actually slept (for wall-clock-faithful runs).
+//! per-kilobyte cost, recorded in [`CacheStats`] for the simulated-cost
+//! experiments.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 use bytes::Bytes;
-use parking_lot::{Condvar, Mutex};
+use parking_lot::Mutex;
 
 use crate::codec::{Codec, CodecError};
 
@@ -24,10 +23,8 @@ use crate::codec::{Codec, CodecError};
 pub enum LatencyMode {
     /// No latency modelling.
     Off,
-    /// Accumulate simulated latency into [`CacheStats`] without sleeping.
+    /// Accumulate simulated latency into [`CacheStats`].
     Record,
-    /// Actually sleep, making wall-clock time reflect transfer cost.
-    Sleep,
 }
 
 /// Latency model for cache operations.
@@ -70,7 +67,7 @@ impl LatencyModel {
 pub struct CacheStats {
     /// Number of `put` operations.
     pub puts: AtomicU64,
-    /// Number of `get`/`take`/`wait_for` lookups.
+    /// Number of `get`/`take` lookups.
     pub gets: AtomicU64,
     /// Lookups that found a value.
     pub hits: AtomicU64,
@@ -99,22 +96,7 @@ impl CacheStats {
     }
 }
 
-struct Entry {
-    value: Bytes,
-    /// Expiry instant; `None` = no TTL.
-    expires: Option<std::time::Instant>,
-}
-
-impl Entry {
-    fn live(&self) -> bool {
-        self.expires.is_none_or(|t| std::time::Instant::now() < t)
-    }
-}
-
-struct Shard {
-    map: Mutex<HashMap<String, Entry>>,
-    cond: Condvar,
-}
+type Shard = Mutex<HashMap<String, Bytes>>;
 
 /// Errors surfaced by typed cache accessors.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -143,12 +125,12 @@ impl std::error::Error for CacheError {}
 /// let cache = Cache::in_memory();
 /// cache.put_obj("policy:latest", &42u64);
 /// assert_eq!(cache.get_obj::<u64>("policy:latest").unwrap(), 42);
-/// assert_eq!(cache.incr("clock"), 1);
+/// assert_eq!(cache.take_obj::<u64>("policy:latest").unwrap(), 42);
+/// assert!(cache.is_empty());
 /// ```
 pub struct Cache {
     shards: Vec<Shard>,
     latency: LatencyModel,
-    counters: Mutex<HashMap<String, u64>>,
     /// Operation statistics.
     pub stats: CacheStats,
 }
@@ -158,14 +140,8 @@ impl Cache {
     pub fn new(shards: usize, latency: LatencyModel) -> Self {
         assert!(shards >= 1, "cache needs at least one shard");
         Self {
-            shards: (0..shards)
-                .map(|_| Shard {
-                    map: Mutex::new(HashMap::new()),
-                    cond: Condvar::new(),
-                })
-                .collect(),
+            shards: (0..shards).map(|_| Mutex::new(HashMap::new())).collect(),
             latency,
-            counters: Mutex::new(HashMap::new()),
             stats: CacheStats::default(),
         }
     }
@@ -186,64 +162,27 @@ impl Cache {
     }
 
     fn charge(&self, bytes: usize) {
-        match self.latency.mode {
-            LatencyMode::Off => {}
-            LatencyMode::Record => {
-                self.stats
-                    .simulated_us
-                    .fetch_add(self.latency.cost_us(bytes), Ordering::Relaxed);
-            }
-            LatencyMode::Sleep => {
-                let us = self.latency.cost_us(bytes);
-                self.stats.simulated_us.fetch_add(us, Ordering::Relaxed);
-                if us > 0 {
-                    std::thread::sleep(Duration::from_micros(us));
-                }
-            }
+        if self.latency.mode == LatencyMode::Record {
+            self.stats
+                .simulated_us
+                .fetch_add(self.latency.cost_us(bytes), Ordering::Relaxed);
         }
     }
 
-    /// Stores a value, waking any waiters on the key.
+    /// Stores a value.
     pub fn put(&self, key: &str, value: Bytes) {
-        self.put_with(key, value, None);
-    }
-
-    /// Stores a value that expires after `ttl` (Redis `SETEX` analogue,
-    /// used for transient staging data like pre-staged batch pointers).
-    pub fn put_ttl(&self, key: &str, value: Bytes, ttl: Duration) {
-        self.put_with(key, value, Some(std::time::Instant::now() + ttl));
-    }
-
-    fn put_with(&self, key: &str, value: Bytes, expires: Option<std::time::Instant>) {
         self.stats.puts.fetch_add(1, Ordering::Relaxed);
         self.stats
             .bytes_in
             .fetch_add(value.len() as u64, Ordering::Relaxed);
         self.charge(value.len());
-        let shard = self.shard(key);
-        {
-            let mut map = shard.map.lock();
-            map.insert(key.to_owned(), Entry { value, expires });
-        }
-        shard.cond.notify_all();
+        self.shard(key).lock().insert(key.to_owned(), value);
     }
 
-    /// Fetches a value (cheap clone of a refcounted buffer). Expired
-    /// entries read as missing and are reaped lazily.
+    /// Fetches a value (cheap clone of a refcounted buffer).
     pub fn get(&self, key: &str) -> Option<Bytes> {
         self.stats.gets.fetch_add(1, Ordering::Relaxed);
-        let shard = self.shard(key);
-        let out = {
-            let mut map = shard.map.lock();
-            match map.get(key) {
-                Some(e) if e.live() => Some(e.value.clone()),
-                Some(_) => {
-                    map.remove(key);
-                    None
-                }
-                None => None,
-            }
-        };
+        let out = self.shard(key).lock().get(key).cloned();
         match &out {
             Some(v) => {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
@@ -263,13 +202,7 @@ impl Cache {
     /// Atomically fetches and removes a value.
     pub fn take(&self, key: &str) -> Option<Bytes> {
         self.stats.gets.fetch_add(1, Ordering::Relaxed);
-        let shard = self.shard(key);
-        let out = shard
-            .map
-            .lock()
-            .remove(key)
-            .filter(Entry::live)
-            .map(|e| e.value);
+        let out = self.shard(key).lock().remove(key);
         match &out {
             Some(v) => {
                 self.stats.hits.fetch_add(1, Ordering::Relaxed);
@@ -285,81 +218,14 @@ impl Cache {
         out
     }
 
-    /// Deletes a key; returns whether it existed.
-    pub fn delete(&self, key: &str) -> bool {
-        self.shard(key).map.lock().remove(key).is_some()
-    }
-
-    /// Blocks until the key exists (or `timeout` elapses), then returns it.
-    pub fn wait_for(&self, key: &str, timeout: Duration) -> Option<Bytes> {
-        let shard = self.shard(key);
-        let deadline = std::time::Instant::now() + timeout;
-        let mut map = shard.map.lock();
-        loop {
-            if let Some(v) = map.get(key).filter(|e| e.live()) {
-                let v = v.value.clone();
-                self.stats.gets.fetch_add(1, Ordering::Relaxed);
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
-                self.stats
-                    .bytes_out
-                    .fetch_add(v.len() as u64, Ordering::Relaxed);
-                drop(map);
-                self.charge(v.len());
-                return Some(v);
-            }
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                self.stats.gets.fetch_add(1, Ordering::Relaxed);
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
-                return None;
-            }
-            if shard.cond.wait_until(&mut map, deadline).timed_out() {
-                // Re-check once after timeout, then give up on next loop.
-            }
-        }
-    }
-
-    /// Atomically increments a named counter and returns the new value
-    /// (Redis `INCR` analogue; used for clocks and id allocation).
-    pub fn incr(&self, name: &str) -> u64 {
-        let mut counters = self.counters.lock();
-        let v = counters.entry(name.to_owned()).or_insert(0);
-        *v += 1;
-        *v
-    }
-
-    /// Reads a counter without incrementing.
-    pub fn counter(&self, name: &str) -> u64 {
-        *self.counters.lock().get(name).unwrap_or(&0)
-    }
-
-    /// All keys with the given prefix (scan analogue; O(n), diagnostics only).
-    pub fn keys_with_prefix(&self, prefix: &str) -> Vec<String> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let map = shard.map.lock();
-            out.extend(map.keys().filter(|k| k.starts_with(prefix)).cloned());
-        }
-        out.sort();
-        out
-    }
-
     /// Total number of stored keys.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.map.lock().len()).sum()
+        self.shards.iter().map(|s| s.lock().len()).sum()
     }
 
     /// True when no keys are stored.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Removes everything (keys and counters).
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.map.lock().clear();
-        }
-        self.counters.lock().clear();
     }
 
     // ----- typed helpers -------------------------------------------------
@@ -402,15 +268,15 @@ mod tests {
     use stellaris_nn::Tensor;
 
     #[test]
-    fn put_get_take_delete() {
+    fn put_get_take() {
         let c = Cache::in_memory();
         c.put("a", Bytes::from_static(b"xyz"));
         assert_eq!(c.get("a").unwrap(), Bytes::from_static(b"xyz"));
+        assert_eq!(c.len(), 1);
         assert_eq!(c.take("a").unwrap(), Bytes::from_static(b"xyz"));
         assert!(c.get("a").is_none());
-        assert!(!c.delete("a"));
-        c.put("b", Bytes::from_static(b"1"));
-        assert!(c.delete("b"));
+        assert!(c.take("a").is_none());
+        assert!(c.is_empty());
     }
 
     #[test]
@@ -424,82 +290,6 @@ mod tests {
             c.get_obj::<Tensor>("policy:1"),
             Err(CacheError::Missing(_))
         ));
-    }
-
-    #[test]
-    fn counters_are_atomic_across_threads() {
-        let c = Arc::new(Cache::in_memory());
-        let mut handles = Vec::new();
-        for _ in 0..8 {
-            let c = c.clone();
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..100 {
-                    c.incr("clock");
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(c.counter("clock"), 800);
-    }
-
-    #[test]
-    fn wait_for_blocks_until_put() {
-        let c = Arc::new(Cache::in_memory());
-        let waiter = {
-            let c = c.clone();
-            std::thread::spawn(move || c.wait_for("late", Duration::from_secs(5)))
-        };
-        std::thread::sleep(Duration::from_millis(30));
-        c.put("late", Bytes::from_static(b"done"));
-        let got = waiter.join().unwrap();
-        assert_eq!(got.unwrap(), Bytes::from_static(b"done"));
-    }
-
-    #[test]
-    fn wait_for_times_out() {
-        let c = Cache::in_memory();
-        let start = std::time::Instant::now();
-        assert!(c.wait_for("never", Duration::from_millis(50)).is_none());
-        assert!(start.elapsed() >= Duration::from_millis(45));
-    }
-
-    #[test]
-    fn prefix_scan_sorted() {
-        let c = Cache::in_memory();
-        c.put("grad:2", Bytes::new());
-        c.put("grad:1", Bytes::new());
-        c.put("traj:1", Bytes::new());
-        assert_eq!(c.keys_with_prefix("grad:"), vec!["grad:1", "grad:2"]);
-        assert_eq!(c.len(), 3);
-        c.clear();
-        assert!(c.is_empty());
-    }
-
-    #[test]
-    fn ttl_entries_expire() {
-        let c = Cache::in_memory();
-        c.put_ttl("hot", Bytes::from_static(b"x"), Duration::from_millis(30));
-        assert!(c.get("hot").is_some());
-        std::thread::sleep(Duration::from_millis(50));
-        assert!(c.get("hot").is_none(), "expired entry must read as missing");
-        // Expired take also misses.
-        c.put_ttl("hot2", Bytes::from_static(b"y"), Duration::from_millis(1));
-        std::thread::sleep(Duration::from_millis(10));
-        assert!(c.take("hot2").is_none());
-        // Untouched entries never expire.
-        c.put("cold", Bytes::from_static(b"z"));
-        std::thread::sleep(Duration::from_millis(10));
-        assert!(c.get("cold").is_some());
-    }
-
-    #[test]
-    fn wait_for_ignores_expired() {
-        let c = Cache::in_memory();
-        c.put_ttl("soon", Bytes::from_static(b"x"), Duration::from_millis(1));
-        std::thread::sleep(Duration::from_millis(10));
-        assert!(c.wait_for("soon", Duration::from_millis(30)).is_none());
     }
 
     #[test]

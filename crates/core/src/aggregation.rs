@@ -117,8 +117,8 @@ impl AggregationRule {
 
 /// Pre-allocated accumulator for weighted gradient sums.
 ///
-/// A parameter shard folds every arriving gradient into these buffers with
-/// axpy updates (`buf += w * g`), scales the sum by `1/H_c` at the commit,
+/// The parameter function folds every arriving gradient into these buffers
+/// with axpy updates (`buf += w * g`), scales the sum by `1/H_c` at the commit,
 /// and [`GradAccumulator::reset`] zeroes them in place, so steady-state
 /// aggregation performs no heap allocation and holds one gradient's worth of
 /// memory however many gradients a commit waits for — the same discipline as
@@ -146,18 +146,6 @@ impl GradAccumulator {
     pub fn accumulate(&mut self, grads: &[Tensor], w: f32) {
         assert_eq!(grads.len(), self.bufs.len(), "gradient layout mismatch");
         for (acc, grad) in self.bufs.iter_mut().zip(grads.iter()) {
-            assert_eq!(acc.shape(), grad.shape(), "gradient shape mismatch");
-            acc.axpy(w, grad);
-        }
-    }
-
-    /// Folds a block-sliced gradient list in: `bufs[j] += w * grads[blocks[j]]`
-    /// — a parameter shard's view of a full gradient message, where `blocks`
-    /// lists the global block indices the shard owns (DESIGN.md §16).
-    pub fn accumulate_indexed(&mut self, grads: &[Tensor], blocks: &[usize], w: f32) {
-        assert_eq!(blocks.len(), self.bufs.len(), "gradient layout mismatch");
-        for (acc, &b) in self.bufs.iter_mut().zip(blocks) {
-            let grad = &grads[b];
             assert_eq!(acc.shape(), grad.shape(), "gradient shape mismatch");
             acc.axpy(w, grad);
         }

@@ -172,12 +172,6 @@ pub struct TrainConfig {
     /// (required for bitwise-deterministic runs — deadlines compare
     /// wall-clock time).
     pub invoke_deadline: Option<Duration>,
-    /// Parameter-plane shards (DESIGN.md §16), honoured by both schedules
-    /// and by the remote fleet: the parameter blocks split across this
-    /// many shards, all committing on the plane's one staleness gate. Any
-    /// count computes the bits of one shard; the option stays only because
-    /// the benchmark's workload table sets it.
-    pub param_shards: usize,
 }
 
 impl TrainConfig {
@@ -211,7 +205,6 @@ impl TrainConfig {
             faults: FaultConfig::off(),
             retry: RetryPolicy::default(),
             invoke_deadline: None,
-            param_shards: 1,
         }
     }
 
@@ -280,13 +273,11 @@ impl TrainConfig {
         self
     }
 
-    /// Shards the parameter plane into `shards` parameter shards (clamped
-    /// to at least 1), which changes no bit of the run (see
-    /// [`Self::param_shards`]). `_lanes` is unused: gradients reach the
-    /// plane on the cycle's thread, not through queue lanes. Both arguments
-    /// stay only because the benchmark's workload table passes them.
-    pub fn with_sharding(mut self, shards: usize, _lanes: usize) -> Self {
-        self.param_shards = shards.max(1);
+    /// Returns the config unchanged. The parameter function has no shards
+    /// and gradients reach it on the cycle's thread, not through queue
+    /// lanes, so both arguments are ignored; the method stays only because
+    /// the benchmark's workload table calls it.
+    pub fn with_sharding(self, _shards: usize, _lanes: usize) -> Self {
         self
     }
 

@@ -618,8 +618,8 @@ mod tests {
         }
     }
 
-    fn tiny(mode: LearnerMode, shards: usize) -> TrainConfig {
-        let mut cfg = TrainConfig::test_tiny(EnvId::PointMass, 13).with_sharding(shards, 1);
+    fn tiny(mode: LearnerMode) -> TrainConfig {
+        let mut cfg = TrainConfig::test_tiny(EnvId::PointMass, 13);
         cfg.learner_mode = mode;
         cfg
     }
@@ -629,7 +629,7 @@ mod tests {
     /// mixed with gradients cut from the next snapshot.
     #[test]
     fn short_wave_commits_at_the_barrier() {
-        let cfg = tiny(LearnerMode::Sync { n: 2 }, 1);
+        let cfg = tiny(LearnerMode::Sync { n: 2 });
         let server = parameter_plane(&cfg);
         // One collect of 96 steps = three mini-batches: waves [0, 1] and [2].
         let mut fleet = ScriptedFleet::new(&cfg, 96, 2);
@@ -646,11 +646,10 @@ mod tests {
 
     /// Three scripted rounds with the conservation laws checked after each;
     /// returns the final checksum and staleness log.
-    fn scripted_run(shards: usize, reversed: bool) -> (u64, Vec<u64>) {
+    fn scripted_run(reversed: bool) -> (u64, Vec<u64>) {
         let rule = AggregationRule::Softsync { c: 2 };
-        let cfg = tiny(LearnerMode::Async { rule }, shards);
+        let cfg = tiny(LearnerMode::Async { rule });
         let server = parameter_plane(&cfg);
-        assert_eq!(server.n_shards(), shards);
         // Two collects of 64 steps = four mini-batches: waves of 3 and 1.
         let mut fleet = ScriptedFleet::new(&cfg, 64, 3);
         if reversed {
@@ -682,15 +681,13 @@ mod tests {
 
     #[test]
     fn scripted_rounds_conserve_gradients_and_offer_in_minibatch_order() {
-        for shards in [1, 3] {
-            let in_order = scripted_run(shards, false);
-            assert_eq!(in_order.1.len(), 6, "three pairs folded, one pending");
-            assert_eq!(
-                in_order,
-                scripted_run(shards, true),
-                "{shards} shard(s): the fleet's delivery order must not reach the weights"
-            );
-        }
+        let in_order = scripted_run(false);
+        assert_eq!(in_order.1.len(), 6, "three pairs folded, one pending");
+        assert_eq!(
+            in_order,
+            scripted_run(true),
+            "the fleet's delivery order must not reach the weights"
+        );
     }
 
     /// `lockstep_round` as it was before offers streamed: every wave is
@@ -726,19 +723,18 @@ mod tests {
         }
     }
 
-    /// Two rounds of one four-wide wave each over `shards` shard(s), the
-    /// scripted learners reading the plane before every gradient; with
+    /// Two rounds of one four-wide wave each, the scripted learners reading
+    /// the plane before every gradient; with
     /// `streamed` through `lockstep_round`, otherwise through the
     /// collect-and-sort oracle. Returns the final checksum, the staleness
     /// log and what the learners read.
     fn observed_run(
-        shards: usize,
         reversed: bool,
         lost: &[(usize, usize)],
         streamed: bool,
     ) -> (u64, Vec<u64>, Vec<(usize, usize, u64)>) {
         let rule = AggregationRule::Softsync { c: 2 };
-        let cfg = tiny(LearnerMode::Async { rule }, shards);
+        let cfg = tiny(LearnerMode::Async { rule });
         let server = Arc::new(parameter_plane(&cfg));
         // Two collects of 64 steps = four mini-batches, one wave.
         let mut fleet = ScriptedFleet::new(&cfg, 64, 4);
@@ -767,7 +763,7 @@ mod tests {
 
     #[test]
     fn lockstep_offers_stream_during_the_wave() {
-        let (_, _, seen) = observed_run(1, false, &[], true);
+        let (_, _, seen) = observed_run(false, &[], true);
         // Slot `l` computes mini-batch `l`; each learner finds every
         // earlier mini-batch already offered, so mini-batch 0 was offered
         // before the wave's last gradient was computed.
@@ -776,7 +772,7 @@ mod tests {
             [(0, 0, 0), (0, 1, 1), (0, 2, 2), (0, 3, 3)],
             "offers must stream in mini-batch order as gradients land"
         );
-        let (_, _, sorted_seen) = observed_run(1, false, &[], false);
+        let (_, _, sorted_seen) = observed_run(false, &[], false);
         assert!(
             sorted_seen[..4].iter().all(|&(_, _, offered)| offered == 0),
             "the collect-and-sort oracle offers nothing until the wave ends"
@@ -786,21 +782,19 @@ mod tests {
     #[test]
     fn a_lost_gradient_holds_later_offers_back_in_index_order() {
         let lost = [(0, 1), (1, 2)];
-        for shards in [1, 3] {
-            let (sum, log, seen) = observed_run(shards, false, &lost, true);
-            // Mini-batch 1 never lands, so 2 and 3 wait for the wave's end.
-            assert_eq!(seen[..3], [(0, 0, 0), (0, 2, 1), (0, 3, 1)]);
-            for reversed in [false, true] {
-                let (ref_sum, ref_log, _) = observed_run(shards, reversed, &lost, false);
-                assert_eq!(
-                    (sum, &log),
-                    (ref_sum, &ref_log),
-                    "{shards} shard(s), reversed {reversed}: the reorder window \
-                     must end where collect-and-sort does"
-                );
-                let streamed = observed_run(shards, reversed, &lost, true);
-                assert_eq!((streamed.0, &streamed.1), (ref_sum, &ref_log));
-            }
+        let (sum, log, seen) = observed_run(false, &lost, true);
+        // Mini-batch 1 never lands, so 2 and 3 wait for the wave's end.
+        assert_eq!(seen[..3], [(0, 0, 0), (0, 2, 1), (0, 3, 1)]);
+        for reversed in [false, true] {
+            let (ref_sum, ref_log, _) = observed_run(reversed, &lost, false);
+            assert_eq!(
+                (sum, &log),
+                (ref_sum, &ref_log),
+                "reversed {reversed}: the reorder window must end where \
+                 collect-and-sort does"
+            );
+            let streamed = observed_run(reversed, &lost, true);
+            assert_eq!((streamed.0, &streamed.1), (ref_sum, &ref_log));
         }
     }
 
@@ -808,9 +802,9 @@ mod tests {
     /// three learner slots, the third round's collect lost to the lead),
     /// with the conservation laws checked after each; returns the final
     /// checksum and staleness log.
-    fn scripted_async_run(shards: usize, reversed: bool) -> (u64, Vec<u64>) {
+    fn scripted_async_run(reversed: bool) -> (u64, Vec<u64>) {
         let rule = AggregationRule::Softsync { c: 2 };
-        let cfg = tiny(LearnerMode::Async { rule }, shards);
+        let cfg = tiny(LearnerMode::Async { rule });
         let server = parameter_plane(&cfg);
         let mut fleet = ScriptedFleet::new(&cfg, 64, 3);
         if reversed {
@@ -852,15 +846,13 @@ mod tests {
 
     #[test]
     fn scripted_async_rounds_replay_and_conserve_gradients() {
-        for shards in [1, 3] {
-            let run = scripted_async_run(shards, false);
-            assert!(!run.1.is_empty(), "{shards} shard(s): something committed");
-            assert_eq!(
-                run,
-                scripted_async_run(shards, false),
-                "{shards} shard(s): the same script must end on the same bits"
-            );
-        }
+        let run = scripted_async_run(false);
+        assert!(!run.1.is_empty(), "something committed");
+        assert_eq!(
+            run,
+            scripted_async_run(false),
+            "the same script must end on the same bits"
+        );
     }
 
     /// In lock-step the delivery order never reaches the weights
@@ -868,12 +860,10 @@ mod tests {
     /// asynchronously it is the schedule, so reversing it moves both.
     #[test]
     fn async_arrival_order_reaches_the_weights() {
-        for shards in [1, 3] {
-            let (sum, log) = scripted_async_run(shards, false);
-            let (rev_sum, rev_log) = scripted_async_run(shards, true);
-            assert_ne!(log, rev_log, "{shards} shard(s): staleness log");
-            assert_ne!(sum, rev_sum, "{shards} shard(s): weights");
-        }
+        let (sum, log) = scripted_async_run(false);
+        let (rev_sum, rev_log) = scripted_async_run(true);
+        assert_ne!(log, rev_log, "staleness log");
+        assert_ne!(sum, rev_sum, "weights");
     }
 
     /// A learner panic fails the run through the round's join instead of
@@ -885,7 +875,7 @@ mod tests {
         let (done, outcome) = std::sync::mpsc::channel();
         std::thread::spawn(move || {
             let rule = AggregationRule::PureAsync;
-            let cfg = tiny(LearnerMode::Async { rule }, 1);
+            let cfg = tiny(LearnerMode::Async { rule });
             let server = parameter_plane(&cfg);
             let mut fleet = ScriptedFleet::new(&cfg, 64, 3);
             fleet.panics_at = Some((1, 2));
@@ -965,8 +955,8 @@ mod tests {
         out
     }
 
-    /// Eq. 3 and Eq. 4 spelled out without shards, over the arrivals a run
-    /// recorded: each gradient is weighted `1/δ^(1/3)` by its staleness δ
+    /// Eq. 3 and Eq. 4 spelled out apart from the server, over the arrivals
+    /// a run recorded: each gradient is weighted `1/δ^(1/3)` by its staleness δ
     /// against this fold's own clock, and what is held commits once its
     /// mean staleness is within `β_k = max(δ_max, 1) · d^k`, where `δ_max`
     /// is the largest staleness of round 0, whose gate is open.
@@ -1040,14 +1030,13 @@ mod tests {
     /// log, the clock and the gradients aggregated.
     type RoundEnd = (u64, Vec<u64>, u64, u64);
 
-    /// One enumerated run: `orders.len()` rounds of `schedule` over
-    /// `shards` shard(s), the slots landing in `orders[round]`, `lost` the
+    /// One enumerated run: `orders.len()` rounds of `schedule`, the slots
+    /// landing in `orders[round]`, `lost` the
     /// one gradient that never arrives, and `server.advance_round()` after
     /// every round as the orchestrator's ledger does. The conservation laws
     /// are checked after each round; returns each round's [`RoundEnd`].
     fn enumerated_run(
         schedule: Schedule,
-        shards: usize,
         canned: &SampleBatch,
         orders: &[Vec<usize>],
         lost: Option<(usize, usize)>,
@@ -1059,7 +1048,7 @@ mod tests {
             },
             Schedule::Lockstep => LearnerMode::Sync { n: 2 },
         };
-        let cfg = tiny(mode, shards);
+        let cfg = tiny(mode);
         let server = Arc::new(parameter_plane(&cfg));
         let mut fleet = ScriptedFleet::with_batch(&cfg, canned.clone(), orders[0].len());
         fleet.orders = orders.to_vec();
@@ -1090,7 +1079,7 @@ mod tests {
                 }
             };
             server.advance_round();
-            let at = format!("{schedule:?} x{shards} {orders:?} lost {lost:?}, round {round}");
+            let at = format!("{schedule:?} {orders:?} lost {lost:?}, round {round}");
             assert_eq!(staged.is_some(), lead, "{at}: one round staged");
 
             let sent = (round as u64 + 1) * ENUMERATED_MINIBATCHES as u64;
@@ -1155,14 +1144,12 @@ mod tests {
     }
 
     /// Every schedule of `width` learner slots: 1 to 3 rounds, every slot
-    /// order in every round, with no gradient lost or each single one lost,
-    /// on 1 and on 3 shards. Three shards must end every round where one
-    /// does: checksum, staleness log, clock and gradients aggregated.
+    /// order in every round, with no gradient lost or each single one lost.
     /// Lock-step must end on one checksum and one staleness log whatever
     /// the order; asynchronously the order must reach the weights somewhere
     /// once two slots race. Returns how many runs were made.
     fn every_schedule(schedule: Schedule, width: usize) -> usize {
-        let probe = tiny(LearnerMode::Sync { n: 2 }, 1);
+        let probe = tiny(LearnerMode::Sync { n: 2 });
         let canned = ActorBody::new(&probe, 0).collect(&fresh_net(&probe).snapshot(), 64);
         let mut runs = 0;
         for rounds in 1..=3 {
@@ -1172,14 +1159,8 @@ mod tests {
             for lost in losses {
                 let (mut ends, mut memo) = (Vec::new(), Memo::new());
                 for orders in orders_per_round(width, rounds) {
-                    let one = enumerated_run(schedule, 1, &canned, &orders, lost, &mut memo);
-                    let three = enumerated_run(schedule, 3, &canned, &orders, lost, &mut memo);
-                    assert_eq!(
-                        one, three,
-                        "{schedule:?} {orders:?} lost {lost:?}: three shards must end where one does"
-                    );
-                    ends.push(one);
-                    runs += 2;
+                    ends.push(enumerated_run(schedule, &canned, &orders, lost, &mut memo));
+                    runs += 1;
                 }
                 ends.sort();
                 ends.dedup();
@@ -1199,12 +1180,11 @@ mod tests {
         runs
     }
 
-    /// Runs at `width`: `Σ_{r=1..3} (width!)^r · (1 + 4r)` schedules, each
-    /// on 1 and on 3 shards.
+    /// Runs at `width`: `Σ_{r=1..3} (width!)^r · (1 + 4r)` schedules.
     fn schedule_count(width: usize) -> usize {
         let orders: usize = (1..=width).product();
         (1..=3u32)
-            .map(|r| orders.pow(r) * (1 + ENUMERATED_MINIBATCHES * r as usize) * 2)
+            .map(|r| orders.pow(r) * (1 + ENUMERATED_MINIBATCHES * r as usize))
             .sum()
     }
 

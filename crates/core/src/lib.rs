@@ -58,7 +58,7 @@ pub use cycle::{
 pub use messages::GradientMsg;
 pub use metrics::{rows_to_csv, TimerReport, Timers, TrainRow};
 pub use orchestrator::{parameter_plane, smooth, train, TrainResult};
-pub use parameter::{ShardLayout, ShardedParameterServer};
+pub use parameter::ShardedParameterServer;
 pub use remote::{
     serve_worker, snapshot_checksum, GradientCall, GradientRequest, RemoteError, RemoteFleet,
     RemoteRunReport, RemoteSetup, RemoteWorker, WireEvent, WireEventBatch,

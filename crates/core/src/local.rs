@@ -1,6 +1,6 @@
 //! The in-process venue of the cycle: the substrates a training run shares
-//! ([`Run`]: serverless platform, timers, parameter plane, Eq. 2's ratio
-//! board) and [`LocalFleet`], whose functions run on threads beside them —
+//! (`Run`: serverless platform, timers, parameter function, Eq. 2's ratio
+//! board) and `LocalFleet`, whose functions run on threads beside them —
 //! the twin of `remote::ProcessFleet`, whose functions are child processes.
 //!
 //! Data moves the way §V-B moves it between functions on one server, over
@@ -11,7 +11,7 @@
 //! the aggregator by value (Step ②). Every function is invoked through the
 //! serverless platform: fault injection, retry, billing.
 //!
-//! Each function body sits in a [`Host`]: resident on a thread of its own
+//! Each function body sits in a `Host`: resident on a thread of its own
 //! for the asynchronous schedule, lent to a fresh thread per call for the
 //! lock-step one. A fleet call hands its work to the hosts and returns once
 //! all of it has come back, so a round's work still ends with the round,

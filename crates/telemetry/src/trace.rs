@@ -427,7 +427,7 @@ pub fn ingest_events(events: Vec<Event>) {
 const INTERN_CAPACITY: usize = 1024;
 
 /// Interns a string, returning a `'static` reference. Each unique name
-/// leaks exactly once; once [`INTERN_CAPACITY`] unique names exist, further
+/// leaks exactly once; once `INTERN_CAPACITY` unique names exist, further
 /// new names all map to a shared `"interned.overflow"` sentinel so a
 /// hostile peer cannot grow memory without bound through the trace path.
 pub fn intern_name(name: &str) -> &'static str {

@@ -62,7 +62,7 @@ fn tiny_run_traces_all_layers_and_matches_staleness_log() {
 
     // Acceptance criterion: the staleness histogram records exactly one sample
     // per aggregated gradient. `train` logs every aggregated gradient's
-    // staleness in `staleness_log`, and the parameter shard's commit records
+    // staleness in `staleness_log`, and the parameter server's commit records
     // the same value into the histogram, so the counts must match exactly.
     let staleness = telemetry::global().histogram("stellaris_core_staleness");
     assert_eq!(
