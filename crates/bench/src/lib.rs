@@ -62,30 +62,10 @@ impl Drop for TelemetryGuard {
         let Some(base) = self.base.take() else {
             return;
         };
-        stellaris_telemetry::flush_thread();
         let events = stellaris_telemetry::drain();
-        if let Some(dir) = base.parent() {
-            if !dir.as_os_str().is_empty() {
-                let _ = fs::create_dir_all(dir);
-            }
+        if let Err(e) = stellaris_telemetry::write_artefacts(&base, &events) {
+            emit_progress(&format!("telemetry: cannot write {}: {e}", base.display()));
         }
-        let with_ext = |ext: &str| {
-            let mut s = base.clone().into_os_string();
-            s.push(ext);
-            PathBuf::from(s)
-        };
-        let mut jsonl = Vec::new();
-        if stellaris_telemetry::write_jsonl(&events, &mut jsonl).is_ok() {
-            let _ = fs::write(with_ext(".jsonl"), &jsonl);
-        }
-        let mut chrome = Vec::new();
-        if stellaris_telemetry::write_chrome_trace(&events, &mut chrome).is_ok() {
-            let _ = fs::write(with_ext(".trace.json"), &chrome);
-        }
-        let _ = fs::write(
-            with_ext(".prom"),
-            stellaris_telemetry::global().render_prometheus(),
-        );
         let dropped = stellaris_telemetry::dropped_events();
         emit_progress(&format!(
             "telemetry: {} events -> {}.{{jsonl,trace.json,prom}} ({dropped} dropped)",

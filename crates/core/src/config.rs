@@ -4,7 +4,6 @@
 use std::time::Duration;
 
 use stellaris_envs::{EnvConfig, EnvId};
-use stellaris_nn::OptimizerKind;
 use stellaris_rl::{ImpactConfig, ImpalaConfig, PolicySnapshot, PpoConfig};
 use stellaris_serverless::{Cluster, FaultConfig, RetryPolicy};
 
@@ -140,8 +139,6 @@ pub struct TrainConfig {
     /// Global IS-truncation threshold ρ; `None` disables Eq. 2
     /// (the Fig. 11b ablation).
     pub truncation_rho: Option<f32>,
-    /// Optimizer (paper: Adam for both algorithms).
-    pub optimizer: OptimizerKind,
     /// Master seed.
     pub seed: u64,
     /// Evaluation episodes per round.
@@ -193,7 +190,6 @@ impl TrainConfig {
             rounds: 10,
             round_timesteps: 1024,
             truncation_rho: Some(1.0),
-            optimizer: OptimizerKind::Adam,
             seed,
             eval_episodes: 2,
             deployment: Deployment::Serverless,

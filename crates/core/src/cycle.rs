@@ -977,7 +977,7 @@ mod tests {
             let net = fresh_net(cfg);
             Self {
                 params: net.params().into_iter().cloned().collect(),
-                optimizer: cfg.optimizer.build(cfg.algo.lr()),
+                optimizer: stellaris_nn::OptimizerKind::Adam.build(cfg.algo.lr()),
                 sum: crate::aggregation::GradAccumulator::new(&net.param_shapes()),
                 held: Vec::new(),
                 clock: net.version,

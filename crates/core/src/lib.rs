@@ -61,7 +61,7 @@ pub use orchestrator::{parameter_plane, smooth, train, TrainResult};
 pub use parameter::ShardedParameterServer;
 pub use remote::{
     serve_worker, snapshot_checksum, GradientCall, GradientRequest, RemoteError, RemoteFleet,
-    RemoteRunReport, RemoteSetup, RemoteWorker, WireEvent, WireEventBatch,
+    RemoteRunReport, RemoteSetup, RemoteWorker,
 };
 pub use staleness::{staleness_weight, StalenessGate, StalenessRing, StalenessSchedule};
 pub use truncation::{reward_improvement_bound, RatioBoard};

@@ -9,7 +9,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Duration;
 
 use stellaris_telemetry as telemetry;
 use stellaris_telemetry::Histogram;
@@ -81,20 +80,11 @@ pub fn rows_to_csv(rows: &[TrainRow]) -> String {
     out
 }
 
-/// Thread-safe accumulating timers for the one-round latency breakdown
-/// (Fig. 14 components).
+/// Thread-safe accumulating timers for the one-round latency breakdown:
+/// microseconds per Fig. 14 [`Component`], indexed by it.
 #[derive(Debug, Default)]
 pub struct Timers {
-    /// Actor-environment sampling.
-    pub actor_sampling_us: AtomicU64,
-    /// Data-loader batching/staging (GAE, minibatching).
-    pub data_loading_us: AtomicU64,
-    /// Learner gradient computation.
-    pub gradient_us: AtomicU64,
-    /// Parameter-function aggregation + policy update.
-    pub aggregation_us: AtomicU64,
-    /// Serverless startup overhead (cold/warm starts).
-    pub startup_us: AtomicU64,
+    us: [AtomicU64; 4],
 }
 
 /// One component of the Fig. 14 latency breakdown.
@@ -108,18 +98,15 @@ pub enum Component {
     Gradient,
     /// Parameter-function aggregation + policy update.
     Aggregation,
-    /// Serverless startup overhead (cold/warm starts).
-    Startup,
 }
 
 impl Component {
     /// All components, in [`TimerReport`] field order.
-    pub const ALL: [Component; 5] = [
+    pub const ALL: [Component; 4] = [
         Component::ActorSampling,
         Component::DataLoading,
         Component::Gradient,
         Component::Aggregation,
-        Component::Startup,
     ];
 
     /// Short snake_case component name.
@@ -129,7 +116,6 @@ impl Component {
             Component::DataLoading => "data_loading",
             Component::Gradient => "gradient",
             Component::Aggregation => "aggregation",
-            Component::Startup => "startup",
         }
     }
 
@@ -140,24 +126,13 @@ impl Component {
             Component::DataLoading => "core.data_loading",
             Component::Gradient => "core.gradient",
             Component::Aggregation => "core.aggregation",
-            Component::Startup => "core.startup",
-        }
-    }
-
-    fn index(self) -> usize {
-        match self {
-            Component::ActorSampling => 0,
-            Component::DataLoading => 1,
-            Component::Gradient => 2,
-            Component::Aggregation => 3,
-            Component::Startup => 4,
         }
     }
 }
 
 /// Global per-component latency histograms, resolved once.
-fn component_histograms() -> &'static [Arc<Histogram>; 5] {
-    static HISTS: OnceLock<[Arc<Histogram>; 5]> = OnceLock::new();
+fn component_histograms() -> &'static [Arc<Histogram>; 4] {
+    static HISTS: OnceLock<[Arc<Histogram>; 4]> = OnceLock::new();
     HISTS.get_or_init(|| {
         Component::ALL.map(|c| {
             telemetry::global().histogram(&format!("stellaris_core_latency_us_{}", c.name()))
@@ -184,33 +159,11 @@ impl Drop for ComponentSpan<'_> {
 }
 
 impl Timers {
-    /// Adds a duration to a counter (saturating at `u64::MAX` µs rather
-    /// than truncating the 128-bit microsecond count).
-    pub fn add(counter: &AtomicU64, d: Duration) {
-        let us = u64::try_from(d.as_micros()).unwrap_or(u64::MAX);
-        counter.fetch_add(us, Ordering::Relaxed);
-    }
-
-    fn counter(&self, c: Component) -> &AtomicU64 {
-        match c {
-            Component::ActorSampling => &self.actor_sampling_us,
-            Component::DataLoading => &self.data_loading_us,
-            Component::Gradient => &self.gradient_us,
-            Component::Aggregation => &self.aggregation_us,
-            Component::Startup => &self.startup_us,
-        }
-    }
-
     /// Adds `us` microseconds to `c`'s counter and the matching global
     /// latency histogram.
-    pub fn add_us(&self, c: Component, us: u64) {
-        self.counter(c).fetch_add(us, Ordering::Relaxed);
-        component_histograms()[c.index()].record(us);
-    }
-
-    /// Records a duration against a component (counter + histogram).
-    pub fn record(&self, c: Component, d: Duration) {
-        self.add_us(c, u64::try_from(d.as_micros()).unwrap_or(u64::MAX));
+    fn add_us(&self, c: Component, us: u64) {
+        self.us[c as usize].fetch_add(us, Ordering::Relaxed);
+        component_histograms()[c as usize].record(us);
     }
 
     /// Opens a timing span for `c`: the returned guard accumulates its
@@ -225,15 +178,17 @@ impl Timers {
         }
     }
 
-    /// Snapshot in seconds per component.
+    /// Snapshot in seconds per component. `startup_s` is not a component:
+    /// it stays 0 here, and the orchestrator fills it from the platform's
+    /// invocation records.
     pub fn report(&self) -> TimerReport {
-        let s = |c: &AtomicU64| c.load(Ordering::Relaxed) as f64 / 1e6;
+        let s = |c: Component| self.us[c as usize].load(Ordering::Relaxed) as f64 / 1e6;
         TimerReport {
-            actor_sampling_s: s(&self.actor_sampling_us),
-            data_loading_s: s(&self.data_loading_us),
-            gradient_s: s(&self.gradient_us),
-            aggregation_s: s(&self.aggregation_us),
-            startup_s: s(&self.startup_us),
+            actor_sampling_s: s(Component::ActorSampling),
+            data_loading_s: s(Component::DataLoading),
+            gradient_s: s(Component::Gradient),
+            aggregation_s: s(Component::Aggregation),
+            startup_s: 0.0,
             cache_s: 0.0,
         }
     }
@@ -250,7 +205,8 @@ pub struct TimerReport {
     pub gradient_s: f64,
     /// Aggregation seconds.
     pub aggregation_s: f64,
-    /// Startup overhead seconds.
+    /// Startup overhead seconds (cold and warm starts), from the
+    /// platform's invocation records.
     pub startup_s: f64,
     /// Seconds of cache traffic and serialisation: 0 in process, where
     /// hand-offs are by value (§V-B shared memory).
@@ -317,12 +273,12 @@ mod tests {
     #[test]
     fn timers_accumulate_and_report() {
         let t = Timers::default();
-        Timers::add(&t.gradient_us, Duration::from_millis(1500));
-        Timers::add(&t.gradient_us, Duration::from_millis(500));
-        Timers::add(&t.startup_us, Duration::from_millis(100));
+        t.add_us(Component::Gradient, 1_500_000);
+        t.add_us(Component::Gradient, 500_000);
+        t.add_us(Component::Aggregation, 100_000);
         let r = t.report();
         assert!((r.gradient_s - 2.0).abs() < 1e-6);
-        assert!((r.startup_s - 0.1).abs() < 1e-6);
+        assert!((r.aggregation_s - 0.1).abs() < 1e-6);
         assert!((r.total() - 2.1).abs() < 1e-6);
     }
 
@@ -349,33 +305,24 @@ mod tests {
         let t = Timers::default();
         {
             let _g = t.span(Component::Aggregation);
-            std::thread::sleep(Duration::from_millis(2));
+            std::thread::sleep(std::time::Duration::from_millis(2));
         }
-        t.record(Component::Startup, Duration::from_millis(3));
+        t.add_us(Component::DataLoading, 3_000);
         let r = t.report();
         assert!(r.aggregation_s > 0.0, "{r:?}");
-        assert!((r.startup_s - 0.003).abs() < 1e-9, "{r:?}");
+        assert!((r.data_loading_s - 0.003).abs() < 1e-9, "{r:?}");
         // The same samples land in the global latency histograms.
         assert!(
             stellaris_telemetry::global()
-                .histogram("stellaris_core_latency_us_startup")
+                .histogram("stellaris_core_latency_us_data_loading")
                 .count()
                 >= 1
         );
     }
 
     #[test]
-    fn saturating_duration_cast_never_truncates() {
-        let t = Timers::default();
-        // > u64::MAX microseconds: the old `as u64` cast wrapped this to a
-        // small number; now it saturates.
-        Timers::add(&t.startup_us, Duration::MAX);
-        assert_eq!(t.startup_us.load(Ordering::Relaxed), u64::MAX);
-    }
-
-    #[test]
     fn component_names_are_stable() {
-        assert_eq!(Component::ALL.len(), 5);
+        assert_eq!(Component::ALL.len(), 4);
         for c in Component::ALL {
             assert!(c.span_name().starts_with("core."));
             assert!(c.span_name().ends_with(c.name()));

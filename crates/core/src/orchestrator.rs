@@ -15,7 +15,7 @@ use std::collections::VecDeque;
 use std::time::Duration;
 
 use stellaris_envs::{make_env, Env};
-use stellaris_nn::Tensor;
+use stellaris_nn::{OptimizerKind, Tensor};
 use stellaris_rl::{evaluate, DistParams, PolicyNet, PolicySnapshot};
 use stellaris_serverless::{
     bill_hybrid, bill_serverful, bill_serverless, CostBreakdown, FaultReport, FunctionKind,
@@ -107,11 +107,12 @@ fn initial_policy(cfg: &TrainConfig) -> PolicyNet {
 }
 
 /// The one constructor of the parameter function: the configured starting
-/// policy, the topology's aggregation rule and the configured optimizer.
-/// [`train`] and `RemoteFleet::run` both obtain their server here.
+/// policy, the topology's aggregation rule and Adam (the paper's optimizer
+/// for both algorithms). [`train`] and `RemoteFleet::run` both obtain their
+/// server here.
 pub fn parameter_plane(cfg: &TrainConfig) -> ShardedParameterServer {
     ShardedParameterServer::new(initial_policy(cfg), cfg.learner_mode.rule(), 1, || {
-        cfg.optimizer.build(cfg.algo.lr())
+        OptimizerKind::Adam.build(cfg.algo.lr())
     })
 }
 

@@ -86,7 +86,7 @@ pub struct ShardedParameterServer {
     plane: Mutex<Plane>,
     /// `stellaris_core_grads_aggregated_total`: one increment per committed
     /// gradient, so it equals the `stellaris_core_staleness` histogram's
-    /// count (checked by `validate_trace`).
+    /// count (checked by `obs validate`).
     grads_counter: Arc<Counter>,
     staleness_hist: Arc<Histogram>,
     gate_admitted: Arc<Counter>,

@@ -25,7 +25,9 @@
 //! Span stitching: each request frame carries the parent-side span ID in
 //! its trace-ID header field; the worker opens its handler spans with
 //! [`stellaris_telemetry::span_with_parent`] under a disjoint per-worker
-//! span-ID base, and `PULL_SPANS` ships the child's events back for
+//! span-ID base, and `PULL_SPANS` ships the child's events back as the
+//! trace's own JSONL ([`stellaris_telemetry::write_jsonl`], read back with
+//! [`stellaris_telemetry::read_jsonl`], fields typed) for
 //! [`stellaris_telemetry::ingest_events`] so one merged trace covers both
 //! sides of the socket.
 
@@ -36,14 +38,14 @@ use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
 use stellaris_cache::frame::{op, Frame, FrameReader, WireError};
-use stellaris_cache::{decode_seq, encode_seq, seq_encoded_len, Codec, CodecError};
+use stellaris_cache::{Codec, CodecError};
 use stellaris_envs::{EnvConfig, EnvId};
 use stellaris_rl::{ImpactConfig, ImpalaConfig, PolicySnapshot, PpoConfig, SampleBatch};
 use stellaris_serverless::{
     FaultPlan, FaultReport, FunctionKind, OverheadMode, Platform, ProcessConfig, ProcessPool,
     SpawnError, StartupProfile, WorkerProcess,
 };
-use stellaris_telemetry::{self as telemetry, Event, EventKind, FieldValue};
+use stellaris_telemetry::{self as telemetry, Event};
 
 use crate::config::{Algo, TrainConfig};
 use crate::cycle::{
@@ -283,175 +285,6 @@ fn call_tail_len(batch: &SampleBatch, learner_id: usize) -> usize {
     batch.encoded_len() + f32::NAN.encoded_len() + learner_id.encoded_len()
 }
 
-/// A telemetry [`Event`] in wire form. Field values are flattened to text
-/// (staleness, rewards and durations survive; type fidelity does not need
-/// to), and names are re-interned on the receiving side through the
-/// bounded [`telemetry::intern_name`] table so a hostile peer cannot grow
-/// parent memory without bound.
-#[derive(Clone, Debug, PartialEq)]
-pub struct WireEvent {
-    /// 0 = span, 1 = instant.
-    pub kind: u8,
-    /// Event name.
-    pub name: String,
-    /// Span/event ID (minted under the worker's disjoint span-ID base).
-    pub id: u64,
-    /// Parent span ID — for handler roots this is the *parent process's*
-    /// span, carried in by the request frame's trace-ID field.
-    pub parent: u64,
-    /// Recording thread number in the worker.
-    pub tid: u64,
-    /// Start timestamp (µs since the worker's trace epoch).
-    pub ts_us: u64,
-    /// Duration (µs, 0 for instants).
-    pub dur_us: u64,
-    /// Field names, parallel to `field_values`.
-    pub field_names: Vec<String>,
-    /// Field values rendered as text, parallel to `field_names`.
-    pub field_values: Vec<String>,
-}
-
-fn field_text(v: &FieldValue) -> String {
-    match v {
-        FieldValue::U64(x) => x.to_string(),
-        FieldValue::I64(x) => x.to_string(),
-        FieldValue::F64(x) => x.to_string(),
-        FieldValue::Bool(x) => x.to_string(),
-        FieldValue::Text(s) => s.clone(),
-    }
-}
-
-impl WireEvent {
-    /// Captures a locally recorded event for the wire.
-    pub fn from_event(e: &Event) -> Self {
-        Self {
-            kind: match e.kind {
-                EventKind::Span => 0,
-                EventKind::Instant => 1,
-            },
-            name: e.name.to_string(),
-            id: e.id,
-            parent: e.parent,
-            tid: e.tid,
-            ts_us: e.ts_us,
-            dur_us: e.dur_us,
-            field_names: e.fields.iter().map(|(n, _)| (*n).to_string()).collect(),
-            field_values: e.fields.iter().map(|(_, v)| field_text(v)).collect(),
-        }
-    }
-
-    /// Rebuilds a local event, interning names through the bounded table.
-    pub fn into_event(self) -> Event {
-        let WireEvent {
-            kind,
-            name,
-            id,
-            parent,
-            tid,
-            ts_us,
-            dur_us,
-            field_names,
-            field_values,
-        } = self;
-        Event {
-            kind: if kind == 1 {
-                EventKind::Instant
-            } else {
-                EventKind::Span
-            },
-            name: telemetry::intern_name(&name),
-            id,
-            parent,
-            tid,
-            ts_us,
-            dur_us,
-            fields: field_names
-                .iter()
-                .zip(field_values)
-                .map(|(n, v)| (telemetry::intern_name(n), FieldValue::Text(v)))
-                .collect(),
-        }
-    }
-}
-
-impl Codec for WireEvent {
-    fn encode(&self, buf: &mut BytesMut) {
-        self.kind.encode(buf);
-        self.name.encode(buf);
-        self.id.encode(buf);
-        self.parent.encode(buf);
-        self.tid.encode(buf);
-        self.ts_us.encode(buf);
-        self.dur_us.encode(buf);
-        encode_seq(&self.field_names, buf);
-        encode_seq(&self.field_values, buf);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(Self {
-            kind: u8::decode(buf)?,
-            name: String::decode(buf)?,
-            id: u64::decode(buf)?,
-            parent: u64::decode(buf)?,
-            tid: u64::decode(buf)?,
-            ts_us: u64::decode(buf)?,
-            dur_us: u64::decode(buf)?,
-            field_names: decode_seq(buf)?,
-            field_values: decode_seq(buf)?,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        self.kind.encoded_len()
-            + self.name.encoded_len()
-            + self.id.encoded_len()
-            + self.parent.encoded_len()
-            + self.tid.encoded_len()
-            + self.ts_us.encoded_len()
-            + self.dur_us.encoded_len()
-            + seq_encoded_len(&self.field_names)
-            + seq_encoded_len(&self.field_values)
-    }
-}
-
-/// The payload of a `PULL_SPANS` reply: every event the worker had
-/// buffered, drained and shipped in one frame.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct WireEventBatch {
-    /// Drained worker events, in recording order.
-    pub events: Vec<WireEvent>,
-}
-
-impl WireEventBatch {
-    /// Snapshots locally drained events for the wire.
-    pub fn from_events(events: &[Event]) -> Self {
-        Self {
-            events: events.iter().map(WireEvent::from_event).collect(),
-        }
-    }
-
-    /// Converts back to local events (names interned).
-    pub fn into_events(self) -> Vec<Event> {
-        self.events.into_iter().map(WireEvent::into_event).collect()
-    }
-}
-
-impl Codec for WireEventBatch {
-    fn encode(&self, buf: &mut BytesMut) {
-        encode_seq(&self.events, buf);
-    }
-
-    fn decode(buf: &mut &[u8]) -> Result<Self, CodecError> {
-        Ok(Self {
-            events: decode_seq(buf)?,
-        })
-    }
-
-    fn encoded_len(&self) -> usize {
-        seq_encoded_len(&self.events)
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Child side: the worker serve loop
 // ---------------------------------------------------------------------------
@@ -479,9 +312,13 @@ impl WorkerState {
     }
 }
 
-fn send_ok<S: Read + Write>(r: &mut FrameReader<S>, trace: u64) -> Result<(), WireError> {
+fn send_ok<S: Read + Write>(
+    r: &mut FrameReader<S>,
+    trace: u64,
+    payload: &[u8],
+) -> Result<(), WireError> {
     let cap = r.max_frame();
-    stellaris_cache::frame::write_frame(r.get_mut(), op::OK, trace, &[], cap)
+    stellaris_cache::frame::write_frame(r.get_mut(), op::OK, trace, payload, cap)
 }
 
 fn send_ok_value<S: Read + Write, T: Codec>(
@@ -559,7 +396,7 @@ pub fn serve_worker<S: Read + Write>(
                 Ok(setup) => match WorkerState::build(&setup) {
                     Ok(s) => {
                         state = Some(s);
-                        send_ok(&mut reader, trace)?;
+                        send_ok(&mut reader, trace, &[])?;
                     }
                     Err(msg) => send_err(&mut reader, trace, msg)?,
                 },
@@ -568,7 +405,7 @@ pub fn serve_worker<S: Read + Write>(
             op::LOAD_POLICY => match (&mut state, frame.decode_value::<PolicySnapshot>()) {
                 (Some(s), Ok(snap)) => {
                     s.snap = Some(snap);
-                    send_ok(&mut reader, trace)?;
+                    send_ok(&mut reader, trace, &[])?;
                 }
                 (None, _) => send_err(&mut reader, trace, "not initialised".to_string())?,
                 (_, Err(e)) => send_err(&mut reader, trace, format!("bad LOAD_POLICY: {e}"))?,
@@ -617,16 +454,18 @@ pub fn serve_worker<S: Read + Write>(
                 (_, Err(e)) => send_err(&mut reader, trace, format!("bad GRADIENT_AT: {e}"))?,
             },
             op::PULL_SPANS => {
-                telemetry::flush_thread();
-                let batch = WireEventBatch::from_events(&telemetry::drain());
-                send_ok_value(&mut reader, trace, &batch)?;
+                let mut jsonl = Vec::new();
+                match telemetry::write_jsonl(&telemetry::drain(), &mut jsonl) {
+                    Ok(()) => send_ok(&mut reader, trace, &jsonl)?,
+                    Err(e) => send_err(&mut reader, trace, format!("PULL_SPANS: {e}"))?,
+                }
             }
             op::SLEEP => match frame.decode_value::<u64>() {
                 Ok(ms) => {
                     let span = telemetry::span_with_parent("remote.sleep", trace, Vec::new());
                     std::thread::sleep(Duration::from_millis(ms.min(60_000)));
                     drop(span);
-                    send_ok(&mut reader, trace)?;
+                    send_ok(&mut reader, trace, &[])?;
                 }
                 Err(e) => send_err(&mut reader, trace, format!("bad SLEEP: {e}"))?,
             },
@@ -637,19 +476,10 @@ pub fn serve_worker<S: Read + Write>(
                 std::process::exit(17);
             }
             op::SHUTDOWN => {
-                send_ok(&mut reader, trace)?;
+                send_ok(&mut reader, trace, &[])?;
                 return Ok(());
             }
-            op::RELAY => {
-                let cap = reader.max_frame();
-                stellaris_cache::frame::write_frame(
-                    reader.get_mut(),
-                    op::OK,
-                    trace,
-                    &frame.payload,
-                    cap,
-                )?;
-            }
+            op::RELAY => send_ok(&mut reader, trace, &frame.payload)?,
             other => send_err(&mut reader, trace, format!("unknown opcode {other}"))?,
         }
     }
@@ -672,6 +502,9 @@ pub enum RemoteError {
     Rejected(String),
     /// The worker answered with an unexpected opcode.
     Protocol(u8),
+    /// A `PULL_SPANS` reply that is not UTF-8 trace JSONL; nothing of it
+    /// was ingested.
+    Spans(String),
 }
 
 impl std::fmt::Display for RemoteError {
@@ -681,6 +514,7 @@ impl std::fmt::Display for RemoteError {
             RemoteError::Wire(e) => write!(f, "wire failure: {e}"),
             RemoteError::Rejected(msg) => write!(f, "worker rejected request: {msg}"),
             RemoteError::Protocol(k) => write!(f, "unexpected reply opcode {k}"),
+            RemoteError::Spans(e) => write!(f, "unreadable span reply: {e}"),
         }
     }
 }
@@ -697,6 +531,13 @@ impl From<WireError> for RemoteError {
     fn from(e: WireError) -> Self {
         RemoteError::Wire(e)
     }
+}
+
+/// Reads a `PULL_SPANS` payload: all of it, or a typed error and no events.
+fn read_spans(payload: &[u8]) -> Result<Vec<Event>, RemoteError> {
+    let text =
+        std::str::from_utf8(payload).map_err(|e| RemoteError::Spans(format!("not UTF-8: {e}")))?;
+    telemetry::read_jsonl(text).map_err(RemoteError::Spans)
 }
 
 /// Typed request/reply client over one worker process's framed socket.
@@ -817,10 +658,17 @@ impl RemoteWorker {
         }
     }
 
-    /// Drains the worker's telemetry buffer across the socket.
-    pub fn pull_spans(&mut self, trace: u64) -> Result<Vec<Event>, RemoteError> {
+    /// Drains the worker's telemetry buffer across the socket into this
+    /// process's trace and returns how many events it held. The reply is
+    /// the worker's [`telemetry::write_jsonl`], read back by
+    /// [`telemetry::read_jsonl`] with every field typed; a reply that does
+    /// not read is an error, and none of it is ingested.
+    pub fn pull_spans(&mut self, trace: u64) -> Result<usize, RemoteError> {
         let reply = self.request(op::PULL_SPANS, trace, &[])?;
-        Ok(reply.decode_value::<WireEventBatch>()?.into_events())
+        let events = read_spans(&reply.payload)?;
+        let n = events.len();
+        telemetry::ingest_events(events);
+        Ok(n)
     }
 
     /// Graceful shutdown: the worker acknowledges and exits its loop.
@@ -992,9 +840,8 @@ impl RemoteFleet {
             mut actor,
             learners: ProcessLearners { mut report, .. },
         } = fleet;
-        if let Ok(events) = actor.worker.pull_spans(0) {
-            report.events_ingested += events.len();
-            telemetry::ingest_events(events);
+        if let Ok(n) = actor.worker.pull_spans(0) {
+            report.events_ingested += n;
         }
         let _graceful = actor.worker.shutdown();
         self.pool.shutdown();
@@ -1224,9 +1071,8 @@ impl ProcessLearners<'_> {
                 continue;
             };
             if last {
-                if let Ok(events) = w.pull_spans(trace) {
-                    self.report.events_ingested += events.len();
-                    telemetry::ingest_events(events);
+                if let Ok(n) = w.pull_spans(trace) {
+                    self.report.events_ingested += n;
                 }
                 let _graceful = w.shutdown();
             } else {
@@ -1356,6 +1202,7 @@ mod tests {
     use stellaris_cache::frame::{write_value_frame, DEFAULT_MAX_FRAME};
     use stellaris_rl::fill_gae;
     use stellaris_serverless::WireStream;
+    use stellaris_telemetry::FieldValue;
 
     fn tiny_setup() -> RemoteSetup {
         RemoteSetup {
@@ -1429,29 +1276,17 @@ mod tests {
     }
 
     #[test]
-    fn wire_events_roundtrip_with_interned_names() {
-        let batch = WireEventBatch {
-            events: vec![WireEvent {
-                kind: 0,
-                name: "remote.gradient".to_string(),
-                id: (1 << 40) + 3,
-                parent: 42,
-                tid: 1,
-                ts_us: 10,
-                dur_us: 5,
-                field_names: vec!["learner".to_string()],
-                field_values: vec!["2".to_string()],
-            }],
-        };
-        let decoded = WireEventBatch::from_bytes(&batch.to_bytes()).unwrap();
-        assert_eq!(decoded, batch);
-        let events = decoded.into_events();
+    fn span_replies_are_read_whole_or_not_at_all() {
+        let good = "{\"type\":\"span\",\"name\":\"remote.gradient\",\"id\":1099511627779,\
+                    \"parent\":42,\"tid\":1,\"ts_us\":10,\"dur_us\":5,\"fields\":{\"learner\":2}}\n";
+        let events = read_spans(good.as_bytes()).unwrap();
         assert_eq!(events[0].name, "remote.gradient");
         assert_eq!(events[0].parent, 42);
-        assert_eq!(
-            events[0].fields,
-            vec![("learner", FieldValue::Text("2".to_string()))]
-        );
+        assert_eq!(events[0].fields, vec![("learner", FieldValue::U64(2))]);
+        let truncated = format!("{good}{}", &good[..good.len() / 2]);
+        for bad in [&b"\xff\xfe"[..], truncated.as_bytes()] {
+            assert!(matches!(read_spans(bad), Err(RemoteError::Spans(_))));
+        }
     }
 
     /// Full conversation against `serve_worker` on a real TCP socket:
@@ -1527,10 +1362,7 @@ mod tests {
         write_value_frame(reader.get_mut(), op::PULL_SPANS, 7, &0u8, cap).unwrap();
         let spans = reader.read_frame().unwrap();
         assert_eq!(spans.header.kind, op::OK);
-        let events = spans
-            .decode_value::<WireEventBatch>()
-            .unwrap()
-            .into_events();
+        let events = read_spans(&spans.payload).unwrap();
         let collect = events
             .iter()
             .find(|e| e.name == "remote.collect")
@@ -1545,6 +1377,11 @@ mod tests {
             .find(|e| e.name == "remote.gradient")
             .expect("gradient span crossed the wire");
         assert_eq!(grad.parent, 6);
+        assert!(
+            matches!(grad.fields[..], [("learner", FieldValue::U64(_))]),
+            "worker fields arrive typed: {:?}",
+            grad.fields
+        );
 
         stellaris_cache::frame::write_frame(reader.get_mut(), op::SHUTDOWN, 8, &[], cap).unwrap();
         assert_eq!(reader.read_frame().unwrap().header.kind, op::OK);

@@ -7,11 +7,12 @@
 //! learner/actor ratio observed across the learner group during the
 //! aggregation phase, capped at ρ.
 //!
-//! Implementation: every learner publishes the minimum |ratio| of its most
-//! recent mini-batch to this board; before computing gradients, a learner
-//! reads the group minimum and uses `min(group_min, ρ)` as the ratio cap
-//! inside its surrogate objective (the `ratio_cap` parameter of
-//! [`stellaris_rl::ppo_gradients`]).
+//! Implementation: a learner can only evaluate its own policy on its own
+//! batch, so every learner publishes the mean raw (uncapped) |ratio| of its
+//! most recent mini-batch to this board (DESIGN.md §5a); before computing
+//! gradients, a learner reads the group minimum of those means and uses
+//! `min(group_min, ρ)` as the ratio cap inside its surrogate objective (the
+//! `ratio_cap` parameter of [`stellaris_rl::ppo_gradients`]).
 
 #![warn(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
 
@@ -61,12 +62,12 @@ impl RatioBoard {
         self.enabled
     }
 
-    /// Publishes learner `id`'s latest per-batch minimum |ratio|.
-    pub fn publish(&self, learner_id: usize, min_abs_ratio: f32) {
-        if !self.enabled || !min_abs_ratio.is_finite() {
+    /// Publishes learner `id`'s latest per-batch mean raw |ratio|.
+    pub fn publish(&self, learner_id: usize, mean_abs_ratio: f32) {
+        if !self.enabled || !mean_abs_ratio.is_finite() {
             return;
         }
-        self.ratios.write().insert(learner_id, min_abs_ratio.abs());
+        self.ratios.write().insert(learner_id, mean_abs_ratio.abs());
     }
 
     /// Removes a terminated learner from the group view.

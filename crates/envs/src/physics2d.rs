@@ -154,12 +154,6 @@ impl Body {
         ]
     }
 
-    /// Velocity of a world-space point attached to the body.
-    pub fn point_velocity(&self, world_point: Vec2) -> Vec2 {
-        let r = world_point - self.pos;
-        self.vel + r.perp_scaled(self.angvel)
-    }
-
     fn apply_impulse(&mut self, p: Vec2, r: Vec2) {
         self.vel = self.vel + p * self.inv_mass;
         self.angvel += self.inv_inertia * r.cross(p);

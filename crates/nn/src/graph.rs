@@ -421,12 +421,6 @@ impl Graph {
         )
     }
 
-    /// Subtracts a `[n]` row from every row of a `[m,n]` matrix.
-    pub fn sub_row(&self, a: Var, row: Var) -> Var {
-        let neg = self.scale(row, -1.0);
-        self.add_bias(a, neg)
-    }
-
     /// Multiplies every row of a `[m,n]` matrix elementwise by a `[n]` row.
     pub fn mul_row(&self, a: Var, row: Var) -> Var {
         let va = self.rc(a);
@@ -586,14 +580,6 @@ impl Graph {
                 });
             })),
         )
-    }
-
-    /// Weighted mean `sum(a * w) / sum(w)` against a constant weight vector.
-    pub fn weighted_mean(&self, a: Var, weights: &Tensor) -> Var {
-        let w = self.input(weights.clone());
-        let prod = self.mul(a, w);
-        let s = self.sum_all(prod);
-        self.scale(s, 1.0 / weights.sum().max(1e-12))
     }
 
     // ----- linear algebra -------------------------------------------------------------

@@ -16,11 +16,15 @@
 //! obs attribute <dump.jsonl>
 //!     Re-run the critical-path analyzer over a flight-recorder or
 //!     STELLARIS_TRACE JSONL dump and print the blame table.
+//!
+//! obs validate <base> [--expect-span NAME]... [--expect-metric NAME]...
+//!     Check a trace's <base>.{jsonl,trace.json,prom} artefacts; exits
+//!     non-zero on the first failure.
 //! ```
 
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::Duration;
 
@@ -35,6 +39,7 @@ fn main() -> ExitCode {
         Some("dash") => cmd_dash(&args[1..]),
         Some("diff") => cmd_diff(&args[1..]),
         Some("attribute") => cmd_attribute(&args[1..]),
+        Some("validate") => cmd_validate(&args[1..]),
         _ => {
             usage();
             ExitCode::FAILURE
@@ -43,12 +48,13 @@ fn main() -> ExitCode {
 }
 
 fn usage() {
-    eprintln!("usage: obs <dash|diff|attribute> [options]");
+    eprintln!("usage: obs <dash|diff|attribute|validate> [options]");
     eprintln!("  dash       [--env NAME] [--rounds N] [--seed S] [--chaos SEED]");
     eprintln!("             [--interval-ms M] [--runs-dir DIR] [--flight-dir DIR]");
     eprintln!("             [--report-name FILE] [--dump-on-exit]");
     eprintln!("  diff       <a.json> <b.json> [--rel PCT] [--abs-us U] [--fail-on-regress]");
     eprintln!("  attribute  <dump.jsonl>");
+    eprintln!("  validate   <base> [--expect-span NAME]... [--expect-metric NAME]...");
 }
 
 struct Flags<'a> {
@@ -57,13 +63,16 @@ struct Flags<'a> {
 
 impl<'a> Flags<'a> {
     fn get(&self, name: &str) -> Option<&'a str> {
-        let mut it = self.args.iter();
-        while let Some(a) = it.next() {
-            if a.strip_prefix("--") == Some(name) {
-                return it.next().map(String::as_str);
-            }
-        }
-        None
+        self.all(name).first().copied()
+    }
+
+    /// Every value of a repeatable flag, in order.
+    fn all(&self, name: &str) -> Vec<&'a str> {
+        self.args
+            .windows(2)
+            .filter(|w| w[0].strip_prefix("--") == Some(name))
+            .map(|w| w[1].as_str())
+            .collect()
     }
 
     fn has(&self, name: &str) -> bool {
@@ -145,7 +154,6 @@ fn cmd_dash(args: &[String]) -> ExitCode {
     }
 
     // Attribute the full trace and print the blame table.
-    stellaris_telemetry::flush_thread();
     let events: Vec<AttrEvent> = stellaris_telemetry::drain()
         .iter()
         .map(AttrEvent::from_event)
@@ -224,6 +232,39 @@ fn cmd_attribute(args: &[String]) -> ExitCode {
         }
         Err(e) => {
             eprintln!("obs attribute: {e}");
+            ExitCode::FAILURE
+        }
+    }
+}
+
+fn cmd_validate(args: &[String]) -> ExitCode {
+    let flags = Flags { args };
+    let pos = flags.positional();
+    let [base] = pos.as_slice() else {
+        eprintln!("obs validate: need exactly one artefact base path");
+        return ExitCode::FAILURE;
+    };
+    let spans = flags.all("expect-span");
+    let metrics = flags.all("expect-metric");
+    match stellaris_obs::validate(Path::new(base), &spans, &metrics) {
+        Ok(v) => {
+            if v.dropped_events > 0 {
+                eprintln!(
+                    "obs validate: WARNING: ***** flight-recorder dump reports {} \
+                     DROPPED trace events — the dump is incomplete *****",
+                    v.dropped_events
+                );
+            }
+            println!(
+                "obs validate: OK ({} events, {} expected spans, {} expected metrics)",
+                v.events,
+                spans.len(),
+                metrics.len()
+            );
+            ExitCode::SUCCESS
+        }
+        Err(e) => {
+            eprintln!("obs validate: FAIL: {e}");
             ExitCode::FAILURE
         }
     }

@@ -318,8 +318,9 @@ mod tests {
         let a = report(0, 0, 1.0);
         let mut low = report(0, 0, 1.0);
         if let Value::Obj(m) = &mut low {
-            if let Some(Value::Obj(attr)) = m.get_mut("attribution") {
-                attr.insert("coverage".to_owned(), Value::Num(0.80));
+            if let Some((_, Value::Obj(attr))) = m.iter_mut().find(|(k, _)| k == "attribution") {
+                attr.retain(|(k, _)| k != "coverage");
+                attr.push(("coverage".to_owned(), Value::Num(0.80)));
             }
         }
         let d = diff(&a, &low, &DiffOptions::default());

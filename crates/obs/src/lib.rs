@@ -11,9 +11,11 @@
 //!   regressions surface as named keys.
 //! * **[`dash`]** — the plain-text live dashboard panel the `obs` binary
 //!   tails while a sim runs.
+//! * **[`validate`](mod@validate)** — the structural checks on a trace's
+//!   three artefacts that `obs validate` and CI run.
 //!
-//! Artifacts are read back with `stellaris_telemetry::json`, the one JSON
-//! parser of the workspace.
+//! Span dumps are read back with `stellaris_telemetry::read_jsonl` and
+//! reports with `stellaris_telemetry::json`, the one JSON parser.
 //!
 //! The flight recorder and the critical-path analyzer themselves live in
 //! `stellaris_telemetry::{recorder, attribution}` so every crate can feed
@@ -24,53 +26,23 @@
 pub mod dash;
 pub mod diff;
 pub mod report;
+pub mod validate;
 
 pub use dash::Dashboard;
 pub use diff::{diff, DiffOptions, DiffReport};
 pub use report::{config_hash, maybe_write_report, RunReport, SloVerdict};
+pub use validate::{validate, Validated};
 
-use stellaris_telemetry::json::{self, Value};
-use stellaris_telemetry::{attribution, AttrEvent};
+use stellaris_telemetry::{attribution, read_jsonl, AttrEvent};
 
-/// Parses flight-recorder / trace JSONL text into analysis-ready events,
-/// skipping blank lines; fails on the first malformed line.
-pub fn parse_jsonl_events(text: &str) -> Result<Vec<AttrEvent>, String> {
-    let mut out = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let v = json::parse(line).map_err(|e| format!("line {}: {e}", i + 1))?;
-        let name = v
-            .get("name")
-            .and_then(Value::as_str)
-            .ok_or_else(|| format!("line {}: no name", i + 1))?
-            .to_owned();
-        let span = v.get("type").and_then(Value::as_str) == Some("span");
-        let round = if name == "core.round" {
-            v.get("fields")
-                .and_then(|f| f.get("round"))
-                .and_then(Value::as_u64)
-        } else {
-            None
-        };
-        out.push(AttrEvent {
-            name,
-            span,
-            id: v.get("id").and_then(Value::as_u64).unwrap_or(0),
-            parent: v.get("parent").and_then(Value::as_u64).unwrap_or(0),
-            tid: v.get("tid").and_then(Value::as_u64).unwrap_or(0),
-            ts_us: v.get("ts_us").and_then(Value::as_u64).unwrap_or(0),
-            dur_us: v.get("dur_us").and_then(Value::as_u64).unwrap_or(0),
-            round,
-        });
-    }
-    Ok(out)
-}
-
-/// Convenience: parse a JSONL dump and attribute it in one step.
+/// Reads a flight-recorder or trace JSONL dump and attributes it in one
+/// step; fails on the first malformed line.
 pub fn attribute_jsonl(text: &str) -> Result<attribution::RunAttribution, String> {
-    parse_jsonl_events(text).map(|ev| attribution::attribute(&ev))
+    let events: Vec<AttrEvent> = read_jsonl(text)?
+        .iter()
+        .map(AttrEvent::from_event)
+        .collect();
+    Ok(attribution::attribute(&events))
 }
 
 #[cfg(test)]
@@ -90,13 +62,5 @@ mod tests {
         let compute = run.rounds[0].stages[&stellaris_telemetry::Stage::Compute];
         assert_eq!(compute.blamed_us, 80);
         assert!((run.coverage() - 0.8).abs() < 1e-9);
-    }
-
-    #[test]
-    fn malformed_jsonl_reports_line_numbers() {
-        let err = parse_jsonl_events("{\"name\":\"x\"}\nnot json")
-            .err()
-            .unwrap_or_default();
-        assert!(err.contains("line 2"), "{err}");
     }
 }

@@ -96,13 +96,13 @@ impl Stage {
 }
 
 /// Maps a span name to its stage, or `None` for structural spans
-/// (`core.round` itself, startup, unknown names).
+/// (`core.round` itself, unknown names).
 pub fn stage_of(name: &str) -> Option<Stage> {
     match name {
         "core.round_wait" | "core.round_close" => Some(Stage::RoundGate),
         "core.eval" => Some(Stage::Eval),
         "cache.queue_pop" => Some(Stage::QueueWait),
-        "serverless.invoke" | "core.startup" => Some(Stage::Invoke),
+        "serverless.invoke" => Some(Stage::Invoke),
         "serverless.straggle" => Some(Stage::Straggle),
         "serverless.retry_backoff" => Some(Stage::Retry),
         "cache.queue_push" => Some(Stage::Enqueue),
@@ -114,9 +114,9 @@ pub fn stage_of(name: &str) -> Option<Stage> {
     }
 }
 
-/// An owned, analysis-ready event: what [`attribute`] consumes. Built
-/// either from live [`Event`]s ([`AttrEvent::from_event`]) or parsed back
-/// out of a flight-recorder/trace JSONL dump by the `obs` binary.
+/// An owned, analysis-ready event: what [`attribute`] consumes. Built by
+/// [`AttrEvent::from_event`] from live [`Event`]s or from a dump read back
+/// through [`crate::trace::read_jsonl`].
 #[derive(Clone, Debug)]
 pub struct AttrEvent {
     /// Span/instant name (`<crate>.<operation>`).
@@ -593,8 +593,7 @@ mod tests {
         assert!(table.contains("retry/backoff"));
         assert!(table.contains("coverage: 90.0%"));
         let json = run.to_json();
-        crate::json::validate_json(&json)
-            .unwrap_or_else(|e| panic!("bad attribution json: {e}\n{json}"));
+        crate::json::parse(&json).unwrap_or_else(|e| panic!("bad attribution json: {e}\n{json}"));
         assert!(json.contains("\"gemm/backward\""));
     }
 
@@ -606,7 +605,6 @@ mod tests {
             "core.eval",
             "cache.queue_pop",
             "serverless.invoke",
-            "core.startup",
             "serverless.straggle",
             "serverless.retry_backoff",
             "cache.queue_push",

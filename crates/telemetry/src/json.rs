@@ -1,16 +1,17 @@
 //! Minimal JSON: string escaping for the writers, and one strict
 //! recursive-descent parser that builds a [`Value`] tree for reading back
-//! our own artifacts (`runs/*.json` reports, trace and flight-recorder JSONL
-//! lines). [`validate_json`], the check CI runs on our traces, is that parse
-//! with the tree discarded.
+//! our own artifacts (`runs/*.json` reports, chrome traces, and trace and
+//! flight-recorder JSONL lines through [`crate::trace::read_jsonl`]).
 //!
 //! The grammar is RFC 8259's: numbers need digits before a `.`, after it
 //! and after an exponent; strings reject raw control characters; `\u`
 //! escapes take exactly four hex digits; nothing but whitespace may follow
 //! the value; nesting is capped at [`MAX_DEPTH`]. Every failure is an `Err`
 //! naming the byte offset, never a panic.
-
-use std::collections::BTreeMap;
+//!
+//! Two choices make the tree exact enough to write back byte for byte: an
+//! integer literal keeps its exact value ([`Value::Int`]), and an object
+//! keeps its members in document order.
 
 /// Appends `s` to `out` with JSON string escaping applied (quotes are *not*
 /// added by this function).
@@ -44,37 +45,37 @@ pub enum Value {
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number (f64 loses no precision our writers use beyond
-    /// u64 > 2^53 counters, which never carry semantic meaning that large).
+    /// An integer literal (no fraction, no exponent) in `i128` range, read
+    /// exactly, so every `u64` and `i64` survives. `-0` is not one: it is
+    /// the float `-0.0`.
+    Int(i128),
+    /// Any other JSON number.
     Num(f64),
     /// A string, unescaped.
     Str(String),
     /// An array.
     Arr(Vec<Value>),
-    /// An object; key order is normalised (sorted) by the map.
-    Obj(BTreeMap<String, Value>),
+    /// An object, members in document order.
+    Obj(Vec<(String, Value)>),
 }
 
 impl Value {
-    /// Object member lookup; `None` on non-objects.
+    /// Object member lookup (the last of duplicate keys wins); `None` on
+    /// non-objects.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(m) => m.get(key),
-            _ => None,
-        }
+        self.as_object()?
+            .iter()
+            .rev()
+            .find_map(|(k, v)| (k == key).then_some(v))
     }
 
     /// Numeric value, if this is a number.
     pub fn as_f64(&self) -> Option<f64> {
         match self {
+            Value::Int(n) => Some(*n as f64),
             Value::Num(n) => Some(*n),
             _ => None,
         }
-    }
-
-    /// Numeric value truncated to u64 (negative → 0).
-    pub fn as_u64(&self) -> Option<u64> {
-        self.as_f64().map(|n| if n <= 0.0 { 0 } else { n as u64 })
     }
 
     /// String contents, if this is a string.
@@ -93,8 +94,8 @@ impl Value {
         }
     }
 
-    /// Object map, if this is an object.
-    pub fn as_object(&self) -> Option<&BTreeMap<String, Value>> {
+    /// Object members in document order, if this is an object.
+    pub fn as_object(&self) -> Option<&[(String, Value)]> {
         match self {
             Value::Obj(m) => Some(m),
             _ => None,
@@ -115,12 +116,6 @@ pub fn parse(s: &str) -> Result<Value, String> {
         return Err(p.err("trailing data"));
     }
     Ok(v)
-}
-
-/// Validates that `s` is a single well-formed JSON value with no trailing
-/// garbage. Returns a human-readable error (with byte offset) otherwise.
-pub fn validate_json(s: &str) -> Result<(), String> {
-    parse(s).map(drop)
 }
 
 struct Parser<'a> {
@@ -170,7 +165,7 @@ impl Parser<'_> {
 
     fn object(&mut self, depth: usize) -> Result<Value, String> {
         self.i += 1; // consume '{'
-        let mut out = BTreeMap::new();
+        let mut out = Vec::new();
         self.skip_ws();
         if self.peek() == Some(b'}') {
             self.i += 1;
@@ -188,7 +183,7 @@ impl Parser<'_> {
             }
             self.i += 1;
             self.skip_ws();
-            out.insert(key, self.value(depth + 1)?);
+            out.push((key, self.value(depth + 1)?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.i += 1,
@@ -299,6 +294,7 @@ impl Parser<'_> {
         if self.digits() == 0 {
             return Err(self.err("expected digits"));
         }
+        let integer = !matches!(self.peek(), Some(b'.' | b'e' | b'E'));
         if self.peek() == Some(b'.') {
             self.i += 1;
             if self.digits() == 0 {
@@ -314,11 +310,14 @@ impl Parser<'_> {
                 return Err(self.err("expected exponent digits"));
             }
         }
-        std::str::from_utf8(&self.s[start..self.i])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .map(Value::Num)
-            .ok_or_else(|| format!("bad number at byte {start}"))
+        let text = std::str::from_utf8(&self.s[start..self.i]).unwrap_or_default();
+        match text.parse::<i128>() {
+            Ok(n) if integer && (n != 0 || !text.starts_with('-')) => Ok(Value::Int(n)),
+            _ => text
+                .parse::<f64>()
+                .map(Value::Num)
+                .map_err(|_| format!("bad number at byte {start}")),
+        }
     }
 }
 
@@ -344,7 +343,7 @@ mod tests {
             r#"{"a":[1,2,{"b":"c\n"}],"d":null}"#,
             r#"  { "x" : 0.25 }  "#,
         ] {
-            assert!(validate_json(ok).is_ok(), "{ok}");
+            assert!(parse(ok).is_ok(), "{ok}");
         }
     }
 
@@ -369,7 +368,7 @@ mod tests {
             "\"raw \u{1} control\"",
             "\"\\u+abc\"",
         ] {
-            assert!(validate_json(bad).is_err(), "{bad:?} should not parse");
+            assert!(parse(bad).is_err(), "{bad:?} should not parse");
         }
     }
 
@@ -386,6 +385,20 @@ mod tests {
     }
 
     #[test]
+    fn integers_are_exact_and_the_last_duplicate_key_wins() {
+        for (text, want) in [
+            ("18446744073709551615", Value::Int(u64::MAX.into())),
+            ("-9223372036854775808", Value::Int(i64::MIN.into())),
+            ("3.0", Value::Num(3.0)),
+            ("1e2", Value::Num(100.0)),
+        ] {
+            assert_eq!(parse(text), Ok(want));
+        }
+        let v = parse("{\"z\":1,\"a\":2,\"z\":3}").unwrap_or(Value::Null);
+        assert_eq!(v.get("z"), Some(&Value::Int(3)));
+    }
+
+    #[test]
     fn depth_cap_rejects_bombs() {
         let bomb = "[".repeat(400) + &"]".repeat(400);
         assert!(parse(&bomb).is_err());
@@ -398,17 +411,6 @@ mod tests {
         assert_eq!(parse("\"\\u00e9\\u2713\""), Ok(Value::Str("é✓".to_owned())));
         assert_eq!(parse("\"µs\""), Ok(Value::Str("µs".to_owned())));
         assert_eq!(parse("\"\\ud800\""), Ok(Value::Str("\u{fffd}".to_owned())));
-    }
-
-    #[test]
-    fn roundtrips_a_telemetry_jsonl_line() {
-        let line = "{\"type\":\"span\",\"name\":\"core.round\",\"id\":7,\"parent\":0,\"tid\":3,\"ts_us\":12,\"dur_us\":900,\"fields\":{\"round\":2,\"degraded\":true}}";
-        let v = parse(line).unwrap_or(Value::Null);
-        assert_eq!(v.get("name").and_then(Value::as_str), Some("core.round"));
-        assert_eq!(v.get("dur_us").and_then(Value::as_u64), Some(900));
-        let fields = v.get("fields").cloned().unwrap_or(Value::Null);
-        assert_eq!(fields.get("round").and_then(Value::as_u64), Some(2));
-        assert_eq!(fields.get("degraded"), Some(&Value::Bool(true)));
     }
 
     mod props {
@@ -441,8 +443,8 @@ mod tests {
 
             #[test]
             fn valid_scalars_always_parse(n in -1e9f64..1e9) {
-                let v = parse(&format!("{n}"));
-                prop_assert_eq!(v, Ok(Value::Num(n)));
+                let v = parse(&format!("{n}")).map(|v| v.as_f64());
+                prop_assert_eq!(v, Ok(Some(n)));
             }
         }
     }

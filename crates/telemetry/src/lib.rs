@@ -10,7 +10,8 @@
 //!   timestamps, and key/value fields. Events are recorded through a
 //!   per-thread buffer (no cross-thread synchronisation on the hot path)
 //!   and flushed into a global sink that can be serialised as JSONL event
-//!   logs or a chrome://tracing-compatible trace file. Tracing is off by
+//!   logs (read back by [`read_jsonl`], the one span reader) or a
+//!   chrome://tracing-compatible trace file. Tracing is off by
 //!   default; when disabled, [`span`] and [`instant`] are a single relaxed
 //!   atomic load.
 //! * **Metrics** ([`metrics`]): counters, gauges, and log2-bucketed
@@ -34,13 +35,14 @@ pub mod recorder;
 pub mod trace;
 
 pub use attribution::{attribute, stage_of, AttrEvent, RunAttribution, Stage};
-pub use json::{escape_into, validate_json};
+pub use json::escape_into;
 pub use metrics::{
     global, validate_prometheus, Counter, Gauge, Histogram, HistogramSnapshot, Registry,
 };
 pub use recorder::RecorderConfig;
 pub use trace::{
-    disable, drain, dropped_events, enable, enabled, flush_thread, ingest_events, instant,
-    intern_name, now_us, set_span_id_base, span, span_closed, span_with, span_with_parent,
-    write_chrome_trace, write_jsonl, Event, EventKind, FieldValue, SpanGuard,
+    artefact, disable, drain, dropped_events, enable, enabled, flush_thread, ingest_events,
+    instant, intern_name, now_us, read_jsonl, set_span_id_base, span, span_closed, span_with,
+    span_with_parent, write_artefacts, write_chrome_trace, write_jsonl, Event, EventKind,
+    FieldValue, SpanGuard,
 };

@@ -18,14 +18,14 @@
 //! batches land whole, so the ring is only approximately time-sorted.
 //! [`dump`] re-sorts by timestamp and normalises parent IDs that were
 //! evicted out of the window (an orphaned `parent` becomes 0), so every
-//! dump satisfies the `validate_trace` parent-closure check.
+//! dump satisfies `obs validate`'s parent-closure check.
 //!
 //! All entry points are panic-free and safe to call from a
 //! panic hook: poisoned locks are recovered, filesystem errors are
 //! swallowed, and an unarmed recorder is a single atomic load.
 
 use std::collections::{BTreeSet, VecDeque};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
@@ -86,7 +86,6 @@ struct Core {
     faults: AtomicU64,
     dumps: AtomicU64,
     fired: [AtomicBool; 3],
-    last_dump: Mutex<Option<PathBuf>>,
 }
 
 fn lock<'a, T>(m: &'a Mutex<T>) -> MutexGuard<'a, T> {
@@ -112,7 +111,6 @@ impl Core {
                 AtomicBool::new(false),
                 AtomicBool::new(false),
             ],
-            last_dump: Mutex::new(None),
         }
     }
 
@@ -189,7 +187,7 @@ impl Core {
         trace::flush_thread();
         let mut events = self.ring_snapshot();
         let retained = events.len();
-        let mut meta = Event {
+        let meta = Event {
             kind: EventKind::Instant,
             name: "recorder.dump",
             id: u64::MAX,
@@ -197,34 +195,17 @@ impl Core {
             tid: 0,
             ts_us: trace::now_us(),
             dur_us: 0,
-            fields: Vec::new(),
+            fields: vec![
+                ("reason", reason.into()),
+                ("retained", retained.into()),
+                ("dropped_events", trace::dropped_events().into()),
+            ],
         };
-        meta.fields.push(("reason", reason.to_owned().into()));
-        meta.fields.push(("retained", (retained as u64).into()));
-        meta.fields
-            .push(("dropped_events", trace::dropped_events().into()));
         events.insert(0, meta);
 
-        let dir = lock(&self.dir).clone();
-        let _ = std::fs::create_dir_all(&dir);
-        let base = dir.join(format!("flight-{}", sanitize(reason)));
-        let mut jsonl = Vec::new();
-        if trace::write_jsonl(&events, &mut jsonl).is_err() {
-            return None;
-        }
-        if std::fs::write(with_ext(&base, ".jsonl"), &jsonl).is_err() {
-            return None;
-        }
-        let mut chrome = Vec::new();
-        if trace::write_chrome_trace(&events, &mut chrome).is_ok() {
-            let _ = std::fs::write(with_ext(&base, ".trace.json"), &chrome);
-        }
-        let _ = std::fs::write(
-            with_ext(&base, ".prom"),
-            crate::metrics::global().render_prometheus(),
-        );
+        let base = lock(&self.dir).join(format!("flight-{}", sanitize(reason)));
+        trace::write_artefacts(&base, &events).ok()?;
         self.dumps.fetch_add(1, Ordering::Relaxed);
-        *lock(&self.last_dump) = Some(base.clone());
         Some(base)
     }
 
@@ -272,12 +253,6 @@ fn sanitize(reason: &str) -> String {
         .collect()
 }
 
-fn with_ext(base: &Path, ext: &str) -> PathBuf {
-    let mut s = base.to_path_buf().into_os_string();
-    s.push(ext);
-    PathBuf::from(s)
-}
-
 fn core() -> &'static Core {
     static CORE: OnceLock<Core> = OnceLock::new();
     CORE.get_or_init(Core::new)
@@ -322,14 +297,9 @@ pub fn note_fault() {
 
 /// Dumps the ring now as `flight-<reason>.{jsonl,trace.json,prom}` under
 /// the configured directory, returning the extensionless base path.
-/// Returns `None` when disarmed or when the event log cannot be written.
+/// Returns `None` when disarmed or when an artefact cannot be written.
 pub fn dump(reason: &str) -> Option<PathBuf> {
     core().dump(reason)
-}
-
-/// Base path of the most recent dump, if any.
-pub fn last_dump() -> Option<PathBuf> {
-    lock(&core().last_dump).clone()
 }
 
 /// Number of dumps written since process start.
@@ -356,6 +326,7 @@ pub fn install_panic_hook() {
 mod tests {
     use super::*;
     use crate::trace::FieldValue;
+    use std::path::Path;
 
     fn ev(id: u64, parent: u64, ts_us: u64, dur_us: u64) -> Event {
         Event {
@@ -430,17 +401,18 @@ mod tests {
         c.observe(&[ev(1, 0, 10, 5), ev(2, 1, 12, 1)]);
         let base = c.dump("unit test").unwrap_or_default();
         assert!(base.ends_with("flight-unit_test"), "{base:?}");
-        let jsonl = std::fs::read_to_string(with_ext(&base, ".jsonl")).unwrap_or_default();
-        let first = jsonl.lines().next().unwrap_or_default();
-        assert!(first.contains("recorder.dump"), "meta line first: {first}");
-        assert!(first.contains("\"reason\":\"unit test\""));
-        for line in jsonl.lines() {
-            crate::json::validate_json(line)
-                .unwrap_or_else(|e| panic!("bad dump line {line}: {e}"));
-        }
-        let chrome = std::fs::read_to_string(with_ext(&base, ".trace.json")).unwrap_or_default();
-        assert!(crate::json::validate_json(&chrome).is_ok());
-        assert!(with_ext(&base, ".prom").exists());
+        let jsonl = std::fs::read_to_string(trace::artefact(&base, ".jsonl")).unwrap_or_default();
+        let events = trace::read_jsonl(&jsonl).unwrap_or_else(|e| panic!("bad dump: {e}"));
+        assert_eq!(events.len(), 3, "meta + two events");
+        assert_eq!(events[0].name, "recorder.dump", "meta line first");
+        assert_eq!(
+            events[0].fields[0],
+            ("reason", FieldValue::Text("unit test".into()))
+        );
+        let chrome =
+            std::fs::read_to_string(trace::artefact(&base, ".trace.json")).unwrap_or_default();
+        assert!(crate::json::parse(&chrome).is_ok());
+        assert!(trace::artefact(&base, ".prom").exists());
         assert_eq!(c.dumps.load(Ordering::Relaxed), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -471,30 +443,6 @@ mod tests {
         });
         c.note_fault();
         assert_eq!(c.dumps.load(Ordering::Relaxed), 3);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn dump_meta_reason_is_a_text_field() {
-        let dir = tmp_dir("meta");
-        let c = armed_core(4, u64::MAX, &dir);
-        c.observe(&[ev(1, 0, 10, 5)]);
-        let base = c.dump("x").unwrap_or_default();
-        let jsonl = std::fs::read_to_string(with_ext(&base, ".jsonl")).unwrap_or_default();
-        assert_eq!(jsonl.lines().count(), 2, "meta + one event");
-        // The meta instant formats like every other event.
-        let meta = Event {
-            kind: EventKind::Instant,
-            name: "recorder.dump",
-            id: u64::MAX,
-            parent: 0,
-            tid: 0,
-            ts_us: 1,
-            dur_us: 0,
-            fields: vec![("reason", FieldValue::Text("x".into()))],
-        };
-        let mut out = Vec::new();
-        assert!(trace::write_jsonl(&[meta], &mut out).is_ok());
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

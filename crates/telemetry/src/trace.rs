@@ -11,11 +11,12 @@
 
 use std::cell::RefCell;
 use std::io::{self, Write};
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
 
-use crate::json::escape_into;
+use crate::json::{self, escape_into, Value};
 use crate::metrics::Counter;
 
 /// Events buffered per thread before a flush into the global sink.
@@ -346,27 +347,7 @@ pub fn span(name: &'static str) -> SpanGuard {
 /// covering its own lifetime, parented to the innermost open span on this
 /// thread. When tracing is disabled this is a no-op guard.
 pub fn span_with(name: &'static str, fields: Vec<(&'static str, FieldValue)>) -> SpanGuard {
-    if !enabled() {
-        return SpanGuard {
-            active: false,
-            name,
-            id: 0,
-            parent: 0,
-            start_us: 0,
-            fields: Vec::new(),
-        };
-    }
-    let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
-    let parent = current_parent();
-    stack_push(id);
-    SpanGuard {
-        active: true,
-        name,
-        id,
-        parent,
-        start_us: now_us(),
-        fields,
-    }
+    open_span(name, None, fields)
 }
 
 /// Opens a span parented to an *explicit* remote span ID instead of the
@@ -381,6 +362,16 @@ pub fn span_with_parent(
     remote_parent: u64,
     fields: Vec<(&'static str, FieldValue)>,
 ) -> SpanGuard {
+    open_span(name, Some(remote_parent), fields)
+}
+
+/// The one span opener: `parent` is explicit, or (`None`) the innermost open
+/// span on this thread, looked up only when tracing is on.
+fn open_span(
+    name: &'static str,
+    parent: Option<u64>,
+    fields: Vec<(&'static str, FieldValue)>,
+) -> SpanGuard {
     if !enabled() {
         return SpanGuard {
             active: false,
@@ -392,12 +383,13 @@ pub fn span_with_parent(
         };
     }
     let id = NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed);
+    let parent = parent.unwrap_or_else(current_parent);
     stack_push(id);
     SpanGuard {
         active: true,
         name,
         id,
-        parent: remote_parent,
+        parent,
         start_us: now_us(),
         fields,
     }
@@ -423,7 +415,7 @@ pub fn ingest_events(events: Vec<Event>) {
 }
 
 /// Bounded leak-once intern table mapping dynamic strings to `&'static str`
-/// so wire-decoded event names can populate [`Event::name`].
+/// so the names and field keys [`read_jsonl`] reads can populate [`Event`].
 const INTERN_CAPACITY: usize = 1024;
 
 /// Interns a string, returning a `'static` reference. Each unique name
@@ -447,19 +439,9 @@ pub fn intern_name(name: &str) -> &'static str {
 
 /// Records a point-in-time event parented to the innermost open span.
 pub fn instant(name: &'static str, fields: Vec<(&'static str, FieldValue)>) {
-    if !enabled() {
-        return;
+    if enabled() {
+        push_closed(EventKind::Instant, name, now_us(), 0, fields);
     }
-    push_event(Event {
-        kind: EventKind::Instant,
-        name,
-        id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
-        parent: current_parent(),
-        tid: 0,
-        ts_us: now_us(),
-        dur_us: 0,
-        fields,
-    });
 }
 
 /// Records an already-completed span from explicit timestamps (microseconds
@@ -472,16 +454,27 @@ pub fn span_closed(
     dur_us: u64,
     fields: Vec<(&'static str, FieldValue)>,
 ) {
-    if !enabled() {
-        return;
+    if enabled() {
+        push_closed(EventKind::Span, name, start_us, dur_us, fields);
     }
+}
+
+/// Records a finished event under a fresh id, parented to the innermost
+/// open span on this thread.
+fn push_closed(
+    kind: EventKind,
+    name: &'static str,
+    ts_us: u64,
+    dur_us: u64,
+    fields: Vec<(&'static str, FieldValue)>,
+) {
     push_event(Event {
-        kind: EventKind::Span,
+        kind,
         name,
         id: NEXT_SPAN_ID.fetch_add(1, Ordering::Relaxed),
         parent: current_parent(),
         tid: 0,
-        ts_us: start_us,
+        ts_us,
         dur_us,
         fields,
     });
@@ -575,6 +568,73 @@ pub fn write_jsonl<W: Write>(events: &[Event], w: &mut W) -> io::Result<()> {
     Ok(())
 }
 
+/// Reads JSONL written by [`write_jsonl`] back into events: its inverse,
+/// and the one reader of the span format (a worker's `PULL_SPANS` reply, a
+/// flight-recorder dump, a `STELLARIS_TRACE` log).
+///
+/// The structural keys are read exactly over the whole `u64` range. Names
+/// and field keys go through the bounded [`intern_name`] table. A field
+/// value keeps its JSON type: a non-negative integer is [`FieldValue::U64`],
+/// a negative one [`FieldValue::I64`], any other number [`FieldValue::F64`]
+/// and `null` a non-finite `F64`. Blank lines are skipped; a bad line is an
+/// `Err` naming its line number, never a panic.
+pub fn read_jsonl(text: &str) -> Result<Vec<Event>, String> {
+    text.lines()
+        .enumerate()
+        .filter(|(_, line)| !line.trim().is_empty())
+        .map(|(i, line)| read_event(line).map_err(|e| format!("line {}: {e}", i + 1)))
+        .collect()
+}
+
+fn read_event(line: &str) -> Result<Event, String> {
+    let v = json::parse(line)?;
+    let kind = match v.get("type").and_then(Value::as_str) {
+        Some("span") => EventKind::Span,
+        Some("instant") => EventKind::Instant,
+        _ => return Err("\"type\" is neither \"span\" nor \"instant\"".to_owned()),
+    };
+    let name = v
+        .get("name")
+        .and_then(Value::as_str)
+        .ok_or("no \"name\" string")?;
+    let key = |k: &str| match v.get(k) {
+        Some(Value::Int(n)) => u64::try_from(*n).map_err(|_| format!("\"{k}\" is not a u64")),
+        _ => Err(format!("\"{k}\" is not an integer")),
+    };
+    let fields = v
+        .get("fields")
+        .and_then(Value::as_object)
+        .ok_or("no \"fields\" object")?
+        .iter()
+        .map(|(k, v)| Ok((intern_name(k), field_value(v)?)))
+        .collect::<Result<_, String>>()?;
+    Ok(Event {
+        kind,
+        name: intern_name(name),
+        id: key("id")?,
+        parent: key("parent")?,
+        tid: key("tid")?,
+        ts_us: key("ts_us")?,
+        dur_us: key("dur_us")?,
+        fields,
+    })
+}
+
+fn field_value(v: &Value) -> Result<FieldValue, String> {
+    Ok(match v {
+        Value::Int(n) => match (u64::try_from(*n), i64::try_from(*n)) {
+            (Ok(u), _) => FieldValue::U64(u),
+            (_, Ok(i)) => FieldValue::I64(i),
+            _ => FieldValue::F64(*n as f64),
+        },
+        Value::Num(x) => FieldValue::F64(*x),
+        Value::Null => FieldValue::F64(f64::NAN),
+        Value::Bool(b) => FieldValue::Bool(*b),
+        Value::Str(s) => FieldValue::Text(s.clone()),
+        Value::Arr(_) | Value::Obj(_) => return Err("a field value is not a scalar".to_owned()),
+    })
+}
+
 /// Writes events as a chrome://tracing (about:tracing / Perfetto) JSON
 /// object with complete (`"X"`) and instant (`"i"`) events.
 pub fn write_chrome_trace<W: Write>(events: &[Event], w: &mut W) -> io::Result<()> {
@@ -611,10 +671,37 @@ pub fn write_chrome_trace<W: Write>(events: &[Event], w: &mut W) -> io::Result<(
     w.write_all(out.as_bytes())
 }
 
+/// `<base><ext>`: one of a trace's three artefacts, `.jsonl`,
+/// `.trace.json` or `.prom` (a base with dots of its own stays intact).
+pub fn artefact(base: &Path, ext: &str) -> PathBuf {
+    let mut s = base.as_os_str().to_owned();
+    s.push(ext);
+    PathBuf::from(s)
+}
+
+/// Writes a trace's three artefacts, creating `base`'s directory:
+/// `<base>.jsonl` ([`write_jsonl`]), `<base>.trace.json`
+/// ([`write_chrome_trace`]) and `<base>.prom` (the global registry's
+/// Prometheus exposition).
+pub fn write_artefacts(base: &Path, events: &[Event]) -> io::Result<()> {
+    if let Some(dir) = base.parent().filter(|d| !d.as_os_str().is_empty()) {
+        std::fs::create_dir_all(dir)?;
+    }
+    let mut jsonl = Vec::new();
+    write_jsonl(events, &mut jsonl)?;
+    std::fs::write(artefact(base, ".jsonl"), jsonl)?;
+    let mut chrome = Vec::new();
+    write_chrome_trace(events, &mut chrome)?;
+    std::fs::write(artefact(base, ".trace.json"), chrome)?;
+    std::fs::write(
+        artefact(base, ".prom"),
+        crate::metrics::global().render_prometheus(),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::json::validate_json;
 
     // Touches only a local atomic, so it can run beside the global test.
     #[test]
@@ -748,17 +835,166 @@ mod tests {
         write_jsonl(&events, &mut jsonl).expect("jsonl");
         let text = String::from_utf8(jsonl).expect("utf8");
         assert_eq!(text.lines().count(), events.len());
-        for line in text.lines() {
-            validate_json(line).expect("each JSONL line parses");
-        }
+        let back = read_jsonl(&text).expect("the JSONL reads back");
+        assert_eq!(back.len(), events.len());
         let mut chrome = Vec::new();
         write_chrome_trace(&events, &mut chrome).expect("chrome");
         let chrome = String::from_utf8(chrome).expect("utf8");
-        validate_json(&chrome).expect("chrome trace parses");
+        json::parse(&chrome).expect("chrome trace parses");
         assert!(chrome.starts_with("{\"traceEvents\":["));
 
         // Sink is empty again after the drain.
         assert!(drain().is_empty());
         assert_eq!(dropped_events(), 0);
+    }
+
+    #[test]
+    fn read_jsonl_types_fields_and_names_bad_lines() {
+        let text = "\n{\"type\":\"span\",\"name\":\"remote.gradient\",\
+                    \"id\":18446744073709551615,\"parent\":7,\"tid\":1,\"ts_us\":2,\"dur_us\":3,\
+                    \"fields\":{\"learner\":2,\"d\":-1,\"x\":0.5,\"nan\":null,\"ok\":true,\"s\":\"t\"}}\n  \n";
+        let events = read_jsonl(text).unwrap_or_default();
+        assert_eq!(events.len(), 1, "blank lines are skipped");
+        let e = &events[0];
+        assert_eq!(
+            (e.kind, e.name, e.id, e.parent),
+            (EventKind::Span, "remote.gradient", u64::MAX, 7)
+        );
+        assert_eq!(e.fields[0], ("learner", FieldValue::U64(2)));
+        assert_eq!(e.fields[1], ("d", FieldValue::I64(-1)));
+        assert_eq!(e.fields[2], ("x", FieldValue::F64(0.5)));
+        assert!(matches!(e.fields[3], ("nan", FieldValue::F64(x)) if !x.is_finite()));
+        assert_eq!(e.fields[4], ("ok", FieldValue::Bool(true)));
+        assert_eq!(e.fields[5], ("s", FieldValue::Text("t".to_owned())));
+
+        let good = text.trim();
+        for (bad, what) in [
+            ("not json".to_owned(), "at byte"),
+            (good.replace("\"span\"", "\"spam\""), "type"),
+            (good.replace("\"name\"", "\"nom\""), "name"),
+            (good.replace("\"parent\":7", "\"parent\":-7"), "parent"),
+            (good.replace("\"tid\":1", "\"tid\":1.5"), "tid"),
+            (good.replace("615,", "616,"), "id"),
+            (good.replace("{\"learner", "{\"a\":[1],\"learner"), "scalar"),
+            (good.replace(",\"fields\"", ",\"f\""), "fields"),
+        ] {
+            let err = read_jsonl(&format!("{good}\n\n{bad}\n"))
+                .err()
+                .unwrap_or_default();
+            assert!(
+                err.starts_with("line 3: ") && err.contains(what),
+                "{bad}: {err}"
+            );
+        }
+    }
+
+    mod props {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Quotes, backslashes, control characters and non-ASCII, from a
+        /// pool small enough that the intern table never overflows.
+        const NAMES: [&str; 6] = [
+            "core.round",
+            "a\"quoted\"name",
+            "back\\slash",
+            "ctl\u{1}\u{1f}\u{7f}",
+            "tab\tnew\nline\r",
+            "µs ✓",
+        ];
+
+        /// Every structural key hits 0 and `u64::MAX` as often as a draw.
+        fn key(x: u64) -> u64 {
+            match x % 3 {
+                0 => u64::MAX,
+                1 => 0,
+                _ => x,
+            }
+        }
+
+        /// Every `FieldValue` kind, non-finite and edge floats included
+        /// (`from_bits` reaches NaNs, infinities, subnormals and -0.0).
+        fn value(x: u64) -> FieldValue {
+            match x % 9 {
+                0 => FieldValue::U64(x),
+                1 => FieldValue::U64(u64::MAX),
+                2 => FieldValue::I64(x as i64),
+                3 => FieldValue::I64(i64::MIN),
+                4 => FieldValue::F64(f64::from_bits(x)),
+                5 => FieldValue::F64([f64::NAN, f64::INFINITY, -0.0, 3.0][(x / 9 % 4) as usize]),
+                6 => FieldValue::F64((x >> 11) as f64 * 1e-3),
+                7 => FieldValue::Bool(x & 16 != 0),
+                _ => FieldValue::Text(NAMES[(x / 9 % 6) as usize].to_owned()),
+            }
+        }
+
+        fn event(d: &[u64]) -> Event {
+            Event {
+                kind: if d[0] & 1 == 0 {
+                    EventKind::Span
+                } else {
+                    EventKind::Instant
+                },
+                name: NAMES[(d[0] >> 1) as usize % NAMES.len()],
+                id: key(d[1]),
+                parent: key(d[2]),
+                tid: key(d[3]),
+                ts_us: key(d[4]),
+                dur_us: key(d[5]),
+                fields: d[6..]
+                    .iter()
+                    .take((d[0] >> 8) as usize % 5)
+                    .map(|&x| (NAMES[x.rotate_left(17) as usize % NAMES.len()], value(x)))
+                    .collect(),
+            }
+        }
+
+        fn written(events: &[Event]) -> String {
+            let mut out = Vec::new();
+            let _ = write_jsonl(events, &mut out);
+            String::from_utf8(out).unwrap_or_default()
+        }
+
+        proptest! {
+            #[test]
+            fn write_read_write_is_byte_identical(d in collection::vec(any::<u64>(), 10..200)) {
+                let events: Vec<Event> = d.chunks_exact(10).map(event).collect();
+                let first = written(&events);
+                let back = read_jsonl(&first).map_err(TestCaseError::fail)?;
+                prop_assert_eq!(back.len(), events.len());
+                for (a, b) in events.iter().zip(&back) {
+                    prop_assert_eq!(
+                        (a.kind, a.name, a.id, a.parent, a.tid, a.ts_us, a.dur_us),
+                        (b.kind, b.name, b.id, b.parent, b.tid, b.ts_us, b.dur_us)
+                    );
+                }
+                prop_assert_eq!(written(&back), first);
+            }
+
+            #[test]
+            fn hostile_lines_are_errors_naming_the_line(
+                s in ".{0,256}",
+                depth in 0usize..400,
+                d in collection::vec(any::<u64>(), 10..11),
+            ) {
+                let line = written(&[event(&d)]);
+                // The line opens with an ASCII `{`, so 1 is a char boundary.
+                let cut = line.floor_char_boundary(depth % line.len()).max(1);
+                let hostile = [
+                    line[..cut].to_owned(),
+                    format!("{}{s}", "[".repeat(depth + 1)),
+                    format!("{{\"fields\":{}}}", "{\"a\":".repeat(depth)),
+                    s,
+                ];
+                for (i, text) in hostile.into_iter().enumerate() {
+                    let err = read_jsonl(&format!("\n{text}")).err();
+                    // Only arbitrary text can be blank, or by chance parse.
+                    if i < 3 || err.is_some() {
+                        let err = err.unwrap_or_default();
+                        prop_assert!(err.starts_with("line 2: "), "{}", err);
+                    }
+                }
+            }
+        }
     }
 }

@@ -7,7 +7,7 @@
 //! process-global, so this file keeps everything in a single test
 //! function — no other test in this binary records events.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use stellaris::prelude::*;
 use stellaris_obs::{diff, DiffOptions, RunReport};
@@ -38,36 +38,22 @@ fn recorder_cfg() -> RecorderConfig {
     }
 }
 
-/// Parses a flight-recorder JSONL dump and checks its structural
-/// invariants: every line is valid JSON, the first line is the
-/// `recorder.dump` meta event, and every span's parent id refers to a
-/// span present in the dump (or 0).
-fn validate_dump(text: &str) {
-    let mut span_ids = std::collections::HashSet::new();
-    let mut parents = Vec::new();
-    for (i, line) in text.lines().enumerate() {
-        let v = json::parse(line).unwrap_or_else(|e| panic!("dump line {}: {e}", i + 1));
-        let name = v.get("name").and_then(json::Value::as_str).expect("name");
-        if i == 0 {
-            assert_eq!(name, "recorder.dump", "meta event must lead the dump");
-            let fields = v.get("fields").expect("meta fields");
-            assert!(fields.get("reason").is_some(), "meta carries the trigger");
-            continue;
-        }
-        if v.get("type").and_then(json::Value::as_str) == Some("span") {
-            span_ids.insert(v.get("id").and_then(json::Value::as_u64).expect("id"));
-        }
-        let parent = v.get("parent").and_then(json::Value::as_u64).unwrap_or(0);
-        if parent != 0 {
-            parents.push((i + 1, parent));
-        }
-    }
-    for (line_no, parent) in parents {
-        assert!(
-            span_ids.contains(&parent),
-            "dump line {line_no}: parent {parent} not in dump (closure violated)"
-        );
-    }
+/// Checks a flight-recorder dump at `base`: its three artefacts pass
+/// `obs validate`'s checks, and the `recorder.dump` meta event leads the
+/// JSONL carrying the trigger `reason`.
+fn check_dump(base: &Path) -> String {
+    stellaris_obs::validate(base, &[], &[]).unwrap_or_else(|e| panic!("{e}"));
+    let jsonl = std::fs::read_to_string(format!("{}.jsonl", base.display())).expect("read dump");
+    let events = telemetry::read_jsonl(&jsonl).expect("dump parses");
+    assert_eq!(
+        events[0].name, "recorder.dump",
+        "meta event must lead the dump"
+    );
+    assert!(
+        events[0].fields.iter().any(|(k, _)| *k == "reason"),
+        "meta carries the trigger"
+    );
+    jsonl
 }
 
 #[test]
@@ -81,7 +67,6 @@ fn flight_recorder_attribution_and_ledger_end_to_end() {
     let res_clean = train(&cfg_clean);
     assert!(res_clean.policy_updates > 0);
 
-    telemetry::flush_thread();
     let events: Vec<AttrEvent> = telemetry::drain()
         .iter()
         .map(AttrEvent::from_event)
@@ -117,14 +102,8 @@ fn flight_recorder_attribution_and_ledger_end_to_end() {
 
     // A manual postmortem dump after the run retains the whole window
     // (the ring is independent of the drained sink).
-    telemetry::flush_thread();
     let base = recorder::dump("e2e").expect("manual dump while armed");
-    let jsonl = std::fs::read_to_string(format!("{}.jsonl", base.display())).expect("read dump");
-    validate_dump(&jsonl);
-    assert!(
-        PathBuf::from(format!("{}.trace.json", base.display())).exists(),
-        "dump must also write the chrome trace"
-    );
+    let jsonl = check_dump(&base);
 
     // Critical-path attribution over the dump: >= 95% of round wall time
     // lands in named stages, and chaos-only stages show up.
@@ -174,9 +153,6 @@ fn flight_recorder_attribution_and_ledger_end_to_end() {
     // thread panic while armed produces the postmortem artifacts.
     let worker = std::thread::spawn(|| panic!("obs_e2e: deliberate crash"));
     assert!(worker.join().is_err());
-    let panic_dump = flight_dir().join("flight-panic.jsonl");
-    assert!(panic_dump.exists(), "panic must leave a flight dump");
-    let panic_text = std::fs::read_to_string(&panic_dump).expect("read panic dump");
-    validate_dump(&panic_text);
+    check_dump(&flight_dir().join("flight-panic"));
     recorder::disarm();
 }

@@ -7,8 +7,6 @@
 //! everything in a single test function: no other test in this binary records
 //! events, which is what makes the exact-count assertion below sound.
 
-use std::collections::BTreeSet;
-
 use stellaris::prelude::*;
 use stellaris_telemetry as telemetry;
 
@@ -21,7 +19,6 @@ fn tiny_run_traces_all_layers_and_matches_staleness_log() {
     assert_eq!(res.rows.len(), 3, "tiny config runs three rounds");
     assert!(res.policy_updates > 0, "run must aggregate gradients");
 
-    telemetry::flush_thread();
     let events = telemetry::drain();
     assert_eq!(telemetry::dropped_events(), 0, "tiny run must fit the sink");
     assert!(
@@ -29,9 +26,11 @@ fn tiny_run_traces_all_layers_and_matches_staleness_log() {
         "tracing was enabled but drained nothing"
     );
 
-    // Spans from all four instrumented layers, plus the RL crate.
-    let names: BTreeSet<&str> = events.iter().map(|e| e.name).collect();
-    for required in [
+    // The run's three artefacts pass `obs validate`, with spans from all
+    // four instrumented layers plus the RL crate.
+    let base = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("telemetry-e2e");
+    telemetry::write_artefacts(&base, &events).expect("write artefacts");
+    let spans = [
         "core.round",
         "core.round_wait",
         "core.aggregation",
@@ -39,26 +38,10 @@ fn tiny_run_traces_all_layers_and_matches_staleness_log() {
         "nn.backward",
         "nn.forward",
         "rl.rollout_collect",
-    ] {
-        assert!(
-            names.contains(required),
-            "missing span {required:?}: have {names:?}"
-        );
-    }
-
-    // Every event must serialise to valid JSONL.
-    let mut jsonl = Vec::new();
-    telemetry::write_jsonl(&events, &mut jsonl).expect("write_jsonl");
-    let jsonl = String::from_utf8(jsonl).expect("jsonl is utf-8");
-    for line in jsonl.lines() {
-        telemetry::validate_json(line).expect("each JSONL line parses");
-    }
-
-    // Chrome trace export must also be valid JSON.
-    let mut chrome = Vec::new();
-    telemetry::write_chrome_trace(&events, &mut chrome).expect("write_chrome_trace");
-    let chrome = String::from_utf8(chrome).expect("chrome trace is utf-8");
-    telemetry::validate_json(&chrome).expect("chrome trace parses");
+    ];
+    let metrics = ["stellaris_core_staleness", "stellaris_core_rounds_total"];
+    let checked = stellaris_obs::validate(&base, &spans, &metrics).map(|v| v.events);
+    assert_eq!(checked, Ok(events.len()), "every event reads back");
 
     // Acceptance criterion: the staleness histogram records exactly one sample
     // per aggregated gradient. `train` logs every aggregated gradient's
@@ -71,16 +54,4 @@ fn tiny_run_traces_all_layers_and_matches_staleness_log() {
         "staleness histogram must have one sample per aggregated gradient"
     );
     assert!(staleness.count() > 0, "run must record staleness samples");
-
-    // The full exposition must parse, and must carry the round counter.
-    let prom = telemetry::global().render_prometheus();
-    telemetry::validate_prometheus(&prom).expect("prometheus exposition parses");
-    assert!(
-        prom.contains("stellaris_core_staleness"),
-        "exposition lists staleness"
-    );
-    assert!(
-        prom.contains("stellaris_core_rounds_total"),
-        "exposition lists rounds"
-    );
 }

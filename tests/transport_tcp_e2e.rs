@@ -120,14 +120,12 @@ fn remote_run_resumes_from_initial_snapshot() {
 fn cross_process_spans_stitch_onto_parent_trace() {
     let _guard = FLEET_LOCK.lock().unwrap();
     telemetry::enable();
-    telemetry::flush_thread();
     let _clear = telemetry::drain();
     let report = fleet(tiny_cfg(3, 2), WireTransport::Tcp)
         .run()
         .expect("fleet run");
     assert!(report.events_ingested > 0, "workers must ship events back");
 
-    telemetry::flush_thread();
     let events = telemetry::drain();
     let parent_ids: Vec<u64> = events
         .iter()
@@ -151,6 +149,22 @@ fn cross_process_spans_stitch_onto_parent_trace() {
             );
         }
     }
+    // Worker fields cross the socket typed.
+    let learner = events
+        .iter()
+        .filter(|e| e.name == "remote.gradient")
+        .flat_map(|e| &e.fields)
+        .find(|(k, _)| *k == "learner");
+    assert!(
+        matches!(learner, Some((_, telemetry::FieldValue::U64(_)))),
+        "learner field arrived as {learner:?}"
+    );
+
+    // The merged trace is one valid artefact set.
+    let base = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("stitched");
+    telemetry::write_artefacts(&base, &events).unwrap();
+    let checked = stellaris_obs::validate(&base, &["remote.collect", "remote.gradient"], &[]);
+    assert!(checked.is_ok(), "merged remote trace: {checked:?}");
 }
 
 /// Keep-alive across rounds: the second checkout of the same worker slot
