@@ -5,9 +5,8 @@
 
 use stellaris_nn::Tensor;
 
-use crate::staleness::{staleness_weight, StalenessSchedule};
-
-/// When (and how) queued gradients may be aggregated into a policy update.
+/// When (and how) queued gradients may be aggregated into a policy update;
+/// [`crate::staleness::StalenessGate`] applies the rule.
 #[derive(Clone, Debug)]
 pub enum AggregationRule {
     /// Stellaris (§V-C): delay aggregation until the queue's *average*
@@ -57,52 +56,6 @@ impl AggregationRule {
             AggregationRule::Ssp { .. } => "ssp",
             AggregationRule::PureAsync => "pure-async",
             AggregationRule::FullSync { .. } => "full-sync",
-        }
-    }
-
-    /// The staleness schedule this rule needs (only StalenessAware).
-    pub fn make_schedule(&self) -> Option<StalenessSchedule> {
-        match self {
-            AggregationRule::StalenessAware { d, .. } => Some(StalenessSchedule::new(*d)),
-            _ => None,
-        }
-    }
-
-    /// Decides whether a queue with `pending` gradient stalenesses may
-    /// aggregate now (given the schedule for StalenessAware rules).
-    pub fn admits(&self, pending_staleness: &[u64], schedule: Option<&StalenessSchedule>) -> bool {
-        if pending_staleness.is_empty() {
-            return false;
-        }
-        match self {
-            AggregationRule::StalenessAware { .. } => {
-                let avg =
-                    pending_staleness.iter().sum::<u64>() as f64 / pending_staleness.len() as f64;
-                debug_assert!(avg >= 0.0, "average staleness must be non-negative");
-                // A staleness-aware rule is always paired with a schedule by
-                // `make_schedule`; a missing one means the caller bypassed
-                // that constructor, and the calibration-round semantics
-                // (admit everything) are the safe degradation.
-                debug_assert!(
-                    schedule.is_some(),
-                    "staleness-aware rule requires a schedule"
-                );
-                schedule.is_none_or(|s| s.admits(avg))
-            }
-            AggregationRule::Softsync { c } => pending_staleness.len() >= *c,
-            AggregationRule::Ssp { .. } | AggregationRule::PureAsync => true,
-            AggregationRule::FullSync { n } => pending_staleness.len() >= *n,
-        }
-    }
-
-    /// Per-gradient aggregation weight for a gradient of staleness `delta`.
-    pub fn weight(&self, delta: u64) -> f32 {
-        match self {
-            AggregationRule::StalenessAware { v, .. } => staleness_weight(delta, *v),
-            AggregationRule::Softsync { .. } => staleness_weight(delta, 1),
-            AggregationRule::Ssp { .. }
-            | AggregationRule::PureAsync
-            | AggregationRule::FullSync { .. } => 1.0,
         }
     }
 
@@ -267,57 +220,6 @@ mod tests {
         assert_eq!(AggregationRule::Softsync { c: 4 }.name(), "softsync");
         assert_eq!(AggregationRule::Ssp { bound: 3 }.name(), "ssp");
         assert_eq!(AggregationRule::FullSync { n: 4 }.name(), "full-sync");
-    }
-
-    #[test]
-    fn empty_queue_never_admits() {
-        for rule in [
-            AggregationRule::stellaris_default(),
-            AggregationRule::PureAsync,
-            AggregationRule::FullSync { n: 1 },
-        ] {
-            let sched = rule.make_schedule();
-            assert!(!rule.admits(&[], sched.as_ref()));
-        }
-    }
-
-    #[test]
-    fn pure_async_admits_single() {
-        assert!(AggregationRule::PureAsync.admits(&[99], None));
-    }
-
-    #[test]
-    fn softsync_waits_for_count() {
-        let r = AggregationRule::Softsync { c: 3 };
-        assert!(!r.admits(&[0, 1], None));
-        assert!(r.admits(&[0, 1, 2], None));
-    }
-
-    #[test]
-    fn fullsync_waits_for_group() {
-        let r = AggregationRule::FullSync { n: 2 };
-        assert!(!r.admits(&[0], None));
-        assert!(r.admits(&[0, 0], None));
-        assert_eq!(r.weight(7), 1.0, "plain averaging");
-    }
-
-    #[test]
-    fn staleness_aware_gates_on_average() {
-        let r = AggregationRule::StalenessAware { d: 0.5, v: 3 };
-        let mut sched = r.make_schedule().unwrap();
-        sched.observe(8);
-        sched.advance_round(); // β = 4
-        assert!(r.admits(&[3, 4, 5], Some(&sched)), "avg 4 <= 4");
-        assert!(!r.admits(&[8, 8], Some(&sched)), "avg 8 > 4");
-    }
-
-    #[test]
-    fn weights_follow_rules() {
-        let st = AggregationRule::StalenessAware { d: 0.96, v: 3 };
-        assert!((st.weight(8) - 0.5).abs() < 1e-6);
-        let ss = AggregationRule::Softsync { c: 2 };
-        assert!((ss.weight(4) - 0.25).abs() < 1e-6, "softsync uses 1/δ");
-        assert_eq!(AggregationRule::PureAsync.weight(100), 1.0);
     }
 
     #[test]

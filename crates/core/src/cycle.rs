@@ -10,10 +10,10 @@
 //! * [`ActorBody`] and [`LearnerBody`] are the two function bodies; every
 //!   venue and the remote worker process hold these, so both sides of a
 //!   socket compute identically.
-//! * [`Fleet`] is the execution venue, split into its two roles,
-//!   [`Actors`] and [`Learners`], which can be borrowed at once: threads
-//!   behind the serverless platform (`local::LocalFleet`) or child
-//!   processes behind framed sockets (`remote::ProcessFleet`).
+//! * [`Fleet`] is the execution venue: its two halves, an [`Actors`] and a
+//!   [`Learners`], side by side — threads behind the serverless platform
+//!   (`local::LocalFleet`) or child processes behind framed sockets
+//!   (`remote::ProcessFleet`).
 //! * [`lockstep_round`] and [`async_round`] are the two schedules, each
 //!   written once over a `Fleet`, and both own the data loader. Lock-step
 //!   cuts waves against one snapshot, offers in mini-batch order and
@@ -160,8 +160,8 @@ impl Published {
 /// cannot go on. It is `Send` because the asynchronous schedule collects
 /// the next round on a thread of its own.
 pub trait Actors: Send {
-    /// What aborts a round.
-    type Error;
+    /// What aborts a round (`Infallible` for fleets that only lose work).
+    type Error: Send;
 
     /// The active actor slots collect the round's data budget under
     /// `snap`. One entry per attempted collect, `None` where lost.
@@ -193,50 +193,13 @@ pub trait Learners {
     ) -> Result<(), Self::Error>;
 }
 
-impl<A: Actors + ?Sized> Actors for &mut A {
-    type Error = A::Error;
-
-    fn collect(
-        &mut self,
-        snap: &Arc<PolicySnapshot>,
-    ) -> Result<Vec<Option<SampleBatch>>, A::Error> {
-        (**self).collect(snap)
-    }
-}
-
-impl<L: Learners + ?Sized> Learners for &mut L {
-    type Error = L::Error;
-
-    fn wave_width(&self, minibatches: usize) -> usize {
-        (**self).wave_width(minibatches)
-    }
-
-    fn gradients(
-        &mut self,
-        policy: &Published,
-        wave: Vec<SampleBatch>,
-        arrived: &mut dyn FnMut(usize, GradientMsg),
-    ) -> Result<(), L::Error> {
-        (**self).gradients(policy, wave, arrived)
-    }
-}
-
-/// Where the cycle's functions run: an actor half and a learner half that
-/// can be borrowed at the same time.
-pub trait Fleet {
-    /// What aborts a round (`Infallible` for fleets that only lose work).
-    type Error: Send;
-    /// The actor half.
-    type Actors<'f>: Actors<Error = Self::Error>
-    where
-        Self: 'f;
-    /// The learner half.
-    type Learners<'f>: Learners<Error = Self::Error>
-    where
-        Self: 'f;
-
-    /// Borrows both halves.
-    fn split(&mut self) -> (Self::Actors<'_>, Self::Learners<'_>);
+/// Where the cycle's functions run: an actor half and a learner half, each
+/// owned, so a schedule borrows both at once.
+pub struct Fleet<A, L> {
+    /// Step ①.
+    pub actors: A,
+    /// Step ②.
+    pub learners: L,
 }
 
 /// Running totals the cycle keeps across the rounds of one job.
@@ -286,22 +249,23 @@ fn load(batches: Vec<SampleBatch>, cfg: &TrainConfig, timers: &Timers) -> Vec<Sa
 /// wave: snapshot, gradients, offer in mini-batch order, barrier commit.
 ///
 /// Offers stream during the wave: each gradient that completes the
-/// mini-batch-order prefix is offered as it lands. An `Err` from the
-/// learner half (over processes: no worker could be spawned) fails the
-/// round, possibly after that prefix was offered.
+/// mini-batch-order prefix is offered as it lands, and the rest in
+/// mini-batch order once the wave returns. An `Err` from the learner half
+/// (over processes: no worker could be spawned) fails the round after
+/// every gradient that landed was offered.
 ///
 /// The barrier is the synchronous topologies' quorum rule: under a
 /// `FullSync` rule a wave that ends short of its group (a lost gradient, a
 /// mini-batch count the group size does not divide) commits what arrived
 /// instead of carrying it into the next wave's weights.
-pub fn lockstep_round<F: Fleet>(
-    fleet: &mut F,
+pub fn lockstep_round<A: Actors, L: Learners<Error = A::Error>>(
+    fleet: &mut Fleet<A, L>,
     server: &ShardedParameterServer,
     cfg: &TrainConfig,
     timers: &Timers,
     totals: &mut CycleTotals,
-) -> Result<(), F::Error> {
-    let (mut actors, mut learners) = fleet.split();
+) -> Result<(), A::Error> {
+    let Fleet { actors, learners } = fleet;
     let policy = Published::new(server.snapshot());
     let collected = actors.collect(&policy.get())?;
     let minibatches = load(collected_batches(collected, totals), cfg, timers);
@@ -323,7 +287,7 @@ pub fn lockstep_round<F: Fleet>(
         // inside a wave, so when an offer happens cannot reach the bits.
         let mut window: Vec<Option<GradientMsg>> = (0..sent).map(|_| None).collect();
         let (mut next, mut landed) = (0, 0);
-        learners.gradients(&policy, wave, &mut |i, msg| {
+        let ran = learners.gradients(&policy, wave, &mut |i, msg| {
             landed += 1;
             let _agg = timers.span(Component::Aggregation);
             if let Some(slot) = window.get_mut(i) {
@@ -333,12 +297,13 @@ pub fn lockstep_round<F: Fleet>(
                 server.offer(&msg);
                 next += 1;
             }
-        })?;
+        });
         let _agg = timers.span(Component::Aggregation);
-        totals.degraded += (sent - landed) as u64;
         for msg in window.into_iter().flatten() {
             server.offer(&msg);
         }
+        ran?;
+        totals.degraded += (sent - landed) as u64;
         if barrier && server.pending() > 0 {
             server.commit_pending();
         }
@@ -357,21 +322,22 @@ pub fn lockstep_round<F: Fleet>(
 /// With `lead`, the actor half meanwhile collects the next round under the
 /// policy this round started from and leaves it in `staged`.
 ///
-/// Both halves join before this returns, so a panic in either surfaces
-/// here and no more than one round is ever staged.
-pub fn async_round<F: Fleet>(
-    fleet: &mut F,
+/// Both halves join before this returns, so a panic or an `Err` in either
+/// surfaces here, after every gradient that landed was offered, and no
+/// more than one round is ever staged.
+pub fn async_round<A: Actors, L: Learners<Error = A::Error>>(
+    fleet: &mut Fleet<A, L>,
     server: &ShardedParameterServer,
     cfg: &TrainConfig,
     timers: &Timers,
     totals: &mut CycleTotals,
     staged: &mut Option<Vec<SampleBatch>>,
     lead: bool,
-) -> Result<(), F::Error> {
+) -> Result<(), A::Error> {
     // The caller only waits on the halves from here on (staged work wins
     // the attribution of any instant it overlaps).
     let _wait = telemetry::span("core.round_wait");
-    let (mut actors, mut learners) = fleet.split();
+    let Fleet { actors, learners } = fleet;
     let policy = Published::new(server.snapshot());
     let batches = match staged.take() {
         Some(batches) => batches,
@@ -413,25 +379,98 @@ mod tests {
     use crate::orchestrator::parameter_plane;
     use crate::remote::snapshot_checksum;
     use std::collections::VecDeque;
-    use std::convert::Infallible;
     use std::time::Duration;
     use stellaris_envs::EnvId;
 
+    /// Why a scripted half failed the round: the round, and for the learner
+    /// half the mini-batch of the round.
+    #[derive(Debug, PartialEq)]
+    enum Failed {
+        Collect(usize),
+        Gradient(usize, usize),
+    }
+
     /// Two actor slots returning a canned batch, gradients from a real
-    /// learner body, and a script for both: `(round, slot)` collects and
-    /// `(round, mini-batch of the round)` gradients that never arrive, and
-    /// the order `width` learner slots land in, round by round.
-    struct ScriptedFleet {
+    /// learner body, and a script for both halves (see each half).
+    type ScriptedFleet = Fleet<ScriptedActors, ScriptedLearners>;
+
+    impl ScriptedFleet {
+        fn new(cfg: &TrainConfig, steps: usize, width: usize) -> Self {
+            let snap = fresh_net(cfg).snapshot();
+            Self::with_batch(cfg, ActorBody::new(cfg, 0).collect(&snap, steps), width)
+        }
+
+        fn with_batch(cfg: &TrainConfig, canned: SampleBatch, width: usize) -> Self {
+            Fleet {
+                actors: ScriptedActors {
+                    canned,
+                    lost: Vec::new(),
+                    fails_at: None,
+                    delay: Duration::ZERO,
+                    returned: 0,
+                    round: 0,
+                },
+                learners: ScriptedLearners {
+                    learner: LearnerBody::new(cfg),
+                    width,
+                    orders: Vec::new(),
+                    lost: Vec::new(),
+                    panics_at: None,
+                    fails_at: None,
+                    observes: None,
+                    offered_at_start: Vec::new(),
+                    arrivals: Vec::new(),
+                    memo: None,
+                    round: 0,
+                    next_minibatch: 0,
+                    sent: 0,
+                    delivered: 0,
+                },
+            }
+        }
+
+        /// Starts `round` on both halves; its mini-batches are numbered from
+        /// its first wave.
+        fn begin(&mut self, round: usize) {
+            self.actors.round = round;
+            self.learners.round = round;
+            self.learners.next_minibatch = 0;
+        }
+    }
+
+    /// Gradients by `(policy version, policy checksum, mini-batch of the
+    /// round)`.
+    type Memo = std::collections::HashMap<(u64, u64, usize), GradientMsg>;
+
+    /// Two actor slots returning `canned`, each collect taking `delay`.
+    struct ScriptedActors {
         canned: SampleBatch,
+        /// The `(round, slot)` collects that never arrive.
+        lost: Vec<(usize, usize)>,
+        /// The round whose collect fails.
+        fails_at: Option<usize>,
+        delay: Duration,
+        /// Collects that have returned, failed or not.
+        returned: u64,
+        round: usize,
+    }
+
+    /// `width` learner slots over one real learner body, landing in the
+    /// round's order.
+    struct ScriptedLearners {
         learner: LearnerBody,
         width: usize,
         /// Per round, a permutation of the slots: the order they land in at
         /// every turn of that round (first to last where no entry is given).
         orders: Vec<Vec<usize>>,
-        lost_collects: Vec<(usize, usize)>,
-        lost_gradients: Vec<(usize, usize)>,
+        /// The `(round, mini-batch of the round)` gradients that never
+        /// arrive.
+        lost: Vec<(usize, usize)>,
         /// The `(round, mini-batch of the round)` whose learner panics.
         panics_at: Option<(usize, usize)>,
+        /// The `(round, mini-batch of the round)` whose learner fails the
+        /// round.
+        fails_at: Option<(usize, usize)>,
         /// The plane a learner reads before each gradient it computes, and
         /// before it hands each gradient over.
         observes: Option<Arc<ShardedParameterServer>>,
@@ -440,8 +479,7 @@ mod tests {
         /// `(round, clock, gradient)` for each gradient handed over, in
         /// arrival order.
         arrivals: Vec<(usize, u64, GradientMsg)>,
-        /// Gradients already computed, by `(policy version, policy
-        /// checksum, mini-batch of the round)`.
+        /// Gradients already computed.
         memo: Option<Memo>,
         round: usize,
         next_minibatch: usize,
@@ -451,102 +489,18 @@ mod tests {
         delivered: u64,
     }
 
-    impl ScriptedFleet {
-        fn new(cfg: &TrainConfig, steps: usize, width: usize) -> Self {
-            let snap = fresh_net(cfg).snapshot();
-            Self::with_batch(cfg, ActorBody::new(cfg, 0).collect(&snap, steps), width)
-        }
-
-        fn with_batch(cfg: &TrainConfig, canned: SampleBatch, width: usize) -> Self {
-            Self {
-                canned,
-                learner: LearnerBody::new(cfg),
-                width,
-                orders: Vec::new(),
-                lost_collects: Vec::new(),
-                lost_gradients: Vec::new(),
-                panics_at: None,
-                observes: None,
-                offered_at_start: Vec::new(),
-                arrivals: Vec::new(),
-                memo: None,
-                round: 0,
-                next_minibatch: 0,
-                sent: 0,
-                delivered: 0,
-            }
-        }
-    }
-
-    /// Gradients by `(policy version, policy checksum, mini-batch of the
-    /// round)`.
-    type Memo = std::collections::HashMap<(u64, u64, usize), GradientMsg>;
-
-    struct ScriptedActors<'f> {
-        canned: &'f SampleBatch,
-        lost: &'f [(usize, usize)],
-        round: usize,
-    }
-
-    struct ScriptedLearners<'f> {
-        learner: &'f mut LearnerBody,
-        width: usize,
-        order: Vec<usize>,
-        lost: &'f [(usize, usize)],
-        panics_at: Option<(usize, usize)>,
-        observes: Option<&'f ShardedParameterServer>,
-        offered_at_start: &'f mut Vec<(usize, usize, u64)>,
-        arrivals: &'f mut Vec<(usize, u64, GradientMsg)>,
-        memo: Option<&'f mut Memo>,
-        round: usize,
-        next_minibatch: &'f mut usize,
-        sent: &'f mut u64,
-        delivered: &'f mut u64,
-    }
-
-    impl Fleet for ScriptedFleet {
-        type Error = Infallible;
-        type Actors<'f> = ScriptedActors<'f>;
-        type Learners<'f> = ScriptedLearners<'f>;
-
-        fn split(&mut self) -> (ScriptedActors<'_>, ScriptedLearners<'_>) {
-            // Mini-batches are numbered from the round's first wave.
-            self.next_minibatch = 0;
-            let actors = ScriptedActors {
-                canned: &self.canned,
-                lost: &self.lost_collects,
-                round: self.round,
-            };
-            let order = match self.orders.get(self.round) {
-                Some(order) => order.clone(),
-                None => (0..self.width).collect(),
-            };
-            let learners = ScriptedLearners {
-                learner: &mut self.learner,
-                width: self.width,
-                order,
-                lost: &self.lost_gradients,
-                panics_at: self.panics_at,
-                observes: self.observes.as_deref(),
-                offered_at_start: &mut self.offered_at_start,
-                arrivals: &mut self.arrivals,
-                memo: self.memo.as_mut(),
-                round: self.round,
-                next_minibatch: &mut self.next_minibatch,
-                sent: &mut self.sent,
-                delivered: &mut self.delivered,
-            };
-            (actors, learners)
-        }
-    }
-
-    impl Actors for ScriptedActors<'_> {
-        type Error = Infallible;
+    impl Actors for ScriptedActors {
+        type Error = Failed;
 
         fn collect(
             &mut self,
             _snap: &Arc<PolicySnapshot>,
-        ) -> Result<Vec<Option<SampleBatch>>, Infallible> {
+        ) -> Result<Vec<Option<SampleBatch>>, Failed> {
+            std::thread::sleep(self.delay);
+            self.returned += 1;
+            if self.fails_at == Some(self.round) {
+                return Err(Failed::Collect(self.round));
+            }
             let arrives = |slot| !self.lost.contains(&(self.round, slot));
             Ok((0..2)
                 .map(|slot| arrives(slot).then(|| self.canned.clone()))
@@ -554,8 +508,8 @@ mod tests {
         }
     }
 
-    impl Learners for ScriptedLearners<'_> {
-        type Error = Infallible;
+    impl Learners for ScriptedLearners {
+        type Error = Failed;
 
         fn wave_width(&self, _minibatches: usize) -> usize {
             self.width
@@ -569,10 +523,14 @@ mod tests {
             policy: &Published,
             wave: Vec<SampleBatch>,
             arrived: &mut dyn FnMut(usize, GradientMsg),
-        ) -> Result<(), Infallible> {
-            let first = *self.next_minibatch;
-            *self.next_minibatch += wave.len();
-            *self.sent += wave.len() as u64;
+        ) -> Result<(), Failed> {
+            let first = self.next_minibatch;
+            self.next_minibatch += wave.len();
+            self.sent += wave.len() as u64;
+            let order = match self.orders.get(self.round) {
+                Some(order) => order.clone(),
+                None => (0..self.width).collect(),
+            };
             let mut shares: Vec<VecDeque<(usize, SampleBatch)>> =
                 (0..self.width).map(|_| VecDeque::new()).collect();
             for (i, mb) in wave.into_iter().enumerate() {
@@ -583,30 +541,34 @@ mod tests {
             };
             let mut running: Vec<_> = shares.iter_mut().map(start).collect();
             while running.iter().any(Option::is_some) {
-                for &l in &self.order {
+                for &l in &order {
                     let Some((i, mb, snap)) = running[l].take() else {
                         continue;
                     };
                     let id = (self.round, first + i);
                     assert_ne!(self.panics_at, Some(id), "scripted learner panic");
+                    if self.fails_at == Some(id) {
+                        return Err(Failed::Gradient(id.0, id.1));
+                    }
                     if !self.lost.contains(&id) {
-                        if let Some(plane) = self.observes {
+                        if let Some(plane) = &self.observes {
                             let offered = plane.grads_aggregated() + plane.pending() as u64;
                             self.offered_at_start.push((id.0, id.1, offered));
                         }
-                        let mut msg = match self.memo.as_deref_mut() {
-                            None => self.learner.gradient(&snap, &mb, None, l),
+                        let learner = &mut self.learner;
+                        let mut msg = match &mut self.memo {
+                            None => learner.gradient(&snap, &mb, None, l),
                             // The learner's gradient is a pure function of
                             // the policy and the mini-batch, and every
                             // round cuts the same mini-batches.
                             Some(memo) => memo
                                 .entry((snap.version, snapshot_checksum(&snap), id.1))
-                                .or_insert_with(|| self.learner.gradient(&snap, &mb, None, l))
+                                .or_insert_with(|| learner.gradient(&snap, &mb, None, l))
                                 .clone(),
                         };
                         msg.learner_id = l;
-                        *self.delivered += 1;
-                        if let Some(plane) = self.observes {
+                        self.delivered += 1;
+                        if let Some(plane) = &self.observes {
                             self.arrivals.push((id.0, plane.clock(), msg.clone()));
                         }
                         arrived(i, msg);
@@ -633,10 +595,11 @@ mod tests {
         let server = parameter_plane(&cfg);
         // One collect of 96 steps = three mini-batches: waves [0, 1] and [2].
         let mut fleet = ScriptedFleet::new(&cfg, 96, 2);
-        fleet.lost_collects = vec![(0, 1)];
-        fleet.lost_gradients = vec![(0, 1)];
+        fleet.actors.lost = vec![(0, 1)];
+        fleet.learners.lost = vec![(0, 1)];
         let mut totals = CycleTotals::default();
-        let Ok(()) = lockstep_round(&mut fleet, &server, &cfg, &Timers::default(), &mut totals);
+        lockstep_round(&mut fleet, &server, &cfg, &Timers::default(), &mut totals)
+            .expect("the script fails nowhere");
         assert_eq!(server.pending(), 0, "nothing crosses the round boundary");
         assert_eq!(server.grads_aggregated(), 2);
         assert_eq!(server.staleness_log().to_vec(), vec![0, 0]);
@@ -653,27 +616,28 @@ mod tests {
         // Two collects of 64 steps = four mini-batches: waves of 3 and 1.
         let mut fleet = ScriptedFleet::new(&cfg, 64, 3);
         if reversed {
-            fleet.orders = vec![vec![2, 1, 0]; 3];
+            fleet.learners.orders = vec![vec![2, 1, 0]; 3];
         }
-        fleet.lost_collects = vec![(1, 0)];
-        fleet.lost_gradients = vec![(0, 2), (2, 0), (2, 3)];
+        fleet.actors.lost = vec![(1, 0)];
+        fleet.learners.lost = vec![(0, 2), (2, 0), (2, 3)];
         let mut totals = CycleTotals::default();
         for (round, lost_so_far) in [1, 2, 4].into_iter().enumerate() {
-            fleet.round = round;
-            let Ok(()) = lockstep_round(&mut fleet, &server, &cfg, &Timers::default(), &mut totals);
+            fleet.begin(round);
+            lockstep_round(&mut fleet, &server, &cfg, &Timers::default(), &mut totals)
+                .expect("the script fails nowhere");
             assert_eq!(
                 totals.degraded, lost_so_far,
                 "round {round}: losses counted"
             );
             assert_eq!(
-                fleet.delivered,
+                fleet.learners.delivered,
                 server.grads_aggregated() + server.pending() as u64,
                 "round {round}: offered = aggregated + pending"
             );
             assert_eq!(server.clock(), server.updates(), "round {round}: clock");
         }
-        assert_eq!(fleet.delivered, 3 + 2 + 2);
-        let per_collect = fleet.canned.episode_returns.len() as u64;
+        assert_eq!(fleet.learners.delivered, 3 + 2 + 2);
+        let per_collect = fleet.actors.canned.episode_returns.len() as u64;
         assert_eq!(totals.episodes, 5 * per_collect, "five collects arrived");
         let log = server.staleness_log().to_vec();
         (snapshot_checksum(&server.snapshot()), log)
@@ -699,9 +663,11 @@ mod tests {
         cfg: &TrainConfig,
         totals: &mut CycleTotals,
     ) {
-        let (mut actors, mut learners) = fleet.split();
+        let Fleet { actors, learners } = fleet;
         let policy = Published::new(server.snapshot());
-        let Ok(collected) = actors.collect(&policy.get());
+        let collected = actors
+            .collect(&policy.get())
+            .expect("the script fails nowhere");
         let minibatches = load(
             collected_batches(collected, totals),
             cfg,
@@ -715,7 +681,9 @@ mod tests {
                 policy.set(server.snapshot());
             }
             let mut msgs = Vec::new();
-            let Ok(()) = learners.gradients(&policy, wave, &mut |i, msg| msgs.push((i, msg)));
+            learners
+                .gradients(&policy, wave, &mut |i, msg| msgs.push((i, msg)))
+                .expect("the script fails nowhere");
             msgs.sort_by_key(|(i, _)| *i);
             for (_, msg) in msgs {
                 server.offer(&msg);
@@ -739,16 +707,16 @@ mod tests {
         // Two collects of 64 steps = four mini-batches, one wave.
         let mut fleet = ScriptedFleet::new(&cfg, 64, 4);
         if reversed {
-            fleet.orders = vec![vec![3, 2, 1, 0]; 2];
+            fleet.learners.orders = vec![vec![3, 2, 1, 0]; 2];
         }
-        fleet.lost_gradients = lost.to_vec();
-        fleet.observes = Some(Arc::clone(&server));
+        fleet.learners.lost = lost.to_vec();
+        fleet.learners.observes = Some(Arc::clone(&server));
         let mut totals = CycleTotals::default();
         for round in 0..2 {
-            fleet.round = round;
+            fleet.begin(round);
             if streamed {
-                let Ok(()) =
-                    lockstep_round(&mut fleet, &server, &cfg, &Timers::default(), &mut totals);
+                lockstep_round(&mut fleet, &server, &cfg, &Timers::default(), &mut totals)
+                    .expect("the script fails nowhere");
             } else {
                 collect_and_sort_round(&mut fleet, &server, &cfg, &mut totals);
             }
@@ -757,7 +725,7 @@ mod tests {
         (
             snapshot_checksum(&server.snapshot()),
             log,
-            fleet.offered_at_start,
+            fleet.learners.offered_at_start,
         )
     }
 
@@ -808,16 +776,16 @@ mod tests {
         let server = parameter_plane(&cfg);
         let mut fleet = ScriptedFleet::new(&cfg, 64, 3);
         if reversed {
-            fleet.orders = vec![vec![2, 1, 0]; 3];
+            fleet.learners.orders = vec![vec![2, 1, 0]; 3];
         }
         // The collect made during round 1 is round 2's data.
-        fleet.lost_collects = vec![(1, 0)];
-        fleet.lost_gradients = vec![(0, 2), (2, 0)];
+        fleet.actors.lost = vec![(1, 0)];
+        fleet.learners.lost = vec![(0, 2), (2, 0)];
         let (mut totals, mut staged) = (CycleTotals::default(), None);
         for (round, lost_so_far) in [1, 2, 3].into_iter().enumerate() {
-            fleet.round = round;
+            fleet.begin(round);
             let lead = round < 2;
-            let Ok(()) = async_round(
+            async_round(
                 &mut fleet,
                 &server,
                 &cfg,
@@ -825,18 +793,19 @@ mod tests {
                 &mut totals,
                 &mut staged,
                 lead,
-            );
+            )
+            .expect("the script fails nowhere");
             assert_eq!(staged.is_some(), lead, "round {round}: one round staged");
             assert_eq!(totals.degraded, lost_so_far, "round {round}: losses");
             assert_eq!(
-                fleet.delivered,
+                fleet.learners.delivered,
                 server.grads_aggregated() + server.pending() as u64,
                 "round {round}: offered = aggregated + pending"
             );
             assert_eq!(server.clock(), server.updates(), "round {round}: clock");
         }
-        assert_eq!(fleet.delivered, 3 + 4 + 1);
-        let per_collect = fleet.canned.episode_returns.len() as u64;
+        assert_eq!(fleet.learners.delivered, 3 + 4 + 1);
+        let per_collect = fleet.actors.canned.episode_returns.len() as u64;
         assert_eq!(totals.episodes, 5 * per_collect, "five collects arrived");
         (
             snapshot_checksum(&server.snapshot()),
@@ -878,12 +847,12 @@ mod tests {
             let cfg = tiny(LearnerMode::Async { rule });
             let server = parameter_plane(&cfg);
             let mut fleet = ScriptedFleet::new(&cfg, 64, 3);
-            fleet.panics_at = Some((1, 2));
+            fleet.learners.panics_at = Some((1, 2));
             let (mut totals, mut staged) = (CycleTotals::default(), None);
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 for round in 0..3 {
-                    fleet.round = round;
-                    let Ok(()) = async_round(
+                    fleet.begin(round);
+                    async_round(
                         &mut fleet,
                         &server,
                         &cfg,
@@ -891,7 +860,8 @@ mod tests {
                         &mut totals,
                         &mut staged,
                         round < 2,
-                    );
+                    )
+                    .expect("the script fails nowhere");
                 }
             }));
             let sent = done.send((run.is_err(), server.grads_aggregated()));
@@ -906,6 +876,113 @@ mod tests {
             4 + 2,
             "what landed before the panic was offered"
         );
+    }
+
+    /// One round of `schedule` over the script; the asynchronous one
+    /// collects the next round meanwhile when `lead`.
+    fn scripted_round(
+        schedule: Schedule,
+        fleet: &mut ScriptedFleet,
+        server: &ShardedParameterServer,
+        cfg: &TrainConfig,
+        totals: &mut CycleTotals,
+        staged: &mut Option<Vec<SampleBatch>>,
+        lead: bool,
+    ) -> Result<(), Failed> {
+        let timers = Timers::default();
+        match schedule {
+            Schedule::Async => async_round(fleet, server, cfg, &timers, totals, staged, lead),
+            Schedule::Lockstep => lockstep_round(fleet, server, cfg, &timers, totals),
+        }
+    }
+
+    /// Rounds of `schedule` over a three-slot script (four mini-batches a
+    /// round; asynchronously the actors lead into the next round) until
+    /// one fails. Returns that round, its error, the fleet and the plane.
+    fn failing_run(
+        schedule: Schedule,
+        script: impl FnOnce(&mut ScriptedFleet),
+    ) -> (usize, Failed, ScriptedFleet, ShardedParameterServer) {
+        let mode = match schedule {
+            Schedule::Async => LearnerMode::Async {
+                rule: AggregationRule::Softsync { c: 2 },
+            },
+            Schedule::Lockstep => LearnerMode::Sync { n: 2 },
+        };
+        let cfg = tiny(mode);
+        let server = parameter_plane(&cfg);
+        let mut fleet = ScriptedFleet::new(&cfg, 64, 3);
+        script(&mut fleet);
+        let (mut totals, mut staged) = (CycleTotals::default(), None);
+        for round in 0..3 {
+            fleet.begin(round);
+            let ran = scripted_round(
+                schedule,
+                &mut fleet,
+                &server,
+                &cfg,
+                &mut totals,
+                &mut staged,
+                round < 2,
+            );
+            if let Err(failed) = ran {
+                return (round, failed, fleet, server);
+            }
+        }
+        panic!("{schedule:?}: the script never failed");
+    }
+
+    /// A learner half that fails mid-wave fails the round with its error,
+    /// after every gradient that landed was offered: in mini-batch order,
+    /// and reversed, where both gradients that landed wait behind the
+    /// failing mini-batch 0. Asynchronously the actor half, still
+    /// collecting the next round (slowly), is joined first.
+    #[test]
+    fn a_learner_error_fails_the_round_after_offering_what_landed() {
+        let scripts = [(Vec::new(), 2), (vec![vec![2, 1, 0]; 2], 0)];
+        for (schedule, collects) in [(Schedule::Lockstep, 2), (Schedule::Async, 3)] {
+            for (orders, fails) in scripts.clone() {
+                let (round, failed, fleet, server) = failing_run(schedule, |fleet| {
+                    fleet.learners.orders = orders.clone();
+                    fleet.learners.fails_at = Some((1, fails));
+                    fleet.actors.delay = Duration::from_millis(20);
+                });
+                let at = format!("{schedule:?} {orders:?}");
+                assert_eq!((round, failed), (1, Failed::Gradient(1, fails)), "{at}");
+                assert_eq!(fleet.learners.delivered, 4 + 2, "{at}: delivered");
+                assert_eq!(
+                    fleet.learners.delivered,
+                    server.grads_aggregated() + server.pending() as u64,
+                    "{at}: delivered = aggregated + pending"
+                );
+                assert_eq!(
+                    fleet.actors.returned, collects,
+                    "{at}: every collect returned before the round did"
+                );
+            }
+        }
+    }
+
+    /// An actor half that fails fails the round with its error: in
+    /// lock-step the round's own collect, before any mini-batch; in the
+    /// asynchronous schedule the lead collect, after the round's
+    /// mini-batches were all offered.
+    #[test]
+    fn an_actor_error_fails_the_round_after_offering_what_landed() {
+        for (schedule, delivered) in [(Schedule::Lockstep, 4), (Schedule::Async, 8)] {
+            let (round, failed, fleet, server) =
+                failing_run(schedule, |fleet| fleet.actors.fails_at = Some(1));
+            assert_eq!((round, failed), (1, Failed::Collect(1)), "{schedule:?}");
+            assert_eq!(
+                fleet.learners.delivered, delivered,
+                "{schedule:?}: delivered"
+            );
+            assert_eq!(
+                fleet.learners.delivered,
+                server.grads_aggregated() + server.pending() as u64,
+                "{schedule:?}: delivered = aggregated + pending"
+            );
+        }
     }
 
     /// Which schedule an enumerated run drives.
@@ -1051,49 +1128,44 @@ mod tests {
         let cfg = tiny(mode);
         let server = Arc::new(parameter_plane(&cfg));
         let mut fleet = ScriptedFleet::with_batch(&cfg, canned.clone(), orders[0].len());
-        fleet.orders = orders.to_vec();
-        fleet.lost_gradients = lost.into_iter().collect();
-        fleet.observes = Some(Arc::clone(&server));
-        fleet.memo = Some(std::mem::take(memo));
+        fleet.learners.orders = orders.to_vec();
+        fleet.learners.lost = lost.into_iter().collect();
+        fleet.learners.observes = Some(Arc::clone(&server));
+        fleet.learners.memo = Some(std::mem::take(memo));
         let asynchronous = matches!(schedule, Schedule::Async);
         let mut reference = asynchronous.then(|| ReferenceFold::new(&cfg));
         let (mut totals, mut staged) = (CycleTotals::default(), None);
         let (mut delta_max, mut beta) = (0, f64::INFINITY);
         let mut per_round = Vec::new();
         for round in 0..orders.len() {
-            fleet.round = round;
-            let timers = Timers::default();
+            fleet.begin(round);
             let lead = asynchronous && round + 1 < orders.len();
-            let Ok(()) = match schedule {
-                Schedule::Async => async_round(
-                    &mut fleet,
-                    &server,
-                    &cfg,
-                    &timers,
-                    &mut totals,
-                    &mut staged,
-                    lead,
-                ),
-                Schedule::Lockstep => {
-                    lockstep_round(&mut fleet, &server, &cfg, &timers, &mut totals)
-                }
-            };
+            scripted_round(
+                schedule,
+                &mut fleet,
+                &server,
+                &cfg,
+                &mut totals,
+                &mut staged,
+                lead,
+            )
+            .expect("the script fails nowhere");
             server.advance_round();
             let at = format!("{schedule:?} {orders:?} lost {lost:?}, round {round}");
             assert_eq!(staged.is_some(), lead, "{at}: one round staged");
 
             let sent = (round as u64 + 1) * ENUMERATED_MINIBATCHES as u64;
-            assert_eq!(fleet.sent, sent, "{at}: mini-batches sent");
+            assert_eq!(fleet.learners.sent, sent, "{at}: mini-batches sent");
             let lost_so_far = lost.filter(|&(r, _)| r <= round).into_iter().count() as u64;
             assert_eq!(totals.degraded, lost_so_far, "{at}: losses counted");
             assert_eq!(
-                fleet.delivered + totals.degraded,
+                fleet.learners.delivered + totals.degraded,
                 sent,
                 "{at}: delivered + lost = sent"
             );
             let aggregated = server.grads_aggregated();
             assert_eq!(
-                fleet.delivered,
+                fleet.learners.delivered,
                 aggregated + server.pending() as u64,
                 "{at}: delivered = aggregated + pending"
             );
@@ -1108,7 +1180,7 @@ mod tests {
             if asynchronous {
                 if round == 0 {
                     // The gate observes each offer at the clock recorded.
-                    for (_, clock, msg) in &fleet.arrivals {
+                    for (_, clock, msg) in &fleet.learners.arrivals {
                         delta_max = delta_max.max(clock - msg.base_version);
                     }
                 }
@@ -1120,7 +1192,7 @@ mod tests {
                 beta = got;
             }
             if let Some(fold) = &mut reference {
-                for (_, clock, msg) in fleet.arrivals.iter().filter(|a| a.0 == round) {
+                for (_, clock, msg) in fleet.learners.arrivals.iter().filter(|a| a.0 == round) {
                     assert_eq!(*clock, fold.clock, "{at}: clock at arrival");
                     fold.arrive(msg);
                 }
@@ -1139,7 +1211,7 @@ mod tests {
                 aggregated,
             ));
         }
-        *memo = fleet.memo.take().unwrap_or_default();
+        *memo = fleet.learners.memo.take().unwrap_or_default();
         per_round
     }
 

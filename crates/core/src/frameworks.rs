@@ -3,7 +3,7 @@
 //! `+Stellaris` integration of each.
 
 use stellaris_envs::EnvId;
-use stellaris_rl::{ImpactConfig, ImpalaConfig, PpoConfig};
+use stellaris_rl::{ImpactConfig, PpoConfig};
 use stellaris_serverless::Cluster;
 
 use crate::aggregation::AggregationRule;
@@ -49,24 +49,6 @@ pub fn impact_vanilla(env: EnvId, seed: u64) -> TrainConfig {
 /// IMPACT + Stellaris.
 pub fn impact_stellaris(env: EnvId, seed: u64) -> TrainConfig {
     TrainConfig::stellaris_scaled(env, seed).with_impact(ImpactConfig::scaled())
-}
-
-/// Vanilla IMPALA (extension beyond the paper's two algorithms): the
-/// original asynchronous actor-learner architecture with V-trace, run with
-/// synchronous serverful learners like the other vanilla baselines.
-pub fn impala_vanilla(env: EnvId, seed: u64) -> TrainConfig {
-    let mut cfg = TrainConfig::stellaris_scaled(env, seed).with_impala(ImpalaConfig::scaled());
-    cfg.learner_mode = LearnerMode::Sync {
-        n: cfg.max_learners,
-    };
-    cfg.deployment = Deployment::Serverful;
-    cfg.truncation_rho = None;
-    cfg
-}
-
-/// IMPALA + Stellaris: asynchronous staleness-aware serverless learners.
-pub fn impala_stellaris(env: EnvId, seed: u64) -> TrainConfig {
-    TrainConfig::stellaris_scaled(env, seed).with_impala(ImpalaConfig::scaled())
 }
 
 /// Ray RLlib-style training: industry-grade synchronous learner group on
@@ -245,16 +227,6 @@ mod tests {
         let c = impact_vanilla(EnvId::Qbert, 1);
         assert_eq!(c.algo.name(), "IMPACT");
         assert_eq!(impact_stellaris(EnvId::Qbert, 1).algo.name(), "IMPACT");
-    }
-
-    #[test]
-    fn impala_presets() {
-        let v = impala_vanilla(EnvId::Hopper, 0);
-        assert_eq!(v.algo.name(), "IMPALA");
-        assert_eq!(v.deployment, Deployment::Serverful);
-        let s = impala_stellaris(EnvId::Hopper, 0);
-        assert_eq!(s.algo.name(), "IMPALA");
-        assert!(matches!(s.learner_mode, LearnerMode::Async { .. }));
     }
 
     #[test]

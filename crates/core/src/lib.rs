@@ -63,5 +63,5 @@ pub use remote::{
     serve_worker, snapshot_checksum, GradientCall, GradientRequest, RemoteError, RemoteFleet,
     RemoteRunReport, RemoteSetup, RemoteWorker,
 };
-pub use staleness::{staleness_weight, StalenessGate, StalenessRing, StalenessSchedule};
+pub use staleness::{staleness_weight, StalenessGate, StalenessRing};
 pub use truncation::{reward_improvement_bound, RatioBoard};

@@ -222,10 +222,7 @@ impl<'s, B: Send + 's> Host<'s, B> {
 
 /// The in-process venue of both schedules: one host per actor slot and per
 /// learner slot.
-pub(crate) struct LocalFleet<'s> {
-    actors: LocalActors<'s>,
-    learners: LocalLearners<'s>,
-}
+pub(crate) type LocalFleet<'s> = Fleet<LocalActors<'s>, LocalLearners<'s>>;
 
 impl<'s> LocalFleet<'s> {
     pub(crate) fn new(scope: &'s Scope<'s, '_>, run: &'s Run<'s>, n_learners: usize) -> Self {
@@ -236,7 +233,7 @@ impl<'s> LocalFleet<'s> {
         } else {
             LearnerAutoscaler::pinned(n_learners)
         };
-        Self {
+        Fleet {
             actors: LocalActors {
                 run,
                 hosts: (0..cfg.n_actors)
@@ -258,37 +255,6 @@ impl<'s> LocalFleet<'s> {
             },
         }
     }
-
-    /// MinionsRL's dynamic actor scaling, after a round judged at
-    /// `reward`: two more actor slots when the reward improved, one fewer
-    /// otherwise, within `[1, n_actors]`.
-    pub(crate) fn rescale(&mut self, reward: f32) {
-        let actors = &mut self.actors;
-        if actors.run.cfg.dynamic_actors {
-            actors.active = if reward > actors.last_reward {
-                (actors.active + 2).min(actors.hosts.len())
-            } else {
-                actors.active.saturating_sub(1).max(1)
-            };
-        }
-        actors.last_reward = reward;
-    }
-}
-
-impl<'s> Fleet for LocalFleet<'s> {
-    type Error = Infallible;
-    type Actors<'f>
-        = &'f mut LocalActors<'s>
-    where
-        Self: 'f;
-    type Learners<'f>
-        = &'f mut LocalLearners<'s>
-    where
-        Self: 'f;
-
-    fn split(&mut self) -> (&mut LocalActors<'s>, &mut LocalLearners<'s>) {
-        (&mut self.actors, &mut self.learners)
-    }
 }
 
 /// The actor half of [`LocalFleet`].
@@ -298,6 +264,22 @@ pub(crate) struct LocalActors<'s> {
     /// Slots that collect: all of them, unless `dynamic_actors` rescales.
     active: usize,
     last_reward: f32,
+}
+
+impl LocalActors<'_> {
+    /// MinionsRL's dynamic actor scaling, after a round judged at
+    /// `reward`: two more actor slots when the reward improved, one fewer
+    /// otherwise, within `[1, n_actors]`.
+    pub(crate) fn rescale(&mut self, reward: f32) {
+        if self.run.cfg.dynamic_actors {
+            self.active = if reward > self.last_reward {
+                (self.active + 2).min(self.hosts.len())
+            } else {
+                self.active.saturating_sub(1).max(1)
+            };
+        }
+        self.last_reward = reward;
+    }
 }
 
 impl Actors for LocalActors<'_> {

@@ -25,7 +25,7 @@ use stellaris_telemetry as telemetry;
 
 use crate::config::{Deployment, LearnerMode, TrainConfig};
 use crate::cycle::{async_round, fresh_net, lockstep_round, CycleTotals};
-use crate::local::{LocalFleet, Pending, Resident, Run};
+use crate::local::{LocalActors, LocalFleet, Pending, Resident, Run};
 use crate::metrics::{TimerReport, TrainRow};
 use crate::parameter::ShardedParameterServer;
 
@@ -155,7 +155,7 @@ pub fn train(cfg: &TrainConfig) -> TrainResult {
             // last round's verdict recorded.
             let _close = telemetry::span("core.round_close");
             if let Some((row, judged)) = judging.take() {
-                ledger.close(row, verdict(judged), &mut fleet);
+                ledger.close(row, verdict(judged), &mut fleet.actors);
             }
             // The judge is handed the probe once, the first round it exists.
             let probe = (!probed).then(|| totals.probe_obs.clone()).flatten();
@@ -167,11 +167,11 @@ pub fn train(cfg: &TrainConfig) -> TrainResult {
             } else {
                 let verdict = verdict(judged);
                 let row = ledger.tally(&run, round, &totals, &mut round_span);
-                ledger.close(row, verdict, &mut fleet);
+                ledger.close(row, verdict, &mut fleet.actors);
             }
         }
         if let Some((row, judged)) = judging {
-            ledger.close(row, verdict(judged), &mut fleet);
+            ledger.close(row, verdict(judged), &mut fleet.actors);
         }
         ledger
     });
@@ -199,7 +199,7 @@ fn report(run: Run, ledger: Ledger) -> TrainResult {
         wall_time_s: wall.as_secs_f64(),
         learner_invocations: learner_invocations(platform),
         policy_updates: run.server.updates(),
-        gpu_utilization: platform.gpu_utilization(cfg.max_learners),
+        gpu_utilization: platform.gpu_utilization(),
         cold_starts,
         label: cfg.label(),
         final_snapshot: run.server.snapshot(),
@@ -340,8 +340,8 @@ impl Ledger {
 
     /// Records `row` with its judge's `(reward, policy_kl)` and lets the
     /// fleet's actors rescale on the reward.
-    fn close(&mut self, row: TrainRow, (reward, policy_kl): (f32, f32), fleet: &mut LocalFleet) {
-        fleet.rescale(reward);
+    fn close(&mut self, row: TrainRow, (reward, policy_kl): (f32, f32), actors: &mut LocalActors) {
+        actors.rescale(reward);
         self.rows.push(TrainRow {
             reward,
             policy_kl,

@@ -236,7 +236,6 @@ impl ShardedParameterServer {
 mod tests {
     use super::*;
     use crate::remote::snapshot_checksum;
-    use crate::staleness::StalenessSchedule;
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
     use stellaris_envs::ActionSpace;
@@ -532,11 +531,14 @@ mod tests {
 
     /// The fold the server used before folding on arrival, kept as the
     /// reference: it queues whole messages and, at the commit, sums
-    /// `(w(δ)/H_c)·g` in arrival order with δ measured at the commit.
-    /// `commits` logs every commit's `H_c` and sum, in order.
+    /// `(w(δ)/H_c)·g` in arrival order with δ measured at the commit. Eq. 3
+    /// and Eq. 4 are written out here apart from the gate. `commits` logs
+    /// every commit's `H_c` and sum, in order.
     struct QueueingReference {
         rule: AggregationRule,
-        schedule: Option<StalenessSchedule>,
+        /// Eq. 3's round `k`, and the largest staleness seen in round 0.
+        round: u64,
+        delta_max: u64,
         clock: u64,
         shapes: Vec<Vec<usize>>,
         pending: Vec<GradientMsg>,
@@ -546,8 +548,9 @@ mod tests {
     impl QueueingReference {
         fn new(policy: &PolicyNet, rule: AggregationRule) -> Self {
             Self {
-                schedule: rule.make_schedule(),
                 rule,
+                round: 0,
+                delta_max: 0,
                 clock: policy.version,
                 shapes: policy.param_shapes(),
                 pending: Vec::new(),
@@ -556,13 +559,25 @@ mod tests {
         }
 
         fn offer(&mut self, msg: &GradientMsg) -> usize {
-            if let Some(sched) = &mut self.schedule {
-                sched.observe(msg.staleness(self.clock));
+            if self.round == 0 {
+                self.delta_max = self.delta_max.max(msg.staleness(self.clock));
             }
             self.pending.push(msg.clone());
             let clock = self.clock;
-            let staleness: Vec<u64> = self.pending.iter().map(|m| m.staleness(clock)).collect();
-            if !self.rule.admits(&staleness, self.schedule.as_ref()) {
+            let held = self.pending.len();
+            let stale: u64 = self.pending.iter().map(|m| m.staleness(clock)).sum();
+            let admits = match self.rule {
+                // Eq. 3: round 0 is unbounded; after it the mean staleness
+                // must be within β_k = max(δ_max, 1) · d^k.
+                AggregationRule::StalenessAware { d, .. } => {
+                    let beta = self.delta_max.max(1) as f64 * d.powf(self.round as f64);
+                    self.round == 0 || stale as f64 / held as f64 <= beta
+                }
+                AggregationRule::Softsync { c } => held >= c,
+                AggregationRule::FullSync { n } => held >= n,
+                AggregationRule::Ssp { .. } | AggregationRule::PureAsync => true,
+            };
+            if !admits {
                 return 0;
             }
             // One message per update for per-gradient rules (whose gate
@@ -575,12 +590,26 @@ mod tests {
             1
         }
 
+        /// Eq. 4: `1/δ^(1/v)`, where Softsync's `v` is 1.
+        fn weight(&self, delta: u64) -> f32 {
+            let v = match self.rule {
+                AggregationRule::StalenessAware { v, .. } => v,
+                AggregationRule::Softsync { .. } => 1,
+                _ => return 1.0,
+            };
+            if delta == 0 {
+                1.0
+            } else {
+                1.0 / (delta as f32).powf(1.0 / v as f32)
+            }
+        }
+
         fn commit(&mut self, take: usize) {
             let batch: Vec<GradientMsg> = self.pending.drain(..take).collect();
             let h = batch.len() as f32;
             let mut acc = GradAccumulator::new(&self.shapes);
             for msg in &batch {
-                let w = self.rule.weight(msg.staleness(self.clock));
+                let w = self.weight(msg.staleness(self.clock));
                 acc.accumulate(&msg.grads, w / h);
             }
             self.commits
@@ -595,9 +624,7 @@ mod tests {
         }
 
         fn advance_round(&mut self) {
-            if let Some(sched) = &mut self.schedule {
-                sched.advance_round();
-            }
+            self.round += 1;
         }
     }
 

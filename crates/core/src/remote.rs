@@ -803,8 +803,8 @@ impl RemoteFleet {
     pub fn run(&self) -> Result<RemoteRunReport, RemoteError> {
         let setup = RemoteSetup::from_train(&self.cfg);
         let n_learners = self.cfg.max_learners.max(1);
-        let mut fleet = ProcessFleet {
-            actor: ProcessActor {
+        let mut fleet: ProcessFleet = Fleet {
+            actors: ProcessActor {
                 fleet: self,
                 // The actor's span base must not collide with any
                 // learner's, so it takes the index right above the learner
@@ -832,12 +832,12 @@ impl RemoteFleet {
             lockstep_round(&mut fleet, &server, &self.cfg, &timers, &mut totals)?;
             server.advance_round();
             round_span.field("version", server.clock());
-            fleet.actor.round += 1;
+            fleet.actors.round += 1;
             fleet.learners.end_round(round_span.id());
         }
 
-        let ProcessFleet {
-            mut actor,
+        let Fleet {
+            actors: mut actor,
             learners: ProcessLearners { mut report, .. },
         } = fleet;
         if let Ok(n) = actor.worker.pull_spans(0) {
@@ -869,26 +869,7 @@ impl RemoteFleet {
 /// socket. The wave is the whole round, with `cfg.truncation_rho` as the
 /// IS cap; its mini-batches are served round-robin by the learner slots,
 /// one dispatch lane (thread) per slot.
-struct ProcessFleet<'a> {
-    actor: ProcessActor<'a>,
-    learners: ProcessLearners<'a>,
-}
-
-impl<'a> Fleet for ProcessFleet<'a> {
-    type Error = RemoteError;
-    type Actors<'f>
-        = &'f mut ProcessActor<'a>
-    where
-        Self: 'f;
-    type Learners<'f>
-        = &'f mut ProcessLearners<'a>
-    where
-        Self: 'f;
-
-    fn split(&mut self) -> (&mut ProcessActor<'a>, &mut ProcessLearners<'a>) {
-        (&mut self.actor, &mut self.learners)
-    }
-}
+type ProcessFleet<'a> = Fleet<ProcessActor<'a>, ProcessLearners<'a>>;
 
 /// The actor half of `ProcessFleet`: one actor worker process.
 struct ProcessActor<'a> {

@@ -21,111 +21,15 @@ use std::collections::VecDeque;
 
 use crate::aggregation::AggregationRule;
 
-/// The adaptive staleness-threshold schedule of Eq. 3.
-///
-/// ```
-/// use stellaris_core::StalenessSchedule;
-/// let mut s = StalenessSchedule::new(0.5);
-/// s.observe(8);            // calibration round discovers δ_max = 8
-/// assert!(s.admits(1e9));  // round 0 is unbounded
-/// s.advance_round();
-/// assert_eq!(s.beta(), Some(4.0)); // β_1 = 8 · 0.5
-/// assert!(!s.admits(5.0));
-/// ```
-#[derive(Clone, Debug)]
-pub struct StalenessSchedule {
-    /// Exponential decay factor `d ∈ (0, 1]`.
-    pub d: f64,
-    /// Maximum observed staleness during the unbounded first round.
-    delta_max: Option<f64>,
-    /// Current training round `k`.
-    round: u64,
-}
-
-impl StalenessSchedule {
-    /// Creates the schedule with decay factor `d` (paper default 0.96).
-    pub fn new(d: f64) -> Self {
-        assert!(
-            d > 0.0 && d <= 1.0,
-            "decay factor must be in (0, 1], got {d}"
-        );
-        Self {
-            d,
-            delta_max: None,
-            round: 0,
-        }
-    }
-
-    /// Feeds an observed staleness value; during round 0 this grows the
-    /// `δ_max` estimate (the paper "temporarily disables the threshold at
-    /// the first training round to obtain the maximum staleness").
-    pub fn observe(&mut self, staleness: u64) {
-        if self.round == 0 {
-            #[expect(
-                clippy::cast_precision_loss,
-                reason = "u64 -> f64 is exact below 2^53; staleness counts policy updates"
-            )]
-            let s = staleness as f64;
-            self.delta_max = Some(self.delta_max.map_or(s, |m| m.max(s)));
-        }
-    }
-
-    /// Current threshold `β_k`, or `None` while still calibrating (round 0).
-    #[expect(
-        clippy::cast_precision_loss,
-        reason = "u64 -> f64 is exact below 2^53, merely imprecise above"
-    )]
-    pub fn beta(&self) -> Option<f64> {
-        if self.round == 0 {
-            return None;
-        }
-        let dmax = self.delta_max.unwrap_or(0.0).max(1.0);
-        // The previous `powi(self.round as i32)` *wrapped* for rounds past
-        // i32::MAX, flipping β to dmax/d^huge = +inf.
-        Some(dmax * self.d.powf(self.round as f64))
-    }
-
-    /// Advances to the next training round, tightening the threshold. The
-    /// current `β_k` and calibrated `δ_max` are published as gauges
-    /// (`stellaris_core_staleness_beta` / `..._delta_max`) so traces show
-    /// the Eq. 3 schedule decaying.
-    pub fn advance_round(&mut self) {
-        self.advance_rounds(1);
-    }
-
-    /// Advances `n` rounds at once (a cheap skip for long-horizon schedules
-    /// and tests), publishing the gauges once at the end.
-    pub fn advance_rounds(&mut self, n: u64) {
-        if n == 0 {
-            return;
-        }
-        self.round = self.round.saturating_add(n);
-        let reg = stellaris_telemetry::global();
-        if let Some(beta) = self.beta() {
-            reg.gauge("stellaris_core_staleness_beta").set(beta);
-        }
-        if let Some(dmax) = self.delta_max {
-            reg.gauge("stellaris_core_staleness_delta_max").set(dmax);
-        }
-    }
-
-    /// Current round index.
-    pub fn round(&self) -> u64 {
-        self.round
-    }
-
-    /// The calibrated `δ_max`, if round 0 has produced one.
-    pub fn delta_max(&self) -> Option<f64> {
-        self.delta_max
-    }
-
-    /// Whether a queue with the given average staleness may aggregate now.
-    pub fn admits(&self, avg_staleness: f64) -> bool {
-        match self.beta() {
-            None => true, // calibration round: unbounded
-            Some(beta) => avg_staleness <= beta,
-        }
-    }
+/// Eq. 3's threshold for round `k`: `β_k = max(δ_max, 1) · d^k`.
+#[expect(
+    clippy::cast_precision_loss,
+    reason = "u64 -> f64 is exact below 2^53, merely imprecise above"
+)]
+fn beta_k(delta_max: u64, d: f64, k: u64) -> f64 {
+    // A `powi(k as i32)` would wrap for rounds past i32::MAX, flipping β to
+    // δ_max/d^huge = +inf.
+    delta_max.max(1) as f64 * d.powf(k as f64)
 }
 
 /// Eq. 4: the per-gradient learning-rate modulation `α_c = α_0 / δ^(1/v)`
@@ -235,14 +139,16 @@ impl StalenessRing {
 
 /// Eq. 3 and Eq. 4 for one parameter plane.
 ///
-/// The gate owns the policy clock, which ticks once per commit, so a
-/// gradient's staleness δ counts policy updates since its base version. An
-/// arriving gradient is observed once ([`Self::arrive`]): its δ feeds the
-/// Eq. 3 schedule and sets its Eq. 4 weight, and the gate holds its base
-/// version. [`Self::admits`] then decides for everything held at once, and
-/// [`Self::commit`] moves all of it into the ledger with its δ at commit.
-/// While the gate holds gradients only a commit could move the clock, so δ
-/// at arrival and δ at commit are the same number.
+/// The gate holds the rule, the round `k`, the calibrated `δ_max` and the
+/// policy clock, which ticks once per commit, so a gradient's staleness δ
+/// counts policy updates since its base version. An arriving gradient is
+/// observed once ([`Self::arrive`]): in round 0 its δ grows `δ_max` (the
+/// paper "temporarily disables the threshold at the first training round to
+/// obtain the maximum staleness"), it is weighted by Eq. 4, and the gate
+/// holds its base version. [`Self::admits`] then decides for everything
+/// held at once, and [`Self::commit`] moves all of it into the ledger with
+/// its δ at commit. While the gate holds gradients only a commit could move
+/// the clock, so δ at arrival and δ at commit are the same number.
 ///
 /// ```
 /// use stellaris_core::{AggregationRule, StalenessGate};
@@ -257,7 +163,10 @@ impl StalenessRing {
 #[derive(Debug)]
 pub struct StalenessGate {
     rule: AggregationRule,
-    schedule: Option<StalenessSchedule>,
+    /// The training round `k` of Eq. 3.
+    round: u64,
+    /// The largest staleness observed in round 0 (0 before any).
+    delta_max: u64,
     /// The policy clock: the version the next commit builds on.
     clock: u64,
     /// The clock this gate started from.
@@ -265,18 +174,26 @@ pub struct StalenessGate {
     /// Base versions of the gradients held since the last commit, in
     /// arrival order.
     held: Vec<u64>,
-    /// The held gradients' staleness against the clock, refilled by each
-    /// decision and commit (kept to reuse its allocation).
+    /// The held gradients' staleness at the last commit (kept to reuse its
+    /// allocation).
     staleness: Vec<u64>,
     ledger: StalenessRing,
 }
 
 impl StalenessGate {
-    /// A gate running `rule` from policy version `clock`.
+    /// A gate running `rule` from policy version `clock`. A staleness-aware
+    /// rule's decay factor `d` must be in `(0, 1]`.
     pub fn new(rule: AggregationRule, clock: u64) -> Self {
+        if let AggregationRule::StalenessAware { d, .. } = rule {
+            assert!(
+                d > 0.0 && d <= 1.0,
+                "decay factor must be in (0, 1], got {d}"
+            );
+        }
         Self {
-            schedule: rule.make_schedule(),
             rule,
+            round: 0,
+            delta_max: 0,
             clock,
             start: clock,
             held: Vec::new(),
@@ -300,8 +217,8 @@ impl StalenessGate {
         self.held.len()
     }
 
-    /// Observes a gradient computed against policy version `base`: its
-    /// staleness feeds the Eq. 3 schedule, the gate holds it until the next
+    /// Observes a gradient computed against policy version `base`: in round
+    /// 0 its staleness grows `δ_max`, the gate holds it until the next
     /// commit, and the return is its Eq. 4 weight.
     pub fn arrive(&mut self, base: u64) -> f32 {
         debug_assert!(
@@ -310,51 +227,85 @@ impl StalenessGate {
             self.clock,
         );
         let delta = self.clock.saturating_sub(base);
-        if let Some(schedule) = &mut self.schedule {
-            schedule.observe(delta);
+        if self.round == 0 {
+            self.delta_max = self.delta_max.max(delta);
         }
         self.held.push(base);
-        self.rule.weight(delta)
+        match self.rule {
+            AggregationRule::StalenessAware { v, .. } => staleness_weight(delta, v),
+            AggregationRule::Softsync { .. } => staleness_weight(delta, 1),
+            AggregationRule::Ssp { .. }
+            | AggregationRule::PureAsync
+            | AggregationRule::FullSync { .. } => 1.0,
+        }
     }
 
-    /// Eq. 3: whether everything held may commit now.
-    pub fn admits(&mut self) -> bool {
-        self.measure();
-        self.rule.admits(&self.staleness, self.schedule.as_ref())
+    /// Eq. 3: whether everything held may commit now. Nothing held never
+    /// commits.
+    pub fn admits(&self) -> bool {
+        let held = self.held.len();
+        if held == 0 {
+            return false;
+        }
+        match self.rule {
+            AggregationRule::StalenessAware { .. } => self.beta().is_none_or(|beta| {
+                let clock = self.clock;
+                let stale: u64 = self.held.iter().map(|&b| clock.saturating_sub(b)).sum();
+                #[expect(
+                    clippy::cast_precision_loss,
+                    reason = "staleness sums and counts stay far below 2^53, exact in f64"
+                )]
+                let mean = stale as f64 / held as f64;
+                mean <= beta
+            }),
+            AggregationRule::Softsync { c } => held >= c,
+            AggregationRule::FullSync { n } => held >= n,
+            AggregationRule::Ssp { .. } | AggregationRule::PureAsync => true,
+        }
     }
 
     /// Commits everything held, whatever the rule decides: records each
     /// gradient's staleness in the ledger, ticks the clock once and returns
     /// those stalenesses in arrival order (`H_c` is their count).
     pub fn commit(&mut self) -> &[u64] {
-        self.measure();
+        let clock = self.clock;
+        self.staleness.clear();
+        self.staleness
+            .extend(self.held.drain(..).map(|base| clock.saturating_sub(base)));
         for &delta in &self.staleness {
             self.ledger.push(delta);
         }
-        self.held.clear();
         self.clock += 1;
         &self.staleness
     }
 
-    /// Refills `staleness` from `held` against the clock.
-    fn measure(&mut self) {
-        let clock = self.clock;
-        self.staleness.clear();
-        self.staleness
-            .extend(self.held.iter().map(|&base| clock.saturating_sub(base)));
-    }
-
-    /// Ends a training round: tightens the Eq. 3 threshold.
+    /// Ends a training round: tightens the Eq. 3 threshold. A
+    /// staleness-aware gate publishes `β_k` and `δ_max` as the
+    /// `stellaris_core_staleness_beta` and `..._delta_max` gauges, so
+    /// traces show the schedule decaying.
     pub fn end_round(&mut self) {
-        if let Some(schedule) = &mut self.schedule {
-            schedule.advance_round();
+        self.round = self.round.saturating_add(1);
+        let reg = stellaris_telemetry::global();
+        if let Some(beta) = self.beta() {
+            reg.gauge("stellaris_core_staleness_beta").set(beta);
+            #[expect(
+                clippy::cast_precision_loss,
+                reason = "u64 -> f64 is exact below 2^53; staleness counts policy updates"
+            )]
+            let dmax = self.delta_max as f64;
+            reg.gauge("stellaris_core_staleness_delta_max").set(dmax);
         }
     }
 
-    /// The current Eq. 3 threshold `β_k`, if the rule has one and round 0
-    /// has passed.
+    /// The current Eq. 3 threshold `β_k`: `None` unless the rule is
+    /// staleness-aware and round 0, which is unbounded, has passed.
     pub fn beta(&self) -> Option<f64> {
-        self.schedule.as_ref().and_then(StalenessSchedule::beta)
+        match self.rule {
+            AggregationRule::StalenessAware { d, .. } if self.round > 0 => {
+                Some(beta_k(self.delta_max, d, self.round))
+            }
+            _ => None,
+        }
     }
 
     /// Every committed gradient's staleness at commit, in commit order.
@@ -411,81 +362,143 @@ mod tests {
         assert_eq!(gate.ledger().to_vec(), vec![0, 0, 0, 0, 4, 3, 0]);
     }
 
+    /// A staleness-aware gate past round 0, whose one gradient was
+    /// `delta_max` commits stale.
+    fn calibrated(d: f64, delta_max: u64) -> StalenessGate {
+        let mut gate = StalenessGate::new(AggregationRule::StalenessAware { d, v: 3 }, delta_max);
+        gate.arrive(0);
+        gate.commit();
+        gate.end_round();
+        gate
+    }
+
     #[test]
     fn round0_is_unbounded_and_calibrates() {
-        let mut s = StalenessSchedule::new(0.96);
-        assert!(s.admits(1e9), "round 0 must admit anything");
-        s.observe(3);
-        s.observe(7);
-        s.observe(5);
-        assert_eq!(s.delta_max(), Some(7.0));
-        assert_eq!(s.beta(), None);
+        let mut gate = StalenessGate::new(AggregationRule::StalenessAware { d: 0.96, v: 3 }, 10);
+        for delta in [3, 7, 5] {
+            gate.arrive(10 - delta);
+        }
+        assert!(gate.admits(), "round 0 must admit a mean of 5");
+        assert_eq!(gate.beta(), None);
+        gate.end_round();
+        assert_eq!(gate.beta(), Some(7.0 * 0.96), "δ_max = 7");
     }
 
     #[test]
     fn beta_decays_exponentially() {
-        let mut s = StalenessSchedule::new(0.5);
-        s.observe(8);
-        s.advance_round();
-        assert_eq!(s.beta(), Some(4.0)); // 8 * 0.5^1
-        s.advance_round();
-        assert_eq!(s.beta(), Some(2.0));
-        assert!(s.admits(1.9));
-        assert!(!s.admits(2.1));
+        let mut gate = calibrated(0.5, 8);
+        assert_eq!(gate.beta(), Some(4.0)); // 8 * 0.5^1
+        gate.end_round();
+        assert_eq!(gate.beta(), Some(2.0));
+        let clock = gate.clock();
+        gate.arrive(clock - 3);
+        assert!(!gate.admits(), "mean 3 > 2");
+        gate.arrive(clock - 1);
+        assert!(gate.admits(), "mean 2 <= 2");
     }
 
     #[test]
     fn d_equal_one_keeps_threshold_flat() {
         // d = 1 "allows a pure asynchronous setting".
-        let mut s = StalenessSchedule::new(1.0);
-        s.observe(6);
+        let mut gate = calibrated(1.0, 6);
         for _ in 0..50 {
-            s.advance_round();
+            gate.end_round();
         }
-        assert_eq!(s.beta(), Some(6.0));
+        assert_eq!(gate.beta(), Some(6.0));
     }
 
     #[test]
     fn observations_after_round0_do_not_move_delta_max() {
-        let mut s = StalenessSchedule::new(0.9);
-        s.observe(4);
-        s.advance_round();
-        s.observe(100);
-        assert_eq!(s.delta_max(), Some(4.0));
+        let mut gate = calibrated(0.9, 4);
+        gate.arrive(0);
+        gate.commit();
+        gate.end_round();
+        assert_eq!(gate.beta(), Some(4.0 * 0.9f64.powf(2.0)));
     }
 
     #[test]
     fn no_observations_defaults_to_unit_delta_max() {
-        let mut s = StalenessSchedule::new(0.9);
-        s.advance_round();
-        assert_eq!(s.beta(), Some(0.9));
+        let mut gate = StalenessGate::new(AggregationRule::StalenessAware { d: 0.9, v: 3 }, 0);
+        gate.end_round();
+        assert_eq!(gate.beta(), Some(0.9));
     }
 
     #[test]
     #[should_panic(expected = "decay factor")]
     fn invalid_decay_rejected() {
-        let _ = StalenessSchedule::new(0.0);
+        let _ = StalenessGate::new(AggregationRule::StalenessAware { d: 0.0, v: 3 }, 0);
     }
 
     #[test]
     fn beta_survives_rounds_beyond_i32_max() {
-        // Regression: `powi(self.round as i32)` wrapped for rounds past
+        // Regression: `powi(round as i32)` wrapped for rounds past
         // i32::MAX — a negative exponent turned the decaying threshold
         // into dmax / d^huge = +inf, admitting unboundedly stale gradients.
-        let mut s = StalenessSchedule::new(0.96);
-        s.observe(50);
-        s.advance_rounds(i32::MAX as u64 + 5);
-        let b = s.beta().unwrap();
+        let b = beta_k(50, 0.96, i32::MAX as u64 + 5);
         assert!(b.is_finite());
         assert!(
             (0.0..=50.0).contains(&b),
             "β must stay within [0, δ_max], got {b}"
         );
         // d = 1 must stay exactly flat no matter how far the round runs.
-        let mut flat = StalenessSchedule::new(1.0);
-        flat.observe(6);
-        flat.advance_rounds(u64::MAX);
-        assert_eq!(flat.beta(), Some(6.0));
+        assert_eq!(beta_k(6, 1.0, u64::MAX), 6.0);
+    }
+
+    #[test]
+    fn nothing_held_never_admits() {
+        for rule in [
+            AggregationRule::stellaris_default(),
+            AggregationRule::PureAsync,
+            AggregationRule::FullSync { n: 1 },
+        ] {
+            assert!(!StalenessGate::new(rule, 0).admits());
+        }
+    }
+
+    #[test]
+    fn count_rules_wait_for_their_group() {
+        let mut pure = StalenessGate::new(AggregationRule::PureAsync, 99);
+        pure.arrive(0);
+        assert!(pure.admits(), "pure async admits one gradient, δ = 99");
+        let mut softsync = StalenessGate::new(AggregationRule::Softsync { c: 3 }, 2);
+        for base in [2, 1] {
+            softsync.arrive(base);
+            assert!(!softsync.admits());
+        }
+        softsync.arrive(0);
+        assert!(softsync.admits());
+        let mut full = StalenessGate::new(AggregationRule::FullSync { n: 2 }, 7);
+        assert_eq!(full.arrive(0), 1.0, "plain averaging");
+        assert!(!full.admits());
+        full.arrive(7);
+        assert!(full.admits());
+    }
+
+    #[test]
+    fn staleness_aware_gates_on_average() {
+        let mut gate = calibrated(0.5, 8); // β = 4
+        let clock = gate.clock();
+        for delta in [3, 4, 5] {
+            gate.arrive(clock - delta);
+        }
+        assert!(gate.admits(), "avg 4 <= 4");
+        gate.commit();
+        let clock = gate.clock();
+        for _ in 0..2 {
+            gate.arrive(clock - 8);
+        }
+        assert!(!gate.admits(), "avg 8 > 4");
+    }
+
+    #[test]
+    fn weights_follow_rules() {
+        let weight = |rule, delta| StalenessGate::new(rule, delta).arrive(0);
+        let st = weight(AggregationRule::StalenessAware { d: 0.96, v: 3 }, 8);
+        assert!((st - 0.5).abs() < 1e-6);
+        let ss = weight(AggregationRule::Softsync { c: 2 }, 4);
+        assert!((ss - 0.25).abs() < 1e-6, "softsync uses 1/δ");
+        assert_eq!(weight(AggregationRule::PureAsync, 100), 1.0);
+        assert_eq!(weight(AggregationRule::Ssp { bound: 2 }, 100), 1.0);
     }
 
     #[test]
@@ -509,15 +522,14 @@ mod tests {
     proptest! {
         #[test]
         fn prop_beta_monotonically_nonincreasing(d in 0.5f64..1.0, dmax in 1u64..100) {
-            let mut s = StalenessSchedule::new(d);
-            s.observe(dmax);
+            let mut gate = calibrated(d, dmax);
             let mut prev = f64::INFINITY;
             for _ in 0..30 {
-                s.advance_round();
-                let b = s.beta().unwrap();
+                let b = gate.beta().unwrap();
                 prop_assert!(b <= prev + 1e-9);
                 prop_assert!(b > 0.0);
                 prev = b;
+                gate.end_round();
             }
         }
 
@@ -527,10 +539,7 @@ mod tests {
             dmax in 1u64..1000,
             rounds in 1u64..(1u64 << 40),
         ) {
-            let mut s = StalenessSchedule::new(d);
-            s.observe(dmax);
-            s.advance_rounds(rounds);
-            let b = s.beta().unwrap();
+            let b = beta_k(dmax, d, rounds);
             prop_assert!(b.is_finite());
             prop_assert!(b >= 0.0);
             prop_assert!(b <= dmax as f64 + 1e-9);

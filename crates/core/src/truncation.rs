@@ -57,22 +57,12 @@ impl RatioBoard {
         }
     }
 
-    /// Whether global truncation is active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Publishes learner `id`'s latest per-batch mean raw |ratio|.
     pub fn publish(&self, learner_id: usize, mean_abs_ratio: f32) {
         if !self.enabled || !mean_abs_ratio.is_finite() {
             return;
         }
         self.ratios.write().insert(learner_id, mean_abs_ratio.abs());
-    }
-
-    /// Removes a terminated learner from the group view.
-    pub fn retire(&self, learner_id: usize) {
-        self.ratios.write().remove(&learner_id);
     }
 
     /// Eq. 2: the current global cap `min(|min_i(π_θi/μ_θ)|, ρ)`, or `None`
@@ -91,11 +81,6 @@ impl RatioBoard {
             self.rho
         );
         Some(cap)
-    }
-
-    /// Number of learners currently contributing to the group view.
-    pub fn group_size(&self) -> usize {
-        self.ratios.read().len()
     }
 }
 
@@ -127,7 +112,6 @@ mod tests {
         b.publish(1, 0.6);
         b.publish(2, 1.4);
         assert_eq!(b.cap(), Some(0.6));
-        assert_eq!(b.group_size(), 3);
     }
 
     #[test]
@@ -136,16 +120,6 @@ mod tests {
         b.publish(0, 5.0);
         b.publish(1, 3.0);
         assert_eq!(b.cap(), Some(1.0));
-    }
-
-    #[test]
-    fn retire_removes_learner_from_view() {
-        let b = RatioBoard::new(1.0);
-        b.publish(0, 0.2);
-        b.publish(1, 0.8);
-        assert_eq!(b.cap(), Some(0.2));
-        b.retire(0);
-        assert_eq!(b.cap(), Some(0.8));
     }
 
     #[test]
@@ -161,7 +135,6 @@ mod tests {
         let b = RatioBoard::disabled();
         b.publish(0, 0.1);
         assert_eq!(b.cap(), None);
-        assert!(!b.is_enabled());
     }
 
     #[test]
@@ -170,7 +143,6 @@ mod tests {
         b.publish(0, f32::NAN);
         b.publish(1, f32::INFINITY);
         assert_eq!(b.cap(), Some(1.0), "garbage must not poison the cap");
-        assert_eq!(b.group_size(), 0);
     }
 
     #[test]

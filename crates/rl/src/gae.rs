@@ -31,11 +31,6 @@ pub fn fill_gae(batch: &mut SampleBatch, gamma: f32, lambda: f32) {
     batch.advantages = adv;
 }
 
-/// Plain discounted episodic return of a reward sequence (diagnostics).
-pub fn discounted_return(rewards: &[f32], gamma: f32) -> f32 {
-    rewards.iter().rev().fold(0.0f32, |acc, &r| r + gamma * acc)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -108,11 +103,5 @@ mod tests {
         let mut b = batch(vec![0.0], vec![0.0], vec![false], 8.0);
         fill_gae(&mut b, gamma, 1.0);
         assert!((b.advantages[0] - 4.0).abs() < 1e-5);
-    }
-
-    #[test]
-    fn discounted_return_matches_manual() {
-        let r = discounted_return(&[1.0, 2.0, 3.0], 0.5);
-        assert!((r - (1.0 + 0.5 * (2.0 + 0.5 * 3.0))).abs() < 1e-6);
     }
 }

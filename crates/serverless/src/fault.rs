@@ -80,15 +80,6 @@ impl FaultConfig {
             frame_corrupt: 0.1,
         }
     }
-
-    /// True when every fault class is disabled.
-    pub fn is_off(&self) -> bool {
-        self.invoke_failure <= 0.0
-            && self.invoke_crash <= 0.0
-            && self.straggler <= 0.0
-            && self.frame_drop <= 0.0
-            && self.frame_corrupt <= 0.0
-    }
 }
 
 impl Default for FaultConfig {
@@ -246,11 +237,6 @@ impl FaultPlan {
         Self::new(FaultConfig::off())
     }
 
-    /// True when this plan can never inject a fault.
-    pub fn is_disabled(&self) -> bool {
-        self.cfg.is_off()
-    }
-
     /// The config the plan was built from.
     pub fn config(&self) -> &FaultConfig {
         &self.cfg
@@ -402,7 +388,6 @@ mod tests {
     #[test]
     fn off_plan_never_fires_and_counts_nothing() {
         let p = FaultPlan::disabled();
-        assert!(p.is_disabled());
         for _ in 0..100 {
             assert!(!p.should_fail_invoke());
             assert!(!p.should_crash());

@@ -311,16 +311,6 @@ impl Platform {
         &self.faults
     }
 
-    /// Convenience constructor from a cluster profile, fast (recording) mode.
-    pub fn for_cluster(cluster: &crate::pricing::Cluster) -> Self {
-        Self::new(
-            cluster.learner_slots(),
-            cluster.actor_slots(),
-            StartupProfile::default(),
-            OverheadMode::Record,
-        )
-    }
-
     /// Pre-warms `n` containers of `kind` so the first invocations start warm
     /// (the paper pre-warms based on profiled completion times and excludes
     /// this from billed cost).
@@ -587,15 +577,6 @@ impl Platform {
         })
     }
 
-    /// Free slots of a kind right now (learner and parameter functions
-    /// share the GPU semaphore).
-    pub fn free_slots(&self, kind: FunctionKind) -> usize {
-        match kind {
-            FunctionKind::Learner => self.learner_slots.available(),
-            FunctionKind::Actor => self.actor_slots.available(),
-        }
-    }
-
     /// Slots not returned to the semaphores. At quiescence (no invocation
     /// in flight) this must be zero; anything else means a permit leaked.
     pub fn leaked_slots(&self) -> u64 {
@@ -647,11 +628,12 @@ impl Platform {
         self.epoch.elapsed()
     }
 
-    /// GPU-slot utilisation of learner work over the elapsed window, given
-    /// the number of slots (0..=1 scale, can exceed 1 only on timer skew).
-    pub fn gpu_utilization(&self, learner_slots: usize) -> f64 {
+    /// GPU-slot utilisation of learner work over the elapsed window and
+    /// this platform's learner slots (0..=1 scale, can exceed 1 only on
+    /// timer skew).
+    pub fn gpu_utilization(&self) -> f64 {
         let busy = self.busy_time(FunctionKind::Learner);
-        let total = self.elapsed().as_secs_f64() * learner_slots.max(1) as f64;
+        let total = self.elapsed().as_secs_f64() * self.learner_capacity as f64;
         if total <= 0.0 {
             0.0
         } else {
@@ -664,7 +646,6 @@ impl Platform {
 #[allow(clippy::let_underscore_must_use)]
 mod tests {
     use super::*;
-    use crate::pricing::Cluster;
     use std::sync::Arc;
 
     fn fast_platform(learners: usize, actors: usize) -> Platform {
@@ -804,9 +785,26 @@ mod tests {
     fn utilization_reflects_busy_time() {
         let p = fast_platform(1, 1);
         p.invoke(FunctionKind::Learner, || spin_ms(40));
-        let u = p.gpu_utilization(1);
+        let u = p.gpu_utilization();
         assert!(u > 0.2, "utilization {u}");
         assert!(u <= 1.1);
+    }
+
+    /// The denominator is the platform's own learner slots: busy time over
+    /// elapsed time times four, read between two reads of the clock.
+    #[test]
+    fn utilization_divides_by_the_platforms_learner_slots() {
+        let p = fast_platform(4, 1);
+        p.bill_hold(FunctionKind::Learner, Duration::from_secs(1));
+        std::thread::sleep(Duration::from_millis(5));
+        let busy = p.busy_time(FunctionKind::Learner).as_secs_f64();
+        let before = p.elapsed().as_secs_f64();
+        let u = p.gpu_utilization();
+        let after = p.elapsed().as_secs_f64();
+        assert!(
+            busy / (after * 4.0) <= u && u <= busy / (before * 4.0),
+            "utilization {u}: not busy / (elapsed * 4 slots)"
+        );
     }
 
     #[test]
@@ -832,14 +830,6 @@ mod tests {
         assert!(r.exec < Duration::from_millis(10), "billed {:?}", r.exec);
     }
 
-    #[test]
-    fn for_cluster_uses_cluster_slots() {
-        let p = Platform::for_cluster(&Cluster::tiny());
-        // tiny: 1 GPU * 2 learners per GPU = 2 learner slots.
-        p.invoke(FunctionKind::Learner, || ());
-        assert_eq!(p.records().len(), 1);
-    }
-
     // ----- fault injection, retry and the panic-leak regression ----------
 
     use crate::fault::{FaultConfig, FaultPlan, RetryPolicy};
@@ -855,7 +845,11 @@ mod tests {
         }));
         assert!(caught.is_err(), "panic must still propagate to the caller");
         assert_eq!(p.leaked_slots(), 0, "permit must be returned on unwind");
-        assert_eq!(p.free_slots(FunctionKind::Learner), 1);
+        assert_eq!(
+            p.learner_slots.available(),
+            1,
+            "exactly one permit back on unwind"
+        );
         // The next invoke must run (this deadlocked before the fix) and
         // must cold-start: a crashed container is never reused warm.
         let (v, r) = p.invoke(FunctionKind::Learner, || 7);

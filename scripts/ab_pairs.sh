@@ -6,9 +6,10 @@
 #
 # Exports REV (any commit-ish, e.g. HEAD~1) to target/ab/<sha>/src and builds
 # it offline into its own target directory; builds the working tree into
-# target/. Then runs N pairs of `stellaris-benchmark --workload WORKLOAD
-# --seconds 10 --trace 0`, pair k on seed SEED+k for both sides, swapping
-# which side goes first on every pair so drift on a shared host hits both.
+# target/, leaving its benchmark/Cargo.lock as it found it. Then runs N pairs
+# of `stellaris-benchmark --workload WORKLOAD --seconds 10 --trace 0`, pair k
+# on seed SEED+k for both sides, swapping which side goes first on every pair
+# so drift on a shared host hits both.
 #
 # Prints each pair's three end-to-end metrics and the change/parent ratio of
 # env_steps_per_s, then the number of pairs the change won, each side's
@@ -18,7 +19,7 @@
 set -euo pipefail
 
 if [ "$#" -ne 4 ]; then
-    sed -n '2,18p' "$0" >&2
+    sed -n '2,19p' "$0" >&2
     exit 2
 fi
 rev="$1" workload="$2" seed="$3" pairs="$4"
@@ -32,6 +33,13 @@ if [ ! -d "$base/src" ]; then
     git archive "$sha" | tar -x -C "$base/src.partial"
     mv "$base/src.partial" "$base/src"
 fi
+
+# The offline build rewrites benchmark/Cargo.lock, and benchmark/ is frozen:
+# the working tree's copy is put back on exit, failure included.
+lock="$root/benchmark/Cargo.lock"
+mkdir -p "$base"
+cp "$lock" "$base/benchmark-Cargo.lock"
+trap 'cp "$base/benchmark-Cargo.lock" "$lock"' EXIT
 
 build() { # SRC TARGET
     cargo build -q --release --offline --manifest-path "$1/Cargo.toml" --bin stellaris \

@@ -37,8 +37,7 @@ pub use stellaris_simcluster as simcluster;
 pub mod prelude {
     pub use stellaris_core::{
         frameworks, rows_to_csv, smooth, train, AggregationRule, Algo, Deployment, GradientMsg,
-        LearnerMode, RatioBoard, ShardedParameterServer, StalenessSchedule, TrainConfig,
-        TrainResult, TrainRow,
+        LearnerMode, RatioBoard, ShardedParameterServer, TrainConfig, TrainResult, TrainRow,
     };
     pub use stellaris_envs::{make_env, Action, ActionSpace, Env, EnvConfig, EnvId};
     pub use stellaris_nn::{Optimizer, OptimizerKind, Tensor};

@@ -242,37 +242,27 @@ fn connection_reset_is_a_typed_error_and_respawn_recovers() {
 /// The process fleet's shape with the sockets taken away: one actor in slot
 /// 0, a round-wide wave served round-robin by the learner slots, the
 /// config's truncation threshold as the IS cap.
-struct InProcessFleet {
-    actor: ActorBody,
-    learners: Vec<LearnerBody>,
-    steps: usize,
-    cap: Option<f32>,
-}
-
-impl Fleet for InProcessFleet {
-    type Error = Infallible;
-    type Actors<'f> = InProcessActor<'f>;
-    type Learners<'f> = InProcessLearners<'f>;
-
-    fn split(&mut self) -> (InProcessActor<'_>, InProcessLearners<'_>) {
-        let actor = InProcessActor {
-            body: &mut self.actor,
-            steps: self.steps,
-        };
-        let learners = InProcessLearners {
-            bodies: &mut self.learners,
-            cap: self.cap,
-        };
-        (actor, learners)
+fn in_process_fleet(cfg: &TrainConfig) -> Fleet<InProcessActor, InProcessLearners> {
+    Fleet {
+        actors: InProcessActor {
+            body: ActorBody::new(cfg, 0),
+            steps: cfg.actor_steps,
+        },
+        learners: InProcessLearners {
+            bodies: (0..cfg.max_learners)
+                .map(|_| LearnerBody::new(cfg))
+                .collect(),
+            cap: cfg.truncation_rho,
+        },
     }
 }
 
-struct InProcessActor<'f> {
-    body: &'f mut ActorBody,
+struct InProcessActor {
+    body: ActorBody,
     steps: usize,
 }
 
-impl Actors for InProcessActor<'_> {
+impl Actors for InProcessActor {
     type Error = Infallible;
 
     fn collect(
@@ -283,12 +273,12 @@ impl Actors for InProcessActor<'_> {
     }
 }
 
-struct InProcessLearners<'f> {
-    bodies: &'f mut [LearnerBody],
+struct InProcessLearners {
+    bodies: Vec<LearnerBody>,
     cap: Option<f32>,
 }
 
-impl Learners for InProcessLearners<'_> {
+impl Learners for InProcessLearners {
     type Error = Infallible;
 
     fn wave_width(&self, minibatches: usize) -> usize {
@@ -352,14 +342,7 @@ fn fault_free_remote_run_matches_local_accounting() {
     assert!(report.policy_delta_pulls == 0 && report.policy_bytes_delta == 0);
 
     // Process fleet ≡ in-process fleet, bitwise.
-    let mut in_process = InProcessFleet {
-        actor: ActorBody::new(&cfg, 0),
-        learners: (0..cfg.max_learners)
-            .map(|_| LearnerBody::new(&cfg))
-            .collect(),
-        steps: cfg.actor_steps,
-        cap: cfg.truncation_rho,
-    };
+    let mut in_process = in_process_fleet(&cfg);
     let server = parameter_plane(&cfg);
     let mut totals = CycleTotals::default();
     for _ in 0..cfg.rounds {
@@ -411,14 +394,7 @@ fn lane_arrival_order_never_reaches_the_weights() {
     );
     assert!(report.policy_delta_pulls == 0 && report.policy_bytes_delta == 0);
 
-    let mut in_process = InProcessFleet {
-        actor: ActorBody::new(&cfg, 0),
-        learners: (0..cfg.max_learners)
-            .map(|_| LearnerBody::new(&cfg))
-            .collect(),
-        steps: cfg.actor_steps,
-        cap: cfg.truncation_rho,
-    };
+    let mut in_process = in_process_fleet(&cfg);
     let server = parameter_plane(&cfg);
     let mut totals = CycleTotals::default();
     for _ in 0..cfg.rounds {
