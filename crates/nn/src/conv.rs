@@ -27,10 +27,12 @@
 //!
 //! The direct kernel computes every output element as the packed GEMM
 //! does: accumulators seeded from zero, products added in ascending
-//! `(c, ky, kx)` order with `_mm512_mul_ps` then `_mm512_add_ps` (never a
-//! fused multiply-add), the pixel as the multiply's first operand, then
-//! `act(sum + bias)` in scalar code. So its output is bit-identical to
-//! `conv2d_reference` (`direct_forward_matches_reference_bitwise`).
+//! `(c, ky, kx)` order by one fused multiply-add each (`_mm512_fmadd_ps`,
+//! rounded once, as every product kernel of [`crate::gemm`] does), the
+//! pixel as the multiply's first operand, then `act(sum + bias)` in scalar
+//! code. So its output is bit-identical to `conv2d_reference`
+//! (`direct_forward_matches_reference_bitwise`), and
+//! `forward_fuses_multiply_and_add` tells it from an unfused kernel.
 //!
 //! # Same bits as one product per image
 //!
@@ -234,8 +236,7 @@ mod direct {
         act: FusedAct,
     ) -> Vec<f32> {
         use std::arch::x86_64::{
-            _mm512_add_ps, _mm512_loadu_ps, _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
-            _mm512_storeu_ps,
+            _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
         };
         const { assert!(G == 1 || G == 2, "a tile row holds at most two registers") };
         let oc = G * L;
@@ -324,7 +325,7 @@ mod direct {
                             for (accp, &base) in acc.iter_mut().zip(&bases) {
                                 let a = _mm512_set1_ps(*base.add(off));
                                 for (x, &wg) in accp.iter_mut().zip(&wv) {
-                                    *x = _mm512_add_ps(*x, _mm512_mul_ps(a, wg));
+                                    *x = _mm512_fmadd_ps(a, wg, *x);
                                 }
                             }
                             q += 1;
@@ -511,6 +512,45 @@ mod tests {
                         );
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn forward_fuses_multiply_and_add() {
+        // Two channels under a 1x1 kernel whose every filter is [1, w]:
+        // channel 0 holds -(x*w) rounded to f32 and channel 1 holds x, with
+        // x*w not exact. One fused multiply-add per term leaves the
+        // product's nonzero rounding residual; a separate multiply and add
+        // leaves 0. 16 and 32 filters take the direct kernel on AVX-512
+        // builds, 8 the reference; 18 positions give a ragged tile that
+        // straddles the two images.
+        let mut rng = ChaCha8Rng::seed_from_u64(36);
+        let (batch, side) = (2, 3);
+        let w1 = 1.1f32;
+        let xs: Vec<f32> = (0..batch * side * side)
+            .map(|_| rng.gen_range(-2.0f32..2.0))
+            .collect();
+        let mut x = Vec::new();
+        for img in xs.chunks_exact(side * side) {
+            x.extend(img.iter().map(|&v| -(v * w1)));
+            x.extend_from_slice(img);
+        }
+        // Exact in f64: the product of two f32, plus its own f32 rounding.
+        let residual = |v: f32| (f64::from(v) * f64::from(w1) - f64::from(v * w1)) as f32;
+        for out_c in [16, 32, 8] {
+            let spec = Conv2dSpec::infer(&[batch, 2, side, side], &[out_c, 2, 1, 1], 1);
+            let w: Vec<f32> = (0..out_c).flat_map(|_| [1.0, w1]).collect();
+            let got = conv2d_forward(&x, &w, &vec![0.0; out_c], &spec, FusedAct::Identity);
+            for (j, &g) in got.iter().enumerate() {
+                let (img, s) = (j / (out_c * side * side), j % (side * side));
+                let want = residual(xs[img * side * side + s]);
+                assert!(want != 0.0, "the product of position {s} must be inexact");
+                assert_eq!(
+                    g.to_bits(),
+                    want.to_bits(),
+                    "{out_c} filters: element {j} is {g}, fused {want}"
+                );
             }
         }
     }

@@ -19,15 +19,24 @@
 //!   first `KC` block unless accumulating), and an `f32` store/load
 //!   round-trip is exact, so splitting `k` into blocks does not reassociate
 //!   the per-element sum;
-//! * products are added in ascending-`k` order with separately rounded
-//!   multiply and add (no fused multiply-add: Rust never fuses implicitly,
-//!   and the AVX-512 tile issues `_mm512_mul_ps` then `_mm512_add_ps`);
+//! * each product is added in ascending-`k` order by one fused
+//!   multiply-add, rounded once (`_mm512_fmadd_ps` in the AVX-512 kernels,
+//!   `f32::mul_add` in the portable ones and the reference);
 //! * edge tiles are zero-padded in the packed panels (the packers zero a
 //!   ragged panel before filling it); padded lanes only produce values in
 //!   padded rows/columns, which are never stored.
 //!
 //! The same argument makes `accumulate = true` (used by backward) exact: it
 //! merely seeds the accumulators with the existing C values.
+//!
+//! IEEE 754 defines a fused multiply-add as the exact `a*b + c` rounded
+//! once, so the AVX-512 and AVX2 `vfmadd` instructions and a software
+//! `fmaf` (which a build for the x86-64 baseline calls, as it may not
+//! assume an FMA unit) all return the same bits: fusing is no host
+//! dependency. It halves the tile's arithmetic instructions against a
+//! separate multiply and add, and it is how cuBLAS accumulates for the
+//! paper's own learners. The test `every_route_fuses_multiply_and_add`
+//! tells a fused kernel from an unfused one on every route.
 //!
 //! The epilogue adds the bias, then applies the activation over the row;
 //! [`FusedAct::Tanh`] is this module's [`tanh`], plain `f32` arithmetic
@@ -133,10 +142,12 @@ const NC: usize = 4096;
 /// the odd Taylor series to `x^19`; above, `(1 - t) / (1 + t)` with
 /// `t = e^{-2|x|}` from a Cody–Waite reduction (`2^n · e^r`, `|r| ≤ ln2/2`,
 /// degree-7 Taylor `e^r`), `|x|` clamped at 10 where the result has
-/// rounded to 1. Separately rounded IEEE operations only — no fused multiply-add,
-/// no libm — so its bits do not depend on the host. At most 2 ulp from the
-/// exact value (1.51 measured over every `f32` in `[0, 12]`); exactly odd;
-/// `±0 → ±0`, `NaN → NaN`, `±inf → ±1`.
+/// rounded to 1. Separately rounded IEEE operations only, no libm, so its
+/// bits do not depend on the host. It stays unfused on purpose, unlike the
+/// product kernels: fusing its Horner steps would move the bits of every
+/// Tanh output, and so the goldens, a second time for little gain. At most
+/// 2 ulp from the exact value (1.51 measured over every `f32` in
+/// `[0, 12]`); exactly odd; `±0 → ±0`, `NaN → NaN`, `±inf → ±1`.
 #[inline]
 pub fn tanh(x: f32) -> f32 {
     const SEAM: f32 = 0.55;
@@ -522,8 +533,9 @@ fn pack_b(b: MatRef<'_>, p0: usize, kc: usize, j0: usize, nc: usize, buf: &mut V
 
 /// The `MR x NR` register tile: seeds accumulators from C (or zero when
 /// `init`), sweeps the packed panels in ascending `k`, stores the valid
-/// `mr x nr` region back. Plain `a*b` + `+=` — no FMA — so rounding matches
-/// the naive reference bit for bit.
+/// `mr x nr` region back. One `f32::mul_add` per term, as in the naive
+/// reference, so rounding matches it bit for bit; LLVM vectorises it into
+/// `vfmadd` where the target has FMA.
 #[cfg(not(target_feature = "avx512f"))]
 #[expect(clippy::too_many_arguments)]
 #[inline]
@@ -547,7 +559,7 @@ fn micro_kernel(
         for (r, accr) in acc.iter_mut().enumerate() {
             let av = arow[r];
             for (x, &bb) in accr.iter_mut().zip(brow) {
-                *x += av * bb;
+                *x = av.mul_add(bb, *x);
             }
         }
     }
@@ -558,11 +570,11 @@ fn micro_kernel(
 
 /// The `MR x NR` register tile in explicit AVX-512: the same contract as
 /// the portable tile, its `8 x 32` accumulators held in 16 zmm registers.
-/// Each `k` broadcasts the row's A value and adds `_mm512_mul_ps` into the
-/// accumulator with `_mm512_add_ps` — two rounded operations, never a
-/// fused multiply-add — in ascending `k`, so every lane rounds exactly as
-/// the naive reference does. A ragged tile reads and writes C through
-/// lane masks, so only the valid `mr x nr` region is touched.
+/// Each `k` broadcasts the row's A value and accumulates its products with
+/// `_mm512_fmadd_ps`, one rounding each, in ascending `k`, so every lane
+/// rounds exactly as the naive reference's `f32::mul_add` does. A ragged
+/// tile reads and writes C through lane masks, so only the valid `mr x nr`
+/// region is touched.
 #[cfg(target_feature = "avx512f")]
 #[expect(
     unsafe_code,
@@ -581,8 +593,8 @@ fn micro_kernel(
     init: bool,
 ) {
     use std::arch::x86_64::{
-        _mm512_add_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
-        _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps,
+        _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps,
+        _mm512_set1_ps, _mm512_setzero_ps,
     };
     /// f32 lanes per zmm register; a tile row is two of them.
     const L: usize = 16;
@@ -624,7 +636,7 @@ fn micro_kernel(
             for (arow, brow) in panels {
                 let b0 = _mm512_loadu_ps(brow.as_ptr());
                 for (accr, &av) in acc.iter_mut().zip(arow) {
-                    accr[0] = _mm512_add_ps(accr[0], _mm512_mul_ps(_mm512_set1_ps(av), b0));
+                    accr[0] = _mm512_fmadd_ps(_mm512_set1_ps(av), b0, accr[0]);
                 }
             }
         } else {
@@ -633,8 +645,8 @@ fn micro_kernel(
                 let b1 = _mm512_loadu_ps(brow[L..].as_ptr());
                 for (accr, &av) in acc.iter_mut().zip(arow) {
                     let av = _mm512_set1_ps(av);
-                    accr[0] = _mm512_add_ps(accr[0], _mm512_mul_ps(av, b0));
-                    accr[1] = _mm512_add_ps(accr[1], _mm512_mul_ps(av, b1));
+                    accr[0] = _mm512_fmadd_ps(av, b0, accr[0]);
+                    accr[1] = _mm512_fmadd_ps(av, b1, accr[1]);
                 }
             }
         }
@@ -648,9 +660,9 @@ fn micro_kernel(
     }
 }
 
-/// Retained naive reference kernel (`ikj`, ascending `k`, no zero-skip, no
-/// blocking). The packed kernel is pinned to this bit for bit by the
-/// differential tests.
+/// Retained naive reference kernel (`ikj`, ascending `k`, one fused
+/// multiply-add per term, no zero-skip, no blocking). The packed kernel is
+/// pinned to this bit for bit by the differential tests.
 pub fn gemm_naive(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], accumulate: bool) {
     let (m, k) = (a.rows, a.cols);
     let n = b.cols;
@@ -670,8 +682,8 @@ pub fn gemm_naive(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], accumulate: bool)
 /// into `STRIP`-column strips whose accumulators stay in registers across
 /// the whole `k` reduction, where the `ikj` loop loads and stores the C row
 /// once per `k`; every element still sees the reference's sequence of
-/// operations (seeded from C, ascending `k`, separate multiply and add), so
-/// the bits are the same. Columns past the last full strip, and every
+/// operations (seeded from C, ascending `k`, one `f32::mul_add` per term),
+/// so the bits are the same. Columns past the last full strip, and every
 /// column when `k > KC` (B then no longer sits in L2, and the strips'
 /// column-block walk over it lost to the row-major one), take the
 /// reference loop.
@@ -688,7 +700,7 @@ fn accumulate_row_strips(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
                 let av = a.at(i, p);
                 let start = p * b.rs + s * STRIP;
                 for (x, &bv) in acc.iter_mut().zip(&b.data[start..start + STRIP]) {
-                    *x += av * bv;
+                    *x = av.mul_add(bv, *x);
                 }
             }
             cstrip.copy_from_slice(&acc);
@@ -704,8 +716,8 @@ fn accumulate_row_strips(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
 /// with its lanes past `n` masked off. The accumulators stay in registers
 /// across the whole `k` reduction, for every `k`, so no column runs the
 /// reference loop; every element still sees its operations (seeded from C,
-/// ascending `k`, `_mm512_mul_ps` then `_mm512_add_ps`), so the bits are
-/// the same.
+/// ascending `k`, one fused multiply-add per term, `_mm512_fmadd_ps`), so
+/// the bits are the same.
 #[cfg(target_feature = "avx512f")]
 fn accumulate_row_strips(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32]) {
     const L: usize = 16;
@@ -742,7 +754,7 @@ fn row_strip<'a, const W: usize>(
     crow: &mut [f32],
 ) {
     use std::arch::x86_64::{
-        _mm512_add_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps, _mm512_set1_ps,
+        _mm512_fmadd_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_set1_ps,
         _mm512_setzero_ps,
     };
     const L: usize = 16;
@@ -778,7 +790,7 @@ fn row_strip<'a, const W: usize>(
             let av = _mm512_set1_ps(av);
             for (t, x) in acc.iter_mut().enumerate() {
                 let bv = _mm512_maskz_loadu_ps(mask(t), brow.wrapping_add(t * L));
-                *x = _mm512_add_ps(*x, _mm512_mul_ps(av, bv));
+                *x = _mm512_fmadd_ps(av, bv, *x);
             }
             brow = brow.wrapping_add(b.rs);
         }
@@ -800,11 +812,11 @@ fn accumulate_rows(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], j0: usize) {
             if b.cs == 1 {
                 let brow = &b.data[p * b.rs + j0..p * b.rs + n];
                 for (o, &bv) in crow.iter_mut().zip(brow) {
-                    *o += av * bv;
+                    *o = av.mul_add(bv, *o);
                 }
             } else {
                 for (j, o) in (j0..).zip(crow.iter_mut()) {
-                    *o += av * b.data[p * b.rs + j * b.cs];
+                    *o = av.mul_add(b.data[p * b.rs + j * b.cs], *o);
                 }
             }
         }
@@ -1065,6 +1077,62 @@ mod tests {
                 let want = if col < NR + w { bv.at(p, col) } else { 0.0 };
                 assert_eq!(v.to_bits(), want.to_bits(), "pack_b lane {i}");
             }
+        }
+    }
+
+    /// `c = a * b + c0` as one exact sum, rounded once: the result of a
+    /// fused multiply-add. The product of two `f32` is exact in `f64`, and
+    /// so is the sum below whenever `c0` is the product's `f32` rounding.
+    fn fused(a: f32, b: f32, c0: f32) -> f32 {
+        (f64::from(a) * f64::from(b) + f64::from(c0)) as f32
+    }
+
+    #[test]
+    fn every_route_fuses_multiply_and_add() {
+        // C seeded with -(a*b) rounded to f32, for products that are not
+        // exact: one fused multiply-add leaves the product's nonzero
+        // rounding residual, a separate multiply and add leaves 0. The
+        // second of the k = 2 terms has a zero A value and adds nothing; it
+        // lets B be stored transposed. One shape per route: the packed tile
+        // at m >= MR, half-width (n <= 16) and full; the small-`m` strips,
+        // wide enough for every strip kind and a ragged tail; a transposed
+        // B at small `m`, which the packed tile serves; and the reference.
+        let mut rng = ChaCha8Rng::seed_from_u64(16);
+        let strip_n = 256 + 2 * 16 + 5;
+        for (m, n, b_transposed) in [
+            (MR, 5, false),
+            (MR + 1, NR + 3, false),
+            (1, strip_n, false),
+            (MR - 1, strip_n, false),
+            (MR - 1, NR + 3, true),
+        ] {
+            let a: Vec<f32> = rand_vec(&mut rng, m)
+                .into_iter()
+                .flat_map(|v| [v, 0.0])
+                .collect();
+            let b = rand_vec(&mut rng, 2 * n);
+            let b_t: Vec<f32> = (0..2 * n).map(|e| b[(e % 2) * n + e / 2]).collect();
+            let seed: Vec<f32> = (0..m * n).map(|e| -(a[e / n * 2] * b[e % n])).collect();
+            let want: Vec<f32> = (0..m * n)
+                .map(|e| fused(a[e / n * 2], b[e % n], seed[e]))
+                .collect();
+            assert!(
+                want.iter().all(|&r| r != 0.0),
+                "every product must be inexact"
+            );
+            let av = MatRef::new(&a, m, 2);
+            let bv = if b_transposed {
+                MatRef::new(&b_t, n, 2).t()
+            } else {
+                MatRef::new(&b, 2, n)
+            };
+            let ctx = format!("{m}x2x{n} transposed B {b_transposed}");
+            let mut got = seed.clone();
+            gemm(av, bv, &mut got, true);
+            assert_bits_eq(&got, &want, &ctx);
+            let mut got = seed.clone();
+            gemm_naive(av, bv, &mut got, true);
+            assert_bits_eq(&got, &want, &format!("reference {ctx}"));
         }
     }
 

@@ -3,10 +3,10 @@
 //!
 //! The GEMM contract is **bit-exact** (see the exactness argument in
 //! `gemm.rs`): the packed kernel adds products in the same ascending-`k`
-//! order as the naive `ikj` loop, never fuses multiply and add, and splits
-//! the reduction only at exact f32 store/load boundaries — so every
-//! comparison here is `==`, not a tolerance. `backward_into` with warm
-//! buffers matches `backward` the same way. The arena-vs-cloning backward
+//! order as the naive `ikj` loop, each with one fused multiply-add as the
+//! loop does, and splits the reduction only at exact f32 store/load
+//! boundaries — so every comparison here is `==`, not a tolerance.
+//! `backward_into` with warm buffers matches `backward` the same way. The arena-vs-cloning backward
 //! and batched-vs-per-image convolution oracles are test-only code inside
 //! the crate, so those comparisons live in `graph.rs`'s tests.
 
