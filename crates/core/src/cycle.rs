@@ -232,7 +232,10 @@ fn collected_batches(
     batches
 }
 
-/// The GPU data loader (§V-B): GAE and mini-batching.
+/// The GPU data loader (§V-B): GAE and mini-batching. A batch no longer
+/// than one mini-batch is that mini-batch: it moves on as it is, with its
+/// episode returns cleared as [`SampleBatch::minibatches`] clears them,
+/// rather than being copied.
 fn load(batches: Vec<SampleBatch>, cfg: &TrainConfig, timers: &Timers) -> Vec<SampleBatch> {
     let _t = timers.span(Component::DataLoading);
     let (gamma, lambda) = (cfg.algo.gamma(), cfg.algo.gae_lambda());
@@ -240,7 +243,12 @@ fn load(batches: Vec<SampleBatch>, cfg: &TrainConfig, timers: &Timers) -> Vec<Sa
     for mut b in batches {
         fill_gae(&mut b, gamma, lambda);
         b.normalize_advantages();
-        minibatches.extend(b.minibatches(cfg.minibatch));
+        if (1..=cfg.minibatch).contains(&b.len()) {
+            b.episode_returns = Vec::new();
+            minibatches.push(b);
+        } else {
+            minibatches.extend(b.minibatches(cfg.minibatch));
+        }
     }
     minibatches
 }
@@ -605,6 +613,31 @@ mod tests {
         assert_eq!(server.staleness_log().to_vec(), vec![0, 0]);
         assert_eq!(server.updates(), 2, "each short wave committed on its own");
         assert_eq!(totals.degraded, 2, "one lost collect + one lost gradient");
+    }
+
+    #[test]
+    fn load_moves_a_single_minibatch_and_splits_longer_batches() {
+        // A batch of exactly one mini-batch comes out as that mini-batch
+        // with its observation buffer moved, not copied; a batch of two
+        // still splits. Either way the result is what `minibatches` makes
+        // of the batch after GAE, episode returns cleared included.
+        let cfg = tiny(LearnerMode::Sync { n: 2 });
+        let size = cfg.minibatch;
+        let snap = fresh_net(&cfg).snapshot();
+        let mut actor = ActorBody::new(&cfg, 0);
+        for steps in [size, 2 * size] {
+            let mut batch = actor.collect(&snap, steps);
+            batch.episode_returns = vec![1.0, 2.0];
+            let mut want = batch.clone();
+            fill_gae(&mut want, cfg.algo.gamma(), cfg.algo.gae_lambda());
+            want.normalize_advantages();
+            let want = want.minibatches(size);
+            let obs = batch.obs.data().as_ptr();
+            let got = load(vec![batch], &cfg, &Timers::default());
+            assert_eq!(got.len(), steps / size);
+            assert_eq!(got, want);
+            assert_eq!(got[0].obs.data().as_ptr() == obs, steps == size);
+        }
     }
 
     /// Three scripted rounds with the conservation laws checked after each;

@@ -1,5 +1,5 @@
-//! 2-D convolution kernels: a direct forward, and im2col products for the
-//! backward pass.
+//! 2-D convolution kernels: a direct forward and a direct weight gradient,
+//! with im2col products as their reference and for the input gradient.
 //!
 //! The paper's Atari policy (Table II) uses strided convolutions with no
 //! padding, so this module implements valid (unpadded) strided convolution
@@ -16,23 +16,39 @@
 //!   widths and the portable build run `conv2d_reference`: the patch
 //!   matrix times `W2^T` on the packed kernel in [`crate::gemm`], then one
 //!   transposing pass for the bias and activation;
-//! * `dW += G^T [out_c, b*hw] x patches [b*hw, ckk]`, accumulating into the
-//!   weight's gradient buffer. The graph builds this patch matrix once per
-//!   tape for each input and geometry, so convolutions that read one
-//!   observation batch share it;
+//! * `dW += G^T [out_c, b*hw] x patches [b*hw, ckk]` — [`conv2d_weight_grad`],
+//!   accumulating into the weight's gradient buffer. Under
+//!   `target_feature = "avx512f"` 16 and 32 filters run a direct kernel:
+//!   per tile of `ckk` columns, `out_c / 16` zmm accumulators per column,
+//!   seeded from `dW`; per output position one row of `G` loaded from its
+//!   `[b*hw, out_c]` re-lay, and one pixel per column broadcast straight
+//!   from the image. Other widths and the portable build append the patch
+//!   matrix to the caller's scratch and run the packed GEMM. The graph
+//!   calls this in the backward pass only, and only when the weight's
+//!   gradient is wanted, so no patch matrix outlives one backward closure;
 //! * `dcol = W2^T [ckk, out_c] x G^T [out_c, b*hw]`, scattered back onto the
 //!   input by [`col2im`] — only when the input's gradient is wanted.
 //!
-//! # Same bits as the reference forward
+//! # Same bits as the reference
 //!
-//! The direct kernel computes every output element as the packed GEMM
-//! does: accumulators seeded from zero, products added in ascending
-//! `(c, ky, kx)` order by one fused multiply-add each (`_mm512_fmadd_ps`,
-//! rounded once, as every product kernel of [`crate::gemm`] does), the
-//! pixel as the multiply's first operand, then `act(sum + bias)` in scalar
-//! code. So its output is bit-identical to `conv2d_reference`
-//! (`direct_forward_matches_reference_bitwise`), and
-//! `forward_fuses_multiply_and_add` tells it from an unfused kernel.
+//! The direct kernels compute every element as the packed GEMM does, by
+//! one fused multiply-add per term (`_mm512_fmadd_ps`, rounded once, as
+//! every product kernel of [`crate::gemm`] does), in ascending reduction
+//! order, with the GEMM's A operand as the multiply's first operand:
+//!
+//! * the forward seeds its accumulators from zero, adds the products of
+//!   the `(c, ky, kx)` offsets in ascending order with the pixel first,
+//!   then computes `act(sum + bias)` in scalar code;
+//! * `dW` seeds its accumulators from `dW`'s current value, as the GEMM's
+//!   `accumulate` does, and adds the products of the `b*oh*ow` rows in
+//!   ascending order with `G^T` first: the packed GEMM reduces the same
+//!   `k` in `KC` blocks that resume exactly from C.
+//!
+//! So each output is bit-identical to its reference
+//! (`direct_forward_matches_reference_bitwise`,
+//! `direct_dw_matches_reference_bitwise`), and
+//! `forward_fuses_multiply_and_add` and `dw_fuses_multiply_and_add` tell
+//! either kernel from an unfused one.
 //!
 //! # Same bits as one product per image
 //!
@@ -126,9 +142,10 @@ impl Conv2dSpec {
 }
 
 /// Expands a `[b, c, h, w]` batch (flat) into the `[b*oh*ow, ckk]` patch
-/// matrix: row `(image, oy, ox)` holds that output position's receptive
-/// field in `(c, ky, kx)` order, copied `kw` contiguous pixels at a time.
-pub fn im2col(input: &[f32], spec: &Conv2dSpec) -> Vec<f32> {
+/// matrix, appended to `patches`: row `(image, oy, ox)` holds that output
+/// position's receptive field in `(c, ky, kx)` order, copied `kw`
+/// contiguous pixels at a time.
+pub fn im2col(input: &[f32], spec: &Conv2dSpec, patches: &mut Vec<f32>) {
     let hw_in = spec.in_h * spec.in_w;
     let chw = spec.in_c * hw_in;
     assert_eq!(
@@ -136,7 +153,7 @@ pub fn im2col(input: &[f32], spec: &Conv2dSpec) -> Vec<f32> {
         spec.batch * chw,
         "conv2d input length does not match its geometry"
     );
-    let mut patches = Vec::with_capacity(spec.batch * spec.out_hw() * spec.ckk());
+    patches.reserve(spec.batch * spec.out_hw() * spec.ckk());
     for img in input.chunks_exact(chw) {
         for oy in 0..spec.out_h {
             for ox in 0..spec.out_w {
@@ -150,7 +167,6 @@ pub fn im2col(input: &[f32], spec: &Conv2dSpec) -> Vec<f32> {
             }
         }
     }
-    patches
 }
 
 /// `act(conv(x, w) + bias)` for a flat `[b, c, h, w]` input, as the flat
@@ -186,7 +202,8 @@ pub(crate) fn conv2d_reference(
 ) -> Vec<f32> {
     let (oc, hw, ckk) = (spec.out_c, spec.out_hw(), spec.ckk());
     assert_eq!(bias.len(), oc, "conv2d bias length must equal out_c");
-    let patches = im2col(x, spec);
+    let mut patches = Vec::new();
+    im2col(x, spec, &mut patches);
     let rows = spec.batch * hw;
     let mut prod = vec![0.0f32; rows * oc];
     gemm::gemm(
@@ -205,7 +222,46 @@ pub(crate) fn conv2d_reference(
     out
 }
 
-/// The direct forward kernel (module docs).
+/// `dW += G^T x patches` for the flat `[b, c, h, w]` input `x`,
+/// accumulating into `dw` (`[out_c, ckk]`, flat-identical to
+/// `[o, c, kh, kw]`). `scratch` holds `G^T [out_c, b*oh*ow]` as
+/// [`gradient_rows`] leaves it; the call grows it behind `G^T` for its own
+/// workspace (the direct kernel's `[b*oh*ow, out_c]` re-lay of `G`, the
+/// reference's patch matrix), so a warm caller allocates nothing. Under
+/// `target_feature = "avx512f"` the direct kernel serves 16 and 32
+/// filters; every other call runs `dw_reference`, with the same bits
+/// (module docs).
+pub fn conv2d_weight_grad(x: &[f32], spec: &Conv2dSpec, scratch: &mut Vec<f32>, dw: &mut [f32]) {
+    #[cfg(target_feature = "avx512f")]
+    match spec.out_c {
+        16 => return direct::conv2d_dw_direct::<1, 16>(x, spec, scratch, dw),
+        32 => return direct::conv2d_dw_direct::<2, 8>(x, spec, scratch, dw),
+        _ => {}
+    }
+    dw_reference(x, spec, scratch, dw);
+}
+
+/// The reference weight gradient: the [`im2col`] patch matrix, appended to
+/// `scratch` behind `G^T`, times `G^T` on the packed GEMM, accumulating.
+pub(crate) fn dw_reference(x: &[f32], spec: &Conv2dSpec, scratch: &mut Vec<f32>, dw: &mut [f32]) {
+    let rows = spec.batch * spec.out_hw();
+    let lead = spec.out_c * rows;
+    assert_eq!(
+        scratch.len(),
+        lead,
+        "scratch must hold G^T [out_c, b*oh*ow]"
+    );
+    im2col(x, spec, scratch);
+    let (gt, patches) = scratch.split_at(lead);
+    gemm::gemm(
+        MatRef::new(gt, spec.out_c, rows),
+        MatRef::new(patches, rows, spec.ckk()),
+        dw,
+        true,
+    );
+}
+
+/// The direct kernels (module docs).
 #[cfg(target_feature = "avx512f")]
 mod direct {
     use super::Conv2dSpec;
@@ -213,8 +269,58 @@ mod direct {
 
     /// f32 lanes per zmm register.
     const L: usize = 16;
-    /// Output positions per register tile.
+    /// Output positions per register tile of the forward.
     const P: usize = 8;
+
+    /// The extents every index of a direct kernel is formed from.
+    struct Dims {
+        /// Pixels per input channel plane.
+        hw_in: usize,
+        /// Pixels per input image.
+        chw: usize,
+        /// Input pixels between vertically adjacent windows.
+        row_step: usize,
+        /// Output positions per image.
+        hw: usize,
+        /// Kernel offsets `(c, ky, kx)`.
+        ckk: usize,
+        /// The last position's origin plus the last kernel offset: the
+        /// largest index into the input any broadcast reads.
+        reach: usize,
+    }
+
+    impl Dims {
+        /// `spec`'s extents, or `None` if any of them overflows `usize`.
+        /// Every product is checked, so no index a kernel forms from them
+        /// can wrap.
+        fn of(spec: &Conv2dSpec) -> Option<Self> {
+            let hw_in = spec.in_h.checked_mul(spec.in_w)?;
+            let chw = spec.in_c.checked_mul(hw_in)?;
+            let row_step = spec.stride.checked_mul(spec.in_w)?;
+            let hw = spec.out_h.checked_mul(spec.out_w)?;
+            let ckk = spec.in_c.checked_mul(spec.kh)?.checked_mul(spec.kw)?;
+            let reach = [
+                (spec.batch, chw),
+                (spec.out_h, row_step),
+                (spec.out_w, spec.stride),
+                (spec.in_c, hw_in),
+                (spec.kh, spec.in_w),
+                (spec.kw, 1),
+            ]
+            .into_iter()
+            .try_fold(0usize, |sum, (n, step)| {
+                sum.checked_add(n.saturating_sub(1).checked_mul(step)?)
+            })?;
+            Some(Self {
+                hw_in,
+                chw,
+                row_step,
+                hw,
+                ckk,
+                reach,
+            })
+        }
+    }
 
     /// `act(conv(x, w) + bias)` for `out_c = 16 * G` filters. Tiles of `P`
     /// output positions run over the flattened `b*oh*ow` rows across image
@@ -241,31 +347,17 @@ mod direct {
         const { assert!(G == 1 || G == 2, "a tile row holds at most two registers") };
         let oc = G * L;
         let (ow, stride) = (spec.out_w, spec.stride);
-        // Every product is checked, so no index the kernel forms can wrap.
-        // `reach` is the last position's origin plus the last kernel
-        // offset: the largest index into `x` any broadcast reads.
-        let dims = (|| {
-            let hw_in = spec.in_h.checked_mul(spec.in_w)?;
-            let chw = spec.in_c.checked_mul(hw_in)?;
-            let row_step = stride.checked_mul(spec.in_w)?;
-            let hw = spec.out_h.checked_mul(ow)?;
-            let ckk = spec.in_c.checked_mul(spec.kh)?.checked_mul(spec.kw)?;
-            let reach = [
-                (spec.batch, chw),
-                (spec.out_h, row_step),
-                (ow, stride),
-                (spec.in_c, hw_in),
-                (spec.kh, spec.in_w),
-                (spec.kw, 1),
-            ]
-            .into_iter()
-            .try_fold(0usize, |sum, (n, step)| {
-                sum.checked_add(n.saturating_sub(1).checked_mul(step)?)
-            })?;
-            Some((hw_in, chw, row_step, hw, ckk, reach))
-        })();
+        let dims = Dims::of(spec);
         assert!(dims.is_some(), "conv2d geometry overflows usize");
-        let Some((hw_in, chw, row_step, hw, ckk, reach)) = dims else {
+        let Some(Dims {
+            hw_in,
+            chw,
+            row_step,
+            hw,
+            ckk,
+            reach,
+        }) = dims
+        else {
             return Vec::new();
         };
         assert_eq!(spec.out_c, oc, "direct kernel width");
@@ -348,6 +440,131 @@ mod direct {
         }
         out
     }
+
+    /// `dW += G^T x patches` for `out_c = 16 * G` filters, `Q` columns of
+    /// `dW` (kernel offsets `(c, ky, kx)`) per register tile. `G^T` is
+    /// first re-laid behind itself in `scratch` as `[b*oh*ow, out_c]`, so
+    /// one output position's filters are `G` adjacent registers. Each tile
+    /// holds `Q x G` accumulators seeded from `dW` and, per output
+    /// position in ascending order, loads that position's `G` registers of
+    /// the re-lay and broadcasts one pixel per column straight from the
+    /// image. A ragged last tile computes its missing columns on its last
+    /// real one and stores nothing for them. Panics unless the operand
+    /// lengths match `spec` and the farthest pixel any position reads lies
+    /// inside `x`.
+    #[expect(
+        unsafe_code,
+        reason = "explicit SIMD kernel: unaligned vector loads of the re-laid gradient and pixel broadcasts whose bounds the asserts at the top establish"
+    )]
+    pub(super) fn conv2d_dw_direct<const G: usize, const Q: usize>(
+        x: &[f32],
+        spec: &Conv2dSpec,
+        scratch: &mut Vec<f32>,
+        dw: &mut [f32],
+    ) {
+        use std::arch::x86_64::{
+            _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_storeu_ps,
+        };
+        const { assert!(G == 1 || G == 2, "a tile row holds at most two registers") };
+        let oc = G * L;
+        let dims = Dims::of(spec);
+        assert!(dims.is_some(), "conv2d geometry overflows usize");
+        let Some(Dims {
+            hw_in,
+            chw,
+            row_step,
+            hw,
+            ckk,
+            reach,
+        }) = dims
+        else {
+            return;
+        };
+        assert_eq!(spec.out_c, oc, "direct kernel width");
+        assert_eq!(
+            spec.batch.checked_mul(chw),
+            Some(x.len()),
+            "conv2d input length does not match its geometry"
+        );
+        assert_eq!(
+            ckk.checked_mul(oc),
+            Some(dw.len()),
+            "conv2d weight length does not match its geometry"
+        );
+        let rows = spec.batch * hw;
+        assert_eq!(
+            rows.checked_mul(oc),
+            Some(scratch.len()),
+            "scratch must hold G^T [out_c, b*oh*ow]"
+        );
+        if rows == 0 || ckk == 0 {
+            return;
+        }
+        assert!(reach < x.len(), "conv2d window out of bounds");
+        scratch.resize(2 * rows * oc, 0.0);
+        let (gt, gr) = scratch.split_at_mut(rows * oc);
+        for (o, grad) in gt.chunks_exact(rows).enumerate() {
+            for (&v, filters) in grad.iter().zip(gr.chunks_exact_mut(oc)) {
+                filters[o] = v;
+            }
+        }
+        let offset = |q: usize| {
+            let (c, k) = (q / (spec.kh * spec.kw), q % (spec.kh * spec.kw));
+            c * hw_in + (k / spec.kw) * spec.in_w + k % spec.kw
+        };
+        let (xp, gp) = (x.as_ptr(), gr.as_ptr());
+        let mut tile = [[0.0f32; 2 * L]; Q];
+        for q0 in (0..ckk).step_by(Q) {
+            let live = (ckk - q0).min(Q);
+            let offs: [usize; Q] = std::array::from_fn(|j| offset(q0 + j.min(live - 1)));
+            for (j, trow) in tile.iter_mut().enumerate().take(live) {
+                for (t, wrow) in trow.iter_mut().zip(dw.chunks_exact(ckk)) {
+                    *t = wrow[q0 + j];
+                }
+            }
+            // A position (img, oy, ox) has img < batch, oy < out_h and
+            // ox < out_w, and a column's offset has c < in_c, ky < kh and
+            // kx < kw, so origin + offset <= `reach` < x.len() (no term
+            // wraps: each is at most its checked counterpart). Position r
+            // < rows loads oc = G*L floats from r*oc, inside `gr`'s
+            // rows*oc; each tile row access covers L floats from g*L,
+            // g < G <= 2, inside a 2*L-float tile row.
+            // SAFETY: compiled only with avx512f enabled (the cfg on this
+            // module); every access is in bounds by the above.
+            unsafe {
+                let mut acc: [[_; G]; Q] = std::array::from_fn(|j| {
+                    std::array::from_fn(|g| _mm512_loadu_ps(tile[j][g * L..].as_ptr()))
+                });
+                let mut grow = gp;
+                for img in 0..spec.batch {
+                    for oy in 0..spec.out_h {
+                        for ox in 0..spec.out_w {
+                            let base = xp.add(img * chw + oy * row_step + ox * spec.stride);
+                            let gv: [_; G] =
+                                std::array::from_fn(|g| _mm512_loadu_ps(grow.add(g * L)));
+                            for (accq, &off) in acc.iter_mut().zip(&offs) {
+                                let a = _mm512_set1_ps(*base.add(off));
+                                for (s, &gg) in accq.iter_mut().zip(&gv) {
+                                    *s = _mm512_fmadd_ps(gg, a, *s);
+                                }
+                            }
+                            grow = grow.add(oc);
+                        }
+                    }
+                }
+                for (trow, accq) in tile.iter_mut().zip(&acc) {
+                    for (g, &s) in accq.iter().enumerate() {
+                        _mm512_storeu_ps(trow[g * L..].as_mut_ptr(), s);
+                    }
+                }
+            }
+            for (j, trow) in tile.iter().enumerate().take(live) {
+                for (&t, wrow) in trow.iter().zip(dw.chunks_exact_mut(ckk)) {
+                    wrow[q0 + j] = t;
+                }
+            }
+        }
+    }
 }
 
 /// Re-lays the upstream gradient `[b, out_c, hw]` of the output `y` as
@@ -425,7 +642,11 @@ mod tests {
         // 1x1 kernel, stride 1: one single-pixel patch per position.
         let img: Vec<f32> = (0..18).map(|x| x as f32).collect();
         let spec = Conv2dSpec::infer(&[2, 1, 3, 3], &[1, 1, 1, 1], 1);
-        assert_eq!(im2col(&img, &spec), img);
+        let mut patches = vec![-1.0];
+        im2col(&img, &spec, &mut patches);
+        // Appended behind what the buffer held.
+        assert_eq!(patches[0], -1.0);
+        assert_eq!(patches[1..], img);
     }
 
     #[test]
@@ -434,7 +655,8 @@ mod tests {
         // position (1, 1) sees rows 1..3 x cols 1..3 of each channel.
         let img: Vec<f32> = (0..18).map(|x| x as f32).collect();
         let spec = Conv2dSpec::infer(&[1, 2, 3, 3], &[1, 2, 2, 2], 1);
-        let patches = im2col(&img, &spec);
+        let mut patches = Vec::new();
+        im2col(&img, &spec, &mut patches);
         assert_eq!(patches.len(), 4 * 8);
         assert_eq!(
             &patches[3 * 8..],
@@ -550,6 +772,131 @@ mod tests {
                     g.to_bits(),
                     want.to_bits(),
                     "{out_c} filters: element {j} is {g}, fused {want}"
+                );
+            }
+        }
+    }
+
+    /// `conv2d_weight_grad` and `dw_reference` on one `G^T`, each onto its
+    /// own copy of `dw0`: the two results, bit patterns, and the scratch
+    /// the call left, whose front must still be `G^T`.
+    fn both_dw(x: &[f32], gt: &[f32], dw0: &[f32], spec: &Conv2dSpec) -> [Vec<u32>; 2] {
+        [conv2d_weight_grad, dw_reference].map(|kernel| {
+            let mut scratch = gt.to_vec();
+            let mut dw = dw0.to_vec();
+            kernel(x, spec, &mut scratch, &mut dw);
+            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(
+                bits(&scratch[..gt.len()]),
+                bits(gt),
+                "{spec:?}: G^T overwritten"
+            );
+            bits(&dw)
+        })
+    }
+
+    #[test]
+    fn direct_dw_matches_reference_bitwise() {
+        // The forward test's layers, batches and filter counts: 16 and 32
+        // filters take the direct kernel on AVX-512 builds, 8 and 48
+        // always fall back. Both must give the reference's bits when
+        // accumulating onto a nonzero `dW`. The image or the gradient is
+        // drawn from the forward's pixels (NaN payloads, infinities,
+        // subnormals, signed zeros), the other operand from plain values;
+        // then both from plain values, since a long reduction over the
+        // special pixels is mostly NaN and would hide a wrong order. Never
+        // both specials at once: when both factors of one product are NaN,
+        // which payload `vfmadd` returns depends on the order the compiler
+        // encodes them in, which it picks freely (the product commutes) in
+        // the GEMM tile too, so no kernel can promise those bits.
+        let mut rng = ChaCha8Rng::seed_from_u64(42);
+        let layers = [(3, 42, 8, 4), (16, 9, 4, 2), (16, 20, 4, 2), (3, 84, 8, 4)];
+        for (i, (in_c, side, k, stride)) in layers.into_iter().enumerate() {
+            for (batch, out_c) in [1, 2, 3, 129]
+                .into_iter()
+                .flat_map(|b| [16, 32, 8, 48].map(|oc| (b, oc)))
+            {
+                if batch > 3 && (i == 3 || !matches!(out_c, 16 | 32)) {
+                    continue;
+                }
+                let spec =
+                    Conv2dSpec::infer(&[batch, in_c, side, side], &[out_c, in_c, k, k], stride);
+                let rows = batch * spec.out_hw();
+                let dw0: Vec<f32> = (0..out_c * spec.ckk())
+                    .map(|_| rng.gen_range(-1.0f32..1.0))
+                    .collect();
+                for special in [[true, false], [false, true], [false, false]] {
+                    let mut draw = |n: usize, special: bool| -> Vec<f32> {
+                        (0..n)
+                            .map(|_| match special {
+                                true => pixel(&mut rng),
+                                false => rng.gen_range(-2.0f32..2.0),
+                            })
+                            .collect()
+                    };
+                    let x = draw(batch * in_c * side * side, special[0]);
+                    let gt = draw(out_c * rows, special[1]);
+                    let [got, want] = both_dw(&x, &gt, &dw0, &spec);
+                    for (j, (g, r)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            g,
+                            r,
+                            "{spec:?} special {special:?}: element {j} is {}, reference {}",
+                            f32::from_bits(*g),
+                            f32::from_bits(*r)
+                        );
+                    }
+                    if special == [false, false] {
+                        assert!(got.iter().zip(&dw0).all(|(g, d)| *g != d.to_bits()));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dw_fuses_multiply_and_add() {
+        // One channel per column of a 1x1 kernel, and a gradient that is
+        // zero but for the last output position, where filter o holds g_o.
+        // `dW[o][c]` is seeded with -(g_o*x_c) rounded to f32, x_c being
+        // channel c's pixel there, with g_o*x_c not exact: one fused
+        // multiply-add per term leaves the product's nonzero rounding
+        // residual, a separate multiply and add leaves 0, and a kernel
+        // that drops the last position leaves the seed. 16 and 32 filters
+        // take the direct kernel on AVX-512 builds, 8 the reference; 20
+        // columns leave a ragged tile.
+        let mut rng = ChaCha8Rng::seed_from_u64(43);
+        let (batch, in_c, side) = (2, 20, 3);
+        let x: Vec<f32> = (0..batch * in_c * side * side)
+            .map(|_| rng.gen_range(-2.0f32..2.0))
+            .collect();
+        let last = &x[(batch - 1) * in_c * side * side..];
+        let pix: Vec<f32> = (0..in_c)
+            .map(|c| last[c * side * side + side * side - 1])
+            .collect();
+        let residual = |g: f32, v: f32| (f64::from(g) * f64::from(v) - f64::from(g * v)) as f32;
+        for out_c in [16, 32, 8] {
+            let spec = Conv2dSpec::infer(&[batch, in_c, side, side], &[out_c, in_c, 1, 1], 1);
+            let rows = batch * spec.out_hw();
+            let gs: Vec<f32> = (0..out_c).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
+            let mut gt = vec![0.0f32; out_c * rows];
+            for (grad, &g) in gt.chunks_exact_mut(rows).zip(&gs) {
+                grad[rows - 1] = g;
+            }
+            let dw0: Vec<f32> = gs
+                .iter()
+                .flat_map(|&g| pix.iter().map(move |&v| -(g * v)))
+                .collect();
+            let mut scratch = gt;
+            let mut dw = dw0;
+            conv2d_weight_grad(&x, &spec, &mut scratch, &mut dw);
+            for (j, &d) in dw.iter().enumerate() {
+                let want = residual(gs[j / in_c], pix[j % in_c]);
+                assert!(want != 0.0, "the product of column {j} must be inexact");
+                assert_eq!(
+                    d.to_bits(),
+                    want.to_bits(),
+                    "{out_c} filters: element {j} is {d}, fused {want}"
                 );
             }
         }

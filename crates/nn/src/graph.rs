@@ -40,7 +40,7 @@ use std::rc::Rc;
 
 use stellaris_telemetry as telemetry;
 
-use crate::conv::{col2im, conv2d_forward, gradient_rows, im2col, Conv2dSpec};
+use crate::conv::{col2im, conv2d_forward, conv2d_weight_grad, gradient_rows, Conv2dSpec};
 use crate::gemm::{self, FusedAct, MatRef};
 use crate::tensor::Tensor;
 
@@ -166,16 +166,9 @@ impl GradSink<'_> {
     }
 }
 
-/// A patch matrix with its key: input node and geometry (`out_c` zeroed).
-type PatchMatrix = (Var, Conv2dSpec, Rc<Vec<f32>>);
-
 /// A single-use autodiff tape.
 pub struct Graph {
     nodes: RefCell<Vec<Node>>,
-    /// The tape's `im2col` patch matrices, keyed by input node and
-    /// geometry: convolutions that read one input share one (the actor's
-    /// and the critic's first layer over the observations).
-    patches: RefCell<Vec<PatchMatrix>>,
     /// Telemetry timestamp of tape creation. The forward pass *is* the
     /// tape's lifetime up to `backward`, so the first `backward` call emits
     /// a retroactive `nn.forward` span covering `[born_us, now]`.
@@ -194,20 +187,17 @@ impl Graph {
     pub fn new() -> Self {
         Self {
             nodes: RefCell::new(Vec::with_capacity(64)),
-            patches: RefCell::new(Vec::new()),
             born_us: telemetry::now_us(),
             forward_emitted: Cell::new(false),
         }
     }
 
-    /// Clears the tape and its patch matrices for reuse, keeping the node
-    /// vector's capacity. The telemetry forward-span clock restarts, as if
+    /// Clears the tape for reuse, keeping the node vector's capacity. The telemetry forward-span clock restarts, as if
     /// freshly constructed.
     pub fn reset(&mut self) {
         // truncate(0) over clear(): identical for Vec, avoids a name-based
         // false edge to locking `clear` methods in stellaris-analyze.
         self.nodes.get_mut().truncate(0);
-        self.patches.get_mut().truncate(0);
         self.born_us = telemetry::now_us();
         self.forward_emitted.set(false);
     }
@@ -779,23 +769,13 @@ impl Graph {
         self.conv2d_node(input, weight, bias, spec, &shape, act)
     }
 
-    /// The patch matrix of `input` under `spec`, built on first use and
-    /// shared for the rest of the tape. The filter count does not shape it.
-    fn patches_of(&self, input: Var, x: &Tensor, spec: &Conv2dSpec) -> Rc<Vec<f32>> {
-        let key = Conv2dSpec { out_c: 0, ..*spec };
-        let mut memo = self.patches.borrow_mut();
-        if let Some((_, _, p)) = memo.iter().find(|(v, k, _)| (*v, *k) == (input, key)) {
-            return Rc::clone(p);
-        }
-        let p = Rc::new(im2col(x.data(), spec));
-        memo.push((input, key, Rc::clone(&p)));
-        p
-    }
-
     /// The convolution node behind both entry points; `shape` only labels the
     /// output, whose flat layout is `[b, o, oh, ow]` either way. The forward
     /// and the three backward products, and why they keep the bits:
-    /// [`crate::conv`].
+    /// [`crate::conv`]. The forward keeps nothing for the backward but the
+    /// operands and the output: the weight gradient reads the input image
+    /// directly, or builds its patch matrix in the arena scratch, and only
+    /// when that gradient is wanted.
     fn conv2d_node(
         &self,
         input: Var,
@@ -810,8 +790,6 @@ impl Graph {
             conv2d_forward(x.data(), w.data(), bv.data(), &spec, act),
             shape,
         ));
-        // Only the weight gradient reads the patch matrix.
-        let patches = self.patches_of(input, &x, &spec);
         let out_cap = Rc::clone(&out);
         self.push_rc(
             out,
@@ -819,19 +797,14 @@ impl Graph {
             Some(Box::new(move |g, sink| {
                 let (oc, hw, ckk) = (spec.out_c, spec.out_hw(), spec.ckk());
                 let rows = spec.batch * hw;
-                // Scratch: Gᵀ [oc, b*hw] ⊙ act'(y), then dcol [ckk, b*hw]
-                // if wanted.
+                // Scratch: Gᵀ [oc, b*hw] ⊙ act'(y), then the weight
+                // gradient's workspace, then dcol [ckk, b*hw] if wanted.
                 let mut scratch = sink.take_scratch();
                 gradient_rows(g.data(), out_cap.data(), act, &spec, &mut scratch);
                 // dw: the [o,c,kh,kw] buffer is flat-identical to [oc,ckk],
                 // so the product accumulates straight into it.
                 sink.with(weight, |d| {
-                    gemm::gemm(
-                        MatRef::new(&scratch, oc, rows),
-                        MatRef::new(&patches, rows, ckk),
-                        d.data_mut(),
-                        true,
-                    );
+                    conv2d_weight_grad(x.data(), &spec, &mut scratch, d.data_mut());
                 });
                 // db: per image, each channel's plane sums into its entry.
                 sink.with(bias, |d| {
@@ -1681,40 +1654,6 @@ mod tests {
                 assert_eq!(bits(a), bits(b), "cloning {cloning}");
             }
         }
-    }
-
-    #[test]
-    fn actor_and_critic_share_one_patch_matrix_per_tape() {
-        // Two trunks over one observation node: the first layers share one
-        // patch matrix, each second layer (its own input) has its own. A
-        // reset tape starts without any and builds them again.
-        let mut rng = ChaCha8Rng::seed_from_u64(48);
-        let actor = crate::Cnn::table2([3, 42, 42], 6, 0.01, &mut rng);
-        let critic = crate::Cnn::table2([3, 42, 42], 1, 1.0, &mut rng);
-        let x = Tensor::randn(&[4, actor.in_dim()], 1.0, &mut rng);
-        let mut g = Graph::new();
-        let mut grads = Vec::new();
-        for _ in 0..2 {
-            let obs = g.input(x.clone());
-            let mut vars = crate::bind_params(&g, &crate::ParamSet::params(&actor));
-            let n_actor = vars.len();
-            vars.extend(crate::bind_params(&g, &crate::ParamSet::params(&critic)));
-            let a = actor.forward(&g, obs, &vars[..n_actor]);
-            let v = critic.forward(&g, obs, &vars[n_actor..]);
-            let memo = g.patches.borrow();
-            assert_eq!(
-                memo.len(),
-                3,
-                "one first-layer matrix, two second-layer ones"
-            );
-            assert_eq!(memo.iter().filter(|(input, ..)| *input == obs).count(), 1);
-            drop(memo);
-            let loss = g.add(g.mean_all(g.square(a)), g.mean_all(g.square(v)));
-            grads.push(g.backward(loss, &vars));
-            g.reset();
-            assert!(g.patches.borrow().is_empty());
-        }
-        assert_eq!(grads[0], grads[1]);
     }
 
     #[test]
