@@ -161,11 +161,10 @@ impl SspThrottle {
         let mut wait_span: Option<stellaris_telemetry::SpanGuard> = None;
         let mut inflight = self.inflight.lock();
         loop {
-            let oldest = inflight.iter().min().copied().unwrap_or(clock);
-            if clock.saturating_sub(oldest) <= self.bound {
-                inflight.push(clock);
-                return clock;
-            }
+            let oldest = match self.admit(&mut inflight, clock) {
+                Ok(token) => return token,
+                Err(oldest) => oldest,
+            };
             if wait_span.is_none() {
                 // Span creation locks the trace sink; release `inflight`
                 // around it and re-check the bound after re-acquiring.
@@ -182,15 +181,16 @@ impl SspThrottle {
         }
     }
 
-    /// Non-blocking variant for tests and polling dispatchers.
-    pub fn try_begin(&self, clock: u64) -> Option<u64> {
-        let mut inflight = self.inflight.lock();
+    /// SSP's admission rule: registers a computation at `clock` (its token)
+    /// when nothing is in flight or `clock` leads the oldest in-flight base
+    /// clock by at most `bound`; otherwise returns that oldest clock.
+    fn admit(&self, inflight: &mut Vec<u64>, clock: u64) -> Result<u64, u64> {
         let oldest = inflight.iter().min().copied().unwrap_or(clock);
         if clock.saturating_sub(oldest) <= self.bound {
             inflight.push(clock);
-            Some(clock)
+            Ok(clock)
         } else {
-            None
+            Err(oldest)
         }
     }
 
@@ -244,22 +244,27 @@ mod tests {
         acc.accumulate(&[Tensor::full(&[3], 1.0)], 1.0);
     }
 
+    /// One non-blocking pass of [`SspThrottle::begin`]'s admission rule.
+    fn try_begin(t: &SspThrottle, clock: u64) -> Option<u64> {
+        t.admit(&mut t.inflight.lock(), clock).ok()
+    }
+
     #[test]
     fn ssp_throttle_blocks_fast_learner() {
         let t = SspThrottle::new(2);
-        let a = t.try_begin(0).unwrap(); // slow computation at clock 0
-        assert!(t.try_begin(2).is_some(), "within bound");
-        assert!(t.try_begin(5).is_none(), "3 ahead of oldest > bound 2");
+        let a = try_begin(&t, 0).unwrap(); // slow computation at clock 0
+        assert!(try_begin(&t, 2).is_some(), "within bound");
+        assert!(try_begin(&t, 5).is_none(), "3 ahead of oldest > bound 2");
         t.end(a);
-        assert!(t.try_begin(5).is_none(), "oldest inflight is now clock 2");
-        assert!(t.try_begin(4).is_some());
+        assert!(try_begin(&t, 5).is_none(), "oldest inflight is now clock 2");
+        assert!(try_begin(&t, 4).is_some());
     }
 
     #[test]
     fn ssp_begin_blocks_then_releases() {
         use std::sync::Arc;
         let t = Arc::new(SspThrottle::new(1));
-        let tok = t.try_begin(0).unwrap();
+        let tok = try_begin(&t, 0).unwrap();
         let waiter = {
             let t = t.clone();
             std::thread::spawn(move || {
@@ -298,7 +303,7 @@ mod tests {
         go(&mut steps.to_vec(), &mut Vec::new(), run)
     }
 
-    /// Three learners at clocks 1, 2 and 5 each `try_begin` and then `end`
+    /// Three learners at clocks 1, 2 and 5 each try to begin and then `end`
     /// (if admitted), while the slow computation at clock 0 ends at any
     /// point. Each call is one critical section of the throttle's lock, so
     /// the 7!/(2!·2!·2!) = 630 interleavings are every schedule; in each, a
@@ -310,7 +315,7 @@ mod tests {
         const CLOCKS: [u64; 3] = [1, 2, 5];
         let schedules = for_each_interleaving(&[2, 2, 2, 1], &mut |order| {
             let t = SspThrottle::new(BOUND);
-            let slow = t.try_begin(0).expect("an empty throttle admits");
+            let slow = try_begin(&t, 0).expect("an empty throttle admits");
             let mut inflight = vec![0u64];
             let mut tokens = [None; 3];
             let mut begun = [false; 3];
@@ -323,7 +328,7 @@ mod tests {
                     let clock = CLOCKS[l];
                     let oldest = inflight.iter().min().copied();
                     let within = oldest.is_none_or(|o| clock <= o + BOUND);
-                    tokens[l] = t.try_begin(clock);
+                    tokens[l] = try_begin(&t, clock);
                     assert_eq!(tokens[l].is_some(), within, "{order:?}: clock {clock}");
                     if within {
                         inflight.push(clock);

@@ -4,7 +4,7 @@
 use std::time::Duration;
 
 use stellaris_envs::{EnvConfig, EnvId};
-use stellaris_rl::{ImpactConfig, ImpalaConfig, PolicySnapshot, PpoConfig};
+use stellaris_rl::{ImpactConfig, PolicySnapshot, PpoConfig};
 use stellaris_serverless::{Cluster, FaultConfig, RetryPolicy};
 
 use crate::aggregation::AggregationRule;
@@ -16,8 +16,6 @@ pub enum Algo {
     Ppo(PpoConfig),
     /// Off-policy IMPACT with V-trace and a surrogate target network.
     Impact(ImpactConfig),
-    /// Off-policy IMPALA: plain V-trace actor-critic (no clip, no target).
-    Impala(ImpalaConfig),
 }
 
 impl Algo {
@@ -26,7 +24,6 @@ impl Algo {
         match self {
             Algo::Ppo(_) => "PPO",
             Algo::Impact(_) => "IMPACT",
-            Algo::Impala(_) => "IMPALA",
         }
     }
 
@@ -35,7 +32,6 @@ impl Algo {
         match self {
             Algo::Ppo(c) => c.lr,
             Algo::Impact(c) => c.lr,
-            Algo::Impala(c) => c.lr,
         }
     }
 
@@ -44,16 +40,15 @@ impl Algo {
         match self {
             Algo::Ppo(c) => c.gamma,
             Algo::Impact(c) => c.gamma,
-            Algo::Impala(c) => c.gamma,
         }
     }
 
-    /// GAE `λ` the data loader fills advantages with (the V-trace
-    /// algorithms carry no `λ` of their own and use the PPO default).
+    /// GAE `λ` the data loader fills advantages with (IMPACT carries no
+    /// `λ` of its own and uses the PPO default).
     pub fn gae_lambda(&self) -> f32 {
         match self {
             Algo::Ppo(c) => c.gae_lambda,
-            Algo::Impact(_) | Algo::Impala(_) => 0.95,
+            Algo::Impact(_) => 0.95,
         }
     }
 }
@@ -81,13 +76,12 @@ pub enum LearnerMode {
         rule: AggregationRule,
     },
     /// Synchronous multi-learner data parallelism: each round, the batch is
-    /// sharded over `n` learners and gradients are plain-averaged.
+    /// sharded over `n` learners and gradients are plain-averaged. `n = 1`
+    /// is one centralized learner (MinionsRL, SEED-RL style).
     Sync {
         /// Learner-group size.
         n: usize,
     },
-    /// One centralized learner (MinionsRL, SEED-RL style).
-    Single,
 }
 
 impl LearnerMode {
@@ -96,7 +90,6 @@ impl LearnerMode {
         match self {
             LearnerMode::Async { .. } => "async",
             LearnerMode::Sync { .. } => "sync",
-            LearnerMode::Single => "single",
         }
     }
 
@@ -107,7 +100,6 @@ impl LearnerMode {
         match self {
             LearnerMode::Async { rule } => rule.clone(),
             LearnerMode::Sync { n } => AggregationRule::FullSync { n: (*n).max(1) },
-            LearnerMode::Single => AggregationRule::FullSync { n: 1 },
         }
     }
 }
@@ -247,12 +239,6 @@ impl TrainConfig {
         self
     }
 
-    /// Switches the algorithm to IMPALA keeping everything else.
-    pub fn with_impala(mut self, cfg: ImpalaConfig) -> Self {
-        self.algo = Algo::Impala(cfg);
-        self
-    }
-
     /// Resumes from a previous run's final weights.
     pub fn resume_from(mut self, snapshot: PolicySnapshot) -> Self {
         self.initial_snapshot = Some(snapshot);
@@ -261,7 +247,7 @@ impl TrainConfig {
 
     /// Turns on the default chaos profile (20% invocation failures, 5%
     /// mid-work crashes, 20% stragglers, 20% drops and 10% corruptions of
-    /// worker-socket frames (`ProcessFleet`)) with its own seed, keeping
+    /// worker-socket frames (`RemoteFleet`)) with its own seed, keeping
     /// the default retry policy. In process there are no frames, so only
     /// the invocation classes fire.
     pub fn with_chaos(mut self, seed: u64) -> Self {
@@ -282,7 +268,6 @@ impl TrainConfig {
         let topo = match &self.learner_mode {
             LearnerMode::Async { rule } => rule.name(),
             LearnerMode::Sync { .. } => "sync",
-            LearnerMode::Single => "single",
         };
         format!("{}+{}", self.algo.name(), topo)
     }

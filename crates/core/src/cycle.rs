@@ -10,14 +10,14 @@
 //! * [`ActorBody`] and [`LearnerBody`] are the two function bodies; every
 //!   venue and the remote worker process hold these, so both sides of a
 //!   socket compute identically.
-//! * [`Fleet`] is the execution venue: its two halves, an [`Actors`] and a
-//!   [`Learners`], side by side — threads behind the serverless platform
-//!   (`local::LocalFleet`) or child processes behind framed sockets
-//!   (`remote::ProcessFleet`).
+//! * [`Actors`] and [`Learners`] are the execution venue's two halves:
+//!   threads behind the serverless platform (`local::LocalActors`,
+//!   `local::LocalLearners`) or child processes behind framed sockets
+//!   (`remote::ProcessActor`, `remote::ProcessLearners`).
 //! * [`lockstep_round`] and [`async_round`] are the two schedules, each
-//!   written once over a `Fleet`, and both own the data loader. Lock-step
-//!   cuts waves against one snapshot, offers in mini-batch order and
-//!   commits at a barrier. Asynchronous offers each gradient as it lands,
+//!   written once over the two halves, and both own the data loader.
+//!   Lock-step cuts waves against one snapshot, offers in mini-batch order
+//!   and commits at a barrier. Asynchronous offers each gradient as it lands,
 //!   republishes the policy on every commit, and collects the next round
 //!   while this round's learners run.
 
@@ -27,8 +27,8 @@ use parking_lot::Mutex;
 use stellaris_envs::make_env;
 use stellaris_nn::Tensor;
 use stellaris_rl::{
-    fill_gae, impact_gradients, impala_gradients, ppo_gradients, ImpactLearner, PolicyNet,
-    PolicySnapshot, PolicySpec, RolloutWorker, SampleBatch,
+    fill_gae, impact_gradients, ppo_gradients, ImpactLearner, PolicyNet, PolicySnapshot,
+    PolicySpec, RolloutWorker, SampleBatch,
 };
 use stellaris_telemetry as telemetry;
 
@@ -109,7 +109,6 @@ impl LearnerBody {
         policy.load_snapshot(snap);
         let (grads, stats) = match &self.algo {
             Algo::Ppo(pc) => ppo_gradients(policy, batch, pc, cap),
-            Algo::Impala(ic) => impala_gradients(policy, batch, ic, cap),
             Algo::Impact(ic) => {
                 let state = self
                     .impact
@@ -193,15 +192,6 @@ pub trait Learners {
     ) -> Result<(), Self::Error>;
 }
 
-/// Where the cycle's functions run: an actor half and a learner half, each
-/// owned, so a schedule borrows both at once.
-pub struct Fleet<A, L> {
-    /// Step ①.
-    pub actors: A,
-    /// Step ②.
-    pub learners: L,
-}
-
 /// Running totals the cycle keeps across the rounds of one job.
 #[derive(Debug, Default)]
 pub struct CycleTotals {
@@ -267,13 +257,13 @@ fn load(batches: Vec<SampleBatch>, cfg: &TrainConfig, timers: &Timers) -> Vec<Sa
 /// mini-batch count the group size does not divide) commits what arrived
 /// instead of carrying it into the next wave's weights.
 pub fn lockstep_round<A: Actors, L: Learners<Error = A::Error>>(
-    fleet: &mut Fleet<A, L>,
+    actors: &mut A,
+    learners: &mut L,
     server: &ShardedParameterServer,
     cfg: &TrainConfig,
     timers: &Timers,
     totals: &mut CycleTotals,
 ) -> Result<(), A::Error> {
-    let Fleet { actors, learners } = fleet;
     let policy = Published::new(server.snapshot());
     let collected = actors.collect(&policy.get())?;
     let minibatches = load(collected_batches(collected, totals), cfg, timers);
@@ -319,7 +309,7 @@ pub fn lockstep_round<A: Actors, L: Learners<Error = A::Error>>(
     Ok(())
 }
 
-/// One round of the asynchronous schedule, over the same fleet.
+/// One round of the asynchronous schedule, over the same two halves.
 ///
 /// `staged` carries the actors' one-round lead: this round's batches,
 /// collected during the previous round (`None` in round 0, which collects
@@ -333,8 +323,13 @@ pub fn lockstep_round<A: Actors, L: Learners<Error = A::Error>>(
 /// Both halves join before this returns, so a panic or an `Err` in either
 /// surfaces here, after every gradient that landed was offered, and no
 /// more than one round is ever staged.
+#[expect(
+    clippy::too_many_arguments,
+    reason = "the two halves are borrowed apart so one can collect while the other learns"
+)]
 pub fn async_round<A: Actors, L: Learners<Error = A::Error>>(
-    fleet: &mut Fleet<A, L>,
+    actors: &mut A,
+    learners: &mut L,
     server: &ShardedParameterServer,
     cfg: &TrainConfig,
     timers: &Timers,
@@ -345,7 +340,6 @@ pub fn async_round<A: Actors, L: Learners<Error = A::Error>>(
     // The caller only waits on the halves from here on (staged work wins
     // the attribution of any instant it overlaps).
     let _wait = telemetry::span("core.round_wait");
-    let Fleet { actors, learners } = fleet;
     let policy = Published::new(server.snapshot());
     let batches = match staged.take() {
         Some(batches) => batches,
@@ -400,7 +394,10 @@ mod tests {
 
     /// Two actor slots returning a canned batch, gradients from a real
     /// learner body, and a script for both halves (see each half).
-    type ScriptedFleet = Fleet<ScriptedActors, ScriptedLearners>;
+    struct ScriptedFleet {
+        actors: ScriptedActors,
+        learners: ScriptedLearners,
+    }
 
     impl ScriptedFleet {
         fn new(cfg: &TrainConfig, steps: usize, width: usize) -> Self {
@@ -409,7 +406,7 @@ mod tests {
         }
 
         fn with_batch(cfg: &TrainConfig, canned: SampleBatch, width: usize) -> Self {
-            Fleet {
+            ScriptedFleet {
                 actors: ScriptedActors {
                     canned,
                     lost: Vec::new(),
@@ -443,6 +440,39 @@ mod tests {
             self.actors.round = round;
             self.learners.round = round;
             self.learners.next_minibatch = 0;
+        }
+
+        /// One lock-step round over both halves.
+        fn lockstep(
+            &mut self,
+            server: &ShardedParameterServer,
+            cfg: &TrainConfig,
+            totals: &mut CycleTotals,
+        ) -> Result<(), Failed> {
+            let (actors, learners) = (&mut self.actors, &mut self.learners);
+            lockstep_round(actors, learners, server, cfg, &Timers::default(), totals)
+        }
+
+        /// One asynchronous round over both halves.
+        fn asynchronous(
+            &mut self,
+            server: &ShardedParameterServer,
+            cfg: &TrainConfig,
+            totals: &mut CycleTotals,
+            staged: &mut Option<Vec<SampleBatch>>,
+            lead: bool,
+        ) -> Result<(), Failed> {
+            let (actors, learners) = (&mut self.actors, &mut self.learners);
+            async_round(
+                actors,
+                learners,
+                server,
+                cfg,
+                &Timers::default(),
+                totals,
+                staged,
+                lead,
+            )
         }
     }
 
@@ -606,7 +636,8 @@ mod tests {
         fleet.actors.lost = vec![(0, 1)];
         fleet.learners.lost = vec![(0, 1)];
         let mut totals = CycleTotals::default();
-        lockstep_round(&mut fleet, &server, &cfg, &Timers::default(), &mut totals)
+        fleet
+            .lockstep(&server, &cfg, &mut totals)
             .expect("the script fails nowhere");
         assert_eq!(server.pending(), 0, "nothing crosses the round boundary");
         assert_eq!(server.grads_aggregated(), 2);
@@ -656,7 +687,8 @@ mod tests {
         let mut totals = CycleTotals::default();
         for (round, lost_so_far) in [1, 2, 4].into_iter().enumerate() {
             fleet.begin(round);
-            lockstep_round(&mut fleet, &server, &cfg, &Timers::default(), &mut totals)
+            fleet
+                .lockstep(&server, &cfg, &mut totals)
                 .expect("the script fails nowhere");
             assert_eq!(
                 totals.degraded, lost_so_far,
@@ -696,7 +728,7 @@ mod tests {
         cfg: &TrainConfig,
         totals: &mut CycleTotals,
     ) {
-        let Fleet { actors, learners } = fleet;
+        let ScriptedFleet { actors, learners } = fleet;
         let policy = Published::new(server.snapshot());
         let collected = actors
             .collect(&policy.get())
@@ -748,7 +780,8 @@ mod tests {
         for round in 0..2 {
             fleet.begin(round);
             if streamed {
-                lockstep_round(&mut fleet, &server, &cfg, &Timers::default(), &mut totals)
+                fleet
+                    .lockstep(&server, &cfg, &mut totals)
                     .expect("the script fails nowhere");
             } else {
                 collect_and_sort_round(&mut fleet, &server, &cfg, &mut totals);
@@ -818,16 +851,9 @@ mod tests {
         for (round, lost_so_far) in [1, 2, 3].into_iter().enumerate() {
             fleet.begin(round);
             let lead = round < 2;
-            async_round(
-                &mut fleet,
-                &server,
-                &cfg,
-                &Timers::default(),
-                &mut totals,
-                &mut staged,
-                lead,
-            )
-            .expect("the script fails nowhere");
+            fleet
+                .asynchronous(&server, &cfg, &mut totals, &mut staged, lead)
+                .expect("the script fails nowhere");
             assert_eq!(staged.is_some(), lead, "round {round}: one round staged");
             assert_eq!(totals.degraded, lost_so_far, "round {round}: losses");
             assert_eq!(
@@ -885,16 +911,9 @@ mod tests {
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 for round in 0..3 {
                     fleet.begin(round);
-                    async_round(
-                        &mut fleet,
-                        &server,
-                        &cfg,
-                        &Timers::default(),
-                        &mut totals,
-                        &mut staged,
-                        round < 2,
-                    )
-                    .expect("the script fails nowhere");
+                    fleet
+                        .asynchronous(&server, &cfg, &mut totals, &mut staged, round < 2)
+                        .expect("the script fails nowhere");
                 }
             }));
             let sent = done.send((run.is_err(), server.grads_aggregated()));
@@ -922,10 +941,9 @@ mod tests {
         staged: &mut Option<Vec<SampleBatch>>,
         lead: bool,
     ) -> Result<(), Failed> {
-        let timers = Timers::default();
         match schedule {
-            Schedule::Async => async_round(fleet, server, cfg, &timers, totals, staged, lead),
-            Schedule::Lockstep => lockstep_round(fleet, server, cfg, &timers, totals),
+            Schedule::Async => fleet.asynchronous(server, cfg, totals, staged, lead),
+            Schedule::Lockstep => fleet.lockstep(server, cfg, totals),
         }
     }
 

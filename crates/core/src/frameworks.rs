@@ -71,7 +71,7 @@ pub fn rllib_stellaris(env: EnvId, seed: u64) -> TrainConfig {
 /// centralized learner, synchronous updates (Fig. 10 baseline).
 pub fn minions_rl(env: EnvId, seed: u64) -> TrainConfig {
     let mut cfg = TrainConfig::stellaris_scaled(env, seed);
-    cfg.learner_mode = LearnerMode::Single;
+    cfg.learner_mode = LearnerMode::Sync { n: 1 };
     cfg.deployment = Deployment::Serverless;
     cfg.dynamic_actors = true;
     cfg.truncation_rho = None;
@@ -213,7 +213,7 @@ mod tests {
         assert!(p.truncation_rho.is_none());
 
         let m = minions_rl(EnvId::Hopper, 0);
-        assert!(matches!(m.learner_mode, LearnerMode::Single));
+        assert!(matches!(m.learner_mode, LearnerMode::Sync { n: 1 }));
         assert!(m.dynamic_actors);
         assert_eq!(m.deployment, Deployment::Serverless);
 

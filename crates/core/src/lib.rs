@@ -16,7 +16,8 @@
 //!   by the ablations.
 //!
 //! One cycle, two schedules: [`cycle::async_round`] and
-//! [`cycle::lockstep_round`] are each written once over a [`cycle::Fleet`].
+//! [`cycle::lockstep_round`] are each written once over an actor half
+//! ([`cycle::Actors`]) and a learner half ([`cycle::Learners`]).
 //! [`orchestrator::train`] drives either over in-process threads,
 //! [`remote::RemoteFleet`] drives the lock-step one over child processes
 //! behind sockets.
@@ -52,8 +53,8 @@ pub use aggregation::{AggregationRule, GradAccumulator, SspThrottle};
 pub use autoscale::LearnerAutoscaler;
 pub use config::{Algo, Deployment, LearnerMode, TrainConfig};
 pub use cycle::{
-    async_round, fresh_net, lockstep_round, ActorBody, Actors, CycleTotals, Fleet, LearnerBody,
-    Learners, Published,
+    async_round, fresh_net, lockstep_round, ActorBody, Actors, CycleTotals, LearnerBody, Learners,
+    Published,
 };
 pub use messages::GradientMsg;
 pub use metrics::{rows_to_csv, TimerReport, Timers, TrainRow};

@@ -1,7 +1,9 @@
 //! The in-process venue of the cycle: the substrates a training run shares
 //! (`Run`: serverless platform, timers, parameter function, Eq. 2's ratio
-//! board) and `LocalFleet`, whose functions run on threads beside them —
-//! the twin of `remote::ProcessFleet`, whose functions are child processes.
+//! board) and the two halves `LocalActors` and `LocalLearners`, whose
+//! functions run on threads beside them — the twins of `remote`'s
+//! `ProcessActor` and `ProcessLearners`, whose functions are child
+//! processes.
 //!
 //! Data moves the way §V-B moves it between functions on one server, over
 //! shared memory: actor functions collect under the policy the cycle hands
@@ -13,9 +15,9 @@
 //!
 //! Each function body sits in a `Host`: resident on a thread of its own
 //! for the asynchronous schedule, lent to a fresh thread per call for the
-//! lock-step one. A fleet call hands its work to the hosts and returns once
-//! all of it has come back, so a round's work still ends with the round,
-//! and a panic raised on a host is re-raised on the caller.
+//! lock-step one. A call on either half hands its work to the hosts and
+//! returns once all of it has come back, so a round's work still ends with
+//! the round, and a panic raised on a host is re-raised on the caller.
 
 use std::convert::Infallible;
 use std::panic::{self, AssertUnwindSafe};
@@ -32,7 +34,7 @@ use stellaris_telemetry as telemetry;
 use crate::aggregation::SspThrottle;
 use crate::autoscale::LearnerAutoscaler;
 use crate::config::{Deployment, LearnerMode, TrainConfig};
-use crate::cycle::{ActorBody, Actors, Fleet, LearnerBody, Learners, Published};
+use crate::cycle::{ActorBody, Actors, LearnerBody, Learners, Published};
 use crate::messages::GradientMsg;
 use crate::metrics::{Component, Timers};
 use crate::orchestrator::parameter_plane;
@@ -170,7 +172,7 @@ impl<'s, B: Send + 's> Resident<'s, B> {
     }
 }
 
-/// A function instance of [`LocalFleet`].
+/// A function instance of [`LocalActors`] or [`LocalLearners`].
 ///
 /// The asynchronous schedule keeps every body [`Resident`]. A thread per
 /// invocation paid for its memory again every round: on
@@ -220,44 +222,7 @@ impl<'s, B: Send + 's> Host<'s, B> {
     }
 }
 
-/// The in-process venue of both schedules: one host per actor slot and per
-/// learner slot.
-pub(crate) type LocalFleet<'s> = Fleet<LocalActors<'s>, LocalLearners<'s>>;
-
-impl<'s> LocalFleet<'s> {
-    pub(crate) fn new(scope: &'s Scope<'s, '_>, run: &'s Run<'s>, n_learners: usize) -> Self {
-        let cfg = run.cfg;
-        let resident = run.asynchronous();
-        let autoscaler = if cfg.dynamic_learners {
-            LearnerAutoscaler::new(1, n_learners)
-        } else {
-            LearnerAutoscaler::pinned(n_learners)
-        };
-        Fleet {
-            actors: LocalActors {
-                run,
-                hosts: (0..cfg.n_actors)
-                    .map(|a| Host::new(scope, resident, ActorBody::new(cfg, a)))
-                    .collect(),
-                active: if cfg.dynamic_actors {
-                    (cfg.n_actors / 2).max(1)
-                } else {
-                    cfg.n_actors
-                },
-                last_reward: f32::NEG_INFINITY,
-            },
-            learners: LocalLearners {
-                run,
-                hosts: (0..n_learners)
-                    .map(|_| Host::new(scope, resident, LearnerBody::new(cfg)))
-                    .collect(),
-                autoscaler,
-            },
-        }
-    }
-}
-
-/// The actor half of [`LocalFleet`].
+/// The in-process actor half of both schedules: one host per actor slot.
 pub(crate) struct LocalActors<'s> {
     run: &'s Run<'s>,
     hosts: Vec<Host<'s, ActorBody>>,
@@ -266,7 +231,23 @@ pub(crate) struct LocalActors<'s> {
     last_reward: f32,
 }
 
-impl LocalActors<'_> {
+impl<'s> LocalActors<'s> {
+    pub(crate) fn new(scope: &'s Scope<'s, '_>, run: &'s Run<'s>) -> Self {
+        let cfg = run.cfg;
+        Self {
+            run,
+            hosts: (0..cfg.n_actors)
+                .map(|a| Host::new(scope, run.asynchronous(), ActorBody::new(cfg, a)))
+                .collect(),
+            active: if cfg.dynamic_actors {
+                (cfg.n_actors / 2).max(1)
+            } else {
+                cfg.n_actors
+            },
+            last_reward: f32::NEG_INFINITY,
+        }
+    }
+
     /// MinionsRL's dynamic actor scaling, after a round judged at
     /// `reward`: two more actor slots when the reward improved, one fewer
     /// otherwise, within `[1, n_actors]`.
@@ -313,13 +294,31 @@ impl Actors for LocalActors<'_> {
     }
 }
 
-/// The learner half of [`LocalFleet`].
+/// The in-process learner half of both schedules: one host per learner
+/// slot.
 pub(crate) struct LocalLearners<'s> {
     run: &'s Run<'s>,
     hosts: Vec<Host<'s, LearnerBody>>,
     /// Sizes each call's pool: pinned at every slot unless
     /// `dynamic_learners`.
     autoscaler: LearnerAutoscaler,
+}
+
+impl<'s> LocalLearners<'s> {
+    pub(crate) fn new(scope: &'s Scope<'s, '_>, run: &'s Run<'s>, n_learners: usize) -> Self {
+        let cfg = run.cfg;
+        Self {
+            run,
+            hosts: (0..n_learners)
+                .map(|_| Host::new(scope, run.asynchronous(), LearnerBody::new(cfg)))
+                .collect(),
+            autoscaler: if cfg.dynamic_learners {
+                LearnerAutoscaler::new(1, n_learners)
+            } else {
+                LearnerAutoscaler::pinned(n_learners)
+            },
+        }
+    }
 }
 
 impl Learners for LocalLearners<'_> {

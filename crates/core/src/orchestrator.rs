@@ -1,12 +1,12 @@
 //! The Stellaris training orchestrator (Fig. 4's workflow), in process.
 //!
 //! [`train`] drives the schedules of [`crate::cycle`] over
-//! `local::LocalFleet`, whose function bodies run on threads behind the
-//! serverless platform. `Async` learners run
+//! `local::LocalActors` and `local::LocalLearners`, whose function bodies
+//! run on threads behind the serverless platform. `Async` learners run
 //! [`crate::cycle::async_round`], so staleness is emergent from genuine
-//! thread racing, not scripted. `Sync` and `Single` run
-//! [`crate::cycle::lockstep_round`], the RLlib-style and MinionsRL
-//! baselines. Both close their rounds through one ledger: each round's
+//! thread racing, not scripted. `Sync` runs
+//! [`crate::cycle::lockstep_round`], the RLlib-style baselines and, at
+//! `n = 1`, MinionsRL's single learner. Both close their rounds through one ledger: each round's
 //! counters are tallied where it ends, and its policy is judged —
 //! evaluation episodes and the probe KL, on a host of its own — right after
 //! it (lock-step) or while the next round runs (asynchronous).
@@ -25,7 +25,7 @@ use stellaris_telemetry as telemetry;
 
 use crate::config::{Deployment, LearnerMode, TrainConfig};
 use crate::cycle::{async_round, fresh_net, lockstep_round, CycleTotals};
-use crate::local::{LocalActors, LocalFleet, Pending, Resident, Run};
+use crate::local::{LocalActors, LocalLearners, Pending, Resident, Run};
 use crate::metrics::{TimerReport, TrainRow};
 use crate::parameter::ShardedParameterServer;
 
@@ -117,17 +117,18 @@ pub fn parameter_plane(cfg: &TrainConfig) -> ShardedParameterServer {
 }
 
 /// Runs a training job: the asynchronous schedule for `Async` learners,
-/// the lock-step one for `Sync` and `Single`, both over `LocalFleet`.
+/// the lock-step one for `Sync`, both over in-process actor and learner
+/// halves.
 pub fn train(cfg: &TrainConfig) -> TrainResult {
     let n_learners = match cfg.learner_mode {
         LearnerMode::Async { .. } => cfg.max_learners.max(1),
         LearnerMode::Sync { n } => n.max(1),
-        LearnerMode::Single => 1,
     };
     let run = Run::start(cfg, n_learners);
     let asynchronous = run.asynchronous();
     let ledger = std::thread::scope(|s| {
-        let mut fleet = LocalFleet::new(s, &run, n_learners);
+        let mut actors = LocalActors::new(s, &run);
+        let mut learners = LocalLearners::new(s, &run, n_learners);
         let judge = Resident::spawn(s, Judge::new(cfg));
         let mut ledger = Ledger::default();
         let mut totals = CycleTotals::default();
@@ -140,7 +141,8 @@ pub fn train(cfg: &TrainConfig) -> TrainResult {
             let Ok(()) = if asynchronous {
                 let lead = round + 1 < cfg.rounds;
                 async_round(
-                    &mut fleet,
+                    &mut actors,
+                    &mut learners,
                     server,
                     cfg,
                     timers,
@@ -149,13 +151,13 @@ pub fn train(cfg: &TrainConfig) -> TrainResult {
                     lead,
                 )
             } else {
-                lockstep_round(&mut fleet, server, cfg, timers, &mut totals)
+                lockstep_round(&mut actors, &mut learners, server, cfg, timers, &mut totals)
             };
             // The round's close: its judge dispatched, its row tallied, the
             // last round's verdict recorded.
             let _close = telemetry::span("core.round_close");
             if let Some((row, judged)) = judging.take() {
-                ledger.close(row, verdict(judged), &mut fleet.actors);
+                ledger.close(row, verdict(judged), &mut actors);
             }
             // The judge is handed the probe once, the first round it exists.
             let probe = (!probed).then(|| totals.probe_obs.clone()).flatten();
@@ -167,11 +169,11 @@ pub fn train(cfg: &TrainConfig) -> TrainResult {
             } else {
                 let verdict = verdict(judged);
                 let row = ledger.tally(&run, round, &totals, &mut round_span);
-                ledger.close(row, verdict, &mut fleet.actors);
+                ledger.close(row, verdict, &mut actors);
             }
         }
         if let Some((row, judged)) = judging {
-            ledger.close(row, verdict(judged), &mut fleet.actors);
+            ledger.close(row, verdict(judged), &mut actors);
         }
         ledger
     });
@@ -505,7 +507,7 @@ mod tests {
     #[test]
     fn single_learner_mode_runs() {
         let mut cfg = TrainConfig::test_tiny(EnvId::PointMass, 3);
-        cfg.learner_mode = LearnerMode::Single;
+        cfg.learner_mode = LearnerMode::Sync { n: 1 };
         let res = train(&cfg);
         assert!(res.policy_updates > 0);
     }
@@ -575,13 +577,13 @@ mod tests {
     }
 
     /// Regression: the lock-step schedule ignored `dynamic_actors`, so
-    /// MinionsRL (`Single`) ran without its actor scaling. Round 0 now
+    /// MinionsRL (`Sync { n: 1 }`) ran without its actor scaling. Round 0 now
     /// collects on two of four actor slots, so it draws other episodes.
     #[test]
     fn sync_schedule_honours_dynamic_actors() {
         let run = |dynamic| {
             let mut cfg = TrainConfig::test_tiny(EnvId::PointMass, 6);
-            cfg.learner_mode = LearnerMode::Single;
+            cfg.learner_mode = LearnerMode::Sync { n: 1 };
             cfg.n_actors = 4;
             cfg.rounds = 2;
             cfg.dynamic_actors = dynamic;

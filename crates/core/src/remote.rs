@@ -1,7 +1,8 @@
 //! Cross-process training workers: the wire data types, the child-side
 //! serve loop, and the parent-side fleet — [`RemoteFleet::run`] is the
 //! shared lock-step cycle ([`crate::cycle::lockstep_round`]) over
-//! `ProcessFleet`, the venue whose functions are child processes.
+//! `ProcessActor` and `ProcessLearners`, the venue whose functions are
+//! child processes.
 //!
 //! Everything in this module rides the length-prefixed frame protocol of
 //! [`stellaris_cache::frame`]: the parent spawns worker processes through
@@ -40,7 +41,7 @@ use bytes::BytesMut;
 use stellaris_cache::frame::{op, Frame, FrameReader, WireError};
 use stellaris_cache::{Codec, CodecError};
 use stellaris_envs::{EnvConfig, EnvId};
-use stellaris_rl::{ImpactConfig, ImpalaConfig, PolicySnapshot, PpoConfig, SampleBatch};
+use stellaris_rl::{ImpactConfig, PolicySnapshot, PpoConfig, SampleBatch};
 use stellaris_serverless::{
     FaultPlan, FaultReport, FunctionKind, OverheadMode, Platform, ProcessConfig, ProcessPool,
     SpawnError, StartupProfile, WorkerProcess,
@@ -49,7 +50,7 @@ use stellaris_telemetry::{self as telemetry, Event};
 
 use crate::config::{Algo, TrainConfig};
 use crate::cycle::{
-    lockstep_round, ActorBody, Actors, CycleTotals, Fleet, LearnerBody, Learners, Published,
+    lockstep_round, ActorBody, Actors, CycleTotals, LearnerBody, Learners, Published,
 };
 use crate::messages::GradientMsg;
 use crate::metrics::Timers;
@@ -78,7 +79,7 @@ pub struct RemoteSetup {
     /// Master seed (rollout streams derive from it like the orchestrator's
     /// actor threads do).
     pub seed: u64,
-    /// Algorithm family tag: 0 = PPO, 1 = IMPACT, 2 = IMPALA.
+    /// Algorithm family tag: 0 = PPO, 1 = IMPACT.
     pub algo: u8,
     /// Timesteps per collect request.
     pub actor_steps: usize,
@@ -88,8 +89,6 @@ pub struct RemoteSetup {
 pub const ALGO_PPO: u8 = 0;
 /// `RemoteSetup::algo` tag for IMPACT.
 pub const ALGO_IMPACT: u8 = 1;
-/// `RemoteSetup::algo` tag for IMPALA.
-pub const ALGO_IMPALA: u8 = 2;
 
 impl RemoteSetup {
     /// Projects a training config onto the wire setup.
@@ -103,7 +102,6 @@ impl RemoteSetup {
             algo: match cfg.algo {
                 Algo::Ppo(_) => ALGO_PPO,
                 Algo::Impact(_) => ALGO_IMPACT,
-                Algo::Impala(_) => ALGO_IMPALA,
             },
             actor_steps: cfg.actor_steps,
         }
@@ -114,7 +112,6 @@ impl RemoteSetup {
         match self.algo {
             ALGO_PPO => Ok(Algo::Ppo(PpoConfig::scaled())),
             ALGO_IMPACT => Ok(Algo::Impact(ImpactConfig::scaled())),
-            ALGO_IMPALA => Ok(Algo::Impala(ImpalaConfig::scaled())),
             _ => Err(CodecError::Corrupt("algo tag")),
         }
     }
@@ -794,34 +791,32 @@ impl RemoteFleet {
             .record_remote(kind, exec, exec, Duration::ZERO, false, failed);
     }
 
-    /// Runs the configured number of rounds of the lock-step cycle over a
-    /// `ProcessFleet`. Actor traffic is fault-free (its rollout stream
-    /// must survive the whole run for same-seed determinism); learner
-    /// traffic carries the seeded chaos plan, and every injected fault must
-    /// surface as a typed error and be absorbed by the retry budget or the
-    /// round's quorum degradation.
+    /// Runs the configured number of rounds of the lock-step cycle over
+    /// one actor worker and `max_learners` learner workers, each a child
+    /// process behind a framed socket. Actor traffic is fault-free (its
+    /// rollout stream must survive the whole run for same-seed
+    /// determinism); learner traffic carries the seeded chaos plan, and
+    /// every injected fault must surface as a typed error and be absorbed
+    /// by the retry budget or the round's quorum degradation.
     pub fn run(&self) -> Result<RemoteRunReport, RemoteError> {
         let setup = RemoteSetup::from_train(&self.cfg);
         let n_learners = self.cfg.max_learners.max(1);
-        let mut fleet: ProcessFleet = Fleet {
-            actors: ProcessActor {
-                fleet: self,
-                // The actor's span base must not collide with any
-                // learner's, so it takes the index right above the learner
-                // range.
-                worker: self.checkout_worker(FunctionKind::Actor, n_learners, &setup)?,
-                holds: None,
-                round: 0,
-                pulls: 0,
-                pulled_bytes: 0,
-            },
-            learners: ProcessLearners {
-                fleet: self,
-                setup,
-                slots: (0..n_learners).map(|_| LearnerSlot::default()).collect(),
-                round: 0,
-                report: RemoteRunReport::default(),
-            },
+        let mut actor = ProcessActor {
+            fleet: self,
+            // The actor's span base must not collide with any learner's, so
+            // it takes the index right above the learner range.
+            worker: self.checkout_worker(FunctionKind::Actor, n_learners, &setup)?,
+            holds: None,
+            round: 0,
+            pulls: 0,
+            pulled_bytes: 0,
+        };
+        let mut learners = ProcessLearners {
+            fleet: self,
+            setup,
+            slots: (0..n_learners).map(|_| LearnerSlot::default()).collect(),
+            round: 0,
+            report: RemoteRunReport::default(),
         };
         let server = parameter_plane(&self.cfg);
         let timers = Timers::default();
@@ -829,17 +824,21 @@ impl RemoteFleet {
 
         for round in 0..self.cfg.rounds {
             let mut round_span = telemetry::span_with("fleet.round", vec![("round", round.into())]);
-            lockstep_round(&mut fleet, &server, &self.cfg, &timers, &mut totals)?;
+            lockstep_round(
+                &mut actor,
+                &mut learners,
+                &server,
+                &self.cfg,
+                &timers,
+                &mut totals,
+            )?;
             server.advance_round();
             round_span.field("version", server.clock());
-            fleet.actors.round += 1;
-            fleet.learners.end_round(round_span.id());
+            actor.round += 1;
+            learners.end_round(round_span.id());
         }
 
-        let Fleet {
-            actors: mut actor,
-            learners: ProcessLearners { mut report, .. },
-        } = fleet;
+        let mut report = learners.report;
         if let Ok(n) = actor.worker.pull_spans(0) {
             report.events_ingested += n;
         }
@@ -864,14 +863,8 @@ impl RemoteFleet {
     }
 }
 
-/// The cross-process venue of the lock-step cycle: one actor worker and
-/// `max_learners` learner workers, each a child process behind a framed
-/// socket. The wave is the whole round, with `cfg.truncation_rho` as the
-/// IS cap; its mini-batches are served round-robin by the learner slots,
-/// one dispatch lane (thread) per slot.
-type ProcessFleet<'a> = Fleet<ProcessActor<'a>, ProcessLearners<'a>>;
-
-/// The actor half of `ProcessFleet`: one actor worker process.
+/// The cross-process actor half of the lock-step cycle: one actor worker
+/// process.
 struct ProcessActor<'a> {
     fleet: &'a RemoteFleet,
     worker: RemoteWorker,
@@ -885,8 +878,10 @@ struct ProcessActor<'a> {
     pulled_bytes: u64,
 }
 
-/// The learner half of `ProcessFleet`: one [`LearnerSlot`] per learner
-/// worker.
+/// The cross-process learner half of the lock-step cycle: one
+/// [`LearnerSlot`] per learner worker. The wave is the whole round, with
+/// `cfg.truncation_rho` as the IS cap; its mini-batches are served
+/// round-robin by the learner slots, one dispatch lane (thread) per slot.
 struct ProcessLearners<'a> {
     fleet: &'a RemoteFleet,
     setup: RemoteSetup,
@@ -1245,15 +1240,21 @@ mod tests {
         assert_eq!(RemoteSetup::from_train(&cfg).algo, ALGO_PPO);
         let cfg = cfg.with_impact(ImpactConfig::scaled());
         assert_eq!(RemoteSetup::from_train(&cfg).algo, ALGO_IMPACT);
-        let cfg = cfg.with_impala(ImpalaConfig::scaled());
         let s = RemoteSetup::from_train(&cfg);
-        assert_eq!(s.algo, ALGO_IMPALA);
-        assert_eq!(s.algo_config().unwrap().name(), "IMPALA");
-        let bad = RemoteSetup { algo: 9, ..s };
-        assert!(
-            bad.algo_config().is_err(),
-            "unknown tag is typed, not a panic"
-        );
+        assert_eq!(s.algo_config().unwrap().name(), "IMPACT");
+        for tag in [2, 9] {
+            let bad = RemoteSetup {
+                algo: tag,
+                ..s.clone()
+            };
+            assert_eq!(
+                bad.algo_config().unwrap_err(),
+                CodecError::Corrupt("algo tag"),
+                "tag {tag} is a typed error, not a panic"
+            );
+            let msg = bad.train_config().unwrap_err();
+            assert!(msg.contains("algo tag"), "INIT rejection text: {msg}");
+        }
     }
 
     #[test]
@@ -1283,6 +1284,17 @@ mod tests {
         write_value_frame(reader.get_mut(), op::COLLECT, 1, &8u64, cap).unwrap();
         let early = reader.read_frame().unwrap();
         assert_eq!(early.header.kind, op::ERR);
+
+        // An unknown algorithm tag is rejected with its text, not fatal.
+        let bad = RemoteSetup {
+            algo: 2,
+            ..tiny_setup()
+        };
+        write_value_frame(reader.get_mut(), op::INIT, 2, &bad, cap).unwrap();
+        let rejected = reader.read_frame().unwrap();
+        assert_eq!(rejected.header.kind, op::ERR);
+        let msg = rejected.decode_value::<String>().unwrap();
+        assert!(msg.contains("algo tag"), "{msg}");
 
         let setup = tiny_setup();
         write_value_frame(reader.get_mut(), op::INIT, 2, &setup, cap).unwrap();

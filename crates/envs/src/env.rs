@@ -35,14 +35,6 @@ impl ActionSpace {
         }
     }
 
-    /// Number of discrete actions; panics for continuous spaces.
-    pub fn num_actions(&self) -> usize {
-        match self {
-            ActionSpace::Discrete(n) => *n,
-            ActionSpace::Continuous { .. } => panic!("continuous space has no action count"),
-        }
-    }
-
     /// True for discrete spaces.
     pub fn is_discrete(&self) -> bool {
         matches!(self, ActionSpace::Discrete(_))
@@ -265,7 +257,7 @@ mod tests {
     #[test]
     fn action_space_accessors() {
         let d = ActionSpace::Discrete(6);
-        assert_eq!(d.num_actions(), 6);
+        assert_eq!(d.dim(), 1);
         assert!(d.is_discrete());
         let c = ActionSpace::Continuous { dim: 3, bound: 1.0 };
         assert_eq!(c.dim(), 3);

@@ -255,13 +255,6 @@ impl Graph {
         self.nodes.borrow()[v.0].value.shape().to_vec()
     }
 
-    /// Cuts the tape: returns a new leaf sharing the same value so no
-    /// gradient flows into `v`'s subgraph.
-    pub fn detach(&self, v: Var) -> Var {
-        let value = self.rc(v);
-        self.push_rc(value, &[], None)
-    }
-
     // ----- elementwise binary ops ------------------------------------------------
 
     /// Elementwise addition of same-shaped tensors.
@@ -300,25 +293,6 @@ impl Graph {
             Some(Box::new(move |g, sink| {
                 sink.with(a, |d| d.add_assign_zip(g, &vb, |gv, y| gv * y));
                 sink.with(b, |d| d.add_assign_zip(g, &va, |gv, x| gv * x));
-            })),
-        )
-    }
-
-    /// Elementwise division.
-    pub fn div(&self, a: Var, b: Var) -> Var {
-        let (va, vb) = (self.rc(a), self.rc(b));
-        let out = va.zip_map(&vb, |x, y| x / y);
-        self.push(
-            out,
-            &[a, b],
-            Some(Box::new(move |g, sink| {
-                sink.with(a, |d| d.add_assign_zip(g, &vb, |gv, y| gv / y));
-                sink.with(b, |d| {
-                    d.add_assign_zip3(g, &va, &vb, |gv, x, y| {
-                        let gx = gv * x;
-                        -gx / (y * y)
-                    })
-                });
             })),
         )
     }
@@ -470,11 +444,6 @@ impl Graph {
         )
     }
 
-    /// Negation.
-    pub fn neg(&self, a: Var) -> Var {
-        self.scale(a, -1.0)
-    }
-
     /// Hyperbolic tangent ([`gemm::tanh`], the same function the fused
     /// epilogue applies).
     pub fn tanh(&self, a: Var) -> Var {
@@ -489,11 +458,6 @@ impl Graph {
     /// Exponential.
     pub fn exp(&self, a: Var) -> Var {
         self.unary(a, f32::exp, |_, y| y)
-    }
-
-    /// Natural logarithm (inputs are assumed positive).
-    pub fn log(&self, a: Var) -> Var {
-        self.unary(a, f32::ln, |x, _| 1.0 / x)
     }
 
     /// Elementwise square.
@@ -1054,14 +1018,13 @@ mod tests {
     }
 
     #[test]
-    fn grad_div_and_exp() {
+    fn grad_exp() {
         let mut rng = ChaCha8Rng::seed_from_u64(7);
         let x0 = Tensor::rand_uniform(&[6], 0.5, 2.0, &mut rng);
         grad_check(
             |g, x| {
                 let e = g.exp(x);
-                let d = g.div(e, x);
-                g.mean_all(d)
+                g.mean_all(e)
             },
             &x0,
             1e-2,
@@ -1217,17 +1180,6 @@ mod tests {
                 assert_eq!(f, u, "gradients must match bitwise for {act:?}");
             }
         }
-    }
-
-    #[test]
-    fn detach_blocks_gradient() {
-        let g = Graph::new();
-        let x = g.input(Tensor::from_vec(vec![2.0], &[1]));
-        let y = g.square(x);
-        let d = g.detach(y);
-        let loss = g.mul(d, x); // loss = detach(x^2) * x; d loss/dx should be x^2 only
-        let grad = g.backward(loss, &[x]).remove(0);
-        assert!((grad.data()[0] - 4.0).abs() < 1e-6, "{}", grad.data()[0]);
     }
 
     #[test]

@@ -12,7 +12,6 @@
 pub mod checkpoint;
 pub mod gae;
 pub mod impact;
-pub mod impala;
 pub mod policy;
 pub mod ppo;
 pub mod rollout;
@@ -22,7 +21,6 @@ pub mod vtrace;
 pub use checkpoint::{load_policy, save_policy};
 pub use gae::fill_gae;
 pub use impact::{impact_gradients, ImpactConfig, ImpactLearner};
-pub use impala::{impala_gradients, ImpalaConfig};
 pub use policy::{ActOutput, Backbone, DistParams, PolicyNet, PolicySnapshot, PolicySpec};
 pub use ppo::{adapt_kl_coeff, ppo_gradients, LossStats, PpoConfig};
 pub use rollout::{evaluate, RolloutWorker};

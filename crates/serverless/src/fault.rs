@@ -7,7 +7,7 @@
 //! the run's master seed decides, via independent per-site ChaCha streams,
 //! whether an invocation fails at the platform level, crashes mid-work,
 //! straggles (injected delay), or whether a worker-socket frame
-//! (`ProcessFleet`) is dropped or corrupted in flight. Same seed → same
+//! (`RemoteFleet`) is dropped or corrupted in flight. Same seed → same
 //! decision sequence, so chaos runs are reproducible and regressions
 //! bisectable.
 //!
@@ -42,10 +42,10 @@ pub struct FaultConfig {
     pub straggler: f64,
     /// Injected straggler delay.
     pub straggler_delay: Duration,
-    /// Probability a worker-socket frame (`ProcessFleet`) is dropped in
+    /// Probability a worker-socket frame (`RemoteFleet`) is dropped in
     /// flight.
     pub frame_drop: f64,
-    /// Probability a worker-socket frame (`ProcessFleet`) is corrupted in
+    /// Probability a worker-socket frame (`RemoteFleet`) is corrupted in
     /// flight (modelled as deterministic truncation, which the
     /// length-prefixed codec always detects; random byte flips could decode
     /// "successfully").
@@ -147,9 +147,9 @@ pub struct FaultReport {
     pub injected_crashes: u64,
     /// Stragglers injected.
     pub injected_stragglers: u64,
-    /// Worker-socket frames (`ProcessFleet`) dropped.
+    /// Worker-socket frames (`RemoteFleet`) dropped.
     pub frames_dropped: u64,
-    /// Worker-socket frames (`ProcessFleet`) corrupted.
+    /// Worker-socket frames (`RemoteFleet`) corrupted.
     pub frames_corrupted: u64,
     /// Retries performed (invocations + transport).
     pub retries: u64,

@@ -42,8 +42,7 @@ pub mod prelude {
     pub use stellaris_envs::{make_env, Action, ActionSpace, Env, EnvConfig, EnvId};
     pub use stellaris_nn::{Optimizer, OptimizerKind, Tensor};
     pub use stellaris_rl::{
-        evaluate, ImpactConfig, ImpalaConfig, PolicyNet, PolicySpec, PpoConfig, RolloutWorker,
-        SampleBatch,
+        evaluate, ImpactConfig, PolicyNet, PolicySpec, PpoConfig, RolloutWorker, SampleBatch,
     };
     pub use stellaris_serverless::{
         Cluster, CostBreakdown, FaultConfig, FaultPlan, FaultReport, InvokeError, Platform,

@@ -63,7 +63,7 @@ fn main() -> ExitCode {
 
 fn usage() {
     eprintln!("usage: stellaris <train|eval|simulate|envs> [options]");
-    eprintln!("  train    --env NAME [--algo ppo|impact|impala] [--rounds N] [--seed S]");
+    eprintln!("  train    --env NAME [--algo ppo|impact] [--rounds N] [--seed S]");
     eprintln!("           [--learners N] [--actors N] [--rule NAME] [--serverful]");
     eprintln!("           [--no-truncation] [--dynamic-learners] [--checkpoint PATH] [--csv PATH]");
     eprintln!("  eval     --env NAME --checkpoint PATH [--episodes N] [--seed S]");
@@ -132,11 +132,12 @@ fn cmd_train(args: &[String]) -> ExitCode {
     let seed = flags.num("seed", 1u64);
     let mut cfg = TrainConfig::stellaris_scaled(env, seed);
     match flags.get("algo") {
+        None | Some("ppo") => {}
         Some("impact") => cfg = cfg.with_impact(ImpactConfig::scaled()),
-        Some("impala") => {
-            cfg = cfg.with_impala(stellaris::rl::ImpalaConfig::scaled());
+        Some(other) => {
+            eprintln!("unknown algorithm: {other} (expected ppo or impact)");
+            return ExitCode::FAILURE;
         }
-        _ => {}
     }
     cfg.rounds = flags.num("rounds", 15usize);
     cfg.max_learners = flags.num("learners", cfg.max_learners);

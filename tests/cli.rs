@@ -109,3 +109,19 @@ fn unknown_env_fails_cleanly() {
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("unknown environment"));
 }
+
+#[test]
+fn unknown_algo_fails_cleanly() {
+    for algo in ["foo", "dqn"] {
+        let out = bin()
+            .args(["train", "--env", "PointMass", "--algo", algo])
+            .output()
+            .unwrap();
+        assert!(!out.status.success(), "--algo {algo} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown algorithm: {algo}")),
+            "{stderr}"
+        );
+    }
+}

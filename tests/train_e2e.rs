@@ -127,16 +127,6 @@ fn impact_runs_end_to_end() {
 }
 
 #[test]
-fn impala_runs_end_to_end() {
-    use stellaris::rl::ImpalaConfig;
-    let cfg = TrainConfig::test_tiny(EnvId::ChainMdp, 12).with_impala(ImpalaConfig::scaled());
-    let result = train(&cfg);
-    assert_eq!(result.rows.len(), 3);
-    assert!(result.policy_updates > 0);
-    assert!(result.final_reward.is_finite());
-}
-
-#[test]
 fn impact_discrete_runs_end_to_end() {
     let cfg = TrainConfig::test_tiny(EnvId::ChainMdp, 4).with_impact(ImpactConfig::scaled());
     let result = train(&cfg);

@@ -13,8 +13,8 @@ use std::time::{Duration, Instant};
 use stellaris::cache::Codec;
 use stellaris::core::{
     lockstep_round, parameter_plane, snapshot_checksum, train, ActorBody, Actors, CycleTotals,
-    Fleet, GradientMsg, GradientRequest, LearnerBody, Learners, Published, RemoteError,
-    RemoteFleet, RemoteSetup, RemoteWorker, Timers, TrainConfig,
+    GradientMsg, GradientRequest, LearnerBody, Learners, Published, RemoteError, RemoteFleet,
+    RemoteSetup, RemoteWorker, ShardedParameterServer, Timers, TrainConfig,
 };
 use stellaris::envs::EnvId;
 use stellaris::rl::{fill_gae, PolicySnapshot, SampleBatch};
@@ -239,22 +239,35 @@ fn connection_reset_is_a_typed_error_and_respawn_recovers() {
     assert_eq!(cold, 2, "the reset slot must respawn cold");
 }
 
-/// The process fleet's shape with the sockets taken away: one actor in slot
-/// 0, a round-wide wave served round-robin by the learner slots, the
-/// config's truncation threshold as the IS cap.
-fn in_process_fleet(cfg: &TrainConfig) -> Fleet<InProcessActor, InProcessLearners> {
-    Fleet {
-        actors: InProcessActor {
-            body: ActorBody::new(cfg, 0),
-            steps: cfg.actor_steps,
-        },
-        learners: InProcessLearners {
-            bodies: (0..cfg.max_learners)
-                .map(|_| LearnerBody::new(cfg))
-                .collect(),
-            cap: cfg.truncation_rho,
-        },
+/// Every round of the lock-step cycle over the process fleet's shape with
+/// the sockets taken away: one actor in slot 0, a round-wide wave served
+/// round-robin by the learner slots, the config's truncation threshold as
+/// the IS cap.
+fn in_process_run(cfg: &TrainConfig) -> (ShardedParameterServer, CycleTotals) {
+    let mut actor = InProcessActor {
+        body: ActorBody::new(cfg, 0),
+        steps: cfg.actor_steps,
+    };
+    let mut learners = InProcessLearners {
+        bodies: (0..cfg.max_learners)
+            .map(|_| LearnerBody::new(cfg))
+            .collect(),
+        cap: cfg.truncation_rho,
+    };
+    let server = parameter_plane(cfg);
+    let mut totals = CycleTotals::default();
+    for _ in 0..cfg.rounds {
+        let Ok(()) = lockstep_round(
+            &mut actor,
+            &mut learners,
+            &server,
+            cfg,
+            &Timers::default(),
+            &mut totals,
+        );
+        server.advance_round();
     }
+    (server, totals)
 }
 
 struct InProcessActor {
@@ -342,19 +355,7 @@ fn fault_free_remote_run_matches_local_accounting() {
     assert!(report.policy_delta_pulls == 0 && report.policy_bytes_delta == 0);
 
     // Process fleet ≡ in-process fleet, bitwise.
-    let mut in_process = in_process_fleet(&cfg);
-    let server = parameter_plane(&cfg);
-    let mut totals = CycleTotals::default();
-    for _ in 0..cfg.rounds {
-        let Ok(()) = lockstep_round(
-            &mut in_process,
-            &server,
-            &cfg,
-            &Timers::default(),
-            &mut totals,
-        );
-        server.advance_round();
-    }
+    let (server, totals) = in_process_run(&cfg);
     assert_eq!(totals.degraded, 0);
     assert_eq!(report.final_version, server.clock());
     assert_eq!(report.staleness_log, server.staleness_log().to_vec());
@@ -394,19 +395,7 @@ fn lane_arrival_order_never_reaches_the_weights() {
     );
     assert!(report.policy_delta_pulls == 0 && report.policy_bytes_delta == 0);
 
-    let mut in_process = in_process_fleet(&cfg);
-    let server = parameter_plane(&cfg);
-    let mut totals = CycleTotals::default();
-    for _ in 0..cfg.rounds {
-        let Ok(()) = lockstep_round(
-            &mut in_process,
-            &server,
-            &cfg,
-            &Timers::default(),
-            &mut totals,
-        );
-        server.advance_round();
-    }
+    let (server, _) = in_process_run(&cfg);
     assert_eq!(report.grads_aggregated, server.grads_aggregated());
     assert_eq!(report.staleness_log, server.staleness_log().to_vec());
     assert_eq!(
