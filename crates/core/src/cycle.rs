@@ -199,9 +199,13 @@ pub struct CycleTotals {
     pub episodes: u64,
     /// Collects and gradients permanently lost so far.
     pub degraded: u64,
-    /// The first observation batch any actor produced: the fixed probe the
-    /// per-round policy KL is measured on.
+    /// The first observation batch any actor produced, the fixed probe the
+    /// per-round policy KL is measured on, until its judge takes it.
     pub probe_obs: Option<Tensor>,
+    /// Whether the probe has been captured: it is captured once, so a
+    /// taken probe is not captured again. A run with no judge starts with
+    /// it set and never captures one.
+    pub probe_captured: bool,
 }
 
 /// Counts what a collect brought in — losses, finished episodes, the probe —
@@ -216,8 +220,9 @@ fn collected_batches(
         .iter()
         .map(|b| b.episode_returns.len() as u64)
         .sum::<u64>();
-    if totals.probe_obs.is_none() {
+    if !totals.probe_captured {
         totals.probe_obs = batches.first().map(|b| b.obs.clone());
+        totals.probe_captured = totals.probe_obs.is_some();
     }
     batches
 }
@@ -669,6 +674,36 @@ mod tests {
             assert_eq!(got, want);
             assert_eq!(got[0].obs.data().as_ptr() == obs, steps == size);
         }
+    }
+
+    /// The probe is the first batch's observations, captured once: once
+    /// its judge has taken it, a later collect captures nothing, and a
+    /// run that starts with `probe_captured` set never holds one.
+    #[test]
+    fn the_probe_is_captured_once_and_taken_by_move() {
+        let cfg = tiny(LearnerMode::Sync { n: 2 });
+        let snap = fresh_net(&cfg).snapshot();
+        let mut actor = ActorBody::new(&cfg, 0);
+        let mut totals = CycleTotals::default();
+        let first = actor.collect(&snap, cfg.minibatch);
+        let want = first.obs.clone();
+        collected_batches(vec![None, Some(first)], &mut totals);
+        let probe = totals.probe_obs.take();
+        assert_eq!(probe, Some(want));
+        collected_batches(vec![Some(actor.collect(&snap, cfg.minibatch))], &mut totals);
+        assert_eq!(
+            totals.probe_obs, None,
+            "a taken probe is not captured again"
+        );
+        let mut judgeless = CycleTotals {
+            probe_captured: true,
+            ..CycleTotals::default()
+        };
+        collected_batches(
+            vec![Some(actor.collect(&snap, cfg.minibatch))],
+            &mut judgeless,
+        );
+        assert_eq!(judgeless.probe_obs, None);
     }
 
     /// Three scripted rounds with the conservation laws checked after each;

@@ -132,7 +132,7 @@ pub fn train(cfg: &TrainConfig) -> TrainResult {
         let judge = Resident::spawn(s, Judge::new(cfg));
         let mut ledger = Ledger::default();
         let mut totals = CycleTotals::default();
-        let (mut staged, mut probed) = (None, false);
+        let mut staged = None;
         // The asynchronous round whose policy is judged while the next runs.
         let mut judging = None;
         for round in 0..cfg.rounds {
@@ -159,9 +159,9 @@ pub fn train(cfg: &TrainConfig) -> TrainResult {
             if let Some((row, judged)) = judging.take() {
                 ledger.close(row, verdict(judged), &mut actors);
             }
-            // The judge is handed the probe once, the first round it exists.
-            let probe = (!probed).then(|| totals.probe_obs.clone()).flatten();
-            probed |= probe.is_some();
+            // The judge is handed the probe once, by move, the first round
+            // it exists.
+            let probe = totals.probe_obs.take();
             let snap = server.snapshot();
             let judged = judge.invoke(move |judge| judge.judge(&snap, probe));
             if asynchronous {
@@ -352,13 +352,10 @@ impl Ledger {
     }
 }
 
-/// Learner-function invocations the platform has recorded (failures included).
+/// Learner-function invocations the platform has counted (failures
+/// included; a lock-step hold is billed but is not an invocation).
 pub(crate) fn learner_invocations(platform: &Platform) -> u64 {
-    platform
-        .records()
-        .iter()
-        .filter(|r| r.kind == FunctionKind::Learner)
-        .count() as u64
+    platform.invocations(FunctionKind::Learner)
 }
 
 fn cost_for(cfg: &TrainConfig, platform: &Platform, wall: Duration) -> CostBreakdown {
@@ -595,8 +592,7 @@ mod tests {
 
     /// Both schedules consume `round_timesteps / actor_steps` collects a
     /// round, dealt over the actor slots: three of 32 steps at 100, where
-    /// lock-step used to run two full waves of two (128 steps). (One
-    /// learner per wave, so no synchronous hold is billed as a record.)
+    /// lock-step used to run two full waves of two (128 steps).
     #[test]
     fn indivisible_budget_is_the_same_for_both_schedules() {
         for mode in [
@@ -612,5 +608,19 @@ mod tests {
             let invocations: Vec<u64> = res.rows.iter().map(|r| r.learner_invocations).collect();
             assert_eq!(invocations, vec![3; cfg.rounds], "{}", cfg.label());
         }
+    }
+
+    /// Two lock-step learners finish a wave apart, so the earlier one's
+    /// wait is billed as a hold each wave (`bill_hold_adds_slot_time` in
+    /// the platform pins that the hold stays on the bill); the rows still
+    /// count one invocation per mini-batch, four of 32 steps a round.
+    #[test]
+    fn lockstep_holds_are_billed_but_not_counted_as_invocations() {
+        let mut cfg = TrainConfig::test_tiny(EnvId::PointMass, 1);
+        cfg.learner_mode = LearnerMode::Sync { n: 2 };
+        let res = train(&cfg);
+        let invocations: Vec<u64> = res.rows.iter().map(|r| r.learner_invocations).collect();
+        assert_eq!(invocations, vec![4; cfg.rounds]);
+        assert_eq!(res.learner_invocations, 4 * cfg.rounds as u64);
     }
 }

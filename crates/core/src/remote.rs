@@ -9,10 +9,10 @@
 //! [`stellaris_serverless::ProcessPool`] (cold starts are *measured*
 //! spawn→HELLO latency), drives a training round over the socket, and
 //! injects the PR 4 chaos classes against *real* process lifecycles —
-//! a crash is a child calling `exit()` mid-work, a dropped frame is a
-//! killed peer, corruption is a syntactically intact frame whose payload
-//! no longer decodes. Every failure surfaces as a typed [`RemoteError`]
-//! and is recovered by the configured retry policy.
+//! a crash is a child calling `exit()` halfway through its reply, a
+//! dropped frame is a killed peer, corruption is a syntactically intact
+//! frame whose payload no longer decodes. Every failure surfaces as a
+//! typed [`RemoteError`] and is recovered by the configured retry policy.
 //!
 //! Policy state on a worker is addressed by version: the actor is sent a
 //! policy once per clock move (`LOAD_POLICY`), and a learner's first call
@@ -468,8 +468,15 @@ pub fn serve_worker<S: Read + Write>(
             },
             op::CRASH => {
                 // The chaos hook for "the function died mid-work": exit
-                // without a reply, so the parent's next read sees a real
-                // EOF on a real socket.
+                // halfway through a reply (a header announcing 64 payload
+                // bytes, then 32 of them), so the parent's read sees a
+                // real frame cut short by a real EOF on a real socket.
+                let mut reply = Vec::new();
+                stellaris_cache::frame::write_frame(&mut reply, op::OK, trace, &[0; 64], cap)?;
+                let stream = reader.get_mut();
+                let _cut_reply_may_race_hangup = stream
+                    .write_all(&reply[..reply.len() - 32])
+                    .and_then(|()| stream.flush());
                 std::process::exit(17);
             }
             op::SHUTDOWN => {
@@ -644,9 +651,10 @@ impl RemoteWorker {
         self.request(op::SLEEP, trace, &ms.to_bytes()).map(|_| ())
     }
 
-    /// Chaos hook: orders the child to exit mid-work without replying.
-    /// Always returns the resulting typed transport error (the next read
-    /// observes a real EOF).
+    /// Chaos hook: orders the child to exit mid-work, halfway through its
+    /// reply. Always returns the resulting typed transport error (the read
+    /// observes a frame cut short by a real EOF,
+    /// [`WireError::Truncated`]).
     pub fn crash(&mut self) -> RemoteError {
         let _send_may_race_exit = self.proc.send(op::CRASH, 0, &[]);
         match self.proc.recv() {
@@ -820,7 +828,11 @@ impl RemoteFleet {
         };
         let server = parameter_plane(&self.cfg);
         let timers = Timers::default();
-        let mut totals = CycleTotals::default();
+        // No judge reads a probe here, so none is captured.
+        let mut totals = CycleTotals {
+            probe_captured: true,
+            ..CycleTotals::default()
+        };
 
         for round in 0..self.cfg.rounds {
             let mut round_span = telemetry::span_with("fleet.round", vec![("round", round.into())]);

@@ -1,33 +1,51 @@
-//! 2-D convolution kernels: a direct forward and a direct weight gradient,
-//! with im2col products as their reference and for the input gradient.
+//! 2-D convolution kernels: a direct forward, a direct weight gradient and
+//! a direct input gradient, with im2col products as their references.
 //!
 //! The paper's Atari policy (Table II) uses strided convolutions with no
 //! padding, so this module implements valid (unpadded) strided convolution
 //! only. [`im2col`] expands the whole mini-batch into one patch matrix with
-//! a row per output position, `[b*oh*ow, c*kh*kw]`. `W2` is the weight read
-//! as `[out_c, ckk]` and `G` the upstream gradient `[b, out_c, oh*ow]`:
+//! a row per output position, `[b*oh*ow, ckk]`. `W2` is the weight read
+//! as `[out_c, ckk]`, and `G` the upstream gradient times the activation's
+//! derivative, laid out by [`gradient_rows`] as `[b*oh*ow, out_c]` (one
+//! output position's filters side by side; `G^T` is a stride view of it):
 //!
 //! * forward — [`conv2d_forward`], shared by `Graph::conv2d*` and
-//!   `Cnn::forward_plain`. Under `target_feature = "avx512f"`, a layer of
-//!   16 or 32 filters (every Table II layer) runs a direct kernel: 8 output
-//!   positions by `out_c / 16` zmm accumulators, each pixel broadcast
-//!   straight from the image, with no patch matrix and no packing, and the
-//!   bias and activation applied as it writes `[b, out_c, oh, ow]`. Other
-//!   widths and the portable build run `conv2d_reference`: the patch
-//!   matrix times `W2^T` on the packed kernel in [`crate::gemm`], then one
-//!   transposing pass for the bias and activation;
-//! * `dW += G^T [out_c, b*hw] x patches [b*hw, ckk]` — [`conv2d_weight_grad`],
-//!   accumulating into the weight's gradient buffer. Under
-//!   `target_feature = "avx512f"` 16 and 32 filters run a direct kernel:
-//!   per tile of `ckk` columns, `out_c / 16` zmm accumulators per column,
-//!   seeded from `dW`; per output position one row of `G` loaded from its
-//!   `[b*hw, out_c]` re-lay, and one pixel per column broadcast straight
-//!   from the image. Other widths and the portable build append the patch
-//!   matrix to the caller's scratch and run the packed GEMM. The graph
-//!   calls this in the backward pass only, and only when the weight's
-//!   gradient is wanted, so no patch matrix outlives one backward closure;
-//! * `dcol = W2^T [ckk, out_c] x G^T [out_c, b*hw]`, scattered back onto the
-//!   input by [`col2im`] — only when the input's gradient is wanted.
+//!   `Cnn::forward_plain`. Under `target_feature = "avx512f"`, Table II's
+//!   first layer (16 filters of 8x8 at stride 4, output rows of at least 9)
+//!   runs a row kernel: 9 adjacent positions of one output row, one zmm
+//!   accumulator each, every pixel a constant offset from its kernel row's
+//!   base, so neighbouring windows share their broadcasts. Layers of 32
+//!   filters (Table II's second) run a flattened kernel: 8 output
+//!   positions by two zmm accumulators over the `b*oh*ow` rows. Both broadcast
+//!   each pixel straight from the image, with no patch matrix and no
+//!   packing, and apply the bias and activation as they write
+//!   `[b, out_c, oh, ow]`. Other widths and the portable build run
+//!   `conv2d_reference`: the patch matrix times `W2^T` on the packed kernel
+//!   in [`crate::gemm`], then one transposing pass for the bias and
+//!   activation;
+//! * `dW += G^T [out_c, b*hw] x patches [b*hw, ckk]` —
+//!   [`conv2d_weight_grad`], accumulating into the weight's gradient
+//!   buffer. Under `target_feature = "avx512f"` Table II's layers (16
+//!   filters at stride 4, 32 at stride 2) run a direct kernel: per block
+//!   of images (at least 64 output positions), per tile of two kernel
+//!   rows by 8 (16 filters) or 4 (32 filters) columns, `out_c / 16` zmm
+//!   accumulators per column, seeded from a `[ckk, out_c]` re-lay of
+//!   `dW`; per output position one row of `G`, and one pixel per column
+//!   broadcast straight from the image. Other
+//!   geometries and the portable build append the patch matrix to the
+//!   caller's scratch and run the packed GEMM. The graph calls this in the
+//!   backward pass only, and only when the weight's gradient is wanted, so
+//!   no patch matrix outlives one backward closure;
+//! * `dX += col2im(W2^T [ckk, out_c] x G^T [out_c, b*hw])` —
+//!   [`conv2d_input_grad`], only when the input's gradient is wanted (on
+//!   the training paths, the second layer's). Under `target_feature =
+//!   "avx512f"` 16 input channels under 32 filters (Table II's second
+//!   layer) run a direct kernel with a lane per input channel: per image,
+//!   `dX` is transposed into a pixel-major tile, each contribution
+//!   `(kernel offset, output position)` is computed in a register and
+//!   added onto its pixel's tile row, and the tile goes back. Other
+//!   geometries and the portable build compute the column gradient `dcol`
+//!   on the packed GEMM and scatter it with [`col2im`].
 //!
 //! # Same bits as the reference
 //!
@@ -38,31 +56,40 @@
 //!
 //! * the forward seeds its accumulators from zero, adds the products of
 //!   the `(c, ky, kx)` offsets in ascending order with the pixel first,
-//!   then computes `act(sum + bias)` in scalar code;
+//!   then computes `act(sum + bias)`;
 //! * `dW` seeds its accumulators from `dW`'s current value, as the GEMM's
 //!   `accumulate` does, and adds the products of the `b*oh*ow` rows in
 //!   ascending order with `G^T` first: the packed GEMM reduces the same
-//!   `k` in `KC` blocks that resume exactly from C.
+//!   `k` in `KC` blocks that resume exactly from C, and the kernel's
+//!   store and reload of its partial sums between image blocks is as
+//!   exact;
+//! * `dX` gives each contribution the reference's `dcol` element, an
+//!   ascending-`out_c` chain seeded at +0 with `W2^T` first, and adds the
+//!   contributions onto a pixel's current value in `col2im`'s order:
+//!   ascending `(ky, kx)` (a pixel takes at most one contribution per
+//!   kernel offset, and the kernel's tiles of two kernel columns need a
+//!   stride of at least two, so no pixel takes two of one tile's).
 //!
 //! So each output is bit-identical to its reference
 //! (`direct_forward_matches_reference_bitwise`,
-//! `direct_dw_matches_reference_bitwise`), and
-//! `forward_fuses_multiply_and_add` and `dw_fuses_multiply_and_add` tell
-//! either kernel from an unfused one.
+//! `direct_dw_matches_reference_bitwise`,
+//! `direct_dx_matches_reference_bitwise`), and
+//! `forward_fuses_multiply_and_add`, `dw_fuses_multiply_and_add` and
+//! `dx_fuses_multiply_and_add` tell each kernel from an unfused one.
 //!
 //! # Same bits as one product per image
 //!
 //! The per-image form (`W2 x col_i`, `dW += G_i x col_i^T`,
-//! `W2^T x G_i`, image by image — kept as the reference in `graph.rs`'s
-//! tests) computes the same sums in the same order. Every output element
-//! is one ascending-`k` reduction under the exactness contract of
-//! [`crate::gemm`]; the forward swaps the operands, and `f32` products
-//! commute. `dW`'s reduction index runs image-major, then
-//! output position — the order in which the per-image accumulating calls
-//! added their terms, each resuming from the stored partial sum, which is
-//! exact. `dcol` reduces over `out_c` either way, and [`col2im`] visits the
-//! `(kernel offset, position)` pairs of a destination pixel in the per-image
-//! order, because a pixel belongs to one image.
+//! `W2^T x G_i` through `col2im`, image by image — kept as the reference
+//! in `graph.rs`'s tests) computes the same sums in the same order. Every
+//! output element is one ascending-`k` reduction under the exactness
+//! contract of [`crate::gemm`]; the forward swaps the operands, and `f32`
+//! products commute. `dW`'s reduction index runs image-major, then output
+//! position — the order in which the per-image accumulating calls added
+//! their terms, each resuming from the stored partial sum, which is exact.
+//! `dcol` reduces over `out_c` either way, and a pixel belongs to one
+//! image, so `col2im` (and the direct `dX`, which gathers in its order)
+//! adds a pixel's contributions in the per-image order.
 
 use crate::gemm::{self, FusedAct, MatRef};
 
@@ -171,9 +198,10 @@ pub fn im2col(input: &[f32], spec: &Conv2dSpec, patches: &mut Vec<f32>) {
 
 /// `act(conv(x, w) + bias)` for a flat `[b, c, h, w]` input, as the flat
 /// `[b, out_c, oh, ow]` output: the one convolution forward in the crate.
-/// Under `target_feature = "avx512f"` the direct kernel serves 16 and 32
-/// filters; every other call runs `conv2d_reference`, with the same bits
-/// (module docs).
+/// Under `target_feature = "avx512f"` the row kernel serves 16 filters of
+/// width 8 at stride 4 on output rows of at least 9 (Table II's first
+/// layer) and the flattened kernel serves 32 filters (its second); every
+/// other call runs `conv2d_reference`, with the same bits (module docs).
 pub fn conv2d_forward(
     x: &[f32],
     w: &[f32],
@@ -182,9 +210,11 @@ pub fn conv2d_forward(
     act: FusedAct,
 ) -> Vec<f32> {
     #[cfg(target_feature = "avx512f")]
-    match spec.out_c {
-        16 => return direct::conv2d_direct::<1>(x, w, bias, spec, act),
-        32 => return direct::conv2d_direct::<2>(x, w, bias, spec, act),
+    match (spec.out_c, spec.kw, spec.stride) {
+        (16, 8, 4) if spec.out_w >= 9 => {
+            return direct::conv2d_row_direct::<8, 4>(x, w, bias, spec, act)
+        }
+        (32, ..) => return direct::conv2d_direct(x, w, bias, spec, act),
         _ => {}
     }
     conv2d_reference(x, w, bias, spec, act)
@@ -224,53 +254,117 @@ pub(crate) fn conv2d_reference(
 
 /// `dW += G^T x patches` for the flat `[b, c, h, w]` input `x`,
 /// accumulating into `dw` (`[out_c, ckk]`, flat-identical to
-/// `[o, c, kh, kw]`). `scratch` holds `G^T [out_c, b*oh*ow]` as
-/// [`gradient_rows`] leaves it; the call grows it behind `G^T` for its own
-/// workspace (the direct kernel's `[b*oh*ow, out_c]` re-lay of `G`, the
-/// reference's patch matrix), so a warm caller allocates nothing. Under
-/// `target_feature = "avx512f"` the direct kernel serves 16 and 32
-/// filters; every other call runs `dw_reference`, with the same bits
-/// (module docs).
+/// `[o, c, kh, kw]`). `scratch` starts with the gradient rows
+/// `G [b*oh*ow, out_c]` as [`gradient_rows`] leaves them; the call replaces
+/// what lies behind `G` with its own workspace (the direct kernel's
+/// `[ckk, out_c]` re-lay of `dW`, the reference's patch matrix), so a warm
+/// caller allocates nothing. Under `target_feature = "avx512f"` the direct
+/// kernel serves 16 filters at stride 4 of a width that is a multiple of 8
+/// and 32 filters at stride 2 of a width that is a multiple of 4 (Table
+/// II's two layers); every other call runs `dw_reference`, with the same
+/// bits (module docs).
 pub fn conv2d_weight_grad(x: &[f32], spec: &Conv2dSpec, scratch: &mut Vec<f32>, dw: &mut [f32]) {
     #[cfg(target_feature = "avx512f")]
-    match spec.out_c {
-        16 => return direct::conv2d_dw_direct::<1, 16>(x, spec, scratch, dw),
-        32 => return direct::conv2d_dw_direct::<2, 8>(x, spec, scratch, dw),
+    match (spec.out_c, spec.kw, spec.stride) {
+        (16, kw, 4) if kw.is_multiple_of(8) => {
+            return direct::conv2d_dw_direct::<1, 8, 4>(x, spec, scratch, dw)
+        }
+        (32, kw, 2) if kw.is_multiple_of(4) => {
+            return direct::conv2d_dw_direct::<2, 4, 2>(x, spec, scratch, dw)
+        }
         _ => {}
     }
     dw_reference(x, spec, scratch, dw);
 }
 
 /// The reference weight gradient: the [`im2col`] patch matrix, appended to
-/// `scratch` behind `G^T`, times `G^T` on the packed GEMM, accumulating.
+/// `scratch` behind `G`, times `G^T` (a stride view of `G`) on the packed
+/// GEMM, accumulating.
 pub(crate) fn dw_reference(x: &[f32], spec: &Conv2dSpec, scratch: &mut Vec<f32>, dw: &mut [f32]) {
     let rows = spec.batch * spec.out_hw();
     let lead = spec.out_c * rows;
-    assert_eq!(
-        scratch.len(),
-        lead,
-        "scratch must hold G^T [out_c, b*oh*ow]"
+    assert!(
+        lead <= scratch.len(),
+        "scratch must start with the gradient rows [b*oh*ow, out_c]"
     );
+    scratch.truncate(lead);
     im2col(x, spec, scratch);
-    let (gt, patches) = scratch.split_at(lead);
+    let (g, patches) = scratch.split_at(lead);
     gemm::gemm(
-        MatRef::new(gt, spec.out_c, rows),
+        MatRef::new(g, rows, spec.out_c).t(),
         MatRef::new(patches, rows, spec.ckk()),
         dw,
         true,
     );
 }
 
+/// `dX += col2im(W2^T x G^T)` for the flat `[b, c, h, w]` input gradient
+/// `dx`. `scratch` starts with the gradient rows `G [b*oh*ow, out_c]` as
+/// [`gradient_rows`] leaves them; the call replaces what lies behind `G`
+/// with its own workspace (the direct kernel's re-laid weights and image
+/// tile, the reference's column gradient). Under `target_feature =
+/// "avx512f"` the direct kernel serves 16 input channels under 32 filters
+/// at a stride of at least two and an even kernel width (Table II's second
+/// layer); every other call runs `dx_reference`, with the same bits
+/// (module docs).
+pub fn conv2d_input_grad(w: &[f32], spec: &Conv2dSpec, scratch: &mut Vec<f32>, dx: &mut [f32]) {
+    // The kernel's tiles of two kernel columns need a stride of at least
+    // two, so that no pixel takes two of a tile's contributions (module
+    // docs).
+    #[cfg(target_feature = "avx512f")]
+    if (spec.in_c, spec.out_c) == (16, 32) && spec.stride >= 2 && spec.kw.is_multiple_of(2) {
+        return direct::conv2d_dx_direct(w, spec, scratch, dx);
+    }
+    dx_reference(w, spec, scratch, dx);
+}
+
+/// The reference input gradient: `dcol = W2^T [ckk, out_c] x G^T [out_c,
+/// b*oh*ow]` on the packed GEMM, appended to `scratch` behind `G`, then
+/// scattered onto `dx` by [`col2im`].
+pub(crate) fn dx_reference(w: &[f32], spec: &Conv2dSpec, scratch: &mut Vec<f32>, dx: &mut [f32]) {
+    let (oc, ckk) = (spec.out_c, spec.ckk());
+    let rows = spec.batch * spec.out_hw();
+    let lead = oc * rows;
+    assert!(
+        lead <= scratch.len(),
+        "scratch must start with the gradient rows [b*oh*ow, out_c]"
+    );
+    scratch.truncate(lead);
+    scratch.resize(lead + ckk * rows, 0.0);
+    let (g, dcol) = scratch.split_at_mut(lead);
+    gemm::gemm(
+        MatRef::new(w, oc, ckk).t(),
+        MatRef::new(g, rows, oc).t(),
+        dcol,
+        false,
+    );
+    col2im(dcol, spec, dx);
+}
+
 /// The direct kernels (module docs).
 #[cfg(target_feature = "avx512f")]
 mod direct {
+    use std::arch::x86_64::{
+        __m512, _mm512_add_ps, _mm512_castpd_ps, _mm512_castps_pd, _mm512_fmadd_ps,
+        _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_set1_ps,
+        _mm512_setzero_ps, _mm512_shuffle_f32x4, _mm512_storeu_ps, _mm512_unpackhi_pd,
+        _mm512_unpackhi_ps, _mm512_unpacklo_pd, _mm512_unpacklo_ps,
+    };
+
     use super::Conv2dSpec;
-    use crate::gemm::FusedAct;
+    use crate::gemm::{activate_row, FusedAct};
 
     /// f32 lanes per zmm register.
     const L: usize = 16;
-    /// Output positions per register tile of the forward.
+    /// Output positions per register tile of the flattened forward.
     const P: usize = 8;
+    /// Kernel columns per register tile of the input gradient.
+    const KX: usize = 2;
+    /// Output positions per register tile of the row forward (all nine of
+    /// a 42-px frame's first-layer output row) and of the input gradient
+    /// (a 42-px frame's whole second-layer output, a ninth of an 84-px
+    /// one's).
+    const PR: usize = 9;
 
     /// The extents every index of a direct kernel is formed from.
     struct Dims {
@@ -320,12 +414,40 @@ mod direct {
                 reach,
             })
         }
+
+        /// [`Dims::of`] for a kernel whose image operand holds `x` floats
+        /// (`batch * chw`) and whose filter operand holds `filters`
+        /// (`out_c * ckk`), panicking unless every length matches `spec`.
+        fn checked(spec: &Conv2dSpec, x: usize, filters: usize) -> Option<Self> {
+            let dims = Self::of(spec);
+            assert!(dims.is_some(), "conv2d geometry overflows usize");
+            let dims = dims?;
+            assert_eq!(
+                spec.batch.checked_mul(dims.chw),
+                Some(x),
+                "conv2d input length does not match its geometry"
+            );
+            assert_eq!(
+                dims.ckk.checked_mul(spec.out_c),
+                Some(filters),
+                "conv2d weight length does not match its geometry"
+            );
+            Some(dims)
+        }
     }
 
-    /// `act(conv(x, w) + bias)` for `out_c = 16 * G` filters. Tiles of `P`
-    /// output positions run over the flattened `b*oh*ow` rows across image
-    /// boundaries; each holds `P x G` accumulators and, per kernel offset
-    /// `(c, ky, kx)` in ascending order, loads `G` registers of the
+    /// `W2 [out_c, ckk]` re-laid as `[ckk, out_c]` (`out_c` a multiple of
+    /// 16): one kernel offset's filters are adjacent registers.
+    fn filters_by_offset(w: &[f32], ckk: usize, oc: usize, wt: &mut [f32]) {
+        for (c0, filters) in (0..oc).step_by(L).zip(w.chunks_exact(L * ckk)) {
+            planes_to_rows(filters, &mut wt[c0..], oc);
+        }
+    }
+
+    /// `act(conv(x, w) + bias)` for 32 filters (`G` registers). Tiles of
+    /// `P` output positions run over the flattened `b*oh*ow` rows across
+    /// image boundaries; each holds `P x G` accumulators and, per kernel
+    /// offset `(c, ky, kx)` in ascending order, loads `G` registers of the
     /// repacked weights and broadcasts one pixel per position. A ragged
     /// last tile computes its missing positions on its last real one and
     /// stores nothing for them. Panics unless the operand lengths match
@@ -334,21 +456,17 @@ mod direct {
         unsafe_code,
         reason = "explicit SIMD kernel: unaligned vector loads of repacked weights and pixel broadcasts whose bounds the asserts at the top establish"
     )]
-    pub(super) fn conv2d_direct<const G: usize>(
+    pub(super) fn conv2d_direct(
         x: &[f32],
         w: &[f32],
         bias: &[f32],
         spec: &Conv2dSpec,
         act: FusedAct,
     ) -> Vec<f32> {
-        use std::arch::x86_64::{
-            _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps,
-        };
-        const { assert!(G == 1 || G == 2, "a tile row holds at most two registers") };
+        /// Registers per position: 32 filters.
+        const G: usize = 2;
         let oc = G * L;
         let (ow, stride) = (spec.out_w, spec.stride);
-        let dims = Dims::of(spec);
-        assert!(dims.is_some(), "conv2d geometry overflows usize");
         let Some(Dims {
             hw_in,
             chw,
@@ -356,21 +474,11 @@ mod direct {
             hw,
             ckk,
             reach,
-        }) = dims
+        }) = Dims::checked(spec, x.len(), w.len())
         else {
             return Vec::new();
         };
         assert_eq!(spec.out_c, oc, "direct kernel width");
-        assert_eq!(
-            spec.batch.checked_mul(chw),
-            Some(x.len()),
-            "conv2d input length does not match its geometry"
-        );
-        assert_eq!(
-            ckk.checked_mul(oc),
-            Some(w.len()),
-            "conv2d weight length does not match its geometry"
-        );
         assert_eq!(bias.len(), oc, "conv2d bias length must equal out_c");
         let rows = spec.batch * hw;
         let mut out = vec![0.0f32; rows * oc];
@@ -378,20 +486,14 @@ mod direct {
             return out;
         }
         assert!(reach < x.len(), "conv2d window out of bounds");
-        // W2 [oc, ckk] re-laid as [ckk, oc]: one kernel offset's filters
-        // are G adjacent registers.
         let mut wt = vec![0.0f32; ckk * oc];
-        for (q, filters) in wt.chunks_exact_mut(oc).enumerate() {
-            for (v, wrow) in filters.iter_mut().zip(w.chunks_exact(ckk)) {
-                *v = wrow[q];
-            }
-        }
+        filters_by_offset(w, ckk, oc, &mut wt);
         let origin = |r: usize| {
             let (img, s) = (r / hw, r % hw);
             img * chw + (s / ow) * row_step + (s % ow) * stride
         };
         let (xp, wp) = (x.as_ptr(), wt.as_ptr());
-        let mut tile = [[0.0f32; 2 * L]; P];
+        let mut tile = [[0.0f32; G * L]; P];
         for r0 in (0..rows).step_by(P) {
             let live = (rows - r0).min(P);
             let org: [usize; P] = std::array::from_fn(|p| origin(r0 + p.min(live - 1)));
@@ -400,8 +502,8 @@ mod direct {
             // kx < kw, so origin + offset <= `reach` < x.len() (no term
             // wraps: each is at most its checked counterpart). The weight
             // loads read oc = G*L floats from q*oc for q < ckk, inside
-            // `wt`'s ckk*oc; each store writes L floats from g*L, g < G <= 2,
-            // inside a 2*L-float tile row.
+            // `wt`'s ckk*oc; each store writes L floats from g*L, g < G,
+            // inside a G*L-float tile row.
             // SAFETY: compiled only with avx512f enabled (the cfg on this
             // module); every access is in bounds by the above.
             unsafe {
@@ -441,34 +543,29 @@ mod direct {
         out
     }
 
-    /// `dW += G^T x patches` for `out_c = 16 * G` filters, `Q` columns of
-    /// `dW` (kernel offsets `(c, ky, kx)`) per register tile. `G^T` is
-    /// first re-laid behind itself in `scratch` as `[b*oh*ow, out_c]`, so
-    /// one output position's filters are `G` adjacent registers. Each tile
-    /// holds `Q x G` accumulators seeded from `dW` and, per output
-    /// position in ascending order, loads that position's `G` registers of
-    /// the re-lay and broadcasts one pixel per column straight from the
-    /// image. A ragged last tile computes its missing columns on its last
-    /// real one and stores nothing for them. Panics unless the operand
-    /// lengths match `spec` and the farthest pixel any position reads lies
-    /// inside `x`.
+    /// `act(conv(x, w) + bias)` for 16 filters `K` pixels wide at stride
+    /// `S`, on output rows at least `PR` positions long. Each register tile
+    /// is `PR` adjacent positions of one output row, one accumulator each;
+    /// per kernel row `(c, ky)` in ascending order it loads that row's `K`
+    /// filter registers and, position by position, adds the `K` products in
+    /// ascending `kx`. Every pixel offset is a constant from the row's
+    /// base, so the windows of neighbouring positions share their
+    /// broadcasts. A row whose length is not a multiple of `PR` ends with a
+    /// tile that overlaps its predecessor and stores the shared positions
+    /// again, with the same bits. Panics unless the operand lengths match
+    /// `spec` and the farthest pixel any position reads lies inside `x`.
     #[expect(
         unsafe_code,
-        reason = "explicit SIMD kernel: unaligned vector loads of the re-laid gradient and pixel broadcasts whose bounds the asserts at the top establish"
+        reason = "explicit SIMD kernel: unaligned vector loads of repacked weights and pixel broadcasts whose bounds the asserts at the top establish"
     )]
-    pub(super) fn conv2d_dw_direct<const G: usize, const Q: usize>(
+    pub(super) fn conv2d_row_direct<const K: usize, const S: usize>(
         x: &[f32],
+        w: &[f32],
+        bias: &[f32],
         spec: &Conv2dSpec,
-        scratch: &mut Vec<f32>,
-        dw: &mut [f32],
-    ) {
-        use std::arch::x86_64::{
-            _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_set1_ps, _mm512_storeu_ps,
-        };
-        const { assert!(G == 1 || G == 2, "a tile row holds at most two registers") };
-        let oc = G * L;
-        let dims = Dims::of(spec);
-        assert!(dims.is_some(), "conv2d geometry overflows usize");
+        act: FusedAct,
+    ) -> Vec<f32> {
+        let (ow, in_w) = (spec.out_w, spec.in_w);
         let Some(Dims {
             hw_in,
             chw,
@@ -476,120 +573,537 @@ mod direct {
             hw,
             ckk,
             reach,
-        }) = dims
+        }) = Dims::checked(spec, x.len(), w.len())
+        else {
+            return Vec::new();
+        };
+        assert_eq!(spec.out_c, L, "direct kernel width");
+        assert_eq!((spec.kw, spec.stride), (K, S), "direct kernel geometry");
+        assert!(ow >= PR, "an output row holds a whole tile");
+        assert_eq!(bias.len(), L, "conv2d bias length must equal out_c");
+        let mut out = vec![0.0f32; spec.batch * hw * L];
+        if spec.batch * hw == 0 {
+            return out;
+        }
+        assert!(reach < x.len(), "conv2d window out of bounds");
+        let mut wt = vec![0.0f32; ckk * L];
+        filters_by_offset(w, ckk, L, &mut wt);
+        let (xp, wp) = (x.as_ptr(), wt.as_ptr());
+        let mut tile = [[0.0f32; L]; PR];
+        for img in 0..spec.batch {
+            for oy in 0..spec.out_h {
+                for ox0 in (0..ow).step_by(PR) {
+                    let ox0 = ox0.min(ow - PR);
+                    let origin = img * chw + oy * row_step + ox0 * S;
+                    // Position ox0 + p of row oy of image img, p < PR, has
+                    // ox0 + p < ow, and a kernel offset has c < in_c,
+                    // ky < kh and kx < K = kw, so origin + c*hw_in +
+                    // ky*in_w + p*S + kx <= `reach` < x.len() (no term
+                    // wraps: each is at most its checked counterpart). The
+                    // weight loads read L floats from q*L, q < ckk, inside
+                    // `wt`'s ckk*L, and the bias load L floats of `bias`
+                    // (asserted L long); each store writes one L-float tile
+                    // row.
+                    // SAFETY: compiled only with avx512f enabled (the cfg
+                    // on this module); every access is in bounds by the
+                    // above.
+                    unsafe {
+                        let mut acc = [_mm512_setzero_ps(); PR];
+                        for k in 0..spec.in_c * spec.kh {
+                            let (c, ky) = (k / spec.kh, k % spec.kh);
+                            let wv: [_; K] =
+                                std::array::from_fn(|kx| _mm512_loadu_ps(wp.add((k * K + kx) * L)));
+                            let base = xp.add(origin + c * hw_in + ky * in_w);
+                            for (p, a) in acc.iter_mut().enumerate() {
+                                for (kx, &wk) in wv.iter().enumerate() {
+                                    let pix = _mm512_set1_ps(*base.add(p * S + kx));
+                                    *a = _mm512_fmadd_ps(pix, wk, *a);
+                                }
+                            }
+                        }
+                        let beta = _mm512_loadu_ps(bias.as_ptr());
+                        for (trow, &a) in tile.iter_mut().zip(&acc) {
+                            _mm512_storeu_ps(trow.as_mut_ptr(), _mm512_add_ps(a, beta));
+                        }
+                    }
+                    let dst = &mut out[img * L * hw + oy * ow + ox0..];
+                    for (o, run) in dst.chunks_mut(hw).take(L).enumerate() {
+                        let run = &mut run[..PR];
+                        for (d, trow) in run.iter_mut().zip(&tile) {
+                            *d = trow[o];
+                        }
+                        activate_row(act, run);
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    /// `dW += G^T x patches` for `out_c = 16 * G` filters at stride `S`,
+    /// the kernel's width a multiple of `K`. `dW` is first re-laid behind
+    /// the gradient rows in `scratch` as `[ckk, out_c]`, so one column's
+    /// filters are `G` adjacent registers. The images go in blocks of at
+    /// least 64 output positions. Each register tile is `K` adjacent
+    /// columns of two kernel rows `(c, ky)`, `(c, ky + 1)`: `2 x K x G`
+    /// accumulators, seeded from the re-lay and stored back after each
+    /// block. Per output position in ascending order it loads that
+    /// position's `G` registers of `G` and broadcasts one pixel per column,
+    /// each a constant offset from its kernel row's base. A kernel of odd height computes its last
+    /// row twice and stores the same bits twice. Panics unless the operand
+    /// lengths match `spec` and the farthest pixel any position reads lies
+    /// inside `x`.
+    #[expect(
+        unsafe_code,
+        reason = "explicit SIMD kernel: unaligned vector loads of the gradient rows and the re-laid dW, and pixel broadcasts, whose bounds the asserts at the top establish"
+    )]
+    pub(super) fn conv2d_dw_direct<const G: usize, const K: usize, const S: usize>(
+        x: &[f32],
+        spec: &Conv2dSpec,
+        scratch: &mut Vec<f32>,
+        dw: &mut [f32],
+    ) {
+        const {
+            assert!(
+                G == 1 || G == 2,
+                "a tile column holds at most two registers"
+            )
+        };
+        let oc = G * L;
+        let (kh, kw, stride) = (spec.kh, spec.kw, spec.stride);
+        let Some(Dims {
+            hw_in,
+            chw,
+            hw,
+            ckk,
+            reach,
+            ..
+        }) = Dims::checked(spec, x.len(), dw.len())
         else {
             return;
         };
         assert_eq!(spec.out_c, oc, "direct kernel width");
-        assert_eq!(
-            spec.batch.checked_mul(chw),
-            Some(x.len()),
-            "conv2d input length does not match its geometry"
-        );
-        assert_eq!(
-            ckk.checked_mul(oc),
-            Some(dw.len()),
-            "conv2d weight length does not match its geometry"
+        assert!(
+            kw.is_multiple_of(K) && stride == S,
+            "direct kernel geometry"
         );
         let rows = spec.batch * hw;
-        assert_eq!(
-            rows.checked_mul(oc),
-            Some(scratch.len()),
-            "scratch must hold G^T [out_c, b*oh*ow]"
+        assert!(
+            rows.checked_mul(oc).is_some_and(|n| n <= scratch.len()),
+            "scratch must start with the gradient rows [b*oh*ow, out_c]"
         );
         if rows == 0 || ckk == 0 {
             return;
         }
         assert!(reach < x.len(), "conv2d window out of bounds");
-        scratch.resize(2 * rows * oc, 0.0);
-        let (gt, gr) = scratch.split_at_mut(rows * oc);
-        for (o, grad) in gt.chunks_exact(rows).enumerate() {
-            for (&v, filters) in grad.iter().zip(gr.chunks_exact_mut(oc)) {
-                filters[o] = v;
-            }
-        }
-        let offset = |q: usize| {
-            let (c, k) = (q / (spec.kh * spec.kw), q % (spec.kh * spec.kw));
-            c * hw_in + (k / spec.kw) * spec.in_w + k % spec.kw
-        };
-        let (xp, gp) = (x.as_ptr(), gr.as_ptr());
-        let mut tile = [[0.0f32; 2 * L]; Q];
-        for q0 in (0..ckk).step_by(Q) {
-            let live = (ckk - q0).min(Q);
-            let offs: [usize; Q] = std::array::from_fn(|j| offset(q0 + j.min(live - 1)));
-            for (j, trow) in tile.iter_mut().enumerate().take(live) {
-                for (t, wrow) in trow.iter_mut().zip(dw.chunks_exact(ckk)) {
-                    *t = wrow[q0 + j];
-                }
-            }
-            // A position (img, oy, ox) has img < batch, oy < out_h and
-            // ox < out_w, and a column's offset has c < in_c, ky < kh and
-            // kx < kw, so origin + offset <= `reach` < x.len() (no term
-            // wraps: each is at most its checked counterpart). Position r
-            // < rows loads oc = G*L floats from r*oc, inside `gr`'s
-            // rows*oc; each tile row access covers L floats from g*L,
-            // g < G <= 2, inside a 2*L-float tile row.
-            // SAFETY: compiled only with avx512f enabled (the cfg on this
-            // module); every access is in bounds by the above.
-            unsafe {
-                let mut acc: [[_; G]; Q] = std::array::from_fn(|j| {
-                    std::array::from_fn(|g| _mm512_loadu_ps(tile[j][g * L..].as_ptr()))
-                });
-                let mut grow = gp;
-                for img in 0..spec.batch {
-                    for oy in 0..spec.out_h {
-                        for ox in 0..spec.out_w {
-                            let base = xp.add(img * chw + oy * row_step + ox * spec.stride);
-                            let gv: [_; G] =
-                                std::array::from_fn(|g| _mm512_loadu_ps(grow.add(g * L)));
-                            for (accq, &off) in acc.iter_mut().zip(&offs) {
-                                let a = _mm512_set1_ps(*base.add(off));
-                                for (s, &gg) in accq.iter_mut().zip(&gv) {
-                                    *s = _mm512_fmadd_ps(gg, a, *s);
+        let lead = rows * oc;
+        scratch.truncate(lead);
+        scratch.resize(lead + ckk * oc, 0.0);
+        let (grows, dwt) = scratch.split_at_mut(lead);
+        filters_by_offset(dw, ckk, oc, dwt);
+        let (xp, gp, dp) = (x.as_ptr(), grows.as_ptr(), dwt.as_mut_ptr());
+        // Images per block: at least 64 output positions between a tile's
+        // load and store of its partial sums.
+        let block = 64usize.div_ceil(hw);
+        for img0 in (0..spec.batch).step_by(block) {
+            let imgs = img0..(img0 + block).min(spec.batch);
+            for c in 0..spec.in_c {
+                for ky0 in (0..kh).step_by(2) {
+                    let kys = [ky0, (ky0 + 1).min(kh - 1)];
+                    for kx0 in (0..kw).step_by(K) {
+                        let cols = kys.map(|ky| (c * kh + ky) * kw + kx0);
+                        // Column cols[i] + j < ckk (c < in_c, ky < kh,
+                        // kx0 + j < kw), so the re-lay access covers oc =
+                        // G*L floats from (cols[i] + j)*oc, inside `dwt`'s
+                        // ckk*oc. Position (img, oy, ox) loads oc floats
+                        // from its row r*oc, r < rows, inside `grows`; its
+                        // pixel for column (c, ky, kx) is img*chw +
+                        // c*hw_in + oy*stride*in_w + ky*in_w + ox*stride +
+                        // kx <= `reach` < x.len() (no term wraps: each is
+                        // at most its checked counterpart).
+                        // SAFETY: compiled only with avx512f enabled (the
+                        // cfg on this module); every access is in bounds by
+                        // the above.
+                        unsafe {
+                            let mut acc: [[[__m512; G]; K]; 2] = cols.map(|col| {
+                                std::array::from_fn(|j| {
+                                    std::array::from_fn(|g| {
+                                        _mm512_loadu_ps(dp.add((col + j) * oc + g * L))
+                                    })
+                                })
+                            });
+                            let mut grow = gp.add(img0 * hw * oc);
+                            let rows = imgs
+                                .clone()
+                                .flat_map(|img| (0..spec.out_h).map(move |oy| (img, oy)));
+                            for (img, oy) in rows {
+                                let bases = kys.map(|ky| {
+                                    xp.add(
+                                        img * chw
+                                            + c * hw_in
+                                            + (oy * stride + ky) * spec.in_w
+                                            + kx0,
+                                    )
+                                });
+                                let pairs = spec.out_w / 2;
+                                for ox in (0..pairs).map(|p| 2 * p) {
+                                    dw_positions::<G, K, S, 2>(&mut acc, bases, ox, grow);
+                                    grow = grow.add(2 * oc);
+                                }
+                                if !spec.out_w.is_multiple_of(2) {
+                                    dw_positions::<G, K, S, 1>(&mut acc, bases, 2 * pairs, grow);
+                                    grow = grow.add(oc);
                                 }
                             }
-                            grow = grow.add(oc);
+                            for (acci, &col) in acc.iter().zip(&cols) {
+                                for (j, accj) in acci.iter().enumerate() {
+                                    for (g, &s) in accj.iter().enumerate() {
+                                        _mm512_storeu_ps(dp.add((col + j) * oc + g * L), s);
+                                    }
+                                }
+                            }
                         }
                     }
                 }
-                for (trow, accq) in tile.iter_mut().zip(&acc) {
-                    for (g, &s) in accq.iter().enumerate() {
-                        _mm512_storeu_ps(trow[g * L..].as_mut_ptr(), s);
+            }
+        }
+        for (c0, filters) in (0..oc).step_by(L).zip(dw.chunks_exact_mut(L * ckk)) {
+            rows_to_planes(&dwt[c0..], oc, filters);
+        }
+    }
+
+    /// Adds the products of the `U` output positions from `ox` of one
+    /// output row onto a `dW` tile of two kernel rows (`bases`, their first
+    /// column's pixel in the window of position 0) by `K` columns, position
+    /// by position in ascending order: position `ox + u` loads its `G`
+    /// registers of `G` from `grow + u*out_c` and broadcasts the pixel
+    /// `(ox + u)*S + j` of each row for column `j`. With `S` and `K`
+    /// constants, the pixels that neighbouring windows share are loaded
+    /// once.
+    ///
+    /// # Safety
+    ///
+    /// avx512f must be enabled, `grow` must hold `U` rows of `16 * G`
+    /// floats, and each base must hold `(ox + U - 1)*S + K` floats.
+    #[expect(
+        unsafe_code,
+        reason = "explicit SIMD kernel body: vector loads and pixel broadcasts whose bounds the caller establishes"
+    )]
+    #[inline(always)]
+    // SAFETY: callers pass the `# Safety` bounds, established in
+    // `conv2d_dw_direct` by the asserts at its top.
+    unsafe fn dw_positions<const G: usize, const K: usize, const S: usize, const U: usize>(
+        acc: &mut [[[__m512; G]; K]; 2],
+        bases: [*const f32; 2],
+        ox: usize,
+        grow: *const f32,
+    ) {
+        // SAFETY: the caller's contract covers every load.
+        unsafe {
+            let gv: [[__m512; G]; U] = std::array::from_fn(|u| {
+                std::array::from_fn(|g| _mm512_loadu_ps(grow.add((u * G + g) * L)))
+            });
+            for (acci, &base) in acc.iter_mut().zip(&bases) {
+                let pix = base.add(ox * S);
+                for (j, accj) in acci.iter_mut().enumerate() {
+                    for (u, gu) in gv.iter().enumerate() {
+                        let a = _mm512_set1_ps(*pix.add(u * S + j));
+                        for (s, &gg) in accj.iter_mut().zip(gu) {
+                            *s = _mm512_fmadd_ps(gg, a, *s);
+                        }
                     }
                 }
             }
-            for (j, trow) in tile.iter().enumerate().take(live) {
-                for (&t, wrow) in trow.iter().zip(dw.chunks_exact_mut(ckk)) {
-                    wrow[q0 + j] = t;
+        }
+    }
+
+    /// `dX += col2im(W2^T x G^T)` for 16 input channels (one register, a
+    /// lane per channel) under 32 filters, computing each input pixel's
+    /// gradient in registers with no column matrix. Per image, `dX` is
+    /// transposed into a pixel-major tile `[h*w, 16]` behind the gradient
+    /// rows in `scratch`; then, per pair of kernel columns
+    /// `(ky, kx..kx + 2)` in ascending order and per `PR` output positions,
+    /// each contribution is an ascending-`out_c` fused multiply-add chain
+    /// from +0 (a register of the re-laid weights times one broadcast
+    /// gradient), added onto its pixel's tile row; the tile goes back when
+    /// the image is done. A tile's positions are consecutive gradient rows,
+    /// so a ragged last tile reads rows past the image (the next image's,
+    /// or zero padding behind the last) and adds nothing of them. Panics
+    /// unless the operand lengths match `spec`, the stride is at least two,
+    /// the kernel's width is even and the farthest pixel any window covers
+    /// lies inside `dx`.
+    #[expect(
+        unsafe_code,
+        reason = "explicit SIMD kernel: unaligned vector loads of the re-laid weights and the image tile, and gradient broadcasts, whose bounds the asserts at the top establish"
+    )]
+    pub(super) fn conv2d_dx_direct(
+        w: &[f32],
+        spec: &Conv2dSpec,
+        scratch: &mut Vec<f32>,
+        dx: &mut [f32],
+    ) {
+        /// Filters.
+        const OC: usize = 32;
+        let (kh, kw, stride, ow) = (spec.kh, spec.kw, spec.stride, spec.out_w);
+        let Some(Dims {
+            hw_in,
+            chw,
+            row_step,
+            hw,
+            ckk,
+            reach,
+        }) = Dims::checked(spec, dx.len(), w.len())
+        else {
+            return;
+        };
+        assert_eq!((spec.in_c, spec.out_c), (L, OC), "direct kernel width");
+        assert!(
+            kw.is_multiple_of(KX) && stride >= KX,
+            "direct kernel geometry"
+        );
+        let rows = spec.batch * hw;
+        assert!(
+            rows.checked_mul(OC).is_some_and(|n| n <= scratch.len()),
+            "scratch must start with the gradient rows [b*oh*ow, out_c]"
+        );
+        if rows == 0 {
+            return;
+        }
+        // With in_c = 16 channels, `reach` < dx.len() = (batch - 1)*chw +
+        // 16*hw_in puts the farthest pixel any window covers below hw_in:
+        // every store lands inside the image tile.
+        assert!(reach < dx.len(), "conv2d window out of bounds");
+        let lead = rows * OC;
+        // Behind the gradient rows: PR rows of zeros for a ragged tile to
+        // read, the weights as [kh*kw, OC, 16] (one offset's filter for
+        // all 16 channels is one register), the image tile [h*w, 16].
+        scratch.truncate(lead);
+        scratch.resize(lead + PR * OC + ckk * OC + hw_in * L, 0.0);
+        let (grows, rest) = scratch.split_at_mut(lead + PR * OC);
+        let (wt, tile) = rest.split_at_mut(ckk * OC);
+        for (o, filter) in w.chunks_exact(ckk).enumerate() {
+            planes_to_rows(filter, &mut wt[o * L..], OC * L);
+        }
+        let (gp, wp) = (grows.as_ptr(), wt.as_ptr());
+        for (img, plane) in dx.chunks_exact_mut(chw).enumerate() {
+            planes_to_rows(plane, tile, L);
+            let tp = tile.as_mut_ptr();
+            for ky in 0..kh {
+                for kx0 in (0..kw).step_by(KX) {
+                    let wk = (ky * kw + kx0) * OC * L;
+                    for p0 in (0..hw).step_by(PR) {
+                        let live = (hw - p0).min(PR);
+                        // Each live position's window origin in the image.
+                        let (mut oy, mut ox) = (p0 / ow, p0 % ow);
+                        let origin: [usize; PR] = std::array::from_fn(|_| {
+                            let at = oy * row_step + ox * stride;
+                            (oy, ox) = if ox + 1 == ow {
+                                (oy + 1, 0)
+                            } else {
+                                (oy, ox + 1)
+                            };
+                            at
+                        });
+                        // The weight loads read L floats from
+                        // wk + (j*OC + o)*L with ky*kw + kx0 + j < kh*kw,
+                        // o < OC, inside `wt`'s kh*kw*OC*L = ckk*OC. A tile's broadcasts
+                        // read row r0 + p < rows + PR, filter o < OC, inside
+                        // `grows` (the rows and their PR-row padding). A
+                        // live position (oy, ox), oy < out_h, ox < ow, with
+                        // kernel offset (ky, kx) lands on pixel
+                        // (oy*stride + ky)*in_w + ox*stride + kx < hw_in
+                        // (the `reach` assert; no term wraps: each is at
+                        // most its checked counterpart), whose L-float row
+                        // lies inside `tile`.
+                        // SAFETY: compiled only with avx512f enabled (the
+                        // cfg on this module); every access is in bounds by
+                        // the above.
+                        unsafe {
+                            let g0 = gp.add((img * hw + p0) * OC);
+                            let mut acc = [[_mm512_setzero_ps(); PR]; KX];
+                            for o in 0..OC {
+                                let wv: [_; KX] = std::array::from_fn(|j| {
+                                    _mm512_loadu_ps(wp.add(wk + (j * OC + o) * L))
+                                });
+                                for p in 0..PR {
+                                    let gv = _mm512_set1_ps(*g0.add(p * OC + o));
+                                    for (accj, &wj) in acc.iter_mut().zip(&wv) {
+                                        accj[p] = _mm512_fmadd_ps(wj, gv, accj[p]);
+                                    }
+                                }
+                            }
+                            for (j, accj) in acc.iter().enumerate() {
+                                let offset = ky * spec.in_w + kx0 + j;
+                                for (&a, &at) in accj.iter().zip(&origin).take(live) {
+                                    let t = tp.add((at + offset) * L);
+                                    _mm512_storeu_ps(t, _mm512_add_ps(_mm512_loadu_ps(t), a));
+                                }
+                            }
+                        }
+                    }
                 }
             }
+            rows_to_planes(tile, L, plane);
+        }
+    }
+
+    /// Copies 16 channel planes of `n` pixels (`planes`, `[16, n]`) into
+    /// the first 16 columns of the pixel-major rows `[n, ld]` at the front
+    /// of `rows`, 16 pixels at a time through [`transpose16`]; a ragged
+    /// last block reads only its live lanes and writes only its live rows.
+    #[expect(
+        unsafe_code,
+        reason = "explicit SIMD transpose: masked vector loads and vector stores whose bounds the asserts at the top establish"
+    )]
+    pub(super) fn planes_to_rows(planes: &[f32], rows: &mut [f32], ld: usize) {
+        let n = planes.len() / L;
+        assert!(
+            fits(planes.len(), rows.len(), ld),
+            "{n} rows of {ld} floats"
+        );
+        let (pp, rp) = (planes.as_ptr(), rows.as_mut_ptr());
+        for p0 in (0..n).step_by(L) {
+            let live = (n - p0).min(L);
+            let mask = u16::MAX >> (L - live);
+            // Plane c's lanes p0..p0 + live lie inside its n pixels (the
+            // masked-off lanes are not read), and row p0 + j, j < live,
+            // covers L floats from (p0 + j)*ld, at most (n - 1)*ld + L <=
+            // rows.len() (`fits`).
+            // SAFETY: compiled only with avx512f enabled (the cfg on this
+            // module); every access is in bounds by the above.
+            unsafe {
+                let block =
+                    std::array::from_fn(|c| _mm512_maskz_loadu_ps(mask, pp.add(c * n + p0)));
+                for (j, &col) in transpose16(block).iter().enumerate().take(live) {
+                    _mm512_storeu_ps(rp.add((p0 + j) * ld), col);
+                }
+            }
+        }
+    }
+
+    /// The inverse of [`planes_to_rows`]: the first 16 columns of the rows
+    /// `[n, ld]` at the front of `rows` back into the planes `[16, n]`.
+    #[expect(
+        unsafe_code,
+        reason = "explicit SIMD transpose: vector loads and masked vector stores whose bounds the asserts at the top establish"
+    )]
+    pub(super) fn rows_to_planes(rows: &[f32], ld: usize, planes: &mut [f32]) {
+        let n = planes.len() / L;
+        assert!(
+            fits(planes.len(), rows.len(), ld),
+            "{n} rows of {ld} floats"
+        );
+        let (rp, pp) = (rows.as_ptr(), planes.as_mut_ptr());
+        for p0 in (0..n).step_by(L) {
+            let live = (n - p0).min(L);
+            let mask = u16::MAX >> (L - live);
+            // As in `planes_to_rows`, with the loads and stores swapped:
+            // live rows only are read, live lanes only written.
+            // SAFETY: compiled only with avx512f enabled (the cfg on this
+            // module); every access is in bounds by the above.
+            unsafe {
+                let block = std::array::from_fn(|j| match j < live {
+                    true => _mm512_loadu_ps(rp.add((p0 + j) * ld)),
+                    false => _mm512_setzero_ps(),
+                });
+                for (c, &col) in transpose16(block).iter().enumerate() {
+                    _mm512_mask_storeu_ps(pp.add(c * n + p0), mask, col);
+                }
+            }
+        }
+    }
+
+    /// Whether `planes` floats are whole 16-channel planes of `n` pixels
+    /// whose `n` rows of `ld >= 16` floats (the last one 16 long) fit in
+    /// `rows` floats.
+    fn fits(planes: usize, rows: usize, ld: usize) -> bool {
+        let n = planes / L;
+        planes == L * n && ld >= L && n.checked_mul(ld).is_some_and(|len| len + L <= rows + ld)
+    }
+
+    /// The transpose of a 16 x 16 block held as 16 row registers: pairs of
+    /// rows interleaved by element, then by element pair, then 128-bit
+    /// lanes gathered twice (64 shuffles).
+    #[expect(
+        unsafe_code,
+        reason = "register-only AVX-512 shuffles, callable under the module's avx512f cfg"
+    )]
+    fn transpose16(r: [__m512; L]) -> [__m512; L] {
+        // SAFETY: compiled only with avx512f enabled (the cfg on this
+        // module); no intrinsic here touches memory.
+        unsafe {
+            let t: [__m512; L] = std::array::from_fn(|i| {
+                let (a, b) = (r[i & !1], r[i | 1]);
+                match i % 2 {
+                    0 => _mm512_unpacklo_ps(a, b),
+                    _ => _mm512_unpackhi_ps(a, b),
+                }
+            });
+            // u[4m + e], 128-bit lane l: rows 4m..4m + 4 of column 4l + e.
+            let u: [__m512; L] = std::array::from_fn(|i| {
+                let (m, e) = (i / 4 * 4, i % 4);
+                let (a, b) = (
+                    _mm512_castps_pd(t[m + e / 2]),
+                    _mm512_castps_pd(t[m + e / 2 + 2]),
+                );
+                _mm512_castpd_ps(match e % 2 {
+                    0 => _mm512_unpacklo_pd(a, b),
+                    _ => _mm512_unpackhi_pd(a, b),
+                })
+            });
+            let mut out = [_mm512_setzero_ps(); L];
+            for e in 0..4 {
+                let lo = [0, 8].map(|m| _mm512_shuffle_f32x4::<0x44>(u[m + e], u[m + 4 + e]));
+                let hi = [0, 8].map(|m| _mm512_shuffle_f32x4::<0xEE>(u[m + e], u[m + 4 + e]));
+                out[e] = _mm512_shuffle_f32x4::<0x88>(lo[0], lo[1]);
+                out[4 + e] = _mm512_shuffle_f32x4::<0xDD>(lo[0], lo[1]);
+                out[8 + e] = _mm512_shuffle_f32x4::<0x88>(hi[0], hi[1]);
+                out[12 + e] = _mm512_shuffle_f32x4::<0xDD>(hi[0], hi[1]);
+            }
+            out
         }
     }
 }
 
 /// Re-lays the upstream gradient `[b, out_c, hw]` of the output `y` as
-/// `G^T [out_c, b*hw]` into `gt` (replacing its contents), each element
-/// multiplied by `act`'s derivative at `y` — the left operand of the `dW`
-/// product, the right operand of the `dcol` product, and what `db` sums.
-pub fn gradient_rows(g: &[f32], y: &[f32], act: FusedAct, spec: &Conv2dSpec, gt: &mut Vec<f32>) {
+/// the gradient rows `G [b*hw, out_c]` into `rows` (replacing its
+/// contents), each element multiplied by `act`'s derivative at `y`: one
+/// output position's filters side by side, as the direct kernels load
+/// them. `G^T`, a stride view of it, is the left operand of the `dW`
+/// product and the right operand of the `dcol` product; `db` sums it.
+pub fn gradient_rows(g: &[f32], y: &[f32], act: FusedAct, spec: &Conv2dSpec, rows: &mut Vec<f32>) {
     let (oc, hw) = (spec.out_c, spec.out_hw());
     assert_eq!(
         g.len(),
         y.len(),
         "conv2d gradient and output lengths differ"
     );
-    gt.truncate(0);
-    gt.reserve(g.len());
-    for ch in 0..oc {
-        for (gi, yi) in g.chunks_exact(oc * hw).zip(y.chunks_exact(oc * hw)) {
-            let (gp, yp) = (&gi[ch * hw..(ch + 1) * hw], &yi[ch * hw..(ch + 1) * hw]);
-            gt.extend(
-                gp.iter()
-                    .zip(yp)
-                    .map(|(&gv, &yv)| gv * act.deriv_from_output(yv)),
-            );
+    // One image's products in their own layout first, behind the rows,
+    // then moved into place: the product loop runs over contiguous
+    // elements, and the transposing one only copies.
+    let n = g.len();
+    rows.clear();
+    rows.resize(n + oc * hw, 0.0);
+    let (out, prod) = rows.split_at_mut(n);
+    let blocks = g.chunks_exact(oc * hw).zip(y.chunks_exact(oc * hw));
+    for ((gi, yi), ri) in blocks.zip(out.chunks_exact_mut(oc * hw)) {
+        for ((p, &gv), &yv) in prod.iter_mut().zip(gi).zip(yi) {
+            *p = gv * act.deriv_from_output(yv);
+        }
+        #[cfg(target_feature = "avx512f")]
+        if oc.is_multiple_of(16) {
+            for (c0, planes) in (0..oc).step_by(16).zip(prod.chunks_exact(16 * hw)) {
+                direct::planes_to_rows(planes, &mut ri[c0..], oc);
+            }
+            continue;
+        }
+        for (o, plane) in prod.chunks_exact(hw).enumerate() {
+            for (&v, filters) in plane.iter().zip(ri.chunks_exact_mut(oc)) {
+                filters[o] = v;
+            }
         }
     }
+    rows.truncate(n);
 }
 
 /// Scatters the column gradient `dcol [ckk, b*oh*ow]` back onto the flat
@@ -696,8 +1210,9 @@ mod tests {
         // conv1 over three stacked frames (42 -> 9, 84 -> 20), conv2 over
         // its 16 maps (9 -> 3, 20 -> 9). Batches 1-3 and 129 give row
         // counts that are not multiples of the 8-position tile, and tiles
-        // that straddle images. 16 and 32 filters take the direct kernel
-        // on AVX-512 builds, 8 and 48 always fall back; both must give the
+        // that straddle images. On AVX-512 builds 16 filters take the row
+        // kernel on conv1 and 32 the flattened kernel everywhere; 16 on
+        // conv2, 8 and 48 fall back. Every route must give the
         // reference's bits, for every epilogue, on pixels that include
         // NaN payloads, infinities, subnormals and signed zeros.
         let mut rng = ChaCha8Rng::seed_from_u64(35);
@@ -738,80 +1253,125 @@ mod tests {
         }
     }
 
+    /// The rounding residual of the product `a * b`: exact in f64, the
+    /// product of two f32, minus its own f32 rounding.
+    fn residual(a: f32, b: f32) -> f32 {
+        (f64::from(a) * f64::from(b) - f64::from(a * b)) as f32
+    }
+
     #[test]
     fn forward_fuses_multiply_and_add() {
-        // Two channels under a 1x1 kernel whose every filter is [1, w]:
+        // Two channels under filters whose last tap is 1 on channel 0 and
+        // w on channel 1, every other tap 0: at each window's last pixel
         // channel 0 holds -(x*w) rounded to f32 and channel 1 holds x, with
         // x*w not exact. One fused multiply-add per term leaves the
         // product's nonzero rounding residual; a separate multiply and add
-        // leaves 0. 16 and 32 filters take the direct kernel on AVX-512
-        // builds, 8 the reference; 18 positions give a ragged tile that
-        // straddles the two images.
+        // leaves 0, and a kernel that drops the last term leaves -(x*w).
+        // `(side, k, stride)`: 1x1 windows, where 32 filters take the
+        // flattened direct kernel on AVX-512 builds and 18 positions give a
+        // ragged tile that straddles the two images; and Table II's first
+        // layer on 42-px frames, where 16 filters take the row kernel. 8
+        // filters, and 16 on 1x1 windows, take the reference.
         let mut rng = ChaCha8Rng::seed_from_u64(36);
-        let (batch, side) = (2, 3);
         let w1 = 1.1f32;
-        let xs: Vec<f32> = (0..batch * side * side)
-            .map(|_| rng.gen_range(-2.0f32..2.0))
-            .collect();
-        let mut x = Vec::new();
-        for img in xs.chunks_exact(side * side) {
-            x.extend(img.iter().map(|&v| -(v * w1)));
-            x.extend_from_slice(img);
-        }
-        // Exact in f64: the product of two f32, plus its own f32 rounding.
-        let residual = |v: f32| (f64::from(v) * f64::from(w1) - f64::from(v * w1)) as f32;
-        for out_c in [16, 32, 8] {
-            let spec = Conv2dSpec::infer(&[batch, 2, side, side], &[out_c, 2, 1, 1], 1);
-            let w: Vec<f32> = (0..out_c).flat_map(|_| [1.0, w1]).collect();
-            let got = conv2d_forward(&x, &w, &vec![0.0; out_c], &spec, FusedAct::Identity);
-            for (j, &g) in got.iter().enumerate() {
-                let (img, s) = (j / (out_c * side * side), j % (side * side));
-                let want = residual(xs[img * side * side + s]);
-                assert!(want != 0.0, "the product of position {s} must be inexact");
-                assert_eq!(
-                    g.to_bits(),
-                    want.to_bits(),
-                    "{out_c} filters: element {j} is {g}, fused {want}"
-                );
+        for (side, k, stride) in [(3, 1, 1), (42, 8, 4)] {
+            let batch = 2;
+            let mut x: Vec<f32> = (0..batch * 2 * side * side)
+                .map(|_| rng.gen_range(-2.0f32..2.0))
+                .collect();
+            for out_c in [16, 32, 8] {
+                let spec = Conv2dSpec::infer(&[batch, 2, side, side], &[out_c, 2, k, k], stride);
+                let kk = k * k;
+                let mut w = vec![0.0f32; out_c * 2 * kk];
+                for filter in w.chunks_exact_mut(2 * kk) {
+                    (filter[kk - 1], filter[2 * kk - 1]) = (1.0, w1);
+                }
+                // Each window's last pixel, per image: (plane offset, x).
+                let last = |img: usize, s: usize| {
+                    let (oy, ox) = (s / spec.out_w, s % spec.out_w);
+                    img * 2 * side * side + (oy * stride + k - 1) * side + ox * stride + k - 1
+                };
+                for img in 0..batch {
+                    for s in 0..spec.out_hw() {
+                        let at = last(img, s);
+                        x[at] = -(x[at + side * side] * w1);
+                    }
+                }
+                let got = conv2d_forward(&x, &w, &vec![0.0; out_c], &spec, FusedAct::Identity);
+                for (j, &g) in got.iter().enumerate() {
+                    let hw = spec.out_hw();
+                    let (img, s) = (j / (out_c * hw), j % hw);
+                    let want = residual(x[last(img, s) + side * side], w1);
+                    assert!(want != 0.0, "the product of position {s} must be inexact");
+                    assert_eq!(
+                        g.to_bits(),
+                        want.to_bits(),
+                        "{spec:?}: element {j} is {g}, fused {want}"
+                    );
+                }
             }
         }
     }
 
-    /// `conv2d_weight_grad` and `dw_reference` on one `G^T`, each onto its
-    /// own copy of `dw0`: the two results, bit patterns, and the scratch
-    /// the call left, whose front must still be `G^T`.
-    fn both_dw(x: &[f32], gt: &[f32], dw0: &[f32], spec: &Conv2dSpec) -> [Vec<u32>; 2] {
+    /// `conv2d_weight_grad` and `dw_reference` on one set of gradient rows
+    /// `g`, each onto its own copy of `dw0`: the two results, bit patterns.
+    /// The scratch each call leaves must still start with `g`.
+    fn both_dw(x: &[f32], g: &[f32], dw0: &[f32], spec: &Conv2dSpec) -> [Vec<u32>; 2] {
         [conv2d_weight_grad, dw_reference].map(|kernel| {
-            let mut scratch = gt.to_vec();
+            let mut scratch = g.to_vec();
             let mut dw = dw0.to_vec();
             kernel(x, spec, &mut scratch, &mut dw);
-            let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
             assert_eq!(
-                bits(&scratch[..gt.len()]),
-                bits(gt),
-                "{spec:?}: G^T overwritten"
+                bits(&scratch[..g.len()]),
+                bits(g),
+                "{spec:?}: G overwritten"
             );
             bits(&dw)
         })
     }
 
+    fn bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// `n` draws: the forward's pixels (NaN payloads, infinities,
+    /// subnormals, signed zeros) when `special`, else plain values.
+    fn draw(rng: &mut ChaCha8Rng, n: usize, special: bool) -> Vec<f32> {
+        (0..n)
+            .map(|_| match special {
+                true => pixel(rng),
+                false => rng.gen_range(-2.0f32..2.0),
+            })
+            .collect()
+    }
+
     #[test]
     fn direct_dw_matches_reference_bitwise() {
-        // The forward test's layers, batches and filter counts: 16 and 32
-        // filters take the direct kernel on AVX-512 builds, 8 and 48
-        // always fall back. Both must give the reference's bits when
+        // The forward test's layers, batches and filter counts: 16 filters
+        // at stride 4 and 32 at stride 2 take the direct kernel on AVX-512
+        // builds, other pairs fall back. Both must give the reference's bits when
         // accumulating onto a nonzero `dW`. The image or the gradient is
-        // drawn from the forward's pixels (NaN payloads, infinities,
-        // subnormals, signed zeros), the other operand from plain values;
-        // then both from plain values, since a long reduction over the
-        // special pixels is mostly NaN and would hide a wrong order. Never
-        // both specials at once: when both factors of one product are NaN,
-        // which payload `vfmadd` returns depends on the order the compiler
-        // encodes them in, which it picks freely (the product commutes) in
-        // the GEMM tile too, so no kernel can promise those bits.
+        // drawn from the forward's pixels, the other operand from plain
+        // values; then both from plain values, since a long reduction over
+        // the special pixels is mostly NaN and would hide a wrong order.
+        // Never both specials at once: when both factors of one product are
+        // NaN, which payload `vfmadd` returns depends on the order the
+        // compiler encodes them in, which it picks freely (the product
+        // commutes) in the GEMM tile too, so no kernel can promise those
+        // bits.
+        // The last two layers are Table II's with a kernel of odd height
+        // (3 x 8 at stride 4 for 16 filters, 3 x 4 at stride 2 for 32), whose
+        // last kernel row the direct kernel computes and stores twice.
         let mut rng = ChaCha8Rng::seed_from_u64(42);
-        let layers = [(3, 42, 8, 4), (16, 9, 4, 2), (16, 20, 4, 2), (3, 84, 8, 4)];
-        for (i, (in_c, side, k, stride)) in layers.into_iter().enumerate() {
+        let layers = [
+            (3, 42, 8, 8, 4),
+            (16, 9, 4, 4, 2),
+            (16, 20, 4, 4, 2),
+            (3, 84, 8, 8, 4),
+            (3, 42, 3, 8, 4),
+            (16, 9, 3, 4, 2),
+        ];
+        for (i, (in_c, side, kh, kw, stride)) in layers.into_iter().enumerate() {
             for (batch, out_c) in [1, 2, 3, 129]
                 .into_iter()
                 .flat_map(|b| [16, 32, 8, 48].map(|oc| (b, oc)))
@@ -820,23 +1380,15 @@ mod tests {
                     continue;
                 }
                 let spec =
-                    Conv2dSpec::infer(&[batch, in_c, side, side], &[out_c, in_c, k, k], stride);
+                    Conv2dSpec::infer(&[batch, in_c, side, side], &[out_c, in_c, kh, kw], stride);
                 let rows = batch * spec.out_hw();
                 let dw0: Vec<f32> = (0..out_c * spec.ckk())
                     .map(|_| rng.gen_range(-1.0f32..1.0))
                     .collect();
                 for special in [[true, false], [false, true], [false, false]] {
-                    let mut draw = |n: usize, special: bool| -> Vec<f32> {
-                        (0..n)
-                            .map(|_| match special {
-                                true => pixel(&mut rng),
-                                false => rng.gen_range(-2.0f32..2.0),
-                            })
-                            .collect()
-                    };
-                    let x = draw(batch * in_c * side * side, special[0]);
-                    let gt = draw(out_c * rows, special[1]);
-                    let [got, want] = both_dw(&x, &gt, &dw0, &spec);
+                    let x = draw(&mut rng, batch * in_c * side * side, special[0]);
+                    let g = draw(&mut rng, rows * out_c, special[1]);
+                    let [got, want] = both_dw(&x, &g, &dw0, &spec);
                     for (j, (g, r)) in got.iter().zip(&want).enumerate() {
                         assert_eq!(
                             g,
@@ -856,64 +1408,227 @@ mod tests {
 
     #[test]
     fn dw_fuses_multiply_and_add() {
-        // One channel per column of a 1x1 kernel, and a gradient that is
-        // zero but for the last output position, where filter o holds g_o.
-        // `dW[o][c]` is seeded with -(g_o*x_c) rounded to f32, x_c being
-        // channel c's pixel there, with g_o*x_c not exact: one fused
-        // multiply-add per term leaves the product's nonzero rounding
-        // residual, a separate multiply and add leaves 0, and a kernel
-        // that drops the last position leaves the seed. 16 and 32 filters
-        // take the direct kernel on AVX-512 builds, 8 the reference; 20
-        // columns leave a ragged tile.
+        // A gradient that is zero but for the last output position, where
+        // filter o holds g_o. `dW[o][q]` is seeded with -(g_o*x_q) rounded
+        // to f32, x_q being column q's pixel there, with g_o*x_q not exact:
+        // one fused multiply-add per term leaves the product's nonzero
+        // rounding residual, a separate multiply and add leaves 0, and a
+        // kernel that drops the last position leaves the seed.
+        // `(in_c, side, kh, kw, stride, out_c)`: Table II's layers, and the
+        // same with a kernel of odd height (3 rows, whose last the kernel
+        // computes twice), which take the direct kernel on AVX-512 builds;
+        // and 1x1 windows, which take the reference.
         let mut rng = ChaCha8Rng::seed_from_u64(43);
-        let (batch, in_c, side) = (2, 20, 3);
-        let x: Vec<f32> = (0..batch * in_c * side * side)
-            .map(|_| rng.gen_range(-2.0f32..2.0))
-            .collect();
-        let last = &x[(batch - 1) * in_c * side * side..];
-        let pix: Vec<f32> = (0..in_c)
-            .map(|c| last[c * side * side + side * side - 1])
-            .collect();
-        let residual = |g: f32, v: f32| (f64::from(g) * f64::from(v) - f64::from(g * v)) as f32;
-        for out_c in [16, 32, 8] {
-            let spec = Conv2dSpec::infer(&[batch, in_c, side, side], &[out_c, in_c, 1, 1], 1);
+        let batch = 2;
+        for (in_c, side, kh, kw, stride, out_c) in [
+            (3, 42, 8, 8, 4, 16),
+            (16, 9, 4, 4, 2, 32),
+            (3, 42, 3, 8, 4, 16),
+            (16, 9, 3, 4, 2, 32),
+            (20, 3, 1, 1, 1, 16),
+            (20, 3, 1, 1, 1, 8),
+        ] {
+            let spec =
+                Conv2dSpec::infer(&[batch, in_c, side, side], &[out_c, in_c, kh, kw], stride);
+            let x = draw(&mut rng, batch * in_c * side * side, false);
+            let mut patches = Vec::new();
+            im2col(&x, &spec, &mut patches);
+            let pix = &patches[patches.len() - spec.ckk()..];
             let rows = batch * spec.out_hw();
-            let gs: Vec<f32> = (0..out_c).map(|_| rng.gen_range(-2.0f32..2.0)).collect();
-            let mut gt = vec![0.0f32; out_c * rows];
-            for (grad, &g) in gt.chunks_exact_mut(rows).zip(&gs) {
-                grad[rows - 1] = g;
-            }
+            let gs = draw(&mut rng, out_c, false);
+            let mut g = vec![0.0f32; rows * out_c];
+            g[(rows - 1) * out_c..].copy_from_slice(&gs);
             let dw0: Vec<f32> = gs
                 .iter()
                 .flat_map(|&g| pix.iter().map(move |&v| -(g * v)))
                 .collect();
-            let mut scratch = gt;
+            let mut scratch = g;
             let mut dw = dw0;
             conv2d_weight_grad(&x, &spec, &mut scratch, &mut dw);
             for (j, &d) in dw.iter().enumerate() {
-                let want = residual(gs[j / in_c], pix[j % in_c]);
+                let want = residual(gs[j / spec.ckk()], pix[j % spec.ckk()]);
                 assert!(want != 0.0, "the product of column {j} must be inexact");
                 assert_eq!(
                     d.to_bits(),
                     want.to_bits(),
-                    "{out_c} filters: element {j} is {d}, fused {want}"
+                    "{spec:?}: element {j} is {d}, fused {want}"
                 );
             }
         }
     }
 
+    /// `conv2d_input_grad` and `dx_reference` on one set of gradient rows
+    /// `g`, each onto its own copy of `dx0`: the two results, bit patterns.
+    fn both_dx(w: &[f32], g: &[f32], dx0: &[f32], spec: &Conv2dSpec) -> [Vec<u32>; 2] {
+        [conv2d_input_grad, dx_reference].map(|kernel| {
+            let mut scratch = g.to_vec();
+            let mut dx = dx0.to_vec();
+            kernel(w, spec, &mut scratch, &mut dx);
+            assert_eq!(
+                bits(&scratch[..g.len()]),
+                bits(g),
+                "{spec:?}: G overwritten"
+            );
+            bits(&dx)
+        })
+    }
+
     #[test]
-    fn gradient_rows_puts_channels_first() {
-        // [b=2, oc=2, hw=2] -> [oc=2, b*hw=4].
+    fn direct_dx_matches_reference_bitwise() {
+        // Table II's second layer at 42 and 84 px, over 16 input channels;
+        // one at stride 1 and one of odd width, which fall back because the
+        // kernel's two-column tiles need neither; and the first layer,
+        // whose 3 channels always fall back. 32 filters take the direct
+        // kernel on AVX-512 builds, 16, 8 and 48 fall back. Batches 1-3
+        // and 129 give ragged position tiles that read into the next image
+        // and past the last. Both must give the reference's bits when
+        // accumulating onto a nonzero `dX`, with the weights or the gradient
+        // drawn from the forward's special pixels (never both, as for `dW`),
+        // then both plain.
+        let mut rng = ChaCha8Rng::seed_from_u64(49);
+        let layers = [
+            (16, 9, 4, 2),
+            (16, 20, 4, 2),
+            (16, 7, 3, 1),
+            (16, 11, 3, 2),
+            (3, 42, 8, 4),
+        ];
+        for (i, (in_c, side, k, stride)) in layers.into_iter().enumerate() {
+            for (batch, out_c) in [1, 2, 3, 129]
+                .into_iter()
+                .flat_map(|b| [16, 32, 8, 48].map(|oc| (b, oc)))
+            {
+                if batch > 3 && (i > 1 || out_c != 32) {
+                    continue;
+                }
+                let spec =
+                    Conv2dSpec::infer(&[batch, in_c, side, side], &[out_c, in_c, k, k], stride);
+                let rows = batch * spec.out_hw();
+                let dx0 = draw(&mut rng, batch * in_c * side * side, false);
+                for special in [[true, false], [false, true], [false, false]] {
+                    let w = draw(&mut rng, out_c * spec.ckk(), special[0]);
+                    let g = draw(&mut rng, rows * out_c, special[1]);
+                    let [got, want] = both_dx(&w, &g, &dx0, &spec);
+                    for (j, (g, r)) in got.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            g,
+                            r,
+                            "{spec:?} special {special:?}: element {j} is {}, reference {}",
+                            f32::from_bits(*g),
+                            f32::from_bits(*r)
+                        );
+                    }
+                    if special == [false, false] {
+                        // Every pixel some window covers has moved.
+                        let mut covered = vec![0.0f32; dx0.len()];
+                        col2im(&vec![1.0; spec.ckk() * rows], &spec, &mut covered);
+                        let moved = got.iter().zip(&dx0).map(|(g, d)| *g != d.to_bits());
+                        assert!(moved.zip(&covered).all(|(m, &c)| m == (c > 0.0)));
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn dx_fuses_multiply_and_add() {
+        // Every filter but the last two is 0, and so is its gradient. At
+        // kernel offset q those two hold -(a_q*b) rounded to f32 and a_q,
+        // and their gradients are 1 and b at every position, with a_q*b not
+        // exact. Each contribution's chain then ends in the product's
+        // nonzero rounding residual, which `col2im` adds onto `dX` in the
+        // reference's order; a separate multiply and add gives
+        // contributions of 0, and a kernel that drops the last filter
+        // leaves -(a_q*b). Table II's second layer at 42 px, where 32
+        // filters take the direct kernel on AVX-512 builds and 16 and 8 the
+        // reference, onto a `dX` of zeros, which rounds no residual away.
+        let mut rng = ChaCha8Rng::seed_from_u64(50);
+        let (batch, b) = (2, 1.1f32);
+        for out_c in [16, 32, 8] {
+            let spec = Conv2dSpec::infer(&[batch, 16, 9, 9], &[out_c, 16, 4, 4], 2);
+            let (ckk, rows) = (spec.ckk(), batch * spec.out_hw());
+            let a = draw(&mut rng, ckk, false);
+            let mut w = vec![0.0f32; out_c * ckk];
+            let (negated, last) = w[(out_c - 2) * ckk..].split_at_mut(ckk);
+            for ((n, l), &aq) in negated.iter_mut().zip(last.iter_mut()).zip(&a) {
+                (*n, *l) = (-(aq * b), aq);
+            }
+            let mut g = vec![0.0f32; rows * out_c];
+            for filters in g.chunks_exact_mut(out_c) {
+                (filters[out_c - 2], filters[out_c - 1]) = (1.0, b);
+            }
+            let mut dcol = vec![0.0f32; ckk * rows];
+            for (col, &aq) in dcol.chunks_exact_mut(rows).zip(&a) {
+                col.fill(residual(aq, b));
+                assert!(col[0] != 0.0, "the product {aq} * {b} must be inexact");
+            }
+            let mut want = vec![0.0f32; batch * 16 * 81];
+            col2im(&dcol, &spec, &mut want);
+            let mut dx = vec![0.0f32; want.len()];
+            conv2d_input_grad(&w, &spec, &mut g, &mut dx);
+            for (j, (d, r)) in dx.iter().zip(&want).enumerate() {
+                assert_eq!(
+                    d.to_bits(),
+                    r.to_bits(),
+                    "{spec:?}: element {j} is {d}, fused {r}"
+                );
+            }
+            assert!(want.iter().any(|&r| r != 0.0));
+        }
+    }
+
+    #[test]
+    #[cfg_attr(
+        target_feature = "avx512f",
+        should_panic(expected = "conv2d window out of bounds")
+    )]
+    #[cfg_attr(not(target_feature = "avx512f"), should_panic)]
+    fn input_grad_rejects_windows_past_the_image() {
+        // A hand-built spec whose 10 x 10 output claims more windows than
+        // a 4 x 4 image holds at stride 2: the direct kernel's geometry
+        // (16 channels, 32 filters, an even kernel width) with every
+        // operand the length the spec asks for, so only the window reach
+        // can refuse it (the reference's `col2im` indexes out of bounds).
+        let spec = Conv2dSpec {
+            out_h: 10,
+            out_w: 10,
+            ..Conv2dSpec::infer(&[1, 16, 4, 4], &[32, 16, 2, 2], 2)
+        };
+        let w = vec![0.5f32; 32 * spec.ckk()];
+        let mut scratch = vec![1.0f32; spec.out_hw() * 32];
+        let mut dx = vec![0.0f32; 16 * 16];
+        conv2d_input_grad(&w, &spec, &mut scratch, &mut dx);
+    }
+
+    #[test]
+    fn gradient_rows_are_position_major() {
+        // [b=2, oc=2, hw=2] -> [b*hw=4, oc=2], times act'(y).
         let spec = Conv2dSpec::infer(&[2, 1, 1, 2], &[2, 1, 1, 1], 1);
         let g = [0.0, 1.0, 10.0, 11.0, 2.0, 3.0, 12.0, 13.0];
         let y = [1.0, 0.0, 2.0, 0.5, 0.0, 3.0, 0.0, 1.0];
-        let mut gt = vec![9.0f32; 3];
-        gradient_rows(&g, &y, FusedAct::Identity, &spec, &mut gt);
-        assert_eq!(gt, [0.0, 1.0, 2.0, 3.0, 10.0, 11.0, 12.0, 13.0]);
+        let mut rows = vec![9.0f32; 3];
+        gradient_rows(&g, &y, FusedAct::Identity, &spec, &mut rows);
+        assert_eq!(rows, [0.0, 10.0, 1.0, 11.0, 2.0, 12.0, 3.0, 13.0]);
         // Under ReLU the positions whose output is zero pass no gradient.
-        gradient_rows(&g, &y, FusedAct::Relu, &spec, &mut gt);
-        assert_eq!(gt, [0.0, 0.0, 0.0, 3.0, 10.0, 11.0, 0.0, 13.0]);
+        gradient_rows(&g, &y, FusedAct::Relu, &spec, &mut rows);
+        assert_eq!(rows, [0.0, 10.0, 0.0, 11.0, 0.0, 0.0, 3.0, 13.0]);
+        // 16 and 32 filters (the AVX-512 build's block transpose), over
+        // position counts with a ragged last block of 16.
+        let mut rng = ChaCha8Rng::seed_from_u64(51);
+        for (oc, side) in [(16, 9), (32, 3), (32, 20), (8, 5)] {
+            let spec = Conv2dSpec::infer(&[3, 1, side, side], &[oc, 1, 1, 1], 1);
+            let hw = spec.out_hw();
+            let g = draw(&mut rng, 3 * oc * hw, true);
+            let y = draw(&mut rng, 3 * oc * hw, false);
+            for act in [FusedAct::Identity, FusedAct::Relu, FusedAct::Tanh] {
+                gradient_rows(&g, &y, act, &spec, &mut rows);
+                let want: Vec<f32> = (0..3 * hw)
+                    .flat_map(|r| (0..oc).map(move |o| (r / hw * oc + o) * hw + r % hw))
+                    .map(|j| g[j] * act.deriv_from_output(y[j]))
+                    .collect();
+                assert_eq!(bits(&rows), bits(&want), "{oc} filters of {hw} positions");
+            }
+        }
     }
 
     #[test]

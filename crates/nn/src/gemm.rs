@@ -442,7 +442,7 @@ fn epilogue(
 
 /// `x = act(x)` over a row, the activation chosen once outside the loop so
 /// the loop body vectorises.
-fn activate_row(act: FusedAct, row: &mut [f32]) {
+pub(crate) fn activate_row(act: FusedAct, row: &mut [f32]) {
     match act {
         FusedAct::Identity => {}
         FusedAct::Tanh => row.iter_mut().for_each(|x| *x = tanh(*x)),

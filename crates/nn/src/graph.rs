@@ -40,7 +40,9 @@ use std::rc::Rc;
 
 use stellaris_telemetry as telemetry;
 
-use crate::conv::{col2im, conv2d_forward, conv2d_weight_grad, gradient_rows, Conv2dSpec};
+use crate::conv::{
+    conv2d_forward, conv2d_input_grad, conv2d_weight_grad, gradient_rows, Conv2dSpec,
+};
 use crate::gemm::{self, FusedAct, MatRef};
 use crate::tensor::Tensor;
 
@@ -737,9 +739,11 @@ impl Graph {
     /// output, whose flat layout is `[b, o, oh, ow]` either way. The forward
     /// and the three backward products, and why they keep the bits:
     /// [`crate::conv`]. The forward keeps nothing for the backward but the
-    /// operands and the output: the weight gradient reads the input image
-    /// directly, or builds its patch matrix in the arena scratch, and only
-    /// when that gradient is wanted.
+    /// operands and the output. The backward lays the upstream gradient out
+    /// once as the gradient rows `G [b*oh*ow, o]` in the arena scratch;
+    /// `dW` and `dX` read the image and the weights directly (or, on the
+    /// reference paths, build their patch matrix and column gradient behind
+    /// `G` in the same scratch), each only when its gradient is wanted.
     fn conv2d_node(
         &self,
         input: Var,
@@ -759,10 +763,9 @@ impl Graph {
             out,
             &[input, weight, bias],
             Some(Box::new(move |g, sink| {
-                let (oc, hw, ckk) = (spec.out_c, spec.out_hw(), spec.ckk());
-                let rows = spec.batch * hw;
-                // Scratch: Gᵀ [oc, b*hw] ⊙ act'(y), then the weight
-                // gradient's workspace, then dcol [ckk, b*hw] if wanted.
+                let (oc, hw) = (spec.out_c, spec.out_hw());
+                // Scratch: G [b*hw, oc] ⊙ act'(y), then each gradient's
+                // workspace behind it.
                 let mut scratch = sink.take_scratch();
                 gradient_rows(g.data(), out_cap.data(), act, &spec, &mut scratch);
                 // dw: the [o,c,kh,kw] buffer is flat-identical to [oc,ckk],
@@ -772,24 +775,16 @@ impl Graph {
                 });
                 // db: per image, each channel's plane sums into its entry.
                 sink.with(bias, |d| {
-                    for (acc, row) in d.data_mut().iter_mut().zip(scratch.chunks(rows)) {
-                        for plane in row.chunks(hw) {
-                            *acc += plane.iter().sum::<f32>();
+                    let grad = &scratch[..spec.batch * hw * oc];
+                    for (o, acc) in d.data_mut().iter_mut().enumerate() {
+                        for img in grad.chunks_exact(hw * oc) {
+                            *acc += img.iter().skip(o).step_by(oc).sum::<f32>();
                         }
                     }
                 });
-                // dx: dcol = w2ᵀ @ Gᵀ (w2ᵀ is a stride view), scattered
-                // back through col2im.
+                // dx: W2ᵀ @ Gᵀ, gathered onto the input pixels.
                 sink.with(input, |d| {
-                    scratch.resize((oc + ckk) * rows, 0.0);
-                    let (gt, dcol) = scratch.split_at_mut(oc * rows);
-                    gemm::gemm(
-                        MatRef::new(w.data(), oc, ckk).t(),
-                        MatRef::new(gt, oc, rows),
-                        dcol,
-                        false,
-                    );
-                    col2im(dcol, &spec, d.data_mut());
+                    conv2d_input_grad(w.data(), &spec, &mut scratch, d.data_mut());
                 });
                 sink.restore_scratch(scratch);
             })),
@@ -1422,8 +1417,12 @@ mod tests {
         /// One product per layer per mini-batch gives the bits of one product
         /// per image: output, `dW`, `db` and `dX` of `Graph::conv2d`, with
         /// `b*oh*ow` and `out_c` landing on both sides of `MR` and `NR`, and at
-        /// the direct kernel's 16 and 32 filters; and the graph-free forward
-        /// (the actors run it at batch 1) equals the graph's.
+        /// 16 and 32 filters, where AVX-512 builds run 32 filters on the
+        /// flattened direct forward and, at a 4-wide kernel of stride 2, on
+        /// the direct `dW` (the row forward needs 8-wide kernels and the
+        /// direct `dX` 16 input channels; `conv.rs` pins those bitwise); and
+        /// the graph-free forward (the actors run it at batch 1) equals the
+        /// graph's.
         #[test]
         fn prop_batched_conv_matches_per_image_reference(
             batch in 1usize..6,
@@ -1431,7 +1430,7 @@ mod tests {
             k in 1usize..6,
             stride in 1usize..4,
             narrow_c in 1usize..crate::gemm::NR + 6,
-            // 0: `narrow_c` filters; 1, 2: 16 and 32, the direct kernel's.
+            // 0: `narrow_c` filters; 1, 2: 16 and 32, the direct kernels'.
             width in 0usize..3,
             h in 5usize..15,
             w in 5usize..15,
@@ -1574,7 +1573,7 @@ mod tests {
 
     #[test]
     fn fused_conv_activation_matches_unfused_chain_bitwise() {
-        // The Table II CNN at 42 px (16 and 32 filters: the direct kernel
+        // The Table II CNN at 42 px (16 and 32 filters: the direct kernels
         // on AVX-512 builds). `Cnn::forward` fuses each ReLU into its
         // convolution node; spelled out unfused, every parameter gradient
         // must keep its bits, under both backward strategies.

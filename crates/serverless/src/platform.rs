@@ -234,6 +234,9 @@ pub struct Platform {
     mode: OverheadMode,
     pools: [Pool; 2],
     records: Mutex<Vec<InvocationRecord>>,
+    /// Invocations per kind, failed attempts included; a billed hold
+    /// (`bill_hold`) is not one.
+    invocations: [AtomicU64; 2],
     cold_starts: AtomicU64,
     warm_starts: AtomicU64,
     /// Busy time accumulated per kind (for utilisation metrics), in micros.
@@ -291,6 +294,7 @@ impl Platform {
                 warm: Mutex::new(Vec::new()),
             }),
             records: Mutex::new(Vec::new()),
+            invocations: std::array::from_fn(|_| AtomicU64::new(0)),
             cold_starts: AtomicU64::new(0),
             warm_starts: AtomicU64::new(0),
             busy_us: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -335,7 +339,8 @@ impl Platform {
     }
 
     /// Records one finished attempt (successful or failed) in the latency
-    /// histograms, the utilisation accumulator and the record log.
+    /// histograms, the utilisation accumulator, the invocation count and
+    /// the record log.
     #[expect(clippy::too_many_arguments)]
     fn record_attempt(
         &self,
@@ -349,6 +354,7 @@ impl Platform {
     ) -> InvocationRecord {
         self.metrics[kind_index(kind)].exec_us.record_duration(cpu);
         self.busy_us[kind_index(kind)].fetch_add(cpu.as_micros() as u64, Ordering::Relaxed);
+        self.invocations[kind_index(kind)].fetch_add(1, Ordering::Relaxed);
         let record = InvocationRecord {
             kind,
             start,
@@ -588,7 +594,8 @@ impl Platform {
 
     /// Bills extra slot-holding time to a function kind (e.g. a synchronous
     /// learner waiting at a barrier keeps its GPU slot — and its bill —
-    /// running even though it burns no CPU). Appends a zero-startup record.
+    /// running even though it burns no CPU). Appends a zero-startup record,
+    /// so the hold is billed, but counts no invocation.
     pub fn bill_hold(&self, kind: FunctionKind, held: Duration) {
         if held.is_zero() {
             return;
@@ -605,9 +612,15 @@ impl Platform {
         });
     }
 
-    /// All invocation records so far.
+    /// All invocation records so far, billed holds included.
     pub fn records(&self) -> Vec<InvocationRecord> {
         self.records.lock().clone()
+    }
+
+    /// Invocations of `kind` so far, local and remote, failed attempts
+    /// included; billed holds are not invocations.
+    pub fn invocations(&self, kind: FunctionKind) -> u64 {
+        self.invocations[kind_index(kind)].load(Ordering::Relaxed)
     }
 
     /// `(cold, warm)` start counts.
@@ -816,6 +829,27 @@ mod tests {
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].exec, Duration::from_millis(500));
         assert!(p.busy_time(FunctionKind::Learner) >= Duration::from_millis(500));
+        // Billed, but not an invocation.
+        assert_eq!(p.invocations(FunctionKind::Learner), 0);
+    }
+
+    #[test]
+    fn invocations_count_attempts_and_remote_records_but_not_holds() {
+        let p = fast_platform(1, 1);
+        p.invoke(FunctionKind::Learner, || ());
+        p.bill_hold(FunctionKind::Learner, Duration::from_millis(5));
+        p.record_remote(
+            FunctionKind::Learner,
+            Duration::from_millis(1),
+            Duration::from_millis(1),
+            Duration::ZERO,
+            false,
+            true,
+        );
+        p.invoke(FunctionKind::Actor, || ());
+        assert_eq!(p.invocations(FunctionKind::Learner), 2);
+        assert_eq!(p.invocations(FunctionKind::Actor), 1);
+        assert_eq!(p.records().len(), 4, "the hold is still billed");
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::convert::Infallible;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use stellaris::cache::Codec;
+use stellaris::cache::{Codec, WireError};
 use stellaris::core::{
     lockstep_round, parameter_plane, snapshot_checksum, train, ActorBody, Actors, CycleTotals,
     GradientMsg, GradientRequest, LearnerBody, Learners, Published, RemoteError, RemoteFleet,
@@ -239,6 +239,32 @@ fn connection_reset_is_a_typed_error_and_respawn_recovers() {
     assert_eq!(cold, 2, "the reset slot must respawn cold");
 }
 
+/// A worker that dies halfway through its reply (a frame header and part
+/// of its payload, then EOF) surfaces as a typed truncation error within a
+/// deadline, and a fresh cold spawn recovers the slot.
+#[test]
+fn worker_dying_mid_reply_is_a_typed_error_and_respawn_recovers() {
+    let pool = ProcessPool::new(worker_bin(), worker_args(), ProcessConfig::default());
+    let setup = RemoteSetup::from_train(&tiny_cfg(23, 1));
+    let mut worker = RemoteWorker::new(pool.checkout(FunctionKind::Learner, 0).expect("spawn"));
+    worker.init(&setup, 1).expect("init");
+    let t0 = Instant::now();
+    let err = worker.crash();
+    assert!(
+        t0.elapsed() < Duration::from_secs(10),
+        "a cut reply must fail fast, took {:?}",
+        t0.elapsed()
+    );
+    assert_eq!(err, RemoteError::Wire(WireError::Truncated), "got {err}");
+
+    let mut worker = RemoteWorker::new(pool.checkout(FunctionKind::Learner, 0).expect("respawn"));
+    worker.init(&setup, 2).expect("re-init");
+    worker.shutdown().expect("graceful shutdown");
+    pool.shutdown();
+    let (cold, _) = pool.start_counts();
+    assert_eq!(cold, 2, "the dead slot must respawn cold");
+}
+
 /// Every round of the lock-step cycle over the process fleet's shape with
 /// the sockets taken away: one actor in slot 0, a round-wide wave served
 /// round-robin by the learner slots, the config's truncation threshold as
@@ -425,6 +451,47 @@ fn concurrent_lanes_replay_chaos_bit_for_bit() {
         (a.recovered, a.policy_full_pulls),
         (b.recovered, b.policy_full_pulls)
     );
+}
+
+/// Workers die halfway through their replies and sockets close under
+/// requests in the middle of waves (the chaos plan's crashes and drops,
+/// over three concurrent lanes). Every failure is a typed error that a
+/// respawn recovers well within a deadline, and each round offers every
+/// gradient in mini-batch order: the run ends on the bits of the fault-free
+/// cycle over in-process bodies, and a same-seed rerun on the same ones.
+#[test]
+fn mid_wave_deaths_offer_every_gradient_in_minibatch_order() {
+    let _guard = FLEET_LOCK.lock().unwrap();
+    telemetry::enable();
+    let mut cfg = uneven_lanes_cfg(29);
+    cfg.rounds = 8;
+    let run = || {
+        let t0 = Instant::now();
+        let report = fleet(cfg.clone().with_chaos(7), WireTransport::Tcp)
+            .run()
+            .expect("chaos fleet run");
+        (report, t0.elapsed())
+    };
+    let (a, took) = run();
+    assert!(took < Duration::from_secs(120), "the run took {took:?}");
+    let f = &a.faults;
+    assert!(
+        f.injected_crashes > 0 && f.frames_dropped > 0,
+        "both deaths must be injected: {f:?}"
+    );
+    assert!(a.recovered > 0, "a respawn must recover the lane");
+
+    let (server, totals) = in_process_run(&cfg);
+    assert_eq!(totals.degraded, 0);
+    assert_eq!(a.grads_aggregated, server.grads_aggregated());
+    assert_eq!(a.staleness_log, server.staleness_log().to_vec());
+    assert_eq!(
+        a.final_checksum,
+        snapshot_checksum(&server.snapshot()),
+        "a death reached the weights"
+    );
+    let (b, _) = run();
+    assert_eq!(b.final_checksum, a.final_checksum);
 }
 
 /// A fleet that cannot spawn fails with a typed error instead of hanging:
