@@ -5,10 +5,11 @@
 //!   through calls) while a guard on `A` is live. A cycle in that graph is a
 //!   potential deadlock; the finding carries the full acquisition path.
 //! * **A2 (held-guard)** — a guard live across a blocking operation, a
-//!   channel op in a *later* statement (same-statement hazards stay with
-//!   L3), or a call into a function that may lock / block / touch a
-//!   channel. Condvar waits that release the guard they are passed are
-//!   exempt for that guard but still block every other live guard.
+//!   channel op, or a call into a function that may lock / block / touch a
+//!   channel; an unbound temporary guard is held for its whole statement,
+//!   including across a second acquisition in it. Condvar waits that
+//!   release the guard they are passed are exempt for that guard but still
+//!   block every other live guard.
 //! * **A3 (channel-topology)** — a sender whose receiver half is provably
 //!   orphaned (dropped or never used), and first-party queue bindings that
 //!   are pushed to but never popped anywhere in the workspace.
@@ -59,62 +60,71 @@ fn guard_events(
         .binding
         .clone()
         .unwrap_or_else(|| "<temporary>".to_string());
-    let in_range = |off: usize| off > g.acquire_offset && off < g.end;
-    // For temporaries the guard is live for the *whole* enclosing statement:
-    // `outer(.., &m.lock().snapshot())` holds the guard while `outer` runs,
-    // even though `outer` appears textually before the acquisition.
-    let exec_range = |off: usize| {
-        if g.binding.is_some() {
-            in_range(off)
-        } else {
-            off >= g.span.0 && off < g.end && off != g.acquire_offset
-        }
+    let mut report = |line: usize, what: String| {
+        out.push(Finding {
+            rule: "A2",
+            file: f.file.clone(),
+            line,
+            message: format!(
+                "guard `{gname}` on `{}` (acquired line {}) is live across {what}",
+                g.lock_id, g.line
+            ),
+        });
     };
-    let later_stmt = |off: usize| off >= g.span.1; // outside the acquiring span
 
     // Direct blocking ops. A wait that releases *this* guard is the condvar
     // protocol working as intended; anything else blocks while holding it.
     for b in &f.blocks {
-        if !exec_range(b.offset) {
+        if !g.held_at(b.offset) {
             continue;
         }
         if b.releases.as_deref() == g.binding.as_deref() && g.binding.is_some() {
             continue;
         }
-        out.push(Finding {
-            rule: "A2",
-            file: f.file.clone(),
-            line: b.line,
-            message: format!(
-                "guard `{gname}` on `{}` (acquired line {}) is live across blocking `{}`; \
-                 drop the guard first",
-                g.lock_id, g.line, b.what
-            ),
-        });
+        report(
+            b.line,
+            format!("blocking `{}`; drop the guard first", b.what),
+        );
     }
 
-    // Direct channel ops in later statements (same-span is L3's report).
     for c in &f.chans {
-        if !in_range(c.offset) || !later_stmt(c.offset) {
+        if !g.held_at(c.offset) {
             continue;
         }
         let op = if c.send { "send" } else { "recv" };
-        out.push(Finding {
-            rule: "A2",
-            file: f.file.clone(),
-            line: c.line,
-            message: format!(
-                "guard `{gname}` on `{}` (acquired line {}) is live across channel {op} on \
-                 `{}`; drop the guard first",
-                g.lock_id, g.line, c.receiver
-            ),
-        });
+        report(
+            c.line,
+            format!("channel {op} on `{}`; drop the guard first", c.receiver),
+        );
+    }
+
+    // A second lock taken while a temporary is held (nesting under a named
+    // guard is A1's lock-order question, and re-taking the same lock A1's
+    // self-deadlock). Two temporaries of one statement hold each other: the
+    // pair is reported once, from the guard taken first.
+    if g.binding.is_none() {
+        for a in &f.acquires {
+            let reported_from_first = a.offset < g.acquire_offset
+                && f.guards
+                    .iter()
+                    .any(|o| o.acquire_offset == a.offset && o.binding.is_none());
+            if !g.held_at(a.offset) || a.lock_id == g.lock_id || reported_from_first {
+                continue;
+            }
+            report(
+                a.line,
+                format!(
+                    "acquisition of `{}`; split the statement or drop the guard first",
+                    a.lock_id
+                ),
+            );
+        }
     }
 
     // Calls into functions that may lock / block / touch a channel.
     for &(callee, ci) in &graph.edges[fn_index] {
         let call = &f.calls[ci];
-        if !exec_range(call.offset) {
+        if !g.held_at(call.offset) {
             continue;
         }
         let cs = &sums[callee];
@@ -126,20 +136,14 @@ fn guard_events(
         .into_iter()
         .find_map(|(verb, w)| w.map(|w| (verb, w.clone())));
         let Some((verb, w)) = hazard else { continue };
-        let deeper = w.through(&call.name);
-        out.push(Finding {
-            rule: "A2",
-            file: f.file.clone(),
-            line: call.line,
-            message: format!(
-                "guard `{gname}` on `{}` (acquired line {}) is live across call to `{}`, \
-                 which may {verb}{}",
-                g.lock_id,
-                g.line,
+        report(
+            call.line,
+            format!(
+                "call to `{}`, which may {verb}{}",
                 call.name,
-                deeper.render()
+                w.through(&call.name).render()
             ),
-        });
+        );
     }
 }
 
@@ -170,16 +174,8 @@ pub fn lock_order(fns: &[FnInfo], sums: &[Summary], graph: &CallGraph) -> Vec<Fi
     let mut out = Vec::new();
     for (i, f) in fns.iter().enumerate() {
         for g in &f.guards {
-            let in_range = |off: usize| off > g.acquire_offset && off < g.end;
-            let exec_range = |off: usize| {
-                if g.binding.is_some() {
-                    in_range(off)
-                } else {
-                    off >= g.span.0 && off < g.end && off != g.acquire_offset
-                }
-            };
             for a in &f.acquires {
-                if !in_range(a.offset) {
+                if a.offset <= g.acquire_offset || a.offset >= g.end {
                     continue;
                 }
                 if a.lock_id == g.lock_id {
@@ -206,7 +202,7 @@ pub fn lock_order(fns: &[FnInfo], sums: &[Summary], graph: &CallGraph) -> Vec<Fi
             }
             for &(callee, ci) in &graph.edges[i] {
                 let call = &f.calls[ci];
-                if !exec_range(call.offset) {
+                if !g.held_at(call.offset) {
                     continue;
                 }
                 for (id, w) in &sums[callee].acquires {
@@ -569,5 +565,183 @@ mod tests {
              fn g() { let q2 = BlockingQueue::new(); q2.push(1u64); hand_off(q2); }\n",
         );
         assert!(d.iter().all(|f| f.rule != "A3"), "{d:?}");
+    }
+
+    /// A2 and malformed-allow findings of the whole pipeline on one file,
+    /// `lint:allow` suppression included.
+    fn a2_at(text: &str) -> Vec<Finding> {
+        let mut d =
+            crate::analyze_sources(&[("crates/x/src/t.rs".to_string(), text.to_string())]).findings;
+        d.retain(|f| f.rule == "A2" || f.rule == "allow");
+        d
+    }
+
+    const DOUBLE_LOCK: &str = "fn f() { a.lock().merge(b.lock()); }";
+
+    #[test]
+    fn second_lock_in_a_temporary_guards_statement_is_a2() {
+        let d = a2_at(DOUBLE_LOCK);
+        assert_eq!(rules(&d), ["A2"], "{d:?}");
+        assert_eq!(d.len(), 1, "the pair is one finding: {d:?}");
+        assert!(d[0].message.contains("acquisition of `t::b`"), "{d:?}");
+        // Re-taking the same lock is A1's self-deadlock, not A2's.
+        let d = analyze("fn f() { v.lock().fold(v.lock()); }");
+        assert_eq!(rules(&d), ["A1"], "{d:?}");
+    }
+
+    #[test]
+    fn channel_ops_under_a_temporary_guard_are_a2_wherever_they_sit() {
+        // The send comes first in the text but runs while the guard lives.
+        for text in [
+            "fn f() { tx.send(state.lock().snapshot()); }",
+            "fn f() { state.lock().queue.recv(); }",
+        ] {
+            let d = a2_at(text);
+            assert_eq!(rules(&d), ["A2"], "{text}: {d:?}");
+            assert!(d[0].message.contains("channel"), "{d:?}");
+        }
+    }
+
+    #[test]
+    fn sequential_locks_and_separate_match_arms_are_not_a2() {
+        for text in [
+            "fn f() { let a = m1.lock(); drop(a); let b = m2.lock(); }",
+            "fn f() { match x { A => a.lock().v(), B => b.lock().w(), } }",
+        ] {
+            let d = a2_at(text);
+            assert!(d.is_empty(), "{text}: {d:?}");
+        }
+    }
+
+    #[test]
+    fn justified_allow_on_the_same_or_previous_line_suppresses() {
+        let d = a2_at(
+            "fn f() { a.lock().merge(b.lock()); } // lint:allow(A2): both guards are the same shard",
+        );
+        assert!(d.is_empty(), "{d:?}");
+        let d = a2_at(
+            "// lint:allow(A2): the send is on an unbounded channel\nfn f() { tx.send(state.lock().snapshot()); }",
+        );
+        assert!(d.is_empty(), "{d:?}");
+        let d = a2_at(
+            "fn f() { a.lock().merge(b.lock()); } // lint:allow(held-guard): checked two lines above",
+        );
+        assert!(d.is_empty(), "rule names work too: {d:?}");
+    }
+
+    #[test]
+    fn unjustified_or_misaimed_allows_do_not_suppress() {
+        let d = a2_at("fn f() { a.lock().merge(b.lock()); } // lint:allow(A2)");
+        assert!(
+            d.iter()
+                .any(|f| f.message.contains("requires a justification")),
+            "{d:?}"
+        );
+        assert!(d.iter().any(|f| f.rule == "A2"), "{d:?}");
+        let d = a2_at("fn f() { a.lock().merge(b.lock()); } // lint:allow(A1): not the right rule");
+        assert_eq!(rules(&d), ["A2"], "{d:?}");
+    }
+
+    #[test]
+    fn retired_rules_in_allows_are_malformed() {
+        // Their hazards are A2's, the counting-allocator test's, clippy's
+        // and rustc's now.
+        for rule in ["L3", "L6", "A7", "L1", "L9", "A10"] {
+            let d = a2_at(&format!("fn f() {{}} // lint:allow({rule}): nope"));
+            assert!(
+                d.iter()
+                    .any(|f| f.rule == "allow" && f.message.contains("unknown lint rule")),
+                "{rule}: {d:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn findings_point_at_the_acquiring_line() {
+        let d = a2_at("fn a() {}\nfn b() {\n    x.lock().merge(y.lock());\n}\n");
+        assert_eq!(d.len(), 1, "{d:?}");
+        assert!(
+            d[0].to_string()
+                .starts_with("crates/x/src/t.rs:3: A2 (held-guard)"),
+            "{}",
+            d[0]
+        );
+    }
+
+    /// An identifier-shaped string from a constrained alphabet.
+    fn ident_from(seed: &str) -> String {
+        let cleaned: String = seed
+            .chars()
+            .filter(|c| c.is_ascii_alphanumeric() || *c == '_')
+            .take(12)
+            .collect();
+        format!("v{cleaned}")
+    }
+
+    // Masking and the allow escape hatch must behave the same across
+    // arbitrary identifier names, literal contents and justifications.
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn send_under_any_temporary_guard_is_a2(name in ".{0,12}") {
+            let guarded = ident_from(&name);
+            let d = a2_at(&format!("fn f() {{ tx.send({guarded}.lock().snapshot()); }}"));
+            proptest::prop_assert_eq!(d.len(), 1, "{:?}", &d);
+            proptest::prop_assert_eq!(d[0].rule, "A2");
+        }
+
+        #[test]
+        fn double_lock_is_a2_regardless_of_names(a in ".{0,10}", b in ".{0,10}") {
+            let (ma, mb) = (ident_from(&a), ident_from(&b));
+            let d = a2_at(&format!("fn f() {{ {ma}_a.lock().fold({mb}_b.lock()); }}"));
+            proptest::prop_assert_eq!(d.len(), 1, "{:?}", &d);
+            proptest::prop_assert_eq!(d[0].rule, "A2");
+        }
+
+        #[test]
+        fn guard_hazards_in_literals_and_comments_never_fire(payload in ".{0,40}") {
+            let escaped = payload.replace(['\\', '"'], "");
+            let line = payload.replace('\n', " ").replace("lint:allow", "lint allow");
+            for text in [
+                format!("fn f() -> String {{ format!(\"{escaped} a.lock().merge(b.lock()) tx.send(m.lock())\") }}"),
+                format!("// {line} a.lock().merge(b.lock())\nfn f() {{}}\n"),
+            ] {
+                let d = crate::analyze_sources(&[("crates/x/src/t.rs".to_string(), text)]).findings;
+                proptest::prop_assert!(d.is_empty(), "{:?}", d);
+            }
+        }
+
+        #[test]
+        fn any_nonempty_justification_suppresses(reason in ".{1,40}") {
+            let reason = reason.trim().to_string();
+            if reason.is_empty() || reason.contains(')') {
+                return Ok(());
+            }
+            let d = a2_at(&format!("fn f() {{ a.lock().merge(b.lock()); }} // lint:allow(A2): {reason}"));
+            proptest::prop_assert!(d.is_empty(), "justified allow must suppress: {:?}", d);
+        }
+
+        #[test]
+        fn unjustified_allow_never_suppresses(pad in 0usize..8) {
+            let spaces = " ".repeat(pad);
+            let d = a2_at(&format!("fn f() {{ a.lock().merge(b.lock()); }} // lint:allow(A2){spaces}"));
+            proptest::prop_assert!(d.iter().any(|f| f.rule == "A2"), "{:?}", d);
+            proptest::prop_assert!(
+                d.iter().any(|f| f.message.contains("requires a justification")),
+                "{:?}",
+                d
+            );
+        }
+
+        #[test]
+        fn test_code_is_exempt(name in ".{0,12}") {
+            let guarded = ident_from(&name);
+            let text = format!(
+                "#[cfg(test)]\nmod tests {{\n    #[test]\n    fn t() {{\n        tx.send({guarded}.lock().snapshot());\n        a.lock().merge(b.lock());\n    }}\n}}\n"
+            );
+            let d = crate::analyze_sources(&[("crates/x/src/t.rs".to_string(), text)]).findings;
+            proptest::prop_assert!(d.is_empty(), "{:?}", d);
+        }
     }
 }

@@ -2,21 +2,26 @@
 //! may-channel summaries.
 //!
 //! Resolution is name-based (there is no type checker here), tuned for a
-//! zero-false-positive bar on this repo:
+//! zero-false-positive bar on this repo. A call gets an edge only when it
+//! names exactly one first-party function; a name several types or modules
+//! define stays unresolved, so a collision can invent no lock, block,
+//! channel op, taint or panic path for any analysis:
 //!
 //! * `Type::name(..)` / `Self::name(..)` resolves only to a first-party
 //!   `impl Type` method of that name — unknown types stay unresolved.
-//! * `recv.name(..)` resolves to *all* first-party methods named `name`,
+//! * `self.name(..)` resolves like `Self::name(..)` when the caller's type
+//!   defines `name`.
+//! * `recv.name(..)` resolves to the one first-party method named `name`,
 //!   except when `name` is on the std-prelude denylist (`clone`, `len`,
 //!   `iter`, …) or the receiver is a live lock guard (or a `.lock()` chain):
 //!   a call *through* guarded data dispatches to the guarded value, whose
 //!   own locking is already accounted for at the acquisition site.
-//! * Bare `name(..)` resolves to first-party free functions named `name`
-//!   (module-qualified paths like `telemetry::span_with(..)` count).
+//! * Bare `name(..)` resolves to the one first-party free function named
+//!   `name` (module-qualified paths like `telemetry::span_with(..)` count).
 //!
-//! Summaries are computed to a fixpoint so recursion (e.g. a method whose
-//! name collides with itself) terminates, and each fact carries a witness
-//! path — the callee chain down to the concrete site — for diagnostics.
+//! Summaries are computed to a fixpoint so recursion terminates, and each
+//! fact carries a witness path — the callee chain down to the concrete
+//! site — for diagnostics.
 
 use std::collections::BTreeMap;
 use std::collections::HashMap;
@@ -152,23 +157,11 @@ pub fn taint_barrier(file: &str) -> bool {
 /// stays sound for may-lock but stops growing the id set.
 const ACQUIRES_CAP: usize = 32;
 
-/// The resolved call graph: for each function, `(callee_index, call_index)`.
+/// The resolved call graph: for each function, `(callee_index, call_index)`
+/// for every call that names exactly one first-party function.
 pub struct CallGraph {
     /// Outgoing resolved edges per function.
     pub edges: Vec<Vec<(usize, usize)>>,
-}
-
-impl CallGraph {
-    /// Whether call `ci` of function `i` resolved to exactly one candidate.
-    ///
-    /// Multi-candidate name matches are kept for the soundness-critical
-    /// lock/block summaries (missing a lock is worse than over-reporting),
-    /// but precision-critical facts — determinism taint, unsafe
-    /// reachability — only flow along unambiguous edges, so a method-name
-    /// collision cannot smear taint across unrelated types.
-    pub fn is_unique(&self, i: usize, ci: usize) -> bool {
-        self.edges[i].iter().filter(|&&(_, c)| c == ci).count() == 1
-    }
 }
 
 /// Index over function names for resolution.
@@ -206,25 +199,23 @@ fn build_index(fns: &[FnInfo]) -> Index {
     }
 }
 
-/// Resolves one call site from `caller` to candidate first-party functions.
-fn resolve(index: &Index, caller: &FnInfo, call: &CallSite) -> Vec<usize> {
+/// Resolves one call site from `caller` to the one first-party function it
+/// names, if exactly one matches.
+fn resolve(index: &Index, caller: &FnInfo, call: &CallSite) -> Option<usize> {
     if let Some(q) = &call.type_qual {
         let ty = if q == "Self" {
-            match &caller.impl_type {
-                Some(t) => t.as_str(),
-                None => return Vec::new(),
-            }
+            caller.impl_type.as_deref()?
         } else {
             q.as_str()
         };
-        return match index.typed.get(&(ty.to_string(), call.name.clone())) {
-            Some(&i) => vec![i],
-            None => Vec::new(),
-        };
+        return index
+            .typed
+            .get(&(ty.to_string(), call.name.clone()))
+            .copied();
     }
     if let Some(recv) = &call.receiver {
         if METHOD_DENYLIST.contains(&call.name.as_str()) {
-            return Vec::new();
+            return None;
         }
         // Method names the extractor already models as direct tokens (lock
         // acquisitions, channel ops, condvar waits, joins). Resolving them
@@ -247,32 +238,39 @@ fn resolve(index: &Index, caller: &FnInfo, call: &CallSite) -> Vec<usize> {
                 | "wait_for"
                 | "join"
         ) {
-            return Vec::new();
+            return None;
         }
         // Dispatch through guarded data: `guard.pop()` or
         // `x.lock().push(..)` operates on the *contents*; the lock itself
         // is already recorded at the acquisition site.
         let last = recv.rsplit('.').next().unwrap_or(recv);
         if matches!(last, "lock" | "read" | "write") {
-            return Vec::new();
+            return None;
         }
         let first = recv.split('.').next().unwrap_or(recv);
         if caller.live_guard(first, call.offset).is_some() {
-            return Vec::new();
+            return None;
         }
         // `self.method(..)` dispatches on the caller's own type: resolve it
-        // like `Self::method` when that type defines the method, instead of
-        // fanning out to every same-named method in the workspace.
+        // like `Self::method` when that type defines the method.
         if recv == "self" {
             if let Some(ty) = &caller.impl_type {
                 if let Some(&i) = index.typed.get(&(ty.clone(), call.name.clone())) {
-                    return vec![i];
+                    return Some(i);
                 }
             }
         }
-        return index.methods.get(&call.name).cloned().unwrap_or_default();
+        return unique(index.methods.get(&call.name));
     }
-    index.free.get(&call.name).cloned().unwrap_or_default()
+    unique(index.free.get(&call.name))
+}
+
+/// The only candidate, when there is exactly one.
+fn unique(candidates: Option<&Vec<usize>>) -> Option<usize> {
+    match candidates.map(Vec::as_slice) {
+        Some(&[i]) => Some(i),
+        _ => None,
+    }
 }
 
 /// Builds the resolved call graph over all functions.
@@ -281,13 +279,11 @@ pub fn build_graph(fns: &[FnInfo]) -> CallGraph {
     let edges = fns
         .iter()
         .map(|f| {
-            let mut out = Vec::new();
-            for (ci, call) in f.calls.iter().enumerate() {
-                for callee in resolve(&index, f, call) {
-                    out.push((callee, ci));
-                }
-            }
-            out
+            f.calls
+                .iter()
+                .enumerate()
+                .filter_map(|(ci, call)| resolve(&index, f, call).map(|callee| (callee, ci)))
+                .collect()
         })
         .collect();
     CallGraph { edges }
@@ -345,7 +341,7 @@ pub fn summarize(fns: &[FnInfo], graph: &CallGraph) -> Vec<Summary> {
     loop {
         let mut changed = false;
         for i in 0..fns.len() {
-            for &(callee, ci) in &graph.edges[i] {
+            for &(callee, _) in &graph.edges[i] {
                 if callee == i {
                     continue;
                 }
@@ -379,10 +375,9 @@ pub fn summarize(fns: &[FnInfo], graph: &CallGraph) -> Vec<Summary> {
                         changed = true;
                     }
                 }
-                // Taint stops at telemetry-crate callers (whatever they do
-                // with a tainted value is observability, not a result) and
-                // does not flow along ambiguous name-resolved edges.
-                if s.may_taint.is_none() && !taint_barrier(&fns[i].file) && graph.is_unique(i, ci) {
+                // Taint stops at telemetry-crate callers: whatever they do
+                // with a tainted value is observability, not a result.
+                if s.may_taint.is_none() && !taint_barrier(&fns[i].file) {
                     if let Some(w) = &taint {
                         s.may_taint = Some(w.through(&name));
                         changed = true;
@@ -480,25 +475,21 @@ mod tests {
     }
 
     #[test]
-    fn taint_does_not_cross_ambiguous_method_edges() {
+    fn ambiguous_method_names_resolve_to_nothing() {
+        // Two types define `tick`; one reads the clock and locks. A call
+        // through an unknown receiver may be either, so it gets no edge and
+        // carries neither fact.
         let fns = fns_of(
-            "struct A; impl A {\n    fn tick(&self) -> u64 { std::time::Instant::now().elapsed().as_nanos() as u64 }\n}\n\
+            "struct A; impl A {\n    fn tick(&self) -> u64 { self.m.lock(); std::time::Instant::now().elapsed().as_nanos() as u64 }\n}\n\
              struct B; impl B {\n    fn tick(&self) -> u64 { 0 }\n}\n\
              fn probe(x: &X) -> u64 { x.tick() }\n",
         );
         let g = build_graph(&fns);
         let sums = summarize(&fns, &g);
         let probe = fns.iter().position(|f| f.name.ends_with("probe")).unwrap();
-        assert_eq!(
-            g.edges[probe].len(),
-            2,
-            "ambiguous edges kept for soundness"
-        );
-        assert!(!g.is_unique(probe, 0));
-        assert!(
-            sums[probe].may_taint.is_none(),
-            "taint must not flow along a name collision"
-        );
+        assert!(g.edges[probe].is_empty(), "a name collision is no edge");
+        assert!(sums[probe].may_taint.is_none());
+        assert!(sums[probe].may_lock.is_none());
     }
 
     #[test]

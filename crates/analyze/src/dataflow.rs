@@ -1,4 +1,4 @@
-//! A4–A7: determinism and memory-ordering dataflow analyses.
+//! A4–A6: determinism and memory-ordering dataflow analyses.
 //!
 //! These sit on top of the per-function facts ([`crate::model`]) and the
 //! fixpoint call-graph summaries ([`crate::callgraph`]):
@@ -21,9 +21,6 @@
 //!   `fold`/`reduce`) over parallel iterators or hash-iteration order in
 //!   numeric scopes; accumulation order instability breaks the repo's
 //!   bit-exactness guarantees.
-//! * **A7 (unsafe-justification)** — every non-test `unsafe` block/fn/impl
-//!   must carry a `// SAFETY:` comment within the three preceding lines,
-//!   and `unsafe fn`s must not be reached from taint-carrying callers.
 //!
 //! Like A1–A3, all analyses are flow-insensitive within a function and
 //! tuned for a zero-false-positive bar on this repo (DESIGN.md §12).
@@ -32,8 +29,7 @@ use std::collections::BTreeMap;
 
 use crate::analyses::Finding;
 use crate::callgraph::{CallGraph, Summary};
-use crate::model::{AtomicSite, FileModel, FnInfo};
-use crate::source::SourceFile;
+use crate::model::{AtomicSite, FnInfo};
 
 /// Determinism sinks: code whose outputs are training results — nn, rl,
 /// core's Eq. 2–4 modules, and the cache codec (whose bytes feed gradient
@@ -85,9 +81,7 @@ pub fn determinism_taint(fns: &[FnInfo], sums: &[Summary], graph: &CallGraph) ->
             });
         }
         for &(callee, ci) in &graph.edges[i] {
-            // Taint only crosses unambiguous edges (see CallGraph::is_unique):
-            // a multi-candidate method-name match is not evidence of flow.
-            if callee == i || !graph.is_unique(i, ci) {
+            if callee == i {
                 continue;
             }
             if let Some(w) = &sums[callee].may_taint {
@@ -191,59 +185,6 @@ pub fn float_reduction(fns: &[FnInfo]) -> Vec<Finding> {
                      and breaks bit-exact reproducibility — reduce sequentially over \
                      a sorted/indexed collection",
                     r.what, r.over, f.name
-                ),
-            });
-        }
-    }
-    out
-}
-
-/// A7: `unsafe` without `// SAFETY:`, and `unsafe fn`s reached from
-/// taint-carrying callers.
-pub fn unsafe_audit(
-    models: &[(FileModel, SourceFile)],
-    fns: &[FnInfo],
-    sums: &[Summary],
-    graph: &CallGraph,
-) -> Vec<Finding> {
-    let mut out = Vec::new();
-    for (m, _) in models {
-        for u in &m.unsafes {
-            if u.has_safety {
-                continue;
-            }
-            out.push(Finding {
-                rule: "A7",
-                file: m.path.clone(),
-                line: u.line,
-                message: format!(
-                    "{} without a `// SAFETY:` justification; document the invariant \
-                     that makes it sound on the line above",
-                    u.kind.label()
-                ),
-            });
-        }
-    }
-    for (i, f) in fns.iter().enumerate() {
-        let Some(w) = &sums[i].may_taint else {
-            continue;
-        };
-        for &(callee, ci) in &graph.edges[i] {
-            if callee == i || !fns[callee].is_unsafe_fn || !graph.is_unique(i, ci) {
-                continue;
-            }
-            let call = &f.calls[ci];
-            out.push(Finding {
-                rule: "A7",
-                file: f.file.clone(),
-                line: call.line,
-                message: format!(
-                    "`{}` calls `unsafe fn {}` while carrying non-deterministic \
-                     taint{}; unsafe invariants must not rest on non-deterministic \
-                     values",
-                    f.name,
-                    fns[callee].name,
-                    w.render()
                 ),
             });
         }
@@ -431,51 +372,5 @@ mod tests {
             "pub fn total(xs: &[f32]) -> f32 { xs.par_iter().map(|x| x * x).sum::<f32>() }\n",
         );
         assert_eq!(fs.iter().filter(|f| f.rule == "A6").count(), 1, "{fs:?}");
-    }
-
-    #[test]
-    fn unsafe_without_safety_is_a7_and_with_is_clean() {
-        let bad = run(
-            "crates/serverless/src/ffi.rs",
-            "pub fn read(p: *const u64) -> u64 {\n    unsafe { *p }\n}\n",
-        );
-        assert_eq!(bad.iter().filter(|f| f.rule == "A7").count(), 1, "{bad:?}");
-        let good = run(
-            "crates/serverless/src/ffi.rs",
-            "pub fn read(p: *const u64) -> u64 {\n    // SAFETY: caller guarantees `p` is valid.\n    unsafe { *p }\n}\n",
-        );
-        assert!(good.is_empty(), "{good:?}");
-    }
-
-    #[test]
-    fn safety_on_unsafe_impl_covers_required_fns() {
-        let fs = run(
-            "crates/bench/src/bin/alloc.rs",
-            "// SAFETY: counting wrapper delegates every contract to System.\n\
-             unsafe impl GlobalAlloc for A {\n\
-             unsafe fn alloc(&self, l: Layout) -> *mut u8 { System.alloc(l) }\n\
-             }\n",
-        );
-        assert!(fs.is_empty(), "{fs:?}");
-    }
-
-    #[test]
-    fn tainted_caller_reaching_unsafe_fn_is_a7() {
-        let fs = run(
-            "crates/serverless/src/poke.rs",
-            "// SAFETY: callers pass a valid, exclusive pointer.\n\
-             pub unsafe fn poke(p: *mut u64, v: u64) { *p = v; }\n\
-             pub fn scramble(out: &mut u64) {\n\
-             let seed = std::time::Instant::now().elapsed().as_nanos() as u64;\n\
-             let p: *mut u64 = out;\n\
-             // SAFETY: `p` comes from a live &mut borrow.\n\
-             unsafe { poke(p, seed) };\n\
-             }\n",
-        );
-        let reach: Vec<_> = fs
-            .iter()
-            .filter(|f| f.message.contains("carrying non-deterministic taint"))
-            .collect();
-        assert_eq!(reach.len(), 1, "{fs:?}");
     }
 }

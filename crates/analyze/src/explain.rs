@@ -1,5 +1,6 @@
-//! `--explain <RULE>`: rationale, example, and sanitizer/escape list for
-//! every rule in the shared registry ([`crate::source::KNOWN_RULES`]).
+//! `--explain <RULE>`: rationale, example, sanitizer/escape list, and the
+//! defect or fixture that shows the rule earns its place, for every rule in
+//! the shared registry ([`crate::source::KNOWN_RULES`]).
 //!
 //! Keeping the table here (not in help text) means a rule cannot be added
 //! to the registry without an explanation: [`explain`] is exhaustiveness-
@@ -13,28 +14,12 @@ struct Entry {
     rationale: &'static str,
     example: &'static str,
     escapes: &'static str,
+    /// A defect the rule caught on this tree, or the fixture that mirrors
+    /// real code.
+    caught: &'static str,
 }
 
-const ENTRIES: [Entry; 11] = [
-    Entry {
-        id: "L3",
-        rationale: "A lock guard held across `.await`-like blocking (channel recv, \
-                    sleep, join) in the same statement serializes the hot path and \
-                    risks deadlock.",
-        example: "self.state.lock().queue.recv();  // L3: split the statement",
-        escapes: "Bind the guard, copy what you need, drop it before blocking; \
-                  `lint:allow(L3): <why>`.",
-    },
-    Entry {
-        id: "L6",
-        rationale: "The backward pass accumulates into a recycled gradient arena; \
-                    a `.clone()` inside one of `graph.rs`'s boxed backward \
-                    closures allocates a fresh tensor per contribution and \
-                    brings back the churn the arena removed.",
-        example: "Box::new(move |grad, sink| sink.add(a, &grad.clone()))  // L6",
-        escapes: "Accumulate through `GradSink::with`/`GradSink::add`; \
-                  `lint:allow(L6): <why>` where a copy is genuinely needed.",
-    },
+const ENTRIES: [Entry; 8] = [
     Entry {
         id: "A1",
         rationale: "Two code paths acquiring the same locks in opposite orders can \
@@ -45,15 +30,25 @@ const ENTRIES: [Entry; 11] = [
                   fn b() { let g = y.lock(); x.lock(); }  // A1 cycle x -> y -> x",
         escapes: "Fix a global acquisition order; `lint:allow(A1): <why>` when an \
                   external invariant (e.g. shard index order) prevents the cycle.",
+        caught: "The orchestrator's snapshot/finalize took the cache and platform \
+                 locks while holding the server lock; the fix returns a \
+                 `ServerFinal` instead (CHANGES.md, the analyzer's first entry). \
+                 Fixture: `tests/fixtures/ab_ba.rs`, a cycle with one leg behind a call.",
     },
     Entry {
         id: "A2",
         rationale: "A guard held across a blocking operation (condvar wait, join, \
-                    sleep, channel op in a later statement, or a call that may \
-                    block/lock) stalls every other thread contending for that lock.",
-        example: "let g = self.state.lock();\nself.rx.recv();  // A2: g held across recv",
+                    sleep, channel op, or a call that may block/lock) stalls every \
+                    other thread contending for that lock. An unbound temporary \
+                    guard is held for its whole statement, so a channel op or a \
+                    second acquisition anywhere in that statement is held too.",
+        example: "let g = self.state.lock();\nself.rx.recv();  // A2: g held across recv\n\
+                  self.tx.send(self.state.lock().snapshot());  // A2: held across send",
         escapes: "Drop the guard first (`drop(g)` or a scope); condvar waits that \
                   release the waited guard are exempt; `lint:allow(A2): <why>`.",
+        caught: "`SspThrottle::begin` emitted telemetry, which locks, under its \
+                 in-flight lock (CHANGES.md, the analyzer's first entry). \
+                 Fixture: `tests/fixtures/guard_across_recv.rs`.",
     },
     Entry {
         id: "A3",
@@ -63,6 +58,8 @@ const ENTRIES: [Entry; 11] = [
         example: "let (tx, rx) = channel();\ndrop(rx);\ntx.send(x);  // A3 orphan",
         escapes: "Consume the receiver or delete the channel; \
                   `lint:allow(A3): <why>` for intentionally fire-and-forget sends.",
+        caught: "No defect recorded. Fixture: `tests/fixtures/orphan_sender.rs`, a \
+                 progress channel whose receiver is dropped and a queue nobody pops.",
     },
     Entry {
         id: "A4",
@@ -82,6 +79,8 @@ const ENTRIES: [Entry; 11] = [
                   order-insensitive min/max folds over maps are exempt; \
                   collect-then-sort neutralizes iteration order. Otherwise \
                   `lint:allow(A4): <why>`.",
+        caught: "No defect recorded. Fixture: `tests/fixtures/taint_time_to_grad.rs`, \
+                 a clock read that scales every aggregated gradient.",
     },
     Entry {
         id: "A5",
@@ -96,6 +95,9 @@ const ENTRIES: [Entry; 11] = [
         escapes: "Use Release stores with Acquire loads for flags; Relaxed \
                   everywhere for pure counters; `lint:allow(A5): <why>` when an \
                   external fence provides the ordering.",
+        caught: "`trace::ENABLED` paired a `SeqCst` store with a `Relaxed` load; it is \
+                 Release/Acquire now, pinned by \
+                 `crates/telemetry/tests/ordering_regression.rs` (CHANGES.md).",
     },
     Entry {
         id: "A6",
@@ -107,19 +109,8 @@ const ENTRIES: [Entry; 11] = [
         escapes: "Reduce sequentially over a sorted/indexed collection (BTreeMap, \
                   Vec by index); min/max-only folds are order-insensitive and \
                   exempt; `lint:allow(A6): <why>`.",
-    },
-    Entry {
-        id: "A7",
-        rationale: "Every `unsafe` block/fn/impl must state the invariant that makes \
-                    it sound in a `// SAFETY:` comment within the three preceding \
-                    lines — unsound unsafe corrupts results silently. Additionally, \
-                    an `unsafe fn` reached from a caller carrying determinism taint \
-                    is flagged: pointer/length invariants must not rest on \
-                    non-deterministic values.",
-        example: "let rc = unsafe { clock_gettime(ID, &mut ts) };  // A7 without SAFETY",
-        escapes: "Write the `// SAFETY:` justification (an `unsafe impl`'s comment \
-                  covers the `unsafe fn`s its trait contract requires); \
-                  `lint:allow(A7): <why>` as a last resort.",
+        caught: "No defect recorded. Fixture: `tests/fixtures/hashmap_reduce.rs`, a \
+                 float sum over `HashMap` values.",
     },
     Entry {
         id: "A8",
@@ -140,6 +131,9 @@ const ENTRIES: [Entry; 11] = [
                   justify truly-unreachable sites with `lint:allow(A8): <why>` on \
                   the same or one of the three preceding lines (consumed at \
                   extraction, so the workspace stays at zero suppressions).",
+        caught: "The orchestrator panicked on a missing or corrupt policy frame; \
+                 `read_snapshot` now degrades the wave instead (CHANGES.md, the \
+                 A8/A9 entry).",
     },
     Entry {
         id: "A9",
@@ -160,6 +154,9 @@ const ENTRIES: [Entry; 11] = [
                   `reuse_as_zeros`, `GradAccumulator::reset`); genuinely amortized \
                   sites go in `ALLOC_ALLOWLIST` with a written reason — there is no \
                   comment-level escape, the allowlist is the single budget.",
+        caught: "`SampleBatch::encode` collected a temporary `Vec` of dones on the hot \
+                 path; it writes them straight to the wire now (CHANGES.md, the \
+                 A8/A9 entry).",
     },
 ];
 
@@ -169,19 +166,13 @@ pub fn explain(rule: &str) -> Option<String> {
     let id = canonical_rule(rule)?;
     let entry = ENTRIES.iter().find(|e| e.id == id)?;
     let name = rule_name(id);
+    let flow = |text: &str| text.split_whitespace().collect::<Vec<_>>().join(" ");
     Some(format!(
-        "{id} ({name})\n\nWhy:\n  {}\n\nExample:\n  {}\n\nSanitizers / escapes:\n  {}\n",
-        entry
-            .rationale
-            .split_whitespace()
-            .collect::<Vec<_>>()
-            .join(" "),
+        "{id} ({name})\n\nWhy:\n  {}\n\nExample:\n  {}\n\nSanitizers / escapes:\n  {}\n\nCaught:\n  {}\n",
+        flow(entry.rationale),
         entry.example.replace('\n', "\n  "),
-        entry
-            .escapes
-            .split_whitespace()
-            .collect::<Vec<_>>()
-            .join(" "),
+        flow(entry.escapes),
+        flow(entry.caught),
     ))
 }
 
@@ -206,7 +197,7 @@ mod tests {
         for (id, name) in KNOWN_RULES {
             let text = explain(id).unwrap_or_else(|| panic!("no explanation for {id}"));
             assert!(text.starts_with(&format!("{id} ({name})")), "{text}");
-            for section in ["Why:", "Example:", "Sanitizers / escapes:"] {
+            for section in ["Why:", "Example:", "Sanitizers / escapes:", "Caught:"] {
                 assert!(text.contains(section), "{id} missing {section}");
             }
         }

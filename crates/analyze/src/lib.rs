@@ -2,22 +2,23 @@
 //!
 //! The crate builds a lightweight source model — a lossless token stream
 //! ([`token`]), masked source with comment/test tracking ([`source`]), and
-//! per-function concurrency facts ([`model`]) — and checks eleven rules
-//! over it, the ones no off-the-shelf checker does. Panic-freedom, lossy
-//! casts, print discipline and swallowed `Result`s are clippy lints, set in
-//! the crate roots and the workspace lint table (DESIGN.md §9).
+//! per-function concurrency facts ([`model`]) — and checks eight
+//! whole-workspace rules over it, the ones no off-the-shelf checker does.
+//! Panic-freedom, lossy casts, print discipline, swallowed `Result`s and
+//! `// SAFETY:` comments on every unsafe operation are clippy and rustc
+//! lints, set in the crate roots and the workspace lint tables; allocation
+//! in a backward closure is counted by `crates/nn/tests/arena_allocs.rs`
+//! (DESIGN.md §9).
 //!
-//! Two per-file rules ([`lint`]): L3 lock-discipline and L6
-//! grad-alloc-discipline.
-//!
-//! Nine whole-workspace analyses ([`analyses`], [`dataflow`],
-//! [`reachability`]) over a call graph with interprocedural
-//! lock/block/channel summaries ([`callgraph`]):
+//! The analyses ([`analyses`], [`dataflow`], [`reachability`]) run over a
+//! call graph with interprocedural lock/block/channel summaries
+//! ([`callgraph`]):
 //!
 //! * **A1 `lock-order`** — lock acquisition-order graph; cycles (including
 //!   through calls) are potential deadlocks.
 //! * **A2 `held-guard`** — a mutex/rwlock guard held across a blocking call,
-//!   channel op, or another acquisition reached through a call chain.
+//!   channel op, or another acquisition reached through a call chain; an
+//!   unbound temporary guard is held for its whole statement.
 //! * **A3 `channel-topology`** — senders whose receiver is dropped unused,
 //!   and unbounded queues that are pushed to but never popped.
 //! * **A4 `determinism-taint`** — non-deterministic sources (wall clock,
@@ -27,8 +28,6 @@
 //!   acquire/release protocol, and unobservable `SeqCst`.
 //! * **A6 `float-reduction-order`** — order-unstable float reductions in
 //!   numeric scopes.
-//! * **A7 `unsafe-justification`** — `unsafe` without `// SAFETY:`, and
-//!   `unsafe fn`s reached from taint-carrying callers.
 //! * **A8 `panic-reachability`** — panic sites (`unwrap`/`expect`/
 //!   `panic!`-family, decode indexing) reachable from serverless
 //!   invocation entry points, the orchestrator round loop, or wire-decode
@@ -37,17 +36,14 @@
 //!   the annotated hot roots, checked against an explicit allowlist whose
 //!   length a counting-allocator test pins.
 //!
-//! Any finding can be suppressed with a justified
-//! `// lint:allow(<rule>): <why>` comment (registry in
-//! [`source::KNOWN_RULES`]), or absorbed wholesale by a baseline file
-//! ([`baseline`]). Output formats live in [`report`].
+//! A finding is suppressed only by a justified
+//! `// lint:allow(<rule>): <why>` comment at its site (registry in
+//! [`source::KNOWN_RULES`]). Output formats live in [`report`].
 
 pub mod analyses;
-pub mod baseline;
 pub mod callgraph;
 pub mod dataflow;
 pub mod explain;
-pub mod lint;
 pub mod model;
 pub mod reachability;
 pub mod report;
@@ -56,7 +52,7 @@ pub mod token;
 
 pub use analyses::{channel_topology, held_guard, lock_order, Finding};
 pub use callgraph::{build_graph, summarize, CallGraph, Summary};
-pub use dataflow::{atomics_ordering, determinism_taint, float_reduction, unsafe_audit};
+pub use dataflow::{atomics_ordering, determinism_taint, float_reduction};
 pub use model::{model_file, FileModel, FnInfo};
 pub use reachability::{alloc_reachability, panic_reachability, ALLOC_ALLOWLIST};
 pub use report::{render, Format};
@@ -84,10 +80,9 @@ pub struct Analysis {
 /// Whether a repo-relative path (forward slashes) is in analysis scope.
 ///
 /// First-party `src/` trees only; vendored crates, build output, and
-/// test/bench/example trees are excluded. The call-graph analyses apply
-/// uniformly to every in-scope file (bins included — a deadlock in
-/// `main.rs` is still a deadlock); L6 narrows further to the graph tape
-/// ([`lint::check`]).
+/// test/bench/example trees are excluded. The analyses apply uniformly to
+/// every in-scope file (bins included — a deadlock in `main.rs` is still a
+/// deadlock).
 pub fn in_analysis_scope(rel: &str) -> bool {
     if !rel.ends_with(".rs") {
         return false;
@@ -129,12 +124,8 @@ pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
     findings.extend(determinism_taint(&all_fns, &sums, &graph));
     findings.extend(atomics_ordering(&all_fns));
     findings.extend(float_reduction(&all_fns));
-    findings.extend(unsafe_audit(&models, &all_fns, &sums, &graph));
     findings.extend(panic_reachability(&all_fns, &graph));
     findings.extend(alloc_reachability(&all_fns, &graph));
-    for (m, s) in &models {
-        findings.extend(lint::check(&m.path, s));
-    }
 
     let allows: HashMap<&str, Allows> = models
         .iter()
@@ -163,14 +154,9 @@ pub fn analyze_sources(files: &[(String, String)]) -> Analysis {
     kept.sort_by(|a, b| {
         (&a.file, a.line, a.rule, &a.message).cmp(&(&b.file, b.line, b.rule, &b.message))
     });
-    // A call-graph analysis can reach one site along several paths; an
-    // L-rule reports each occurrence, so two clones on a line are two findings.
+    // A call-graph analysis can reach one site along several paths.
     kept.dedup_by(|a, b| {
-        a.rule.starts_with('A')
-            && a.rule == b.rule
-            && a.file == b.file
-            && a.line == b.line
-            && a.message == b.message
+        a.rule == b.rule && a.file == b.file && a.line == b.line && a.message == b.message
     });
 
     Analysis {

@@ -1,21 +1,15 @@
-//! CLI for the Stellaris static analyzer (L3, L6, A1–A9).
+//! CLI for the Stellaris static analyzer (A1–A6, A8, A9).
 //!
 //! ```text
-//! stellaris-analyze [root] [--format human|json|sarif] [--out FILE]
-//!                   [--baseline FILE] [--write-baseline FILE]
-//!                   [--prune-baseline] [--ratchet] [--explain RULE|all]
+//! stellaris-analyze [root] [--format human|sarif] [--out FILE] [--explain RULE|all]
 //! ```
 //!
 //! Without `root`, analyzes the enclosing workspace. `--explain` prints the
 //! rationale/example/sanitizer documentation for one rule (or `all`) and
-//! exits without analyzing. `--prune-baseline` (with `--baseline`) rewrites
-//! the baseline file without entries that no longer match any finding.
-//! `--ratchet` (with `--baseline`) turns stale baseline entries from
-//! warnings into failures, so the baseline can only shrink: a fixed finding
-//! must be removed from the file, never silently resurrected.
-//! Exit codes: 0 when clean (or everything is baselined), 1 when
-//! unsuppressed findings remain (or, under `--ratchet`, when the baseline
-//! has stale entries), 2 on usage or I/O errors.
+//! exits without analyzing. A finding is silenced only by a justified
+//! `// lint:allow(<rule>): <why>` at its site.
+//! Exit codes: 0 when clean, 1 when unsuppressed findings remain, 2 on
+//! usage or I/O errors.
 
 #![allow(clippy::print_stdout, clippy::print_stderr)]
 
@@ -23,24 +17,17 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;
 
-use stellaris_analyze::baseline::{render_baseline, Baseline};
 use stellaris_analyze::report::{render, Format};
 
 struct Opts {
     root: Option<PathBuf>,
     format: Format,
     out: Option<PathBuf>,
-    baseline: Option<PathBuf>,
-    write_baseline: Option<PathBuf>,
-    prune_baseline: bool,
-    ratchet: bool,
     explain: Option<String>,
 }
 
 fn usage() -> &'static str {
-    "usage: stellaris-analyze [root] [--format human|json|sarif] [--out FILE] \
-     [--baseline FILE] [--write-baseline FILE] [--prune-baseline] [--ratchet] \
-     [--explain RULE|all]"
+    "usage: stellaris-analyze [root] [--format human|sarif] [--out FILE] [--explain RULE|all]"
 }
 
 fn parse_opts(args: &[String]) -> Result<Opts, String> {
@@ -48,10 +35,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
         root: None,
         format: Format::Human,
         out: None,
-        baseline: None,
-        write_baseline: None,
-        prune_baseline: false,
-        ratchet: false,
         explain: None,
     };
     let mut it = args.iter();
@@ -65,16 +48,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, String> {
                 let v = it.next().ok_or("--out needs a value")?;
                 opts.out = Some(PathBuf::from(v));
             }
-            "--baseline" => {
-                let v = it.next().ok_or("--baseline needs a value")?;
-                opts.baseline = Some(PathBuf::from(v));
-            }
-            "--write-baseline" => {
-                let v = it.next().ok_or("--write-baseline needs a value")?;
-                opts.write_baseline = Some(PathBuf::from(v));
-            }
-            "--prune-baseline" => opts.prune_baseline = true,
-            "--ratchet" => opts.ratchet = true,
             "--explain" => {
                 let v = it.next().ok_or("--explain needs a rule id or `all`")?;
                 opts.explain = Some(v.clone());
@@ -118,18 +91,10 @@ fn main() -> ExitCode {
                 ExitCode::SUCCESS
             }
             None => {
-                eprintln!("stellaris-analyze: unknown rule `{rule}` (try L3, L6, A1–A9, or `all`)");
+                eprintln!("stellaris-analyze: unknown rule `{rule}` (try A1–A6, A8, A9, or `all`)");
                 ExitCode::from(2)
             }
         };
-    }
-    if opts.prune_baseline && opts.baseline.is_none() {
-        eprintln!("stellaris-analyze: --prune-baseline requires --baseline FILE");
-        return ExitCode::from(2);
-    }
-    if opts.ratchet && opts.baseline.is_none() {
-        eprintln!("stellaris-analyze: --ratchet requires --baseline FILE");
-        return ExitCode::from(2);
     }
 
     let root = match opts.root {
@@ -159,89 +124,7 @@ fn main() -> ExitCode {
     };
     let elapsed_ms = started.elapsed().as_secs_f64() * 1e3;
 
-    if let Some(path) = &opts.write_baseline {
-        let text = render_baseline(
-            analysis
-                .findings
-                .iter()
-                .map(|f| (f.rule, f.file.as_str(), f.message.as_str())),
-        );
-        if let Err(e) = std::fs::write(path, text) {
-            eprintln!("stellaris-analyze: failed to write {}: {e}", path.display());
-            return ExitCode::from(2);
-        }
-        eprintln!(
-            "stellaris-analyze: wrote baseline with {} entr{} to {}",
-            analysis.findings.len(),
-            if analysis.findings.len() == 1 {
-                "y"
-            } else {
-                "ies"
-            },
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let mut findings = analysis.findings;
-    let mut baselined = 0usize;
-    let mut stale_fatal = 0usize;
-    if let Some(path) = &opts.baseline {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("stellaris-analyze: failed to read {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        let mut base = match Baseline::parse(&text) {
-            Ok(b) => b,
-            Err(msg) => {
-                eprintln!("stellaris-analyze: {}: {msg}", path.display());
-                return ExitCode::from(2);
-            }
-        };
-        findings.retain(|f| {
-            let known = base.take(f.rule, &f.file, &f.message);
-            if known {
-                baselined += 1;
-            }
-            !known
-        });
-        let stale = base.stale();
-        for s in &stale {
-            eprintln!(
-                "stellaris-analyze: stale baseline entry (no longer reported): {}\t{}\t{}",
-                s.rule, s.file, s.message
-            );
-        }
-        if opts.ratchet {
-            // Under the ratchet a stale entry is debt someone forgot to
-            // collect: the finding is fixed, so the baseline must shrink.
-            stale_fatal = stale.len();
-        }
-        if opts.prune_baseline {
-            let matched = base.matched();
-            let text = render_baseline(
-                matched
-                    .iter()
-                    .map(|k| (k.rule.as_str(), k.file.as_str(), k.message.as_str())),
-            );
-            if let Err(e) = std::fs::write(path, text) {
-                eprintln!("stellaris-analyze: failed to write {}: {e}", path.display());
-                return ExitCode::from(2);
-            }
-            eprintln!(
-                "stellaris-analyze: pruned {} stale entr{} from {} ({} kept)",
-                stale.len(),
-                if stale.len() == 1 { "y" } else { "ies" },
-                path.display(),
-                matched.len()
-            );
-        }
-    }
-
-    let rendered = render(&findings, opts.format);
+    let rendered = render(&analysis.findings, opts.format);
     if let Some(path) = &opts.out {
         if let Err(e) = std::fs::write(path, &rendered) {
             eprintln!("stellaris-analyze: failed to write {}: {e}", path.display());
@@ -251,25 +134,19 @@ fn main() -> ExitCode {
         print!("{rendered}");
     }
 
-    // Keep the human-readable status on stderr so `--format json/sarif`
-    // stdout stays machine-parseable.
+    // Keep the human-readable status on stderr so `--format sarif` stdout
+    // stays machine-parseable.
     let status = format!(
-        "{} file(s), {} function(s), {} suppressed, {} baselined, analyzed in {elapsed_ms:.1} ms",
-        analysis.files, analysis.fns, analysis.suppressed, baselined
+        "{} file(s), {} function(s), {} suppressed, analyzed in {elapsed_ms:.1} ms",
+        analysis.files, analysis.fns, analysis.suppressed
     );
-    if stale_fatal > 0 {
-        eprintln!(
-            "stellaris-analyze: ratchet: {stale_fatal} stale baseline entr{} — run --prune-baseline and commit the shrunken file ({status})",
-            if stale_fatal == 1 { "y" } else { "ies" }
-        );
-        ExitCode::FAILURE
-    } else if findings.is_empty() {
+    if analysis.findings.is_empty() {
         eprintln!("stellaris-analyze: clean ({status})");
         ExitCode::SUCCESS
     } else {
         eprintln!(
             "stellaris-analyze: {} finding(s) ({status})",
-            findings.len()
+            analysis.findings.len()
         );
         ExitCode::FAILURE
     }

@@ -8,8 +8,8 @@
 //! sleeps), outgoing calls, thread/rayon spawns, channel-pair and queue
 //! declarations, non-deterministic source reads (wall clocks, ambient RNGs,
 //! `HashMap`/`HashSet` iteration, thread identity), atomic operations with
-//! their `Ordering`, float-reduction sites, and `unsafe` occurrences with
-//! their `// SAFETY:` status. The call graph ([`crate::callgraph`]) stitches
+//! their `Ordering`, float-reduction sites, panic sites and fresh
+//! allocations. The call graph ([`crate::callgraph`]) stitches
 //! these facts into whole-workspace summaries; the analyses
 //! ([`crate::analyses`], [`crate::dataflow`]) consume both.
 //!
@@ -22,7 +22,7 @@ use std::collections::BTreeSet;
 
 use crate::source::{boundary_ok, find_token, match_brace, statement_spans, SourceFile};
 
-/// Lock-acquisition tokens (shared with lint's L3).
+/// Lock-acquisition tokens.
 pub const LOCK_TOKENS: [&str; 3] = [".lock()", ".read()", ".write()"];
 
 /// Channel-operation tokens: `(send?, token)`.
@@ -68,10 +68,25 @@ pub struct GuardRange {
     /// Live range: `(acquire_offset, end)`, end exclusive.
     pub end: usize,
     /// Statement span (from [`statement_spans`]) containing the acquisition;
-    /// same-span hazards belong to lint's L3, not A2.
+    /// a temporary guard is held while anything in it runs.
     pub span: (usize, usize),
     /// 1-based line of the acquisition.
     pub line: usize,
+}
+
+impl GuardRange {
+    /// Whether the guard is held while the code at `offset` runs. A named
+    /// guard is held after its acquisition; a temporary for its whole
+    /// statement, so `tx.send(state.lock().snapshot())` holds it while
+    /// `send` runs although `send` comes first in the text.
+    pub fn held_at(&self, offset: usize) -> bool {
+        let from = if self.binding.is_some() {
+            self.acquire_offset
+        } else {
+            self.span.0
+        };
+        offset >= from && offset < self.end && offset != self.acquire_offset
+    }
 }
 
 /// A channel send/recv site.
@@ -229,41 +244,6 @@ pub struct ReduceSite {
     pub line: usize,
 }
 
-/// What an `unsafe` keyword introduces.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum UnsafeKind {
-    Block,
-    Fn,
-    /// `unsafe impl` / `unsafe trait` / `unsafe extern`.
-    Impl,
-}
-
-impl UnsafeKind {
-    /// Lower-case label for diagnostics.
-    pub fn label(self) -> &'static str {
-        match self {
-            UnsafeKind::Block => "unsafe block",
-            UnsafeKind::Fn => "unsafe fn",
-            UnsafeKind::Impl => "unsafe impl",
-        }
-    }
-}
-
-/// One non-test `unsafe` occurrence in a file.
-#[derive(Clone, Debug)]
-pub struct UnsafeSite {
-    /// Block, fn, or impl/trait.
-    pub kind: UnsafeKind,
-    /// Byte offset of the `unsafe` keyword.
-    pub offset: usize,
-    /// 1-based line.
-    pub line: usize,
-    /// A `// SAFETY:` comment sits on the same or one of the three
-    /// preceding lines (an `unsafe impl`'s justification also covers the
-    /// `unsafe fn`s the trait contract requires).
-    pub has_safety: bool,
-}
-
 /// One potentially-panicking operation (A8).
 #[derive(Clone, Debug)]
 pub struct PanicSite {
@@ -331,8 +311,6 @@ pub struct FnInfo {
     pub panics: Vec<PanicSite>,
     /// Unconditional fresh allocations (A9).
     pub allocs: Vec<AllocSite>,
-    /// Declared `unsafe fn` (A7 reachability).
-    pub is_unsafe_fn: bool,
 }
 
 impl FnInfo {
@@ -357,14 +335,8 @@ impl FnInfo {
 pub struct FileModel {
     /// Repo-relative path.
     pub path: String,
-    /// File stem (`orchestrator` for `crates/core/src/orchestrator.rs`),
-    /// used to namespace lock ids of non-`self` receivers.
-    pub stem: String,
     /// Functions, in source order.
     pub fns: Vec<FnInfo>,
-    /// Non-test `unsafe` occurrences anywhere in the file — item-level
-    /// `unsafe impl` included, so this lives on the file, not a function.
-    pub unsafes: Vec<UnsafeSite>,
 }
 
 /// Extracts the model for one source file.
@@ -399,9 +371,7 @@ pub fn model_file(path: &str, src: &SourceFile) -> FileModel {
     }
     FileModel {
         path: path.to_string(),
-        stem,
         fns,
-        unsafes: unsafe_sites(masked, src),
     }
 }
 
@@ -428,6 +398,25 @@ fn impl_spans(masked: &str) -> Vec<(String, usize, usize)> {
         };
         let open = at + rel_open;
         let mut header = &masked[at + "impl".len()..open];
+        // Skip the impl's own parameter list: `impl<T: Clone> Q<T>` is `Q`'s.
+        if let Some(params) = header.trim_start().strip_prefix('<') {
+            let mut depth = 1usize;
+            let mut prev = b'<';
+            for (i, b) in params.bytes().enumerate() {
+                match b {
+                    b'<' => depth += 1,
+                    b'>' if prev != b'-' => {
+                        depth -= 1;
+                        if depth == 0 {
+                            header = &params[i + 1..];
+                            break;
+                        }
+                    }
+                    _ => {}
+                }
+                prev = b;
+            }
+        }
         if let Some(w) = header.find(" where ") {
             header = &header[..w];
         }
@@ -493,7 +482,6 @@ fn raw_fns(
         }
         let Some(open) = open else { continue };
         let close = match_brace(bytes, open);
-        let is_unsafe_fn = masked[..at].trim_end().ends_with("unsafe");
         let impl_type = impls
             .iter()
             .rfind(|&&(_, o, c)| o < at && at < c)
@@ -522,7 +510,6 @@ fn raw_fns(
             reductions: Vec::new(),
             panics: Vec::new(),
             allocs: Vec::new(),
-            is_unsafe_fn,
         });
     }
     out
@@ -1238,59 +1225,6 @@ fn scan_allocs(
     f.allocs.sort_by_key(|a| a.offset);
 }
 
-/// Non-test `unsafe` occurrences with their `// SAFETY:` status. An
-/// `unsafe fn` inside a SAFETY-justified `unsafe impl`/`unsafe trait` is
-/// covered by the impl's justification (the trait contract requires the
-/// signature).
-fn unsafe_sites(masked: &str, src: &SourceFile) -> Vec<UnsafeSite> {
-    let bytes = masked.as_bytes();
-    let mut raw = Vec::new();
-    for at in find_token(masked, "unsafe") {
-        if !boundary_ok(masked, at, "unsafe") || src.in_test(at) {
-            continue;
-        }
-        let mut k = at + "unsafe".len();
-        while k < bytes.len() && bytes[k].is_ascii_whitespace() {
-            k += 1;
-        }
-        let w0 = k;
-        while k < bytes.len() && (bytes[k] == b'_' || bytes[k].is_ascii_alphanumeric()) {
-            k += 1;
-        }
-        let kind = match &masked[w0..k] {
-            "" if w0 < bytes.len() && bytes[w0] == b'{' => UnsafeKind::Block,
-            "impl" | "trait" | "extern" => UnsafeKind::Impl,
-            "fn" => UnsafeKind::Fn,
-            _ => continue,
-        };
-        let line = src.line_of(at);
-        let has_safety = (line.saturating_sub(3)..=line)
-            .any(|l| l >= 1 && src.comment_text(l).is_some_and(|c| c.contains("SAFETY:")));
-        raw.push(UnsafeSite {
-            kind,
-            offset: at,
-            line,
-            has_safety,
-        });
-    }
-    // Justified impl/trait spans cover their required unsafe fns.
-    let covered: Vec<(usize, usize)> = raw
-        .iter()
-        .filter(|u| u.kind == UnsafeKind::Impl && u.has_safety)
-        .filter_map(|u| {
-            masked[u.offset..]
-                .find('{')
-                .map(|rel| (u.offset + rel, match_brace(bytes, u.offset + rel)))
-        })
-        .collect();
-    for u in &mut raw {
-        if u.kind == UnsafeKind::Fn && !u.has_safety && in_ranges(&covered, u.offset) {
-            u.has_safety = true;
-        }
-    }
-    raw
-}
-
 /// Normalized lock identity. `self.*` receivers are qualified by the impl
 /// type so `BlockingQueue::self.inner` and `GradientQueue::self.inner` stay
 /// distinct; other receivers are qualified by the defining scope so a local
@@ -1639,6 +1573,16 @@ mod tests {
             model("pub struct Q;\nimpl Q {\n    pub fn push(&self) {}\n}\nfn free_fn() {}\n");
         let names: Vec<&str> = m.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, ["Q::push", "sample::free_fn"]);
+    }
+
+    #[test]
+    fn generic_impl_blocks_qualify_their_methods() {
+        let (_, m) = model(
+            "impl<T: Clone> Q<T> { fn push(&self) {} }\n\
+             impl<F: Fn() -> u64> Tr for W<F> { fn run(&self) {} }\n",
+        );
+        let names: Vec<&str> = m.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(names, ["Q::push", "W::run"]);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! A8–A9: panic-reachability and hot-path allocation discipline.
 //!
-//! The fourth analysis family rides the same call graph as A1–A7 but asks
+//! The fourth analysis family rides the same call graph as A1–A6 but asks
 //! availability questions instead of interleaving questions:
 //!
 //! * **A8 `panic-reachability`** — a learner function that dies on a panic
@@ -16,9 +16,9 @@
 //!   A stale allowlist entry is itself a finding, so the list can only
 //!   shrink with the code.
 //!
-//! Reachability is a per-root BFS that only follows uniquely resolved call
-//! edges — the same precision rule the taint lattice uses, so a method-name
-//! collision cannot smear panics across unrelated types — and A9
+//! Reachability is a per-root BFS over the call graph, whose edges are all
+//! uniquely resolved ([`crate::callgraph`]), so a method-name collision
+//! cannot smear panics across unrelated types; A9
 //! additionally refuses to descend into the telemetry crate (a barrier:
 //! observability allocations are counted by the dynamic test, not the
 //! static hot-path budget). Justified A8 sites are consumed at extraction
@@ -117,8 +117,8 @@ fn reach(
     queue.push_back(root);
     let mut order = vec![(root, Vec::new())];
     while let Some(i) = queue.pop_front() {
-        for &(j, ci) in &graph.edges[i] {
-            if via[j].is_some() || !graph.is_unique(i, ci) {
+        for &(j, _) in &graph.edges[i] {
+            if via[j].is_some() {
                 continue;
             }
             if barrier && taint_barrier(&fns[j].file) {

@@ -1,17 +1,16 @@
-//! Output rendering for analyzer findings: human text, JSON, and SARIF 2.1.0.
+//! Output rendering for analyzer findings: human text and SARIF 2.1.0.
 //!
 //! All serialization is hand-rolled — the workspace vendors no JSON library,
 //! so we emit the (small, fixed-shape) documents directly.
 
 use crate::analyses::Finding;
-use crate::source::{rule_name, KNOWN_RULES, MALFORMED_ALLOW};
+use crate::source::{KNOWN_RULES, MALFORMED_ALLOW};
 use std::fmt::Write as _;
 
 /// Output format selector for the CLI.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Format {
     Human,
-    Json,
     Sarif,
 }
 
@@ -19,7 +18,6 @@ impl Format {
     pub fn parse(s: &str) -> Option<Format> {
         match s {
             "human" => Some(Format::Human),
-            "json" => Some(Format::Json),
             "sarif" => Some(Format::Sarif),
             _ => None,
         }
@@ -50,32 +48,6 @@ pub fn render_human(findings: &[Finding]) -> String {
     let mut out = String::new();
     for f in findings {
         let _ = writeln!(out, "{f}");
-    }
-    out
-}
-
-/// Render findings as a JSON document:
-/// `{"findings":[{"rule":..,"file":..,"line":..,"message":..}]}`.
-pub fn render_json(findings: &[Finding]) -> String {
-    let mut out = String::from("{\n  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"rule\": \"{}\", \"name\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\"}}",
-            json_escape(f.rule),
-            json_escape(rule_name(f.rule)),
-            json_escape(&f.file),
-            f.line,
-            json_escape(&f.message)
-        );
-    }
-    if findings.is_empty() {
-        out.push_str("]\n}\n");
-    } else {
-        out.push_str("\n  ]\n}\n");
     }
     out
 }
@@ -130,7 +102,6 @@ pub fn render_sarif(findings: &[Finding]) -> String {
 pub fn render(findings: &[Finding], format: Format) -> String {
     match format {
         Format::Human => render_human(findings),
-        Format::Json => render_json(findings),
         Format::Sarif => render_sarif(findings),
     }
 }
@@ -174,15 +145,6 @@ mod tests {
     }
 
     #[test]
-    fn json_output_contains_all_fields_escaped() {
-        let text = render_json(&sample());
-        assert!(text.contains("\"rule\": \"A1\""));
-        assert!(text.contains("\"line\": 10"));
-        assert!(text.contains("live across\\nrecv"));
-        assert!(!text.contains("live across\nrecv"));
-    }
-
-    #[test]
     fn sarif_output_declares_rules_and_results() {
         let text = render_sarif(&sample());
         assert!(text.contains("\"version\": \"2.1.0\""));
@@ -194,15 +156,14 @@ mod tests {
     }
 
     #[test]
-    fn empty_findings_render_valid_documents() {
-        assert!(render_json(&[]).contains("\"findings\": []"));
+    fn empty_findings_render_a_valid_document() {
         assert!(render_sarif(&[]).contains("\"results\": []"));
     }
 
     #[test]
     fn format_parse_round_trips() {
         assert_eq!(Format::parse("human"), Some(Format::Human));
-        assert_eq!(Format::parse("json"), Some(Format::Json));
+        assert_eq!(Format::parse("json"), None);
         assert_eq!(Format::parse("sarif"), Some(Format::Sarif));
         assert_eq!(Format::parse("xml"), None);
     }

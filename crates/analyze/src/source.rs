@@ -56,12 +56,6 @@ impl SourceFile {
         self.test_lines.get(line - 1).copied().unwrap_or(false)
     }
 
-    /// The original text of 1-based line `line` (without trailing newline).
-    pub fn line_text(&self, line: usize) -> &str {
-        let (start, end) = self.line_span(line);
-        self.text[start..end].trim_end_matches(['\n', '\r'])
-    }
-
     /// The line-comment text (`// ...` onward) of 1-based line `line`, if
     /// the line carries a *real* comment — `//` in masked text means the
     /// marker is not inside a string literal. Doc comments (`///`, `//!`)
@@ -233,8 +227,8 @@ fn line_of(line_starts: &[usize], offset: usize) -> usize {
     }
 }
 
-/// Splits the masked text into expression-level statement spans for the
-/// lock-discipline rules. Boundaries: `;`, `{`, `}`, `=>`, and commas at
+/// Splits the masked text into expression-level statement spans, the
+/// extent of a temporary lock guard. Boundaries: `;`, `{`, `}`, `=>`, and commas at
 /// top-level paren/bracket depth relative to the span start (so match arms
 /// separate, but arguments of one call — where temporaries coexist — do
 /// not).
@@ -302,19 +296,16 @@ pub fn boundary_ok(hay: &str, at: usize, token: &str) -> bool {
     true
 }
 
-/// Every rule the analyzer can emit or suppress: the per-file L3 and L6
-/// plus the call-graph A1–A9. (L1, L2, L4, L5, A10 and A11 were retired to
-/// clippy or to construction.)
-pub const KNOWN_RULES: [(&str, &str); 11] = [
-    ("L3", "lock-discipline"),
-    ("L6", "grad-alloc-discipline"),
+/// Every rule the analyzer can emit or suppress. (L1–L6, A7, A10 and A11
+/// were retired to clippy, rustc, A2, the counting-allocator test or to
+/// construction.)
+pub const KNOWN_RULES: [(&str, &str); 8] = [
     ("A1", "lock-order"),
     ("A2", "held-guard"),
     ("A3", "channel-topology"),
     ("A4", "determinism-taint"),
     ("A5", "atomics-ordering"),
     ("A6", "float-reduction-order"),
-    ("A7", "unsafe-justification"),
     ("A8", "panic-reachability"),
     ("A9", "hot-alloc"),
 ];
@@ -324,7 +315,7 @@ pub const KNOWN_RULES: [(&str, &str); 11] = [
 /// silenced.
 pub const MALFORMED_ALLOW: (&str, &str) = ("allow", "malformed-allow");
 
-/// Parses `L3` / `l3` / `lock-discipline` style spellings to the canonical id.
+/// Parses `A2` / `a2` / `held-guard` style spellings to the canonical id.
 pub fn canonical_rule(s: &str) -> Option<&'static str> {
     let t = s.trim();
     KNOWN_RULES
@@ -333,7 +324,7 @@ pub fn canonical_rule(s: &str) -> Option<&'static str> {
         .map(|&(id, _)| id)
 }
 
-/// Human-readable name of a rule id (`L3` → `lock-discipline`).
+/// Human-readable name of a rule id (`A2` → `held-guard`).
 pub fn rule_name(id: &str) -> &'static str {
     KNOWN_RULES
         .iter()
@@ -532,13 +523,14 @@ mod tests {
 
     #[test]
     fn canonical_rule_accepts_ids_and_names() {
-        assert_eq!(canonical_rule("L3"), Some("L3"));
-        assert_eq!(canonical_rule("l6"), Some("L6"));
-        assert_eq!(canonical_rule("lock-discipline"), Some("L3"));
+        assert_eq!(canonical_rule("a9"), Some("A9"));
+        assert_eq!(canonical_rule("lock-order"), Some("A1"));
         assert_eq!(canonical_rule("A2"), Some("A2"));
         assert_eq!(canonical_rule("held-guard"), Some("A2"));
         assert_eq!(canonical_rule("L9"), None);
         assert_eq!(canonical_rule("L1"), None, "retired to clippy");
+        assert_eq!(canonical_rule("L3"), None, "retired into A2");
+        assert_eq!(canonical_rule("A7"), None, "retired to clippy and rustc");
         assert_eq!(canonical_rule("allow"), None, "not a rule");
     }
 

@@ -1,5 +1,5 @@
 //! Seeded-hazard fixtures: the analyzer must flag every hazard class
-//! (A1–A3 concurrency, A4–A7 dataflow, A8–A9 reachability) and stay silent
+//! (A1–A3 concurrency, A4–A6 dataflow, A8–A9 reachability) and stay silent
 //! on the clean twin of each shape.
 //!
 //! Fixture sources live under `tests/fixtures/` and are fed to the analyzer
@@ -15,7 +15,6 @@ const PERMIT_GUARD: &str = include_str!("fixtures/permit_guard.rs");
 const TAINT_TIME_TO_GRAD: &str = include_str!("fixtures/taint_time_to_grad.rs");
 const RELAXED_FLAG_PAIR: &str = include_str!("fixtures/relaxed_flag_pair.rs");
 const HASHMAP_REDUCE: &str = include_str!("fixtures/hashmap_reduce.rs");
-const UNSAFE_NO_SAFETY: &str = include_str!("fixtures/unsafe_no_safety.rs");
 const CLEAN_DATAFLOW: &str = include_str!("fixtures/clean_dataflow.rs");
 const PANIC_IN_INVOKE: &str = include_str!("fixtures/panic_in_invoke.rs");
 const ALLOC_IN_HOT: &str = include_str!("fixtures/alloc_in_hot.rs");
@@ -178,43 +177,10 @@ fn hash_order_reduction_is_flagged_and_minmax_fold_is_not() {
 }
 
 #[test]
-fn undocumented_and_taint_reachable_unsafe_are_flagged() {
-    // Exactly three A7: the `unsafe fn` without a contract, the
-    // undocumented `unsafe` block, and the taint-carrying call into it.
-    let a = run_one(
-        "crates/serverless/src/unsafe_no_safety.rs",
-        UNSAFE_NO_SAFETY,
-    );
-    assert_eq!(rules(&a), ["A7"], "{:#?}", a.findings);
-    assert_eq!(a.findings.len(), 3, "{:#?}", a.findings);
-    assert!(
-        a.findings
-            .iter()
-            .any(|f| f.message.contains("unsafe fn without a `// SAFETY:`")),
-        "{:#?}",
-        a.findings
-    );
-    assert!(
-        a.findings
-            .iter()
-            .any(|f| f.message.contains("unsafe block without a `// SAFETY:`")),
-        "{:#?}",
-        a.findings
-    );
-    assert!(
-        a.findings
-            .iter()
-            .any(|f| f.message.contains("carrying non-deterministic taint")),
-        "{:#?}",
-        a.findings
-    );
-}
-
-#[test]
 fn clean_dataflow_twin_is_silent_in_sink_scope() {
-    // Sanctioned versions of every A4–A7 hazard (BTreeMap order, min/max
-    // folds, collect-then-sort, Release/Acquire, Relaxed counter,
-    // SAFETY-commented unsafe) under the strictest sink path.
+    // Sanctioned versions of every A4–A6 hazard (BTreeMap order, min/max
+    // folds, collect-then-sort, Release/Acquire, Relaxed counter) under the
+    // strictest sink path.
     let a = run_one("crates/nn/src/clean_dataflow.rs", CLEAN_DATAFLOW);
     assert!(a.findings.is_empty(), "{:#?}", a.findings);
     assert_eq!(a.suppressed, 0, "clean without suppressions");
@@ -298,7 +264,7 @@ fn clean_panicfree_twin_is_silent() {
 }
 
 #[test]
-fn all_fixtures_together_yield_all_nine_analyses() {
+fn all_fixtures_together_yield_all_eight_analyses() {
     let files = vec![
         ("crates/fx/src/ab_ba.rs".to_string(), AB_BA.to_string()),
         (
@@ -323,10 +289,6 @@ fn all_fixtures_together_yield_all_nine_analyses() {
             HASHMAP_REDUCE.to_string(),
         ),
         (
-            "crates/serverless/src/unsafe_no_safety.rs".to_string(),
-            UNSAFE_NO_SAFETY.to_string(),
-        ),
-        (
             "crates/nn/src/clean_dataflow.rs".to_string(),
             CLEAN_DATAFLOW.to_string(),
         ),
@@ -345,11 +307,7 @@ fn all_fixtures_together_yield_all_nine_analyses() {
     ];
     let a = analyze_sources(&files);
     let r = rules(&a);
-    assert_eq!(
-        r,
-        ["A1", "A2", "A3", "A4", "A5", "A6", "A7", "A8", "A9"],
-        "{r:?}"
-    );
+    assert_eq!(r, ["A1", "A2", "A3", "A4", "A5", "A6", "A8", "A9"], "{r:?}");
     // The clean files contribute nothing even with the whole set in view.
     assert!(
         a.findings.iter().all(|f| !f.file.ends_with("clean.rs")

@@ -1,4 +1,4 @@
-//! Clean twin for the A4–A7 fixtures: every shape here is the sanctioned
+//! Clean twin for the A4–A6 fixtures: every shape here is the sanctioned
 //! version of a hazard in the seeded files, fed under a `crates/nn/src/`
 //! sink path. The analyzer must stay silent with zero suppressions.
 //! Never compiled.
@@ -48,9 +48,4 @@ impl Clean {
     pub fn hit(&self) {
         self.hits.fetch_add(1, Ordering::Relaxed);
     }
-}
-
-pub fn read_raw(p: *const u64) -> u64 {
-    // SAFETY: callers pass a pointer derived from a live reference.
-    unsafe { *p }
 }

@@ -1,5 +1,5 @@
 //! The gate this crate exists for: the Stellaris workspace carries zero
-//! unsuppressed findings under all eleven rules, and a seeded hazard is
+//! unsuppressed findings under all eight rules, and a seeded hazard is
 //! caught in the file it was planted in. CI runs the binary; these tests
 //! keep `cargo test` equivalent to the CI job.
 

@@ -68,6 +68,12 @@ impl ActorBody {
         }
     }
 
+    /// An upper bound on the encoded size of a `steps`-step batch from
+    /// [`ActorBody::collect`] ([`SampleBatch::encoded_len_bound`]).
+    pub fn batch_len_bound(&self, steps: u64) -> u64 {
+        SampleBatch::encoded_len_bound(&self.policy.spec, self.rollout.env_name(), steps)
+    }
+
     /// Pulls `snap` into the replica and collects `steps` timesteps under it.
     pub fn collect(&mut self, snap: &PolicySnapshot, steps: usize) -> SampleBatch {
         self.policy.load_snapshot(snap);

@@ -413,10 +413,10 @@ pub fn serve_worker<S: Read + Write>(
                         send_err(&mut reader, trace, "no policy loaded".to_string())?;
                         continue;
                     };
-                    let steps = if steps == 0 {
-                        s.cfg.actor_steps
-                    } else {
-                        usize::try_from(steps).unwrap_or(s.cfg.actor_steps)
+                    let steps = match usize::try_from(steps) {
+                        Ok(0) => s.cfg.actor_steps,
+                        Ok(n) => n,
+                        Err(_) => usize::MAX,
                     };
                     let span = telemetry::span_with_parent(
                         "remote.collect",
@@ -424,6 +424,18 @@ pub fn serve_worker<S: Read + Write>(
                         vec![("steps", steps.into())],
                     );
                     let actor = s.actor.get_or_insert_with(|| ActorBody::new(&s.cfg, 0));
+                    // Refuse up front what the reply frame could not carry:
+                    // collecting first would only fail the send, and end
+                    // the conversation, after the work.
+                    let bound = actor.batch_len_bound(steps as u64);
+                    if bound > cap as u64 {
+                        drop(span);
+                        let msg = format!(
+                            "COLLECT of {steps} steps may need {bound} B, over the {cap} B frame cap"
+                        );
+                        send_err(&mut reader, trace, msg)?;
+                        continue;
+                    }
                     let batch = actor.collect(snap, steps);
                     drop(span);
                     send_ok_value(&mut reader, trace, &batch)?;

@@ -13,10 +13,10 @@
 //! *accumulate* into per-node buffers owned by a [`GradSink`] (axpy-style
 //! `+=`). The buffers live in a thread-local arena that is recycled across
 //! `Graph` lifetimes, so once warm, a PPO epoch performs O(1) heap
-//! allocations per backward step instead of O(nodes). The allocation
-//! discipline is enforced by analyzer rule L6 (`grad-alloc-discipline`): no
-//! `.clone()` inside a backward closure without a `lint:allow(L6)`
-//! justification. A test-only cloning backward pass retains the historical
+//! allocations per backward step instead of O(nodes). The counting-allocator
+//! test `tests/arena_allocs.rs` holds that discipline: it runs a tape through
+//! every backward closure here, so a copy made inside one fails it. A
+//! test-only cloning backward pass retains the historical
 //! allocate-per-contribution strategy as a differential-test reference;
 //! both paths run the same closures and produce identical gradients (see
 //! DESIGN.md §11 for the exactness argument).
@@ -197,9 +197,7 @@ impl Graph {
     /// Clears the tape for reuse, keeping the node vector's capacity. The telemetry forward-span clock restarts, as if
     /// freshly constructed.
     pub fn reset(&mut self) {
-        // truncate(0) over clear(): identical for Vec, avoids a name-based
-        // false edge to locking `clear` methods in stellaris-analyze.
-        self.nodes.get_mut().truncate(0);
+        self.nodes.get_mut().clear();
         self.born_us = telemetry::now_us();
         self.forward_emitted.set(false);
     }

@@ -367,12 +367,9 @@ impl Tensor {
     /// across backward passes without touching the allocator.
     pub(crate) fn reuse_as_zeros(&mut self, shape: &[usize]) {
         let numel: usize = shape.iter().product();
-        // truncate(0) rather than clear(): same semantics on Vec, but the
-        // name `clear` collides with locking methods elsewhere in the
-        // workspace and trips stellaris-analyze's name-based call graph.
-        self.shape.truncate(0);
+        self.shape.clear();
         self.shape.extend_from_slice(shape);
-        self.data.truncate(0);
+        self.data.clear();
         self.data.resize(numel, 0.0);
     }
 

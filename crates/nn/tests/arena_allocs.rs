@@ -3,9 +3,11 @@
 //! `stellaris_analyze::ALLOC_ALLOWLIST` names, statically, every fresh
 //! allocation reachable from the hot roots. This test counts them
 //! dynamically: a counting global allocator wraps the system one, and a warm
-//! `Graph::backward_into` on each Table II model must perform exactly one
-//! heap allocation per allowlist entry. Adding or removing an entry, or a
-//! new allocation on the warm path, fails here.
+//! `Graph::backward_into` on each Table II model, and on a tape through
+//! every backward closure of the graph, must perform exactly one heap
+//! allocation per allowlist entry. Adding or removing an entry, or a new
+//! allocation on the warm path (a copy made inside a backward closure, say),
+//! fails here.
 //!
 //! The counter is process-global, so this file holds a single test: no
 //! other test thread can allocate while a step is counted.
@@ -16,7 +18,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use stellaris_analyze::ALLOC_ALLOWLIST;
-use stellaris_nn::{bind_params, Activation, Cnn, Graph, Mlp, ParamSet, Tensor, Var};
+use stellaris_nn::{bind_params, Activation, Cnn, FusedAct, Graph, Mlp, ParamSet, Tensor, Var};
 
 /// Allocation-counting wrapper around the system allocator.
 struct CountingAlloc;
@@ -26,19 +28,19 @@ static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
 // SAFETY: delegates every operation to `System`; the counter is a plain
 // relaxed atomic and never allocates.
 unsafe impl GlobalAlloc for CountingAlloc {
-    // SAFETY: forwards the caller's layout to `System.alloc` unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
+        // SAFETY: forwards the caller's layout to `System.alloc` unchanged.
+        unsafe { System.alloc(layout) }
     }
-    // SAFETY: `ptr`/`layout` come straight from the caller's contract.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: `ptr`/`layout` come straight from the caller's contract.
+        unsafe { System.dealloc(ptr, layout) }
     }
-    // SAFETY: forwards the caller's pointer and sizes to `System.realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: forwards the caller's pointer and sizes to `System.realloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
@@ -99,4 +101,44 @@ fn warm_backward_allocates_once_per_a9_allowlist_entry() {
         cnn.forward(g, vars[0], &vars[1..])
     });
     assert_eq!(got, want, "CNN allocs per warm step vs the A9 allowlist");
+
+    // Every backward closure of the tape, the loss ops' included: both
+    // convolution entry points (the second one's input gradient wanted),
+    // the fused dense layer, every elementwise, broadcast and reduction op,
+    // and the softmax family. The two models above reach only some of them.
+    let x = Tensor::randn(&[4, 2 * 6 * 6], 1.0, &mut rng);
+    let params = [
+        Tensor::randn(&[3, 2, 3, 3], 0.3, &mut rng), // conv 1: [4, 2x6x6] -> [4, 3x4x4]
+        Tensor::randn(&[3], 0.1, &mut rng),
+        Tensor::randn(&[2, 3, 3, 3], 0.3, &mut rng), // conv 2: -> [4, 2x2x2]
+        Tensor::randn(&[2], 0.1, &mut rng),
+        Tensor::randn(&[8, 6], 0.3, &mut rng), // dense: -> [4, 6]
+        Tensor::randn(&[6], 0.1, &mut rng),
+        Tensor::randn(&[6, 6], 0.3, &mut rng), // matmul
+        Tensor::randn(&[6], 1.0, &mut rng),    // mul_row
+        Tensor::randn(&[1], 1.0, &mut rng),    // add_scalar_var
+    ];
+    let got = warm_step_allocs(&x, &params.iter().collect::<Vec<_>>(), |g, v| {
+        let &[x, cw1, cb1, cw2, cb2, dw, db, mw, row, s] = v else {
+            unreachable!("ten vars: the input and nine parameters")
+        };
+        let h1 = g.conv2d_rows(x, [2, 6, 6], cw1, cb1, 1, FusedAct::Relu);
+        let rows = g.conv2d_rows(h1, [3, 4, 4], cw2, cb2, 1, FusedAct::Identity);
+        let planes = g.conv2d(g.reshape(h1, &[4, 3, 4, 4]), cw2, cb2, 1);
+        let h2 = g.add(rows, g.reshape(planes, &[4, 8]));
+        let h3 = g.dense(h2, dw, db, FusedAct::Tanh);
+        let h4 = g.add_bias(g.matmul(h3, mw), db);
+        let h5 = g.mul_row(h4, row);
+        let e = g.sub(g.mul(h3, h5), g.scale(h4, 0.5));
+        let e = g.add(g.minimum(e, h5), g.maximum(h4, h3));
+        let e = g.add_scalar_var(g.add_scalar(e, 0.1), s, 0.5);
+        let e = g.clamp(g.exp(g.relu(g.tanh(e))), 0.0, 4.0);
+        let e = g.min_scalar(g.sqrt(g.add_scalar(g.square(e), 1.0)), 3.0);
+        let picked = g.gather_cols(g.log_softmax(e), &[0, 2, 4, 5]);
+        g.add(picked, g.sum_rows(e))
+    });
+    assert_eq!(
+        got, want,
+        "every-op allocs per warm step vs the A9 allowlist"
+    );
 }

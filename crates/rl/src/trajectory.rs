@@ -5,6 +5,8 @@ use bytes::BytesMut;
 use stellaris_cache::{encode_len_prefix, put_le_words, take_le_words, Codec, CodecError};
 use stellaris_nn::Tensor;
 
+use crate::policy::PolicySpec;
+
 /// A batch of `T` consecutive transitions collected by one actor under one
 /// behaviour policy, plus everything a learner needs to reconstruct the
 /// behaviour distribution (for importance sampling and KL penalties).
@@ -59,6 +61,21 @@ impl SampleBatch {
     /// True for continuous-action batches.
     pub fn is_continuous(&self) -> bool {
         self.actions_cont.is_some()
+    }
+
+    /// An upper bound on the encoded size of a `steps`-transition batch an
+    /// actor collects under `spec` in the env named `env_name`, affine in
+    /// `steps`. Each transition carries its observation, its action (a
+    /// `usize`, or `dim` floats), the behaviour distribution's row, a done
+    /// flag widened to `u64`, and four floats: reward, log-probability,
+    /// value, and at most one finished episode's return. The constant covers
+    /// the name, length prefixes, tensor shapes, option tags and the log-std
+    /// row.
+    pub fn encoded_len_bound(spec: &PolicySpec, env_name: &str, steps: u64) -> u64 {
+        let (obs, out) = (spec.obs_dim() as u64, spec.actor_out() as u64);
+        let per_step = 4 * obs + 8 * out + 32;
+        let fixed = 128 + env_name.len() as u64 + 4 * out;
+        steps.saturating_mul(per_step).saturating_add(fixed)
     }
 
     /// Splits into contiguous minibatches of at most `size` transitions
@@ -228,6 +245,29 @@ mod tests {
             behaviour_logits: (!continuous).then(|| Tensor::zeros(&[t, 3])),
             policy_version: 7,
             episode_returns: vec![12.0],
+        }
+    }
+
+    #[test]
+    fn encoded_len_bound_covers_collected_batches() {
+        use crate::{PolicyNet, RolloutWorker};
+        use stellaris_envs::{make_env, EnvConfig, EnvId};
+        // Short episodes, so finished-episode returns ride along too.
+        let cfg = EnvConfig {
+            frame_size: 20,
+            max_steps: 5,
+        };
+        for id in [EnvId::PointMass, EnvId::Hopper, EnvId::SpaceInvaders] {
+            let env = make_env(id, cfg);
+            let spec = PolicySpec::for_env(env.as_ref());
+            let name = env.name();
+            let policy = PolicyNet::new(spec.clone(), 3);
+            let mut worker = RolloutWorker::new(env, 3);
+            for steps in [1, 12] {
+                let batch = worker.collect(&policy, steps);
+                let bound = SampleBatch::encoded_len_bound(&spec, name, steps as u64);
+                assert!(batch.encoded_len() as u64 <= bound, "{name}, {steps} steps");
+            }
         }
     }
 

@@ -29,19 +29,19 @@ static LARGEST: AtomicUsize = AtomicUsize::new(0);
 // SAFETY: delegates every operation to `System`; the recorder is a plain
 // relaxed atomic and never allocates.
 unsafe impl GlobalAlloc for LargestAlloc {
-    // SAFETY: forwards the caller's layout to `System.alloc` unchanged.
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         LARGEST.fetch_max(layout.size(), Ordering::Relaxed);
-        System.alloc(layout)
+        // SAFETY: forwards the caller's layout to `System.alloc` unchanged.
+        unsafe { System.alloc(layout) }
     }
-    // SAFETY: `ptr`/`layout` come straight from the caller's contract.
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout)
+        // SAFETY: `ptr`/`layout` come straight from the caller's contract.
+        unsafe { System.dealloc(ptr, layout) }
     }
-    // SAFETY: forwards the caller's pointer and sizes to `System.realloc`.
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         LARGEST.fetch_max(new_size, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
+        // SAFETY: forwards the caller's pointer and sizes to `System.realloc`.
+        unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 

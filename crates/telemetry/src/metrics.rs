@@ -312,8 +312,7 @@ impl Registry {
                     let s = match metric {
                         Metric::Counter(c) => MetricSnapshot::Counter(c.get()),
                         Metric::Gauge(g) => MetricSnapshot::Gauge(g.get()),
-                        // lint:allow(A1): `snapshot` here is the lock-free Histogram::snapshot — a cross-crate name collision with ShardedParameterServer::snapshot, not a lock cycle
-                        Metric::Histogram(h) => MetricSnapshot::Histogram(Box::new(h.snapshot())), // lint:allow(A2): same collision; Histogram::snapshot takes no lock
+                        Metric::Histogram(h) => MetricSnapshot::Histogram(Box::new(h.snapshot())),
                     };
                     (name.clone(), s)
                 })
