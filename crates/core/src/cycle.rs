@@ -25,7 +25,7 @@ use std::sync::Arc;
 
 use parking_lot::Mutex;
 use stellaris_envs::make_env;
-use stellaris_nn::Tensor;
+use stellaris_nn::{ParamSet, Tensor};
 use stellaris_rl::{
     fill_gae, impact_gradients, ppo_gradients, ImpactLearner, PolicyNet, PolicySnapshot,
     PolicySpec, RolloutWorker, SampleBatch,
@@ -99,6 +99,12 @@ impl LearnerBody {
             policy: fresh_net(cfg),
             impact: None,
         }
+    }
+
+    /// Scalars in the learner's network: the length a snapshot it loads
+    /// must have.
+    pub fn num_scalars(&self) -> usize {
+        self.policy.num_scalars()
     }
 
     /// Loads `snap`, runs the algorithm's gradient pass over `batch` with

@@ -118,11 +118,15 @@ impl RemoteSetup {
 
     /// The worker-side view of the job: the scaled preset with every field
     /// this setup carries laid over it (function bodies read nothing else).
-    /// An unknown environment or algorithm tag is the `INIT` rejection text.
+    /// An unknown environment or algorithm tag, or a zero `actor_steps`
+    /// (what `COLLECT 0` collects), is the `INIT` rejection text.
     pub fn train_config(&self) -> Result<TrainConfig, String> {
         let Some(env_id) = EnvId::parse(&self.env) else {
             return Err(format!("unknown env: {}", self.env));
         };
+        if self.actor_steps == 0 {
+            return Err("bad setup: actor_steps must be positive".to_string());
+        }
         Ok(TrainConfig {
             env_cfg: EnvConfig {
                 frame_size: self.frame_size,
@@ -307,6 +311,20 @@ impl WorkerState {
             snap: None,
         })
     }
+
+    /// Holds `snap` if it fits the INIT'd network, else says why not: a
+    /// snapshot of another length would fail the policy load mid-work.
+    fn hold(&mut self, snap: PolicySnapshot) -> Result<(), String> {
+        let want = self.learner.num_scalars();
+        if snap.flat.len() != want {
+            return Err(format!(
+                "snapshot holds {} scalars, the network {want}",
+                snap.flat.len()
+            ));
+        }
+        self.snap = Some(snap);
+        Ok(())
+    }
 }
 
 fn send_ok<S: Read + Write>(
@@ -400,10 +418,10 @@ pub fn serve_worker<S: Read + Write>(
                 Err(e) => send_err(&mut reader, trace, format!("bad INIT: {e}"))?,
             },
             op::LOAD_POLICY => match (&mut state, frame.decode_value::<PolicySnapshot>()) {
-                (Some(s), Ok(snap)) => {
-                    s.snap = Some(snap);
-                    send_ok(&mut reader, trace, &[])?;
-                }
+                (Some(s), Ok(snap)) => match s.hold(snap) {
+                    Ok(()) => send_ok(&mut reader, trace, &[])?,
+                    Err(msg) => send_err(&mut reader, trace, format!("bad LOAD_POLICY: {msg}"))?,
+                },
                 (None, _) => send_err(&mut reader, trace, "not initialised".to_string())?,
                 (_, Err(e)) => send_err(&mut reader, trace, format!("bad LOAD_POLICY: {e}"))?,
             },
@@ -451,8 +469,10 @@ pub fn serve_worker<S: Read + Write>(
                         cap: req.cap,
                         learner_id: req.learner_id,
                     };
-                    s.snap = Some(req.snap);
-                    answer_gradient(&mut reader, trace, s, &call)?;
+                    match s.hold(req.snap) {
+                        Ok(()) => answer_gradient(&mut reader, trace, s, &call)?,
+                        Err(msg) => send_err(&mut reader, trace, format!("bad GRADIENT: {msg}"))?,
+                    }
                 }
                 (None, _) => send_err(&mut reader, trace, "not initialised".to_string())?,
                 (_, Err(e)) => send_err(&mut reader, trace, format!("bad GRADIENT: {e}"))?,

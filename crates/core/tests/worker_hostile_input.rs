@@ -100,6 +100,20 @@ fn snap_at(version: u64) -> PolicySnapshot {
     }
 }
 
+/// [`snap_at`], or one time in four a snapshot one scalar short or one
+/// long, which no INIT'd network can load.
+fn snap_sized(version: u64, n: u64) -> PolicySnapshot {
+    let mut snap = snap_at(version);
+    match n / 3 % 8 {
+        0 => {
+            snap.flat.pop();
+        }
+        1 => snap.flat.push(0.5),
+        _ => {}
+    }
+    snap
+}
+
 #[test]
 fn collect_over_the_frame_cap_is_refused_in_band() {
     // The tiny policy fits in 16 KiB, and so does an 8-step batch, but 1024
@@ -136,6 +150,51 @@ fn collect_over_the_frame_cap_is_refused_in_band() {
     assert_eq!(result, Err(WireError::Truncated));
 }
 
+#[test]
+fn zero_step_setups_and_misfit_snapshots_are_refused_in_band() {
+    // An INIT whose `COLLECT 0` would collect nothing, and snapshots one
+    // scalar off the INIT'd network, once killed the worker on a later
+    // assert; each must be refused with the conversation intact.
+    let fx = fixture();
+    let zero_steps = RemoteSetup {
+        actor_steps: 0,
+        ..fx.setup.clone()
+    };
+    let (mut short, mut long) = (fx.snap.clone(), fx.snap.clone());
+    short.flat.pop();
+    long.flat.push(1.0);
+    let gradient = |snap: PolicySnapshot| GradientRequest {
+        snap,
+        batch: fx.batch.clone(),
+        cap: None,
+        learner_id: 0,
+    };
+    let requests = [
+        (op::INIT, zero_steps.to_bytes()),
+        (op::INIT, fx.setup.to_bytes()),
+        (op::LOAD_POLICY, short.to_bytes()),
+        (op::GRADIENT, gradient(long).to_bytes()),
+        (op::LOAD_POLICY, fx.snap.to_bytes()),
+        (op::COLLECT, 0u64.to_bytes()),
+        (op::GRADIENT, gradient(fx.snap.clone()).to_bytes()),
+    ];
+    let mut input = Vec::new();
+    for (i, (kind, payload)) in requests.iter().enumerate() {
+        input.extend(frame(*kind, i as u64 + 1, payload));
+    }
+    let (result, replies) = serve(input, 1 << 20);
+    let kinds: Vec<u8> = replies.iter().map(|f| f.header.kind).collect();
+    let (ok, err) = (op::OK, op::ERR);
+    assert_eq!(kinds, [err, ok, err, err, ok, ok, ok]);
+    for (i, want) in [(0, "actor_steps"), (2, "scalars"), (3, "scalars")] {
+        let msg = replies[i].decode_value::<String>().unwrap();
+        assert!(msg.contains(want), "reply {i}: {msg}");
+    }
+    let batch = replies[5].decode_value::<SampleBatch>().unwrap();
+    assert_eq!(batch.len(), fx.setup.actor_steps);
+    assert_eq!(result, Err(WireError::Truncated));
+}
+
 /// One whole request of a hostile sequence, from a choice and two seeds.
 fn request(choice: u8, n: u64, junk: &[u8]) -> (u8, Vec<u8>) {
     let fx = fixture();
@@ -146,16 +205,19 @@ fn request(choice: u8, n: u64, junk: &[u8]) -> (u8, Vec<u8>) {
         learner_id: 2,
     };
     match choice {
-        // An INIT, one in three with the retired algorithm tag 2.
+        // An INIT, one in four with the retired algorithm tag 2 and one in
+        // four with no steps for a `COLLECT 0` to collect.
         0 => {
-            let algo = [2, ALGO_PPO, ALGO_IMPACT][(n % 3) as usize];
+            let (algo, actor_steps) =
+                [(2, 16), (ALGO_PPO, 16), (ALGO_IMPACT, 16), (ALGO_PPO, 0)][(n % 4) as usize];
             let setup = RemoteSetup {
                 algo,
+                actor_steps,
                 ..fx.setup.clone()
             };
             (op::INIT, setup.to_bytes().to_vec())
         }
-        1 => (op::LOAD_POLICY, snap_at(n % 3).to_bytes().to_vec()),
+        1 => (op::LOAD_POLICY, snap_sized(n % 3, n).to_bytes().to_vec()),
         // A short collect, or any step count at all.
         2 => {
             let steps = if n.is_multiple_of(2) { n % 40 } else { n };
@@ -163,7 +225,7 @@ fn request(choice: u8, n: u64, junk: &[u8]) -> (u8, Vec<u8>) {
         }
         3 => {
             let req = GradientRequest {
-                snap: snap_at(n % 3),
+                snap: snap_sized(n % 3, n),
                 batch: fx.batch.clone(),
                 cap: None,
                 learner_id: 1,
@@ -219,7 +281,7 @@ proptest! {
         // Half the sequences open with a valid INIT and LOAD_POLICY, so the
         // hostile frames also meet a worker with a policy to collect under
         // and differentiate against.
-        let opening = [(0, 1), (1, seeds[0])];
+        let opening = [(0, 1), (1, 6 + seeds[0] % 3)];
         let frames: Vec<(u8, Vec<u8>)> = opening[..if handshake { 2 } else { 0 }]
             .iter()
             .copied()

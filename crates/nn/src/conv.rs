@@ -345,13 +345,13 @@ pub(crate) fn dx_reference(w: &[f32], spec: &Conv2dSpec, scratch: &mut Vec<f32>,
 #[cfg(target_feature = "avx512f")]
 mod direct {
     use std::arch::x86_64::{
-        __m512, _mm512_add_ps, _mm512_castpd_ps, _mm512_castps_pd, _mm512_fmadd_ps,
-        _mm512_loadu_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_set1_ps,
-        _mm512_setzero_ps, _mm512_shuffle_f32x4, _mm512_storeu_ps, _mm512_unpackhi_pd,
-        _mm512_unpackhi_ps, _mm512_unpacklo_pd, _mm512_unpacklo_ps,
+        __m512, _mm512_add_ps, _mm512_cmp_ps_mask, _mm512_fmadd_ps, _mm512_loadu_ps,
+        _mm512_mask_blend_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps,
+        _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps, _mm512_sub_ps, _CMP_GT_OQ,
     };
 
     use super::Conv2dSpec;
+    use crate::gemm::simd::transpose16;
     use crate::gemm::{activate_row, FusedAct};
 
     /// f32 lanes per zmm register.
@@ -981,6 +981,58 @@ mod direct {
         }
     }
 
+    /// [`planes_to_rows`] of the upstream gradient planes `g` times `act`'s
+    /// derivative at the output planes `y`, the product taken in registers
+    /// between the loads and the transpose: the scalar `g * act'(y)`, one
+    /// rounding per element (`1 - y*y` for Tanh, a `y > 0` select for ReLU,
+    /// false on NaN as the scalar comparison is), so the rows keep its bits.
+    #[expect(
+        unsafe_code,
+        reason = "explicit SIMD transpose: masked vector loads and vector stores whose bounds the asserts at the top establish"
+    )]
+    pub(super) fn gradient_planes_to_rows(
+        g: &[f32],
+        y: &[f32],
+        act: FusedAct,
+        rows: &mut [f32],
+        ld: usize,
+    ) {
+        let n = g.len() / L;
+        assert!(
+            y.len() == g.len() && fits(g.len(), rows.len(), ld),
+            "{n} rows of {ld} floats"
+        );
+        let (gp, yp, rp) = (g.as_ptr(), y.as_ptr(), rows.as_mut_ptr());
+        for p0 in (0..n).step_by(L) {
+            let live = (n - p0).min(L);
+            let mask = u16::MAX >> (L - live);
+            // As in `planes_to_rows`, `y` read at the same offsets as `g`,
+            // which has its length.
+            // SAFETY: compiled only with avx512f enabled (the cfg on this
+            // module); every access is in bounds by the above.
+            unsafe {
+                let block = std::array::from_fn(|c| {
+                    let gv = _mm512_maskz_loadu_ps(mask, gp.add(c * n + p0));
+                    let yv = _mm512_maskz_loadu_ps(mask, yp.add(c * n + p0));
+                    let one = _mm512_set1_ps(1.0);
+                    let deriv = match act {
+                        FusedAct::Identity => one,
+                        FusedAct::Tanh => _mm512_sub_ps(one, _mm512_mul_ps(yv, yv)),
+                        FusedAct::Relu => {
+                            let zero = _mm512_setzero_ps();
+                            let live = _mm512_cmp_ps_mask::<_CMP_GT_OQ>(yv, zero);
+                            _mm512_mask_blend_ps(live, zero, one)
+                        }
+                    };
+                    _mm512_mul_ps(gv, deriv)
+                });
+                for (j, &col) in transpose16(block).iter().enumerate().take(live) {
+                    _mm512_storeu_ps(rp.add((p0 + j) * ld), col);
+                }
+            }
+        }
+    }
+
     /// The inverse of [`planes_to_rows`]: the first 16 columns of the rows
     /// `[n, ld]` at the front of `rows` back into the planes `[16, n]`.
     #[expect(
@@ -1020,49 +1072,6 @@ mod direct {
         let n = planes / L;
         planes == L * n && ld >= L && n.checked_mul(ld).is_some_and(|len| len + L <= rows + ld)
     }
-
-    /// The transpose of a 16 x 16 block held as 16 row registers: pairs of
-    /// rows interleaved by element, then by element pair, then 128-bit
-    /// lanes gathered twice (64 shuffles).
-    #[expect(
-        unsafe_code,
-        reason = "register-only AVX-512 shuffles, callable under the module's avx512f cfg"
-    )]
-    fn transpose16(r: [__m512; L]) -> [__m512; L] {
-        // SAFETY: compiled only with avx512f enabled (the cfg on this
-        // module); no intrinsic here touches memory.
-        unsafe {
-            let t: [__m512; L] = std::array::from_fn(|i| {
-                let (a, b) = (r[i & !1], r[i | 1]);
-                match i % 2 {
-                    0 => _mm512_unpacklo_ps(a, b),
-                    _ => _mm512_unpackhi_ps(a, b),
-                }
-            });
-            // u[4m + e], 128-bit lane l: rows 4m..4m + 4 of column 4l + e.
-            let u: [__m512; L] = std::array::from_fn(|i| {
-                let (m, e) = (i / 4 * 4, i % 4);
-                let (a, b) = (
-                    _mm512_castps_pd(t[m + e / 2]),
-                    _mm512_castps_pd(t[m + e / 2 + 2]),
-                );
-                _mm512_castpd_ps(match e % 2 {
-                    0 => _mm512_unpacklo_pd(a, b),
-                    _ => _mm512_unpackhi_pd(a, b),
-                })
-            });
-            let mut out = [_mm512_setzero_ps(); L];
-            for e in 0..4 {
-                let lo = [0, 8].map(|m| _mm512_shuffle_f32x4::<0x44>(u[m + e], u[m + 4 + e]));
-                let hi = [0, 8].map(|m| _mm512_shuffle_f32x4::<0xEE>(u[m + e], u[m + 4 + e]));
-                out[e] = _mm512_shuffle_f32x4::<0x88>(lo[0], lo[1]);
-                out[4 + e] = _mm512_shuffle_f32x4::<0xDD>(lo[0], lo[1]);
-                out[8 + e] = _mm512_shuffle_f32x4::<0x88>(hi[0], hi[1]);
-                out[12 + e] = _mm512_shuffle_f32x4::<0xDD>(hi[0], hi[1]);
-            }
-            out
-        }
-    }
 }
 
 /// Re-lays the upstream gradient `[b, out_c, hw]` of the output `y` as
@@ -1078,24 +1087,31 @@ pub fn gradient_rows(g: &[f32], y: &[f32], act: FusedAct, spec: &Conv2dSpec, row
         y.len(),
         "conv2d gradient and output lengths differ"
     );
+    // Every element of the rows is written below, so what the buffer held
+    // is left in place rather than zeroed.
+    let n = g.len();
+    let blocks = g.chunks_exact(oc * hw).zip(y.chunks_exact(oc * hw));
+    #[cfg(target_feature = "avx512f")]
+    if oc.is_multiple_of(16) {
+        // Each block of 16 planes is multiplied in registers on its way
+        // through the transpose: one pass.
+        rows.resize(n, 0.0);
+        for ((gi, yi), ri) in blocks.zip(rows.chunks_exact_mut(oc * hw)) {
+            let planes = gi.chunks_exact(16 * hw).zip(yi.chunks_exact(16 * hw));
+            for (c0, (gp, yp)) in (0..oc).step_by(16).zip(planes) {
+                direct::gradient_planes_to_rows(gp, yp, act, &mut ri[c0..], oc);
+            }
+        }
+        return;
+    }
     // One image's products in their own layout first, behind the rows,
     // then moved into place: the product loop runs over contiguous
     // elements, and the transposing one only copies.
-    let n = g.len();
-    rows.clear();
     rows.resize(n + oc * hw, 0.0);
     let (out, prod) = rows.split_at_mut(n);
-    let blocks = g.chunks_exact(oc * hw).zip(y.chunks_exact(oc * hw));
     for ((gi, yi), ri) in blocks.zip(out.chunks_exact_mut(oc * hw)) {
         for ((p, &gv), &yv) in prod.iter_mut().zip(gi).zip(yi) {
             *p = gv * act.deriv_from_output(yv);
-        }
-        #[cfg(target_feature = "avx512f")]
-        if oc.is_multiple_of(16) {
-            for (c0, planes) in (0..oc).step_by(16).zip(prod.chunks_exact(16 * hw)) {
-                direct::planes_to_rows(planes, &mut ri[c0..], oc);
-            }
-            continue;
         }
         for (o, plane) in prod.chunks_exact(hw).enumerate() {
             for (&v, filters) in plane.iter().zip(ri.chunks_exact_mut(oc)) {

@@ -55,13 +55,14 @@
 //!
 //! The tile is chosen at build time. Under `target_feature = "avx512f"`
 //! (`.cargo/config.toml` builds with `target-cpu=native`) it is an explicit
-//! `8 x 32` AVX-512 tile holding its accumulators in 16 zmm registers, one
-//! of the crate's three `unsafe` functions (with the small-`m` strip below
-//! and the direct convolution kernel in [`crate::conv`]).
+//! `8 x 32` AVX-512 tile holding its accumulators in 16 zmm registers.
 //! Everywhere else the portable `4 x 16` tile, an array LLVM
 //! autovectorises, is the only kernel. Only the explicit tile can be that
 //! wide: an autovectorised `8 x 32` array spills to the stack and runs
-//! several times slower.
+//! several times slower. The same split holds for the small-`m` strips,
+//! the narrow panel, the transposed-B packer and the Tanh epilogue below:
+//! each has an explicit AVX-512 body whose `unsafe` block names the bounds
+//! it relies on, and a portable body in plain Rust.
 //!
 //! # Small-`m` route
 //!
@@ -81,6 +82,29 @@
 //! the route is bit-identical, and it is selected by the operand shapes
 //! alone.
 //!
+//! # Narrow route
+//!
+//! A product with fewer than 16 output columns — the policy and value
+//! heads, `512 x 256 x {3, 1}` forward and `256 x 512 x {3, 1}` for their
+//! `dW = Hᵀ g` — would leave 29 or 31 of the `8 x 32` tile's 32 lanes
+//! idle and still pack all of A. The narrow route maps the 16 lanes of a
+//! register to 16 *rows* of C instead: one accumulator register per output
+//! column (at most 15), seeded from C or from `+0` as the tile is. Each `k`
+//! loads the 16 rows' A values once and adds them times each column's B
+//! value, broadcast, with one fused multiply-add; the register is stored
+//! back down the column. A transposed-view A (`dW`'s `Hᵀ`) has those 16
+//! values adjacent per `k` and is read in place; a row-major A is read 16
+//! `k` at a time and turned in registers by a 16 x 16 transpose, with no
+//! packing buffer. A product with fewer than 16 rows (and too many columns
+//! or a transposed B for the small-`m` strips) — the first layer's `dW =
+//! Xᵀ g`, `11 x 512 x 256` on Hopper — is the same kernel run on
+//! `Cᵀ = Bᵀ Aᵀ`: its lanes cover 16 columns of a row of C, stored
+//! contiguously. Either way every element is one chain of fused
+//! multiply-adds in ascending `k` from its seed (`a * b` is exact before
+//! the single rounding, so the operand order inside it cannot show), the
+//! reference's chain, so the route is bit-identical; the output's width or
+//! height alone selects it.
+//!
 //! # Packing
 //!
 //! B is packed once per `(j0, p0)` cache block and shared by every row
@@ -92,7 +116,11 @@
 //! so one of its strides is always 1 and a full panel is packed from
 //! contiguous runs of the operand — `MR` row slices interleaved, or `MR`
 //! (`NR`) adjacent elements per `k`; only ragged panels walk element by
-//! element.
+//! element. A transposed-view B (`dX = g Wᵀ`) has its `NR` columns
+//! contiguous along `k` instead; under AVX-512 its full panels are turned
+//! 16 columns by 16 `k` at a time in registers, where a portable build
+//! stores one element per column per `k` (at mini-batch 32 that gather
+//! made the hidden layer's `dX` twice as slow as its forward).
 //!
 //! # Threads
 //!
@@ -103,6 +131,9 @@
 
 use std::cell::RefCell;
 
+/// Output extent below which a product takes the narrow route: one
+/// register of `f32` lanes, 16 (module docs).
+const NARROW: usize = 16;
 /// Micro-kernel tile height (rows of A per register tile).
 #[cfg(target_feature = "avx512f")]
 pub const MR: usize = 8;
@@ -135,7 +166,10 @@ const KC: usize = 256;
 const NC: usize = 4096;
 
 /// Hyperbolic tangent in plain `f32` arithmetic: the one `tanh` of the
-/// crate ([`FusedAct::Tanh`], the GEMM epilogue and `Graph::tanh`).
+/// crate ([`FusedAct::Tanh`], the GEMM epilogue and `Graph::tanh`). On
+/// AVX-512 builds the epilogue runs it 16 lanes at a time (`simd::tanh16`,
+/// the same operations in the same order, bitwise equal on every input);
+/// LLVM vectorises this scalar body at 256 bits only.
 ///
 /// Branch-free, so the loops that call it vectorise: both halves are
 /// computed and one is selected by comparison. Below `|x| = 0.55` it is
@@ -362,6 +396,17 @@ fn gemm_fused(
         epilogue(c, n, 0, n, bias, act);
         return;
     }
+    if n < NARROW || m < NARROW {
+        // Fewer columns (or rows) than one register has lanes: the lanes
+        // run along the other extent (module docs, "Narrow route").
+        if n < NARROW {
+            narrow_product(a, b, c, [n, 1], accumulate);
+        } else {
+            narrow_product(b.t(), a.t(), c, [1, n], accumulate);
+        }
+        epilogue(c, n, 0, n, bias, act);
+        return;
+    }
 
     // Taken out of its slot for the call and put back at its end, so the
     // slabs below read it as a plain slice.
@@ -445,8 +490,34 @@ fn epilogue(
 pub(crate) fn activate_row(act: FusedAct, row: &mut [f32]) {
     match act {
         FusedAct::Identity => {}
-        FusedAct::Tanh => row.iter_mut().for_each(|x| *x = tanh(*x)),
+        FusedAct::Tanh => tanh_row(row),
         FusedAct::Relu => row.iter_mut().for_each(|x| *x = x.max(0.0)),
+    }
+}
+
+/// [`tanh`] over a row; LLVM vectorises the branch-free body.
+#[cfg(not(target_feature = "avx512f"))]
+fn tanh_row(row: &mut [f32]) {
+    row.iter_mut().for_each(|x| *x = tanh(*x));
+}
+
+/// [`tanh`] over a row, 16 lanes at a time through [`simd::tanh16`] (LLVM
+/// vectorises the scalar loop at 256 bits only); the last chunk is masked.
+#[cfg(target_feature = "avx512f")]
+#[expect(
+    unsafe_code,
+    reason = "explicit SIMD row: masked vector loads/stores of the row's own elements"
+)]
+fn tanh_row(row: &mut [f32]) {
+    use std::arch::x86_64::{_mm512_mask_storeu_ps, _mm512_maskz_loadu_ps};
+    for chunk in row.chunks_mut(simd::L) {
+        let mask = u16::MAX >> (simd::L - chunk.len());
+        // SAFETY: compiled only with avx512f enabled (the cfg above); the
+        // mask covers exactly the chunk's 1..=16 elements.
+        unsafe {
+            let x = _mm512_maskz_loadu_ps(mask, chunk.as_ptr());
+            _mm512_mask_storeu_ps(chunk.as_mut_ptr(), mask, simd::tanh16(x));
+        }
     }
 }
 
@@ -520,13 +591,225 @@ fn pack_b(b: MatRef<'_>, p0: usize, kc: usize, j0: usize, nc: usize, buf: &mut V
         } else {
             // Transposed view (`rs == 1`): each packed column is contiguous
             // along k.
-            for cj in 0..NR {
-                let start = (jbase + cj) * b.cs + p0;
-                let col = &b.data[start..start + kc];
-                for (chunk, &v) in panel.chunks_exact_mut(NR).zip(col) {
-                    chunk[cj] = v;
+            pack_b_columns(b, p0, kc, jbase, panel);
+        }
+    }
+}
+
+/// One full `NR`-column panel of a transposed-view B (`rs == 1`: column
+/// `j` holds `B[.., j]` contiguously from `j * cs`): each 16-column half
+/// and 16-`k` block is loaded column by column, turned by
+/// [`simd::transpose16`] and stored row by row, where the portable packer
+/// writes one element per column per `k`.
+#[cfg(target_feature = "avx512f")]
+#[expect(
+    unsafe_code,
+    reason = "explicit SIMD transpose: masked vector loads of B's columns and vector stores into the panel, whose bounds the asserts at the top establish"
+)]
+fn pack_b_columns(b: MatRef<'_>, p0: usize, kc: usize, jbase: usize, panel: &mut [f32]) {
+    use simd::{transpose16, L};
+    use std::arch::x86_64::{_mm512_maskz_loadu_ps, _mm512_storeu_ps};
+    const _: () = assert!(NR.is_multiple_of(L));
+    assert!(b.rs == 1 && panel.len() == kc * NR, "column panel shape");
+    assert!(
+        kc == 0 || (jbase + NR - 1) * b.cs + p0 + kc <= b.data.len(),
+        "B columns out of bounds"
+    );
+    let (bd, pd) = (b.data.as_ptr(), panel.as_mut_ptr());
+    for h in 0..NR / L {
+        for k0 in (0..kc).step_by(L) {
+            let live = (kc - k0).min(L);
+            let mask = u16::MAX >> (L - live);
+            // Column jbase + h*L + c reads its live k values p0 + k0.. below
+            // p0 + kc, inside `b.data` by the second assert; panel row
+            // k0 + dk < kc holds NR floats from (k0 + dk)*NR, inside the
+            // panel by the first.
+            // SAFETY: compiled only with avx512f enabled (the cfg above);
+            // every access is in bounds by the above.
+            unsafe {
+                let cols = std::array::from_fn(|c| {
+                    _mm512_maskz_loadu_ps(mask, bd.add((jbase + h * L + c) * b.cs + p0 + k0))
+                });
+                for (dk, &row) in transpose16(cols).iter().enumerate().take(live) {
+                    _mm512_storeu_ps(pd.add((k0 + dk) * NR + h * L), row);
                 }
             }
+        }
+    }
+}
+
+/// One full `NR`-column panel of a transposed-view B, one element per
+/// column per `k`.
+#[cfg(not(target_feature = "avx512f"))]
+fn pack_b_columns(b: MatRef<'_>, p0: usize, kc: usize, jbase: usize, panel: &mut [f32]) {
+    for cj in 0..NR {
+        let start = (jbase + cj) * b.cs + p0;
+        let col = &b.data[start..start + kc];
+        for (chunk, &v) in panel.chunks_exact_mut(NR).zip(col) {
+            chunk[cj] = v;
+        }
+    }
+}
+
+/// `D = P @ Q`, or `D += P @ Q` when `accumulate`, for a `Q` of fewer than
+/// [`NARROW`] columns, with `D[i, j]` at `d[i * ds[0] + j * ds[1]]`: the
+/// narrow route (module docs). `C = A @ B` with a narrow B is `P = A`,
+/// `Q = B`, `ds = [n, 1]`; with a narrow A it is `Cᵀ = Bᵀ @ Aᵀ`, `ds =
+/// [1, n]`. `Q`'s width picks a kernel whose accumulators it fixes.
+fn narrow_product(p: MatRef<'_>, q: MatRef<'_>, d: &mut [f32], ds: [usize; 2], accumulate: bool) {
+    type Kernel = fn(MatRef<'_>, MatRef<'_>, &mut [f32], [usize; 2], bool);
+    const KERNELS: [Kernel; NARROW - 1] = [
+        narrow::<1>,
+        narrow::<2>,
+        narrow::<3>,
+        narrow::<4>,
+        narrow::<5>,
+        narrow::<6>,
+        narrow::<7>,
+        narrow::<8>,
+        narrow::<9>,
+        narrow::<10>,
+        narrow::<11>,
+        narrow::<12>,
+        narrow::<13>,
+        narrow::<14>,
+        narrow::<15>,
+    ];
+    assert!(
+        (1..NARROW).contains(&q.cols),
+        "narrow route needs 1..=15 columns"
+    );
+    KERNELS[q.cols - 1](p, q, d, ds, accumulate);
+}
+
+/// [`narrow_product`] for `N` columns: each 16-row panel of P seeds `N`
+/// lane groups from D (or `+0`), runs [`narrow_panel`] over the whole `k`
+/// and writes the live rows back.
+fn narrow<const N: usize>(
+    p: MatRef<'_>,
+    q: MatRef<'_>,
+    d: &mut [f32],
+    ds: [usize; 2],
+    accumulate: bool,
+) {
+    let at = |i: usize, j: usize| i * ds[0] + j * ds[1];
+    for i0 in (0..p.rows).step_by(NARROW) {
+        let live = (p.rows - i0).min(NARROW);
+        let mut acc = [[0.0f32; NARROW]; N];
+        if accumulate {
+            for (j, accj) in acc.iter_mut().enumerate() {
+                for (r, x) in accj.iter_mut().enumerate().take(live) {
+                    *x = d[at(i0 + r, j)];
+                }
+            }
+        }
+        narrow_panel(p, i0, live, q, &mut acc);
+        for (j, accj) in acc.iter().enumerate() {
+            for (r, &x) in accj.iter().enumerate().take(live) {
+                d[at(i0 + r, j)] = x;
+            }
+        }
+    }
+}
+
+/// `acc[j][r] += Σ_p P[i0 + r, p] · Q[p, j]` for the `live` rows from
+/// `i0`, in ascending `p`, one `f32::mul_add` per term.
+#[cfg(not(target_feature = "avx512f"))]
+fn narrow_panel<const N: usize>(
+    p: MatRef<'_>,
+    i0: usize,
+    live: usize,
+    q: MatRef<'_>,
+    acc: &mut [[f32; NARROW]; N],
+) {
+    for k in 0..p.cols {
+        let lanes: [f32; NARROW] =
+            std::array::from_fn(|r| if r < live { p.at(i0 + r, k) } else { 0.0 });
+        for (j, accj) in acc.iter_mut().enumerate() {
+            let qv = q.at(k, j);
+            for (x, &av) in accj.iter_mut().zip(&lanes) {
+                *x = av.mul_add(qv, *x);
+            }
+        }
+    }
+}
+
+/// The narrow panel in explicit AVX-512: the `N` lane groups live in zmm
+/// registers across the whole `k`; each `k` loads the 16 rows' P values
+/// once and adds them times `N` broadcast Q values with
+/// `_mm512_fmadd_ps`, so every lane rounds as the reference's
+/// `f32::mul_add` does, in the same order. A transposed-view P (`rs == 1`)
+/// has its rows adjacent per `k` and is loaded directly; a row-major one is
+/// read 16 `k` at a time and turned by [`simd::transpose16`].
+#[cfg(target_feature = "avx512f")]
+#[expect(
+    unsafe_code,
+    reason = "explicit SIMD panel: masked vector loads of P and scalar loads of Q whose bounds the asserts at the top establish"
+)]
+fn narrow_panel<const N: usize>(
+    p: MatRef<'_>,
+    i0: usize,
+    live: usize,
+    q: MatRef<'_>,
+    acc: &mut [[f32; NARROW]; N],
+) {
+    use simd::{transpose16, L};
+    use std::arch::x86_64::{
+        __m512, _mm512_fmadd_ps, _mm512_loadu_ps, _mm512_maskz_loadu_ps, _mm512_set1_ps,
+        _mm512_setzero_ps, _mm512_storeu_ps,
+    };
+    let k = p.cols;
+    assert!(q.rows == k && q.cols == N, "narrow operand shapes");
+    assert!(
+        (1..=L).contains(&live) && i0 + live <= p.rows,
+        "narrow panel rows"
+    );
+    assert!(
+        k == 0 || (i0 + live - 1) * p.rs + (k - 1) * p.cs < p.data.len(),
+        "P out of bounds"
+    );
+    assert!(
+        k == 0 || (k - 1) * q.rs + (N - 1) * q.cs < q.data.len(),
+        "Q out of bounds"
+    );
+    assert!(
+        p.rs == 1 || p.cs == 1,
+        "P is a row-major or transposed view"
+    );
+    let mask = u16::MAX >> (L - live);
+    let (pd, qd) = (p.data.as_ptr(), q.data.as_ptr());
+    // Every P element read is P[i0 + r, kk] for a live row r and kk < k, and
+    // every Q element Q[kk, j] for kk < k, j < N: in bounds by the asserts.
+    // Lanes of dead rows are masked off or zero, and never stored.
+    // SAFETY: compiled only with avx512f enabled (the cfg above); every
+    // access is in bounds by the above.
+    unsafe {
+        let mut v: [__m512; N] = std::array::from_fn(|j| _mm512_loadu_ps(acc[j].as_ptr()));
+        let mut add = |a: __m512, kk: usize| {
+            let qrow = qd.add(kk * q.rs);
+            for (j, x) in v.iter_mut().enumerate() {
+                *x = _mm512_fmadd_ps(a, _mm512_set1_ps(*qrow.add(j * q.cs)), *x);
+            }
+        };
+        if p.rs == 1 {
+            for kk in 0..k {
+                add(_mm512_maskz_loadu_ps(mask, pd.add(kk * p.cs + i0)), kk);
+            }
+        } else {
+            for k0 in (0..k).step_by(L) {
+                let kl = (k - k0).min(L);
+                let kmask = u16::MAX >> (L - kl);
+                let rows = std::array::from_fn(|r| match r < live {
+                    true => _mm512_maskz_loadu_ps(kmask, pd.add((i0 + r) * p.rs + k0)),
+                    false => _mm512_setzero_ps(),
+                });
+                for (dk, &a) in transpose16(rows).iter().enumerate().take(kl) {
+                    add(a, k0 + dk);
+                }
+            }
+        }
+        for (accj, &x) in acc.iter_mut().zip(&v) {
+            _mm512_storeu_ps(accj.as_mut_ptr(), x);
         }
     }
 }
@@ -823,6 +1106,134 @@ fn accumulate_rows(a: MatRef<'_>, b: MatRef<'_>, c: &mut [f32], j0: usize) {
     }
 }
 
+/// AVX-512 register helpers shared by this module's kernels and the direct
+/// convolution kernels in [`crate::conv`]. Neither touches memory.
+#[cfg(target_feature = "avx512f")]
+pub(crate) mod simd {
+    use std::arch::x86_64::{
+        __m512, _mm512_add_epi32, _mm512_add_ps, _mm512_and_si512, _mm512_andnot_si512,
+        _mm512_castpd_ps, _mm512_castps_pd, _mm512_castps_si512, _mm512_castsi512_ps,
+        _mm512_cmp_ps_mask, _mm512_div_ps, _mm512_mask_blend_ps, _mm512_mul_ps, _mm512_or_si512,
+        _mm512_set1_epi32, _mm512_set1_ps, _mm512_setzero_ps, _mm512_shuffle_f32x4,
+        _mm512_slli_epi32, _mm512_sub_epi32, _mm512_sub_ps, _mm512_unpackhi_pd, _mm512_unpackhi_ps,
+        _mm512_unpacklo_pd, _mm512_unpacklo_ps, _CMP_GT_OQ, _CMP_LT_OQ,
+    };
+
+    /// f32 lanes per zmm register.
+    pub(crate) const L: usize = 16;
+
+    /// [`super::tanh`] on 16 lanes: the scalar function's operations in its
+    /// order, each a separately rounded vector instruction (a multiply and
+    /// an add where the scalar code has `x * y + z`, never a fused one), the
+    /// two comparisons as ordered masks that are false on NaN as the scalar
+    /// `>` and `<` are, and `2^n` built from the same integer bits. So every
+    /// lane is bitwise the scalar result (pinned by
+    /// `tanh16_matches_scalar_bitwise`).
+    #[expect(
+        unsafe_code,
+        reason = "register-only AVX-512 arithmetic, callable under the module's avx512f cfg"
+    )]
+    pub(crate) fn tanh16(x: __m512) -> __m512 {
+        // SAFETY: compiled only with avx512f enabled (the cfg on this
+        // module); no intrinsic here touches memory.
+        unsafe {
+            let c = |v: f32| _mm512_set1_ps(v);
+            let sign = _mm512_set1_epi32(i32::MIN);
+            let xb = _mm512_castps_si512(x);
+            let a = _mm512_castsi512_ps(_mm512_andnot_si512(sign, xb));
+            let a = _mm512_mask_blend_ps(_mm512_cmp_ps_mask::<_CMP_GT_OQ>(a, c(10.0)), a, c(10.0));
+
+            let z = _mm512_mul_ps(a, a);
+            let mut q = c(-2.391_291_2e-4);
+            q = _mm512_add_ps(_mm512_mul_ps(q, z), c(5.900_274e-4));
+            q = _mm512_sub_ps(_mm512_mul_ps(q, z), c(1.455_834_4e-3));
+            q = _mm512_add_ps(_mm512_mul_ps(q, z), c(3.592_128e-3));
+            q = _mm512_sub_ps(_mm512_mul_ps(q, z), c(8.863_236e-3));
+            q = _mm512_add_ps(_mm512_mul_ps(q, z), c(2.186_948_8e-2));
+            q = _mm512_sub_ps(_mm512_mul_ps(q, z), c(5.396_825_4e-2));
+            q = _mm512_add_ps(_mm512_mul_ps(q, z), c(0.133_333_34));
+            q = _mm512_sub_ps(_mm512_mul_ps(q, z), c(0.333_333_34));
+            let series = _mm512_add_ps(a, _mm512_mul_ps(a, _mm512_mul_ps(z, q)));
+
+            const ROUND: f32 = 12_582_912.0;
+            let y = _mm512_mul_ps(c(-2.0), a);
+            let k = _mm512_add_ps(_mm512_mul_ps(y, c(std::f32::consts::LOG2_E)), c(ROUND));
+            let n = _mm512_sub_ps(k, c(ROUND));
+            let r = _mm512_sub_ps(
+                _mm512_sub_ps(y, _mm512_mul_ps(n, c(0.693_145_75))),
+                _mm512_mul_ps(n, c(1.428_606_8e-6)),
+            );
+            let mut p = c(1.0 / 5040.0);
+            p = _mm512_add_ps(_mm512_mul_ps(p, r), c(1.0 / 720.0));
+            p = _mm512_add_ps(_mm512_mul_ps(p, r), c(1.0 / 120.0));
+            p = _mm512_add_ps(_mm512_mul_ps(p, r), c(1.0 / 24.0));
+            p = _mm512_add_ps(_mm512_mul_ps(p, r), c(1.0 / 6.0));
+            p = _mm512_add_ps(_mm512_mul_ps(p, r), c(0.5));
+            let exp_r = _mm512_add_ps(
+                c(1.0),
+                _mm512_add_ps(r, _mm512_mul_ps(r, _mm512_mul_ps(r, p))),
+            );
+            let round_bits = _mm512_set1_epi32(ROUND.to_bits().cast_signed());
+            let two_n = _mm512_slli_epi32::<23>(_mm512_add_epi32(
+                _mm512_sub_epi32(_mm512_castps_si512(k), round_bits),
+                _mm512_set1_epi32(127),
+            ));
+            let t = _mm512_mul_ps(exp_r, _mm512_castsi512_ps(two_n));
+            let ratio = _mm512_div_ps(_mm512_sub_ps(c(1.0), t), _mm512_add_ps(c(1.0), t));
+
+            let m =
+                _mm512_mask_blend_ps(_mm512_cmp_ps_mask::<_CMP_LT_OQ>(a, c(0.55)), ratio, series);
+            _mm512_castsi512_ps(_mm512_or_si512(
+                _mm512_castps_si512(m),
+                _mm512_and_si512(xb, sign),
+            ))
+        }
+    }
+
+    /// The transpose of a 16 x 16 block held as 16 row registers: pairs of
+    /// rows interleaved by element, then by element pair, then 128-bit
+    /// lanes gathered twice (64 shuffles).
+    #[expect(
+        unsafe_code,
+        reason = "register-only AVX-512 shuffles, callable under the module's avx512f cfg"
+    )]
+    pub(crate) fn transpose16(r: [__m512; L]) -> [__m512; L] {
+        // SAFETY: compiled only with avx512f enabled (the cfg on this
+        // module); no intrinsic here touches memory.
+        unsafe {
+            let t: [__m512; L] = std::array::from_fn(|i| {
+                let (a, b) = (r[i & !1], r[i | 1]);
+                match i % 2 {
+                    0 => _mm512_unpacklo_ps(a, b),
+                    _ => _mm512_unpackhi_ps(a, b),
+                }
+            });
+            // u[4m + e], 128-bit lane l: rows 4m..4m + 4 of column 4l + e.
+            let u: [__m512; L] = std::array::from_fn(|i| {
+                let (m, e) = (i / 4 * 4, i % 4);
+                let (a, b) = (
+                    _mm512_castps_pd(t[m + e / 2]),
+                    _mm512_castps_pd(t[m + e / 2 + 2]),
+                );
+                _mm512_castpd_ps(match e % 2 {
+                    0 => _mm512_unpacklo_pd(a, b),
+                    _ => _mm512_unpackhi_pd(a, b),
+                })
+            });
+            let mut out = [_mm512_setzero_ps(); L];
+            for e in 0..4 {
+                let lo = [0, 8].map(|m| _mm512_shuffle_f32x4::<0x44>(u[m + e], u[m + 4 + e]));
+                let hi = [0, 8].map(|m| _mm512_shuffle_f32x4::<0xEE>(u[m + e], u[m + 4 + e]));
+                out[e] = _mm512_shuffle_f32x4::<0x88>(lo[0], lo[1]);
+                out[4 + e] = _mm512_shuffle_f32x4::<0xDD>(lo[0], lo[1]);
+                out[8 + e] = _mm512_shuffle_f32x4::<0x88>(hi[0], hi[1]);
+                out[12 + e] = _mm512_shuffle_f32x4::<0xDD>(hi[0], hi[1]);
+            }
+            out
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1093,23 +1504,30 @@ mod tests {
         // exact: one fused multiply-add leaves the product's nonzero
         // rounding residual, a separate multiply and add leaves 0. The
         // second of the k = 2 terms has a zero A value and adds nothing; it
-        // lets B be stored transposed. One shape per route: the packed tile
-        // at m >= MR, half-width (n <= 16) and full; the small-`m` strips,
-        // wide enough for every strip kind and a ragged tail; a transposed
-        // B at small `m`, which the packed tile serves; and the reference.
+        // lets A and B be stored transposed. One shape per route: the packed
+        // tile, half-width (n = 16) and full with a ragged panel; the
+        // small-`m` strips, wide enough for every strip kind and a ragged
+        // tail; the narrow route over a narrow B, its A loaded directly
+        // (transposed) or turned in registers (row-major); the narrow route
+        // over a narrow A, its B likewise both ways; and the reference.
         let mut rng = ChaCha8Rng::seed_from_u64(16);
         let strip_n = 256 + 2 * 16 + 5;
-        for (m, n, b_transposed) in [
-            (MR, 5, false),
-            (MR + 1, NR + 3, false),
-            (1, strip_n, false),
-            (MR - 1, strip_n, false),
-            (MR - 1, NR + 3, true),
+        for (m, n, a_transposed, b_transposed) in [
+            (NARROW, NARROW, false, false),
+            (NARROW + 1, NR + 3, false, false),
+            (1, strip_n, false, false),
+            (MR - 1, strip_n, false, false),
+            (NARROW + 1, 3, false, false),
+            (NARROW + 1, 3, true, false),
+            (NARROW - 1, NR + 3, false, false),
+            (NARROW - 1, NR + 3, false, true),
+            (MR - 1, NR + 3, true, true),
         ] {
             let a: Vec<f32> = rand_vec(&mut rng, m)
                 .into_iter()
                 .flat_map(|v| [v, 0.0])
                 .collect();
+            let a_t: Vec<f32> = (0..2 * m).map(|e| a[(e % m) * 2 + e / m]).collect();
             let b = rand_vec(&mut rng, 2 * n);
             let b_t: Vec<f32> = (0..2 * n).map(|e| b[(e % 2) * n + e / 2]).collect();
             let seed: Vec<f32> = (0..m * n).map(|e| -(a[e / n * 2] * b[e % n])).collect();
@@ -1120,19 +1538,130 @@ mod tests {
                 want.iter().all(|&r| r != 0.0),
                 "every product must be inexact"
             );
-            let av = MatRef::new(&a, m, 2);
+            let av = if a_transposed {
+                MatRef::new(&a_t, 2, m).t()
+            } else {
+                MatRef::new(&a, m, 2)
+            };
             let bv = if b_transposed {
                 MatRef::new(&b_t, n, 2).t()
             } else {
                 MatRef::new(&b, 2, n)
             };
-            let ctx = format!("{m}x2x{n} transposed B {b_transposed}");
+            let ctx = format!("{m}x2x{n} transposed A {a_transposed} B {b_transposed}");
             let mut got = seed.clone();
             gemm(av, bv, &mut got, true);
             assert_bits_eq(&got, &want, &ctx);
             let mut got = seed.clone();
             gemm_naive(av, bv, &mut got, true);
             assert_bits_eq(&got, &want, &format!("reference {ctx}"));
+        }
+    }
+
+    /// Mostly `rand_vec`'s values, and now and then a NaN with a payload,
+    /// an infinity, a subnormal or a signed zero.
+    fn with_specials(rng: &mut ChaCha8Rng, n: usize) -> Vec<f32> {
+        (0..n)
+            .map(|_| {
+                let sign = rng.gen_range(0u32..2) << 31;
+                match rng.gen_range(0..200) {
+                    0 => f32::from_bits(sign | 0x7fc0_0000 | rng.gen_range(0u32..1 << 22)),
+                    1 => f32::from_bits(sign | 0x7f80_0000),
+                    2 => f32::from_bits(sign | rng.gen_range(1u32..1 << 23)),
+                    3 => f32::from_bits(sign),
+                    _ => rng.gen_range(-1.5f32..1.5),
+                }
+            })
+            .collect()
+    }
+
+    /// `gemm_fused` over every operand view against the reference at one
+    /// shape: the plain product with both seedings and each view, then
+    /// each epilogue (bias and activation, applied by the want side one
+    /// scalar element at a time) on row-major operands. The specials sit
+    /// in A only, so no product meets two NaNs whose order would pick the
+    /// payload.
+    fn check_views(rng: &mut ChaCha8Rng, m: usize, k: usize, n: usize) {
+        let a = with_specials(rng, m * k);
+        let b = rand_vec(rng, k * n);
+        let a_t: Vec<f32> = (0..k * m).map(|i| a[(i % m) * k + i / m]).collect();
+        let b_t: Vec<f32> = (0..n * k).map(|i| b[(i % k) * n + i / k]).collect();
+        let bias: Vec<f32> = rand_vec(rng, n).iter().map(|x| 4.0 * x).collect();
+        let seed = rand_vec(rng, m * n);
+        let views = [
+            (MatRef::new(&a, m, k), MatRef::new(&b, k, n), "A, B"),
+            (MatRef::new(&a_t, k, m).t(), MatRef::new(&b, k, n), "At, B"),
+            (MatRef::new(&a, m, k), MatRef::new(&b_t, n, k).t(), "A, Bt"),
+            (
+                MatRef::new(&a_t, k, m).t(),
+                MatRef::new(&b_t, n, k).t(),
+                "At, Bt",
+            ),
+        ];
+        for accumulate in [false, true] {
+            let mut reduced = seed.clone();
+            gemm_naive(views[0].0, views[0].1, &mut reduced, accumulate);
+            for (av, bv, ctx) in views {
+                let mut got = seed.clone();
+                gemm(av, bv, &mut got, accumulate);
+                assert_bits_eq(
+                    &got,
+                    &reduced,
+                    &format!("{ctx} {m}x{k}x{n} acc={accumulate}"),
+                );
+            }
+            for act in [FusedAct::Identity, FusedAct::Tanh, FusedAct::Relu] {
+                let mut want = reduced.clone();
+                for row in want.chunks_exact_mut(n) {
+                    for (x, &bb) in row.iter_mut().zip(&bias) {
+                        *x = act.activate(*x + bb);
+                    }
+                }
+                let mut got = seed.clone();
+                gemm_fused(
+                    views[0].0,
+                    views[0].1,
+                    Some(&bias),
+                    act,
+                    &mut got,
+                    accumulate,
+                );
+                let ctx = format!("{m}x{k}x{n} acc={accumulate} {act:?}");
+                assert_bits_eq(&got, &want, &ctx);
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_route_matches_naive_bitwise() {
+        // Every width the narrow route serves over a narrow B, at k of one
+        // and three, the Hopper observation's 11, a KC block and past one
+        // (no route blocks k, so a block seam must not show), and m below,
+        // at and past the AVX-512 tile height and the 16-row panel, and the
+        // mini-batch of 512. Below the tile height a unit-stride B takes
+        // the small-`m` strips instead, so those shapes pin both routes.
+        let mut rng = ChaCha8Rng::seed_from_u64(17);
+        for n in 1..NARROW {
+            for k in [1, 3, 11, 256, 300] {
+                for m in [1, 7, 8, 17, 512] {
+                    check_views(&mut rng, m, k, n);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn narrow_rows_route_matches_naive_bitwise() {
+        // The narrow route over a narrow A (`Cᵀ = Bᵀ Aᵀ`): every m below one
+        // register of lanes, n at one register, past it with a ragged
+        // panel and at the hidden width, k from one to past a KC block.
+        let mut rng = ChaCha8Rng::seed_from_u64(18);
+        for m in 1..NARROW {
+            for n in [NARROW, 33, 256] {
+                for k in [1, 11, 300] {
+                    check_views(&mut rng, m, k, n);
+                }
+            }
         }
     }
 
@@ -1258,6 +1787,60 @@ mod tests {
                     let want = std::hint::black_box(tanh)(x);
                     assert_eq!(got.to_bits(), want.to_bits(), "len {len} off {off} i {i}");
                 }
+            }
+        }
+    }
+
+    #[cfg(target_feature = "avx512f")]
+    #[test]
+    #[expect(
+        unsafe_code,
+        reason = "test-only unaligned vector loads and stores of 16-element arrays"
+    )]
+    fn tanh16_matches_scalar_bitwise() {
+        use std::arch::x86_64::{_mm512_loadu_ps, _mm512_storeu_ps};
+        // Every 4096th bit pattern, both signs and every NaN payload class
+        // included; densely around the series/ratio seam, the clamp and
+        // the saturation to 1; and the specials.
+        let strided = (0..=u32::MAX).step_by(4096).map(f32::from_bits);
+        let dense = [0.55f32, 9.01, 10.0].into_iter().flat_map(|c| {
+            let c = c.to_bits();
+            (c - 4096..=c + 4096).flat_map(|b| [f32::from_bits(b), -f32::from_bits(b)])
+        });
+        let specials = [
+            0.0,
+            -0.0,
+            f32::NAN,
+            -f32::NAN,
+            f32::from_bits(0x7f80_0001),
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::MAX,
+            f32::MIN,
+        ];
+        let xs: Vec<f32> = strided.chain(dense).chain(specials).collect();
+        for chunk in xs.chunks(16) {
+            let mut lanes = [0.0f32; 16];
+            lanes[..chunk.len()].copy_from_slice(chunk);
+            let mut got = [0.0f32; 16];
+            // SAFETY: compiled only with avx512f enabled (the cfg above); both
+            // arrays hold exactly 16 floats.
+            unsafe {
+                _mm512_storeu_ps(
+                    got.as_mut_ptr(),
+                    simd::tanh16(_mm512_loadu_ps(lanes.as_ptr())),
+                )
+            };
+            for (&x, &y) in lanes.iter().zip(&got) {
+                let want = std::hint::black_box(tanh)(x);
+                assert_eq!(
+                    y.to_bits(),
+                    want.to_bits(),
+                    "tanh16({x:e} = {:#x})",
+                    x.to_bits()
+                );
             }
         }
     }

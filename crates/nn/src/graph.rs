@@ -5,13 +5,19 @@
 //! Each learner function in Stellaris builds a fresh graph per mini-batch
 //! (mirroring the per-invocation lifetime of a serverless function), so the
 //! tape never outlives one gradient computation. Node values are shared into
-//! backward closures via `Rc`, so recording an op never copies tensor data.
+//! backward closures via `Rc`, so recording an op never copies tensor data,
+//! and parameters are borrowed for the tape's lifetime ([`Graph::param`]),
+//! so binding a network copies none of its weights.
 //!
 //! # Gradient arena
 //!
 //! Backward closures do not return freshly allocated gradients; they
 //! *accumulate* into per-node buffers owned by a [`GradSink`] (axpy-style
-//! `+=`). The buffers live in a thread-local arena that is recycled across
+//! `+=`). A closure whose product can seed itself from `+0` (the dense and
+//! matmul GEMMs, `accumulate = false`) writes a node's first contribution
+//! instead ([`GradSink::write`]), so that buffer is neither zeroed nor read
+//! back; every element is the same chain from `+0`, so the bits are the
+//! same. The buffers live in a thread-local arena that is recycled across
 //! `Graph` lifetimes, so once warm, a PPO epoch performs O(1) heap
 //! allocations per backward step instead of O(nodes). The counting-allocator
 //! test `tests/arena_allocs.rs` holds that discipline: it runs a tape through
@@ -34,6 +40,17 @@
 //! dense layer's. A marked node still receives every contribution it
 //! received before, in the same order, so the requested gradients keep their
 //! bits; both strategies share the sink and prune alike.
+//!
+//! # Per-op spans
+//!
+//! A thread's first tape, and then one tape in [`OP_SPAN_EVERY`], records an
+//! `nn.op` span per node while tracing is on: in the forward pass, the time
+//! from the previous node's append to this one's (so the span holds the
+//! op's compute and the caller's glue before it); in the backward pass, the
+//! node's closure, plus the pass's seeding, its copy of the gradients out
+//! and, through [`Graph::backward_clipped`], the norm clip. Each span
+//! carries the static op name and the pass, so a learner's step is named
+//! op by op from a traced run.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
@@ -44,6 +61,7 @@ use crate::conv::{
     conv2d_forward, conv2d_input_grad, conv2d_weight_grad, gradient_rows, Conv2dSpec,
 };
 use crate::gemm::{self, FusedAct, MatRef};
+use crate::optim::clip_grad_norm;
 use crate::tensor::Tensor;
 
 /// Handle to a node in a [`Graph`].
@@ -60,13 +78,41 @@ impl Var {
 
 /// Gradient callback: receives the node's upstream gradient and accumulates
 /// contributions for its parents into the sink.
-type BackwardFn = Box<dyn Fn(&Tensor, &mut GradSink)>;
+type BackwardFn<'p> = Box<dyn Fn(&Tensor, &mut GradSink) + 'p>;
 
-struct Node {
-    value: Rc<Tensor>,
+/// A node's value: one the tape computed, shared into backward closures by
+/// `Rc`, or a parameter the tape borrows for its lifetime `'p`
+/// ([`Graph::param`]), so binding a network copies none of its weights.
+#[derive(Clone)]
+enum Value<'p> {
+    Owned(Rc<Tensor>),
+    Borrowed(&'p Tensor),
+}
+
+impl Value<'_> {
+    fn owned(t: Tensor) -> Self {
+        Value::Owned(Rc::new(t))
+    }
+}
+
+impl std::ops::Deref for Value<'_> {
+    type Target = Tensor;
+
+    fn deref(&self) -> &Tensor {
+        match self {
+            Value::Owned(t) => t,
+            Value::Borrowed(t) => t,
+        }
+    }
+}
+
+struct Node<'p> {
+    value: Value<'p>,
+    /// The op that recorded the node, named in its `nn.op` spans.
+    op: &'static str,
     /// The nodes `backward` feeds (no op has more than three).
     parents: [Option<Var>; 3],
-    backward: Option<BackwardFn>,
+    backward: Option<BackwardFn<'p>>,
 }
 
 /// Reusable backward workspace: one gradient buffer per node plus a flat
@@ -108,7 +154,7 @@ pub struct GradSink<'a> {
     bufs: &'a mut [Tensor],
     live: &'a mut [bool],
     wanted: &'a [bool],
-    nodes: &'a [Node],
+    nodes: &'a [Node<'a>],
     scratch: &'a mut Vec<f32>,
     cloning: bool,
 }
@@ -120,6 +166,23 @@ impl GradSink<'_> {
     /// closures must only ever `+=` into it. When no requested variable is
     /// reachable from `parent` its gradient is not wanted and `f` never runs.
     pub fn with(&mut self, parent: Var, f: impl FnOnce(&mut Tensor)) {
+        self.write(parent, |d, first| {
+            if first {
+                d.data_mut().fill(0.0);
+            }
+            f(d);
+        });
+    }
+
+    /// Like [`GradSink::with`], for a closure that can write a first
+    /// contribution instead of adding it: when `first` is true the buffer
+    /// holds no earlier contribution and its contents are unspecified, and
+    /// the closure must set every element to what adding into zeros would
+    /// give (a product seeded with `+0`, as `accumulate = false` does).
+    /// That saves zeroing the buffer and reading the zeros back. The
+    /// cloning reference always passes `first = false` on a zeroed buffer,
+    /// so the differential tests compare the two ways bit for bit.
+    pub fn write(&mut self, parent: Var, f: impl FnOnce(&mut Tensor, bool)) {
         let pid = parent.0;
         // The tape is append-only, so parents always precede their children;
         // the slice handed to us ends right before the current node.
@@ -133,7 +196,7 @@ impl GradSink<'_> {
         let shape = self.nodes[pid].value.shape();
         if self.cloning {
             let mut tmp = Tensor::zeros(shape);
-            f(&mut tmp);
+            f(&mut tmp, false);
             if self.live[pid] {
                 self.bufs[pid].add_assign(&tmp);
             } else {
@@ -141,12 +204,19 @@ impl GradSink<'_> {
                 self.live[pid] = true;
             }
         } else {
-            if !self.live[pid] {
-                self.bufs[pid].reuse_as_zeros(shape);
+            let first = !self.live[pid];
+            if first {
+                self.bufs[pid].reuse_as(shape);
                 self.live[pid] = true;
             }
-            f(&mut self.bufs[pid]);
+            f(&mut self.bufs[pid], first);
         }
+    }
+
+    /// Whether `parent`'s gradient is wanted: when it is not, `with` and
+    /// `write` skip their closures.
+    pub fn wants(&self, parent: Var) -> bool {
+        self.wanted.get(parent.0).copied().unwrap_or(false)
     }
 
     /// Adds `g` verbatim to the parent's gradient (the identity-Jacobian
@@ -168,29 +238,71 @@ impl GradSink<'_> {
     }
 }
 
-/// A single-use autodiff tape.
-pub struct Graph {
-    nodes: RefCell<Vec<Node>>,
+/// A single-use autodiff tape. `'p` is how long the parameters it borrows
+/// ([`Graph::param`]) live.
+pub struct Graph<'p> {
+    nodes: RefCell<Vec<Node<'p>>>,
     /// Telemetry timestamp of tape creation. The forward pass *is* the
     /// tape's lifetime up to `backward`, so the first `backward` call emits
     /// a retroactive `nn.forward` span covering `[born_us, now]`.
     born_us: u64,
     forward_emitted: Cell<bool>,
+    /// Whether this tape records an `nn.op` span per node (module docs).
+    sampled: bool,
+    /// When the last node was appended (the tape's creation before that).
+    last_us: Cell<u64>,
 }
 
-impl Default for Graph {
+/// One tape in this many records per-node `nn.op` spans, and the first one
+/// on each thread: a sampled tape adds two clock reads and one buffered
+/// event per node, which every tape paying would cost more than the ops it
+/// names on small networks.
+pub const OP_SPAN_EVERY: u64 = 64;
+
+thread_local! {
+    /// Tapes created on this thread while tracing was on.
+    static TRACED_TAPES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Whether a tape created now records `nn.op` spans: tracing is on and
+/// this is the thread's first traced tape or a multiple of
+/// [`OP_SPAN_EVERY`] after it.
+fn sample_tape() -> bool {
+    if !telemetry::enabled() {
+        return false;
+    }
+    let n = TRACED_TAPES.get();
+    TRACED_TAPES.set(n + 1);
+    n.is_multiple_of(OP_SPAN_EVERY)
+}
+
+/// Records one `nn.op` span: `op` over `[start, end]` in the given pass.
+fn op_span(op: &'static str, pass: &'static str, start: u64, end: u64) {
+    telemetry::span_closed(
+        "nn.op",
+        start,
+        end.saturating_sub(start),
+        // lint:allow(A9): runs only on a sampled tape with tracing on, never on an untraced warm step
+        vec![("op", op.into()), ("pass", pass.into())],
+    );
+}
+
+impl Default for Graph<'_> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Graph {
+impl<'p> Graph<'p> {
     /// Creates an empty tape.
     pub fn new() -> Self {
+        let born_us = telemetry::now_us();
         Self {
             nodes: RefCell::new(Vec::with_capacity(64)),
-            born_us: telemetry::now_us(),
+            born_us,
             forward_emitted: Cell::new(false),
+            sampled: sample_tape(),
+            last_us: Cell::new(born_us),
         }
     }
 
@@ -200,13 +312,34 @@ impl Graph {
         self.nodes.get_mut().clear();
         self.born_us = telemetry::now_us();
         self.forward_emitted.set(false);
+        self.sampled = sample_tape();
+        self.last_us.set(self.born_us);
     }
 
-    fn push(&self, value: Tensor, parents: &[Var], backward: Option<BackwardFn>) -> Var {
-        self.push_rc(Rc::new(value), parents, backward)
+    fn push(
+        &self,
+        op: &'static str,
+        value: Tensor,
+        parents: &[Var],
+        backward: Option<BackwardFn<'p>>,
+    ) -> Var {
+        self.push_rc(op, Value::owned(value), parents, backward)
     }
 
-    fn push_rc(&self, value: Rc<Tensor>, parents: &[Var], backward: Option<BackwardFn>) -> Var {
+    /// Appends a node; on a sampled tape, the time since the last append
+    /// (or the tape's creation) is the op's forward span.
+    fn push_rc(
+        &self,
+        op: &'static str,
+        value: Value<'p>,
+        parents: &[Var],
+        backward: Option<BackwardFn<'p>>,
+    ) -> Var {
+        if self.sampled {
+            let now = telemetry::now_us();
+            let start = self.last_us.replace(now);
+            op_span(op, "forward", start, now);
+        }
         let mut slots = [None; 3];
         assert!(
             parents.len() <= slots.len(),
@@ -218,6 +351,7 @@ impl Graph {
         let mut nodes = self.nodes.borrow_mut();
         nodes.push(Node {
             value,
+            op,
             parents: slots,
             backward,
         });
@@ -225,14 +359,20 @@ impl Graph {
     }
 
     /// Shared handle to a node's value (cheap; no data copy).
-    fn rc(&self, v: Var) -> Rc<Tensor> {
-        Rc::clone(&self.nodes.borrow()[v.0].value)
+    fn rc(&self, v: Var) -> Value<'p> {
+        self.nodes.borrow()[v.0].value.clone()
     }
 
     /// Inserts a leaf node (input or parameter). Gradients accumulate here
     /// but do not propagate further.
     pub fn input(&self, value: Tensor) -> Var {
-        self.push(value, &[], None)
+        self.push("input", value, &[], None)
+    }
+
+    /// Inserts a leaf that borrows `value` for the tape's lifetime instead
+    /// of owning a copy: a parameter, bound every step ([`crate::bind_params`]).
+    pub fn param(&self, value: &'p Tensor) -> Var {
+        self.push_rc("param", Value::Borrowed(value), &[], None)
     }
 
     /// Number of recorded nodes.
@@ -261,6 +401,7 @@ impl Graph {
     pub fn add(&self, a: Var, b: Var) -> Var {
         let out = self.rc(a).add(&self.rc(b));
         self.push(
+            "add",
             out,
             &[a, b],
             Some(Box::new(move |g, sink| {
@@ -274,6 +415,7 @@ impl Graph {
     pub fn sub(&self, a: Var, b: Var) -> Var {
         let out = self.rc(a).sub(&self.rc(b));
         self.push(
+            "sub",
             out,
             &[a, b],
             Some(Box::new(move |g, sink| {
@@ -288,6 +430,7 @@ impl Graph {
         let (va, vb) = (self.rc(a), self.rc(b));
         let out = va.mul(&vb);
         self.push(
+            "mul",
             out,
             &[a, b],
             Some(Box::new(move |g, sink| {
@@ -303,6 +446,7 @@ impl Graph {
         let out = va.zip_map(&vb, f32::min);
         let mask = va.zip_map(&vb, |x, y| if x <= y { 1.0 } else { 0.0 });
         self.push(
+            "minimum",
             out,
             &[a, b],
             Some(Box::new(move |g, sink| {
@@ -318,6 +462,7 @@ impl Graph {
         let out = va.zip_map(&vb, f32::max);
         let mask = va.zip_map(&vb, |x, y| if x >= y { 1.0 } else { 0.0 });
         self.push(
+            "maximum",
             out,
             &[a, b],
             Some(Box::new(move |g, sink| {
@@ -333,6 +478,7 @@ impl Graph {
     pub fn scale(&self, a: Var, c: f32) -> Var {
         let out = self.rc(a).scaled(c);
         self.push(
+            "scale",
             out,
             &[a],
             Some(Box::new(move |g, sink| {
@@ -344,7 +490,12 @@ impl Graph {
     /// Adds a constant to every element.
     pub fn add_scalar(&self, a: Var, c: f32) -> Var {
         let out = self.rc(a).map(|x| x + c);
-        self.push(out, &[a], Some(Box::new(move |g, sink| sink.add(a, g))))
+        self.push(
+            "add_scalar",
+            out,
+            &[a],
+            Some(Box::new(move |g, sink| sink.add(a, g))),
+        )
     }
 
     /// Adds a scalar-valued node (`[1]`) to every element of `a`, scaled by
@@ -354,6 +505,7 @@ impl Graph {
         assert_eq!(sval.numel(), 1, "add_scalar_var expects scalar rhs");
         let out = self.rc(a).map(|x| x + coeff * sval.data()[0]);
         self.push(
+            "add_scalar_var",
             out,
             &[a, s],
             Some(Box::new(move |g, sink| {
@@ -369,6 +521,7 @@ impl Graph {
         let n = vb.numel();
         let out = self.rc(a).add_row_broadcast(&vb);
         self.push(
+            "add_bias",
             out,
             &[a, bias],
             Some(Box::new(move |g, sink| {
@@ -399,6 +552,7 @@ impl Graph {
             }
         }
         self.push(
+            "mul_row",
             out,
             &[a, row],
             Some(Box::new(move |g, sink| {
@@ -426,14 +580,16 @@ impl Graph {
 
     fn unary(
         &self,
+        op: &'static str,
         a: Var,
         f: impl Fn(f32) -> f32,
         dfdx_from_out: impl Fn(f32, f32) -> f32 + 'static,
     ) -> Var {
         let va = self.rc(a);
-        let out = Rc::new(va.map(f));
-        let out_cap = Rc::clone(&out);
+        let out = Value::owned(va.map(f));
+        let out_cap = out.clone();
         self.push_rc(
+            op,
             out,
             &[a],
             Some(Box::new(move |g, sink| {
@@ -447,32 +603,38 @@ impl Graph {
     /// Hyperbolic tangent ([`gemm::tanh`], the same function the fused
     /// epilogue applies).
     pub fn tanh(&self, a: Var) -> Var {
-        self.unary(a, gemm::tanh, |_, y| 1.0 - y * y)
+        self.unary("tanh", a, gemm::tanh, |_, y| 1.0 - y * y)
     }
 
     /// Rectified linear unit.
     pub fn relu(&self, a: Var) -> Var {
-        self.unary(a, |x| x.max(0.0), |x, _| if x > 0.0 { 1.0 } else { 0.0 })
+        self.unary(
+            "relu",
+            a,
+            |x| x.max(0.0),
+            |x, _| if x > 0.0 { 1.0 } else { 0.0 },
+        )
     }
 
     /// Exponential.
     pub fn exp(&self, a: Var) -> Var {
-        self.unary(a, f32::exp, |_, y| y)
+        self.unary("exp", a, f32::exp, |_, y| y)
     }
 
     /// Elementwise square.
     pub fn square(&self, a: Var) -> Var {
-        self.unary(a, |x| x * x, |x, _| 2.0 * x)
+        self.unary("square", a, |x| x * x, |x, _| 2.0 * x)
     }
 
     /// Elementwise square root (inputs assumed non-negative).
     pub fn sqrt(&self, a: Var) -> Var {
-        self.unary(a, f32::sqrt, |_, y| 0.5 / y.max(1e-12))
+        self.unary("sqrt", a, f32::sqrt, |_, y| 0.5 / y.max(1e-12))
     }
 
     /// Clamps values to `[lo, hi]`; gradient is gated to the interior.
     pub fn clamp(&self, a: Var, lo: f32, hi: f32) -> Var {
         self.unary(
+            "clamp",
             a,
             move |x| x.clamp(lo, hi),
             move |x, _| if x > lo && x < hi { 1.0 } else { 0.0 },
@@ -482,6 +644,7 @@ impl Graph {
     /// Elementwise `min(a, c)` against a constant; gradient flows where `a < c`.
     pub fn min_scalar(&self, a: Var, c: f32) -> Var {
         self.unary(
+            "min_scalar",
             a,
             move |x| x.min(c),
             move |x, _| if x <= c { 1.0 } else { 0.0 },
@@ -494,6 +657,7 @@ impl Graph {
     pub fn sum_all(&self, a: Var) -> Var {
         let out = Tensor::scalar(self.rc(a).sum());
         self.push(
+            "sum_all",
             out,
             &[a],
             Some(Box::new(move |g, sink| {
@@ -521,6 +685,7 @@ impl Graph {
         let (m, n) = (va.shape()[0], va.shape()[1]);
         let data: Vec<f32> = va.data().chunks(n).map(|r| r.iter().sum()).collect();
         self.push(
+            "sum_rows",
             Tensor::from_vec(data, &[m]),
             &[a],
             Some(Box::new(move |g, sink| {
@@ -545,25 +710,27 @@ impl Graph {
         let (m, k) = (va.shape()[0], va.shape()[1]);
         let n = vb.shape()[1];
         self.push(
+            "matmul",
             out,
             &[a, b],
             Some(Box::new(move |g, sink| {
                 // da += g @ bᵀ, db += aᵀ @ g — transposes are stride views,
-                // accumulation happens inside the GEMM (no temporaries).
-                sink.with(a, |d| {
+                // accumulation happens inside the GEMM (no temporaries), and
+                // a first contribution is written, not added to zeros.
+                sink.write(a, |d, first| {
                     gemm::gemm(
                         MatRef::new(g.data(), m, n),
                         MatRef::new(vb.data(), k, n).t(),
                         d.data_mut(),
-                        true,
+                        !first,
                     )
                 });
-                sink.with(b, |d| {
+                sink.write(b, |d, first| {
                     gemm::gemm(
                         MatRef::new(va.data(), m, k).t(),
                         MatRef::new(g.data(), m, n),
                         d.data_mut(),
-                        true,
+                        !first,
                     )
                 });
             })),
@@ -574,44 +741,44 @@ impl Graph {
     ///
     /// Forward runs [`Tensor::matmul_bias_act`]; backward modulates the
     /// upstream gradient by the activation derivative (recovered from the
-    /// node's own output) into the arena scratch, then feeds the three
-    /// parent gradients with accumulating GEMMs and a column sum. Gradients
-    /// are bit-identical to the unfused `matmul`+`add_bias`+activation
-    /// chain.
+    /// node's own output) into the arena scratch, adding each modulated row
+    /// into the bias gradient in the same pass, then feeds `x` and `w` with
+    /// GEMMs that write a first contribution and accumulate a later one.
+    /// Gradients are bit-identical to the unfused
+    /// `matmul`+`add_bias`+activation chain.
     pub fn dense(&self, x: Var, w: Var, bias: Var, act: FusedAct) -> Var {
         let (vx, vw, vb) = (self.rc(x), self.rc(w), self.rc(bias));
-        let out = Rc::new(vx.matmul_bias_act(&vw, &vb, act));
+        let out = Value::owned(vx.matmul_bias_act(&vw, &vb, act));
         let (m, k) = (vx.shape()[0], vx.shape()[1]);
         let n = vw.shape()[1];
-        let out_cap = Rc::clone(&out);
+        let out_cap = out.clone();
         self.push_rc(
+            match act {
+                FusedAct::Identity => "dense",
+                FusedAct::Tanh => "dense_tanh",
+                FusedAct::Relu => "dense_relu",
+            },
             out,
             &[x, w, bias],
             Some(Box::new(move |g, sink| {
-                // gmod = g ⊙ act'(y), with act' read off the stored output.
+                // gmod = g ⊙ act'(y), with act' read off the stored output,
+                // and db += each row of it while the row is in cache.
                 let mut gmod = sink.take_scratch();
-                gmod.truncate(0);
-                gmod.reserve(m * n);
-                gmod.extend(
-                    g.data()
-                        .iter()
-                        .zip(out_cap.data().iter())
-                        .map(|(&gv, &y)| gv * act.deriv_from_output(y)),
-                );
+                gmod.clear();
+                let (gv, yv) = (g.data(), out_cap.data());
+                if sink.wants(bias) {
+                    sink.with(bias, |d| {
+                        modulate_rows(gv, yv, act, n, &mut gmod, d.data_mut())
+                    });
+                } else {
+                    modulate_rows(gv, yv, act, n, &mut gmod, &mut []);
+                }
                 let gm = MatRef::new(&gmod, m, n);
-                sink.with(x, |d| {
-                    gemm::gemm(gm, MatRef::new(vw.data(), k, n).t(), d.data_mut(), true)
+                sink.write(x, |d, first| {
+                    gemm::gemm(gm, MatRef::new(vw.data(), k, n).t(), d.data_mut(), !first)
                 });
-                sink.with(w, |d| {
-                    gemm::gemm(MatRef::new(vx.data(), m, k).t(), gm, d.data_mut(), true)
-                });
-                sink.with(bias, |d| {
-                    let db = d.data_mut();
-                    for row in gmod.chunks(n) {
-                        for (acc, &gv) in db.iter_mut().zip(row.iter()) {
-                            *acc += gv;
-                        }
-                    }
+                sink.write(w, |d, first| {
+                    gemm::gemm(MatRef::new(vx.data(), m, k).t(), gm, d.data_mut(), !first)
                 });
                 sink.restore_scratch(gmod);
             })),
@@ -623,6 +790,7 @@ impl Graph {
     pub fn reshape(&self, a: Var, shape: &[usize]) -> Var {
         let out = self.value(a).reshaped(shape);
         self.push(
+            "reshape",
             out,
             &[a],
             Some(Box::new(move |g, sink| {
@@ -647,9 +815,10 @@ impl Graph {
                 *o = x - lse;
             }
         }
-        let out = Rc::new(Tensor::from_vec(out, &[m, n]));
-        let out_cap = Rc::clone(&out);
+        let out = Value::owned(Tensor::from_vec(out, &[m, n]));
+        let out_cap = out.clone();
         self.push_rc(
+            "log_softmax",
             out,
             &[logits],
             Some(Box::new(move |g, sink| {
@@ -680,6 +849,7 @@ impl Graph {
         let data: Vec<f32> = idx.iter().enumerate().map(|(i, &j)| va.at2(i, j)).collect();
         let idx = idx.to_vec();
         self.push(
+            "gather_cols",
             Tensor::from_vec(data, &[m]),
             &[a],
             Some(Box::new(move |g, sink| {
@@ -752,12 +922,17 @@ impl Graph {
         act: FusedAct,
     ) -> Var {
         let (x, w, bv) = (self.rc(input), self.rc(weight), self.rc(bias));
-        let out = Rc::new(Tensor::from_vec(
+        let out = Value::owned(Tensor::from_vec(
             conv2d_forward(x.data(), w.data(), bv.data(), &spec, act),
             shape,
         ));
-        let out_cap = Rc::clone(&out);
+        let out_cap = out.clone();
         self.push_rc(
+            match act {
+                FusedAct::Identity => "conv2d",
+                FusedAct::Tanh => "conv2d_tanh",
+                FusedAct::Relu => "conv2d_relu",
+            },
             out,
             &[input, weight, bias],
             Some(Box::new(move |g, sink| {
@@ -820,6 +995,19 @@ impl Graph {
         });
     }
 
+    /// [`Graph::backward`], then [`clip_grad_norm`] over the gradients at
+    /// `max_norm`, returning them with the pre-clip norm: a learner's whole
+    /// gradient step, whose clip a sampled tape names as one more `nn.op`.
+    pub fn backward_clipped(&self, loss: Var, wrt: &[Var], max_norm: f32) -> (Vec<Tensor>, f32) {
+        let mut grads = self.backward(loss, wrt);
+        let start = self.sampled.then(telemetry::now_us);
+        let norm = clip_grad_norm(&mut grads, max_norm);
+        if let Some(start) = start {
+            op_span("clip_grad_norm", "backward", start, telemetry::now_us());
+        }
+        (grads, norm)
+    }
+
     /// Reference backward pass with the historical allocation strategy: a
     /// fresh tensor per gradient contribution, merged with `+=`. Produces
     /// gradients identical to [`Graph::backward`] (same closures, same
@@ -851,6 +1039,7 @@ impl Graph {
             );
         }
         let mut span = telemetry::span_with("nn.backward", vec![("nodes", nodes.len().into())]);
+        let seed_start = self.sampled.then(telemetry::now_us);
         telemetry::global()
             .histogram("stellaris_nn_backward_nodes")
             .record(u64::try_from(nodes.len()).unwrap_or(u64::MAX));
@@ -881,6 +1070,9 @@ impl Graph {
             seed.data_mut().fill(1.0);
             arena.live[loss.0] = true;
         }
+        if let Some(start) = seed_start {
+            op_span("seed", "backward", start, telemetry::now_us());
+        }
         for i in (0..=loss.0).rev() {
             if !arena.live[i] {
                 continue;
@@ -900,9 +1092,14 @@ impl Graph {
                 scratch: &mut arena.scratch,
                 cloning,
             };
+            let start = self.sampled.then(telemetry::now_us);
             back(&bufs_tail[0], &mut sink);
+            if let Some(start) = start {
+                op_span(nodes[i].op, "backward", start, telemetry::now_us());
+            }
         }
         span.field("live", arena.live_count());
+        let start = self.sampled.then(telemetry::now_us);
         out.resize_with(wrt.len(), || Tensor::zeros(&[0]));
         for (slot, v) in out.iter_mut().zip(wrt) {
             if arena.live[v.0] {
@@ -911,6 +1108,47 @@ impl Graph {
                 slot.reuse_as_zeros(nodes[v.0].value.shape());
             }
         }
+        if let Some(start) = start {
+            op_span("gradients", "backward", start, telemetry::now_us());
+        }
+    }
+}
+
+/// Appends `g ⊙ act'(y)` to `gmod` row by row (`n` columns), `act'` read
+/// off the output `y`, and adds each modulated row into `db` unless `db` is
+/// empty: one pass where the dense backward made two.
+fn modulate_rows(
+    g: &[f32],
+    y: &[f32],
+    act: FusedAct,
+    n: usize,
+    gmod: &mut Vec<f32>,
+    db: &mut [f32],
+) {
+    // One loop per activation, so each body vectorises.
+    fn rows(
+        g: &[f32],
+        y: &[f32],
+        n: usize,
+        gmod: &mut Vec<f32>,
+        db: &mut [f32],
+        deriv: impl Fn(f32) -> f32,
+    ) {
+        gmod.reserve(g.len());
+        for (grow, yrow) in g.chunks_exact(n).zip(y.chunks_exact(n)) {
+            let start = gmod.len();
+            gmod.extend(grow.iter().zip(yrow).map(|(&gv, &yv)| gv * deriv(yv)));
+            for (acc, &v) in db.iter_mut().zip(&gmod[start..]) {
+                *acc += v;
+            }
+        }
+    }
+    match act {
+        FusedAct::Identity => rows(g, y, n, gmod, db, |v| {
+            FusedAct::Identity.deriv_from_output(v)
+        }),
+        FusedAct::Tanh => rows(g, y, n, gmod, db, |v| FusedAct::Tanh.deriv_from_output(v)),
+        FusedAct::Relu => rows(g, y, n, gmod, db, |v| FusedAct::Relu.deriv_from_output(v)),
     }
 }
 

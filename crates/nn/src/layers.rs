@@ -80,9 +80,10 @@ pub trait ParamSet {
     }
 }
 
-/// Binds a parameter list into a graph as leaf variables.
-pub fn bind_params(g: &Graph, params: &[&Tensor]) -> Vec<Var> {
-    params.iter().map(|t| g.input((*t).clone())).collect()
+/// Binds a parameter list into a graph as leaf variables that borrow the
+/// tensors ([`Graph::param`]): no weight is copied.
+pub fn bind_params<'p>(g: &Graph<'p>, params: &[&'p Tensor]) -> Vec<Var> {
+    params.iter().map(|&t| g.param(t)).collect()
 }
 
 /// Fully-connected layer: weight `[in, out]` plus bias `[out]`.

@@ -236,7 +236,7 @@ impl OptimizerKind {
 /// Rescales gradients in place so their global L2 norm is at most
 /// `max_norm`; returns the pre-clip norm.
 pub fn clip_grad_norm(grads: &mut [Tensor], max_norm: f32) -> f32 {
-    let total: f32 = grads.iter().map(Tensor::sq_norm).sum::<f32>().sqrt();
+    let total = sq_norm_sum(grads).sqrt();
     if total > max_norm && total > 0.0 {
         let scale = max_norm / total;
         for g in grads.iter_mut() {
@@ -245,6 +245,59 @@ pub fn clip_grad_norm(grads: &mut [Tensor], max_norm: f32) -> f32 {
     }
     total
 }
+
+/// `Σ_t t.sq_norm()` over `ts` in order, bit for bit. Each tensor's squares
+/// are one dependent chain of adds in element order, as in
+/// [`Tensor::sq_norm`], and the chain sums are added in tensor order; one
+/// `sq_norm` after another runs at the add's latency. The chains are
+/// independent, so up to [`CHAINS`] of them advance side by side, each
+/// idle lane taking the next tensor, and no sum is reassociated.
+fn sq_norm_sum(ts: &[Tensor]) -> f32 {
+    // Each lane: (tensor index, position), or `None` when idle.
+    let mut lanes: [Option<(usize, usize)>; CHAINS] = [None; CHAINS];
+    let empty: f32 = std::iter::empty::<f32>().sum();
+    let mut sums = vec![empty; ts.len()];
+    let mut next = 0;
+    loop {
+        for lane in lanes.iter_mut().filter(|l| l.is_none()) {
+            *lane = (next..ts.len())
+                .find(|&t| ts[t].numel() > 0)
+                .map(|t| (t, 0));
+            next = lane.map_or(ts.len(), |(t, _)| t + 1);
+        }
+        // An idle lane reads the first active one's run; its sum is dropped.
+        let Some(&(t0, p0)) = lanes.iter().flatten().next() else {
+            break;
+        };
+        let step = lanes
+            .iter()
+            .flatten()
+            .map(|&(t, p)| ts[t].numel() - p)
+            .min()
+            .unwrap_or(0);
+        let runs: [&[f32]; CHAINS] = std::array::from_fn(|l| {
+            let (t, p) = lanes[l].unwrap_or((t0, p0));
+            &ts[t].data()[p..p + step]
+        });
+        let mut acc: [f32; CHAINS] =
+            std::array::from_fn(|l| lanes[l].map_or(empty, |(t, _)| sums[t]));
+        for i in 0..step {
+            for (a, run) in acc.iter_mut().zip(&runs) {
+                *a += run[i] * run[i];
+            }
+        }
+        for (lane, a) in lanes.iter_mut().zip(acc) {
+            if let Some((t, p)) = *lane {
+                sums[t] = a;
+                *lane = (p + step < ts[t].numel()).then_some((t, p + step));
+            }
+        }
+    }
+    sums.into_iter().sum()
+}
+
+/// Tensors whose square sums [`sq_norm_sum`] runs side by side.
+const CHAINS: usize = 4;
 
 #[cfg(test)]
 mod tests {
@@ -338,6 +391,71 @@ mod tests {
         let mut refs: Vec<&mut Tensor> = borrowed.iter_mut().collect();
         opt_b.step_refs(&mut refs, &grads);
         assert_eq!(owned, borrowed);
+    }
+
+    #[test]
+    fn interleaved_norm_matches_sequential_sum_bitwise() {
+        use rand::SeedableRng;
+        // The Table II Hopper gradient's shapes (actor, critic, log-std),
+        // an empty tensor and fewer tensors than chains; then the same with
+        // a -0, an infinity and a NaN planted, each alone and together.
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(52);
+        let shapes: [&[usize]; 13] = [
+            &[11, 256],
+            &[256],
+            &[256, 256],
+            &[256],
+            &[256, 3],
+            &[3],
+            &[11, 256],
+            &[256],
+            &[256, 256],
+            &[256],
+            &[256, 1],
+            &[1],
+            &[3],
+        ];
+        let table2: Vec<Tensor> = shapes
+            .iter()
+            .map(|s| Tensor::randn(s, 0.1, &mut rng))
+            .collect();
+        let mut cases = vec![
+            table2.clone(),
+            vec![Tensor::zeros(&[0]), Tensor::randn(&[5], 1.0, &mut rng)],
+            table2[..2].to_vec(),
+            Vec::new(),
+        ];
+        for planted in [
+            [Some(-0.0), None, None],
+            [None, Some(f32::INFINITY), None],
+            [None, None, Some(f32::NAN)],
+            [Some(-0.0), Some(f32::NEG_INFINITY), Some(f32::NAN)],
+        ] {
+            let mut grads = table2.clone();
+            for (v, (t, i)) in planted.iter().zip([(2, 70_000), (8, 3), (12, 1)]) {
+                if let Some(v) = *v {
+                    let len = grads[t].numel();
+                    grads[t].data_mut()[i % len] = v;
+                }
+            }
+            cases.push(grads);
+        }
+        for (c, grads) in cases.iter().enumerate() {
+            let want: f32 = grads.iter().map(Tensor::sq_norm).sum();
+            assert_eq!(sq_norm_sum(grads).to_bits(), want.to_bits(), "case {c}");
+            let (mut clipped, mut reference) = (grads.clone(), grads.clone());
+            let norm = clip_grad_norm(&mut clipped, 0.5);
+            assert_eq!(norm.to_bits(), want.sqrt().to_bits(), "case {c}");
+            if want.sqrt() > 0.5 {
+                reference
+                    .iter_mut()
+                    .for_each(|g| g.scale_inplace(0.5 / want.sqrt()));
+            }
+            for (a, b) in clipped.iter().zip(&reference) {
+                let bits = |t: &Tensor| t.data().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(a), bits(b), "case {c}");
+            }
+        }
     }
 
     #[test]

@@ -373,6 +373,16 @@ impl Tensor {
         self.data.resize(numel, 0.0);
     }
 
+    /// Takes `shape`, reusing the heap allocation as [`Tensor::reuse_as_zeros`]
+    /// does, but leaves whatever the kept elements held: for a buffer its
+    /// next writer overwrites whole (a first-write gradient).
+    pub(crate) fn reuse_as(&mut self, shape: &[usize]) {
+        let numel: usize = shape.iter().product();
+        self.shape.clear();
+        self.shape.extend_from_slice(shape);
+        self.data.resize(numel, 0.0);
+    }
+
     /// Becomes a copy of `src` (shape and data), reusing this tensor's heap
     /// allocations whenever their capacity suffices. The in-place counterpart
     /// of `clone()` for warm gradient buffers.

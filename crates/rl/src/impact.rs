@@ -7,7 +7,7 @@
 //! target network, while V-trace corrects the value targets for the
 //! behaviour/target mismatch.
 
-use stellaris_nn::{clip_grad_norm, Graph, Tensor};
+use stellaris_nn::{Graph, Tensor};
 
 use crate::policy::PolicyNet;
 use crate::ppo::LossStats;
@@ -179,8 +179,7 @@ pub fn impact_gradients(
     loss = g.add(loss, g.scale(parts.entropy, -cfg.entropy_coeff));
     loss = g.add(loss, g.scale(parts.kl, cfg.kl_coeff));
 
-    let mut grads = g.backward(loss, &parts.param_vars);
-    let grad_norm = clip_grad_norm(&mut grads, cfg.grad_clip);
+    let (grads, grad_norm) = g.backward_clipped(loss, &parts.param_vars, cfg.grad_clip);
 
     let ratio_vals = g.value(ratio);
     let stats = LossStats {

@@ -340,7 +340,7 @@ impl PolicyNet {
     }
 
     /// Builds the differentiable pieces every surrogate objective needs.
-    pub fn loss_parts(&self, g: &Graph, batch: &SampleBatch) -> LossParts {
+    pub fn loss_parts<'p>(&'p self, g: &Graph<'p>, batch: &SampleBatch) -> LossParts {
         let param_vars = bind_params(g, &self.params());
         let n_actor = self.n_actor_params();
         let has_ls = self.log_std.is_some();

@@ -4,7 +4,7 @@
 
 #![warn(clippy::cast_precision_loss, clippy::cast_possible_truncation)]
 
-use stellaris_nn::{clip_grad_norm, Graph, Tensor};
+use stellaris_nn::{Graph, Tensor};
 
 use crate::policy::PolicyNet;
 use crate::trajectory::SampleBatch;
@@ -165,8 +165,7 @@ pub fn ppo_gradients(
         loss = g.add(loss, g.scale(parts.kl, cfg.kl_coeff));
     }
 
-    let mut grads = g.backward(loss, &parts.param_vars);
-    let grad_norm = clip_grad_norm(&mut grads, cfg.grad_clip);
+    let (grads, grad_norm) = g.backward_clipped(loss, &parts.param_vars, cfg.grad_clip);
 
     // Ratio statistics are taken from the RAW (uncapped) ratio: the Eq. 2
     // statistic each learner publishes must describe its own policy's
