@@ -9,20 +9,37 @@
 //! derivative, laid out by [`gradient_rows`] as `[b*oh*ow, out_c]` (one
 //! output position's filters side by side; `G^T` is a stride view of it):
 //!
-//! * forward — [`conv2d_forward`], shared by `Graph::conv2d*` and
-//!   `Cnn::forward_plain`. Under `target_feature = "avx512f"`, Table II's
-//!   first layer (16 filters of 8x8 at stride 4, output rows of at least 9)
-//!   runs a row kernel: 9 adjacent positions of one output row, one zmm
-//!   accumulator each, every pixel a constant offset from its kernel row's
-//!   base, so neighbouring windows share their broadcasts. Layers of 32
-//!   filters (Table II's second) run a flattened kernel: 8 output
-//!   positions by two zmm accumulators over the `b*oh*ow` rows. Both broadcast
-//!   each pixel straight from the image, with no patch matrix and no
-//!   packing, and apply the bias and activation as they write
-//!   `[b, out_c, oh, ow]`. Other widths and the portable build run
-//!   `conv2d_reference`: the patch matrix times `W2^T` on the packed kernel
-//!   in [`crate::gemm`], then one transposing pass for the bias and
-//!   activation;
+//! * forward — [`conv2d_forward`] (`Graph::conv2d*`) and
+//!   [`Filters::forward`] (`Cnn::forward_plain`), one forward behind both.
+//!   Under `target_feature = "avx512f"`, Table II's first layer (16
+//!   filters of 8x8 at stride 4, output rows of at least 9) runs a row
+//!   kernel: 9 adjacent positions of one output row, one zmm accumulator
+//!   each, every pixel a constant offset from its kernel row's base, so
+//!   neighbouring windows share their broadcasts. Layers of 32 filters
+//!   (Table II's second) run a flattened kernel: 9 output positions by two
+//!   zmm accumulators over the `b*oh*ow` rows (a 42-px frame's whole
+//!   second-layer output, so an actor's batch-1 step is one tile). Both
+//!   broadcast each pixel straight from the image, with no patch matrix,
+//!   read the filters re-laid as `[ckk, out_c]`, and apply the bias and
+//!   activation as they write `[b, out_c, oh, ow]`: one 16x16 transpose
+//!   turns a tile's positions into lanes, so each filter's run of them is
+//!   one masked store (a flattened tile across two images is written
+//!   position by position). [`conv2d_forward`]
+//!   re-lays the filters on every call, which a mini-batch amortises;
+//!   [`Filters`] holds the re-lay beside the weights a layer owns, built by
+//!   its first forward and dropped by any mutable borrow of them, so a
+//!   forward never reads the re-lay of other weights. Other widths and the
+//!   portable build run `conv2d_reference`: the patch matrix times `W2^T`
+//!   on the packed kernel in [`crate::gemm`], then one transposing pass for
+//!   the bias and activation;
+//! * `db` — summed by [`gradient_rows`] in the pass that lays `G` out:
+//!   per image and, under `target_feature = "avx512f"`, per 16-channel
+//!   group, a register seeded with −0.0 takes the group's transposed rows
+//!   in ascending position order (the portable pass sums each channel's
+//!   plane with `Iterator::sum`, the same chain), and each image's sums
+//!   are added onto `db` in image order: lane by lane, the strided scalar
+//!   chain `db[o] += Σ_positions G[.., o]` the graph ran as a walk of its
+//!   own;
 //! * `dW += G^T [out_c, b*hw] x patches [b*hw, ckk]` —
 //!   [`conv2d_weight_grad`], accumulating into the weight's gradient
 //!   buffer. Under `target_feature = "avx512f"` Table II's layers (16
@@ -45,7 +62,10 @@
 //!   `(kernel offset, output position)` is computed in a register and
 //!   added onto its pixel's tile row, and the tile goes back. Other
 //!   geometries and the portable build compute the column gradient `dcol`
-//!   on the packed GEMM and scatter it with [`col2im`].
+//!   on the packed GEMM and scatter it with [`col2im`]. A first
+//!   contribution is written (`accumulate = false`): the tile starts from
+//!   zeros instead of `dX` (the reference zeroes `dX` first), so the
+//!   graph's buffer for it is neither zeroed nor read.
 //!
 //! # Same bits as the reference
 //!
@@ -75,7 +95,12 @@
 //! `direct_dw_matches_reference_bitwise`,
 //! `direct_dx_matches_reference_bitwise`), and
 //! `forward_fuses_multiply_and_add`, `dw_fuses_multiply_and_add` and
-//! `dx_fuses_multiply_and_add` tell each kernel from an unfused one.
+//! `dx_fuses_multiply_and_add` tell each kernel from an unfused one. The
+//! bias sum meets the strided scalar chain
+//! (`bias_sums_match_the_strided_chain_bitwise`, with an all-(−0.0)
+//! channel that a +0.0 seed would flip), the held filters meet fresh ones
+//! after a change (`held_filters_follow_every_change`), and a first-write
+//! `dX` meets one accumulated onto zeros.
 //!
 //! # Same bits as one product per image
 //!
@@ -91,7 +116,11 @@
 //! image, so `col2im` (and the direct `dX`, which gathers in its order)
 //! adds a pixel's contributions in the per-image order.
 
+use std::ops::{Deref, DerefMut};
+use std::sync::OnceLock;
+
 use crate::gemm::{self, FusedAct, MatRef};
+use crate::tensor::Tensor;
 
 /// Resolved convolution geometry.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -209,15 +238,93 @@ pub fn conv2d_forward(
     spec: &Conv2dSpec,
     act: FusedAct,
 ) -> Vec<f32> {
+    forward(x, w, None, bias, spec, act)
+}
+
+/// The forward behind [`conv2d_forward`] and [`Filters::forward`]. The
+/// direct kernels read the filters re-laid as `[ckk, out_c]`; `held`, when
+/// given, keeps that re-lay of `w` from one call to the next, else each
+/// call makes its own.
+fn forward(
+    x: &[f32],
+    w: &[f32],
+    held: Option<&OnceLock<Vec<f32>>>,
+    bias: &[f32],
+    spec: &Conv2dSpec,
+    act: FusedAct,
+) -> Vec<f32> {
     #[cfg(target_feature = "avx512f")]
-    match (spec.out_c, spec.kw, spec.stride) {
-        (16, 8, 4) if spec.out_w >= 9 => {
-            return direct::conv2d_row_direct::<8, 4>(x, w, bias, spec, act)
+    {
+        let row = (spec.out_c, spec.kw, spec.stride) == (16, 8, 4) && spec.out_w >= direct::PR;
+        if row || spec.out_c == 32 {
+            let fresh;
+            let wt = match held {
+                Some(cell) => cell.get_or_init(|| direct::by_offset(w, spec.out_c)),
+                None => {
+                    fresh = direct::by_offset(w, spec.out_c);
+                    &fresh
+                }
+            };
+            return match row {
+                true => direct::conv2d_row_direct::<8, 4>(x, wt, bias, spec, act),
+                false => direct::conv2d_direct(x, wt, bias, spec, act),
+            };
         }
-        (32, ..) => return direct::conv2d_direct(x, w, bias, spec, act),
-        _ => {}
     }
+    #[cfg(not(target_feature = "avx512f"))]
+    let _ = held;
     conv2d_reference(x, w, bias, spec, act)
+}
+
+/// A convolution's filters `[out_c, in_c, kh, kw]`, holding the re-lay the
+/// direct forward kernels read beside them, so that a forward at batch 1
+/// (an actor's step) does not re-lay the filters on every call. The re-lay
+/// is built by the first forward that needs it, and every mutable borrow
+/// of the filters ([`DerefMut`], the only way to one) drops it first: a
+/// forward that follows any change to the filters builds it anew, so it
+/// never reads a re-lay of other weights.
+#[derive(Clone, Debug)]
+pub struct Filters {
+    w: Tensor,
+    by_offset: OnceLock<Vec<f32>>,
+}
+
+impl Filters {
+    /// `act(conv(x, filters) + bias)`: [`conv2d_forward`] reading the held
+    /// re-lay. Panics unless `spec` has these filters' shape.
+    pub fn forward(&self, x: &[f32], bias: &[f32], spec: &Conv2dSpec, act: FusedAct) -> Vec<f32> {
+        assert_eq!(
+            self.w.shape(),
+            [spec.out_c, spec.in_c, spec.kh, spec.kw],
+            "conv2d filters do not match the geometry"
+        );
+        forward(x, self.w.data(), Some(&self.by_offset), bias, spec, act)
+    }
+}
+
+impl From<Tensor> for Filters {
+    fn from(w: Tensor) -> Self {
+        Self {
+            w,
+            by_offset: OnceLock::new(),
+        }
+    }
+}
+
+impl Deref for Filters {
+    type Target = Tensor;
+
+    fn deref(&self) -> &Tensor {
+        &self.w
+    }
+}
+
+impl DerefMut for Filters {
+    /// Drops the held re-lay: the caller may change the filters.
+    fn deref_mut(&mut self) -> &mut Tensor {
+        self.by_offset.take();
+        &mut self.w
+    }
 }
 
 /// The reference forward: the [`im2col`] patch matrix times `W2^T` on the
@@ -299,7 +406,10 @@ pub(crate) fn dw_reference(x: &[f32], spec: &Conv2dSpec, scratch: &mut Vec<f32>,
 }
 
 /// `dX += col2im(W2^T x G^T)` for the flat `[b, c, h, w]` input gradient
-/// `dx`. `scratch` starts with the gradient rows `G [b*oh*ow, out_c]` as
+/// `dx`, or, unless `accumulate`, `dX = col2im(..)` onto zeros: `dx`'s
+/// contents are then never read, so a first contribution needs no zeroed
+/// buffer, and every element is what adding into zeros gives. `scratch`
+/// starts with the gradient rows `G [b*oh*ow, out_c]` as
 /// [`gradient_rows`] leaves them; the call replaces what lies behind `G`
 /// with its own workspace (the direct kernel's re-laid weights and image
 /// tile, the reference's column gradient). Under `target_feature =
@@ -307,21 +417,33 @@ pub(crate) fn dw_reference(x: &[f32], spec: &Conv2dSpec, scratch: &mut Vec<f32>,
 /// at a stride of at least two and an even kernel width (Table II's second
 /// layer); every other call runs `dx_reference`, with the same bits
 /// (module docs).
-pub fn conv2d_input_grad(w: &[f32], spec: &Conv2dSpec, scratch: &mut Vec<f32>, dx: &mut [f32]) {
+pub fn conv2d_input_grad(
+    w: &[f32],
+    spec: &Conv2dSpec,
+    scratch: &mut Vec<f32>,
+    dx: &mut [f32],
+    accumulate: bool,
+) {
     // The kernel's tiles of two kernel columns need a stride of at least
     // two, so that no pixel takes two of a tile's contributions (module
     // docs).
     #[cfg(target_feature = "avx512f")]
     if (spec.in_c, spec.out_c) == (16, 32) && spec.stride >= 2 && spec.kw.is_multiple_of(2) {
-        return direct::conv2d_dx_direct(w, spec, scratch, dx);
+        return direct::conv2d_dx_direct(w, spec, scratch, dx, accumulate);
     }
-    dx_reference(w, spec, scratch, dx);
+    dx_reference(w, spec, scratch, dx, accumulate);
 }
 
 /// The reference input gradient: `dcol = W2^T [ckk, out_c] x G^T [out_c,
 /// b*oh*ow]` on the packed GEMM, appended to `scratch` behind `G`, then
-/// scattered onto `dx` by [`col2im`].
-pub(crate) fn dx_reference(w: &[f32], spec: &Conv2dSpec, scratch: &mut Vec<f32>, dx: &mut [f32]) {
+/// scattered onto `dx` (zeroed first unless `accumulate`) by [`col2im`].
+pub(crate) fn dx_reference(
+    w: &[f32],
+    spec: &Conv2dSpec,
+    scratch: &mut Vec<f32>,
+    dx: &mut [f32],
+    accumulate: bool,
+) {
     let (oc, ckk) = (spec.out_c, spec.ckk());
     let rows = spec.batch * spec.out_hw();
     let lead = oc * rows;
@@ -338,6 +460,9 @@ pub(crate) fn dx_reference(w: &[f32], spec: &Conv2dSpec, scratch: &mut Vec<f32>,
         dcol,
         false,
     );
+    if !accumulate {
+        dx.fill(0.0);
+    }
     col2im(dcol, spec, dx);
 }
 
@@ -346,25 +471,24 @@ pub(crate) fn dx_reference(w: &[f32], spec: &Conv2dSpec, scratch: &mut Vec<f32>,
 mod direct {
     use std::arch::x86_64::{
         __m512, _mm512_add_ps, _mm512_cmp_ps_mask, _mm512_fmadd_ps, _mm512_loadu_ps,
-        _mm512_mask_blend_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_mul_ps,
-        _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps, _mm512_sub_ps, _CMP_GT_OQ,
+        _mm512_mask_blend_ps, _mm512_mask_storeu_ps, _mm512_maskz_loadu_ps, _mm512_max_ps,
+        _mm512_mul_ps, _mm512_set1_ps, _mm512_setzero_ps, _mm512_storeu_ps, _mm512_sub_ps,
+        _CMP_GT_OQ,
     };
 
     use super::Conv2dSpec;
-    use crate::gemm::simd::transpose16;
-    use crate::gemm::{activate_row, FusedAct};
+    use crate::gemm::simd::{tanh16, transpose16};
+    use crate::gemm::FusedAct;
 
     /// f32 lanes per zmm register.
     const L: usize = 16;
-    /// Output positions per register tile of the flattened forward.
-    const P: usize = 8;
     /// Kernel columns per register tile of the input gradient.
     const KX: usize = 2;
     /// Output positions per register tile of the row forward (all nine of
-    /// a 42-px frame's first-layer output row) and of the input gradient
-    /// (a 42-px frame's whole second-layer output, a ninth of an 84-px
-    /// one's).
-    const PR: usize = 9;
+    /// a 42-px frame's first-layer output row), of the flattened forward
+    /// and of the input gradient (a 42-px frame's whole second-layer
+    /// output, a ninth of an 84-px one's: a batch-1 step runs one tile).
+    pub(super) const PR: usize = 9;
 
     /// The extents every index of a direct kernel is formed from.
     struct Dims {
@@ -444,21 +568,32 @@ mod direct {
         }
     }
 
-    /// `act(conv(x, w) + bias)` for 32 filters (`G` registers). Tiles of
-    /// `P` output positions run over the flattened `b*oh*ow` rows across
-    /// image boundaries; each holds `P x G` accumulators and, per kernel
-    /// offset `(c, ky, kx)` in ascending order, loads `G` registers of the
-    /// repacked weights and broadcasts one pixel per position. A ragged
-    /// last tile computes its missing positions on its last real one and
-    /// stores nothing for them. Panics unless the operand lengths match
-    /// `spec` and the farthest pixel any position reads lies inside `x`.
+    /// [`filters_by_offset`] of the `oc` filters `w` into a new buffer: the
+    /// forward kernels' filter operand.
+    pub(super) fn by_offset(w: &[f32], oc: usize) -> Vec<f32> {
+        let mut wt = vec![0.0f32; w.len()];
+        filters_by_offset(w, w.len() / oc, oc, &mut wt);
+        wt
+    }
+
+    /// `act(conv(x, w) + bias)` for 32 filters (`G` registers), the
+    /// filters `wt` re-laid by [`by_offset`]. Tiles of `PR` output positions
+    /// run over the flattened `b*oh*ow` rows across image boundaries; each
+    /// holds `PR x G` accumulators and, per kernel offset `(c, ky, kx)` in
+    /// ascending order, loads `G` registers of the re-laid weights and
+    /// broadcasts one pixel per position. A tile inside one image is
+    /// written through [`store_runs`], one across two images position by
+    /// position. A ragged last tile computes its missing positions on its
+    /// last real one and stores nothing for them. Panics unless the
+    /// operand lengths match `spec` and the farthest pixel any position
+    /// reads lies inside `x`.
     #[expect(
         unsafe_code,
-        reason = "explicit SIMD kernel: unaligned vector loads of repacked weights and pixel broadcasts whose bounds the asserts at the top establish"
+        reason = "explicit SIMD kernel: unaligned vector loads of repacked weights, pixel broadcasts and masked stores of the output, whose bounds the asserts at the top establish"
     )]
     pub(super) fn conv2d_direct(
         x: &[f32],
-        w: &[f32],
+        wt: &[f32],
         bias: &[f32],
         spec: &Conv2dSpec,
         act: FusedAct,
@@ -472,9 +607,9 @@ mod direct {
             chw,
             row_step,
             hw,
-            ckk,
             reach,
-        }) = Dims::checked(spec, x.len(), w.len())
+            ..
+        }) = Dims::checked(spec, x.len(), wt.len())
         else {
             return Vec::new();
         };
@@ -486,29 +621,32 @@ mod direct {
             return out;
         }
         assert!(reach < x.len(), "conv2d window out of bounds");
-        let mut wt = vec![0.0f32; ckk * oc];
-        filters_by_offset(w, ckk, oc, &mut wt);
         let origin = |r: usize| {
             let (img, s) = (r / hw, r % hw);
             img * chw + (s / ow) * row_step + (s % ow) * stride
         };
         let (xp, wp) = (x.as_ptr(), wt.as_ptr());
-        let mut tile = [[0.0f32; G * L]; P];
-        for r0 in (0..rows).step_by(P) {
-            let live = (rows - r0).min(P);
-            let org: [usize; P] = std::array::from_fn(|p| origin(r0 + p.min(live - 1)));
+        let mut tile = [[0.0f32; G * L]; PR];
+        for r0 in (0..rows).step_by(PR) {
+            let live = (rows - r0).min(PR);
+            let org: [usize; PR] = std::array::from_fn(|p| origin(r0 + p.min(live - 1)));
+            let (img, s0) = (r0 / hw, r0 % hw);
             // A position below `rows` has img < batch, oy < out_h and
             // ox < ow, and a kernel offset has c < in_c, ky < kh and
             // kx < kw, so origin + offset <= `reach` < x.len() (no term
             // wraps: each is at most its checked counterpart). The weight
             // loads read oc = G*L floats from q*oc for q < ckk, inside
-            // `wt`'s ckk*oc; each store writes L floats from g*L, g < G,
-            // inside a G*L-float tile row.
+            // `wt`'s ckk*oc, and the bias loads L floats from g*L, g < G,
+            // inside `bias` (asserted oc long). A tile inside one image
+            // (s0 + live <= hw) writes filter g*L + o's run of `live`
+            // positions from img*oc*hw + (g*L + o)*hw + s0, inside `out`'s
+            // batch*oc*hw; any other tile's stores write L floats from
+            // g*L, g < G, inside a G*L-float tile row.
             // SAFETY: compiled only with avx512f enabled (the cfg on this
             // module); every access is in bounds by the above.
             unsafe {
                 let bases = org.map(|o| xp.add(o));
-                let mut acc = [[_mm512_setzero_ps(); G]; P];
+                let mut acc = [[_mm512_setzero_ps(); G]; PR];
                 let mut q = 0;
                 for c in 0..spec.in_c {
                     for ky in 0..spec.kh {
@@ -526,12 +664,23 @@ mod direct {
                         }
                     }
                 }
+                if s0 + live <= hw {
+                    for g in 0..G {
+                        let beta = _mm512_loadu_ps(bias.as_ptr().add(g * L));
+                        // Derived here, not held across the element-wise
+                        // path's borrows of `out`.
+                        let runs = out.as_mut_ptr().add(img * oc * hw + g * L * hw + s0);
+                        store_runs(acc.map(|accp| accp[g]), live, beta, act, runs, hw);
+                    }
+                    continue;
+                }
                 for (trow, accp) in tile.iter_mut().zip(&acc) {
                     for (g, &x) in accp.iter().enumerate() {
                         _mm512_storeu_ps(trow[g * L..].as_mut_ptr(), x);
                     }
                 }
             }
+            // A tile across two images: position by position.
             for (p, trow) in tile.iter().enumerate().take(live) {
                 let (img, s) = ((r0 + p) / hw, (r0 + p) % hw);
                 let dst = &mut out[img * oc * hw + s..];
@@ -544,23 +693,25 @@ mod direct {
     }
 
     /// `act(conv(x, w) + bias)` for 16 filters `K` pixels wide at stride
-    /// `S`, on output rows at least `PR` positions long. Each register tile
+    /// `S`, the filters `wt` re-laid by [`by_offset`], on output rows at
+    /// least `PR` positions long. Each register tile
     /// is `PR` adjacent positions of one output row, one accumulator each;
     /// per kernel row `(c, ky)` in ascending order it loads that row's `K`
     /// filter registers and, position by position, adds the `K` products in
     /// ascending `kx`. Every pixel offset is a constant from the row's
     /// base, so the windows of neighbouring positions share their
-    /// broadcasts. A row whose length is not a multiple of `PR` ends with a
-    /// tile that overlaps its predecessor and stores the shared positions
-    /// again, with the same bits. Panics unless the operand lengths match
+    /// broadcasts; [`store_runs`] writes the tile. A row whose length is
+    /// not a multiple of `PR` ends with a tile that overlaps its
+    /// predecessor and stores the shared positions again, with the same
+    /// bits. Panics unless the operand lengths match
     /// `spec` and the farthest pixel any position reads lies inside `x`.
     #[expect(
         unsafe_code,
-        reason = "explicit SIMD kernel: unaligned vector loads of repacked weights and pixel broadcasts whose bounds the asserts at the top establish"
+        reason = "explicit SIMD kernel: unaligned vector loads of repacked weights, pixel broadcasts and masked stores of the output, whose bounds the asserts at the top establish"
     )]
     pub(super) fn conv2d_row_direct<const K: usize, const S: usize>(
         x: &[f32],
-        w: &[f32],
+        wt: &[f32],
         bias: &[f32],
         spec: &Conv2dSpec,
         act: FusedAct,
@@ -571,9 +722,9 @@ mod direct {
             chw,
             row_step,
             hw,
-            ckk,
             reach,
-        }) = Dims::checked(spec, x.len(), w.len())
+            ..
+        }) = Dims::checked(spec, x.len(), wt.len())
         else {
             return Vec::new();
         };
@@ -586,10 +737,7 @@ mod direct {
             return out;
         }
         assert!(reach < x.len(), "conv2d window out of bounds");
-        let mut wt = vec![0.0f32; ckk * L];
-        filters_by_offset(w, ckk, L, &mut wt);
-        let (xp, wp) = (x.as_ptr(), wt.as_ptr());
-        let mut tile = [[0.0f32; L]; PR];
+        let (xp, wp, op) = (x.as_ptr(), wt.as_ptr(), out.as_mut_ptr());
         for img in 0..spec.batch {
             for oy in 0..spec.out_h {
                 for ox0 in (0..ow).step_by(PR) {
@@ -602,8 +750,9 @@ mod direct {
                     // wraps: each is at most its checked counterpart). The
                     // weight loads read L floats from q*L, q < ckk, inside
                     // `wt`'s ckk*L, and the bias load L floats of `bias`
-                    // (asserted L long); each store writes one L-float tile
-                    // row.
+                    // (asserted L long). Filter o's run of PR positions
+                    // starts at img*L*hw + o*hw + oy*ow + ox0, and
+                    // oy*ow + ox0 + PR <= hw, inside `out`'s batch*L*hw.
                     // SAFETY: compiled only with avx512f enabled (the cfg
                     // on this module); every access is in bounds by the
                     // above.
@@ -622,22 +771,60 @@ mod direct {
                             }
                         }
                         let beta = _mm512_loadu_ps(bias.as_ptr());
-                        for (trow, &a) in tile.iter_mut().zip(&acc) {
-                            _mm512_storeu_ps(trow.as_mut_ptr(), _mm512_add_ps(a, beta));
-                        }
-                    }
-                    let dst = &mut out[img * L * hw + oy * ow + ox0..];
-                    for (o, run) in dst.chunks_mut(hw).take(L).enumerate() {
-                        let run = &mut run[..PR];
-                        for (d, trow) in run.iter_mut().zip(&tile) {
-                            *d = trow[o];
-                        }
-                        activate_row(act, run);
+                        let runs = op.add(img * L * hw + oy * ow + ox0);
+                        store_runs(acc, PR, beta, act, runs, hw);
                     }
                 }
             }
         }
         out
+    }
+
+    /// Writes `act(v + beta)` for the first `live` of `acc`, the
+    /// accumulators of consecutive output positions of one image (16
+    /// filters each), into the 16 filter planes that start at `runs`, `hw`
+    /// floats apart: one 16x16 transpose turns the positions into lanes,
+    /// so each filter's run is one masked store. The bias is added and the
+    /// activation applied lane by lane as the scalar `act.activate(v +
+    /// beta)` does: ReLU as `max(v, 0)`, which gives 0 on NaN as
+    /// `f32::max` does ([`tanh16`] is the scalar tanh's operations).
+    ///
+    /// # Safety
+    ///
+    /// avx512f must be enabled, `live <= PR`, and every run `runs + o*hw`,
+    /// `o < 16`, must hold `live` floats.
+    #[expect(
+        unsafe_code,
+        reason = "explicit SIMD epilogue: masked vector stores whose bounds the caller establishes"
+    )]
+    #[inline(always)]
+    // SAFETY: callers pass the `# Safety` bounds, established in the
+    // forward kernels by the asserts at their tops.
+    unsafe fn store_runs(
+        acc: [__m512; PR],
+        live: usize,
+        beta: __m512,
+        act: FusedAct,
+        runs: *mut f32,
+        hw: usize,
+    ) {
+        // SAFETY: the caller's contract covers every store.
+        unsafe {
+            let zero = _mm512_setzero_ps();
+            let rows = std::array::from_fn(|p| match p < PR {
+                true => _mm512_add_ps(acc[p], beta),
+                false => zero,
+            });
+            let mask = u16::MAX >> (L - live);
+            for (o, &run) in transpose16(rows).iter().enumerate() {
+                let run = match act {
+                    FusedAct::Identity => run,
+                    FusedAct::Tanh => tanh16(run),
+                    FusedAct::Relu => _mm512_max_ps(run, zero),
+                };
+                _mm512_mask_storeu_ps(runs.add(o * hw), mask, run);
+            }
+        }
     }
 
     /// `dW += G^T x patches` for `out_c = 16 * G` filters at stride `S`,
@@ -821,7 +1008,8 @@ mod direct {
     /// lane per channel) under 32 filters, computing each input pixel's
     /// gradient in registers with no column matrix. Per image, `dX` is
     /// transposed into a pixel-major tile `[h*w, 16]` behind the gradient
-    /// rows in `scratch`; then, per pair of kernel columns
+    /// rows in `scratch` (unless `accumulate`, the tile starts from zeros
+    /// and `dX` is not read); then, per pair of kernel columns
     /// `(ky, kx..kx + 2)` in ascending order and per `PR` output positions,
     /// each contribution is an ascending-`out_c` fused multiply-add chain
     /// from +0 (a register of the re-laid weights times one broadcast
@@ -841,6 +1029,7 @@ mod direct {
         spec: &Conv2dSpec,
         scratch: &mut Vec<f32>,
         dx: &mut [f32],
+        accumulate: bool,
     ) {
         /// Filters.
         const OC: usize = 32;
@@ -886,7 +1075,10 @@ mod direct {
         }
         let (gp, wp) = (grows.as_ptr(), wt.as_ptr());
         for (img, plane) in dx.chunks_exact_mut(chw).enumerate() {
-            planes_to_rows(plane, tile, L);
+            match accumulate {
+                true => planes_to_rows(plane, tile, L),
+                false => tile.fill(0.0),
+            }
             let tp = tile.as_mut_ptr();
             for ky in 0..kh {
                 for kx0 in (0..kw).step_by(KX) {
@@ -986,6 +1178,9 @@ mod direct {
     /// between the loads and the transpose: the scalar `g * act'(y)`, one
     /// rounding per element (`1 - y*y` for Tanh, a `y > 0` select for ReLU,
     /// false on NaN as the scalar comparison is), so the rows keep its bits.
+    /// Returns each channel's sum of its rows: one register seeded with
+    /// −0.0 takes every transposed row in ascending order, which is, lane
+    /// by lane, the chain `Iterator::sum` folds over a channel's positions.
     #[expect(
         unsafe_code,
         reason = "explicit SIMD transpose: masked vector loads and vector stores whose bounds the asserts at the top establish"
@@ -996,13 +1191,16 @@ mod direct {
         act: FusedAct,
         rows: &mut [f32],
         ld: usize,
-    ) {
+    ) -> [f32; L] {
         let n = g.len() / L;
         assert!(
             y.len() == g.len() && fits(g.len(), rows.len(), ld),
             "{n} rows of {ld} floats"
         );
         let (gp, yp, rp) = (g.as_ptr(), y.as_ptr(), rows.as_mut_ptr());
+        // SAFETY: compiled only with avx512f enabled (the cfg on this
+        // module); a register operation touches no memory.
+        let mut sum = unsafe { _mm512_set1_ps(-0.0) };
         for p0 in (0..n).step_by(L) {
             let live = (n - p0).min(L);
             let mask = u16::MAX >> (L - live);
@@ -1028,9 +1226,15 @@ mod direct {
                 });
                 for (j, &col) in transpose16(block).iter().enumerate().take(live) {
                     _mm512_storeu_ps(rp.add((p0 + j) * ld), col);
+                    sum = _mm512_add_ps(sum, col);
                 }
             }
         }
+        let mut sums = [0.0f32; L];
+        // SAFETY: compiled only with avx512f enabled (the cfg on this
+        // module); the store writes the L floats of `sums`.
+        unsafe { _mm512_storeu_ps(sums.as_mut_ptr(), sum) };
+        sums
     }
 
     /// The inverse of [`planes_to_rows`]: the first 16 columns of the rows
@@ -1079,13 +1283,29 @@ mod direct {
 /// contents), each element multiplied by `act`'s derivative at `y`: one
 /// output position's filters side by side, as the direct kernels load
 /// them. `G^T`, a stride view of it, is the left operand of the `dW`
-/// product and the right operand of the `dcol` product; `db` sums it.
-pub fn gradient_rows(g: &[f32], y: &[f32], act: FusedAct, spec: &Conv2dSpec, rows: &mut Vec<f32>) {
+/// product and the right operand of the `dcol` product.
+///
+/// Unless `db` is empty, the same pass adds the bias gradient into it:
+/// per image in order, each channel's sum of its rows, one chain from
+/// −0.0 over the positions in ascending order (what `Iterator::sum` folds,
+/// so `-0.0 + -0.0` stays −0.0), is added onto `db[o]`.
+pub fn gradient_rows(
+    g: &[f32],
+    y: &[f32],
+    act: FusedAct,
+    spec: &Conv2dSpec,
+    rows: &mut Vec<f32>,
+    db: &mut [f32],
+) {
     let (oc, hw) = (spec.out_c, spec.out_hw());
     assert_eq!(
         g.len(),
         y.len(),
         "conv2d gradient and output lengths differ"
+    );
+    assert!(
+        db.is_empty() || db.len() == oc,
+        "conv2d bias gradient length must equal out_c"
     );
     // Every element of the rows is written below, so what the buffer held
     // is left in place rather than zeroed.
@@ -1094,12 +1314,15 @@ pub fn gradient_rows(g: &[f32], y: &[f32], act: FusedAct, spec: &Conv2dSpec, row
     #[cfg(target_feature = "avx512f")]
     if oc.is_multiple_of(16) {
         // Each block of 16 planes is multiplied in registers on its way
-        // through the transpose: one pass.
+        // through the transpose, and summed there: one pass.
         rows.resize(n, 0.0);
         for ((gi, yi), ri) in blocks.zip(rows.chunks_exact_mut(oc * hw)) {
             let planes = gi.chunks_exact(16 * hw).zip(yi.chunks_exact(16 * hw));
             for (c0, (gp, yp)) in (0..oc).step_by(16).zip(planes) {
-                direct::gradient_planes_to_rows(gp, yp, act, &mut ri[c0..], oc);
+                let sums = direct::gradient_planes_to_rows(gp, yp, act, &mut ri[c0..], oc);
+                for (acc, s) in db.iter_mut().skip(c0).zip(sums) {
+                    *acc += s;
+                }
             }
         }
         return;
@@ -1117,6 +1340,9 @@ pub fn gradient_rows(g: &[f32], y: &[f32], act: FusedAct, spec: &Conv2dSpec, row
             for (&v, filters) in plane.iter().zip(ri.chunks_exact_mut(oc)) {
                 filters[o] = v;
             }
+        }
+        for (acc, plane) in db.iter_mut().zip(prod.chunks_exact(hw)) {
+            *acc += plane.iter().sum::<f32>();
         }
     }
     rows.truncate(n);
@@ -1224,13 +1450,16 @@ mod tests {
     fn direct_forward_matches_reference_bitwise() {
         // The Table II layers at 42 and 84 px, `(in_c, side, k, stride)`:
         // conv1 over three stacked frames (42 -> 9, 84 -> 20), conv2 over
-        // its 16 maps (9 -> 3, 20 -> 9). Batches 1-3 and 129 give row
-        // counts that are not multiples of the 8-position tile, and tiles
-        // that straddle images. On AVX-512 builds 16 filters take the row
-        // kernel on conv1 and 32 the flattened kernel everywhere; 16 on
-        // conv2, 8 and 48 fall back. Every route must give the
-        // reference's bits, for every epilogue, on pixels that include
-        // NaN payloads, infinities, subnormals and signed zeros.
+        // its 16 maps (9 -> 3, 20 -> 9). Batch 1 is an actor's step: a
+        // 42-px conv2 is one 9-position tile. Batches 2, 3 and 129 give
+        // tiles that straddle images, and on the 20-px maps (400
+        // positions per image) a ragged last tile. On AVX-512 builds 16
+        // filters take the row kernel on conv1 and 32 the flattened kernel
+        // everywhere; 16 on conv2, 8 and 48 fall back. Every route must
+        // give the reference's bits, for every epilogue, on pixels that
+        // include NaN payloads, infinities, subnormals and signed zeros;
+        // so must the held filters' forward, twice (the second call reads
+        // the re-lay the first one built).
         let mut rng = ChaCha8Rng::seed_from_u64(35);
         let layers = [(3, 42, 8, 4), (16, 9, 4, 2), (16, 20, 4, 2), (3, 84, 8, 4)];
         let acts = [FusedAct::Identity, FusedAct::Relu, FusedAct::Tanh];
@@ -1253,16 +1482,22 @@ mod tests {
                     .map(|_| rng.gen_range(-0.3f32..0.3))
                     .collect();
                 let bias: Vec<f32> = (0..out_c).map(|_| rng.gen_range(-1.0f32..1.0)).collect();
+                let held = Filters::from(Tensor::from_vec(w.clone(), &[out_c, in_c, k, k]));
                 for act in acts {
-                    let got = conv2d_forward(&x, &w, &bias, &spec, act);
                     let want = conv2d_reference(&x, &w, &bias, &spec, act);
-                    assert_eq!(got.len(), want.len());
-                    for (j, (g, r)) in got.iter().zip(&want).enumerate() {
-                        assert_eq!(
-                            g.to_bits(),
-                            r.to_bits(),
-                            "{spec:?} {act:?}: element {j} is {g}, reference {r}"
-                        );
+                    for got in [
+                        conv2d_forward(&x, &w, &bias, &spec, act),
+                        held.forward(&x, &bias, &spec, act),
+                        held.forward(&x, &bias, &spec, act),
+                    ] {
+                        assert_eq!(got.len(), want.len());
+                        for (j, (g, r)) in got.iter().zip(&want).enumerate() {
+                            assert_eq!(
+                                g.to_bits(),
+                                r.to_bits(),
+                                "{spec:?} {act:?}: element {j} is {g}, reference {r}"
+                            );
+                        }
                     }
                 }
             }
@@ -1284,13 +1519,13 @@ mod tests {
         // product's nonzero rounding residual; a separate multiply and add
         // leaves 0, and a kernel that drops the last term leaves -(x*w).
         // `(side, k, stride)`: 1x1 windows, where 32 filters take the
-        // flattened direct kernel on AVX-512 builds and 18 positions give a
-        // ragged tile that straddles the two images; and Table II's first
-        // layer on 42-px frames, where 16 filters take the row kernel. 8
-        // filters, and 16 on 1x1 windows, take the reference.
+        // flattened direct kernel on AVX-512 builds and 32 positions give a
+        // tile that straddles the two images and a ragged last one; and
+        // Table II's first layer on 42-px frames, where 16 filters take the
+        // row kernel. 8 filters, and 16 on 1x1 windows, take the reference.
         let mut rng = ChaCha8Rng::seed_from_u64(36);
         let w1 = 1.1f32;
-        for (side, k, stride) in [(3, 1, 1), (42, 8, 4)] {
+        for (side, k, stride) in [(4, 1, 1), (42, 8, 4)] {
             let batch = 2;
             let mut x: Vec<f32> = (0..batch * 2 * side * side)
                 .map(|_| rng.gen_range(-2.0f32..2.0))
@@ -1475,11 +1710,17 @@ mod tests {
 
     /// `conv2d_input_grad` and `dx_reference` on one set of gradient rows
     /// `g`, each onto its own copy of `dx0`: the two results, bit patterns.
-    fn both_dx(w: &[f32], g: &[f32], dx0: &[f32], spec: &Conv2dSpec) -> [Vec<u32>; 2] {
+    fn both_dx(
+        w: &[f32],
+        g: &[f32],
+        dx0: &[f32],
+        spec: &Conv2dSpec,
+        accumulate: bool,
+    ) -> [Vec<u32>; 2] {
         [conv2d_input_grad, dx_reference].map(|kernel| {
             let mut scratch = g.to_vec();
             let mut dx = dx0.to_vec();
-            kernel(w, spec, &mut scratch, &mut dx);
+            kernel(w, spec, &mut scratch, &mut dx, accumulate);
             assert_eq!(
                 bits(&scratch[..g.len()]),
                 bits(g),
@@ -1500,7 +1741,8 @@ mod tests {
         // and past the last. Both must give the reference's bits when
         // accumulating onto a nonzero `dX`, with the weights or the gradient
         // drawn from the forward's special pixels (never both, as for `dW`),
-        // then both plain.
+        // then both plain; and, writing a first contribution onto a `dX` of
+        // NaNs, which neither may read, the bits of accumulating onto zeros.
         let mut rng = ChaCha8Rng::seed_from_u64(49);
         let layers = [
             (16, 9, 4, 2),
@@ -1524,7 +1766,7 @@ mod tests {
                 for special in [[true, false], [false, true], [false, false]] {
                     let w = draw(&mut rng, out_c * spec.ckk(), special[0]);
                     let g = draw(&mut rng, rows * out_c, special[1]);
-                    let [got, want] = both_dx(&w, &g, &dx0, &spec);
+                    let [got, want] = both_dx(&w, &g, &dx0, &spec, true);
                     for (j, (g, r)) in got.iter().zip(&want).enumerate() {
                         assert_eq!(
                             g,
@@ -1532,6 +1774,14 @@ mod tests {
                             "{spec:?} special {special:?}: element {j} is {}, reference {}",
                             f32::from_bits(*g),
                             f32::from_bits(*r)
+                        );
+                    }
+                    let [onto_zeros, _] = both_dx(&w, &g, &vec![0.0; dx0.len()], &spec, true);
+                    let written = both_dx(&w, &g, &vec![f32::NAN; dx0.len()], &spec, false);
+                    for first in written {
+                        assert!(
+                            first == onto_zeros,
+                            "{spec:?} special {special:?}: first write"
                         );
                     }
                     if special == [false, false] {
@@ -1581,7 +1831,7 @@ mod tests {
             let mut want = vec![0.0f32; batch * 16 * 81];
             col2im(&dcol, &spec, &mut want);
             let mut dx = vec![0.0f32; want.len()];
-            conv2d_input_grad(&w, &spec, &mut g, &mut dx);
+            conv2d_input_grad(&w, &spec, &mut g, &mut dx, true);
             for (j, (d, r)) in dx.iter().zip(&want).enumerate() {
                 assert_eq!(
                     d.to_bits(),
@@ -1613,7 +1863,7 @@ mod tests {
         let w = vec![0.5f32; 32 * spec.ckk()];
         let mut scratch = vec![1.0f32; spec.out_hw() * 32];
         let mut dx = vec![0.0f32; 16 * 16];
-        conv2d_input_grad(&w, &spec, &mut scratch, &mut dx);
+        conv2d_input_grad(&w, &spec, &mut scratch, &mut dx, true);
     }
 
     #[test]
@@ -1623,10 +1873,10 @@ mod tests {
         let g = [0.0, 1.0, 10.0, 11.0, 2.0, 3.0, 12.0, 13.0];
         let y = [1.0, 0.0, 2.0, 0.5, 0.0, 3.0, 0.0, 1.0];
         let mut rows = vec![9.0f32; 3];
-        gradient_rows(&g, &y, FusedAct::Identity, &spec, &mut rows);
+        gradient_rows(&g, &y, FusedAct::Identity, &spec, &mut rows, &mut []);
         assert_eq!(rows, [0.0, 10.0, 1.0, 11.0, 2.0, 12.0, 3.0, 13.0]);
         // Under ReLU the positions whose output is zero pass no gradient.
-        gradient_rows(&g, &y, FusedAct::Relu, &spec, &mut rows);
+        gradient_rows(&g, &y, FusedAct::Relu, &spec, &mut rows, &mut []);
         assert_eq!(rows, [0.0, 10.0, 0.0, 11.0, 0.0, 0.0, 3.0, 13.0]);
         // 16 and 32 filters (the AVX-512 build's block transpose), over
         // position counts with a ragged last block of 16.
@@ -1637,13 +1887,108 @@ mod tests {
             let g = draw(&mut rng, 3 * oc * hw, true);
             let y = draw(&mut rng, 3 * oc * hw, false);
             for act in [FusedAct::Identity, FusedAct::Relu, FusedAct::Tanh] {
-                gradient_rows(&g, &y, act, &spec, &mut rows);
+                gradient_rows(&g, &y, act, &spec, &mut rows, &mut []);
                 let want: Vec<f32> = (0..3 * hw)
                     .flat_map(|r| (0..oc).map(move |o| (r / hw * oc + o) * hw + r % hw))
                     .map(|j| g[j] * act.deriv_from_output(y[j]))
                     .collect();
                 assert_eq!(bits(&rows), bits(&want), "{oc} filters of {hw} positions");
             }
+        }
+    }
+
+    #[test]
+    fn bias_sums_match_the_strided_chain_bitwise() {
+        // `gradient_rows` adds the bias gradient in its one pass; the chain
+        // it must reproduce is the strided scalar one: per channel, per
+        // image in order, `Iterator::sum` over the channel's rows (a fold
+        // from -0.0 in ascending position order) added onto `db`. Table
+        // II's layers (16 filters over 81 positions, 32 over 9) and 24
+        // filters, which fall back to the scalar pass on AVX-512 builds,
+        // at batches 1, 3 and 129, under every activation, onto a `db`
+        // that holds -0.0 in its first channel and plain values elsewhere.
+        // The first channel's gradient is -0.0 everywhere: its sum is -0.0
+        // and `-0.0 + -0.0` keeps the sign, which a +0.0 seed would flip.
+        // One position of the second channel is a NaN with a payload; the
+        // third holds +inf and -inf; the fourth a lone -inf. Only the last
+        // image carries them, so no chain meets two NaNs, whose payload
+        // order the compiler may pick either way.
+        let mut rng = ChaCha8Rng::seed_from_u64(52);
+        for (oc, side) in [(16, 9), (32, 3), (24, 9)] {
+            for batch in [1, 3, 129] {
+                let spec = Conv2dSpec::infer(&[batch, 1, side, side], &[oc, 1, 1, 1], 1);
+                let hw = spec.out_hw();
+                let mut g = draw(&mut rng, batch * oc * hw, false);
+                let last = (batch - 1) * oc * hw;
+                for img in g.chunks_exact_mut(oc * hw) {
+                    img[..hw].fill(-0.0);
+                }
+                g[last + hw + hw / 2] = f32::from_bits(0x7fc0_1234);
+                g[last + 2 * hw] = f32::INFINITY;
+                g[last + 3 * hw - 1] = f32::NEG_INFINITY;
+                g[last + 3 * hw + 1] = f32::NEG_INFINITY;
+                // The first four channels' outputs lie in (0, 1), where
+                // every activation's derivative is positive: their rows
+                // keep the gradient's signs and specials.
+                let y: Vec<f32> = draw(&mut rng, g.len(), false)
+                    .iter()
+                    .enumerate()
+                    .map(|(j, &v)| match j % (oc * hw) < 4 * hw {
+                        true => 0.25 + 0.3 * v.abs(),
+                        false => v,
+                    })
+                    .collect();
+                let db0: Vec<f32> = std::iter::once(-0.0)
+                    .chain(draw(&mut rng, oc - 1, false))
+                    .collect();
+                for act in [FusedAct::Identity, FusedAct::Relu, FusedAct::Tanh] {
+                    let (mut rows, mut db) = (Vec::new(), db0.clone());
+                    gradient_rows(&g, &y, act, &spec, &mut rows, &mut db);
+                    let mut want = db0.clone();
+                    for (o, acc) in want.iter_mut().enumerate() {
+                        for img in rows.chunks_exact(hw * oc) {
+                            *acc += img.iter().skip(o).step_by(oc).sum::<f32>();
+                        }
+                    }
+                    assert_eq!(
+                        bits(&db),
+                        bits(&want),
+                        "{oc} filters, batch {batch}, {act:?}"
+                    );
+                    assert_eq!(db[0].to_bits(), (-0.0f32).to_bits());
+                    assert!(db[1].is_nan() && db[2].is_nan() && db[3] == f32::NEG_INFINITY);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn held_filters_follow_every_change() {
+        // A forward through held filters, then a change through the only
+        // mutable borrow there is: the next forward computes with the new
+        // filters, bit for bit what fresh filters give, never with the
+        // re-lay of the old ones. Table II's layers: the row kernel's 16
+        // filters and the flattened kernel's 32 on AVX-512 builds.
+        let mut rng = ChaCha8Rng::seed_from_u64(53);
+        for (in_c, side, oc, k, stride) in [(3, 42, 16, 8, 4), (16, 9, 32, 4, 2)] {
+            let spec = Conv2dSpec::infer(&[1, in_c, side, side], &[oc, in_c, k, k], stride);
+            let x = draw(&mut rng, in_c * side * side, false);
+            let bias = draw(&mut rng, oc, false);
+            let shape = [oc, in_c, k, k];
+            let mut held = Filters::from(Tensor::from_vec(
+                draw(&mut rng, oc * spec.ckk(), false),
+                &shape,
+            ));
+            let before = held.forward(&x, &bias, &spec, FusedAct::Relu);
+            let next = draw(&mut rng, oc * spec.ckk(), false);
+            held.data_mut().copy_from_slice(&next);
+            let fresh = Filters::from(Tensor::from_vec(next, &shape));
+            let got = held.forward(&x, &bias, &spec, FusedAct::Relu);
+            assert_eq!(
+                bits(&got),
+                bits(&fresh.forward(&x, &bias, &spec, FusedAct::Relu))
+            );
+            assert_ne!(bits(&got), bits(&before));
         }
     }
 

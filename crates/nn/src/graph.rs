@@ -43,17 +43,19 @@
 //!
 //! # Per-op spans
 //!
-//! A thread's first tape, and then one tape in [`OP_SPAN_EVERY`], records an
-//! `nn.op` span per node while tracing is on: in the forward pass, the time
-//! from the previous node's append to this one's (so the span holds the
-//! op's compute and the caller's glue before it); in the backward pass, the
-//! node's closure, plus the pass's seeding, its copy of the gradients out
-//! and, through [`Graph::backward_clipped`], the norm clip. Each span
+//! The process's first traced tape, and then one tape in [`OP_SPAN_EVERY`]
+//! whatever thread records it, records an `nn.op` span per node while
+//! tracing is on: in the forward pass, the time from the previous node's
+//! append to this one's (so the span holds the op's compute and the
+//! caller's glue before it); in the backward pass, the node's closure, plus
+//! the pass's seeding, its copy of the gradients out (`gradients`) and,
+//! through [`Graph::backward_clipped`], the norm clip. Each span
 //! carries the static op name and the pass, so a learner's step is named
 //! op by op from a traced run.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use stellaris_telemetry as telemetry;
 
@@ -253,27 +255,26 @@ pub struct Graph<'p> {
     last_us: Cell<u64>,
 }
 
-/// One tape in this many records per-node `nn.op` spans, and the first one
-/// on each thread: a sampled tape adds two clock reads and one buffered
-/// event per node, which every tape paying would cost more than the ops it
-/// names on small networks.
+/// One tape in this many records per-node `nn.op` spans, the process's
+/// first traced tape among them: a sampled tape adds two clock reads and
+/// one buffered event per node, which every tape paying would cost more
+/// than the ops it names on small networks.
 pub const OP_SPAN_EVERY: u64 = 64;
 
-thread_local! {
-    /// Tapes created on this thread while tracing was on.
-    static TRACED_TAPES: Cell<u64> = const { Cell::new(0) };
-}
+/// Tapes created in this process while tracing was on. One count for every
+/// thread, so the sampling rate does not depend on how the tapes are spread
+/// over threads (a lock-step learner runs each invocation on a fresh one).
+/// Updated `Relaxed`: the count publishes no other data.
+static TRACED_TAPES: AtomicU64 = AtomicU64::new(0);
 
 /// Whether a tape created now records `nn.op` spans: tracing is on and
-/// this is the thread's first traced tape or a multiple of
+/// this is the process's first traced tape or a multiple of
 /// [`OP_SPAN_EVERY`] after it.
 fn sample_tape() -> bool {
-    if !telemetry::enabled() {
-        return false;
-    }
-    let n = TRACED_TAPES.get();
-    TRACED_TAPES.set(n + 1);
-    n.is_multiple_of(OP_SPAN_EVERY)
+    telemetry::enabled()
+        && TRACED_TAPES
+            .fetch_add(1, Ordering::Relaxed)
+            .is_multiple_of(OP_SPAN_EVERY)
 }
 
 /// Records one `nn.op` span: `op` over `[start, end]` in the given pass.
@@ -367,6 +368,13 @@ impl<'p> Graph<'p> {
     /// but do not propagate further.
     pub fn input(&self, value: Tensor) -> Var {
         self.push("input", value, &[], None)
+    }
+
+    /// Like [`Graph::input`], for a leaf that outlives the tape: the node
+    /// borrows `value` instead of owning a copy (a learner's mini-batch
+    /// observations, which a copy would double).
+    pub fn input_ref(&self, value: &'p Tensor) -> Var {
+        self.push_rc("input", Value::Borrowed(value), &[], None)
     }
 
     /// Inserts a leaf that borrows `value` for the tape's lifetime instead
@@ -936,28 +944,27 @@ impl<'p> Graph<'p> {
             out,
             &[input, weight, bias],
             Some(Box::new(move |g, sink| {
-                let (oc, hw) = (spec.out_c, spec.out_hw());
                 // Scratch: G [b*hw, oc] ⊙ act'(y), then each gradient's
-                // workspace behind it.
+                // workspace behind it. db: per image, each channel's sum of
+                // its rows, taken in the same pass.
                 let mut scratch = sink.take_scratch();
-                gradient_rows(g.data(), out_cap.data(), act, &spec, &mut scratch);
+                let (gv, yv) = (g.data(), out_cap.data());
+                if sink.wants(bias) {
+                    sink.with(bias, |d| {
+                        gradient_rows(gv, yv, act, &spec, &mut scratch, d.data_mut())
+                    });
+                } else {
+                    gradient_rows(gv, yv, act, &spec, &mut scratch, &mut []);
+                }
                 // dw: the [o,c,kh,kw] buffer is flat-identical to [oc,ckk],
                 // so the product accumulates straight into it.
                 sink.with(weight, |d| {
                     conv2d_weight_grad(x.data(), &spec, &mut scratch, d.data_mut());
                 });
-                // db: per image, each channel's plane sums into its entry.
-                sink.with(bias, |d| {
-                    let grad = &scratch[..spec.batch * hw * oc];
-                    for (o, acc) in d.data_mut().iter_mut().enumerate() {
-                        for img in grad.chunks_exact(hw * oc) {
-                            *acc += img.iter().skip(o).step_by(oc).sum::<f32>();
-                        }
-                    }
-                });
-                // dx: W2ᵀ @ Gᵀ, gathered onto the input pixels.
-                sink.with(input, |d| {
-                    conv2d_input_grad(w.data(), &spec, &mut scratch, d.data_mut());
+                // dx: W2ᵀ @ Gᵀ, gathered onto the input pixels; a first
+                // contribution is written, not added to zeros.
+                sink.write(input, |d, first| {
+                    conv2d_input_grad(w.data(), &spec, &mut scratch, d.data_mut(), !first);
                 });
                 sink.restore_scratch(scratch);
             })),
@@ -1676,13 +1683,13 @@ mod tests {
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let x = Tensor::randn(&[batch, in_c, h, w], 1.0, &mut rng);
             let conv = crate::ConvLayer {
-                w: Tensor::randn(&[out_c, in_c, k, k], 0.5, &mut rng),
+                w: Tensor::randn(&[out_c, in_c, k, k], 0.5, &mut rng).into(),
                 b: Tensor::randn(&[out_c], 0.5, &mut rng),
                 stride,
             };
 
             let g = Graph::new();
-            let (xv, wv, bv) = (g.input(x.clone()), g.input(conv.w.clone()), g.input(conv.b.clone()));
+            let (xv, wv, bv) = (g.input(x.clone()), g.input((*conv.w).clone()), g.input(conv.b.clone()));
             let y = g.conv2d(xv, wv, bv, stride);
             let loss = g.mean_all(g.square(g.tanh(y)));
             let grads = g.backward(loss, &[y, wv, bv, xv]);

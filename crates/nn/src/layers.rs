@@ -9,7 +9,7 @@ use std::borrow::Cow;
 
 use rand::Rng;
 
-use crate::conv::{conv2d_forward, Conv2dSpec};
+use crate::conv::{Conv2dSpec, Filters};
 use crate::gemm::FusedAct;
 use crate::graph::{Graph, Var};
 use crate::tensor::Tensor;
@@ -221,8 +221,9 @@ impl ParamSet for Mlp {
 /// One convolutional layer of the Atari trunk.
 #[derive(Clone, Debug)]
 pub struct ConvLayer {
-    /// Filters, `[out_c, in_c, kh, kw]`.
-    pub w: Tensor,
+    /// Filters, `[out_c, in_c, kh, kw]`, with the re-lay the graph-free
+    /// forward reads ([`Filters`]).
+    pub w: Filters,
     /// Bias, `[out_c]`.
     pub b: Tensor,
     /// Stride for both spatial axes.
@@ -241,7 +242,7 @@ impl ConvLayer {
         let fan_in = (in_c * k * k) as f32;
         let bound = (6.0 / fan_in).sqrt();
         Self {
-            w: Tensor::rand_uniform(&[out_c, in_c, k, k], -bound, bound, rng),
+            w: Tensor::rand_uniform(&[out_c, in_c, k, k], -bound, bound, rng).into(),
             b: Tensor::zeros(&[out_c]),
             stride,
         }
@@ -314,20 +315,20 @@ impl Cnn {
         self.input_shape.iter().product()
     }
 
-    /// Graph-free forward pass for inference over a `[batch, c*h*w]` matrix.
+    /// Graph-free forward pass for inference over a `[batch, c*h*w]`
+    /// matrix. Each convolution reads its filters' held re-lay
+    /// ([`Filters::forward`]), so an actor's batch-1 step does not re-lay
+    /// them.
     pub fn forward_plain(&self, x: &Tensor) -> Tensor {
         let batch = x.shape()[0];
         let mut chw = self.input_shape;
         let mut cur = Cow::Borrowed(x.data());
         for conv in &self.convs {
             let spec = conv.spec(batch, chw);
-            cur = Cow::Owned(conv2d_forward(
-                &cur,
-                conv.w.data(),
-                conv.b.data(),
-                &spec,
-                self.activation.fused(),
-            ));
+            cur = Cow::Owned(
+                conv.w
+                    .forward(&cur, conv.b.data(), &spec, self.activation.fused()),
+            );
             chw = spec.out_chw();
         }
         let flat = Tensor::from_vec(cur.into_owned(), &[batch, chw.iter().product()]);
@@ -358,7 +359,7 @@ impl Cnn {
 
 impl ParamSet for Cnn {
     fn params(&self) -> Vec<&Tensor> {
-        let mut out: Vec<&Tensor> = self.convs.iter().flat_map(|l| [&l.w, &l.b]).collect();
+        let mut out: Vec<&Tensor> = self.convs.iter().flat_map(|l| [&*l.w, &l.b]).collect();
         out.extend([&self.fc.w, &self.fc.b, &self.head.w, &self.head.b]);
         out
     }
@@ -367,7 +368,7 @@ impl ParamSet for Cnn {
         let mut out: Vec<&mut Tensor> = self
             .convs
             .iter_mut()
-            .flat_map(|l| [&mut l.w, &mut l.b])
+            .flat_map(|l| [&mut *l.w, &mut l.b])
             .collect();
         out.extend([
             &mut self.fc.w,

@@ -340,12 +340,14 @@ impl PolicyNet {
     }
 
     /// Builds the differentiable pieces every surrogate objective needs.
-    pub fn loss_parts<'p>(&'p self, g: &Graph<'p>, batch: &SampleBatch) -> LossParts {
+    /// The tape borrows the parameters and the batch's observations, so it
+    /// copies neither.
+    pub fn loss_parts<'p>(&'p self, g: &Graph<'p>, batch: &'p SampleBatch) -> LossParts {
         let param_vars = bind_params(g, &self.params());
         let n_actor = self.n_actor_params();
         let has_ls = self.log_std.is_some();
         let critic_end = param_vars.len() - usize::from(has_ls);
-        let obs = g.input(batch.obs.clone());
+        let obs = g.input_ref(&batch.obs);
         let actor_out = self.actor.forward(g, obs, &param_vars[..n_actor]);
         let value_raw = self
             .critic
@@ -555,6 +557,43 @@ mod tests {
         for (a, b) in plain.iter().zip(batch.behaviour_logp.iter()) {
             assert!((a - b).abs() < 1e-3, "{a} vs {b}");
         }
+    }
+
+    #[test]
+    fn warm_cnn_actor_acts_on_the_snapshot_it_loaded() {
+        // A warm actor holds its convolutions' re-laid filters from the
+        // steps it took. Loading a second snapshot must leave its `act`
+        // bitwise that of a fresh net built from that snapshot: actions,
+        // log-probabilities and distribution rows, step by step.
+        let mut env = make_env(EnvId::SpaceInvaders, EnvConfig::default());
+        let obs0 = env.reset(3);
+        let spec = PolicySpec::for_env(env.as_ref());
+        let mut warm = PolicyNet::new(spec.clone(), 1);
+        let mut worker = RolloutWorker::new(env, 3);
+        let batch = worker.collect(&warm, 8);
+        let next = PolicyNet::new(spec.clone(), 2).snapshot();
+        let before = warm.act(&obs0, &mut ChaCha8Rng::seed_from_u64(9)).dist_row;
+        warm.load_snapshot(&next);
+        let mut fresh = PolicyNet::new(spec, 3);
+        fresh.load_snapshot(&next);
+        let (mut rw, mut rf) = (ChaCha8Rng::seed_from_u64(9), ChaCha8Rng::seed_from_u64(9));
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for i in 0..batch.len() {
+            let obs = batch.obs.row(i);
+            let (a, b) = (
+                warm.act(obs.data(), &mut rw),
+                fresh.act(obs.data(), &mut rf),
+            );
+            assert_eq!(bits(&a.dist_row), bits(&b.dist_row), "step {i}");
+            assert_eq!(a.logp.to_bits(), b.logp.to_bits(), "step {i}");
+            assert_eq!(a.action, b.action, "step {i}");
+        }
+        let after = warm.act(&obs0, &mut ChaCha8Rng::seed_from_u64(9)).dist_row;
+        assert_ne!(
+            bits(&before),
+            bits(&after),
+            "the snapshot changed the policy"
+        );
     }
 
     #[test]

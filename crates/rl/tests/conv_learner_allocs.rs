@@ -1,15 +1,16 @@
-//! A warm Table II CNN gradient allocates nothing larger than its own
+//! A warm Table II CNN gradient allocates nothing as large as its own
 //! observation batch.
 //!
 //! No buffer of the convolution learner scales with the patch matrix
 //! (`b*oh*ow` rows of `c*kh*kw` pixels, 7.6 MiB for the 42-px first layer at
 //! batch 128, three times the observation batch): the forward and the
 //! weight gradient read the image directly, and their re-lays live in the
-//! gradient arena's reused scratch. So the largest allocation of a warm
-//! `ppo_gradients` is at most the observation batch, which the tape holds as
-//! its input. The direct kernels exist under `target_feature = "avx512f"`
-//! only; the portable forward still builds a patch matrix, so this file
-//! compiles to nothing elsewhere.
+//! gradient arena's reused scratch. The tape borrows the observation batch
+//! rather than holding a copy, so the largest allocation of a warm
+//! `ppo_gradients` is smaller than the batch (it is the first layer's
+//! output, a quarter of it). The direct kernels exist under
+//! `target_feature = "avx512f"` only; the portable forward still builds a
+//! patch matrix, so this file compiles to nothing elsewhere.
 //!
 //! The recorder is process-global, so this file holds a single test: no
 //! other test thread can allocate while a gradient is measured.
@@ -49,7 +50,7 @@ unsafe impl GlobalAlloc for LargestAlloc {
 static ALLOC: LargestAlloc = LargestAlloc;
 
 #[test]
-fn warm_cnn_gradient_allocates_nothing_larger_than_its_observations() {
+fn warm_cnn_gradient_allocates_nothing_as_large_as_its_observations() {
     // SpaceInvaders at the default 42-px frames, three stacked, under the
     // Table II CNN, and the benchmark's mini-batch of 128.
     let env_cfg = EnvConfig::default();
@@ -71,8 +72,8 @@ fn warm_cnn_gradient_allocates_nothing_larger_than_its_observations() {
         ppo_gradients(&policy, &batch, &cfg, None);
         let largest = LARGEST.load(Ordering::Relaxed);
         assert!(
-            largest <= obs_bytes,
-            "warm step {step}: an allocation of {largest} B exceeds the {obs_bytes}-B observation batch"
+            largest < obs_bytes,
+            "warm step {step}: an allocation of {largest} B is as large as the {obs_bytes}-B observation batch"
         );
     }
 }
