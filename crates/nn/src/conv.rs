@@ -17,14 +17,13 @@
 //!   each, every pixel a constant offset from its kernel row's base, so
 //!   neighbouring windows share their broadcasts. Layers of 32 filters
 //!   (Table II's second) run a flattened kernel: 9 output positions by two
-//!   zmm accumulators over the `b*oh*ow` rows (a 42-px frame's whole
-//!   second-layer output, so an actor's batch-1 step is one tile). Both
-//!   broadcast each pixel straight from the image, with no patch matrix,
-//!   read the filters re-laid as `[ckk, out_c]`, and apply the bias and
-//!   activation as they write `[b, out_c, oh, ow]`: one 16x16 transpose
-//!   turns a tile's positions into lanes, so each filter's run of them is
-//!   one masked store (a flattened tile across two images is written
-//!   position by position). [`conv2d_forward`]
+//!   zmm accumulators over each image's `oh*ow` positions (a 42-px frame's
+//!   whole second-layer output, so an actor's batch-1 step is one tile).
+//!   Both broadcast each pixel straight from the image, with no patch
+//!   matrix, read the filters re-laid as `[ckk, out_c]`, and apply the
+//!   bias and activation as they write `[b, out_c, oh, ow]`: one 16x16
+//!   transpose turns a tile's positions into lanes, so each filter's run
+//!   of them is one masked store. [`conv2d_forward`]
 //!   re-lays the filters on every call, which a mini-batch amortises;
 //!   [`Filters`] holds the re-lay beside the weights a layer owns, built by
 //!   its first forward and dropped by any mutable borrow of them, so a
@@ -578,12 +577,11 @@ mod direct {
 
     /// `act(conv(x, w) + bias)` for 32 filters (`G` registers), the
     /// filters `wt` re-laid by [`by_offset`]. Tiles of `PR` output positions
-    /// run over the flattened `b*oh*ow` rows across image boundaries; each
-    /// holds `PR x G` accumulators and, per kernel offset `(c, ky, kx)` in
+    /// run over each image's flattened `oh*ow` positions; each holds
+    /// `PR x G` accumulators and, per kernel offset `(c, ky, kx)` in
     /// ascending order, loads `G` registers of the re-laid weights and
-    /// broadcasts one pixel per position. A tile inside one image is
-    /// written through [`store_runs`], one across two images position by
-    /// position. A ragged last tile computes its missing positions on its
+    /// broadcasts one pixel per position. [`store_runs`] writes the tile.
+    /// An image's ragged last tile computes its missing positions on its
     /// last real one and stores nothing for them. Panics unless the
     /// operand lengths match `spec` and the farthest pixel any position
     /// reads lies inside `x`.
@@ -615,77 +613,57 @@ mod direct {
         };
         assert_eq!(spec.out_c, oc, "direct kernel width");
         assert_eq!(bias.len(), oc, "conv2d bias length must equal out_c");
-        let rows = spec.batch * hw;
-        let mut out = vec![0.0f32; rows * oc];
-        if rows == 0 {
+        let mut out = vec![0.0f32; spec.batch * hw * oc];
+        if spec.batch * hw == 0 {
             return out;
         }
         assert!(reach < x.len(), "conv2d window out of bounds");
-        let origin = |r: usize| {
-            let (img, s) = (r / hw, r % hw);
-            img * chw + (s / ow) * row_step + (s % ow) * stride
-        };
-        let (xp, wp) = (x.as_ptr(), wt.as_ptr());
-        let mut tile = [[0.0f32; G * L]; PR];
-        for r0 in (0..rows).step_by(PR) {
-            let live = (rows - r0).min(PR);
-            let org: [usize; PR] = std::array::from_fn(|p| origin(r0 + p.min(live - 1)));
-            let (img, s0) = (r0 / hw, r0 % hw);
-            // A position below `rows` has img < batch, oy < out_h and
-            // ox < ow, and a kernel offset has c < in_c, ky < kh and
-            // kx < kw, so origin + offset <= `reach` < x.len() (no term
-            // wraps: each is at most its checked counterpart). The weight
-            // loads read oc = G*L floats from q*oc for q < ckk, inside
-            // `wt`'s ckk*oc, and the bias loads L floats from g*L, g < G,
-            // inside `bias` (asserted oc long). A tile inside one image
-            // (s0 + live <= hw) writes filter g*L + o's run of `live`
-            // positions from img*oc*hw + (g*L + o)*hw + s0, inside `out`'s
-            // batch*oc*hw; any other tile's stores write L floats from
-            // g*L, g < G, inside a G*L-float tile row.
-            // SAFETY: compiled only with avx512f enabled (the cfg on this
-            // module); every access is in bounds by the above.
-            unsafe {
-                let bases = org.map(|o| xp.add(o));
-                let mut acc = [[_mm512_setzero_ps(); G]; PR];
-                let mut q = 0;
-                for c in 0..spec.in_c {
-                    for ky in 0..spec.kh {
-                        let row = c * hw_in + ky * spec.in_w;
-                        for off in row..row + spec.kw {
-                            let wv: [_; G] =
-                                std::array::from_fn(|g| _mm512_loadu_ps(wp.add(q * oc + g * L)));
-                            for (accp, &base) in acc.iter_mut().zip(&bases) {
-                                let a = _mm512_set1_ps(*base.add(off));
-                                for (x, &wg) in accp.iter_mut().zip(&wv) {
-                                    *x = _mm512_fmadd_ps(a, wg, *x);
+        let (xp, wp, op) = (x.as_ptr(), wt.as_ptr(), out.as_mut_ptr());
+        for img in 0..spec.batch {
+            for s0 in (0..hw).step_by(PR) {
+                let live = (hw - s0).min(PR);
+                let org: [usize; PR] = std::array::from_fn(|p| {
+                    let s = s0 + p.min(live - 1);
+                    img * chw + (s / ow) * row_step + (s % ow) * stride
+                });
+                // A position s < hw of image img < batch has oy < out_h
+                // and ox < ow, and a kernel offset has c < in_c, ky < kh
+                // and kx < kw, so origin + offset <= `reach` < x.len() (no
+                // term wraps: each is at most its checked counterpart). The
+                // weight loads read oc = G*L floats from q*oc for q < ckk,
+                // inside `wt`'s ckk*oc, and the bias loads L floats from
+                // g*L, g < G, inside `bias` (asserted oc long). Filter
+                // g*L + o's run of `live` positions starts at
+                // img*oc*hw + (g*L + o)*hw + s0, and s0 + live <= hw,
+                // inside `out`'s batch*oc*hw.
+                // SAFETY: compiled only with avx512f enabled (the cfg on
+                // this module); every access is in bounds by the above.
+                unsafe {
+                    let bases = org.map(|o| xp.add(o));
+                    let mut acc = [[_mm512_setzero_ps(); G]; PR];
+                    let mut q = 0;
+                    for c in 0..spec.in_c {
+                        for ky in 0..spec.kh {
+                            let row = c * hw_in + ky * spec.in_w;
+                            for off in row..row + spec.kw {
+                                let wv: [_; G] = std::array::from_fn(|g| {
+                                    _mm512_loadu_ps(wp.add(q * oc + g * L))
+                                });
+                                for (accp, &base) in acc.iter_mut().zip(&bases) {
+                                    let a = _mm512_set1_ps(*base.add(off));
+                                    for (x, &wg) in accp.iter_mut().zip(&wv) {
+                                        *x = _mm512_fmadd_ps(a, wg, *x);
+                                    }
                                 }
+                                q += 1;
                             }
-                            q += 1;
                         }
                     }
-                }
-                if s0 + live <= hw {
                     for g in 0..G {
                         let beta = _mm512_loadu_ps(bias.as_ptr().add(g * L));
-                        // Derived here, not held across the element-wise
-                        // path's borrows of `out`.
-                        let runs = out.as_mut_ptr().add(img * oc * hw + g * L * hw + s0);
+                        let runs = op.add(img * oc * hw + g * L * hw + s0);
                         store_runs(acc.map(|accp| accp[g]), live, beta, act, runs, hw);
                     }
-                    continue;
-                }
-                for (trow, accp) in tile.iter_mut().zip(&acc) {
-                    for (g, &x) in accp.iter().enumerate() {
-                        _mm512_storeu_ps(trow[g * L..].as_mut_ptr(), x);
-                    }
-                }
-            }
-            // A tile across two images: position by position.
-            for (p, trow) in tile.iter().enumerate().take(live) {
-                let (img, s) = ((r0 + p) / hw, (r0 + p) % hw);
-                let dst = &mut out[img * oc * hw + s..];
-                for (o, (&v, &beta)) in trow.iter().zip(bias).enumerate() {
-                    dst[o * hw] = act.activate(v + beta);
                 }
             }
         }
@@ -1451,9 +1429,9 @@ mod tests {
         // The Table II layers at 42 and 84 px, `(in_c, side, k, stride)`:
         // conv1 over three stacked frames (42 -> 9, 84 -> 20), conv2 over
         // its 16 maps (9 -> 3, 20 -> 9). Batch 1 is an actor's step: a
-        // 42-px conv2 is one 9-position tile. Batches 2, 3 and 129 give
-        // tiles that straddle images, and on the 20-px maps (400
-        // positions per image) a ragged last tile. On AVX-512 builds 16
+        // 42-px conv2 is one 9-position tile. Batches 2, 3 and 129 run
+        // several images, and the 20-px maps (400 positions per image)
+        // end each image with a ragged tile. On AVX-512 builds 16
         // filters take the row kernel on conv1 and 32 the flattened kernel
         // everywhere; 16 on conv2, 8 and 48 fall back. Every route must
         // give the reference's bits, for every epilogue, on pixels that
@@ -1519,8 +1497,8 @@ mod tests {
         // product's nonzero rounding residual; a separate multiply and add
         // leaves 0, and a kernel that drops the last term leaves -(x*w).
         // `(side, k, stride)`: 1x1 windows, where 32 filters take the
-        // flattened direct kernel on AVX-512 builds and 32 positions give a
-        // tile that straddles the two images and a ragged last one; and
+        // flattened direct kernel on AVX-512 builds and each image's 16
+        // positions give a whole tile and a ragged last one; and
         // Table II's first layer on 42-px frames, where 16 filters take the
         // row kernel. 8 filters, and 16 on 1x1 windows, take the reference.
         let mut rng = ChaCha8Rng::seed_from_u64(36);

@@ -370,15 +370,9 @@ impl<'p> Graph<'p> {
         self.push("input", value, &[], None)
     }
 
-    /// Like [`Graph::input`], for a leaf that outlives the tape: the node
-    /// borrows `value` instead of owning a copy (a learner's mini-batch
-    /// observations, which a copy would double).
-    pub fn input_ref(&self, value: &'p Tensor) -> Var {
-        self.push_rc("input", Value::Borrowed(value), &[], None)
-    }
-
     /// Inserts a leaf that borrows `value` for the tape's lifetime instead
-    /// of owning a copy: a parameter, bound every step ([`crate::bind_params`]).
+    /// of owning a copy: a parameter, bound every step ([`crate::bind_params`]),
+    /// or a learner's mini-batch observations, which a copy would double.
     pub fn param(&self, value: &'p Tensor) -> Var {
         self.push_rc("param", Value::Borrowed(value), &[], None)
     }

@@ -347,7 +347,7 @@ impl PolicyNet {
         let n_actor = self.n_actor_params();
         let has_ls = self.log_std.is_some();
         let critic_end = param_vars.len() - usize::from(has_ls);
-        let obs = g.input_ref(&batch.obs);
+        let obs = g.param(&batch.obs);
         let actor_out = self.actor.forward(g, obs, &param_vars[..n_actor]);
         let value_raw = self
             .critic
