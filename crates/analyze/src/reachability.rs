@@ -61,18 +61,21 @@ fn short_name(name: &str) -> &str {
     name.rsplit("::").next().unwrap_or(name)
 }
 
-/// A8 roots: serverless invocation entry points, the orchestrator round
-/// loop, and wire-decode surfaces, with a human description for findings.
+/// A8 roots: serverless invocation entry points, the two round loops that
+/// drive the dispatcher (in process and over sockets), and wire-decode
+/// surfaces, with a human description for findings.
 fn a8_roots(fns: &[FnInfo]) -> Vec<(usize, &'static str)> {
     let mut out = Vec::new();
     for (i, f) in fns.iter().enumerate() {
         let short = short_name(&f.name);
         if f.name.starts_with("Platform::")
-            && matches!(short, "invoke" | "try_invoke" | "invoke_retry" | "attempt")
+            && matches!(short, "invoke" | "invoke_retry" | "invoke_with" | "attempt")
         {
             out.push((i, "serverless invocation root"));
         } else if f.file.ends_with("/orchestrator.rs") && f.name.ends_with("::train") {
             out.push((i, "orchestrator round-loop root"));
+        } else if f.name == "RemoteFleet::run" {
+            out.push((i, "fleet round-loop root"));
         } else if matches!(short, "decode" | "decode_seq" | "from_bytes") {
             out.push((i, "wire-decode root"));
         }

@@ -17,6 +17,7 @@ const RELAXED_FLAG_PAIR: &str = include_str!("fixtures/relaxed_flag_pair.rs");
 const HASHMAP_REDUCE: &str = include_str!("fixtures/hashmap_reduce.rs");
 const CLEAN_DATAFLOW: &str = include_str!("fixtures/clean_dataflow.rs");
 const PANIC_IN_INVOKE: &str = include_str!("fixtures/panic_in_invoke.rs");
+const PANIC_IN_FLEET: &str = include_str!("fixtures/panic_in_fleet.rs");
 const ALLOC_IN_HOT: &str = include_str!("fixtures/alloc_in_hot.rs");
 const CLEAN_PANICFREE: &str = include_str!("fixtures/clean_panicfree.rs");
 
@@ -233,6 +234,27 @@ fn panics_reachable_from_invoke_and_decode_roots_are_flagged() {
         index.message.contains("wire-decode root `Frame::decode`"),
         "{}",
         index.message
+    );
+}
+
+#[test]
+fn panics_reachable_from_the_fleet_round_loop_are_flagged() {
+    // The socket venue's round loop is a root like `train`: the unwrap one
+    // hop from `RemoteFleet::run` is reported with its chain.
+    let a = run_one("crates/fx/src/panic_in_fleet.rs", PANIC_IN_FLEET);
+    assert_eq!(rules(&a), ["A8"], "{:#?}", a.findings);
+    let unwrap = a
+        .findings
+        .iter()
+        .find(|f| f.message.contains("`.unwrap()`"))
+        .expect("unwrap finding");
+    assert!(
+        unwrap
+            .message
+            .contains("fleet round-loop root `RemoteFleet::run`")
+            && unwrap.message.contains("via deal"),
+        "witness names root and chain: {}",
+        unwrap.message
     );
 }
 

@@ -10,10 +10,10 @@
 //! * [`ActorBody`] and [`LearnerBody`] are the two function bodies; every
 //!   venue and the remote worker process hold these, so both sides of a
 //!   socket compute identically.
-//! * [`Actors`] and [`Learners`] are the execution venue's two halves:
-//!   threads behind the serverless platform (`local::LocalActors`,
-//!   `local::LocalLearners`) or child processes behind framed sockets
-//!   (`remote::ProcessActor`, `remote::ProcessLearners`).
+//! * [`Actors`] and [`Learners`] are a fleet's two halves. The product
+//!   implements each once, in the dispatcher (`dispatch::Slots`), over
+//!   slots whose links reach threads behind the serverless platform
+//!   (`local`) or child processes behind framed sockets (`remote`).
 //! * [`lockstep_round`] and [`async_round`] are the two schedules, each
 //!   written once over the two halves, and both own the data loader.
 //!   Lock-step cuts waves against one snapshot, offers in mini-batch order

@@ -17,8 +17,9 @@
 //!
 //! One cycle, two schedules: [`cycle::async_round`] and
 //! [`cycle::lockstep_round`] are each written once over an actor half
-//! ([`cycle::Actors`]) and a learner half ([`cycle::Learners`]).
-//! [`orchestrator::train`] drives either over in-process threads,
+//! ([`cycle::Actors`]) and a learner half ([`cycle::Learners`]), and one
+//! dispatcher implements both halves for both venues over per-slot links.
+//! [`orchestrator::train`] drives either schedule over in-process threads,
 //! [`remote::RemoteFleet`] drives the lock-step one over child processes
 //! behind sockets.
 //!
@@ -39,6 +40,7 @@ pub mod aggregation;
 pub mod autoscale;
 pub mod config;
 pub mod cycle;
+mod dispatch;
 pub mod frameworks;
 pub mod local;
 pub mod messages;

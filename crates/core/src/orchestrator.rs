@@ -1,8 +1,8 @@
 //! The Stellaris training orchestrator (Fig. 4's workflow), in process.
 //!
-//! [`train`] drives the schedules of [`crate::cycle`] over
-//! `local::LocalActors` and `local::LocalLearners`, whose function bodies
-//! run on threads behind the serverless platform. `Async` learners run
+//! [`train`] drives the schedules of [`crate::cycle`] over the one
+//! dispatcher (`dispatch::Slots`) with in-process links, whose function
+//! bodies run on threads behind the serverless platform. `Async` learners run
 //! [`crate::cycle::async_round`], so staleness is emergent from genuine
 //! thread racing, not scripted. `Sync` runs
 //! [`crate::cycle::lockstep_round`], the RLlib-style baselines and, at
@@ -25,7 +25,8 @@ use stellaris_telemetry as telemetry;
 
 use crate::config::{Deployment, LearnerMode, TrainConfig};
 use crate::cycle::{async_round, fresh_net, lockstep_round, CycleTotals};
-use crate::local::{LocalActors, LocalLearners, Pending, Resident, Run};
+use crate::dispatch::{Pending, Resident, Slots};
+use crate::local::{LocalActor, Run};
 use crate::metrics::{TimerReport, TrainRow};
 use crate::parameter::ShardedParameterServer;
 
@@ -127,8 +128,8 @@ pub fn train(cfg: &TrainConfig) -> TrainResult {
     let run = Run::start(cfg, n_learners);
     let asynchronous = run.asynchronous();
     let ledger = std::thread::scope(|s| {
-        let mut actors = LocalActors::new(s, &run);
-        let mut learners = LocalLearners::new(s, &run, n_learners);
+        let mut actors = run.actors(s);
+        let mut learners = run.learners(s, n_learners);
         let judge = Resident::spawn(s, Judge::new(cfg));
         let mut ledger = Ledger::default();
         let mut totals = CycleTotals::default();
@@ -342,7 +343,12 @@ impl Ledger {
 
     /// Records `row` with its judge's `(reward, policy_kl)` and lets the
     /// fleet's actors rescale on the reward.
-    fn close(&mut self, row: TrainRow, (reward, policy_kl): (f32, f32), actors: &mut LocalActors) {
+    fn close(
+        &mut self,
+        row: TrainRow,
+        (reward, policy_kl): (f32, f32),
+        actors: &mut Slots<LocalActor>,
+    ) {
         actors.rescale(reward);
         self.rows.push(TrainRow {
             reward,

@@ -1,8 +1,8 @@
 //! Cross-process training workers: the wire data types, the child-side
 //! serve loop, and the parent-side fleet — [`RemoteFleet::run`] is the
-//! shared lock-step cycle ([`crate::cycle::lockstep_round`]) over
-//! `ProcessActor` and `ProcessLearners`, the venue whose functions are
-//! child processes.
+//! shared lock-step cycle ([`crate::cycle::lockstep_round`]) over the one
+//! dispatcher (`dispatch::Slots`), whose socket links (`ProcessActor`,
+//! `ProcessLearner`) reach functions that are child processes.
 //!
 //! Everything in this module rides the length-prefixed frame protocol of
 //! [`stellaris_cache::frame`]: the parent spawns worker processes through
@@ -19,9 +19,10 @@
 //! at a new version carries the snapshot (`GRADIENT`, which the worker
 //! keeps) while every later one names the version only (`GRADIENT_AT`;
 //! `ERR stale-base` in-band if the worker does not hold it). A wave's
-//! mini-batches are dispatched on one lane per learner process; chaos is
-//! drawn before the lanes start and gradients are offered in mini-batch
-//! order, so concurrency never reaches the weights.
+//! mini-batches are dealt over one slot per learner process, each slot's
+//! share on a thread of its own; chaos is drawn before the slots start and
+//! gradients are offered in mini-batch order, so concurrency never reaches
+//! the weights.
 //!
 //! Span stitching: each request frame carries the parent-side span ID in
 //! its trace-ID header field; the worker opens its handler spans with
@@ -33,25 +34,24 @@
 //! sides of the socket.
 
 use std::io::{Read, Write};
-use std::sync::mpsc::{self, Sender};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use bytes::BytesMut;
+use parking_lot::Mutex;
 use stellaris_cache::frame::{op, Frame, FrameReader, WireError};
 use stellaris_cache::{Codec, CodecError};
 use stellaris_envs::{EnvConfig, EnvId};
 use stellaris_rl::{ImpactConfig, PolicySnapshot, PpoConfig, SampleBatch};
 use stellaris_serverless::{
-    FaultPlan, FaultReport, FunctionKind, OverheadMode, Platform, ProcessConfig, ProcessPool,
-    SpawnError, StartupProfile, WorkerProcess,
+    FaultPlan, FaultReport, Faults, FunctionKind, OverheadMode, Platform, ProcessConfig,
+    ProcessPool, SpawnError, StartupProfile, WorkerProcess,
 };
-use stellaris_telemetry::{self as telemetry, Event};
+use stellaris_telemetry::{self as telemetry, Event, SpanGuard};
 
 use crate::config::{Algo, TrainConfig};
-use crate::cycle::{
-    lockstep_round, ActorBody, Actors, CycleTotals, LearnerBody, Learners, Published,
-};
+use crate::cycle::{lockstep_round, ActorBody, CycleTotals, LearnerBody};
+use crate::dispatch::{no_faults, Link, Minibatch, Slots};
 use crate::messages::GradientMsg;
 use crate::metrics::Timers;
 use crate::orchestrator::{learner_invocations, parameter_plane};
@@ -771,8 +771,8 @@ pub fn snapshot_checksum(snap: &PolicySnapshot) -> u64 {
 /// order) so same-seed runs reproduce the same final policy bit-for-bit.
 pub struct RemoteFleet {
     pool: ProcessPool,
+    /// Bills the workers' invocations and holds the run's fault plan.
     platform: Platform,
-    faults: FaultPlan,
     cfg: TrainConfig,
 }
 
@@ -785,17 +785,16 @@ impl RemoteFleet {
         proc_cfg: ProcessConfig,
         cfg: TrainConfig,
     ) -> Self {
-        let faults = FaultPlan::new(cfg.faults.clone());
         let platform = Platform::new(
             cfg.max_learners.max(1),
             1,
             StartupProfile::default(),
             OverheadMode::Record,
-        );
+        )
+        .with_faults(Arc::new(FaultPlan::new(cfg.faults.clone())));
         Self {
             pool: ProcessPool::new(program, worker_args, proc_cfg),
             platform,
-            faults,
             cfg,
         }
     }
@@ -833,183 +832,231 @@ impl RemoteFleet {
 
     /// Runs the configured number of rounds of the lock-step cycle over
     /// one actor worker and `max_learners` learner workers, each a child
-    /// process behind a framed socket. Actor traffic is fault-free (its
-    /// rollout stream must survive the whole run for same-seed
-    /// determinism); learner traffic carries the seeded chaos plan, and
-    /// every injected fault must surface as a typed error and be absorbed
-    /// by the retry budget or the round's quorum degradation.
+    /// process behind a framed socket, through the same dispatcher as
+    /// [`crate::orchestrator::train`]. The wave is the whole round, with
+    /// `cfg.truncation_rho` as the IS cap, and the actor collects once a
+    /// round. Actor traffic is fault-free (its rollout stream must survive
+    /// the whole run for same-seed determinism); learner traffic carries
+    /// the seeded chaos plan, and every injected fault must surface as a
+    /// typed error and be absorbed by the retry budget or the round's
+    /// quorum degradation.
     pub fn run(&self) -> Result<RemoteRunReport, RemoteError> {
-        let setup = RemoteSetup::from_train(&self.cfg);
-        let n_learners = self.cfg.max_learners.max(1);
-        let mut actor = ProcessActor {
+        let cfg = &self.cfg;
+        let setup = RemoteSetup::from_train(cfg);
+        let n_learners = cfg.max_learners.max(1);
+        // What the links count as they go: `recovered`, `events_ingested`,
+        // `policy_full_pulls` and `policy_bytes_full`.
+        let tally = Mutex::new(RemoteRunReport::default());
+        let actor = ProcessActor {
             fleet: self,
+            tally: &tally,
             // The actor's span base must not collide with any learner's, so
             // it takes the index right above the learner range.
             worker: self.checkout_worker(FunctionKind::Actor, n_learners, &setup)?,
             holds: None,
-            round: 0,
-            pulls: 0,
-            pulled_bytes: 0,
         };
-        let mut learners = ProcessLearners {
-            fleet: self,
-            setup,
-            slots: (0..n_learners).map(|_| LearnerSlot::default()).collect(),
-            round: 0,
-            report: RemoteRunReport::default(),
-        };
-        let server = parameter_plane(&self.cfg);
+        let learners = (0..n_learners)
+            .map(|_| ProcessLearner {
+                fleet: self,
+                setup: &setup,
+                tally: &tally,
+                worker: None,
+                holds: None,
+            })
+            .collect();
+        let server = parameter_plane(cfg);
         let timers = Timers::default();
         // No judge reads a probe here, so none is captured.
         let mut totals = CycleTotals {
             probe_captured: true,
             ..CycleTotals::default()
         };
-
-        for round in 0..self.cfg.rounds {
-            let mut round_span = telemetry::span_with("fleet.round", vec![("round", round.into())]);
-            lockstep_round(
-                &mut actor,
-                &mut learners,
-                &server,
-                &self.cfg,
-                &timers,
-                &mut totals,
-            )?;
-            server.advance_round();
-            round_span.field("version", server.clock());
-            actor.round += 1;
-            learners.end_round(round_span.id());
-        }
-
-        let mut report = learners.report;
-        if let Ok(n) = actor.worker.pull_spans(0) {
-            report.events_ingested += n;
-        }
-        let _graceful = actor.worker.shutdown();
+        std::thread::scope(|s| {
+            // The socket fleet's shape is fixed: no slot rescales.
+            let (platform, draw) = (&self.platform, FaultPlan::draw_request);
+            let mut actors = Slots::new(s, platform, vec![actor], true, Some(1), no_faults, false);
+            let mut learners = Slots::new(s, platform, learners, true, None, draw, false);
+            for round in 0..cfg.rounds {
+                let mut round_span =
+                    telemetry::span_with("fleet.round", vec![("round", round.into())]);
+                lockstep_round(
+                    &mut actors,
+                    &mut learners,
+                    &server,
+                    cfg,
+                    &timers,
+                    &mut totals,
+                )?;
+                server.advance_round();
+                round_span.field("version", server.clock());
+                let (last, trace) = (round + 1 == cfg.rounds, round_span.id());
+                learners.visit(move |link| link.end_round(last, trace));
+            }
+            actors.visit(ProcessActor::finish);
+            Ok::<_, RemoteError>(())
+        })?;
         self.pool.shutdown();
 
         let (cold_spawns, warm_reuses) = self.pool.start_counts();
         Ok(RemoteRunReport {
-            rounds: self.cfg.rounds,
+            rounds: cfg.rounds,
             final_version: server.clock(),
             final_checksum: snapshot_checksum(&server.snapshot()),
             grads_aggregated: server.grads_aggregated(),
             staleness_log: server.staleness_log().to_vec(),
             cold_spawns,
             warm_reuses,
-            faults: self.faults.report(),
+            faults: self.platform.faults().report(),
             learner_invocations: learner_invocations(&self.platform),
-            policy_full_pulls: report.policy_full_pulls + actor.pulls,
-            policy_bytes_full: report.policy_bytes_full + actor.pulled_bytes,
-            ..report
+            ..tally.into_inner()
         })
     }
 }
 
-/// The cross-process actor half of the lock-step cycle: one actor worker
-/// process.
+/// The actor link over a socket: one actor worker process.
 struct ProcessActor<'a> {
     fleet: &'a RemoteFleet,
+    tally: &'a Mutex<RemoteRunReport>,
     worker: RemoteWorker,
     /// The policy version the worker holds; `None` until the first
     /// `LOAD_POLICY`.
     holds: Option<u64>,
-    /// Rounds finished so far.
-    round: usize,
-    /// `LOAD_POLICY` frames that landed, and their snapshot bytes.
-    pulls: u64,
-    pulled_bytes: u64,
 }
 
-/// The cross-process learner half of the lock-step cycle: one
-/// [`LearnerSlot`] per learner worker. The wave is the whole round, with
-/// `cfg.truncation_rho` as the IS cap; its mini-batches are served
-/// round-robin by the learner slots, one dispatch lane (thread) per slot.
-struct ProcessLearners<'a> {
+impl ProcessActor<'_> {
+    /// After the last round: the worker's spans are pulled and it shuts
+    /// down.
+    fn finish(&mut self) {
+        if let Ok(n) = self.worker.pull_spans(0) {
+            self.tally.lock().events_ingested += n;
+        }
+        let _graceful = self.worker.shutdown();
+    }
+}
+
+impl Link for ProcessActor<'_> {
+    type Job = Arc<PolicySnapshot>;
+    type Out = SampleBatch;
+    type Error = RemoteError;
+
+    fn wave_span(wave: usize, _calls: usize) -> Option<SpanGuard> {
+        Some(telemetry::span_with(
+            "fleet.collect",
+            vec![("round", wave.into())],
+        ))
+    }
+
+    /// The actor worker is sent `snap` whole unless it already holds that
+    /// version (one `LOAD_POLICY` per clock move), then collects under it.
+    fn call(
+        &mut self,
+        snap: Arc<PolicySnapshot>,
+        _i: usize,
+        _l: usize,
+        _faults: Faults,
+        wave: u64,
+    ) -> Result<Option<SampleBatch>, RemoteError> {
+        let t0 = Instant::now();
+        if self.holds != Some(snap.version) {
+            self.worker.load_policy(&snap, wave)?;
+            let mut tally = self.tally.lock();
+            tally.policy_full_pulls += 1;
+            tally.policy_bytes_full += snap.encoded_len() as u64;
+            self.holds = Some(snap.version);
+        }
+        let steps = self.fleet.cfg.actor_steps as u64;
+        let batch = self.worker.collect(steps, wave)?;
+        self.fleet
+            .record_warm(FunctionKind::Actor, t0.elapsed(), false);
+        Ok(Some(batch))
+    }
+}
+
+/// The learner link over a socket: the worker checked out this round, and
+/// the policy version its process holds. The version outlives the checkout
+/// because the process idles in the pool between rounds with its state
+/// intact.
+struct ProcessLearner<'a> {
     fleet: &'a RemoteFleet,
-    setup: RemoteSetup,
-    slots: Vec<LearnerSlot>,
-    /// Rounds finished so far.
-    round: usize,
-    /// The fields the learner half counts as it goes: `recovered`,
-    /// `events_ingested`, `policy_full_pulls` and `policy_bytes_full`.
-    report: RemoteRunReport,
-}
-
-/// One learner slot: the worker checked out this round, and the policy
-/// version its process holds — the twin of `ProcessActor::holds`. The
-/// version outlives the checkout because the process idles in the pool
-/// between rounds with its state intact.
-#[derive(Default)]
-struct LearnerSlot {
+    setup: &'a RemoteSetup,
+    tally: &'a Mutex<RemoteRunReport>,
     worker: Option<RemoteWorker>,
     holds: Option<u64>,
 }
 
-/// The chaos draws for one mini-batch's first attempt.
-struct Chaos {
-    crash: bool,
-    straggle: Option<Duration>,
-    corrupt: bool,
-    dropped: bool,
+impl ProcessLearner<'_> {
+    /// Keep-alive between rounds: the worker idles in the pool and the next
+    /// round's checkout reuses it warm. After the last round its spans are
+    /// pulled and it shuts down (drop kills whatever is left).
+    fn end_round(&mut self, last: bool, trace: u64) {
+        let Some(mut w) = self.worker.take() else {
+            return;
+        };
+        if last {
+            if let Ok(n) = w.pull_spans(trace) {
+                self.tally.lock().events_ingested += n;
+            }
+            let _graceful = w.shutdown();
+        } else {
+            self.fleet.pool.checkin(w.into_process());
+        }
+    }
 }
 
-/// What one dispatch lane counts over a wave (its gradients leave as they
-/// land).
-#[derive(Default)]
-struct LaneReport {
-    /// Typed errors a retry recovered.
-    recovered: u64,
-    /// Calls that carried the snapshot and succeeded, and its bytes.
-    pushes: u64,
-    pushed_bytes: u64,
-}
+impl Link for ProcessLearner<'_> {
+    type Job = Minibatch;
+    type Out = GradientMsg;
+    type Error = RemoteError;
 
-impl LearnerSlot {
-    /// Dispatch lane `l`: this slot's share of a wave, strictly in order
-    /// over its own socket, each call against the policy published when it
-    /// starts. The first call at a new version carries the snapshot and the
-    /// worker keeps it; later ones name the version only. Each gradient is
-    /// sent to `landed`, tagged with its index in the wave, as it arrives.
-    /// Returns early only when no worker could be spawned within the retry
-    /// budget, or when nobody is receiving any more.
-    #[expect(
-        clippy::too_many_arguments,
-        reason = "one lane's borrowed context; a struct would only rename it"
-    )]
-    fn run_lane(
+    fn wave_span(wave: usize, calls: usize) -> Option<SpanGuard> {
+        Some(telemetry::span_with(
+            "fleet.wave",
+            vec![("round", wave.into()), ("minibatches", calls.into())],
+        ))
+    }
+
+    /// One mini-batch over this slot's socket, against the policy published
+    /// when it starts. The first call at a new version carries the snapshot
+    /// and the worker keeps it; later ones name the version only. The
+    /// call's faults hit its first attempt. Fails only when no worker could
+    /// be spawned within the retry budget.
+    fn call(
         &mut self,
-        fleet: &RemoteFleet,
-        setup: &RemoteSetup,
-        policy: &Published,
-        wave_span: u64,
+        (policy, batch): Minibatch,
+        i: usize,
         l: usize,
-        jobs: Vec<(usize, SampleBatch, Chaos)>,
-        landed: &Sender<(usize, GradientMsg)>,
-    ) -> Result<LaneReport, RemoteError> {
-        let LearnerSlot { worker, holds } = self;
-        let mut report = LaneReport::default();
-        for (i, batch, chaos) in jobs {
-            let snap = policy.get();
-            let call = GradientCall {
-                version: snap.version,
-                batch,
-                cap: fleet.cfg.truncation_rho,
-                learner_id: l,
-            };
-            let mut span = telemetry::span_with_parent(
-                "fleet.gradient",
-                wave_span,
-                vec![("minibatch", i.into()), ("learner", l.into())],
-            );
-            let outcome = fleet.faults.with_retry(&fleet.cfg.retry, |attempt| {
+        faults: Faults,
+        wave: u64,
+    ) -> Result<Option<GradientMsg>, RemoteError> {
+        let ProcessLearner {
+            fleet,
+            setup,
+            tally,
+            worker,
+            holds,
+        } = self;
+        let snap = policy.get();
+        let call = GradientCall {
+            version: snap.version,
+            batch,
+            cap: fleet.cfg.truncation_rho,
+            learner_id: l,
+        };
+        let mut span = telemetry::span_with_parent(
+            "fleet.gradient",
+            wave,
+            vec![("minibatch", i.into()), ("learner", l.into())],
+        );
+        let outcome = fleet
+            .platform
+            .faults()
+            .with_retry(&fleet.cfg.retry, |attempt| {
                 let w = match &mut *worker {
                     Some(w) => w,
                     slot => {
                         let mut w = fleet.checkout_worker(FunctionKind::Learner, l, setup)?;
-                        // A fresh process (the last one was poisoned, or
-                        // died idle in the pool) holds nothing.
+                        // A fresh process (the last one was poisoned, or died
+                        // idle in the pool) holds nothing.
                         if w.process().is_cold() {
                             *holds = None;
                         }
@@ -1017,19 +1064,23 @@ impl LearnerSlot {
                     }
                 };
                 let push = (*holds != Some(snap.version)).then_some(&*snap);
-                let injected = attempt == 0;
+                let injected = if attempt == 0 {
+                    faults
+                } else {
+                    Faults::default()
+                };
                 let t0 = Instant::now();
-                let result = if injected && chaos.dropped {
+                let result = if injected.dropped {
                     // Frame drop, socket edition: the peer vanishes and the
                     // connection resets under the request.
                     w.process().kill();
                     w.gradient_at(&call, push, span.id())
-                } else if injected && chaos.crash {
+                } else if injected.crash {
                     Err(w.crash())
-                } else if injected && chaos.corrupt {
+                } else if injected.corrupt {
                     w.gradient_corrupted(&call, push, span.id())
                 } else {
-                    if let (true, Some(dur)) = (injected, chaos.straggle) {
+                    if let Some(dur) = injected.straggle {
                         let _slow_peer = w.sleep(dur.as_millis() as u64, span.id());
                     }
                     w.gradient_at(&call, push, span.id())
@@ -1037,24 +1088,25 @@ impl LearnerSlot {
                 fleet.record_warm(FunctionKind::Learner, t0.elapsed(), result.is_err());
                 match &result {
                     Ok(_) => {
+                        let mut tally = tally.lock();
                         if push.is_some() {
                             *holds = Some(snap.version);
-                            report.pushes += 1;
-                            report.pushed_bytes += snap.encoded_len() as u64;
+                            tally.policy_full_pulls += 1;
+                            tally.policy_bytes_full += snap.encoded_len() as u64;
                         }
                         if attempt > 0 {
-                            report.recovered += 1;
+                            tally.recovered += 1;
                             span.field("recovered_after", attempt);
                         }
                     }
                     Err(e) => {
                         span.field("error", format!("{e}"));
-                        // Whatever failed (`stale-base` included), the retry
-                        // is self-contained: forget what the worker held.
+                        // Whatever failed (`stale-base` included), the retry is
+                        // self-contained: forget what the worker held.
                         *holds = None;
-                        // A rejected frame leaves the stream in sync;
-                        // anything wire-level poisons the connection and
-                        // the worker respawns cold.
+                        // A rejected frame leaves the stream in sync; anything
+                        // wire-level poisons the connection and the worker
+                        // respawns cold.
                         if !matches!(e, RemoteError::Rejected(_)) {
                             *worker = None;
                         }
@@ -1062,155 +1114,17 @@ impl LearnerSlot {
                 }
                 result
             });
-            match outcome {
-                Ok(msg) => {
-                    if landed.send((i, msg)).is_err() {
-                        break;
-                    }
-                }
-                // No worker could be spawned within the whole budget.
-                Err(e @ RemoteError::Spawn(_)) => return Err(e),
-                // Quorum degradation: this mini-batch's gradient is
-                // permanently lost and the round proceeds without it.
-                Err(_) => span.field("exhausted", true),
+        match outcome {
+            Ok(msg) => Ok(Some(msg)),
+            // No worker could be spawned within the whole budget.
+            Err(e @ RemoteError::Spawn(_)) => Err(e),
+            // Quorum degradation: this mini-batch's gradient is permanently
+            // lost and the round proceeds without it.
+            Err(_) => {
+                span.field("exhausted", true);
+                Ok(None)
             }
         }
-        Ok(report)
-    }
-}
-
-impl ProcessLearners<'_> {
-    /// Keep-alive between rounds: learner workers idle in the pool and the
-    /// next round's checkout reuses them warm. After the last round their
-    /// spans are pulled and they shut down (drop kills whatever is left).
-    fn end_round(&mut self, trace: u64) {
-        self.round += 1;
-        let last = self.round == self.fleet.cfg.rounds;
-        for slot in &mut self.slots {
-            let Some(mut w) = slot.worker.take() else {
-                continue;
-            };
-            if last {
-                if let Ok(n) = w.pull_spans(trace) {
-                    self.report.events_ingested += n;
-                }
-                let _graceful = w.shutdown();
-            } else {
-                self.fleet.pool.checkin(w.into_process());
-            }
-        }
-    }
-}
-
-impl Actors for ProcessActor<'_> {
-    type Error = RemoteError;
-
-    /// The actor worker is sent `snap` whole unless it already holds that
-    /// version (one `LOAD_POLICY` per clock move), then collects under it.
-    fn collect(
-        &mut self,
-        snap: &Arc<PolicySnapshot>,
-    ) -> Result<Vec<Option<SampleBatch>>, RemoteError> {
-        let span = telemetry::span_with("fleet.collect", vec![("round", self.round.into())]);
-        let t0 = Instant::now();
-        if self.holds != Some(snap.version) {
-            self.worker.load_policy(snap, span.id())?;
-            self.pulls += 1;
-            self.pulled_bytes += snap.encoded_len() as u64;
-            self.holds = Some(snap.version);
-        }
-        let steps = self.fleet.cfg.actor_steps as u64;
-        let batch = self.worker.collect(steps, span.id())?;
-        self.fleet
-            .record_warm(FunctionKind::Actor, t0.elapsed(), false);
-        Ok(vec![Some(batch)])
-    }
-}
-
-impl Learners for ProcessLearners<'_> {
-    type Error = RemoteError;
-
-    fn wave_width(&self, minibatches: usize) -> usize {
-        minibatches
-    }
-
-    /// One dispatch lane per learner slot ([`LearnerSlot::run_lane`]). Each
-    /// gradient crosses a channel to this thread and is handed to `arrived`
-    /// as it lands; every lane is joined before this returns. A spawn
-    /// failure is reported from the lowest lane that hit one, after the
-    /// gradients that did land were handed over.
-    fn gradients(
-        &mut self,
-        policy: &Published,
-        wave: Vec<SampleBatch>,
-        arrived: &mut dyn FnMut(usize, GradientMsg),
-    ) -> Result<(), RemoteError> {
-        let (fleet, setup) = (self.fleet, &self.setup);
-        let n = self.slots.len();
-        let sent = wave.len();
-        // One chaos draw per mini-batch and class, in mini-batch order on
-        // this thread before any lane starts: each class has its own seeded
-        // stream, so the draw sequence (hence the run's outcome) is a pure
-        // function of the fault seed however the lanes interleave. Only the
-        // first attempt is injected, so a retried attempt is clean and
-        // recovery is guaranteed within the budget.
-        let mut jobs: Vec<Vec<_>> = (0..n).map(|_| Vec::new()).collect();
-        for (i, mb) in wave.into_iter().enumerate() {
-            let chaos = Chaos {
-                crash: fleet.faults.should_crash(),
-                straggle: fleet.faults.straggle(),
-                corrupt: fleet.faults.should_corrupt_frame(),
-                dropped: fleet.faults.should_drop_frame(),
-            };
-            jobs[i % n].push((i, mb, chaos));
-        }
-        let wave_span = telemetry::span_with(
-            "fleet.wave",
-            vec![("round", self.round.into()), ("minibatches", sent.into())],
-        );
-        let wave_id = wave_span.id();
-        let lanes: Vec<_> = std::thread::scope(|scope| {
-            let (tx, landed) = mpsc::channel();
-            let handles: Vec<_> = self
-                .slots
-                .iter_mut()
-                .zip(jobs)
-                .enumerate()
-                .filter(|(_, (_, jobs))| !jobs.is_empty())
-                .map(|(l, (slot, jobs))| {
-                    let tx = tx.clone();
-                    scope.spawn(move || {
-                        let out = slot.run_lane(fleet, setup, policy, wave_id, l, jobs, &tx);
-                        // The lane's spans must be in the sink before the
-                        // round's trace is read, not whenever the thread's
-                        // locals are torn down.
-                        telemetry::flush_thread();
-                        out
-                    })
-                })
-                .collect();
-            drop(tx);
-            for (i, msg) in landed {
-                arrived(i, msg);
-            }
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-        let report = &mut self.report;
-        let mut spawn_err = None;
-        for lane in lanes {
-            match lane {
-                Ok(Ok(lane)) => {
-                    report.recovered += lane.recovered;
-                    report.policy_full_pulls += lane.pushes;
-                    report.policy_bytes_full += lane.pushed_bytes;
-                }
-                // Lanes come back in slot order: the lowest one reports.
-                Ok(Err(e)) => spawn_err = spawn_err.or(Some(e)),
-                // Every lane has been joined; a lane's panic is the run's.
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        spawn_err.map_or(Ok(()), Err)
     }
 }
 

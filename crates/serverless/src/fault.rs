@@ -168,23 +168,59 @@ impl FaultReport {
     }
 }
 
+/// The faults drawn for one call, injected into its first attempt only so
+/// that a retry runs clean. Each venue draws the classes it can apply
+/// ([`FaultPlan::draw_invocation`], [`FaultPlan::draw_request`]), on the
+/// thread that deals the calls and in call order, so a run's faults are a
+/// function of the fault seed however its workers interleave.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Faults {
+    /// The invocation fails at the platform level before its work runs.
+    pub fail: bool,
+    /// The work runs, then its container (or worker process) dies.
+    pub crash: bool,
+    /// A delay before the work.
+    pub straggle: Option<Duration>,
+    /// The request frame arrives truncated.
+    pub corrupt: bool,
+    /// The peer is killed under the request.
+    pub dropped: bool,
+}
+
+/// One fault class: its seeded stream, its probability and how often it
+/// was injected.
+struct Class {
+    rng: Mutex<ChaCha8Rng>,
+    p: f64,
+    injected: AtomicU64,
+}
+
+impl Class {
+    fn new(seed: u64, salt: u64, p: f64) -> Self {
+        Self {
+            rng: Mutex::new(ChaCha8Rng::seed_from_u64(seed ^ salt)),
+            p,
+            injected: AtomicU64::new(0),
+        }
+    }
+
+    fn injected(&self) -> u64 {
+        self.injected.load(Ordering::Relaxed)
+    }
+}
+
 /// A seeded fault-decision engine shared by the platform and the transport
 /// router. Each fault class draws from its own ChaCha stream (seeded
 /// `seed ^ class-salt`), so disabling one class never shifts another's
 /// decision sequence.
 pub struct FaultPlan {
     cfg: FaultConfig,
-    fail_rng: Mutex<ChaCha8Rng>,
-    crash_rng: Mutex<ChaCha8Rng>,
-    straggle_rng: Mutex<ChaCha8Rng>,
-    drop_rng: Mutex<ChaCha8Rng>,
-    corrupt_rng: Mutex<ChaCha8Rng>,
+    fail: Class,
+    crash: Class,
+    straggle: Class,
+    drop: Class,
+    corrupt: Class,
     jitter_rng: Mutex<ChaCha8Rng>,
-    injected_failures: AtomicU64,
-    injected_crashes: AtomicU64,
-    injected_stragglers: AtomicU64,
-    frames_dropped: AtomicU64,
-    frames_corrupted: AtomicU64,
     retries: AtomicU64,
     exhausted: AtomicU64,
     faults_total: Arc<Counter>,
@@ -193,36 +229,21 @@ pub struct FaultPlan {
     backoff_us: Arc<Histogram>,
 }
 
-fn site_rng(seed: u64, salt: u64) -> Mutex<ChaCha8Rng> {
-    Mutex::new(ChaCha8Rng::seed_from_u64(seed ^ salt))
-}
-
-fn draw(rng: &Mutex<ChaCha8Rng>, p: f64) -> bool {
-    if p <= 0.0 {
-        return false;
-    }
-    rng.lock().gen_bool(p.min(1.0))
-}
-
 impl FaultPlan {
     /// Builds a plan from a config; `FaultConfig::off()` yields a plan that
     /// never injects anything (the hot path short-circuits on zero
     /// probabilities without touching any RNG lock).
     pub fn new(cfg: FaultConfig) -> Self {
         let reg = stellaris_telemetry::global();
+        let seed = cfg.seed;
         Self {
-            fail_rng: site_rng(cfg.seed, 0x1a07_5a17),
-            crash_rng: site_rng(cfg.seed, 0x2b18_6b28),
-            straggle_rng: site_rng(cfg.seed, 0x3c29_7c39),
-            drop_rng: site_rng(cfg.seed, 0x4d3a_8d4a),
-            corrupt_rng: site_rng(cfg.seed, 0x5e4b_9e5b),
-            jitter_rng: site_rng(cfg.seed, 0x6f5c_af6c),
+            fail: Class::new(seed, 0x1a07_5a17, cfg.invoke_failure),
+            crash: Class::new(seed, 0x2b18_6b28, cfg.invoke_crash),
+            straggle: Class::new(seed, 0x3c29_7c39, cfg.straggler),
+            drop: Class::new(seed, 0x4d3a_8d4a, cfg.frame_drop),
+            corrupt: Class::new(seed, 0x5e4b_9e5b, cfg.frame_corrupt),
+            jitter_rng: Mutex::new(ChaCha8Rng::seed_from_u64(seed ^ 0x6f5c_af6c)),
             cfg,
-            injected_failures: AtomicU64::new(0),
-            injected_crashes: AtomicU64::new(0),
-            injected_stragglers: AtomicU64::new(0),
-            frames_dropped: AtomicU64::new(0),
-            frames_corrupted: AtomicU64::new(0),
             retries: AtomicU64::new(0),
             exhausted: AtomicU64::new(0),
             faults_total: reg.counter("stellaris_serverless_faults_injected_total"),
@@ -242,60 +263,40 @@ impl FaultPlan {
         &self.cfg
     }
 
-    /// Should the next invocation fail at the platform level?
-    pub fn should_fail_invoke(&self) -> bool {
-        let hit = draw(&self.fail_rng, self.cfg.invoke_failure);
+    /// The next decision of `class`, counted when it injects.
+    fn draw(&self, class: &Class) -> bool {
+        let hit = class.p > 0.0 && class.rng.lock().gen_bool(class.p.min(1.0));
         if hit {
-            self.injected_failures.fetch_add(1, Ordering::Relaxed);
+            class.injected.fetch_add(1, Ordering::Relaxed);
             self.faults_total.inc();
             stellaris_telemetry::recorder::note_fault();
         }
         hit
     }
 
-    /// Should the next invocation crash after its work ran?
-    pub fn should_crash(&self) -> bool {
-        let hit = draw(&self.crash_rng, self.cfg.invoke_crash);
-        if hit {
-            self.injected_crashes.fetch_add(1, Ordering::Relaxed);
-            self.faults_total.inc();
-            stellaris_telemetry::recorder::note_fault();
-        }
-        hit
-    }
-
-    /// Straggler delay to inject before the next invocation's work, if any.
-    pub fn straggle(&self) -> Option<Duration> {
-        if draw(&self.straggle_rng, self.cfg.straggler) {
-            self.injected_stragglers.fetch_add(1, Ordering::Relaxed);
-            self.faults_total.inc();
-            stellaris_telemetry::recorder::note_fault();
-            Some(self.cfg.straggler_delay)
-        } else {
-            None
+    /// One in-process invocation's faults: failure, crash and straggle.
+    pub fn draw_invocation(&self) -> Faults {
+        Faults {
+            fail: self.draw(&self.fail),
+            crash: self.draw(&self.crash),
+            straggle: self
+                .draw(&self.straggle)
+                .then_some(self.cfg.straggler_delay),
+            ..Faults::default()
         }
     }
 
-    /// Should the next serialised frame be dropped in flight?
-    pub fn should_drop_frame(&self) -> bool {
-        let hit = draw(&self.drop_rng, self.cfg.frame_drop);
-        if hit {
-            self.frames_dropped.fetch_add(1, Ordering::Relaxed);
-            self.faults_total.inc();
-            stellaris_telemetry::recorder::note_fault();
+    /// One socket request's faults: crash, straggle, corruption and drop.
+    pub fn draw_request(&self) -> Faults {
+        Faults {
+            crash: self.draw(&self.crash),
+            straggle: self
+                .draw(&self.straggle)
+                .then_some(self.cfg.straggler_delay),
+            corrupt: self.draw(&self.corrupt),
+            dropped: self.draw(&self.drop),
+            ..Faults::default()
         }
-        hit
-    }
-
-    /// Should the next serialised frame be corrupted (truncated) in flight?
-    pub fn should_corrupt_frame(&self) -> bool {
-        let hit = draw(&self.corrupt_rng, self.cfg.frame_corrupt);
-        if hit {
-            self.frames_corrupted.fetch_add(1, Ordering::Relaxed);
-            self.faults_total.inc();
-            stellaris_telemetry::recorder::note_fault();
-        }
-        hit
     }
 
     /// One seeded jitter draw in `[0, 1)` for backoff scaling.
@@ -341,11 +342,11 @@ impl FaultPlan {
     /// Snapshot of everything injected and recovered so far.
     pub fn report(&self) -> FaultReport {
         FaultReport {
-            injected_failures: self.injected_failures.load(Ordering::Relaxed),
-            injected_crashes: self.injected_crashes.load(Ordering::Relaxed),
-            injected_stragglers: self.injected_stragglers.load(Ordering::Relaxed),
-            frames_dropped: self.frames_dropped.load(Ordering::Relaxed),
-            frames_corrupted: self.frames_corrupted.load(Ordering::Relaxed),
+            injected_failures: self.fail.injected(),
+            injected_crashes: self.crash.injected(),
+            injected_stragglers: self.straggle.injected(),
+            frames_dropped: self.drop.injected(),
+            frames_corrupted: self.corrupt.injected(),
             retries: self.retries.load(Ordering::Relaxed),
             exhausted: self.exhausted.load(Ordering::Relaxed),
         }
@@ -356,17 +357,9 @@ impl FaultPlan {
 mod tests {
     use super::*;
 
-    fn decision_trace(plan: &FaultPlan, n: usize) -> Vec<(bool, bool, bool, bool, bool)> {
+    fn decision_trace(plan: &FaultPlan, n: usize) -> Vec<(Faults, Faults)> {
         (0..n)
-            .map(|_| {
-                (
-                    plan.should_fail_invoke(),
-                    plan.should_crash(),
-                    plan.straggle().is_some(),
-                    plan.should_drop_frame(),
-                    plan.should_corrupt_frame(),
-                )
-            })
+            .map(|_| (plan.draw_invocation(), plan.draw_request()))
             .collect()
     }
 
@@ -389,11 +382,8 @@ mod tests {
     fn off_plan_never_fires_and_counts_nothing() {
         let p = FaultPlan::disabled();
         for _ in 0..100 {
-            assert!(!p.should_fail_invoke());
-            assert!(!p.should_crash());
-            assert!(p.straggle().is_none());
-            assert!(!p.should_drop_frame());
-            assert!(!p.should_corrupt_frame());
+            assert_eq!(p.draw_invocation(), Faults::default());
+            assert_eq!(p.draw_request(), Faults::default());
         }
         assert_eq!(p.report(), FaultReport::default());
         assert_eq!(p.report().total_injected(), 0);
@@ -403,7 +393,7 @@ mod tests {
     fn chaos_rates_are_roughly_honoured() {
         let p = FaultPlan::new(FaultConfig::chaos(7));
         let n = 2000;
-        let fails = (0..n).filter(|_| p.should_fail_invoke()).count();
+        let fails = (0..n).filter(|_| p.draw_invocation().fail).count();
         // 20% ± generous slack; the point is "plausible", not "calibrated".
         assert!((200..=600).contains(&fails), "fails {fails}");
         assert_eq!(p.report().injected_failures, fails as u64);
@@ -418,8 +408,8 @@ mod tests {
         only_drop.frame_corrupt = 0.0;
         let a = FaultPlan::new(FaultConfig::chaos(9));
         let b = FaultPlan::new(only_drop);
-        let da: Vec<bool> = (0..300).map(|_| a.should_drop_frame()).collect();
-        let db: Vec<bool> = (0..300).map(|_| b.should_drop_frame()).collect();
+        let da: Vec<bool> = (0..300).map(|_| a.draw_request().dropped).collect();
+        let db: Vec<bool> = (0..300).map(|_| b.draw_request().dropped).collect();
         assert_eq!(da, db, "frame-drop stream must be independent");
     }
 

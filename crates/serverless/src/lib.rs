@@ -24,7 +24,7 @@ pub mod process;
 
 pub use cost::{bill_hybrid, bill_serverful, bill_serverless, CostBreakdown};
 pub use cputime::{measure_cpu, thread_cpu_time};
-pub use fault::{FaultConfig, FaultPlan, FaultReport, RetryPolicy};
+pub use fault::{FaultConfig, FaultPlan, FaultReport, Faults, RetryPolicy};
 pub use platform::{
     FunctionKind, InvocationRecord, InvokeError, OverheadMode, Platform, StartupProfile,
 };

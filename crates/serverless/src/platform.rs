@@ -20,7 +20,7 @@ use std::time::{Duration, Instant};
 use parking_lot::{Condvar, Mutex};
 use stellaris_telemetry::{Counter, Histogram};
 
-use crate::fault::{FaultPlan, RetryPolicy};
+use crate::fault::{FaultPlan, Faults, RetryPolicy};
 
 /// Which function a container hosts.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -243,13 +243,13 @@ pub struct Platform {
     busy_us: [AtomicU64; 2],
     /// Per-kind telemetry handles (cold/warm counters, latency histograms).
     metrics: [KindMetrics; 2],
-    /// Fault-injection plan consulted by `try_invoke`/`invoke_retry`
-    /// (disabled by default).
+    /// The run's fault plan: `invoke_retry` draws from it, and callers
+    /// that deal calls out draw from it themselves (disabled by default).
     faults: Arc<FaultPlan>,
 }
 
 /// How one invocation attempt ended, before the public error mapping:
-/// `invoke` re-raises panics, `try_invoke` converts them to `InvokeError`.
+/// `invoke` re-raises panics, `invoke_with` converts them to `InvokeError`.
 enum AttemptFail {
     Injected,
     Crashed,
@@ -304,7 +304,7 @@ impl Platform {
     }
 
     /// Installs a fault-injection plan (builder style, before the platform
-    /// is shared). Only `try_invoke`/`invoke_retry` consult it.
+    /// is shared). `invoke` never injects anything.
     pub fn with_faults(mut self, faults: Arc<FaultPlan>) -> Self {
         self.faults = faults;
         self
@@ -404,15 +404,15 @@ impl Platform {
         )
     }
 
-    /// One invocation attempt: blocks for a slot, pays startup, optionally
-    /// consults the fault plan, runs `work` under `catch_unwind`, then
-    /// drops the RAII slot permit and container lease. All resource release
-    /// is guard-driven, so no exit path — injected failure, crash, genuine
+    /// One invocation attempt: blocks for a slot, pays startup, applies the
+    /// `faults` it is handed, runs `work` under `catch_unwind`, then drops
+    /// the RAII slot permit and container lease. All resource release is
+    /// guard-driven, so no exit path — injected failure, crash, genuine
     /// panic, deadline overrun — can leak a permit or a warm container.
     fn attempt<R>(
         &self,
         kind: FunctionKind,
-        inject: bool,
+        faults: Faults,
         deadline: Option<Duration>,
         work: impl FnOnce() -> R,
     ) -> Result<(R, InvocationRecord), (AttemptFail, InvocationRecord)> {
@@ -449,8 +449,7 @@ impl Platform {
             kind,
             poisoned: false,
         };
-        let faults = inject.then_some(&*self.faults);
-        if faults.is_some_and(FaultPlan::should_fail_invoke) {
+        if faults.fail {
             // Platform-level failure before the work ran: the container
             // died mid-startup, so the lease is poisoned and nothing is
             // billed beyond the (zero-CPU) failed record.
@@ -468,13 +467,11 @@ impl Platform {
             return Err((AttemptFail::Injected, record));
         }
         let t0 = Instant::now();
-        if let Some(delay) = faults.and_then(FaultPlan::straggle) {
-            if !delay.is_zero() {
-                let _straggle = stellaris_telemetry::span("serverless.straggle");
-                std::thread::sleep(delay);
-            }
+        if let Some(delay) = faults.straggle.filter(|d| !d.is_zero()) {
+            let _straggle = stellaris_telemetry::span("serverless.straggle");
+            std::thread::sleep(delay);
         }
-        let crash = faults.is_some_and(FaultPlan::should_crash);
+        let crash = faults.crash;
         let (out, cpu, _used_cpu_clock) = crate::cputime::measure_cpu(|| {
             std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let r = work();
@@ -526,7 +523,7 @@ impl Platform {
     /// Invokes a function: blocks for a slot, pays cold/warm startup, runs
     /// `work` on the calling thread, releases the container (warm) and slot.
     ///
-    /// Never consults the fault plan and has no deadline; a panic in `work`
+    /// Injects no fault and has no deadline; a panic in `work`
     /// is re-raised on the caller *after* the RAII guards have returned the
     /// slot permit and poisoned the container, so it cannot leak capacity.
     ///
@@ -534,52 +531,55 @@ impl Platform {
     /// slot wait as well as the work) and recorded in the per-kind cold/warm
     /// counters and startup/exec latency histograms.
     pub fn invoke<R>(&self, kind: FunctionKind, work: impl FnOnce() -> R) -> (R, InvocationRecord) {
-        match self.attempt(kind, false, None, work) {
+        match self.attempt(kind, Faults::default(), None, work) {
             Ok(out) => out,
             Err((AttemptFail::Panicked(payload), _record)) => std::panic::resume_unwind(payload),
-            // With injection off and no deadline, only a panic can fail.
-            // lint:allow(A8): `attempt(kind, false, None, ..)` cannot produce a non-panic failure
+            // With no fault and no deadline, only a panic can fail.
+            // lint:allow(A8): `attempt` with no fault and no deadline cannot produce a non-panic failure
             Err(_) => unreachable!("non-panic failure with fault injection disabled"),
         }
     }
 
-    /// One fault-injectable invocation attempt with an optional deadline.
-    /// On failure the attempt's record (billed, `failed = true`) rides
-    /// along with the error.
-    pub fn try_invoke<R>(
-        &self,
-        kind: FunctionKind,
-        deadline: Option<Duration>,
-        work: impl FnOnce() -> R,
-    ) -> Result<(R, InvocationRecord), (InvokeError, InvocationRecord)> {
-        self.attempt(kind, true, deadline, work)
-            .map_err(|(fail, record)| {
-                let err = match fail {
-                    AttemptFail::Injected | AttemptFail::Crashed => InvokeError::Injected,
-                    AttemptFail::Panicked(payload) => InvokeError::Panicked(panic_msg(&*payload)),
-                    AttemptFail::Deadline { wall, deadline } => {
-                        InvokeError::DeadlineExceeded { wall, deadline }
-                    }
-                };
-                (err, record)
-            })
-    }
-
-    /// Invokes with fault injection, deadline enforcement and retry:
-    /// exponential backoff with seeded jitter between attempts, giving up
-    /// after `retry.max_retries` retries. Stragglers that overrun the
-    /// deadline are re-executed like any other failed attempt; every
-    /// attempt (failed or not) is billed and recorded.
+    /// Invokes with one call's faults drawn from the installed plan on this
+    /// thread ([`FaultPlan::draw_invocation`]), then as [`Platform::invoke_with`].
     pub fn invoke_retry<R>(
         &self,
         kind: FunctionKind,
         retry: &RetryPolicy,
         deadline: Option<Duration>,
+        work: impl FnMut() -> R,
+    ) -> Result<(R, InvocationRecord), InvokeError> {
+        let faults = self.faults.draw_invocation();
+        self.invoke_with(kind, retry, deadline, faults, work)
+    }
+
+    /// Invokes with `faults` injected into the first attempt, deadline
+    /// enforcement and retry: exponential backoff with seeded jitter
+    /// between attempts, giving up after `retry.max_retries` retries.
+    /// Stragglers that overrun the deadline are re-executed like any other
+    /// failed attempt; every attempt (failed or not) is billed and recorded.
+    pub fn invoke_with<R>(
+        &self,
+        kind: FunctionKind,
+        retry: &RetryPolicy,
+        deadline: Option<Duration>,
+        faults: Faults,
         mut work: impl FnMut() -> R,
     ) -> Result<(R, InvocationRecord), InvokeError> {
-        self.faults.with_retry(retry, |_attempt| {
-            self.try_invoke(kind, deadline, &mut work)
-                .map_err(|(err, _record)| err)
+        self.faults.with_retry(retry, |attempt| {
+            let faults = if attempt == 0 {
+                faults
+            } else {
+                Faults::default()
+            };
+            self.attempt(kind, faults, deadline, &mut work)
+                .map_err(|(fail, _record)| match fail {
+                    AttemptFail::Injected | AttemptFail::Crashed => InvokeError::Injected,
+                    AttemptFail::Panicked(payload) => InvokeError::Panicked(panic_msg(&*payload)),
+                    AttemptFail::Deadline { wall, deadline } => {
+                        InvokeError::DeadlineExceeded { wall, deadline }
+                    }
+                })
         })
     }
 
@@ -908,16 +908,20 @@ mod tests {
         }));
         let p = fast_platform(1, 1).with_faults(plan);
         let ran = AtomicU64::new(0);
-        let err = p.try_invoke(FunctionKind::Learner, None, || {
-            ran.fetch_add(1, Ordering::SeqCst);
-        });
-        match err {
-            Err((InvokeError::Injected, rec)) => {
-                assert!(rec.failed);
-                assert_eq!(rec.exec, Duration::ZERO, "work never ran, no CPU billed");
-            }
-            other => panic!("expected injected failure, got {:?}", other.map(|(_, r)| r)),
-        }
+        let faults = p.faults().draw_invocation();
+        let err = p.invoke_with(
+            FunctionKind::Learner,
+            &RetryPolicy::none(),
+            None,
+            faults,
+            || {
+                ran.fetch_add(1, Ordering::SeqCst);
+            },
+        );
+        assert_eq!(err.err(), Some(InvokeError::Injected));
+        let rec = p.records()[0];
+        assert!(rec.failed);
+        assert_eq!(rec.exec, Duration::ZERO, "work never ran, no CPU billed");
         assert_eq!(ran.load(Ordering::SeqCst), 0);
         assert_eq!(p.leaked_slots(), 0);
         assert_eq!(p.faults().report().injected_failures, 1);
@@ -953,6 +957,8 @@ mod tests {
         assert_eq!(report.retries, report.injected_failures);
     }
 
+    /// A call's faults hit its first attempt only; here every retry then
+    /// overruns its deadline, and the last of those errors is returned.
     #[test]
     fn exhausted_retries_return_the_last_error() {
         let plan = Arc::new(FaultPlan::new(FaultConfig {
@@ -965,9 +971,17 @@ mod tests {
             base: Duration::from_micros(50),
             cap: Duration::from_micros(200),
         };
-        let out = p.invoke_retry(FunctionKind::Learner, &retry, None, || ());
-        assert_eq!(out.err(), Some(InvokeError::Injected));
+        let deadline = Some(Duration::from_micros(1));
+        let out = p.invoke_retry(FunctionKind::Learner, &retry, deadline, || {
+            std::thread::sleep(Duration::from_millis(1))
+        });
+        assert!(
+            matches!(out, Err(InvokeError::DeadlineExceeded { .. })),
+            "the last attempt's error: {:?}",
+            out.map(|(_, r)| r)
+        );
         let report = p.faults().report();
+        assert_eq!(report.injected_failures, 1, "one draw per call");
         assert_eq!(report.retries, 2);
         assert_eq!(report.exhausted, 1);
         assert_eq!(p.records().len(), 3, "every attempt is recorded");
@@ -1022,10 +1036,17 @@ mod tests {
         }));
         let p = fast_platform(1, 1).with_faults(plan);
         let ran = AtomicU64::new(0);
-        let out = p.try_invoke(FunctionKind::Learner, None, || {
-            ran.fetch_add(1, Ordering::SeqCst);
-        });
-        assert!(matches!(out, Err((InvokeError::Injected, _))));
+        let faults = p.faults().draw_invocation();
+        let out = p.invoke_with(
+            FunctionKind::Learner,
+            &RetryPolicy::none(),
+            None,
+            faults,
+            || {
+                ran.fetch_add(1, Ordering::SeqCst);
+            },
+        );
+        assert_eq!(out.err(), Some(InvokeError::Injected));
         assert_eq!(
             ran.load(Ordering::SeqCst),
             1,

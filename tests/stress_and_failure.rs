@@ -114,14 +114,21 @@ fn dynamic_learner_autoscaling_completes() {
 #[test]
 fn chaos_run_is_deterministic_per_seed_and_leaks_nothing() {
     // Seeded chaos (20% invocation failures, 5% mid-work crashes, 20%
-    // stragglers, 20% frame drops, 10% frame corruption) on the serialized
-    // Sync{n:1}/1-actor topology: every fault draw happens in program order,
-    // so two same-seed runs must agree bit-for-bit.
+    // stragglers, 20% frame drops, 10% frame corruption) on lock-step
+    // topologies with no deadline: every call's faults are drawn in call
+    // order before its wave starts, so two same-seed runs must agree
+    // bit-for-bit however the wave's threads interleave.
+    for (n, actors) in [(1, 1), (2, 2)] {
+        chaos_run_reproduces(n, actors);
+    }
+}
+
+fn chaos_run_reproduces(n: usize, actors: usize) {
     let run = || {
         let mut cfg = TrainConfig::test_tiny(EnvId::ChainMdp, 11).with_chaos(99);
-        cfg.learner_mode = LearnerMode::Sync { n: 1 };
-        cfg.n_actors = 1;
-        cfg.max_learners = 1;
+        cfg.learner_mode = LearnerMode::Sync { n };
+        cfg.n_actors = actors;
+        cfg.max_learners = n;
         train(&cfg)
     };
     let a = run();
